@@ -12,13 +12,13 @@ BENCH_JSON ?= BENCH.json
 
 # bench-compare baseline: the JSON report committed with the most recent
 # performance PR.
-BENCH_BASELINE ?= BENCH_PR8.json
+BENCH_BASELINE ?= BENCH_PR13.json
 
 # calibrate knobs: scenario count and base seed for the randomized sweep.
 CAL_SCENARIOS ?= 100
 CAL_SEED      ?= 1
 
-.PHONY: all build fmt vet sarif lockgraph lockgraph-check race test short bench bench-compare chaos load-smoke calibrate docs-check check clean
+.PHONY: all build fmt vet sarif lockgraph lockgraph-check race test short bench bench-compare bench-e2e chaos load-smoke calibrate docs-check check clean
 
 all: build
 
@@ -119,6 +119,17 @@ bench: $(FAFBENCH)
 # Add -format=markdown for a summary table (PR descriptions, job summaries).
 bench-compare: $(FAFBENCH)
 	./$(FAFBENCH) -compare $(FAFBENCH_COMPARE_FLAGS) $(BENCH_BASELINE) $(BENCH_JSON)
+
+# End-to-end smoke of the one benchmark that measures this tree (bench/,
+# BENCHMARK.json): a short traced run of the worst honest regime — churn
+# drives the real daemon over loopback, validates every response and ends
+# with the ledger, drain and audit checks. It must exit 0 and report
+# "correct":true on its result line. Numbers from a 4 s run are not for
+# comparison; bench/README.md gives the paired procedure for those.
+bench-e2e:
+	@out=$$($(GO) run ./bench -workload churn -seed 1 -seconds 4 -trace 1) || { echo "$$out"; exit 1; }; \
+	echo "$$out" | grep -E '^(fingerprint|budget|probe budget)'; \
+	echo "$$out" | tail -n 1 | grep -o '"correct":true'
 
 # Documentation gates: every exported identifier in internal/obs must carry
 # a doc comment, OPERATIONS.md's metric catalog must match the names the

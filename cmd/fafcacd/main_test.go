@@ -208,6 +208,12 @@ func TestAuditLogFlagWritesRecords(t *testing.T) {
 	if dec := admitV1(t, d.addrs.Signaling); !dec.Admitted {
 		t.Fatalf("rejected: %s", dec.Reason)
 	}
+	// The audit writer is asynchronous: the response can reach the client
+	// before the record reaches the file. A graceful stop drains the queue.
+	d.stop()
+	if err := <-d.done; err != nil {
+		t.Fatalf("serve: %v", err)
+	}
 	data, err := os.ReadFile(path)
 	if err != nil {
 		t.Fatal(err)

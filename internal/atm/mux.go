@@ -48,6 +48,11 @@ type MuxOptions struct {
 	InitialHorizon float64
 	// MaxHorizon bounds the busy-period search (default 4 s).
 	MaxHorizon float64
+	// Workspace is the scratch the analysis takes its candidate grids from:
+	// a resource handle, not a tuning knob. Its owner (one core.Analyzer)
+	// must not run two analyses on it at once. Nil runs the same code on a
+	// fresh workspace.
+	Workspace *traffic.Workspace
 }
 
 func (o MuxOptions) withDefaults() MuxOptions {
@@ -59,6 +64,9 @@ func (o MuxOptions) withDefaults() MuxOptions {
 	}
 	if o.MaxHorizon <= 0 {
 		o.MaxHorizon = defaultMaxHorizon
+	}
+	if o.Workspace == nil {
+		o.Workspace = new(traffic.Workspace)
 	}
 	return o
 }
@@ -143,15 +151,11 @@ func AnalyzeAggregate(agg traffic.Descriptor, p MuxParams, opts MuxOptions) (Mux
 		return MuxResult{}, fmt.Errorf("%w: Σρ=%v bps, C=%v bps", ErrMuxOverload, agg.LongTermRate(), p.CapacityBps)
 	}
 
-	busy, grid, err := busyPeriod(agg, p.CapacityBps, opts)
+	busy, backlog, err := scanMux(agg, p.CapacityBps, opts)
 	if err != nil {
 		mMuxInfeasible.Inc()
 		return MuxResult{}, err
 	}
-	// The t→0+ limit matters for envelopes with an instantaneous burst.
-	grid = traffic.MergeGrids(busy, grid, []float64{traffic.GridNudge})
-
-	backlog := maxMuxBacklog(agg, grid, busy, p.CapacityBps)
 	delay := backlog / p.CapacityBps
 	if p.BufferBits > 0 && backlog > p.BufferBits*(1+units.RelTol) {
 		mMuxInfeasible.Inc()
@@ -160,19 +164,41 @@ func AnalyzeAggregate(agg traffic.Descriptor, p MuxParams, opts MuxOptions) (Mux
 	return MuxResult{BusyPeriod: busy, Delay: delay, BacklogBits: backlog}, nil
 }
 
+// scanMux finds the busy period and the worst-case queue content of a FIFO
+// port fed by agg. The busy period ends at the first candidate point where
+// the aggregate demand has been fully served (ΣA(t) <= C·t), searched over a
+// horizon that doubles as needed; taking the first *grid* point after the
+// true crossing only enlarges the extremum search range, which keeps the
+// delay bound conservative. The backlog scan then reuses the prefix of that
+// grid within the busy period, with the t→0⁺ point merged in — the limit
+// matters for envelopes with an instantaneous burst. Each horizon's grid
+// lives in a workspace buffer for the duration of its scan, so on a warmed
+// workspace the search allocates nothing.
+func scanMux(agg traffic.Descriptor, capacity float64, opts MuxOptions) (busy, backlog float64, err error) {
+	ws := opts.Workspace
+	for horizon := opts.InitialHorizon; horizon <= opts.MaxHorizon*2; horizon *= 2 {
+		grid := ws.Grid(agg, horizon, opts.GridPoints)
+		if i, ok := busyCrossing(agg, grid, capacity); ok {
+			busy = grid[i]
+			grid = traffic.InsertGridPoint(grid[:i+1], traffic.GridNudge)
+			backlog = maxMuxBacklog(agg, grid, capacity)
+			ws.Put(grid)
+			return busy, backlog, nil
+		}
+		ws.Put(grid)
+	}
+	return 0, 0, fmt.Errorf("%w: no idle point within %v s", ErrMuxNoConvergence, opts.MaxHorizon)
+}
+
 // maxMuxBacklog returns the worst-case queue content: the maximum of
-// ΣA(t) − C·t over the grid points within the busy period. It is the
-// per-probe extremum pass of every FIFO port evaluation, so it is
-// annotated: grid and the memoized aggregate are allocated by the caller,
-// and the scan itself is pure arithmetic over them.
+// ΣA(t) − C·t over the grid, which scanMux has cut to the busy period. It is
+// the per-probe extremum pass of every FIFO port evaluation, so it is
+// annotated: the scan is pure arithmetic over the caller's grid.
 //
 //fafvet:hotpath
-func maxMuxBacklog(agg traffic.Descriptor, grid []float64, busy, capacity float64) float64 {
+func maxMuxBacklog(agg traffic.Descriptor, grid []float64, capacity float64) float64 {
 	var backlog float64
 	for _, t := range grid {
-		if t > busy+units.Eps {
-			break
-		}
 		if b := agg.Bits(t) - capacity*t; b > backlog {
 			backlog = b
 		}
@@ -180,32 +206,10 @@ func maxMuxBacklog(agg traffic.Descriptor, grid []float64, busy, capacity float6
 	return backlog
 }
 
-// busyPeriod finds the first candidate point where the aggregate demand has
-// been fully served (ΣA(t) <= C·t), doubling the search horizon as needed.
-// Taking the first *grid* point after the true crossing only enlarges the
-// extremum search range, which keeps the delay bound conservative. It
-// returns the busy period together with the grid used, so the caller can
-// reuse it for the extremum scan.
-func busyPeriod(agg traffic.Descriptor, capacity float64, opts MuxOptions) (float64, []float64, error) {
-	for horizon := opts.InitialHorizon; horizon <= opts.MaxHorizon*2; horizon *= 2 {
-		// A lowered aggregate materializes out to the scanned horizon before
-		// the walk — for a delta-updated sum this extends the member arrays,
-		// so deep points cost a few array lookups instead of chain walks.
-		if he, ok := agg.(traffic.HorizonEnsurer); ok {
-			he.EnsureHorizon(horizon)
-		}
-		grid := traffic.Grid(agg, horizon, opts.GridPoints)
-		if t, ok := busyCrossing(agg, grid, capacity); ok {
-			return t, grid, nil
-		}
-	}
-	return 0, nil, fmt.Errorf("%w: no idle point within %v s", ErrMuxNoConvergence, opts.MaxHorizon)
-}
-
 // busyCrossing scans one candidate grid for the first point with
-// ΣA(t) <= C·t. The grid allocation and the horizon-doubling retry live in
-// busyPeriod; this inner scan runs once per horizon per probe and is
-// annotated.
+// ΣA(t) <= C·t and returns its index. Grid assembly and the horizon-doubling
+// retry live in scanMux; this inner scan runs once per horizon per probe and
+// is annotated.
 //
 // The scan exploits monotonicity to skip ahead: after observing a = ΣA(t),
 // no earlier-unvisited point t' with C·t' + Eps < a can be the crossing (its
@@ -213,12 +217,12 @@ func busyPeriod(agg traffic.Descriptor, capacity float64, opts MuxOptions) (floa
 // (a − Eps)/C. The crossing found is identical to the point-by-point scan's.
 //
 //fafvet:hotpath
-func busyCrossing(agg traffic.Descriptor, grid []float64, capacity float64) (float64, bool) {
+func busyCrossing(agg traffic.Descriptor, grid []float64, capacity float64) (int, bool) {
 	for i := 0; i < len(grid); {
 		t := grid[i]
 		a := agg.Bits(t)
 		if a <= capacity*t+units.Eps {
-			return t, true
+			return i, true
 		}
 		catchup := (a - units.Eps) / capacity
 		i++

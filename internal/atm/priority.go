@@ -69,19 +69,9 @@ func AnalyzePriorityMux(classes []PriorityClass, p MuxParams, opts MuxOptions) (
 			return PriorityMuxResult{}, fmt.Errorf("%w: classes 0..%d carry %v bps, C=%v bps",
 				ErrMuxOverload, k, agg.LongTermRate(), p.CapacityBps)
 		}
-		busy, grid, err := busyPeriod(agg, p.CapacityBps, opts)
+		_, backlog, err := scanMux(agg, p.CapacityBps, opts)
 		if err != nil {
 			return PriorityMuxResult{}, fmt.Errorf("atm: class %d: %w", k, err)
-		}
-		grid = traffic.MergeGrids(busy, grid, []float64{traffic.GridNudge})
-		var backlog float64
-		for _, t := range grid {
-			if t > busy+units.Eps {
-				break
-			}
-			if b := agg.Bits(t) - p.CapacityBps*t; b > backlog {
-				backlog = b
-			}
 		}
 		d := backlog/p.CapacityBps + blocking
 		res.ClassDelay[k] = d

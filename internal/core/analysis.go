@@ -55,8 +55,7 @@ type Analyzer struct {
 	// portMux caches FIFO-port analysis results keyed by the exact member
 	// flat set (pointer identity, in evaluation order): a port whose members
 	// all match a previously analyzed state reuses the delay verbatim. Flats
-	// are value-immutable (window extension preserves every evaluation), so
-	// pointer equality implies envelope equality.
+	// are value-immutable, so pointer equality implies envelope equality.
 	portMux map[topo.PortID][]portMuxEntry
 	// dstCache caches receiver-MAC analyses keyed by the connection's flat
 	// envelope entering the destination (pointer identity) and the receiver
@@ -76,6 +75,12 @@ type Analyzer struct {
 	specs map[string]ConnSpec
 	// stats accumulates cache hit/miss counts over the analyzer's lifetime.
 	stats CacheStats
+	// ws is the scratch every MAC and mux analysis of this analyzer takes its
+	// candidate grids and scan tables from (handed down through opts.MAC and
+	// opts.Mux). One analyzer runs one analysis at a time, which is the
+	// single-owner rule the workspace asks for; nothing cached above may
+	// point into it.
+	ws traffic.Workspace
 }
 
 type stage0Entry struct {
@@ -138,7 +143,7 @@ func NewAnalyzer(net *topo.Network, opts AnalysisOptions) (*Analyzer, error) {
 	if net == nil {
 		return nil, errors.New("core: Analyzer requires a network")
 	}
-	return &Analyzer{
+	a := &Analyzer{
 		net:         net,
 		opts:        opts,
 		macCache:    make(map[string]map[float64]macEntry),
@@ -148,33 +153,42 @@ func NewAnalyzer(net *topo.Network, opts AnalysisOptions) (*Analyzer, error) {
 		dstCache:    make(map[string]map[dstKey]macEntry),
 		portAgg:     make(map[topo.PortID]*portAggState),
 		specs:       make(map[string]ConnSpec),
-	}, nil
+	}
+	// The workspace is the analyzer's own even when the caller's options
+	// carry one: options are copied between analyzers (one per lane), a
+	// workspace must not be.
+	a.opts.MAC.Workspace = &a.ws
+	a.opts.Mux.Workspace = &a.ws
+	return a, nil
 }
 
 // maxTrackedConns bounds how many connection ids the analyzer retains cached
-// state for; past it, everything is dropped wholesale. Far above any single
-// network's active set, it only guards long-lived analyzers fed a stream of
-// unique ids.
+// state for. Far above any single network's active set, it only guards
+// long-lived analyzers fed a stream of unique ids: past it, the ids that are
+// not part of the evaluation being built — released connections, rejected
+// candidates — are dropped, and the standing set keeps its sender-MAC and
+// stage-0 state.
 const maxTrackedConns = 256
 
 // revalidate checks connection c against the spec its cached state was built
 // under, purging the per-connection caches when the id is new or the spec
 // changed. It makes cache reuse safe across Forget: stale state cannot leak
 // into a reused id because the first evaluation that sees the new spec
-// drops it.
-func (a *Analyzer) revalidate(c *Connection) {
+// drops it. current is the connection set of the evaluation being built.
+func (a *Analyzer) revalidate(c *Connection, current map[string]*Connection) {
 	if old, ok := a.specs[c.ID]; ok && sameSpec(old, c.ConnSpec) {
 		return
 	}
 	if len(a.specs) >= maxTrackedConns {
-		clear(a.specs)
-		clear(a.macCache)
-		clear(a.stage0Cache)
-		clear(a.stageFlats)
-		clear(a.dstCache)
-		// The flats those entries point at are unreachable now, so the
-		// pointer-keyed port results can never match again either.
-		clear(a.portMux)
+		for id := range a.specs {
+			if _, standing := current[id]; !standing {
+				a.purge(id)
+				delete(a.specs, id)
+			}
+		}
+		// Port verdicts are keyed by member flats; those of the evicted ids
+		// can never match again and age out of the per-port lists, those of
+		// the standing set stay valid.
 	}
 	a.purge(c.ID)
 	a.specs[c.ID] = c.ConnSpec
@@ -334,9 +348,13 @@ func (a *Analyzer) newEvaluation(conns []*Connection) (*evaluation, error) {
 		if c.Route.CrossesBackbone && c.HR <= 0 {
 			return nil, fmt.Errorf("core: connection %q crosses the backbone without a receiver allocation", c.ID)
 		}
-		a.revalidate(c)
 		ev.conns[c.ID] = c
 		ev.ordered = append(ev.ordered, c)
+	}
+	// Revalidate once the set is complete: an overflow eviction must know
+	// every connection of this evaluation, not only the ones seen so far.
+	for _, c := range ev.ordered {
+		a.revalidate(c, ev.conns)
 	}
 	sort.Slice(ev.ordered, func(i, j int) bool { return ev.ordered[i].ID < ev.ordered[j].ID })
 	return ev, nil
@@ -649,8 +667,9 @@ func (ev *evaluation) dstMAC(c *Connection) (fddi.MACResult, error) {
 		if lf != nil {
 			// Apply the reassembly quantization to the already-lowered
 			// stage-chain flat in closed form: every grid evaluation of the
-			// scans becomes a segment lookup instead of a chain walk. The
-			// fused chain stays on as the exact tail.
+			// scans inside the window becomes a segment lookup instead of a
+			// chain walk. The fused chain stays on as the exact tail. The
+			// flat is scanned once and dropped; only the verdict is cached.
 			if qn, ok := reassembled.(traffic.Quantized); ok {
 				if qf := lf.Quantize(qn.QuantumBits, qn.OutBits, flatHorizon, input); qf != nil {
 					input = qf

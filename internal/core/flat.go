@@ -8,13 +8,14 @@ import (
 	"fafnet/internal/traffic"
 )
 
-// flatHorizon is the initial window (seconds) over which the analyzer
-// materializes flat breakpoint arrays: a few TTRTs, enough for the busy
-// intervals of lightly loaded scenarios, while keeping freshly lowered
-// arrays small. Scans that walk deeper call EnsureHorizon first, which
-// re-lowers the array out to the scanned depth in place, so the constant
-// only sets the cheap starting size — evaluations beyond the current window
-// delegate to the exact tail chain either way, trading speed, never
+// flatHorizon is the window (seconds) over which the analyzer materializes
+// flat breakpoint arrays: a few TTRTs, enough for the mux busy periods and the
+// busy intervals of lightly loaded rings, while keeping every cached array
+// small. A scan that walks deeper — a receiver MAC near its stability limit
+// has a busy interval of hundreds of rotations — evaluates the few hundred
+// points it visits beyond the window through the flat's exact tail chain;
+// lowering the envelope out to that depth first would cost ten thousand
+// vertices for an array nothing reads again. The constant trades speed, never
 // correctness.
 const flatHorizon = 0.025
 

@@ -67,6 +67,11 @@ type Options struct {
 	// OutputHorizon is the materialization horizon for OutputExact; 0 means
 	// max(2·B, 8·TTRT).
 	OutputHorizon float64
+	// Workspace is the scratch the analysis takes its candidate grid and scan
+	// tables from: a resource handle, not a tuning knob. Its owner (one
+	// core.Analyzer) must not run two analyses on it at once. Nil runs the
+	// same code on a fresh workspace.
+	Workspace *traffic.Workspace
 }
 
 func (o Options) withDefaults() Options {
@@ -78,6 +83,9 @@ func (o Options) withDefaults() Options {
 	}
 	if o.MaxBusyRotations <= 0 {
 		o.MaxBusyRotations = 4096
+	}
+	if o.Workspace == nil {
+		o.Workspace = new(traffic.Workspace)
 	}
 	return o
 }
@@ -161,33 +169,8 @@ func AnalyzeMAC(in traffic.Descriptor, p MACParams, opts Options) (MACResult, er
 		return MACResult{}, fmt.Errorf("%w: no busy-interval end within %d rotations", ErrNoConvergence, opts.MaxBusyRotations)
 	}
 
-	// The extremum scans below evaluate the envelope across the whole busy
-	// interval; a lowered input materializes its breakpoint array out to
-	// that depth once, so every grid evaluation is an array lookup instead
-	// of a chain walk. Value-preserving by the HorizonEnsurer contract.
-	if he, ok := in.(traffic.HorizonEnsurer); ok {
-		he.EnsureHorizon(busy)
-	}
-
-	// Candidate extremum points: the input envelope's own vertices plus the
-	// avail steps at multiples of TTRT, each bracketed.
-	grid := traffic.Grid(in, busy, opts.TGridPoints)
-	// The t→0+ limit matters: a burst at the very start of the busy interval
-	// waits the full worst-case token latency.
-	grid = traffic.MergeGrids(busy, grid, multiplesOf(ttrt, busy), []float64{traffic.GridNudge})
-
-	// Worst-case backlog F (Eq. 10) and worst-case delay χ (Eq. 11), scanned
-	// by the annotated macScan methods; all allocation happens here, before
-	// the scans start.
-	scan := macScan{
-		in: in, p: p, svc: svc, ttrt: ttrt,
-		grid: grid,
-		vals: make([]float64, len(grid)),
-		have: make([]bool, len(grid)),
-	}
-	backlog := scan.maxBacklog()
-	delay := scan.maxDelay()
-	envelopeEvals += scan.evals
+	backlog, delay, scanEvals := scanMAC(opts.Workspace, in, p, busy, opts.TGridPoints)
+	envelopeEvals += scanEvals
 	if p.BufferBits > 0 && backlog > p.BufferBits*(1+units.RelTol) {
 		mMACInfeasible.Inc()
 		return MACResult{}, fmt.Errorf("%w: F=%v bits, S=%v bits", ErrBufferOverflow, backlog, p.BufferBits)
@@ -218,7 +201,7 @@ func outputEnvelope(in traffic.Descriptor, p MACParams, opts Options, busy, dela
 	}
 	tGrid := traffic.MergeGrids(busy,
 		traffic.Grid(in, busy, opts.TGridPoints),
-		multiplesOf(p.Ring.TTRT, busy))
+		appendMultiples(nil, p.Ring.TTRT, busy))
 	tGrid = append([]float64{0}, tGrid...)
 	iGrid := traffic.Grid(in, horizon, opts.OutGridPoints)
 	bits := make([]float64, len(iGrid))
@@ -250,11 +233,13 @@ func outputEnvelope(in traffic.Descriptor, p MACParams, opts Options, busy, dela
 	return out, nil
 }
 
-// multiplesOf returns k·step for k = 1.. while <= limit, each bracketed.
-func multiplesOf(step, limit float64) []float64 {
-	pts := make([]float64, 0, 3*(int(limit/step)+2))
+// multiplesLen bounds the number of points appendMultiples emits.
+func multiplesLen(step, limit float64) int { return 3 * (int(limit/step) + 2) }
+
+// appendMultiples appends k·step for k = 1.. while <= limit, each bracketed.
+func appendMultiples(dst []float64, step, limit float64) []float64 {
 	for t := step; t <= limit+units.Eps; t += step {
-		pts = append(pts, t-traffic.GridNudge, t, t+traffic.GridNudge)
+		dst = append(dst, t-traffic.GridNudge, t, t+traffic.GridNudge)
 	}
-	return pts
+	return dst
 }

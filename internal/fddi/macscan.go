@@ -42,13 +42,43 @@ func busyInterval(in traffic.Descriptor, svc, ttrt float64, maxRot int) (busy fl
 	}
 }
 
+// scanMAC runs Theorem 1's two extremum scans over the busy interval: it
+// assembles the candidate grid — the input envelope's own vertices plus the
+// avail steps at multiples of TTRT, each bracketed, plus the t→0⁺ point (a
+// burst at the very start of the busy interval waits the full worst-case
+// token latency) — and returns the worst-case backlog F (Eq. 10), the
+// worst-case delay χ (Eq. 11) and the number of envelope evaluations spent.
+// Grid, multiples and memo table live in workspace buffers for the duration
+// of the call, so on a warmed workspace the scans allocate nothing. Points
+// beyond the window of a lowered input evaluate through its exact tail chain:
+// the scans visit a few hundred of the grid's points, far too few to pay for
+// lowering the envelope out to the busy interval first.
+func scanMAC(ws *traffic.Workspace, in traffic.Descriptor, p MACParams, busy float64, gridPoints int) (backlog, delay float64, evals int) {
+	ttrt := p.Ring.TTRT
+	mult := appendMultiples(ws.Get(multiplesLen(ttrt, busy)), ttrt, busy)
+	zeroPlus := [1]float64{traffic.GridNudge}
+	grid := ws.Grid(in, busy, gridPoints, mult, zeroPlus[:])
+	ws.Put(mult)
+	vals := ws.Get(len(grid))[:len(grid)]
+	unevaluated := math.NaN()
+	for i := range vals {
+		vals[i] = unevaluated
+	}
+	scan := macScan{in: in, p: p, svc: p.ServiceBitsPerRotation(), ttrt: ttrt, grid: grid, vals: vals}
+	backlog = scan.maxBacklog()
+	delay = scan.maxDelay()
+	ws.Put(vals)
+	ws.Put(grid)
+	return backlog, delay, scan.evals
+}
+
 // macScan is the evaluation state of Theorem 1's extremum scans over one
 // candidate grid: worst-case backlog F (Eq. 10) and worst-case delay χ
 // (Eq. 11). The scans previously captured their memo tables in closures;
 // they are methods on this struct instead so the whole scan phase sits
 // under the hotpath analyzer — a function literal in an annotated region
-// would itself be an allocation. AnalyzeMAC allocates the struct and its
-// slices before the scans start.
+// would itself be an allocation. scanMAC fills the struct from workspace
+// buffers before the scans start.
 //
 // A is nondecreasing (the Descriptor contract), which licenses taking both
 // maxima over far fewer than all grid points — with results identical to
@@ -66,8 +96,7 @@ type macScan struct {
 	p         MACParams
 	svc, ttrt float64
 	grid      []float64
-	vals      []float64
-	have      []bool
+	vals      []float64 // memo of A(grid[i]); NaN where not yet asked
 	evals     int
 	delay     float64
 }
@@ -75,10 +104,9 @@ type macScan struct {
 // eval returns A(grid[i]), memoized: the binary splitting of maxDelay
 // revisits segment endpoints, and the backlog scan shares points with it.
 func (s *macScan) eval(i int) float64 {
-	if !s.have[i] {
+	if math.IsNaN(s.vals[i]) {
 		s.evals++
 		s.vals[i] = s.in.Bits(s.grid[i])
-		s.have[i] = true
 	}
 	return s.vals[i]
 }

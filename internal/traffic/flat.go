@@ -53,55 +53,11 @@ type Flat struct {
 	// a binary-searched prefix.
 	bp  []float64
 	bpH float64
-
-	// extendFailed records that EnsureHorizon found no lowering for the tail
-	// chain, so later calls skip straight to delegation.
-	extendFailed bool
-}
-
-// HorizonEnsurer is implemented by descriptors that can materialize (or
-// otherwise accelerate) their evaluation out to a requested horizon. The
-// extremum scans call it once per analysis — after the busy interval is
-// known, before the grid walk — so deep scans run on breakpoint arrays
-// instead of descriptor chains. Implementations must be value-preserving:
-// EnsureHorizon changes evaluation speed, never evaluation results.
-type HorizonEnsurer interface {
-	// EnsureHorizon reports whether evaluations up to the given horizon are
-	// now served from materialized state.
-	EnsureHorizon(horizon float64) bool
-}
-
-// EnsureHorizon extends the breakpoint window to cover at least the given
-// horizon by re-lowering the tail chain, adopting the larger array in place
-// (the Flat keeps its identity, so aggregate membership diffs and caches are
-// unaffected). The lowering emits vertices in the same order regardless of
-// horizon, so the covered prefix is bit-identical before and after — an
-// extension never moves a value, it only widens the window served by the
-// array. When the tail has no lowering (e.g. a members-union tail), the call
-// delegates, so a materialized aggregate extends its member flats instead.
-func (f *Flat) EnsureHorizon(horizon float64) bool {
-	if units.AlmostLE(horizon, f.horizon) {
-		return true
-	}
-	if !f.extendFailed {
-		if nf := Flatten(f.tail, horizon); nf != nil && nf != f && nf.horizon > f.horizon {
-			f.ts, f.vs, f.ss = nf.ts, nf.vs, nf.ss
-			f.horizon = nf.horizon
-			f.hint = 0
-			// The segment cap may truncate the re-lowered window short of the
-			// request; the tail still serves the remainder exactly.
-			return units.AlmostGE(f.horizon, horizon)
-		}
-		f.extendFailed = true
-	}
-	if he, ok := f.tail.(HorizonEnsurer); ok {
-		return he.EnsureHorizon(horizon)
-	}
-	return false
 }
 
 var _ Descriptor = (*Flat)(nil)
 var _ BreakpointProvider = (*Flat)(nil)
+var _ BreakpointAppender = (*Flat)(nil)
 
 // maxFlatSegments bounds the breakpoint array of any single Flat. Lowering
 // truncates the horizon rather than the values when a descriptor would
@@ -191,30 +147,61 @@ func (f *Flat) PeakRate() float64 { return Peak(f.tail) }
 // way, so the prefix produces identical grids at a fraction of the cost (the
 // chain is walked once per Flat, not once per scan). The returned slice is
 // shared with the cache and must not be mutated.
+//
+// This is the form for flats a cache hands out again — the per-stage flats,
+// whose lists the members-union tail of a port aggregate re-reads on every
+// probe. A flat that is scanned once enumerates through AppendBreakpoints
+// and never fills the cache.
 func (f *Flat) Breakpoints(horizon float64) []float64 {
+	return f.breakpointsVia(nil, horizon)
+}
+
+// breakpointsVia is Breakpoints with enumeration space lent by the caller: a
+// cache fill walks the chain into the spare capacity behind scratch (whose
+// contents stay untouched) and keeps a copy of exactly the list's size, so a
+// fill costs one allocation instead of an append's growth series.
+func (f *Flat) breakpointsVia(scratch []float64, horizon float64) []float64 {
 	if horizon <= 0 {
 		return nil
 	}
 	if f.bpH == 0 || horizon > f.bpH {
-		f.bp = sortedChainBreakpoints(f.tail, horizon)
+		f.bp = sortedChainBreakpoints(scratch, f.tail, horizon)
 		f.bpH = horizon
-	} else if horizon < f.bpH {
-		n := sort.Search(len(f.bp), func(i int) bool { return f.bp[i] > horizon })
-		return f.bp[:n]
+	}
+	return f.cachedBreakpoints(horizon)
+}
+
+// cachedBreakpoints returns the prefix of the cached list within horizon,
+// which the cache must cover.
+func (f *Flat) cachedBreakpoints(horizon float64) []float64 {
+	if horizon < f.bpH {
+		return f.bp[:sort.Search(len(f.bp), func(i int) bool { return f.bp[i] > horizon })]
 	}
 	return f.bp
 }
 
-// sortedChainBreakpoints asks the chain for its breakpoints and returns them
-// sorted with exact duplicates removed — the normalization CleanGrid performs
-// downstream anyway, so grids are unchanged.
-func sortedChainBreakpoints(d Descriptor, horizon float64) []float64 {
-	var raw []float64
-	if bp, ok := d.(BreakpointProvider); ok {
-		raw = bp.Breakpoints(horizon)
+// AppendBreakpoints implements BreakpointAppender: the cached list when it
+// covers the horizon, the tail chain's own enumeration otherwise — without
+// filling the cache, so a single-use flat (the receiver-side reassembly of a
+// probe, a port aggregate between two membership changes) materializes
+// nothing it will not be asked for again.
+func (f *Flat) AppendBreakpoints(dst []float64, horizon float64) []float64 {
+	if horizon <= 0 {
+		return dst
 	}
-	sorted := make([]float64, len(raw))
-	copy(sorted, raw)
+	if f.bpH == 0 || horizon > f.bpH {
+		return AppendBreakpoints(dst, f.tail, horizon)
+	}
+	return append(dst, f.cachedBreakpoints(horizon)...)
+}
+
+// sortedChainBreakpoints asks the chain for its breakpoints and returns them
+// sorted with exact duplicates removed — the normalization grid assembly
+// performs downstream anyway, so grids are unchanged. The list is built in
+// the spare capacity behind scratch and copied out at its final size; with
+// no scratch it is built where it stays.
+func sortedChainBreakpoints(scratch []float64, d Descriptor, horizon float64) []float64 {
+	sorted := AppendBreakpoints(scratch[len(scratch):], d, horizon)
 	if !sort.Float64sAreSorted(sorted) {
 		sort.Float64s(sorted)
 	}
@@ -225,7 +212,10 @@ func sortedChainBreakpoints(d Descriptor, horizon float64) []float64 {
 		}
 		out = append(out, p)
 	}
-	return out
+	if scratch == nil {
+		return out
+	}
+	return append(make([]float64, 0, len(out)), out...)
 }
 
 // flatBuilder accumulates breakpoints during lowering. add keeps ts strictly
@@ -299,9 +289,8 @@ func Flatten(d Descriptor, horizon float64) *Flat {
 	}
 	switch v := d.(type) {
 	case *Flat:
-		// Best effort: a flat embedded in a chain extends itself so the
-		// enclosing lowering is not clipped to its current window.
-		v.EnsureHorizon(horizon)
+		// A flat embedded in a chain keeps its window; the enclosing
+		// lowering is clipped to it and the tail serves the rest.
 		return v
 	case *Memoized:
 		// The memo stores exact inner evaluations, so lowering the inner is
@@ -399,8 +388,12 @@ func flattenPeriodic(v Periodic, horizon float64) *Flat {
 // budget crossing is a true envelope vertex the closed form places exactly.
 func flattenDualPeriodic(v DualPeriodic, horizon float64) *Flat {
 	b := &flatBuilder{}
-	perPeriod := math.Min(v.P1/v.P2, v.C1/v.C2+1)
-	b.reserve(int((horizon/v.P1 + 1) * (2*perPeriod + 2)))
+	// A whole long period holds a ramp and a plateau per short-period burst
+	// until the budget C1 binds, then one plateau; the last, partial period
+	// holds the bursts that start before the horizon.
+	perPeriod := 2*int(math.Min(math.Ceil(v.P1/v.P2), math.Ceil(v.C1/v.C2))) + 1
+	whole := math.Floor(horizon / v.P1)
+	b.reserve(int(whole)*perPeriod + min(perPeriod, 2*(int((horizon-whole*v.P1)/v.P2)+1)) + 1)
 	burst := v.C2 / v.PeakBps
 	for k1 := 0; !b.full(); k1++ {
 		base := float64(k1) * v.P1
@@ -455,79 +448,95 @@ func flattenSampled(v *Sampled, horizon float64) *Flat {
 }
 
 // shiftCap applies the Delayed transform A'(I) = min(cap·I, A(I + d)) in
-// closed form: the breakpoints shift left by the delay and the cap line is
-// intersected exactly. tail is the chain equivalent retained for evaluations
-// beyond the new horizon.
+// closed form, in one walk over the source: the breakpoints shift left by the
+// delay and each shifted segment is intersected with the cap line as it is
+// produced. tail is the chain equivalent retained for evaluations beyond the
+// new horizon.
 func (f *Flat) shiftCap(delay, capBps, horizon float64, tail Descriptor) *Flat {
 	h := math.Min(horizon, f.horizon-delay)
 	if h <= 0 {
 		return nil
 	}
-	b := &flatBuilder{}
-	b.reserve(len(f.ts) + 2)
-	// Right-limit at I = 0 is the value just after t = delay.
+	// Right-limit at I = 0 is the value just after t = delay: the first
+	// segment whose interior extends past delay (ts[i] <= delay when delay
+	// lands exactly on a breakpoint; the right-limit uses that segment).
 	i := sort.SearchFloat64s(f.ts, delay)
-	// First segment whose interior extends past delay: ts[i] <= delay when
-	// delay lands exactly on a breakpoint (right-limit uses that segment).
 	if i == len(f.ts) || f.ts[i] > delay {
 		i--
 	}
-	b.add(0, f.vs[i]+f.ss[i]*(delay-f.ts[i]), f.ss[i])
-	for k := i + 1; k < len(f.ts) && !b.full(); k++ {
-		t := f.ts[k] - delay
-		if t > h {
-			break
+	// Source vertices i … j−1 fall in the shifted window.
+	rest := f.ts[i+1:]
+	j := i + 1 + sort.Search(len(rest), func(k int) bool { return rest[k]-delay > h })
+	if j-i >= maxFlatSegments {
+		// The segment cap binds on the shifted vertices themselves: the
+		// window shrinks to the last one kept.
+		j = i + maxFlatSegments
+		h = math.Min(h, f.ts[j-1]-delay)
+	}
+	b := &flatBuilder{}
+	// The cap line usually crosses the envelope once or twice.
+	b.reserve(j - i + 2)
+	for k := i; k < j && !b.full(); k++ {
+		t0, v0, s := f.ts[k]-delay, f.vs[k], f.ss[k]
+		if k == i {
+			t0, v0 = 0, f.vs[i]+s*(delay-f.ts[i])
 		}
-		b.add(t, f.vs[k], f.ss[k])
+		t1 := h
+		if k+1 < j {
+			if t1 = f.ts[k+1] - delay; !(t1 > t0) {
+				// Two source vertices an ulp apart land on one instant; the
+				// later one owns the right-limit.
+				continue
+			}
+		}
+		if capBps > 0 {
+			b.addCapped(t0, v0, s, t1, capBps)
+		} else {
+			b.add(t0, v0, s)
+		}
 	}
-	shifted := b.finish(h, tail)
-	if shifted == nil {
-		return nil
-	}
-	if capBps > 0 {
-		return shifted.capped(capBps, h, tail)
-	}
-	return shifted
+	return b.finish(h, tail)
 }
 
-// capped intersects the envelope with the line cap·I exactly: within each
-// linear segment the minimum switches sides at most once, and the crossing
-// point is a new breakpoint.
+// capped intersects the envelope with the line cap·I exactly.
 func (f *Flat) capped(capBps, horizon float64, tail Descriptor) *Flat {
 	h := math.Min(horizon, f.horizon)
 	if h <= 0 {
 		return nil
 	}
+	n := sort.Search(len(f.ts), func(k int) bool { return f.ts[k] > h })
 	b := &flatBuilder{}
-	b.reserve(2*len(f.ts) + 2)
-	n := len(f.ts)
+	b.reserve(n + 2)
 	for i := 0; i < n && !b.full(); i++ {
-		t0, v0, s := f.ts[i], f.vs[i], f.ss[i]
-		if t0 > h {
-			break
-		}
 		t1 := h
 		if i+1 < n {
-			t1 = math.Min(h, f.ts[i+1])
+			t1 = f.ts[i+1]
 		}
-		// D(t) = A(t) − cap·t on (t0, t1]; D is linear with slope s − cap.
-		d0 := v0 - capBps*t0
-		d1 := v0 + s*(t1-t0) - capBps*t1
-		if d0 >= 0 {
-			b.add(t0, capBps*t0, capBps) // line below the envelope
-			if d1 < 0 && d0 > d1 {
-				tc := t0 + (t1-t0)*d0/(d0-d1)
-				b.add(tc, v0+s*(tc-t0), s)
-			}
-		} else {
-			b.add(t0, v0, s) // envelope below the line
-			if d1 > 0 && d1 > d0 {
-				tc := t0 + (t1-t0)*(-d0)/(d1-d0)
-				b.add(tc, capBps*tc, capBps)
-			}
-		}
+		b.addCapped(f.ts[i], f.vs[i], f.ss[i], t1, capBps)
 	}
 	return b.finish(h, tail)
+}
+
+// addCapped adds the segment (t0, t1] of the line v0 + s·(t − t0), intersected
+// with the line cap·t: within a linear segment the minimum switches sides at
+// most once, and the crossing point is a new breakpoint.
+func (b *flatBuilder) addCapped(t0, v0, s, t1, capBps float64) {
+	// D(t) = A(t) − cap·t on (t0, t1]; D is linear with slope s − cap.
+	d0 := v0 - capBps*t0
+	d1 := v0 + s*(t1-t0) - capBps*t1
+	if d0 >= 0 {
+		b.add(t0, capBps*t0, capBps) // line below the envelope
+		if d1 < 0 && d0 > d1 {
+			tc := t0 + (t1-t0)*d0/(d0-d1)
+			b.add(tc, v0+s*(tc-t0), s)
+		}
+	} else {
+		b.add(t0, v0, s) // envelope below the line
+		if d1 > 0 && d1 > d0 {
+			tc := t0 + (t1-t0)*(-d0)/(d1-d0)
+			b.add(tc, capBps*tc, capBps)
+		}
+	}
 }
 
 // quantized applies A'(I) = ⌈A(I)/q⌉·o in closed form: each linear segment
@@ -589,7 +598,7 @@ func (f *Flat) quantized(q, o, horizon float64, tail Descriptor) *Flat {
 // (capBps 0 = no cap) and returns the result as a new Flat with the given
 // tail chain. It is the per-stage lowering step of the analyzer: stage k's
 // flat is stage k−1's shifted by the port's worst-case delay and capped by
-// the port capacity, without re-lowering the source.
+// the port capacity, without lowering the source again.
 func (f *Flat) ShiftCap(delay, capBps, horizon float64, tail Descriptor) *Flat {
 	if delay < 0 || tail == nil {
 		return nil
@@ -708,35 +717,52 @@ func (t *flatTail) LongTermRate() float64 {
 }
 
 // Breakpoints implements BreakpointProvider as the members' union, matching
-// Aggregate's semantics for grid assembly. Member lists that are already
-// ascending (Flat members answer from their breakpoint caches) are combined
-// by a linear k-way merge, so the union is ascending and the normalization
-// downstream never pays a comparison sort.
+// Aggregate's semantics for grid assembly.
 func (t *flatTail) Breakpoints(horizon float64) []float64 {
-	lists := make([][]float64, 0, len(t.members))
-	total := 0
+	return t.AppendBreakpoints(nil, horizon)
+}
+
+// AppendBreakpoints implements BreakpointAppender. Member lists that are
+// already ascending (Flat members answer from their breakpoint caches — the
+// members of a port aggregate are the cached per-stage flats, so this is the
+// read that makes those caches pay) are combined by a linear k-way merge
+// straight into dst, so the union is ascending and grid assembly never pays a
+// comparison sort.
+func (t *flatTail) AppendBreakpoints(dst []float64, horizon float64) []float64 {
+	// Ports carry a handful of members; the fixed arrays keep the list
+	// headers on the stack up to sixteen.
+	var (
+		listsBuf [16][]float64
+		idxBuf   [16]int
+	)
+	lists := listsBuf[:0]
 	sorted := true
 	for _, m := range t.members {
-		if bp, ok := m.(BreakpointProvider); ok {
-			l := bp.Breakpoints(horizon)
-			if len(l) == 0 {
-				continue
-			}
-			if !sort.Float64sAreSorted(l) {
-				sorted = false
-			}
-			lists = append(lists, l)
-			total += len(l)
+		var l []float64
+		switch v := m.(type) {
+		case *Flat:
+			l = v.breakpointsVia(dst, horizon)
+		case BreakpointProvider:
+			l = v.Breakpoints(horizon)
 		}
+		if len(l) == 0 {
+			continue
+		}
+		if !sort.Float64sAreSorted(l) {
+			sorted = false
+		}
+		lists = append(lists, l)
 	}
-	pts := make([]float64, 0, total)
 	if !sorted {
 		for _, l := range lists {
-			pts = append(pts, l...)
+			dst = append(dst, l...)
 		}
-		return pts
+		return dst
 	}
-	idx := make([]int, len(lists))
+	idx := idxBuf[:0]
+	for range lists {
+		idx = append(idx, 0)
+	}
 	for len(lists) > 0 {
 		best := 0
 		for k := 1; k < len(lists); k++ {
@@ -744,14 +770,14 @@ func (t *flatTail) Breakpoints(horizon float64) []float64 {
 				best = k
 			}
 		}
-		pts = append(pts, lists[best][idx[best]])
+		dst = append(dst, lists[best][idx[best]])
 		idx[best]++
 		if idx[best] == len(lists[best]) {
 			lists = append(lists[:best], lists[best+1:]...)
 			idx = append(idx[:best], idx[best+1:]...)
 		}
 	}
-	return pts
+	return dst
 }
 
 // NewMemberTail returns a reusable members-union tail for materialized sums:
@@ -768,24 +794,6 @@ type MemberTail = flatTail
 // SetMembers replaces the member set in place, reusing the backing array.
 func (t *flatTail) SetMembers(ms ...Descriptor) {
 	t.members = append(t.members[:0], ms...)
-}
-
-// EnsureHorizon implements HorizonEnsurer by extending every member that can
-// extend itself: a materialized aggregate sum whose own window is bounded by
-// delta-updates then serves deep evaluations as a sum of member array
-// lookups instead of member chain walks.
-func (t *flatTail) EnsureHorizon(horizon float64) bool {
-	all := true
-	for _, m := range t.members {
-		if he, ok := m.(HorizonEnsurer); ok {
-			if !he.EnsureHorizon(horizon) {
-				all = false
-			}
-		} else {
-			all = false
-		}
-	}
-	return all
 }
 
 // ensureTail points dst's tail at a flatTail over a's and b's tails, reusing
@@ -808,7 +816,6 @@ func (f *Flat) Retail(tail Descriptor) {
 	f.rho = tail.LongTermRate()
 	f.bp = nil
 	f.bpH = 0
-	f.extendFailed = false
 }
 
 // mergeLinear writes a + sign·b into dst over the union of breakpoints,

@@ -1,0 +1,292 @@
+package traffic
+
+import (
+	"math"
+	"sort"
+
+	"fafnet/internal/units"
+)
+
+// GridNudge is the offset (seconds) used to probe an envelope "just after"
+// or "just before" a burst instant or grid vertex. It is far below any
+// physical time constant in the system; extremum searches across the
+// analysis packages bracket candidate points with ±GridNudge.
+const GridNudge = 1e-10
+
+// maxGridExtras is the number of extra point lists the merge kernel takes
+// as streams of their own; Grid folds any surplus into the last one first.
+const maxGridExtras = 4
+
+// Grid assembles, in one pass and into a workspace buffer, the candidate
+// evaluation points in (0, horizon] of an extremum search over d: ascending,
+// deduplicated to units.Eps. The point set is
+//
+//   - the descriptor's intrinsic breakpoints in [0, horizon] (when it
+//     provides them), each bracketed by points GridNudge before and after, so
+//     that step discontinuities are observed from both sides — probing just
+//     after a vertex also covers a burst at 0, where the envelope jumps but 0
+//     itself is outside the grid;
+//   - a uniform fallback grid of n points (at least 1), which bounds the
+//     error for composite envelopes whose exact vertex set is impractical to
+//     enumerate;
+//   - the extras: further point lists the search wants visited (the avail
+//     steps at multiples of TTRT, the t→0⁺ point), merged in afterwards.
+//
+// "Afterwards" is part of the contract: the first two families are clipped
+// and deduplicated among themselves before the extras are merged and the
+// whole is deduplicated again, so the result equals
+// MergeGrids(horizon, Grid(d, horizon, n), extras...) point for point — the
+// formulation the analyses were written against and the test oracle still
+// spells out. Both dedup stages ride along the single k-way merge of the
+// uniform run, the three bracket streams of the sorted breakpoint list and
+// the extras.
+//
+// The returned slice belongs to the caller until handed back with Put; it
+// keeps one spare slot of capacity so InsertGridPoint never reallocates.
+// The extras are only read. A nil d contributes no breakpoints.
+func (w *Workspace) Grid(d Descriptor, horizon float64, n int, extras ...[]float64) []float64 {
+	if horizon <= 0 {
+		return nil
+	}
+	if n < 1 {
+		n = 1
+	}
+	return w.grid(d, horizon, n, extras)
+}
+
+// grid is Grid without the floor on n: MergeGrids merges bare lists through
+// it with no uniform run at all.
+func (w *Workspace) grid(d Descriptor, horizon float64, n int, extras [][]float64) []float64 {
+	raw := w.bp[:0]
+	w.bp = nil
+	if d != nil {
+		raw = AppendBreakpoints(raw, d, horizon)
+	}
+	if !sort.Float64sAreSorted(raw) {
+		sort.Float64s(raw)
+	}
+	// Points outside [0, horizon] contribute nothing, not even the bracket
+	// that would fall inside.
+	lo := sort.SearchFloat64s(raw, 0)
+	hi := lo + sort.Search(len(raw)-lo, func(i int) bool { return raw[lo+i] > horizon })
+	window := raw[lo:hi]
+
+	extras = foldExtras(extras)
+	bound := n + 3*len(window) + 1
+	for _, e := range extras {
+		bound += len(e)
+	}
+	out := w.Get(bound)[:bound]
+	k := mergeGrid(out, horizon, n, window, extras)
+	w.bp = raw[:0]
+	return out[:k]
+}
+
+// foldExtras returns the extras as at most maxGridExtras ascending lists.
+// The analyses pass one or two lists that are ascending by construction, so
+// this is a check; an unsorted list is sorted in a copy and a surplus is
+// concatenated into one list, as the merge only sees the multiset.
+func foldExtras(extras [][]float64) [][]float64 {
+	ok := len(extras) <= maxGridExtras
+	for _, e := range extras {
+		ok = ok && sort.Float64sAreSorted(e)
+	}
+	if ok {
+		return extras
+	}
+	folded := make([][]float64, 0, maxGridExtras)
+	for _, e := range extras {
+		if len(folded) < maxGridExtras {
+			own := append([]float64(nil), e...)
+			sort.Float64s(own)
+			folded = append(folded, own)
+			continue
+		}
+		last := append(folded[maxGridExtras-1], e...)
+		sort.Float64s(last)
+		folded[maxGridExtras-1] = last
+	}
+	return folded
+}
+
+// mergeGrid is the grid-assembly kernel: one k-way merge over the uniform run
+// step·i (i = 1…n), the three bracket streams window[i] − GridNudge,
+// window[i] and window[i] + GridNudge, and the extras, writing the clipped,
+// Eps-deduplicated result into out (sized by the caller to hold every input
+// point) and returning its length. window must be ascending and within
+// [0, horizon]; adding a constant is monotone in floating point, so each
+// bracket stream is ascending too. The uniform run and the brackets are
+// Grid's own point families: they pass a dedup stage of their own before
+// joining the extras in the final one (see Grid). k is at most eight, so
+// comparing heads beats heap bookkeeping.
+//
+//fafvet:hotpath
+func mergeGrid(out []float64, horizon float64, n int, window []float64, extras [][]float64) int {
+	inf := math.Inf(1)
+
+	// The three bracket streams, in locals: they carry nine points in ten.
+	lo, mid, hi := inf, inf, inf // heads: window[iLo]−ν, window[iMid], window[iHi]+ν
+	iLo, iMid, iHi := 0, 0, 0
+	if len(window) > 0 {
+		lo, mid, hi = window[0]-GridNudge, window[0], window[0]+GridNudge
+	}
+
+	// The other streams: stream 0 is the uniform run, 1… the extras. The
+	// minimum over their heads is cached and rescanned only when one of them
+	// was taken, so a step costs three or four comparisons, not k.
+	var (
+		src  [1 + maxGridExtras][]float64
+		idx  [1 + maxGridExtras]int
+		head [1 + maxGridExtras]float64
+	)
+	step := 0.0
+	head[0] = inf
+	if n > 0 {
+		step = horizon / float64(n)
+		idx[0] = 1
+		head[0] = step
+	}
+	streams := 1
+	for _, e := range extras {
+		src[streams] = e
+		head[streams] = inf
+		if len(e) > 0 {
+			head[streams] = e[0]
+		}
+		streams++
+	}
+	rest, restHead := minHead(head[:streams])
+
+	prevOwn, prev := -inf, -inf
+	k := 0
+	for {
+		var p float64
+		own := true // p is one of Grid's own families: uniform or bracket
+		switch {
+		case restHead < lo && restHead < mid && restHead < hi:
+			p, own = restHead, rest == 0
+			if idx[rest]++; rest == 0 {
+				head[0] = inf
+				if idx[0] <= n {
+					head[0] = step * float64(idx[0])
+				}
+			} else if idx[rest] < len(src[rest]) {
+				head[rest] = src[rest][idx[rest]]
+			} else {
+				head[rest] = inf
+			}
+			rest, restHead = minHead(head[:streams])
+		case lo <= mid && lo <= hi:
+			p, lo = lo, inf
+			if iLo++; iLo < len(window) {
+				lo = window[iLo] - GridNudge
+			}
+		case mid <= hi:
+			p, mid = mid, inf
+			if iMid++; iMid < len(window) {
+				mid = window[iMid]
+			}
+		default:
+			p, hi = hi, inf
+			if iHi++; iHi < len(window) {
+				hi = window[iHi] + GridNudge
+			}
+		}
+		if p > horizon {
+			// Everything left is beyond the horizon (or every stream is
+			// exhausted and p is +Inf).
+			return k
+		}
+		if p <= 0 {
+			continue
+		}
+		if own {
+			if p-prevOwn <= units.Eps {
+				continue
+			}
+			prevOwn = p
+		}
+		if p-prev <= units.Eps {
+			continue
+		}
+		prev = p
+		out[k] = p
+		k++
+	}
+}
+
+// minHead returns the index and value of the smallest stream head.
+func minHead(head []float64) (int, float64) {
+	best := 0
+	for s := 1; s < len(head); s++ {
+		if head[s] < head[best] {
+			best = s
+		}
+	}
+	return best, head[best]
+}
+
+// InsertGridPoint merges the single point p into grid — an ascending,
+// Eps-deduplicated run as Grid returns — under the same dedup rule, in
+// place, and returns the result: MergeGrids(grid's last point, grid, {p}).
+// The FIFO-port analysis uses it to add the t→0⁺ point to the prefix of the
+// busy-period grid it goes on to scan.
+func InsertGridPoint(grid []float64, p float64) []float64 {
+	if p <= 0 || len(grid) == 0 || p > grid[len(grid)-1] {
+		return grid
+	}
+	i := sort.SearchFloat64s(grid, p) // grid[i-1] < p <= grid[i]
+	if i > 0 && p-grid[i-1] <= units.Eps {
+		return grid
+	}
+	if grid[i]-p <= units.Eps {
+		// p comes first in the merge and takes the slot of the point it
+		// shadows.
+		grid[i] = p
+		return grid
+	}
+	grid = append(grid, 0)
+	copy(grid[i+1:], grid[i:])
+	grid[i] = p
+	return grid
+}
+
+// Grid returns the candidate grid of Workspace.Grid in memory of its own, for
+// callers that keep it or run once (output-envelope materialization, the
+// shaper, tabulation).
+func Grid(d Descriptor, horizon float64, n int) []float64 {
+	var w Workspace
+	return w.Grid(d, horizon, n)
+}
+
+// MergeGrids combines several candidate grids into one sorted, deduplicated
+// grid clipped to (0, horizon], in memory of its own. Input grids are not
+// mutated.
+func MergeGrids(horizon float64, grids ...[]float64) []float64 {
+	var w Workspace
+	return w.grid(nil, horizon, 0, grids)
+}
+
+// BreakpointAppender is the allocation-free form of BreakpointProvider: the
+// descriptor appends its breakpoints to a caller-owned buffer, so a
+// transform chain enumerates into one slice instead of allocating one per
+// link. Every provider on the analysis path implements it; AppendBreakpoints
+// falls back to Breakpoints for those that do not.
+type BreakpointAppender interface {
+	// AppendBreakpoints appends the points Breakpoints(horizon) would return
+	// to dst and returns the extended slice. Only the appended tail may be
+	// reordered or rewritten.
+	AppendBreakpoints(dst []float64, horizon float64) []float64
+}
+
+// AppendBreakpoints appends d's breakpoints up to horizon to dst. Descriptors
+// that advertise none append nothing.
+func AppendBreakpoints(dst []float64, d Descriptor, horizon float64) []float64 {
+	switch v := d.(type) {
+	case BreakpointAppender:
+		return v.AppendBreakpoints(dst, horizon)
+	case BreakpointProvider:
+		return append(dst, v.Breakpoints(horizon)...)
+	}
+	return dst
+}

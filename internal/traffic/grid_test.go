@@ -1,0 +1,355 @@
+package traffic
+
+import (
+	"math"
+	"math/rand"
+	"slices"
+	"sort"
+	"testing"
+)
+
+// gridCase is one grid-assembly input: a descriptor chain, a horizon, the
+// uniform resolution and the extras, all derived from a handful of scalars
+// so the fuzzer can drive it.
+type gridCase struct {
+	d       Descriptor
+	horizon float64
+	n       int
+	extras  [][]float64
+}
+
+// randomSource draws one of the three source models with valid parameters.
+func randomSource(r *rand.Rand) Descriptor {
+	switch r.Intn(4) {
+	case 0:
+		p := (1 + 19*r.Float64()) * 1e-3
+		c := (1 + 99*r.Float64()) * 1e3
+		return Periodic{C: c, P: p, PeakBps: c / p * (1 + 9*r.Float64())}
+	case 1:
+		rho := (1 + 9*r.Float64()) * 1e6
+		return LeakyBucket{Sigma: r.Float64() * 1e4, Rho: rho, PeakBps: rho * (1 + 4*r.Float64())}
+	default:
+		// Whole-multiple period ratios (the paper's 10 ms / 1 ms among them)
+		// exercise the seams; the others the plain enumeration.
+		p2 := float64(1+r.Intn(4)) * 1e-3
+		ratio := float64(2 + r.Intn(12))
+		if r.Intn(3) == 0 {
+			ratio += r.Float64()
+		}
+		p1 := ratio * p2
+		c2 := (1 + 19*r.Float64()) * 1e3
+		c1 := c2 * (1 + r.Float64()*(ratio-1))
+		return DualPeriodic{C1: c1, P1: p1, C2: c2, P2: p2, PeakBps: c2 / p2 * (1 + 99*r.Float64())}
+	}
+}
+
+// randomChain wraps a source (or an aggregate of chains) in up to three
+// transforms, and sometimes lowers the result to a *Flat.
+func randomChain(r *rand.Rand, depth int) Descriptor {
+	var d Descriptor
+	if depth > 0 && r.Intn(4) == 0 {
+		members := make([]Descriptor, 2+r.Intn(3))
+		for i := range members {
+			members[i] = randomChain(r, depth-1)
+		}
+		d = NewAggregate(members...)
+	} else {
+		d = randomSource(r)
+	}
+	for k := r.Intn(4); k > 0; k-- {
+		switch r.Intn(3) {
+		case 0:
+			capBps := 0.0
+			if r.Intn(2) == 0 {
+				capBps = 100e6 * (1 + r.Float64())
+			}
+			d = Delayed{Inner: d, Delay: r.Float64() * 5e-3, CapBps: capBps}
+		case 1:
+			q := (1 + 7*r.Float64()) * 1e3
+			d = Quantized{Inner: d, QuantumBits: q, OutBits: q * (1 + 0.2*r.Float64())}
+		default:
+			d = RateCapped{Inner: d, CapBps: 100e6 * (1 + r.Float64())}
+		}
+	}
+	if r.Intn(3) == 0 {
+		if f := Flatten(d, 0.025); f != nil {
+			return f
+		}
+	}
+	return d
+}
+
+// newGridCase derives a case from fuzzable scalars. horizon is folded into
+// [1 ms, 2 s]; step > 0 adds bracketed multiples of it the way the MAC scan
+// adds TTRT multiples, zeroPlus the t→0⁺ point, and loose an unsorted list
+// with points outside the horizon.
+func newGridCase(seed int64, horizon float64, n uint8, step float64, zeroPlus, loose bool) gridCase {
+	r := rand.New(rand.NewSource(seed))
+	c := gridCase{d: randomChain(r, 2), n: int(n)}
+	if math.IsNaN(horizon) || math.IsInf(horizon, 0) {
+		horizon = 0.016
+	}
+	c.horizon = 1e-3 + math.Mod(math.Abs(horizon), 2-1e-3)
+	if step = math.Abs(step); step >= 1e-4 && step <= 1 {
+		var mult []float64
+		for t := step; t <= c.horizon+1e-12 && len(mult) < 3000; t += step {
+			mult = append(mult, t-GridNudge, t, t+GridNudge)
+		}
+		c.extras = append(c.extras, mult)
+	}
+	if zeroPlus {
+		c.extras = append(c.extras, []float64{GridNudge})
+	}
+	if loose {
+		pts := make([]float64, 1+r.Intn(6))
+		for i := range pts {
+			pts[i] = (r.Float64()*1.2 - 0.1) * c.horizon
+		}
+		c.extras = append(c.extras, pts)
+	}
+	return c
+}
+
+// check compares the one-pass builder with the seed formulation for exact
+// slice equality. The builder runs first, so a *Flat input is enumerated
+// through its tail chain before the oracle's Breakpoints call fills its
+// cache; the second builder run then reads that cache.
+func (c gridCase) check(t *testing.T, ws *Workspace) {
+	t.Helper()
+	cold := slices.Clone(ws.Grid(c.d, c.horizon, c.n, c.extras...))
+	want := oracleMergeGrids(c.horizon, append([][]float64{oracleGrid(c.d, c.horizon, c.n)}, c.extras...)...)
+	got := ws.Grid(c.d, c.horizon, c.n, c.extras...)
+	if !slices.Equal(cold, want) || !slices.Equal(got, want) {
+		t.Fatalf("grid of %v at horizon %v, n=%d, %d extras: %d points cold, %d warm, oracle %d; first difference at %d",
+			c.d, c.horizon, c.n, len(c.extras), len(cold), len(got), len(want), firstDiff(cold, got, want))
+	}
+	ws.Put(got)
+}
+
+func firstDiff(a, b, want []float64) int {
+	for i, w := range want {
+		if i >= len(a) || i >= len(b) || a[i] != w || b[i] != w {
+			return i
+		}
+	}
+	return len(want)
+}
+
+func TestGridMatchesOracle(t *testing.T) {
+	var ws Workspace
+	horizons := []float64{1e-3, 16e-3, 50e-3, 0.2, 0.76, 2}
+	for seed := int64(1); seed <= 400; seed++ {
+		h := horizons[seed%int64(len(horizons))]
+		newGridCase(seed, h, uint8(seed*37), 8e-3, seed%2 == 0, seed%5 == 0).check(t, &ws)
+		newGridCase(seed, h*0.77, 128, 0, seed%3 == 0, false).check(t, &ws)
+	}
+}
+
+// pointSet is a descriptor that advertises exactly the given breakpoints.
+type pointSet []float64
+
+func (pointSet) Bits(float64) float64            { return 0 }
+func (pointSet) LongTermRate() float64           { return 0 }
+func (p pointSet) Breakpoints(float64) []float64 { return p }
+
+// TestGridDedupStages pins the order of the two dedup passes, which random
+// inputs almost never separate: the descriptor's own points are deduplicated
+// among themselves before the extras join. Here x+0.7·Eps loses to x in the
+// first pass, and x then loses to the extra x−0.6·Eps in the second — a single
+// pass over the union would have kept x+0.7·Eps instead.
+func TestGridDedupStages(t *testing.T) {
+	const x = 1e-3
+	c := gridCase{
+		d:       pointSet{x, x + 0.7e-12},
+		horizon: 4e-3,
+		n:       3,
+		extras:  [][]float64{{x - 0.6e-12}},
+	}
+	var ws Workspace
+	c.check(t, &ws)
+	got := ws.Grid(c.d, c.horizon, c.n, c.extras...)
+	if i := sort.SearchFloat64s(got, x-0.6e-12); got[i] != x-0.6e-12 || got[i+1] != x+GridNudge {
+		t.Errorf("grid around x: %v; want the extra followed directly by x+GridNudge", got[i:i+2])
+	}
+}
+
+// FuzzGridAssembly is the differential fuzz target of grid assembly: the
+// one-pass k-way builder against MergeGrids(h, Grid(d, h, n), extras…) as the
+// seed tree computed it, for exact equality.
+func FuzzGridAssembly(f *testing.F) {
+	f.Add(int64(1), 0.016, uint8(160), 8e-3, true, false)
+	f.Add(int64(2), 0.76, uint8(160), 4e-3, true, false)
+	f.Add(int64(3), 0.032, uint8(128), 0.0, true, false)
+	f.Add(int64(4), 2.0, uint8(0), 1e-3, false, true)
+	f.Add(int64(5), 1e-3, uint8(255), 5e-4, true, true)
+	var ws Workspace
+	f.Fuzz(func(t *testing.T, seed int64, horizon float64, n uint8, step float64, zeroPlus, loose bool) {
+		newGridCase(seed, horizon, n, step, zeroPlus, loose).check(t, &ws)
+	})
+}
+
+// TestMergeGridsWrapper pins the cold-caller wrappers to the oracle too:
+// unsorted inputs, more lists than the kernel has streams, points outside
+// the horizon.
+func TestMergeGridsWrapper(t *testing.T) {
+	r := rand.New(rand.NewSource(7))
+	for trial := 0; trial < 200; trial++ {
+		grids := make([][]float64, r.Intn(8))
+		for i := range grids {
+			grids[i] = make([]float64, r.Intn(20))
+			for j := range grids[i] {
+				grids[i][j] = math.Round((r.Float64()*1.4-0.2)*1e4) / 1e4
+			}
+			if r.Intn(2) == 0 {
+				sort.Float64s(grids[i])
+			}
+		}
+		if got, want := MergeGrids(1, grids...), oracleMergeGrids(1, grids...); !slices.Equal(got, want) {
+			t.Fatalf("MergeGrids(%v) = %v, oracle %v", grids, got, want)
+		}
+	}
+	d := DualPeriodic{C1: 50e3, P1: 10e-3, C2: 10e3, P2: 1e-3, PeakBps: 100e6}
+	if got, want := Grid(d, 0.05, 160), oracleGrid(d, 0.05, 160); !slices.Equal(got, want) {
+		t.Fatalf("Grid wrapper differs from the oracle: %d against %d points", len(got), len(want))
+	}
+}
+
+func TestInsertGridPointMatchesOracle(t *testing.T) {
+	r := rand.New(rand.NewSource(11))
+	var ws Workspace
+	for trial := 0; trial < 500; trial++ {
+		c := newGridCase(int64(trial), 0.016, 128, 0, false, false)
+		grid := ws.Grid(c.d, c.horizon, c.n)
+		// Every prefix the FIFO-port scan may cut, and points that land on,
+		// beside and between grid points.
+		prefix := grid[:1+r.Intn(len(grid))]
+		p := GridNudge
+		switch trial % 4 {
+		case 1:
+			p = prefix[r.Intn(len(prefix))] + (r.Float64()-0.5)*3e-12
+		case 2:
+			p = r.Float64() * prefix[len(prefix)-1] * 1.1
+		}
+		want := oracleMergeGrids(prefix[len(prefix)-1], prefix, []float64{p})
+		if got := InsertGridPoint(prefix, p); !slices.Equal(got, want) {
+			t.Fatalf("InsertGridPoint(%d points, %v): %d points, oracle %d", len(prefix), p, len(got), len(want))
+		}
+		ws.Put(grid)
+	}
+}
+
+// seedDualPeriodicBreakpoints is DualPeriodic.Breakpoints as the seed tree had
+// it: every k·P1 seam comes out twice, one ulp apart.
+func seedDualPeriodicBreakpoints(s DualPeriodic, horizon float64) []float64 {
+	var pts []float64
+	burst := s.C2 / s.PeakBps
+	perP1 := int(math.Floor(s.P1/s.P2+1e-9)) + 1
+	for k := 0; ; k++ {
+		base := float64(k) * s.P1
+		if base > horizon || len(pts) > maxBreakpoints {
+			break
+		}
+		for j := 0; j < perP1; j++ {
+			t := base + float64(j)*s.P2
+			if t > base+s.P1 || t > horizon {
+				break
+			}
+			pts = pushAscending(pushAscending(pts, 0, t), 0, t+burst)
+		}
+	}
+	return pts
+}
+
+type seedDual struct{ DualPeriodic }
+
+func (s seedDual) Breakpoints(h float64) []float64 {
+	return seedDualPeriodicBreakpoints(s.DualPeriodic, h)
+}
+
+// TestDualPeriodicSeamsEmittedOnce is the regression test of the seam bug:
+// the bracket expansion of the paper's source must be ascending as emitted —
+// no two breakpoints within 2·GridNudge — and the grids must be the ones the
+// doubled seams produced.
+func TestDualPeriodicSeamsEmittedOnce(t *testing.T) {
+	src := DualPeriodic{C1: 50e3, P1: 10e-3, C2: 10e3, P2: 1e-3, PeakBps: 100e6}
+	// 1.9 s and beyond are past the maxBreakpoints cut, which must fall on
+	// the same period as before for the grids to stay put.
+	for _, h := range []float64{16e-3, 50e-3, 0.2, 0.76, 1.9, 2.228, 5.7} {
+		raw := src.Breakpoints(h)
+		var brackets []float64
+		for _, b := range raw {
+			brackets = append(brackets, b-GridNudge, b, b+GridNudge)
+		}
+		if !sort.Float64sAreSorted(brackets) {
+			t.Errorf("horizon %v: bracket expansion of %d breakpoints is not ascending", h, len(raw))
+		}
+		seed := seedDualPeriodicBreakpoints(src, h)
+		if len(seed) <= len(raw) {
+			t.Errorf("horizon %v: the seed enumeration has %d points, the fixed one %d: expected doubled seams to go", h, len(seed), len(raw))
+		}
+		for _, n := range []int{1, 128, 160} {
+			if got, want := Grid(src, h, n), oracleGrid(seedDual{src}, h, n); !slices.Equal(got, want) {
+				t.Errorf("horizon %v, n=%d: grid moved: %d points against %d", h, n, len(got), len(want))
+			}
+		}
+	}
+}
+
+// TestGridAssemblyAllocationFree holds grid assembly at zero allocations on a
+// warmed workspace: chain enumeration appends into the workspace's breakpoint
+// scratch, the merge writes into a size-class buffer, and Put returns it.
+func TestGridAssemblyAllocationFree(t *testing.T) {
+	src := DualPeriodic{C1: 50e3, P1: 10e-3, C2: 10e3, P2: 1e-3, PeakBps: 100e6}
+	chain := Quantized{Inner: Delayed{Inner: Quantized{Inner: Delayed{Inner: src, Delay: 8e-3, CapBps: 100e6}, QuantumBits: 4e3, OutBits: 4240}, Delay: 1e-3, CapBps: 140e6}, QuantumBits: 4240, OutBits: 4240}
+	flat := Flatten(chain, 0.025)
+	if flat == nil {
+		t.Fatal("chain has no lowering")
+	}
+	var mult []float64
+	for k := 1.0; k*8e-3 <= 0.76; k++ {
+		mult = append(mult, k*8e-3-GridNudge, k*8e-3, k*8e-3+GridNudge)
+	}
+	zp := []float64{GridNudge}
+	var ws Workspace
+	for _, d := range []Descriptor{src, chain, flat} {
+		run := func() { ws.Put(ws.Grid(d, 0.76, 160, mult, zp)) }
+		run()
+		if avg := testing.AllocsPerRun(50, run); avg != 0 {
+			t.Errorf("grid assembly over %T allocates %v times per run on a warmed workspace", d, avg)
+		}
+	}
+}
+
+// BenchmarkGridAssembly times one grid assembly on a warmed workspace at the
+// two depths the admission path sees: a FIFO port's first busy-period window
+// and a receiver MAC near its stability limit.
+func BenchmarkGridAssembly(b *testing.B) {
+	src := DualPeriodic{C1: 50e3, P1: 10e-3, C2: 10e3, P2: 1e-3, PeakBps: 100e6}
+	var chain Descriptor = Delayed{Inner: Quantized{Inner: Delayed{Inner: src, Delay: 8e-3, CapBps: 100e6}, QuantumBits: 4e3, OutBits: 4240}, Delay: 1e-3, CapBps: 140e6}
+	for _, bc := range []struct {
+		name    string
+		horizon float64
+		n       int
+	}{{"mux16ms", 16e-3, 128}, {"mac760ms", 0.76, 160}} {
+		var mult []float64
+		for k := 1.0; k*8e-3 <= bc.horizon; k++ {
+			mult = append(mult, k*8e-3-GridNudge, k*8e-3, k*8e-3+GridNudge)
+		}
+		zp := []float64{GridNudge}
+		b.Run(bc.name, func(b *testing.B) {
+			var ws Workspace
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				ws.Put(ws.Grid(chain, bc.horizon, bc.n, mult, zp))
+			}
+		})
+		b.Run(bc.name+"/oracle", func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				gridSink = oracleMergeGrids(bc.horizon, oracleGrid(chain, bc.horizon, bc.n), mult, zp)
+			}
+		})
+	}
+}
+
+var gridSink []float64

@@ -61,6 +61,7 @@ type Periodic struct {
 
 var _ Descriptor = Periodic{}
 var _ BreakpointProvider = Periodic{}
+var _ BreakpointAppender = Periodic{}
 
 // NewPeriodic validates and returns a periodic descriptor. The peak rate must
 // be high enough to deliver C bits within one period (Peak·P >= C).
@@ -99,26 +100,33 @@ func (s Periodic) PeakRate() float64 { return s.PeakBps }
 
 // Breakpoints implements BreakpointProvider.
 func (s Periodic) Breakpoints(horizon float64) []float64 {
-	pts := make([]float64, 0, min(2*(int(horizon/s.P)+2), maxBreakpoints+2))
+	return s.AppendBreakpoints(make([]float64, 0, min(2*(int(horizon/s.P)+2), maxBreakpoints+2)), horizon)
+}
+
+// AppendBreakpoints implements BreakpointAppender: every burst start k·P and
+// burst end k·P + C/Peak.
+func (s Periodic) AppendBreakpoints(dst []float64, horizon float64) []float64 {
+	start := len(dst)
 	burst := s.C / s.PeakBps
 	for t := 0.0; t <= horizon; t += s.P {
-		pts = pushAscending(pushAscending(pts, t), t+burst)
-		if len(pts) > maxBreakpoints {
+		dst = pushAscending(pushAscending(dst, start, t), start, t+burst)
+		if len(dst)-start > maxBreakpoints {
 			break
 		}
 	}
-	return pts
+	return dst
 }
 
-// pushAscending appends p while keeping pts ascending: emission loops produce
-// points that are ordered except for ulp-level rounding where consecutive
-// formulas meet (a sub-period landing on a period boundary, a burst length
-// rounding past the period). Restoring order here — same multiset, at most a
-// couple of swaps — lets Grid and the merge paths skip their comparison sorts,
-// which would otherwise run on every envelope evaluation of every probe.
-func pushAscending(pts []float64, p float64) []float64 {
+// pushAscending appends p while keeping pts[start:] ascending: emission loops
+// produce points that are ordered except for ulp-level rounding where
+// consecutive formulas meet (a burst length rounding past the period).
+// Restoring order here — same multiset, at most a couple of swaps — lets grid
+// assembly skip its comparison sort, which would otherwise run on every
+// envelope evaluation of every probe. Points below start belong to the caller
+// and are never moved.
+func pushAscending(pts []float64, start int, p float64) []float64 {
 	pts = append(pts, p)
-	for i := len(pts) - 1; i > 0 && pts[i] < pts[i-1]; i-- {
+	for i := len(pts) - 1; i > start && pts[i] < pts[i-1]; i-- {
 		pts[i], pts[i-1] = pts[i-1], pts[i]
 	}
 	return pts
@@ -144,6 +152,7 @@ type DualPeriodic struct {
 
 var _ Descriptor = DualPeriodic{}
 var _ BreakpointProvider = DualPeriodic{}
+var _ BreakpointAppender = DualPeriodic{}
 
 // NewDualPeriodic validates and returns a dual-periodic descriptor.
 // Requirements: 0 < P2 <= P1, 0 < C2 <= C1, the short-term rate C2/P2 at
@@ -210,26 +219,54 @@ const maxBreakpoints = 4096
 // Breakpoints implements BreakpointProvider: envelope vertices occur at the
 // start and end of every burst, i.e. at k·P1 + j·P2 and k·P1 + j·P2 + C2/Peak.
 func (s DualPeriodic) Breakpoints(horizon float64) []float64 {
-	pts := make([]float64, 0, min(2*(int(horizon/s.P2)+4), maxBreakpoints+2))
+	return s.AppendBreakpoints(make([]float64, 0, min(2*(int(horizon/s.P2)+4), maxBreakpoints+2)), horizon)
+}
+
+// AppendBreakpoints implements BreakpointAppender.
+//
+// When P1 is a whole multiple of P2 — the paper's source: 10 ms and 1 ms —
+// the last sub-period of a long period starts on the next period's base, and
+// the two float paths to that instant, k·P1 + j·P2 and (k+1)·P1, agree only
+// to an ulp. Each such seam is emitted once, at the smaller of the two: that
+// is the one of the pair grid assembly's Eps-dedup used to keep, so grids are
+// unchanged, and the bracket expansion of the list (±GridNudge around every
+// point) is ascending as it stands.
+func (s DualPeriodic) AppendBreakpoints(dst []float64, horizon float64) []float64 {
+	start := len(dst)
 	burst := s.C2 / s.PeakBps
 	perP1 := int(units.FloorDiv(s.P1, s.P2)) + 1
+	// visited counts two points per burst instant, a seam's instant twice
+	// over (once for either float path), so maxBreakpoints ends the list at
+	// the period it always did and deep grids keep their reach.
+	visited := 0
+	seam := false // the previous period has emitted this period's base
 	for k := 0; ; k++ {
 		base := float64(k) * s.P1
-		if base > horizon || len(pts) > maxBreakpoints {
+		if base > horizon || visited > maxBreakpoints {
 			break
 		}
-		for j := 0; j < perP1; j++ {
+		j := 0
+		if seam {
+			j, seam, visited = 1, false, visited+2
+		}
+		for ; j < perP1; j++ {
 			t := base + float64(j)*s.P2
 			if t > base+s.P1 || t > horizon {
 				break
 			}
-			// A sub-period landing on the P1 boundary re-emits the next
-			// period's base, off by up to one ulp of rounding — pushAscending
-			// keeps the list sorted through those seams.
-			pts = pushAscending(pushAscending(pts, t), t+burst)
+			visited += 2
+			if !(t < base+s.P1) {
+				seam = true
+				if visited <= maxBreakpoints {
+					// The next period runs; of the two forms of its base
+					// the smaller stands for both.
+					t = min(t, float64(k+1)*s.P1)
+				}
+			}
+			dst = pushAscending(pushAscending(dst, start, t), start, t+burst)
 		}
 	}
-	return pts
+	return dst
 }
 
 // String implements fmt.Stringer.
@@ -250,6 +287,7 @@ type LeakyBucket struct {
 
 var _ Descriptor = LeakyBucket{}
 var _ BreakpointProvider = LeakyBucket{}
+var _ BreakpointAppender = LeakyBucket{}
 
 // NewLeakyBucket validates and returns a leaky-bucket descriptor. peakBps of
 // zero means "no peak cap" (instantaneous bursts allowed).
@@ -292,11 +330,16 @@ func (b LeakyBucket) PeakRate() float64 {
 
 // Breakpoints implements BreakpointProvider: the only vertex is where the
 // peak segment meets the sustained segment.
-func (b LeakyBucket) Breakpoints(float64) []float64 {
+func (b LeakyBucket) Breakpoints(horizon float64) []float64 {
+	return b.AppendBreakpoints(nil, horizon)
+}
+
+// AppendBreakpoints implements BreakpointAppender.
+func (b LeakyBucket) AppendBreakpoints(dst []float64, _ float64) []float64 {
 	if b.PeakBps == 0 || units.AlmostLE(b.PeakBps, b.Rho) {
-		return nil
+		return dst
 	}
-	return []float64{b.Sigma / (b.PeakBps - b.Rho)}
+	return append(dst, b.Sigma/(b.PeakBps-b.Rho))
 }
 
 // String implements fmt.Stringer.

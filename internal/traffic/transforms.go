@@ -111,6 +111,7 @@ type Delayed struct {
 
 var _ Descriptor = Delayed{}
 var _ BreakpointProvider = Delayed{}
+var _ BreakpointAppender = Delayed{}
 
 // NewDelayed validates and returns the delayed-output transform of inner.
 func NewDelayed(inner Descriptor, delay, capBps float64) (Delayed, error) {
@@ -152,18 +153,21 @@ func (d Delayed) LongTermRate() float64 {
 // inner vertices shifted left by the delay; the cap introduces additional
 // crossings which the uniform fallback grid covers.
 func (d Delayed) Breakpoints(horizon float64) []float64 {
-	bp, ok := d.Inner.(BreakpointProvider)
-	if !ok {
-		return nil
-	}
-	inner := bp.Breakpoints(horizon + d.Delay)
-	pts := make([]float64, 0, len(inner))
-	for _, t := range inner {
+	return d.AppendBreakpoints(nil, horizon)
+}
+
+// AppendBreakpoints implements BreakpointAppender: the inner chain appends
+// its points, which are then shifted and filtered where they lie.
+func (d Delayed) AppendBreakpoints(dst []float64, horizon float64) []float64 {
+	start := len(dst)
+	dst = AppendBreakpoints(dst, d.Inner, horizon+d.Delay)
+	kept := dst[:start]
+	for _, t := range dst[start:] {
 		if s := t - d.Delay; s > 0 && units.AlmostLE(s, horizon) {
-			pts = append(pts, s)
+			kept = append(kept, s)
 		}
 	}
-	return pts
+	return kept
 }
 
 // String implements fmt.Stringer.
@@ -188,6 +192,7 @@ type Quantized struct {
 
 var _ Descriptor = Quantized{}
 var _ BreakpointProvider = Quantized{}
+var _ BreakpointAppender = Quantized{}
 
 // NewQuantized validates and returns the quantizing transform of inner.
 // outBits must be at least quantumBits: a conversion stage may pad but never
@@ -225,10 +230,12 @@ func (q Quantized) LongTermRate() float64 {
 // quantum crossings are covered by the uniform fallback grid and the
 // jitter-bracketing applied to these points.
 func (q Quantized) Breakpoints(horizon float64) []float64 {
-	if bp, ok := q.Inner.(BreakpointProvider); ok {
-		return bp.Breakpoints(horizon)
-	}
-	return nil
+	return q.AppendBreakpoints(nil, horizon)
+}
+
+// AppendBreakpoints implements BreakpointAppender by delegation.
+func (q Quantized) AppendBreakpoints(dst []float64, horizon float64) []float64 {
+	return AppendBreakpoints(dst, q.Inner, horizon)
 }
 
 // String implements fmt.Stringer.
@@ -245,6 +252,7 @@ type RateCapped struct {
 
 var _ Descriptor = RateCapped{}
 var _ BreakpointProvider = RateCapped{}
+var _ BreakpointAppender = RateCapped{}
 
 // NewRateCapped validates and returns the rate-capped view of inner.
 func NewRateCapped(inner Descriptor, capBps float64) (RateCapped, error) {
@@ -275,10 +283,12 @@ func (r RateCapped) PeakRate() float64 { return r.CapBps }
 
 // Breakpoints implements BreakpointProvider by delegation.
 func (r RateCapped) Breakpoints(horizon float64) []float64 {
-	if bp, ok := r.Inner.(BreakpointProvider); ok {
-		return bp.Breakpoints(horizon)
-	}
-	return nil
+	return r.AppendBreakpoints(nil, horizon)
+}
+
+// AppendBreakpoints implements BreakpointAppender by delegation.
+func (r RateCapped) AppendBreakpoints(dst []float64, horizon float64) []float64 {
+	return AppendBreakpoints(dst, r.Inner, horizon)
 }
 
 // String implements fmt.Stringer.
@@ -442,7 +452,7 @@ func (s *Sampled) String() string {
 // Materialize evaluates d on the given grid and returns the tabulated
 // envelope, decoupling downstream evaluation cost from the depth of the
 // transform chain. The grid must be non-empty, strictly increasing and
-// positive (as produced by Grid or CleanGrid).
+// positive (as produced by Grid).
 func Materialize(d Descriptor, grid []float64) (*Sampled, error) {
 	if len(grid) == 0 {
 		return nil, fmt.Errorf("traffic: Materialize requires a non-empty grid")
