@@ -164,28 +164,43 @@ func AnalyzeAggregate(agg traffic.Descriptor, p MuxParams, opts MuxOptions) (Mux
 	return MuxResult{BusyPeriod: busy, Delay: delay, BacklogBits: backlog}, nil
 }
 
+// muxPrefixDivisor sets how much of a horizon's candidate grid scanMux
+// assembles before it looks for the busy period's end: the points up to
+// horizon/muxPrefixDivisor first, the whole horizon only when no crossing
+// lies among them. Busy periods of admissible ports are a small fraction of
+// the 16 ms the search starts with, so most scans end in the first part. It
+// trades speed, never results: a prefix of the grid is scanned exactly as the
+// grid would have been.
+const muxPrefixDivisor = 8
+
 // scanMux finds the busy period and the worst-case queue content of a FIFO
 // port fed by agg. The busy period ends at the first candidate point where
 // the aggregate demand has been fully served (ΣA(t) <= C·t), searched over a
 // horizon that doubles as needed; taking the first *grid* point after the
 // true crossing only enlarges the extremum search range, which keeps the
-// delay bound conservative. The backlog scan then reuses the prefix of that
-// grid within the busy period, with the t→0⁺ point merged in — the limit
-// matters for envelopes with an instantaneous burst. Each horizon's grid
-// lives in a workspace buffer for the duration of its scan, so on a warmed
-// workspace the search allocates nothing.
+// delay bound conservative. Each horizon's grid is assembled only as far as
+// it is read: to horizon/muxPrefixDivisor, then — when the crossing is not
+// inside — to the horizon. The assembly is a streaming merge, so the shorter
+// grid is a prefix of the longer, the crossing scan reads the same points in
+// the same order on either, and a crossing found in the prefix is the one the
+// full grid gives. The backlog scan then reuses the grid up to the crossing,
+// with the t→0⁺ point merged in — the limit matters for envelopes with an
+// instantaneous burst. Each grid lives in a workspace buffer for the duration
+// of its scan, so on a warmed workspace the search allocates nothing.
 func scanMux(agg traffic.Descriptor, capacity float64, opts MuxOptions) (busy, backlog float64, err error) {
 	ws := opts.Workspace
 	for horizon := opts.InitialHorizon; horizon <= opts.MaxHorizon*2; horizon *= 2 {
-		grid := ws.Grid(agg, horizon, opts.GridPoints)
-		if i, ok := busyCrossing(agg, grid, capacity); ok {
-			busy = grid[i]
-			grid = traffic.InsertGridPoint(grid[:i+1], traffic.GridNudge)
-			backlog = maxMuxBacklog(agg, grid, capacity)
+		for _, limit := range [...]float64{horizon / muxPrefixDivisor, horizon} {
+			grid := ws.GridPrefix(agg, horizon, opts.GridPoints, limit)
+			if i, ok := busyCrossing(agg, grid, capacity); ok {
+				busy = grid[i]
+				grid = traffic.InsertGridPoint(grid[:i+1], traffic.GridNudge)
+				backlog = maxMuxBacklog(agg, grid, capacity)
+				ws.Put(grid)
+				return busy, backlog, nil
+			}
 			ws.Put(grid)
-			return busy, backlog, nil
 		}
-		ws.Put(grid)
 	}
 	return 0, 0, fmt.Errorf("%w: no idle point within %v s", ErrMuxNoConvergence, opts.MaxHorizon)
 }
@@ -207,9 +222,9 @@ func maxMuxBacklog(agg traffic.Descriptor, grid []float64, capacity float64) flo
 }
 
 // busyCrossing scans one candidate grid for the first point with
-// ΣA(t) <= C·t and returns its index. Grid assembly and the horizon-doubling
-// retry live in scanMux; this inner scan runs once per horizon per probe and
-// is annotated.
+// ΣA(t) <= C·t and returns its index. Grid assembly and the retries (a longer
+// prefix, a doubled horizon) live in scanMux; this inner scan runs once per
+// grid per probe and is annotated.
 //
 // The scan exploits monotonicity to skip ahead: after observing a = ΣA(t),
 // no earlier-unvisited point t' with C·t' + Eps < a can be the crossing (its

@@ -15,22 +15,7 @@ func TestScanMuxAllocationFree(t *testing.T) {
 	capacity := PayloadCapacity(DefaultLinkBps)
 	deepest := 0.0
 	for _, c1 := range []float64{50e3, 200e3} {
-		members := make([]traffic.Descriptor, 6)
-		flats := make([]*traffic.Flat, len(members))
-		for i := range members {
-			src, err := traffic.NewDualPeriodic(c1, 10e-3, c1/5, 1e-3, 100e6)
-			if err != nil {
-				t.Fatal(err)
-			}
-			chain := traffic.Delayed{Inner: src, Delay: float64(8+i) * 1e-3, CapBps: 100e6}
-			if flats[i] = traffic.Flatten(chain, 0.025); flats[i] == nil {
-				t.Fatal("the chain has no lowering")
-			}
-			members[i] = flats[i]
-		}
-		tail := traffic.NewMemberTail()
-		tail.SetMembers(members...)
-		sum := traffic.SumFlats(tail, flats...)
+		sum := portAggregate(t, 6, c1)
 
 		var ws traffic.Workspace
 		opts := MuxOptions{Workspace: &ws}.withDefaults()

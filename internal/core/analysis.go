@@ -387,7 +387,9 @@ func (ev *evaluation) srcMAC(c *Connection) (fddi.MACResult, error) {
 		err = fmt.Errorf("%w: sender MAC of %q: %v", errInfeasible, c.ID, err)
 	}
 	if byH == nil {
-		// A CAC bisection probes ~2·SearchIters allocations per request.
+		// A decision probes up to 2·SearchIters + 4 allocations (two
+		// bisections with their starting points, the segment maximum, the
+		// chosen point): 28 at the default 12 iterations.
 		byH = make(map[float64]macEntry, 32)
 		ev.a.macCache[c.ID] = byH
 	}
@@ -582,8 +584,11 @@ func (ev *evaluation) muxDelay(p topo.PortID) (float64, error) {
 		// (pointer identity — flats are value-immutable, and the stage caches
 		// keep pointers stable across probes of the same global state) reuses
 		// the verdict without touching the aggregate.
-		for i := range ev.a.portMux[p] {
-			if e := &ev.a.portMux[p][i]; slices.Equal(e.flats, flats) {
+		// Newest first: storePortMux appends, and the states that recur are
+		// the recent ones.
+		entries := ev.a.portMux[p]
+		for i := len(entries) - 1; i >= 0; i-- {
+			if e := &entries[i]; slices.Equal(e.flats, flats) {
 				if e.err != nil {
 					ev.portDelay[p] = math.Inf(1)
 					return 0, e.err
@@ -716,38 +721,96 @@ func (ev *evaluation) totalDelay(c *Connection) (float64, error) {
 
 // breakdown assembles the per-server decomposition.
 func (ev *evaluation) breakdown(c *Connection) (Breakdown, error) {
-	mac, err := ev.srcMAC(c)
-	if err != nil {
+	var bd Breakdown
+	if _, err := ev.walk(c, &bd, math.Inf(1)); err != nil {
 		return Breakdown{}, err
 	}
-	bd := Breakdown{SrcMAC: mac.Delay, Constant: c.Route.ConstantDelay, SrcBufferBits: mac.BufferBits}
+	return bd, nil
+}
+
+// cutoff names where an evaluation stopped short: the server at which a walk
+// along one connection's path ended without a total within its limit, or —
+// for a probe over many connections — that it was not the candidate's.
+type cutoff uint8
+
+const (
+	cutNone   cutoff = iota // every server analysed, total within the limit
+	cutSrcMAC               // at the sender MAC (and the regulator behind it)
+	cutPort                 // at a shared FIFO port
+	cutDstMAC               // at the receiver MAC, where the sum is complete
+	cutOther                // at a connection other than the candidate
+)
+
+// walk is Eq. 7 server by server: it analyses c's path in order — sender MAC,
+// optional regulator, each shared port, receiver MAC — filling bd (whose
+// Ports buffer it reuses) and stopping as soon as the delay accumulated so
+// far exceeds limit, or a server has no finite bound (the error). It returns
+// cutNone exactly when bd is complete and bd.Total <= limit; reporting
+// callers pass +Inf and only ever see an error.
+//
+// The accumulated delay tested after each server is bd.sum() with the servers
+// not yet analysed still at zero — the very expression that yields Total, so
+// a partial sum can never exceed the total it stands in for (see sum), and
+// stopping on it loses no verdict. The receiver MAC, the deepest scan of a
+// low-allocation probe, is never run for a connection that has missed its
+// deadline before reaching it.
+func (ev *evaluation) walk(c *Connection, bd *Breakdown, limit float64) (cutoff, error) {
+	mac, err := ev.srcMAC(c)
+	if err != nil {
+		return cutSrcMAC, err
+	}
+	*bd = Breakdown{SrcMAC: mac.Delay, Constant: c.Route.ConstantDelay, SrcBufferBits: mac.BufferBits, Ports: bd.Ports[:0]}
 	if !c.Route.CrossesBackbone {
-		bd.Total = bd.SrcMAC + bd.Constant
-		return bd, nil
+		if bd.Total = bd.sum(); bd.Total > limit {
+			return cutSrcMAC, nil
+		}
+		return cutNone, nil
 	}
 	if c.Shape != nil {
 		sh, err := ev.shaperResult(c, mac.Output)
 		if err != nil {
-			return Breakdown{}, err
+			return cutSrcMAC, err
 		}
 		bd.Shaper = sh.Delay
+	}
+	if bd.sum() > limit {
+		return cutSrcMAC, nil
 	}
 	for _, p := range c.Route.Ports {
 		d, err := ev.muxDelay(p)
 		if err != nil {
-			return Breakdown{}, err
+			return cutPort, err
 		}
 		bd.Ports = append(bd.Ports, PortDelay{Port: p, Delay: d})
+		if bd.sum() > limit {
+			return cutPort, nil
+		}
 	}
 	dst, err := ev.dstMAC(c)
 	if err != nil {
-		return Breakdown{}, err
+		return cutDstMAC, err
 	}
 	bd.DstMAC = dst.Delay
 	bd.DstBufferBits = dst.BufferBits
-	bd.Total = bd.SrcMAC + bd.Shaper + bd.Constant + bd.DstMAC
-	for _, pd := range bd.Ports {
-		bd.Total += pd.Delay
+	if bd.Total = bd.sum(); bd.Total > limit {
+		return cutDstMAC, nil
 	}
-	return bd, nil
+	return cutNone, nil
+}
+
+// sum is the Eq. 7 summation, in the one order every total and every partial
+// sum of this package is taken: sender MAC, regulator, constants and receiver
+// MAC first, then the ports in traversal order. A server not analysed yet
+// contributes its zero value, and adding zero is exact, so on a partly filled
+// breakdown this is Total with the missing terms zeroed. Rounded addition is
+// monotone in each argument and no server delay is negative, so that value is
+// at most the eventual Total — exactly, not to a tolerance.
+//
+//fafvet:hotpath
+func (bd *Breakdown) sum() float64 {
+	t := bd.SrcMAC + bd.Shaper + bd.Constant + bd.DstMAC
+	for _, pd := range bd.Ports {
+		t += pd.Delay
+	}
+	return t
 }

@@ -50,9 +50,14 @@ func decideAgainst(an *Analyzer, opts Options, standing []*Connection, avail fun
 	if err != nil {
 		return Decision{}, nil, err
 	}
-	probe := func(a allocation) (bool, map[string]float64) {
+	counted := func() {
 		dec.Probes++
 		mProbes.Inc()
+	}
+	// The two probes whose delay maps are reported — the segment maximum and
+	// the chosen allocation — evaluate the whole network.
+	probe := func(a allocation) (bool, map[string]float64) {
+		counted()
 		delays, err := session.Delays(a.hs, a.hr)
 		if err != nil {
 			// Structural errors cannot occur for specs validated above;
@@ -69,14 +74,25 @@ func decideAgainst(an *Analyzer, opts Options, standing []*Connection, avail fun
 		return dec, cand, nil
 	}
 
-	// Step 3: minimum needed allocation.
-	alphaMin := bisectFeasible(opts, probe, seg)
+	// Step 3: minimum needed allocation — the smallest feasible point. The
+	// caller-side guarantee (α=1 is feasible) and Theorems 3–4 make the
+	// feasible subset of the segment an interval ending at 1. The bisections
+	// keep one boolean per probe, so their probes compute only that.
+	alphaMin := bisect(opts, seg, 0, func(a allocation) bool {
+		counted()
+		return session.Feasible(a.hs, a.hr)
+	})
 	minAlloc := seg.at(alphaMin)
 	dec.HSMinNeed, dec.HRMinNeed = minAlloc.hs, minAlloc.hr
 
 	// Step 4: maximum needed allocation — the smallest point whose delays
-	// match the maximum allocation's (Eq. 31–33).
-	alphaEq := bisectEqualDelays(opts, probe, seg, alphaMin, delaysMax)
+	// match the maximum allocation's within the configured tolerance
+	// (Eq. 31–33). Delays vary monotonically toward their α=1 values along
+	// the segment, so the equality set too is an interval ending at 1.
+	alphaEq := bisect(opts, seg, alphaMin, func(a allocation) bool {
+		counted()
+		return session.FeasibleWithin(a.hs, a.hr, delaysMax, opts.EqualTolerance)
+	})
 	maxAlloc := seg.at(alphaEq)
 	dec.HSMaxNeed, dec.HRMaxNeed = maxAlloc.hs, maxAlloc.hr
 
@@ -136,51 +152,18 @@ func meetsDeadlines(standing []*Connection, cand *Connection, delays map[string]
 	return delays[cand.ID] <= cand.Deadline*(1+units.RelTol)
 }
 
-// bisectFeasible locates the smallest α in [0,1] whose allocation is
-// feasible. The caller guarantees α=1 is feasible; Theorems 3–4 make the
-// feasible subset of the segment an interval ending at 1.
-func bisectFeasible(opts Options, probe func(allocation) (bool, map[string]float64), seg segment) float64 {
-	if ok, _ := probe(seg.at(0)); ok {
-		return 0
+// bisect locates the smallest α in [from, 1] whose allocation satisfies holds,
+// for a predicate that is true at α=1 and whose true set is an interval
+// ending there.
+func bisect(opts Options, seg segment, from float64, holds func(allocation) bool) float64 {
+	if holds(seg.at(from)) {
+		return from
 	}
-	lo, hi := 0.0, 1.0 // infeasible at lo, feasible at hi
+	lo, hi := from, 1.0 // false at lo, true at hi
 	for i := 0; i < opts.SearchIters; i++ {
 		mBisectSteps.Inc()
 		mid := (lo + hi) / 2
-		if ok, _ := probe(seg.at(mid)); ok {
-			hi = mid
-		} else {
-			lo = mid
-		}
-	}
-	return hi
-}
-
-// bisectEqualDelays locates the smallest α in [alphaMin,1] whose delays
-// match those at α=1 within the configured tolerance (Eq. 31–32). Delays
-// vary monotonically toward their α=1 values along the segment, so the
-// equality set is an interval ending at 1.
-func bisectEqualDelays(opts Options, probe func(allocation) (bool, map[string]float64), seg segment, alphaMin float64, delaysMax map[string]float64) float64 {
-	equal := func(alpha float64) bool {
-		ok, delays := probe(seg.at(alpha))
-		if !ok {
-			return false
-		}
-		for id, dMax := range delaysMax {
-			if !units.WithinRel(delays[id], dMax, opts.EqualTolerance) {
-				return false
-			}
-		}
-		return true
-	}
-	if equal(alphaMin) {
-		return alphaMin
-	}
-	lo, hi := alphaMin, 1.0
-	for i := 0; i < opts.SearchIters; i++ {
-		mBisectSteps.Inc()
-		mid := (lo + hi) / 2
-		if equal(mid) {
+		if holds(seg.at(mid)) {
 			hi = mid
 		} else {
 			lo = mid

@@ -12,6 +12,81 @@ import (
 	"fafnet/internal/units"
 )
 
+// scenarioGen draws the randomized scenarios of the equivalence harnesses:
+// one to five connections on random host pairs, a mix of the three source
+// models, and allocations that span the stability threshold on purpose — some
+// draws are infeasible, exercising the +Inf paths.
+type scenarioGen struct {
+	t   *testing.T
+	net *topo.Network
+	rng *rand.Rand
+	// shaped puts a regulator on roughly one connection in six: shaped
+	// stage-0 chains have no exact flat lowering, so these connections ride
+	// the closure-tree fallback while sharing ports with flat members.
+	shaped bool
+}
+
+func newScenarioGen(t *testing.T, net *topo.Network, seed int64) *scenarioGen {
+	return &scenarioGen{t: t, net: net, rng: rand.New(rand.NewSource(seed))}
+}
+
+func (g *scenarioGen) source() traffic.Descriptor {
+	var d traffic.Descriptor
+	var err error
+	switch g.rng.Intn(3) {
+	case 0:
+		c1 := 50e3 + 150e3*g.rng.Float64()
+		d, err = traffic.NewDualPeriodic(c1, 0.010, c1/5, 0.001, 100e6)
+	case 1:
+		c := 20e3 + 80e3*g.rng.Float64()
+		p := []float64{0.005, 0.008, 0.010}[g.rng.Intn(3)]
+		d, err = traffic.NewPeriodic(c, p, 100e6)
+	default:
+		d, err = traffic.NewCBR(2e6 + 8e6*g.rng.Float64())
+	}
+	if err != nil {
+		g.t.Fatal(err)
+	}
+	return d
+}
+
+// next draws scenario sc; connection ids carry prefix and sc.
+func (g *scenarioGen) next(prefix string, sc int) []*Connection {
+	nConns := 1 + g.rng.Intn(5)
+	conns := make([]*Connection, 0, nConns)
+	for i := 0; i < nConns; i++ {
+		src := topo.HostID{Ring: g.rng.Intn(3), Index: g.rng.Intn(4)}
+		dst := topo.HostID{Ring: g.rng.Intn(3), Index: g.rng.Intn(4)}
+		if src == dst {
+			dst.Index = (dst.Index + 1) % 4
+		}
+		route, err := g.net.Route(src, dst)
+		if err != nil {
+			g.t.Fatal(err)
+		}
+		c := &Connection{
+			ConnSpec: ConnSpec{
+				ID:       fmt.Sprintf("%s%dc%d", prefix, sc, i),
+				Src:      src,
+				Dst:      dst,
+				Source:   g.source(),
+				Deadline: 0.120,
+			},
+			Route: route,
+			HS:    0.4e-3 + 2.1e-3*g.rng.Float64(),
+			HR:    0.4e-3 + 2.1e-3*g.rng.Float64(),
+		}
+		if g.shaped && g.rng.Intn(6) == 0 {
+			c.Shape = &shaper.Spec{
+				SigmaBits: 20e3 + 40e3*g.rng.Float64(),
+				RhoBps:    c.Source.LongTermRate() * (1.2 + 0.5*g.rng.Float64()),
+			}
+		}
+		conns = append(conns, c)
+	}
+	return conns
+}
+
 // TestFusionEquivalenceRandomized is the soundness harness of the probe
 // accelerator: across randomized scenarios (connection counts, placements,
 // allocations, and source mixes), the optimized analyzer — envelope fusion,
@@ -21,64 +96,11 @@ import (
 // both finite).
 func TestFusionEquivalenceRandomized(t *testing.T) {
 	net := defaultNet(t)
-	rng := rand.New(rand.NewSource(20250806))
-
-	randomSource := func() traffic.Descriptor {
-		switch rng.Intn(3) {
-		case 0:
-			c1 := 50e3 + 150e3*rng.Float64()
-			d, err := traffic.NewDualPeriodic(c1, 0.010, c1/5, 0.001, 100e6)
-			if err != nil {
-				t.Fatal(err)
-			}
-			return d
-		case 1:
-			c := 20e3 + 80e3*rng.Float64()
-			p := []float64{0.005, 0.008, 0.010}[rng.Intn(3)]
-			d, err := traffic.NewPeriodic(c, p, 100e6)
-			if err != nil {
-				t.Fatal(err)
-			}
-			return d
-		default:
-			d, err := traffic.NewCBR(2e6 + 8e6*rng.Float64())
-			if err != nil {
-				t.Fatal(err)
-			}
-			return d
-		}
-	}
+	gen := newScenarioGen(t, net, 20250806)
 
 	const scenarios = 120
 	for sc := 0; sc < scenarios; sc++ {
-		nConns := 1 + rng.Intn(5)
-		conns := make([]*Connection, 0, nConns)
-		for i := 0; i < nConns; i++ {
-			src := topo.HostID{Ring: rng.Intn(3), Index: rng.Intn(4)}
-			dst := topo.HostID{Ring: rng.Intn(3), Index: rng.Intn(4)}
-			if src == dst {
-				dst.Index = (dst.Index + 1) % 4
-			}
-			route, err := net.Route(src, dst)
-			if err != nil {
-				t.Fatal(err)
-			}
-			c := &Connection{
-				ConnSpec: ConnSpec{
-					ID:       fmt.Sprintf("s%dc%d", sc, i),
-					Src:      src,
-					Dst:      dst,
-					Source:   randomSource(),
-					Deadline: 0.120,
-				},
-				Route: route,
-				// Spanning the stability threshold on purpose: some draws are
-				// infeasible, exercising the +Inf paths on both sides.
-				HS: 0.4e-3 + 2.1e-3*rng.Float64(),
-				HR: 0.4e-3 + 2.1e-3*rng.Float64(),
-			}
-			conns = append(conns, c)
-		}
+		conns := gen.next("s", sc)
 
 		optimized, err := NewAnalyzer(net, AnalysisOptions{})
 		if err != nil {
@@ -140,33 +162,8 @@ func TestFusionEquivalenceRandomized(t *testing.T) {
 //     scratch.
 func TestFlatEquivalenceRandomized(t *testing.T) {
 	net := defaultNet(t)
-	rng := rand.New(rand.NewSource(20250807))
-
-	randomSource := func() traffic.Descriptor {
-		switch rng.Intn(3) {
-		case 0:
-			c1 := 50e3 + 150e3*rng.Float64()
-			d, err := traffic.NewDualPeriodic(c1, 0.010, c1/5, 0.001, 100e6)
-			if err != nil {
-				t.Fatal(err)
-			}
-			return d
-		case 1:
-			c := 20e3 + 80e3*rng.Float64()
-			p := []float64{0.005, 0.008, 0.010}[rng.Intn(3)]
-			d, err := traffic.NewPeriodic(c, p, 100e6)
-			if err != nil {
-				t.Fatal(err)
-			}
-			return d
-		default:
-			d, err := traffic.NewCBR(2e6 + 8e6*rng.Float64())
-			if err != nil {
-				t.Fatal(err)
-			}
-			return d
-		}
-	}
+	gen := newScenarioGen(t, net, 20250807)
+	gen.shaped = true
 
 	// incremental is the long-lived analyzer: its portAgg state survives all
 	// scenarios and is only ever delta-updated or budget-rebuilt.
@@ -178,41 +175,7 @@ func TestFlatEquivalenceRandomized(t *testing.T) {
 
 	const scenarios = 120
 	for sc := 0; sc < scenarios; sc++ {
-		nConns := 1 + rng.Intn(5)
-		conns := make([]*Connection, 0, nConns)
-		for i := 0; i < nConns; i++ {
-			src := topo.HostID{Ring: rng.Intn(3), Index: rng.Intn(4)}
-			dst := topo.HostID{Ring: rng.Intn(3), Index: rng.Intn(4)}
-			if src == dst {
-				dst.Index = (dst.Index + 1) % 4
-			}
-			route, err := net.Route(src, dst)
-			if err != nil {
-				t.Fatal(err)
-			}
-			c := &Connection{
-				ConnSpec: ConnSpec{
-					ID:       fmt.Sprintf("f%dc%d", sc, i),
-					Src:      src,
-					Dst:      dst,
-					Source:   randomSource(),
-					Deadline: 0.120,
-				},
-				Route: route,
-				HS:    0.4e-3 + 2.1e-3*rng.Float64(),
-				HR:    0.4e-3 + 2.1e-3*rng.Float64(),
-			}
-			// Roughly one connection in six is shaped: shaped stage-0 chains
-			// have no exact flat lowering, so these connections must ride the
-			// closure-tree fallback while sharing ports with flat members.
-			if rng.Intn(6) == 0 {
-				c.Shape = &shaper.Spec{
-					SigmaBits: 20e3 + 40e3*rng.Float64(),
-					RhoBps:    c.Source.LongTermRate() * (1.2 + 0.5*rng.Float64()),
-				}
-			}
-			conns = append(conns, c)
-		}
+		conns := gen.next("f", sc)
 
 		flat, err := NewAnalyzer(net, AnalysisOptions{})
 		if err != nil {

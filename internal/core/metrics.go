@@ -42,9 +42,17 @@ var (
 		"Wall time of one full CAC decision (probe session setup plus every bisection probe).",
 		obs.LatencyBuckets())
 	mProbes = obs.Default.Counter("fafnet_cac_probes_total",
-		"Full-network feasibility probes evaluated across all decisions.")
+		"Feasibility probes asked for across all decisions (the bisection probes stop at their verdict; see fafnet_cac_probe_cutoffs_total).")
 	mBisectSteps = obs.Default.Counter("fafnet_cac_bisect_steps_total",
 		"Binary-search iterations across the feasibility and equal-delay searches.")
+	// Where a verdict-only bisection probe stopped with the answer "no": the
+	// last server analysed for the candidate, or another connection.
+	mProbeCutoffs = [...]*obs.Counter{
+		cutSrcMAC: probeCutoffs("src_mac"),
+		cutPort:   probeCutoffs("port"),
+		cutDstMAC: probeCutoffs("dst_mac"),
+		cutOther:  probeCutoffs("other_connection"),
+	}
 	mReleases = obs.Default.Counter("fafnet_cac_releases_total",
 		"Connections released (admitted connections torn down).")
 	mBookkeepingErrors = obs.Default.Counter("fafnet_cac_bookkeeping_errors_total",
@@ -92,3 +100,9 @@ var (
 	mFlatAggRebuilds = obs.Default.Counter("fafnet_cac_flat_agg_rebuilds_total",
 		"Per-port aggregate envelopes rebuilt from scratch (first use, membership churn past the delta budget, or drift-bound refresh).")
 )
+
+func probeCutoffs(at string) *obs.Counter {
+	return obs.Default.Counter("fafnet_cac_probe_cutoffs_total",
+		"Bisection probes answered \"no\" before the whole network was evaluated, by where the probe stopped: the candidate's sender MAC, a shared port on its route, its receiver MAC (where its delay sum is complete), or a standing connection.",
+		"at", at)
+}

@@ -7,6 +7,7 @@ import (
 
 	"fafnet/internal/topo"
 	"fafnet/internal/traffic"
+	"fafnet/internal/units"
 )
 
 // ProbeSession accelerates the CAC's binary searches. Across the dozens of
@@ -44,12 +45,15 @@ type ProbeSession struct {
 	// Empty when the analyzer runs with DisableFusion.
 	stage0 map[string]traffic.Descriptor
 
-	// probe and scratch are reused across Delays calls: the connection set
-	// is identical every probe (existing ∪ candidate), so the evaluation's
-	// maps are cleared and re-seeded instead of reallocated ~2·SearchIters
-	// times per admission request.
+	// probe and scratch are reused across probes: the connection set is
+	// identical every time (existing ∪ candidate), so the evaluation's maps
+	// are cleared and re-seeded instead of reallocated for each of the up to
+	// 2·SearchIters + 4 probes of an admission request.
 	probe   *Connection
 	scratch *evaluation
+	// walked is the breakdown the verdict-only probes walk into: they read
+	// its total and keep nothing, so one serves them all.
+	walked Breakdown
 }
 
 // NewProbeSession prepares probe acceleration for admitting cand among the
@@ -177,6 +181,71 @@ func (s *ProbeSession) Delays(hs, hr float64) (map[string]float64, error) {
 	return out, nil
 }
 
+// Feasible reports whether every connection — the candidate and every
+// standing one — meets its deadline with the candidate at (hs, hr): Eq. 24–25,
+// the verdict meetsDeadlines gives on Delays(hs, hr). It computes no more than
+// that verdict needs. The candidate is evaluated first, the standing
+// connections after it, and the probe ends at the first connection that
+// misses, since one failing conjunct decides the answer; inside a connection
+// the Eq. 7 walk ends at the first server past which the deadline is already
+// gone (see evaluation.walk). An allocation the sender MAC cannot sustain is
+// thus refused by a closed-form test, without an analysis of any port. Errors
+// the analysis would report count as a miss, as they do in Delays' callers.
+func (s *ProbeSession) Feasible(hs, hr float64) bool {
+	return s.verdict(hs, hr, nil, 0)
+}
+
+// FeasibleWithin is Feasible with the second conjunct of Eq. 31–32: every
+// connection must also have its delay within the relative tolerance tol of
+// its entry in ref (the delays at the segment maximum).
+func (s *ProbeSession) FeasibleWithin(hs, hr float64, ref map[string]float64, tol float64) bool {
+	return s.verdict(hs, hr, ref, tol)
+}
+
+// verdict is the conjunction behind Feasible (ref == nil) and FeasibleWithin,
+// counting where a "no" was decided.
+func (s *ProbeSession) verdict(hs, hr float64, ref map[string]float64, tol float64) bool {
+	ev, err := s.evaluation(hs, hr)
+	if err != nil {
+		return false
+	}
+	if cut := s.holds(ev, s.probe, ref, tol); cut != cutNone {
+		mProbeCutoffs[cut].Inc()
+		return false
+	}
+	for _, c := range ev.ordered {
+		if c != s.probe && s.holds(ev, c, ref, tol) != cutNone {
+			mProbeCutoffs[cutOther].Inc()
+			return false
+		}
+	}
+	return true
+}
+
+// holds tests one connection's conjuncts and returns cutNone when they hold,
+// or the server at which they were found not to.
+func (s *ProbeSession) holds(ev *evaluation, c *Connection, ref map[string]float64, tol float64) cutoff {
+	limit := c.Deadline * (1 + units.RelTol)
+	complete := cutDstMAC // the server that completes c's sum
+	if !c.Route.CrossesBackbone {
+		complete = cutSrcMAC
+	}
+	d, ok := ev.prefilledDelay[c.ID]
+	if !ok {
+		cut, err := ev.walk(c, &s.walked, limit)
+		if err != nil || cut != cutNone {
+			return cut
+		}
+		d = s.walked.Total
+	} else if d > limit {
+		return complete
+	}
+	if ref != nil && !units.WithinRel(d, ref[c.ID], tol) {
+		return complete
+	}
+	return cutNone
+}
+
 // evaluation returns the session's scratch evaluation, reset and re-seeded
 // for a probe at (hs, hr). The first call validates the connection set and
 // allocates the maps; later calls clear and reuse them, re-checking only the
@@ -209,8 +278,8 @@ func (s *ProbeSession) evaluation(hs, hr float64) (*evaluation, error) {
 // reseed clears the scratch evaluation's memo maps and re-seeds them with
 // the session's probe-invariant results: untainted port delays, unaffected
 // end-to-end delays, and the existing connections' stage-0 envelopes. It
-// runs once per probe — ~2·SearchIters times per admission request — and
-// touches only preallocated state, so it is annotated: the hotpath analyzer
+// runs once per probe — up to 2·SearchIters + 4 times per admission request —
+// and touches only preallocated state, so it is annotated: the hotpath analyzer
 // proves it allocation-free, non-blocking and deterministic (the map
 // re-seeding loops are per-key transfers, which are iteration-order-safe).
 //

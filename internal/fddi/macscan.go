@@ -90,7 +90,10 @@ func scanMAC(ws *traffic.Workspace, in traffic.Descriptor, p MACParams, busy flo
 //   - m(t) is a nondecreasing step function, so the delay candidate
 //     m·TTRT − t is maximized at the first point of each m-run, and the
 //     run boundaries are found by binary splitting, evaluating A at
-//     O(runs·log |grid|) points instead of all of them.
+//     O(runs·log |grid|) points instead of all of them;
+//   - m nondecreasing and t increasing also bound every candidate of an index
+//     range from its two ends, so a range that cannot beat the maximum
+//     already found is dropped without being split (see splits).
 type macScan struct {
 	in        traffic.Descriptor
 	p         MACParams
@@ -118,19 +121,39 @@ func (s *macScan) eval(i int) float64 {
 func (s *macScan) maxBacklog() float64 {
 	var backlog float64
 	for i := 0; i < len(s.grid); {
-		k := math.Floor(s.grid[i] / s.ttrt)
-		j := i
-		// Exact comparison of the floored rotation index: grouping must
-		// follow Avail's own segmentation, ulps and all.
-		for j+1 < len(s.grid) && math.Floor(s.grid[j+1]/s.ttrt) == k {
-			j++
-		}
+		j := s.lastOfRotation(i)
 		if b := s.eval(j) - s.p.Avail(s.grid[j]); b > backlog {
 			backlog = b
 		}
 		i = j + 1
 	}
 	return backlog
+}
+
+// lastOfRotation returns the last grid index whose floored rotation index
+// ⌊t/TTRT⌋ equals grid[i]'s. The grid is ascending and rounded division and
+// Floor are both monotone, so the indices sharing a value are contiguous and
+// the end of the run is found by galloping then bisecting on the same
+// predicate a point-by-point walk would apply — a deep grid carries a dozen
+// points per rotation. The comparison of the floored index is exact: grouping
+// must follow Avail's own segmentation, ulps and all.
+func (s *macScan) lastOfRotation(i int) int {
+	k := math.Floor(s.grid[i] / s.ttrt)
+	lo, step := i, 1 // same rotation at lo
+	for lo+step < len(s.grid) && !(math.Floor(s.grid[lo+step]/s.ttrt) > k) {
+		lo += step
+		step *= 2
+	}
+	hi := min(lo+step, len(s.grid)) // a later rotation at hi, or the end
+	for hi-lo > 1 {
+		mid := int(uint(lo+hi) >> 1)
+		if math.Floor(s.grid[mid]/s.ttrt) > k {
+			hi = mid
+		} else {
+			lo = mid
+		}
+	}
+	return lo
 }
 
 // maxDelay returns χ = max over the grid of m(t)·TTRT − t (Eq. 11), where
@@ -176,13 +199,26 @@ func (s *macScan) consider(i int) {
 	}
 }
 
-// splits finds every m-run boundary in (i, j] by binary splitting and
-// considers the first point of each run. i itself has been considered by
-// the caller.
+// splits finds every m-run boundary in (i, j] that can raise the running
+// maximum, by binary splitting, and considers the first point of each such
+// run. i itself has been considered by the caller.
+//
+// m is nondecreasing and the grid increasing, so every candidate in (i, j] is
+// at most m(j)·TTRT − grid[i+1]; rounded multiplication and subtraction are
+// monotone, so that holds for the computed values exactly as for the real
+// ones, and a range whose bound does not exceed the running maximum holds
+// nothing that would change it. The left-first order finds the early maximum
+// (a burst at the start of the busy interval waits longest) before the long
+// tail of a deep grid is reached, which is then dropped range by range
+// instead of being bisected down to every run.
 func (s *macScan) splits(i, j int) {
+	mj := s.mAt(j)
 	// m is an exact small integer; a run boundary is where it changes at
 	// all, so exact equality is the right test.
-	if s.mAt(i) == s.mAt(j) {
+	if s.mAt(i) == mj {
+		return
+	}
+	if !(mj*s.ttrt-s.grid[i+1] > s.delay) {
 		return
 	}
 	if j == i+1 {

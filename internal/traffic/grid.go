@@ -51,24 +51,46 @@ func (w *Workspace) Grid(d Descriptor, horizon float64, n int, extras ...[]float
 	if n < 1 {
 		n = 1
 	}
-	return w.grid(d, horizon, n, extras)
+	return w.grid(d, horizon, horizon, n, extras)
 }
 
-// grid is Grid without the floor on n: MergeGrids merges bare lists through
-// it with no uniform run at all.
-func (w *Workspace) grid(d Descriptor, horizon float64, n int, extras [][]float64) []float64 {
+// GridPrefix returns the points of Grid(d, horizon, n) up to limit (at most
+// horizon): the same points in the same order, assembled only that far. The
+// merge behind Grid is streaming — each point is emitted, or dropped against
+// the points already emitted, before any later one is looked at — so stopping
+// it at limit leaves exactly the prefix of its full output. A search that ends
+// early in its grid (the busy period of a FIFO port is a fraction of the
+// horizon it is looked for in) pays for the part it reads.
+func (w *Workspace) GridPrefix(d Descriptor, horizon float64, n int, limit float64) []float64 {
+	if horizon <= 0 || limit <= 0 {
+		return nil
+	}
+	if n < 1 {
+		n = 1
+	}
+	return w.grid(d, horizon, min(limit, horizon), n, nil)
+}
+
+// grid is Grid stopped at limit <= horizon, without the floor on n:
+// MergeGrids merges bare lists through it with no uniform run at all. The
+// uniform step stays horizon/n whatever the limit. Breakpoints are enumerated
+// to limit + 2·GridNudge: a vertex w just past the limit still puts its
+// w − GridNudge bracket inside, and the second nudge absorbs the rounding of
+// the shifts inside the descriptors' own enumerations.
+func (w *Workspace) grid(d Descriptor, horizon, limit float64, n int, extras [][]float64) []float64 {
+	reach := min(horizon, limit+2*GridNudge)
 	raw := w.bp[:0]
 	w.bp = nil
 	if d != nil {
-		raw = AppendBreakpoints(raw, d, horizon)
+		raw = AppendBreakpoints(raw, d, reach)
 	}
 	if !sort.Float64sAreSorted(raw) {
 		sort.Float64s(raw)
 	}
-	// Points outside [0, horizon] contribute nothing, not even the bracket
+	// Points outside [0, reach] contribute nothing, not even the bracket
 	// that would fall inside.
 	lo := sort.SearchFloat64s(raw, 0)
-	hi := lo + sort.Search(len(raw)-lo, func(i int) bool { return raw[lo+i] > horizon })
+	hi := lo + sort.Search(len(raw)-lo, func(i int) bool { return raw[lo+i] > reach })
 	window := raw[lo:hi]
 
 	extras = foldExtras(extras)
@@ -77,7 +99,7 @@ func (w *Workspace) grid(d Descriptor, horizon float64, n int, extras [][]float6
 		bound += len(e)
 	}
 	out := w.Get(bound)[:bound]
-	k := mergeGrid(out, horizon, n, window, extras)
+	k := mergeGrid(out, horizon, limit, n, window, extras)
 	w.bp = raw[:0]
 	return out[:k]
 }
@@ -110,18 +132,21 @@ func foldExtras(extras [][]float64) [][]float64 {
 }
 
 // mergeGrid is the grid-assembly kernel: one k-way merge over the uniform run
-// step·i (i = 1…n), the three bracket streams window[i] − GridNudge,
-// window[i] and window[i] + GridNudge, and the extras, writing the clipped,
-// Eps-deduplicated result into out (sized by the caller to hold every input
-// point) and returning its length. window must be ascending and within
-// [0, horizon]; adding a constant is monotone in floating point, so each
-// bracket stream is ascending too. The uniform run and the brackets are
+// step·i (i = 1…n, step = horizon/n), the three bracket streams
+// window[i] − GridNudge, window[i] and window[i] + GridNudge, and the extras,
+// writing the Eps-deduplicated result clipped to (0, limit] into out (sized by
+// the caller to hold every input point) and returning its length. window must
+// be ascending and within [0, horizon]; adding a constant is monotone in
+// floating point, so each bracket stream is ascending too. Points come out in
+// ascending order and the dedup looks only backwards, so the output for a
+// smaller limit is a prefix of the output for a larger one — provided window
+// holds every vertex up to limit + GridNudge, whose brackets reach inside. The uniform run and the brackets are
 // Grid's own point families: they pass a dedup stage of their own before
 // joining the extras in the final one (see Grid). k is at most eight, so
 // comparing heads beats heap bookkeeping.
 //
 //fafvet:hotpath
-func mergeGrid(out []float64, horizon float64, n int, window []float64, extras [][]float64) int {
+func mergeGrid(out []float64, horizon, limit float64, n int, window []float64, extras [][]float64) int {
 	inf := math.Inf(1)
 
 	// The three bracket streams, in locals: they carry nine points in ten.
@@ -192,8 +217,8 @@ func mergeGrid(out []float64, horizon float64, n int, window []float64, extras [
 				hi = window[iHi] + GridNudge
 			}
 		}
-		if p > horizon {
-			// Everything left is beyond the horizon (or every stream is
+		if p > limit {
+			// Everything left is beyond the limit (or every stream is
 			// exhausted and p is +Inf).
 			return k
 		}
@@ -264,7 +289,7 @@ func Grid(d Descriptor, horizon float64, n int) []float64 {
 // mutated.
 func MergeGrids(horizon float64, grids ...[]float64) []float64 {
 	var w Workspace
-	return w.grid(nil, horizon, 0, grids)
+	return w.grid(nil, horizon, horizon, 0, grids)
 }
 
 // BreakpointAppender is the allocation-free form of BreakpointProvider: the

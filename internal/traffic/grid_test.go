@@ -16,6 +16,11 @@ type gridCase struct {
 	horizon float64
 	n       int
 	extras  [][]float64
+	// limit, when nonzero, also checks the grid stopped there against the
+	// full grid cut there. Its magnitude picks a fraction of the horizon (up
+	// to a tenth beyond it); a negative value snaps that to the nearest grid
+	// point, or one ulp to either side of it.
+	limit float64
 }
 
 // randomSource draws one of the three source models with valid parameters.
@@ -82,10 +87,13 @@ func randomChain(r *rand.Rand, depth int) Descriptor {
 // newGridCase derives a case from fuzzable scalars. horizon is folded into
 // [1 ms, 2 s]; step > 0 adds bracketed multiples of it the way the MAC scan
 // adds TTRT multiples, zeroPlus the t→0⁺ point, and loose an unsorted list
-// with points outside the horizon.
-func newGridCase(seed int64, horizon float64, n uint8, step float64, zeroPlus, loose bool) gridCase {
+// with points outside the horizon; limit is gridCase.limit.
+func newGridCase(seed int64, horizon float64, n uint8, step float64, zeroPlus, loose bool, limit float64) gridCase {
 	r := rand.New(rand.NewSource(seed))
 	c := gridCase{d: randomChain(r, 2), n: int(n)}
+	if !math.IsNaN(limit) && !math.IsInf(limit, 0) {
+		c.limit = limit
+	}
 	if math.IsNaN(horizon) || math.IsInf(horizon, 0) {
 		horizon = 0.016
 	}
@@ -124,6 +132,43 @@ func (c gridCase) check(t *testing.T, ws *Workspace) {
 			c.d, c.horizon, c.n, len(c.extras), len(cold), len(got), len(want), firstDiff(cold, got, want))
 	}
 	ws.Put(got)
+	if c.limit != 0 {
+		c.checkPrefix(t, ws, want, c.resolveLimit(want))
+	}
+}
+
+// resolveLimit turns the fuzzable limit into a stop inside (or just beyond)
+// the horizon.
+func (c gridCase) resolveLimit(full []float64) float64 {
+	frac := math.Mod(math.Abs(c.limit), 1.1)
+	if c.limit > 0 || len(full) == 0 {
+		return frac * c.horizon
+	}
+	p := full[min(int(frac*float64(len(full))), len(full)-1)]
+	switch int(math.Abs(c.limit)*1e6) % 3 {
+	case 1:
+		return math.Nextafter(p, 0)
+	case 2:
+		return math.Nextafter(p, math.Inf(1))
+	}
+	return p
+}
+
+// checkPrefix holds the grid stopped at limit to the full grid (full, as the
+// oracle assembled it) cut at its first point beyond limit.
+func (c gridCase) checkPrefix(t *testing.T, ws *Workspace, full []float64, limit float64) {
+	t.Helper()
+	if limit <= 0 {
+		return
+	}
+	limit = min(limit, c.horizon)
+	want := full[:sort.Search(len(full), func(i int) bool { return full[i] > limit })]
+	got := ws.grid(c.d, c.horizon, limit, max(c.n, 1), c.extras)
+	if !slices.Equal(got, want) {
+		t.Fatalf("grid of %v at horizon %v, n=%d, %d extras, stopped at %v: %d points, the full grid cut there %d; first difference at %d",
+			c.d, c.horizon, c.n, len(c.extras), limit, len(got), len(want), firstDiff(got, got, want))
+	}
+	ws.Put(got)
 }
 
 func firstDiff(a, b, want []float64) int {
@@ -140,9 +185,72 @@ func TestGridMatchesOracle(t *testing.T) {
 	horizons := []float64{1e-3, 16e-3, 50e-3, 0.2, 0.76, 2}
 	for seed := int64(1); seed <= 400; seed++ {
 		h := horizons[seed%int64(len(horizons))]
-		newGridCase(seed, h, uint8(seed*37), 8e-3, seed%2 == 0, seed%5 == 0).check(t, &ws)
-		newGridCase(seed, h*0.77, 128, 0, seed%3 == 0, false).check(t, &ws)
+		newGridCase(seed, h, uint8(seed*37), 8e-3, seed%2 == 0, seed%5 == 0, float64(seed)*0.0371).check(t, &ws)
+		newGridCase(seed, h*0.77, 128, 0, seed%3 == 0, false, -float64(seed)*0.0173).check(t, &ws)
 	}
+}
+
+// TestGridPrefixAtEveryPoint stops the assembly on, one ulp below and one ulp
+// above every point of the full grid — vertices and their brackets, bracketed
+// multiples, uniform points, the t→0⁺ point — and wants the full grid cut
+// there each time: the shapes the server analyses assemble (the paper's
+// source behind a MAC, conversion and ports, as a chain, lowered, and summed
+// into a port aggregate) and random chains. The exported wrapper is held to
+// the same cut, with a limit beyond the horizon meaning the horizon.
+func TestGridPrefixAtEveryPoint(t *testing.T) {
+	src := DualPeriodic{C1: 50e3, P1: 10e-3, C2: 10e3, P2: 1e-3, PeakBps: 100e6}
+	chain := Delayed{
+		Inner:  Quantized{Inner: Delayed{Inner: src, Delay: 8e-3, CapBps: 100e6}, QuantumBits: 4000, OutBits: 4240},
+		Delay:  1.5e-3,
+		CapBps: 140e6,
+	}
+	flat := Flatten(chain, 0.025)
+	other := Flatten(Delayed{Inner: Quantized{Inner: Delayed{Inner: src, Delay: 6.3e-3, CapBps: 100e6}, QuantumBits: 4000, OutBits: 4240}, Delay: 0.4e-3, CapBps: 140e6}, 0.025)
+	if flat == nil || other == nil {
+		t.Fatal("the chain has no lowering")
+	}
+	cases := []gridCase{
+		{d: src, horizon: 0.016, n: 128},
+		{d: chain, horizon: 0.016, n: 128},
+		{d: flat, horizon: 0.016, n: 128},
+		{d: flat, horizon: 0.064, n: 128}, // beyond the flat's window
+		{d: SumFlats(NewAggregate(flat, other), flat, other), horizon: 0.016, n: 128},
+		{d: chain, horizon: 0.08, n: 160, extras: [][]float64{bracketedMultiples(8e-3, 0.08), {GridNudge}}},
+	}
+	for seed := int64(1); seed <= 12; seed++ {
+		cases = append(cases, newGridCase(seed, 0.016, 128, 8e-3*float64(seed%2), seed%3 == 0, false, 0))
+	}
+	var ws Workspace
+	for _, c := range cases {
+		full := oracleMergeGrids(c.horizon, append([][]float64{oracleGrid(c.d, c.horizon, c.n)}, c.extras...)...)
+		for _, p := range full {
+			for _, limit := range []float64{math.Nextafter(p, 0), p, math.Nextafter(p, math.Inf(1))} {
+				c.checkPrefix(t, &ws, full, limit)
+			}
+		}
+		if len(c.extras) > 0 {
+			continue
+		}
+		for _, limit := range []float64{c.horizon / 8, c.horizon, 2 * c.horizon} {
+			want := full[:sort.Search(len(full), func(i int) bool { return full[i] > limit })]
+			if got := ws.GridPrefix(c.d, c.horizon, c.n, limit); !slices.Equal(got, want) {
+				t.Fatalf("GridPrefix of %v at horizon %v to %v: %d points, the full grid cut there %d", c.d, c.horizon, limit, len(got), len(want))
+			}
+		}
+	}
+	if got := ws.GridPrefix(src, 0.016, 128, 0); got != nil {
+		t.Errorf("GridPrefix to 0 = %v, want nothing", got)
+	}
+}
+
+// bracketedMultiples lists k·step up to limit, each bracketed, the way the
+// MAC scan adds the TTRT multiples.
+func bracketedMultiples(step, limit float64) []float64 {
+	var mult []float64
+	for t := step; t <= limit+1e-12; t += step {
+		mult = append(mult, t-GridNudge, t, t+GridNudge)
+	}
+	return mult
 }
 
 // pointSet is a descriptor that advertises exactly the given breakpoints.
@@ -175,16 +283,17 @@ func TestGridDedupStages(t *testing.T) {
 
 // FuzzGridAssembly is the differential fuzz target of grid assembly: the
 // one-pass k-way builder against MergeGrids(h, Grid(d, h, n), extras…) as the
-// seed tree computed it, for exact equality.
+// seed tree computed it, for exact equality — and, stopped at a fuzzed limit,
+// against that grid cut there.
 func FuzzGridAssembly(f *testing.F) {
-	f.Add(int64(1), 0.016, uint8(160), 8e-3, true, false)
-	f.Add(int64(2), 0.76, uint8(160), 4e-3, true, false)
-	f.Add(int64(3), 0.032, uint8(128), 0.0, true, false)
-	f.Add(int64(4), 2.0, uint8(0), 1e-3, false, true)
-	f.Add(int64(5), 1e-3, uint8(255), 5e-4, true, true)
+	f.Add(int64(1), 0.016, uint8(160), 8e-3, true, false, 0.125)
+	f.Add(int64(2), 0.76, uint8(160), 4e-3, true, false, -0.5)
+	f.Add(int64(3), 0.032, uint8(128), 0.0, true, false, -0.071234)
+	f.Add(int64(4), 2.0, uint8(0), 1e-3, false, true, 1.05)
+	f.Add(int64(5), 1e-3, uint8(255), 5e-4, true, true, -0.999998)
 	var ws Workspace
-	f.Fuzz(func(t *testing.T, seed int64, horizon float64, n uint8, step float64, zeroPlus, loose bool) {
-		newGridCase(seed, horizon, n, step, zeroPlus, loose).check(t, &ws)
+	f.Fuzz(func(t *testing.T, seed int64, horizon float64, n uint8, step float64, zeroPlus, loose bool, limit float64) {
+		newGridCase(seed, horizon, n, step, zeroPlus, loose, limit).check(t, &ws)
 	})
 }
 
@@ -218,7 +327,7 @@ func TestInsertGridPointMatchesOracle(t *testing.T) {
 	r := rand.New(rand.NewSource(11))
 	var ws Workspace
 	for trial := 0; trial < 500; trial++ {
-		c := newGridCase(int64(trial), 0.016, 128, 0, false, false)
+		c := newGridCase(int64(trial), 0.016, 128, 0, false, false, 0)
 		grid := ws.Grid(c.d, c.horizon, c.n)
 		// Every prefix the FIFO-port scan may cut, and points that land on,
 		// beside and between grid points.
