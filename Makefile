@@ -12,7 +12,7 @@ BENCH_JSON ?= BENCH.json
 
 # bench-compare baseline: the JSON report committed with the most recent
 # performance PR.
-BENCH_BASELINE ?= BENCH_PR15.json
+BENCH_BASELINE ?= BENCH_PR17.json
 
 # calibrate knobs: scenario count and base seed for the randomized sweep.
 CAL_SCENARIOS ?= 100
@@ -83,7 +83,7 @@ chaos:
 	$(GO) test -race -run 'TestChaos' -v ./internal/signaling/
 	$(GO) test -race ./internal/faultnet/
 
-# Throughput smoke for the sharded daemon: a short closed-loop batched-
+# Throughput smoke for the daemon: a short closed-loop batched-
 # preview run against an in-process server must sustain a conservative
 # decisions/sec floor and leave zero goroutines behind. The full acceptance
 # methodology and the headline numbers live in EXPERIMENTS.md E10.

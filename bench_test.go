@@ -148,8 +148,14 @@ func BenchmarkValidationE3(b *testing.B) {
 }
 
 // BenchmarkCACAdmit is experiment E6: the cost of one admission decision as
-// the number of already-active connections grows.
+// the number of already-active connections grows. Every iteration asks for a
+// deadline one verdictStep later than the last: the controller caches
+// verdicts by (admitted multiset, candidate class), and a repeated class
+// would time the cache lookup instead of the analysis. The analyzer's own
+// caches key on the spec without its deadline, so they stay as warm — or as
+// cold — as each case below says.
 func BenchmarkCACAdmit(b *testing.B) {
+	const verdictStep = 1e-12 // seconds; far below anything a verdict can see
 	src, err := traffic.NewDualPeriodic(50e3, 0.010, 10e3, 0.001, 100e6)
 	if err != nil {
 		b.Fatal(err)
@@ -166,6 +172,7 @@ func BenchmarkCACAdmit(b *testing.B) {
 			}
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
+				spec.Deadline = 0.070 + float64(i)*verdictStep
 				dec, err := ctl.RequestAdmission(spec)
 				if err != nil {
 					b.Fatal(err)
@@ -177,9 +184,10 @@ func BenchmarkCACAdmit(b *testing.B) {
 		})
 	}
 	// The active* cases above re-admit one id, so from the second iteration
-	// every analysis is a cache hit: warm replay. A daemon under churn sees a
-	// new id with every request, and every probe of its bisection runs its
-	// sender-MAC, port and receiver-MAC analyses for the first time.
+	// every analysis is an analyzer-cache hit: warm replay. A daemon under
+	// churn sees a new id with every request, and every probe of its
+	// bisection runs its sender-MAC, port and receiver-MAC analyses for the
+	// first time.
 	b.Run("firstContact", func(b *testing.B) {
 		_, ctl := benchConnections(b, 6)
 		spec := core.ConnSpec{
@@ -191,6 +199,7 @@ func BenchmarkCACAdmit(b *testing.B) {
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
 			spec.ID = fmt.Sprintf("first%d", i)
+			spec.Deadline = 0.070 + float64(i)*verdictStep
 			dec, err := ctl.RequestAdmission(spec)
 			if err != nil {
 				b.Fatal(err)

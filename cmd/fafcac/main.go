@@ -103,9 +103,9 @@ func run(w io.Writer, path string, verbose bool) error {
 			c.ID, c.Src, c.Dst, report[c.ID]*1e3, c.Deadline*1e3, (c.Deadline-report[c.ID])*1e3)
 	}
 	for r := 0; r < net.NumRings(); r++ {
-		ring := net.Ring(r)
+		allocated, _ := ctl.RingLedger(r)
 		fmt.Fprintf(w, "  ring %d: %.3f ms of %.3f ms synchronous time allocated\n",
-			r, ring.Allocated()*1e3, ring.Config().UsableTTRT()*1e3)
+			r, allocated*1e3, net.RingConfig(r).UsableTTRT()*1e3)
 	}
 	if verbose {
 		buffers, err := ctl.BufferReport()

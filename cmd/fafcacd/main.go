@@ -4,16 +4,14 @@
 //
 // Usage:
 //
-//	fafcacd -addr :7447 [-beta 0.5] [-rule proportional]
-//	        [-pipeline sharded] [-lanes 0]
+//	fafcacd -addr :7447 [-beta 0.5] [-rule proportional] [-lanes 0]
 //	        [-metrics-addr :9447] [-audit-log cac-audit.jsonl]
 //	        [-audit-queue 1024] [-audit-group-sync]
 //	        [-recover cac-audit.jsonl] [-drain-grace 10s] [-idle-timeout 5m]
 //
-// The default backend is the sharded admission pipeline: per-ring shard
-// controllers, concurrent request handling, and an asynchronous audit
-// writer (see DESIGN.md §10). -pipeline serialized selects the original
-// single-controller-behind-a-mutex backend; both make identical decisions.
+// The daemon runs the sharded admission pipeline: per-ring shard ledgers,
+// concurrent request handling, and an asynchronous audit writer (see
+// DESIGN.md §10).
 //
 // Try it with netcat:
 //
@@ -72,10 +70,9 @@ func main() {
 	flag.StringVar(&cfg.Recover, "recover", "", "audit log to replay before serving, rebuilding admitted-connection state (see OPERATIONS.md)")
 	flag.DurationVar(&cfg.DrainGrace, "drain-grace", 10*time.Second, "how long a SIGINT/SIGTERM drain waits for in-flight requests before force-closing")
 	flag.DurationVar(&cfg.IdleTimeout, "idle-timeout", 0, "close client connections idle longer than this (0 disables)")
-	flag.StringVar(&cfg.Pipeline, "pipeline", "sharded", "admission backend: sharded (concurrent per-ring pipeline) or serialized (single controller behind a mutex)")
-	flag.IntVar(&cfg.Lanes, "lanes", 0, "analyzer lanes of the sharded pipeline (0 selects a GOMAXPROCS-based default)")
-	flag.IntVar(&cfg.AuditQueue, "audit-queue", 1024, "async audit writer queue depth (sharded pipeline; full queue applies backpressure, never drops)")
-	flag.BoolVar(&cfg.AuditGroupSync, "audit-group-sync", true, "fsync the audit log once per drained batch instead of only at shutdown (sharded pipeline)")
+	flag.IntVar(&cfg.Lanes, "lanes", 0, "analyzer lanes of the admission pipeline (0 selects a GOMAXPROCS-based default)")
+	flag.IntVar(&cfg.AuditQueue, "audit-queue", 1024, "async audit writer queue depth (full queue applies backpressure, never drops)")
+	flag.BoolVar(&cfg.AuditGroupSync, "audit-group-sync", true, "fsync the audit log once per drained batch instead of only at shutdown")
 	flag.Parse()
 	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
 	defer stop()
@@ -95,10 +92,9 @@ type serveConfig struct {
 	Recover        string        // audit log to replay at startup; "" disables
 	DrainGrace     time.Duration // in-flight budget of a signal-triggered drain
 	IdleTimeout    time.Duration // per-connection idle deadline; 0 disables
-	Pipeline       string        // admission backend: "sharded" or "serialized" ("" selects sharded)
-	Lanes          int           // sharded analyzer lanes; 0 selects the default
-	AuditQueue     int           // async audit queue depth (sharded); ≤0 selects the default
-	AuditGroupSync bool          // group fsync per drained audit batch (sharded)
+	Lanes          int           // analyzer lanes; 0 selects the default
+	AuditQueue     int           // async audit queue depth; ≤0 selects the default
+	AuditGroupSync bool          // group fsync per drained audit batch
 }
 
 // serveAddrs reports the addresses a running daemon actually bound (useful
@@ -126,53 +122,20 @@ func serve(ctx context.Context, cfg serveConfig, ready chan<- serveAddrs) error 
 	if err != nil {
 		return err
 	}
-	var srv *signaling.Server
-	switch cfg.Pipeline {
-	case "", "sharded":
-		pipe, err := core.NewSharded(net0, opts, cfg.Lanes)
-		if err != nil {
+	pipe, err := core.NewSharded(net0, opts, cfg.Lanes)
+	if err != nil {
+		return err
+	}
+	if cfg.Recover != "" {
+		// Replay runs before the audit sink is attached, so replayed admits
+		// are not audited a second time.
+		if err := recoverState(pipe, cfg.Recover); err != nil {
 			return err
 		}
-		if cfg.Recover != "" {
-			// Replay rebuilds state through the serialized controller (the
-			// replay semantics PR 4 fixed), on a scratch network so the
-			// serving topology's ring ledgers stay untouched; the recovered
-			// set then loads into the pipeline wholesale.
-			scratch, err := topo.NewNetwork(topo.Default())
-			if err != nil {
-				return err
-			}
-			rctl, err := core.NewController(scratch, opts)
-			if err != nil {
-				return err
-			}
-			if err := recoverState(rctl, cfg.Recover); err != nil {
-				return err
-			}
-			if err := pipe.Restore(rctl.Connections()); err != nil {
-				return fmt.Errorf("recover %s: %w", cfg.Recover, err)
-			}
-		}
-		srv, err = signaling.NewShardedServer(pipe)
-		if err != nil {
-			return err
-		}
-	case "serialized":
-		ctl, err := core.NewController(net0, opts)
-		if err != nil {
-			return err
-		}
-		if cfg.Recover != "" {
-			if err := recoverState(ctl, cfg.Recover); err != nil {
-				return err
-			}
-		}
-		srv, err = signaling.NewServer(ctl)
-		if err != nil {
-			return err
-		}
-	default:
-		return fmt.Errorf("unknown -pipeline %q (want sharded or serialized)", cfg.Pipeline)
+	}
+	srv, err := signaling.NewShardedServer(pipe)
+	if err != nil {
+		return err
 	}
 	srv.IdleTimeout = cfg.IdleTimeout
 
@@ -181,36 +144,20 @@ func serve(ctx context.Context, cfg serveConfig, ready chan<- serveAddrs) error 
 		if err != nil {
 			return fmt.Errorf("audit log: %w", err)
 		}
-		if cfg.Pipeline == "serialized" {
-			// Sync before Close so the tail survives whatever happens to the
-			// host right after we exit; on the happy path this runs after the
-			// drain below, when no more records can arrive. A failure here
-			// cannot be returned (we are already unwinding), but it must not
-			// be silent either: the operator needs to know the tail may be
-			// short before trusting a replay.
-			defer func() {
-				if err := audit.Sync(); err != nil {
-					fmt.Fprintln(os.Stderr, "fafcacd: audit log sync:", err)
-				}
-				if err := audit.Close(); err != nil {
-					fmt.Fprintln(os.Stderr, "fafcacd: audit log close:", err)
-				}
-			}()
-			srv.SetAuditLog(audit)
-		} else {
-			// The sharded pipeline audits through the async writer: records
-			// enqueue in commit order and a background goroutine appends
-			// them with one group fsync per batch. The deferred Close runs
-			// after the drain below, when no handler can still enqueue; it
-			// drains the queue, syncs, and closes the log.
-			writer := obs.NewAsyncAuditWriter(audit, cfg.AuditQueue, cfg.AuditGroupSync)
-			defer func() {
-				if err := writer.Close(); err != nil {
-					fmt.Fprintln(os.Stderr, "fafcacd: audit log close:", err)
-				}
-			}()
-			srv.SetAsyncAudit(writer)
-		}
+		// Records enqueue in commit order and a background goroutine appends
+		// them with one group fsync per batch. The deferred Close runs after
+		// the drain below, when no handler can still enqueue; it drains the
+		// queue, syncs, and closes the log. A failure there cannot be returned
+		// (we are already unwinding), but it must not be silent either: the
+		// operator needs to know the tail may be short before trusting a
+		// replay.
+		writer := obs.NewAsyncAuditWriter(audit, cfg.AuditQueue, cfg.AuditGroupSync)
+		defer func() {
+			if err := writer.Close(); err != nil {
+				fmt.Fprintln(os.Stderr, "fafcacd: audit log close:", err)
+			}
+		}()
+		srv.SetAsyncAudit(writer)
 	}
 
 	var addrs serveAddrs
@@ -245,11 +192,7 @@ func serve(ctx context.Context, cfg serveConfig, ready chan<- serveAddrs) error 
 		return err
 	}
 	addrs.Signaling = l.Addr().String()
-	pipeline := cfg.Pipeline
-	if pipeline == "" {
-		pipeline = "sharded"
-	}
-	fmt.Printf("fafcacd: serving the CAC (beta=%.2g, rule=%s, pipeline=%s) on %s\n", cfg.Beta, cfg.Rule, pipeline, l.Addr())
+	fmt.Printf("fafcacd: serving the CAC (beta=%.2g, rule=%s) on %s\n", cfg.Beta, cfg.Rule, l.Addr())
 	if addrs.Metrics != "" {
 		fmt.Printf("fafcacd: metrics on http://%s/metrics\n", addrs.Metrics)
 	}
@@ -277,9 +220,9 @@ func serve(ctx context.Context, cfg serveConfig, ready chan<- serveAddrs) error 
 	return nil
 }
 
-// recoverState replays an audit log into a fresh controller (see
-// signaling.Replay), printing what it rebuilt.
-func recoverState(ctl *core.Controller, path string) error {
+// recoverState replays an audit log into the still-empty serving pipeline
+// (see signaling.Replay), printing what it rebuilt.
+func recoverState(pipe *core.Sharded, path string) error {
 	f, err := os.Open(path)
 	if err != nil {
 		return fmt.Errorf("recover: %w", err)
@@ -292,12 +235,12 @@ func recoverState(ctl *core.Controller, path string) error {
 	if closeErr != nil {
 		return fmt.Errorf("recover %s: %w", path, closeErr)
 	}
-	stats, err := signaling.Replay(ctl, records)
+	stats, err := signaling.Replay(pipe, records)
 	if err != nil {
 		return fmt.Errorf("recover %s: %w", path, err)
 	}
 	fmt.Printf("fafcacd: recovered from %s: %d admissions replayed, %d releases re-applied, %d records skipped, %d connections active\n",
-		path, stats.Admits, stats.Releases, stats.Skipped, ctl.Active())
+		path, stats.Admits, stats.Releases, stats.Skipped, pipe.Active())
 	return nil
 }
 

@@ -2,6 +2,7 @@ package main
 
 import (
 	"bufio"
+	"bytes"
 	"context"
 	"encoding/json"
 	"io"
@@ -336,6 +337,54 @@ func TestRecoverMissingLogFailsFast(t *testing.T) {
 	err := serve(context.Background(), cfg, nil)
 	if err == nil || !strings.Contains(err.Error(), "recover") {
 		t.Fatalf("recovery from a missing log should fail fast, got %v", err)
+	}
+}
+
+// TestRecoverDivergentLogFailsBeforeListening: -recover replays straight onto
+// the serving pipeline, so a log that stops reproducing part-way — here the
+// middle admit claims another β — must fail serve before the daemon listens,
+// not leave it serving the records that came before.
+func TestRecoverDivergentLogFailsBeforeListening(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "audit.jsonl")
+	d := startDaemon(t, serveConfig{AuditLog: path})
+	client, err := signaling.Dial(d.addrs.Signaling, 2*time.Second)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i, id := range []string{"v1", "v2", "v3"} {
+		if dec, err := client.Admit(admitRequest(id, i, (i+1)%3)); err != nil || !dec.Admitted {
+			t.Fatalf("admit %s: %+v %v", id, dec, err)
+		}
+	}
+	client.Close()
+	d.shutdown(t)
+
+	raw, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	lines := bytes.Split(bytes.TrimSpace(raw), []byte("\n"))
+	if len(lines) != 3 || !bytes.Contains(lines[1], []byte(`"beta":0.5`)) {
+		t.Fatalf("unexpected audit log:\n%s", raw)
+	}
+	lines[1] = bytes.Replace(lines[1], []byte(`"beta":0.5`), []byte(`"beta":0.75`), 1)
+	if err := os.WriteFile(path, append(bytes.Join(lines, []byte("\n")), '\n'), 0o644); err != nil {
+		t.Fatal(err)
+	}
+
+	// Were the recovery to go through, serve would listen until the context
+	// expires and then return nil.
+	ctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
+	defer cancel()
+	ready := make(chan serveAddrs, 1)
+	err = serve(ctx, serveConfig{Addr: "127.0.0.1:0", Beta: 0.5, Rule: "proportional", Recover: path}, ready)
+	if err == nil || !strings.Contains(err.Error(), "record 2") {
+		t.Fatalf("recovery from a log whose second record diverges returned %v, want a replay error naming it", err)
+	}
+	select {
+	case addrs := <-ready:
+		t.Fatalf("daemon listened on %s after a failed recovery", addrs.Signaling)
+	default:
 	}
 }
 

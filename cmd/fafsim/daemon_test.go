@@ -21,7 +21,7 @@ func TestDaemonWorkloadLeavesServerClean(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	srv, err := signaling.NewServer(ctl)
+	srv, err := signaling.NewShardedServer(ctl)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -48,8 +48,8 @@ func main() {
 		Deadline: 0.030, // tight: the deadline boundary becomes visible
 	}
 
-	hsMax := net.Ring(0).Available()
-	hrMax := net.Ring(1).Available()
+	_, hsMax := cac.RingLedger(0)
+	_, hrMax := cac.RingLedger(1)
 	fmt.Printf("probing the H_S–H_R plane for %q (deadline %.0f ms)\n", probe.ID, probe.Deadline*1e3)
 	fmt.Printf("available: H_S <= %.2f ms, H_R <= %.2f ms\n\n", hsMax*1e3, hrMax*1e3)
 

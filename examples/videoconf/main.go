@@ -84,7 +84,8 @@ func main() {
 
 		var ringUse float64
 		for r := 0; r < net.NumRings(); r++ {
-			ringUse += net.Ring(r).Allocated()
+			allocated, _ := cac.RingLedger(r)
+			ringUse += allocated
 		}
 		fmt.Printf("  summary: %d/7 admitted, tightest slack %.1f ms, total ring time used %.2f ms\n\n",
 			admitted, minSlack*1e3, ringUse*1e3)

@@ -79,7 +79,8 @@ var (
 type (
 	// Topology describes an FDDI-ATM-FDDI network to build.
 	Topology = topo.Config
-	// Network is a built topology with per-ring bandwidth bookkeeping.
+	// Network is a built, immutable topology; per-ring bandwidth bookkeeping
+	// lives with the Controller (see Controller.RingLedger).
 	Network = topo.Network
 	// HostID identifies Host_{i,j}: host j on ring i.
 	HostID = topo.HostID
@@ -105,7 +106,10 @@ type (
 	ConnSpec = core.ConnSpec
 	// Connection is an admitted connection with its allocations.
 	Connection = core.Connection
-	// Controller is the connection admission controller.
+	// Controller is the connection admission controller. It is safe for
+	// concurrent use. Verdicts are cached: when a decision problem repeats —
+	// the same candidate class against the same admitted multiset —
+	// Decision.Delays holds only the candidate's entry and Probes is 0.
 	Controller = core.Controller
 	// Options configures the controller (β, allocation rule, tolerances).
 	Options = core.Options

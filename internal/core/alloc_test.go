@@ -14,7 +14,7 @@ func TestWarmProbeEvaluationAllocationFree(t *testing.T) {
 	ctl := loadedController(t)
 	existing := ctl.Connections()
 	cand := testConnOn(t, ctl.Network(), "probe", 0, 0, 1, 0, 0, 0)
-	s, err := ctl.analyzer.NewProbeSession(existing, cand)
+	s, err := analyzerOf(ctl).NewProbeSession(existing, cand)
 	if err != nil {
 		t.Fatal(err)
 	}

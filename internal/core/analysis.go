@@ -33,16 +33,15 @@ type Analyzer struct {
 	opts AnalysisOptions
 	// macCache memoizes sender-MAC results, keyed first by connection and
 	// then by the probed allocation H: valid as long as the connection's
-	// source descriptor is unchanged. The two-level shape makes Forget an
-	// O(1) delete instead of a scan over every (connection, H) pair — the
-	// CAC forgets on every release and every rejected admission.
+	// source descriptor is unchanged. The two-level shape makes purging an id
+	// an O(1) delete instead of a scan over every (connection, H) pair.
 	macCache map[string]map[float64]macEntry
 	// stage0Cache carries each connection's fused, memoized envelope at the
 	// entrance of its first shared port across evaluations, keyed like
 	// macCache by the sender allocation it was built with: a CAC bisection
 	// revisits the same handful of allocations, and each entry (with every
 	// Bits value its memo accumulates, and its lowered flat's pointer
-	// identity) stays valid until Forget. Unused under DisableFusion.
+	// identity) stays valid until the id is purged. Unused under DisableFusion.
 	stage0Cache map[string]map[float64]stage0Entry
 	// stageFlats caches each connection's per-stage flat envelopes across
 	// evaluations, keyed by the exact inputs that determine them: the sender
@@ -69,7 +68,7 @@ type Analyzer struct {
 	// specs records, per connection id, the specification the per-connection
 	// caches above were populated under. Every evaluation revalidates its
 	// connections against this map and purges an id whose spec changed, so
-	// cached state survives Forget (an admit/release/re-admit cycle — the
+	// cached state survives a release (an admit/release/re-admit cycle — the
 	// steady state of a CAC — reuses everything) without a reused id ever
 	// seeing another spec's results.
 	specs map[string]ConnSpec
@@ -172,7 +171,7 @@ const maxTrackedConns = 256
 
 // revalidate checks connection c against the spec its cached state was built
 // under, purging the per-connection caches when the id is new or the spec
-// changed. It makes cache reuse safe across Forget: stale state cannot leak
+// changed. It makes cache reuse safe across releases: stale state cannot leak
 // into a reused id because the first evaluation that sees the new spec
 // drops it. current is the connection set of the evaluation being built.
 func (a *Analyzer) revalidate(c *Connection, current map[string]*Connection) {
@@ -231,21 +230,6 @@ func sameDescriptor(x, y traffic.Descriptor) bool {
 		return false
 	}
 	return x == y
-}
-
-// Forget marks a connection as released. Its cached results are retained —
-// every per-connection cache is revalidated against the spec it was built
-// under on the next evaluation that sees the id, so a re-admission with the
-// same specification (the steady state of an admit/release CAC) reuses
-// everything, and a reused id with different traffic starts clean. The
-// materialized port aggregates likewise stay: the next mux analysis of any
-// port the connection traversed diffs its member set against the
-// materialized one and subtracts the departed flat — the release half of
-// the incremental delta updates.
-func (a *Analyzer) Forget(connID string) {
-	// Dropping only the spec record would be wrong — revalidation would
-	// then treat the retained caches as fresh for whatever spec shows up
-	// next. Keeping both spec and caches is what makes the retention safe.
 }
 
 // CacheStats returns the cache hit/miss totals accumulated since the

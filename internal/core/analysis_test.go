@@ -303,12 +303,4 @@ func TestMACCacheConsistency(t *testing.T) {
 	if first["c1"] != second["c1"] {
 		t.Errorf("cached delay %v differs from fresh %v", second["c1"], first["c1"])
 	}
-	an.Forget("c1")
-	third, err := an.Delays([]*Connection{c})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if first["c1"] != third["c1"] {
-		t.Errorf("post-Forget delay %v differs from original %v", third["c1"], first["c1"])
-	}
 }

@@ -57,7 +57,7 @@ func TestPreviewAdmission(t *testing.T) {
 	if ctl.Active() != 0 {
 		t.Fatalf("preview committed a connection")
 	}
-	if got := ctl.Network().Ring(0).Allocated(); got != 0 {
+	if got, _ := ctl.RingLedger(0); got != 0 {
 		t.Fatalf("preview reserved %v on ring 0", got)
 	}
 	// Committing afterwards yields the identical decision.

@@ -1,12 +1,8 @@
 package core
 
 import (
-	"context"
-	"errors"
 	"fmt"
-	"sort"
 
-	"fafnet/internal/obs"
 	"fafnet/internal/topo"
 	"fafnet/internal/units"
 )
@@ -124,87 +120,18 @@ type Decision struct {
 	Cache CacheStats
 }
 
-// Controller is the connection admission controller of Section 5. It owns
-// the admitted-connection set M and the per-ring synchronous-bandwidth
-// bookkeeping. Controller is not safe for concurrent use: callers provide
-// the serialization externally — signaling.Server holds its Controller in
-// a field annotated "guarded by mu" and fafvet's guardedby analyzer checks
-// every touch happens with that mutex held.
-type Controller struct {
-	net      *topo.Network
-	analyzer *Analyzer
-	opts     Options
-	conns    map[string]*Connection
-}
+// Controller is the connection admission controller of Section 5: it owns the
+// admitted-connection set M and the per-ring synchronous-bandwidth ledgers.
+// There is one implementation, Sharded; Controller is its name for callers
+// that drive it from one goroutine.
+type Controller = Sharded
 
-// NewController builds a CAC over the given network.
+// NewController builds a CAC over the given network: a one-lane Sharded. One
+// lane makes a sequential caller's decisions a deterministic function of its
+// call sequence — lanes are handed out round-robin and each keeps its own
+// delta-update history, so two lanes agree only to units.AlmostEq.
 func NewController(net *topo.Network, opts Options) (*Controller, error) {
-	if net == nil {
-		return nil, errors.New("core: Controller requires a network")
-	}
-	opts = opts.withDefaults()
-	if opts.Beta < 0 || opts.Beta > 1 {
-		return nil, fmt.Errorf("core: beta %v must be in [0,1]", opts.Beta)
-	}
-	an, err := NewAnalyzer(net, opts.Analysis)
-	if err != nil {
-		return nil, err
-	}
-	return &Controller{net: net, analyzer: an, opts: opts, conns: make(map[string]*Connection)}, nil
-}
-
-// Network returns the controller's network.
-func (c *Controller) Network() *topo.Network { return c.net }
-
-// Options returns the effective options (defaults applied).
-func (c *Controller) Options() Options { return c.opts }
-
-// Connections returns the admitted connections sorted by id.
-func (c *Controller) Connections() []*Connection {
-	out := make([]*Connection, 0, len(c.conns))
-	for _, conn := range c.conns {
-		out = append(out, conn)
-	}
-	sort.Slice(out, func(i, j int) bool { return out[i].ID < out[j].ID })
-	return out
-}
-
-// Active returns the number of admitted connections.
-func (c *Controller) Active() int { return len(c.conns) }
-
-// SourceBusy reports whether some admitted connection already originates at
-// the given host (the paper assumes at most one connection per host).
-func (c *Controller) SourceBusy(h topo.HostID) bool {
-	for _, conn := range c.conns {
-		if conn.Src == h {
-			return true
-		}
-	}
-	return false
-}
-
-// Release tears down an admitted connection, freeing its synchronous
-// bandwidth on both rings. It reports whether the connection existed.
-func (c *Controller) Release(id string) bool {
-	conn, ok := c.conns[id]
-	if !ok {
-		return false
-	}
-	delete(c.conns, id)
-	if !c.net.Ring(conn.Src.Ring).Release(id) {
-		// The connection was admitted, so its ring allocation must exist;
-		// a miss means controller and ring bookkeeping have diverged.
-		mBookkeepingErrors.Inc()
-	}
-	if conn.Route.CrossesBackbone {
-		if !c.net.Ring(conn.Dst.Ring).Release(id) {
-			mBookkeepingErrors.Inc()
-		}
-	}
-	c.analyzer.Forget(id)
-	mReleases.Inc()
-	gActive.Set(float64(len(c.conns)))
-	return true
+	return NewSharded(net, opts, 1)
 }
 
 // allocation is one point on the H_S–H_R plane.
@@ -220,194 +147,10 @@ func (s segment) at(alpha float64) allocation {
 	}
 }
 
-// PreviewAdmission runs the full CAC algorithm for the specification but
-// commits nothing: no bandwidth is reserved and the connection set is
-// unchanged. Use it for capacity planning ("would this fit right now, and
-// at what allocation?").
-func (c *Controller) PreviewAdmission(spec ConnSpec) (Decision, error) {
-	return c.decide(spec, false)
-}
-
-// RequestAdmission runs the CAC algorithm of Section 5.3 for the given
-// specification: compute availability (Eq. 26–27), test feasibility at the
-// maximum allocation, locate (H^min_need, H^max_need) by binary search along
-// the allocation segment, and commit the β-interpolated allocation
-// (Eq. 35–36). A non-nil error indicates an invalid request, not a
-// rejection.
-func (c *Controller) RequestAdmission(spec ConnSpec) (Decision, error) {
-	return c.decide(spec, true)
-}
-
-// decide wraps decideInner with the observability the daemon exposes: the
-// decision-latency span/histogram, outcome counters, and the per-decision
-// cache-traffic diff the audit log reports.
-func (c *Controller) decide(spec ConnSpec, commit bool) (Decision, error) {
-	_, sp := obs.Start(context.Background(), "core.decide")
-	before := c.analyzer.stats
-	dec, err := c.decideInner(spec, commit)
-	mDecideSeconds.Observe(sp.Seconds())
-	sp.End()
-	dec.Cache = c.analyzer.stats.Sub(before)
-	switch {
-	case err != nil:
-		mDecisionErrors.Inc()
-	case dec.Admitted:
-		mAdmitted.Inc()
-	default:
-		mRejected.Inc()
-	}
-	return dec, err
-}
-
-// decideInner implements both the committing and the preview paths. The
-// algorithm itself lives in decideAgainst (shared with the sharded
-// pipeline); this wrapper supplies the controller's live view — its admitted
-// map and the network's real ring availabilities — and owns the state
-// transitions a verdict triggers.
-func (c *Controller) decideInner(spec ConnSpec, commit bool) (Decision, error) {
-	if err := spec.Validate(); err != nil {
-		return Decision{}, err
-	}
-	if _, dup := c.conns[spec.ID]; dup {
-		return Decision{}, fmt.Errorf("core: connection %q already admitted", spec.ID)
-	}
-	if c.SourceBusy(spec.Src) {
-		return Decision{Reason: ReasonHostBusy}, nil
-	}
-	route, err := c.net.Route(spec.Src, spec.Dst)
-	if err != nil {
-		return Decision{Reason: ReasonInvalidTarget}, nil
-	}
-
-	avail := func(ring int) float64 { return c.net.Ring(ring).Available() }
-	dec, cand, err := decideAgainst(c.analyzer, c.opts, c.Connections(), avail, spec, route)
-	if err != nil {
-		return Decision{}, err
-	}
-	if !dec.Admitted {
-		c.forgetCandidate(spec.ID)
-		return dec, nil
-	}
-	if commit {
-		if err := c.commit(cand, allocation{hs: dec.HS, hr: dec.HR}); err != nil {
-			// The candidate was not admitted; clear its probe-time analyzer
-			// state so a retry of the same id starts clean.
-			c.forgetCandidate(spec.ID)
-			return Decision{}, err
-		}
-	} else {
-		c.forgetCandidate(spec.ID)
-	}
-	return dec, nil
-}
-
-// feasible evaluates Eq. 24–25: with the candidate at allocation a, do all
-// worst-case delays (existing connections and the candidate) meet their
-// deadlines?
-func (c *Controller) feasible(cand *Connection, a allocation) (bool, map[string]float64) {
-	probe := cand.clone()
-	probe.HS, probe.HR = a.hs, a.hr
-	conns := make([]*Connection, 0, len(c.conns)+1)
-	for _, conn := range c.conns {
-		conns = append(conns, conn)
-	}
-	conns = append(conns, probe)
-	delays, err := c.analyzer.Delays(conns)
-	if err != nil {
-		// Structural errors cannot occur for specs validated at admission;
-		// treat defensively as infeasible.
-		return false, nil
-	}
-	return meetsDeadlines(conns[:len(conns)-1], cand, delays), delays
-}
-
-// commit admits the candidate at the chosen allocation, updating ring
-// bookkeeping. It is transactional: either both ring allocations succeed and
-// the candidate is recorded, or neither ring ends up charged and the
-// candidate is left unmodified (a failed commit must not leave a phantom
-// HS/HR on an object a caller may inspect or retry).
-func (c *Controller) commit(cand *Connection, a allocation) error {
-	if err := c.net.Ring(cand.Src.Ring).Allocate(cand.ID, a.hs); err != nil {
-		return fmt.Errorf("core: committing sender allocation: %w", err)
-	}
-	if cand.Route.CrossesBackbone {
-		if err := c.net.Ring(cand.Dst.Ring).Allocate(cand.ID, a.hr); err != nil {
-			if !c.net.Ring(cand.Src.Ring).Release(cand.ID) {
-				// The sender allocation succeeded two lines up; failing to
-				// roll it back means the ring is charged for a phantom.
-				mBookkeepingErrors.Inc()
-			}
-			return fmt.Errorf("core: committing receiver allocation: %w", err)
-		}
-	}
-	cand.HS, cand.HR = a.hs, a.hr
-	c.conns[cand.ID] = cand
-	gActive.Set(float64(len(c.conns)))
-	return nil
-}
-
-// forgetCandidate clears probe-time cache entries for a rejected candidate
-// so a later reuse of the id with different traffic starts clean.
-func (c *Controller) forgetCandidate(id string) {
-	if _, admitted := c.conns[id]; !admitted {
-		c.analyzer.Forget(id)
-	}
-}
-
-// FeasibleAllocation reports whether granting (hs, hr) to the candidate
-// would satisfy every deadline (Eq. 24–25), without admitting anything.
-// It exists for feasible-region exploration (Theorems 3–4) and testing.
-func (c *Controller) FeasibleAllocation(spec ConnSpec, hs, hr float64) (bool, error) {
-	if err := spec.Validate(); err != nil {
-		return false, err
-	}
-	route, err := c.net.Route(spec.Src, spec.Dst)
-	if err != nil {
-		return false, err
-	}
-	cand := &Connection{ConnSpec: spec, Route: route}
-	ok, _ := c.feasible(cand, allocation{hs: hs, hr: hr})
-	return ok, nil
-}
-
-// DelayReport returns the current worst-case delay of every admitted
-// connection.
-func (c *Controller) DelayReport() (map[string]float64, error) {
-	return c.analyzer.Delays(c.Connections())
-}
-
-// BreakdownFor returns the per-server delay decomposition of an admitted
-// connection.
-func (c *Controller) BreakdownFor(id string) (Breakdown, error) {
-	if _, ok := c.conns[id]; !ok {
-		return Breakdown{}, fmt.Errorf("core: unknown connection %q", id)
-	}
-	return c.analyzer.Breakdown(c.Connections(), id)
-}
-
 // BufferRequirement reports, per admitted connection, the worst-case MAC
 // backlogs of Theorem 1 (Eq. 10): how much buffer the sender host and the
 // receiving interface device must provision for loss-free operation.
 type BufferRequirement struct {
 	ConnID                       string
 	SrcBufferBits, DstBufferBits float64
-}
-
-// BufferReport returns the buffer requirements of every admitted connection,
-// sorted by connection id.
-func (c *Controller) BufferReport() ([]BufferRequirement, error) {
-	conns := c.Connections()
-	out := make([]BufferRequirement, 0, len(conns))
-	for _, conn := range conns {
-		bd, err := c.analyzer.Breakdown(conns, conn.ID)
-		if err != nil {
-			return nil, err
-		}
-		out = append(out, BufferRequirement{
-			ConnID:        conn.ID,
-			SrcBufferBits: bd.SrcBufferBits,
-			DstBufferBits: bd.DstBufferBits,
-		})
-	}
-	return out, nil
 }

@@ -29,6 +29,14 @@ func newController(t testing.TB, opts Options) *Controller {
 	return ctl
 }
 
+// analyzerOf returns a one-lane controller's analyzer for white-box tests.
+// The lane goes straight back to the pool: these tests run on one goroutine.
+func analyzerOf(ctl *Controller) *Analyzer {
+	an := ctl.acquireLane()
+	ctl.releaseLane(an)
+	return an
+}
+
 func TestAdmitOnEmptyNetwork(t *testing.T) {
 	ctl := newController(t, Options{})
 	dec, err := ctl.RequestAdmission(testSpec(t, "c1", 0, 0, 1, 0))
@@ -59,10 +67,10 @@ func TestAdmitOnEmptyNetwork(t *testing.T) {
 		t.Errorf("HS = %v below the stability floor %v", dec.HS, floor)
 	}
 	// Ring bookkeeping committed.
-	if got := ctl.Network().Ring(0).Allocated(); !units.AlmostEq(got, dec.HS) {
+	if got, _ := ctl.RingLedger(0); !units.AlmostEq(got, dec.HS) {
 		t.Errorf("ring 0 allocated %v, want %v", got, dec.HS)
 	}
-	if got := ctl.Network().Ring(1).Allocated(); !units.AlmostEq(got, dec.HR) {
+	if got, _ := ctl.RingLedger(1); !units.AlmostEq(got, dec.HR) {
 		t.Errorf("ring 1 allocated %v, want %v", got, dec.HR)
 	}
 	// Delays recorded and within deadline.
@@ -115,7 +123,7 @@ func TestRejectImpossibleDeadline(t *testing.T) {
 		t.Errorf("Reason = %q, want %q", dec.Reason, ReasonInfeasible)
 	}
 	// Nothing committed.
-	if ctl.Network().Ring(0).Allocated() != 0 || ctl.Active() != 0 {
+	if got, _ := ctl.RingLedger(0); got != 0 || ctl.Active() != 0 {
 		t.Error("rejected request left state behind")
 	}
 }
@@ -183,14 +191,14 @@ func TestReleaseRestoresCapacity(t *testing.T) {
 	if err != nil || !dec.Admitted {
 		t.Fatalf("admission failed: %v %v", err, dec.Reason)
 	}
-	before0 := ctl.Network().Ring(0).Available()
+	_, before0 := ctl.RingLedger(0)
 	if !ctl.Release("c1") {
 		t.Fatal("release failed")
 	}
 	if ctl.Release("c1") {
 		t.Error("double release should report false")
 	}
-	after0 := ctl.Network().Ring(0).Available()
+	_, after0 := ctl.RingLedger(0)
 	if after0 <= before0 {
 		t.Errorf("release did not restore capacity: %v → %v", before0, after0)
 	}
@@ -269,8 +277,8 @@ func TestFeasibleRegionIsUpwardClosedAlongSegment(t *testing.T) {
 		t.Fatalf("setup: %v %v", err, dec.Reason)
 	}
 	spec := testSpec(t, "probe", 0, 0, 1, 0)
-	hsMax := ctl.Network().Ring(0).Available()
-	hrMax := ctl.Network().Ring(1).Available()
+	_, hsMax := ctl.RingLedger(0)
+	_, hrMax := ctl.RingLedger(1)
 	seen := false
 	for alpha := 0.05; alpha <= 1.0001; alpha += 0.05 {
 		ok, err := ctl.FeasibleAllocation(spec, alpha*hsMax, alpha*hrMax)
@@ -327,7 +335,7 @@ func TestSameRingAdmission(t *testing.T) {
 	if dec.HR != 0 {
 		t.Errorf("same-ring HR = %v, want 0", dec.HR)
 	}
-	if got := ctl.Network().Ring(0).Allocated(); !units.AlmostEq(got, dec.HS) {
+	if got, _ := ctl.RingLedger(0); !units.AlmostEq(got, dec.HS) {
 		t.Errorf("ring 0 allocated %v, want %v", got, dec.HS)
 	}
 }
@@ -381,46 +389,40 @@ func TestDecisionDelaysMatchReport(t *testing.T) {
 }
 
 // TestCommitRollsBackOnReceiverRingFailure is the regression test for the
-// half-committed admit: when the receiver ring rejects its allocation, the
-// sender ring's reservation must be rolled back and the candidate object
-// left untouched (no phantom HS/HR on a connection that was never admitted).
+// half-committed admit, driven through RequestAdmission: when the receiver
+// ring's ledger refuses its reservation at commit time, the request must fail
+// with the sender ring's reservation rolled back and nothing recorded.
 func TestCommitRollsBackOnReceiverRingFailure(t *testing.T) {
 	ctl := newController(t, Options{})
 	spec := testSpec(t, "c1", 0, 0, 1, 0)
-	route, err := ctl.Network().Route(spec.Src, spec.Dst)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !route.CrossesBackbone {
-		t.Fatal("test route must cross the backbone to exercise the receiver ring")
-	}
-	cand := &Connection{ConnSpec: spec, Route: route}
 
-	// Exhaust the receiver ring so its Allocate must fail, while the sender
-	// ring stays wide open.
-	dst := ctl.Network().Ring(spec.Dst.Ring)
-	if err := dst.Allocate("squatter", dst.Available()); err != nil {
+	// Exhaust the receiver ring's ledger behind the published snapshot: the
+	// analysis still sees the ring free and admits, so only the commit's
+	// second reservation can fail, while the sender ring stays wide open.
+	dst := ctl.shards[spec.Dst.Ring]
+	if err := dst.reserve("squatter", dst.availCommitted()); err != nil {
 		t.Fatal(err)
 	}
 
-	if err := ctl.commit(cand, allocation{hs: 1e-3, hr: 1e-3}); err == nil {
-		t.Fatal("commit with a full receiver ring should fail")
+	dec, err := ctl.RequestAdmission(spec)
+	if err == nil || dec.Admitted {
+		t.Fatalf("admit with a full receiver ring: Admitted=%v err=%v, want an error", dec.Admitted, err)
 	}
-	if _, held := ctl.Network().Ring(spec.Src.Ring).Allocation("c1"); held {
-		t.Error("sender-ring allocation leaked after the receiver-ring failure")
-	}
-	if cand.HS != 0 || cand.HR != 0 {
-		t.Errorf("failed commit mutated the candidate: HS=%v HR=%v, want 0/0", cand.HS, cand.HR)
+	src := ctl.shards[spec.Src.Ring]
+	src.mu.Lock()
+	_, held := src.budget.Allocation("c1")
+	pending := len(src.pending)
+	src.mu.Unlock()
+	if held || pending != 0 {
+		t.Errorf("sender-ring reservation leaked after the receiver-ring failure (held=%v, %d pending)", held, pending)
 	}
 	if ctl.Active() != 0 {
 		t.Errorf("controller recorded %d connections after a failed commit", ctl.Active())
 	}
 
-	// Once the squatter releases, the same id admits cleanly — no residue.
-	if !dst.Release("squatter") {
-		t.Fatal("squatter release failed")
-	}
-	dec, err := ctl.RequestAdmission(spec)
+	// Once the squatter leaves, the same id admits cleanly — no residue.
+	dst.abort("squatter")
+	dec, err = ctl.RequestAdmission(spec)
 	if err != nil {
 		t.Fatal(err)
 	}

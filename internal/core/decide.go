@@ -7,14 +7,12 @@ import (
 	"fafnet/internal/units"
 )
 
-// This file is the CAC decision algorithm of Section 5.3 factored free of
-// Controller so two owners can run it: the serialized Controller (which
-// mutates its live network in place) and the sharded pipeline (which
-// evaluates against an immutable snapshot and commits through two-phase
-// ring reservations). The algorithm itself is a pure function of the
-// standing connection set, the per-ring availabilities, and the candidate
-// specification — everything stateful (bandwidth bookkeeping, the admitted
-// map) stays with the caller.
+// This file is the CAC decision algorithm of Section 5.3 as a pure function
+// of the standing connection set, the per-ring availabilities, and the
+// candidate specification. Everything stateful — bandwidth bookkeeping, the
+// admitted set — stays with the caller: Sharded evaluates against an
+// immutable snapshot and commits through two-phase ring reservations, and
+// the tests' serial oracle runs the same function against a plain map.
 
 // decideAgainst runs steps 1–5 of the admission algorithm — availability
 // floor (Eq. 26–27), feasibility at the segment maximum, the

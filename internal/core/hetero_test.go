@@ -45,7 +45,11 @@ func TestHeterogeneousRingConfigs(t *testing.T) {
 		t.Errorf("ring 2 bandwidth = %v", got)
 	}
 	// Per-ring availability follows each segment's own budget.
-	if got := net.Ring(2).Available(); !units.AlmostEq(got, 7.5e-3) {
+	ctl, err := NewController(net, Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, got := ctl.RingLedger(2); !units.AlmostEq(got, 7.5e-3) {
 		t.Errorf("802.5 ring available = %v, want 7.5 ms", got)
 	}
 }

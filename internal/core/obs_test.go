@@ -52,7 +52,7 @@ func TestDecisionCarriesStagesAndCache(t *testing.T) {
 		t.Errorf("second decision saw no cache hits: %+v", dec2.Cache)
 	}
 	// Lifetime totals are the sum of the per-decision diffs.
-	total := ctl.analyzer.CacheStats()
+	total := analyzerOf(ctl).CacheStats()
 	want := dec.Cache
 	for _, c := range []CacheStats{dec2.Cache} {
 		want.Stage0Hits += c.Stage0Hits

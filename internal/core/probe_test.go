@@ -14,7 +14,7 @@ func TestProbeSessionMatchesFullEvaluation(t *testing.T) {
 	existing := ctl.Connections()
 
 	cand := testConnOn(t, net, "probe", 0, 0, 1, 0, 0, 0)
-	session, err := ctl.analyzer.NewProbeSession(existing, cand)
+	session, err := analyzerOf(ctl).NewProbeSession(existing, cand)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -61,7 +61,7 @@ func TestProbeSessionSameRingCandidate(t *testing.T) {
 	net := ctl.Network()
 	existing := ctl.Connections()
 	cand := testConnOn(t, net, "probe", 2, 0, 2, 3, 0, 0)
-	session, err := ctl.analyzer.NewProbeSession(existing, cand)
+	session, err := analyzerOf(ctl).NewProbeSession(existing, cand)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -91,7 +91,7 @@ func TestProbeSessionReducesWork(t *testing.T) {
 		}
 	}
 	cand := testConnOn(t, ctl.Network(), "probe", 1, 1, 2, 1, 0, 0)
-	session, err := ctl.analyzer.NewProbeSession(ctl.Connections(), cand)
+	session, err := analyzerOf(ctl).NewProbeSession(ctl.Connections(), cand)
 	if err != nil {
 		t.Fatal(err)
 	}

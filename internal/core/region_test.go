@@ -32,8 +32,8 @@ func TestFeasibleRegionConvexity(t *testing.T) {
 	spec := testSpec(t, "probe", 0, 0, 1, 0)
 	spec.Deadline = 0.030
 
-	hsMax := ctl.Network().Ring(0).Available()
-	hrMax := ctl.Network().Ring(1).Available()
+	_, hsMax := ctl.RingLedger(0)
+	_, hrMax := ctl.RingLedger(1)
 	rng := des.NewRNG(17)
 
 	var feasible [][2]float64
@@ -95,8 +95,8 @@ func TestMoreBandwidthNeverHurtsDelays(t *testing.T) {
 	existing := ctl.Connections()
 	probeConn := testConnOn(t, net, "probe", 0, 0, 1, 0, 0, 0)
 
-	hsMax := net.Ring(0).Available()
-	hrMax := net.Ring(1).Available()
+	_, hsMax := ctl.RingLedger(0)
+	_, hrMax := ctl.RingLedger(1)
 	prev := math.Inf(1)
 	for _, alpha := range []float64{0.2, 0.35, 0.5, 0.75, 1.0} {
 		probeConn.HS = alpha * hsMax

@@ -14,10 +14,9 @@ import (
 	"fafnet/internal/topo"
 )
 
-// Sharded is the horizontally scaled admission pipeline: the same CAC
-// algorithm as Controller (both call decideAgainst), restructured so
-// decisions run concurrently. The single controller mutex and its in-place
-// network bookkeeping are replaced by three mechanisms:
+// Sharded is the admission controller: the CAC algorithm of Section 5.3
+// (decideAgainst) behind a pipeline that lets decisions run concurrently. It
+// is safe for concurrent use, and rests on three mechanisms:
 //
 //   - Per-ring shard controllers. Each FDDI segment's H-budget ledger lives
 //     in its own shard with its own mutex, so charging the sender ring never
@@ -63,8 +62,8 @@ type Sharded struct {
 	// shards holds one budget ledger per FDDI segment, indexed by ring.
 	shards []*shard
 
-	// commitMu serializes state transitions: two-phase commits, releases,
-	// and restores. Analysis never runs under it on the optimistic path.
+	// commitMu serializes state transitions: two-phase commits and
+	// releases. Analysis never runs under it on the optimistic path.
 	// snap is only Stored while commitMu is held (Loads are lock-free).
 	commitMu sync.Mutex
 	snap     atomic.Pointer[snapState]
@@ -83,8 +82,7 @@ type Sharded struct {
 type shard struct {
 	ring int
 	mu   sync.Mutex
-	// budget is the ring's private H-budget ledger (same arithmetic as the
-	// live network ring the serialized Controller charges). guarded by mu.
+	// budget is the ring's H-budget ledger. guarded by mu.
 	budget *fddi.Ring
 	// pending maps reservation ids to the bandwidth charged but not yet
 	// committed. guarded by mu.
@@ -144,22 +142,27 @@ func (s *shard) releaseCommitted(id string) bool {
 	return s.budget.Release(id)
 }
 
-// availCommitted returns the availability counting only committed
-// allocations: pending reservations are added back so in-flight two-phase
-// commits never distort what a concurrent analysis sees as free.
-func (s *shard) availCommitted() float64 {
+// ledger returns the ring's allocated and available synchronous time
+// counting only committed allocations: pending reservations are taken back
+// out so in-flight two-phase commits never distort what a concurrent
+// analysis sees as free.
+func (s *shard) ledger() (allocated, available float64) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	return s.budget.Available() + s.pendingSum
+	return s.budget.Allocated() - s.pendingSum, s.budget.Available() + s.pendingSum
+}
+
+// availCommitted returns the committed availability (Eq. 26–27).
+func (s *shard) availCommitted() float64 {
+	_, available := s.ledger()
+	return available
 }
 
 // utilization returns the committed allocated fraction of the shard's
 // usable budget.
 func (s *shard) utilization() float64 {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	alloc := s.budget.Allocated() - s.pendingSum
-	usable := s.budget.Allocated() + s.budget.Available()
+	alloc, avail := s.ledger()
+	usable := alloc + avail
 	if usable <= 0 {
 		return 0
 	}
@@ -169,8 +172,6 @@ func (s *shard) utilization() float64 {
 // snapState is one immutable published view of the admitted state. Every
 // field is read-only after publication; commits build a fresh snapState.
 type snapState struct {
-	// seq increments with every published transition.
-	seq uint64
 	// conns is the admitted set sorted by id.
 	conns []*Connection
 	// byID indexes conns.
@@ -219,14 +220,13 @@ const verdictCacheCap = 4096
 // commit lock.
 const maxOptimisticRetries = 16
 
-// NewSharded builds the sharded pipeline over the given network topology.
-// The network is used read-only (routing and ring configuration); bandwidth
-// bookkeeping lives in the per-ring shards, so the same Options over the
-// same topology make Sharded and Controller decide identically. lanes is
-// the number of pooled analyzers (≤ 0 selects a GOMAXPROCS-based default).
+// NewSharded builds the admission controller over the given network
+// topology. The network is used read-only (routing and ring configuration);
+// bandwidth bookkeeping lives in the per-ring shards. lanes is the number of
+// pooled analyzers (≤ 0 selects a GOMAXPROCS-based default).
 func NewSharded(net *topo.Network, opts Options, lanes int) (*Sharded, error) {
 	if net == nil {
-		return nil, errors.New("core: Sharded requires a network")
+		return nil, errors.New("core: controller requires a network")
 	}
 	opts = opts.withDefaults()
 	if opts.Beta < 0 || opts.Beta > 1 {
@@ -262,14 +262,10 @@ func NewSharded(net *topo.Network, opts Options, lanes int) (*Sharded, error) {
 			pending: make(map[string]float64),
 		})
 	}
-	avail := make([]float64, len(p.shards))
-	for i, sh := range p.shards {
-		avail[i] = sh.availCommitted()
-	}
 	p.snap.Store(&snapState{
 		byID:  make(map[string]*Connection),
 		busy:  make(map[topo.HostID]string),
-		avail: avail,
+		avail: p.shardAvail(),
 	})
 	return p, nil
 }
@@ -283,9 +279,6 @@ func (p *Sharded) Options() Options { return p.opts }
 // Active returns the number of admitted connections.
 func (p *Sharded) Active() int { return len(p.snap.Load().conns) }
 
-// Seq returns the published state-transition sequence number.
-func (p *Sharded) Seq() uint64 { return p.snap.Load().seq }
-
 // Connections returns the admitted connections sorted by id. The returned
 // slice is the caller's; the *Connection values are shared and must be
 // treated as read-only.
@@ -297,24 +290,37 @@ func (p *Sharded) Connections() []*Connection {
 }
 
 // SourceBusy reports whether some admitted connection already originates at
-// the given host.
+// the given host (the paper assumes at most one connection per host).
 func (p *Sharded) SourceBusy(h topo.HostID) bool {
 	_, busy := p.snap.Load().busy[h]
 	return busy
 }
 
+// RingLedger returns ring i's committed synchronous time: the total
+// allocated to admitted connections (Ω) and what is still available
+// (H^max_avai, Eq. 26–27).
+func (p *Sharded) RingLedger(i int) (allocated, available float64) {
+	return p.shards[i].ledger()
+}
+
 func (p *Sharded) acquireLane() *Analyzer   { return <-p.lanes }
 func (p *Sharded) releaseLane(an *Analyzer) { p.lanes <- an }
 
-// RequestAdmission runs the CAC algorithm of Section 5.3 and, on an admit
-// verdict, commits the allocation through the two-phase shard protocol. A
-// non-nil error indicates an invalid request, not a rejection. On a verdict
-// cache hit, Decision.Delays contains only the candidate's entry.
+// RequestAdmission runs the CAC algorithm of Section 5.3 for the given
+// specification: compute availability (Eq. 26–27), test feasibility at the
+// maximum allocation, locate (H^min_need, H^max_need) by binary search along
+// the allocation segment, and commit the β-interpolated allocation
+// (Eq. 35–36) through the two-phase shard protocol. A non-nil error indicates
+// an invalid request, not a rejection. On a verdict cache hit — the same
+// candidate class against the same admitted multiset — Decision.Delays
+// contains only the candidate's entry and Probes is 0.
 func (p *Sharded) RequestAdmission(spec ConnSpec) (Decision, error) {
 	return p.decideObserved(spec, true, nil)
 }
 
-// PreviewAdmission runs the full CAC algorithm but commits nothing.
+// PreviewAdmission runs the full CAC algorithm but commits nothing: no
+// bandwidth is reserved and the connection set is unchanged. Use it for
+// capacity planning ("would this fit right now, and at what allocation?").
 func (p *Sharded) PreviewAdmission(spec ConnSpec) (Decision, error) {
 	return p.decideObserved(spec, false, nil)
 }
@@ -336,9 +342,9 @@ func (p *Sharded) PreviewAdmissionAudited(spec ConnSpec, record func(Decision, e
 	return p.decideObserved(spec, false, record)
 }
 
-// decideObserved wraps the sharded decision flow with the same
-// observability the serialized controller emits, and guarantees the audit
-// hook fires exactly once.
+// decideObserved wraps the decision flow with the observability the daemon
+// exposes — the decision-latency span/histogram and the outcome counters —
+// and guarantees the audit hook fires exactly once.
 func (p *Sharded) decideObserved(spec ConnSpec, commit bool, record func(Decision, error)) (Decision, error) {
 	_, sp := obs.Start(context.Background(), "core.decide")
 	dec, recorded, err := p.decide(spec, commit, record)
@@ -540,9 +546,9 @@ func (p *Sharded) commitAdmit(snap *snapState, cand *Connection, dec Decision, r
 }
 
 // reserveBoth places the candidate's reservations in ascending ring order.
-// On a two-ring admission where the second reservation fails, the first is
-// rolled back — the transactional guarantee the serialized controller's
-// commit gives.
+// The pair is transactional: on a two-ring admission where the second
+// reservation fails, the first is rolled back, so a failed commit never
+// leaves one ring charged for a connection that was not admitted.
 func (p *Sharded) reserveBoth(cand *Connection, hs, hr float64) error {
 	if !cand.Route.CrossesBackbone {
 		return p.shards[cand.Src.Ring].reserve(cand.ID, hs)
@@ -648,34 +654,12 @@ func (p *Sharded) release(id string, record func(bool)) bool {
 	return true
 }
 
-// Restore loads an admitted set wholesale — the -recover path, after a
-// serialized replay of the audit log reconstructed the connections. The
-// pipeline must be empty.
-func (p *Sharded) Restore(conns []*Connection) error {
-	p.commitMu.Lock()
-	defer p.commitMu.Unlock()
-	snap := p.snap.Load()
-	if len(snap.conns) != 0 {
-		return errors.New("core: Restore requires an empty pipeline")
-	}
-	for _, conn := range conns {
-		if err := p.reserveBoth(conn, conn.HS, conn.HR); err != nil {
-			return fmt.Errorf("core: restoring %q: %w", conn.ID, err)
-		}
-		p.confirmBoth(conn)
-		snap = nextSnap(snap, p.shardAvail(), append(append([]*Connection{}, snap.conns...), conn))
-		p.snap.Store(snap)
-	}
-	p.refreshGauges(snap)
-	return nil
-}
-
 // publishAdd publishes the successor snapshot with cand admitted.
 func (p *Sharded) publishAdd(snap *snapState, cand *Connection) {
 	conns := make([]*Connection, 0, len(snap.conns)+1)
 	conns = append(conns, snap.conns...)
 	conns = append(conns, cand)
-	p.snap.Store(nextSnap(snap, p.shardAvail(), conns))
+	p.snap.Store(nextSnap(p.shardAvail(), conns))
 	p.refreshGauges(p.snap.Load())
 }
 
@@ -687,7 +671,7 @@ func (p *Sharded) publishRemove(snap *snapState, conn *Connection) {
 			conns = append(conns, c)
 		}
 	}
-	p.snap.Store(nextSnap(snap, p.shardAvail(), conns))
+	p.snap.Store(nextSnap(p.shardAvail(), conns))
 	p.refreshGauges(p.snap.Load())
 }
 
@@ -705,10 +689,9 @@ func (p *Sharded) shardAvail() []float64 {
 // paper's availability bound caps concurrent connections long before the
 // snapshot copy costs anything), and recomputation keeps the hash
 // trivially in sync with the multiset it names.
-func nextSnap(prev *snapState, avail []float64, conns []*Connection) *snapState {
+func nextSnap(avail []float64, conns []*Connection) *snapState {
 	sort.Slice(conns, func(i, j int) bool { return conns[i].ID < conns[j].ID })
 	next := &snapState{
-		seq:   prev.seq + 1,
 		conns: conns,
 		byID:  make(map[string]*Connection, len(conns)),
 		busy:  make(map[topo.HostID]string, len(conns)),
@@ -778,6 +761,44 @@ func (p *Sharded) BufferReport() ([]BufferRequirement, error) {
 	return out, nil
 }
 
+// BreakdownFor returns the per-server delay decomposition of an admitted
+// connection.
+func (p *Sharded) BreakdownFor(id string) (Breakdown, error) {
+	snap := p.snap.Load()
+	if _, ok := snap.byID[id]; !ok {
+		return Breakdown{}, fmt.Errorf("core: unknown connection %q", id)
+	}
+	an := p.acquireLane()
+	defer p.releaseLane(an)
+	return an.Breakdown(snap.conns, id)
+}
+
+// FeasibleAllocation reports whether granting (hs, hr) to the candidate
+// would satisfy every deadline (Eq. 24–25), without admitting anything.
+// It exists for feasible-region exploration (Theorems 3–4) and testing.
+func (p *Sharded) FeasibleAllocation(spec ConnSpec, hs, hr float64) (bool, error) {
+	if err := spec.Validate(); err != nil {
+		return false, err
+	}
+	route, err := p.net.Route(spec.Src, spec.Dst)
+	if err != nil {
+		return false, err
+	}
+	cand := &Connection{ConnSpec: spec, Route: route, HS: hs, HR: hr}
+	snap := p.snap.Load()
+	conns := make([]*Connection, 0, len(snap.conns)+1)
+	conns = append(append(conns, snap.conns...), cand)
+	an := p.acquireLane()
+	defer p.releaseLane(an)
+	delays, err := an.Delays(conns)
+	if err != nil {
+		// Structural errors cannot occur for specs validated above; treat
+		// defensively as infeasible.
+		return false, nil
+	}
+	return meetsDeadlines(snap.conns, cand, delays), nil
+}
+
 // BatchResult pairs one batch member's decision with its error.
 type BatchResult struct {
 	ID       string
@@ -785,27 +806,12 @@ type BatchResult struct {
 	Err      error
 }
 
-// RequestAdmissionBatch admits a batch of candidates, returning results in
-// input order. Members are processed grouped by specification class so the
-// verdict cache amortizes one probe across a run of same-class candidates:
-// a rejection class resolves its whole run from the first member's probe,
-// and an admission re-probes only when a previous member's commit truly
-// changed the bandwidth picture (anything else would violate Eq. 24–25).
-func (p *Sharded) RequestAdmissionBatch(specs []ConnSpec) []BatchResult {
-	out := make([]BatchResult, len(specs))
-	for _, i := range classOrder(specs) {
-		dec, err := p.RequestAdmission(specs[i])
-		out[i] = BatchResult{ID: specs[i].ID, Decision: dec, Err: err}
-	}
-	return out
-}
-
 // PreviewAdmissionBatch evaluates a batch of candidates without committing
-// anything, grouped by class like RequestAdmissionBatch — and because
-// previews leave the admitted state untouched, every same-class member
-// after the first resolves from the verdict cache. The optional record
-// callback observes each member's outcome in evaluation order; results come
-// back in input order.
+// anything. Members are processed grouped by specification class, and because
+// previews leave the admitted state untouched, every same-class member after
+// the first resolves from the verdict cache. The optional record callback
+// observes each member's outcome in evaluation order; results come back in
+// input order.
 func (p *Sharded) PreviewAdmissionBatch(specs []ConnSpec, record func(i int, dec Decision, err error)) []BatchResult {
 	out := make([]BatchResult, len(specs))
 	for _, i := range classOrder(specs) {

@@ -2,6 +2,7 @@ package core
 
 import (
 	"fmt"
+	"math"
 	"math/rand"
 	"sync"
 	"testing"
@@ -40,29 +41,36 @@ func shardedRandomSource(t *testing.T, rng *rand.Rand) traffic.Descriptor {
 	}
 }
 
-// TestShardedEquivalenceRandomized is the soundness harness of the sharded
-// pipeline: across randomized scenarios, a serialized Controller and a
-// Sharded pipeline fed the identical operation sequence must return the
-// identical verdict and reason for every admit and preview, allocations
-// equal to units.AlmostEq, the same release outcomes, and the same final
-// admitted set. The sequences deliberately include duplicate ids, busy
+// TestShardedEquivalenceRandomized is the soundness harness of the admission
+// pipeline: across randomized scenarios, the serial oracle and a Sharded fed
+// the identical operation sequence must return the identical verdict and
+// reason for every admit and preview, the same release outcomes, and the same
+// final admitted set. The sequences deliberately include duplicate ids, busy
 // source hosts, releases of absent ids, and previews interleaved with
 // commits, so the snapshot/preflight paths are all compared, not just the
 // happy path.
+//
+// Two lanes must agree with the oracle to units.AlmostEq: lanes are handed
+// out round-robin and each keeps its own delta-update history. One lane — what
+// NewController builds, and what sim.Run, sim.RunMulti and fafcac rest on —
+// must agree bit for bit.
 func TestShardedEquivalenceRandomized(t *testing.T) {
+	t.Run("two-lanes", func(t *testing.T) { runShardedEquivalence(t, 2, units.AlmostEq) })
+	t.Run("one-lane-bit-identical", func(t *testing.T) {
+		runShardedEquivalence(t, 1, func(a, b float64) bool { return math.Float64bits(a) == math.Float64bits(b) })
+	})
+}
+
+// runShardedEquivalence drives the oracle and a Sharded with the given lane
+// count through the 110 randomized scenarios, comparing every float with eq.
+func runShardedEquivalence(t *testing.T, lanes int, eq func(a, b float64) bool) {
 	rng := rand.New(rand.NewSource(20250808))
 
 	const scenarios = 110
 	for sc := 0; sc < scenarios; sc++ {
-		// A fresh network per scenario: the serialized Controller charges the
-		// topo.Network's own rings, so reusing one network would leak ring
-		// state between scenarios (the Sharded ledgers are always private).
 		net := defaultNet(t)
-		ctl, err := NewController(net, Options{})
-		if err != nil {
-			t.Fatal(err)
-		}
-		pipe, err := NewSharded(net, Options{}, 2)
+		ctl := newSerialOracle(t, net, Options{})
+		pipe, err := NewSharded(net, Options{}, lanes)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -85,7 +93,7 @@ func TestShardedEquivalenceRandomized(t *testing.T) {
 				if len(admitted) > 0 && rng.Intn(5) == 0 {
 					spec.ID = admitted[rng.Intn(len(admitted))] // duplicate id
 				}
-				want, wantErr := ctl.RequestAdmission(spec)
+				want, wantErr := ctl.decide(spec, true)
 				got, gotErr := pipe.RequestAdmission(spec)
 				if (wantErr != nil) != (gotErr != nil) {
 					t.Fatalf("scenario %d op %d (%s): error diverged: serialized %v, sharded %v",
@@ -94,7 +102,7 @@ func TestShardedEquivalenceRandomized(t *testing.T) {
 				if wantErr != nil {
 					continue
 				}
-				compareDecisions(t, sc, op, spec.ID, want, got)
+				compareDecisions(t, sc, op, spec.ID, want, got, eq)
 				if want.Admitted {
 					admitted = append(admitted, spec.ID)
 				}
@@ -109,14 +117,14 @@ func TestShardedEquivalenceRandomized(t *testing.T) {
 				if spec.Src == spec.Dst {
 					spec.Dst.Index = (spec.Dst.Index + 1) % 4
 				}
-				want, wantErr := ctl.PreviewAdmission(spec)
+				want, wantErr := ctl.decide(spec, false)
 				got, gotErr := pipe.PreviewAdmission(spec)
 				if (wantErr != nil) != (gotErr != nil) {
 					t.Fatalf("scenario %d op %d (%s): preview error diverged: serialized %v, sharded %v",
 						sc, op, spec.ID, wantErr, gotErr)
 				}
 				if wantErr == nil {
-					compareDecisions(t, sc, op, spec.ID, want, got)
+					compareDecisions(t, sc, op, spec.ID, want, got, eq)
 				}
 			default: // release (sometimes of an id that was never admitted)
 				id := fmt.Sprintf("e%dabsent%d", sc, op)
@@ -125,7 +133,7 @@ func TestShardedEquivalenceRandomized(t *testing.T) {
 					id = admitted[i]
 					admitted = append(admitted[:i], admitted[i+1:]...)
 				}
-				want := ctl.Release(id)
+				want := ctl.release(id)
 				got := pipe.Release(id)
 				if want != got {
 					t.Fatalf("scenario %d op %d: Release(%s) diverged: serialized %v, sharded %v",
@@ -134,9 +142,9 @@ func TestShardedEquivalenceRandomized(t *testing.T) {
 			}
 		}
 
-		// The final admitted sets must be identical: same ids, allocations
-		// equal to units.AlmostEq.
-		wantConns := ctl.Connections()
+		// The final admitted sets must be identical: same ids, same
+		// allocations.
+		wantConns := ctl.connections()
 		gotConns := pipe.Connections()
 		if len(wantConns) != len(gotConns) {
 			t.Fatalf("scenario %d: serialized holds %d connections, sharded %d",
@@ -147,7 +155,7 @@ func TestShardedEquivalenceRandomized(t *testing.T) {
 			if w.ID != g.ID {
 				t.Fatalf("scenario %d: admitted set diverged at %d: %s vs %s", sc, i, w.ID, g.ID)
 			}
-			if !units.AlmostEq(w.HS, g.HS) || !units.AlmostEq(w.HR, g.HR) {
+			if !eq(w.HS, g.HS) || !eq(w.HR, g.HR) {
 				t.Fatalf("scenario %d conn %s: allocations diverged: serialized HS=%v HR=%v, sharded HS=%v HR=%v",
 					sc, w.ID, w.HS, w.HR, g.HS, g.HR)
 			}
@@ -155,18 +163,31 @@ func TestShardedEquivalenceRandomized(t *testing.T) {
 	}
 }
 
-// compareDecisions checks the fields the pipelines must agree on. Delays and
-// probe/cache counts are excluded by design: a verdict-cache hit returns
-// only the candidate's delay and zero probes.
-func compareDecisions(t *testing.T, sc, op int, id string, want, got Decision) {
+// compareDecisions checks the fields the oracle and the pipeline must agree
+// on: verdict, reason, the allocation with its need bounds and
+// availabilities, and the candidate's own delay. The standing connections'
+// delays and the probe/cache counts are excluded by design: a verdict-cache
+// hit returns only the candidate's delay and zero probes.
+func compareDecisions(t *testing.T, sc, op int, id string, want, got Decision, eq func(a, b float64) bool) {
 	t.Helper()
 	if want.Admitted != got.Admitted || want.Reason != got.Reason {
 		t.Fatalf("scenario %d op %d (%s): verdict diverged: serialized %v/%q, sharded %v/%q",
 			sc, op, id, want.Admitted, want.Reason, got.Admitted, got.Reason)
 	}
-	if !units.AlmostEq(want.HS, got.HS) || !units.AlmostEq(want.HR, got.HR) {
-		t.Fatalf("scenario %d op %d (%s): allocations diverged: serialized HS=%v HR=%v, sharded HS=%v HR=%v",
-			sc, op, id, want.HS, want.HR, got.HS, got.HR)
+	for _, f := range []struct {
+		name      string
+		want, got float64
+	}{
+		{"HS", want.HS, got.HS}, {"HR", want.HR, got.HR},
+		{"HSMinNeed", want.HSMinNeed, got.HSMinNeed}, {"HRMinNeed", want.HRMinNeed, got.HRMinNeed},
+		{"HSMaxNeed", want.HSMaxNeed, got.HSMaxNeed}, {"HRMaxNeed", want.HRMaxNeed, got.HRMaxNeed},
+		{"HSMaxAvail", want.HSMaxAvail, got.HSMaxAvail}, {"HRMaxAvail", want.HRMaxAvail, got.HRMaxAvail},
+		{"delay", want.Delays[id], got.Delays[id]},
+	} {
+		if !eq(f.want, f.got) {
+			t.Fatalf("scenario %d op %d (%s): %s diverged: serialized %v, sharded %v",
+				sc, op, id, f.name, f.want, f.got)
+		}
 	}
 }
 

@@ -301,33 +301,11 @@ func factKey(pkg *types.Package, v *types.Var) (string, bool) {
 		}
 		return "", false
 	}
-	owner := fieldOwnerType(pkg, v)
+	owner := lint.FieldOwner(pkg, v)
 	if owner == nil || !owner.Exported() {
 		return "", false
 	}
 	return owner.Name() + "." + v.Name(), true
-}
-
-// fieldOwnerType finds the package-scope named struct type declaring field
-// v.
-func fieldOwnerType(pkg *types.Package, v *types.Var) *types.TypeName {
-	scope := pkg.Scope()
-	for _, name := range scope.Names() {
-		tn, ok := scope.Lookup(name).(*types.TypeName)
-		if !ok {
-			continue
-		}
-		st, ok := tn.Type().Underlying().(*types.Struct)
-		if !ok {
-			continue
-		}
-		for i := 0; i < st.NumFields(); i++ {
-			if st.Field(i) == v {
-				return tn
-			}
-		}
-	}
-	return nil
 }
 
 // exportFacts publishes observed access modes for this package's own

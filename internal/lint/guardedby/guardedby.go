@@ -295,13 +295,13 @@ func (c *checker) exportFacts() {
 		if !v.IsField() || !v.Exported() || !gv.IsField() {
 			continue
 		}
-		owner := fieldOwnerType(c.pass.Pkg, v)
+		owner := lint.FieldOwner(c.pass.Pkg, v)
 		if owner == nil || !owner.Exported() {
 			continue
 		}
 		// The guard must live in the same struct for a downstream selector
 		// chain to reach it.
-		if fieldOwnerType(c.pass.Pkg, gv) != owner {
+		if lint.FieldOwner(c.pass.Pkg, gv) != owner {
 			continue
 		}
 		out = append(out, entry{owner.Name() + "." + v.Name(), gv.Name()})
@@ -310,27 +310,6 @@ func (c *checker) exportFacts() {
 	for _, e := range out {
 		_ = c.pass.ExportFact(e.key, guardFact{Guard: e.guard})
 	}
-}
-
-// fieldOwnerType finds the package-scope named struct type declaring field v.
-func fieldOwnerType(pkg *types.Package, v *types.Var) *types.TypeName {
-	scope := pkg.Scope()
-	for _, name := range scope.Names() {
-		tn, ok := scope.Lookup(name).(*types.TypeName)
-		if !ok {
-			continue
-		}
-		st, ok := tn.Type().Underlying().(*types.Struct)
-		if !ok {
-			continue
-		}
-		for i := 0; i < st.NumFields(); i++ {
-			if st.Field(i) == v {
-				return tn
-			}
-		}
-	}
-	return nil
 }
 
 // guardFor returns the guard mutex for v, consulting local annotations and —
@@ -350,7 +329,7 @@ func (c *checker) guardFor(v *types.Var) *types.Var {
 		return gv
 	}
 	var gv *types.Var
-	if owner := fieldOwnerType(v.Pkg(), v); owner != nil {
+	if owner := lint.FieldOwner(v.Pkg(), v); owner != nil {
 		var fact guardFact
 		if c.pass.ImportFact(path, owner.Name()+"."+v.Name(), &fact) {
 			st := owner.Type().Underlying().(*types.Struct)

@@ -252,6 +252,30 @@ func Run(fset *token.FileSet, files []*ast.File, pkg *types.Package, info *types
 	return kept, exported, nil
 }
 
+// FieldOwner finds the package-scope named struct type declaring field v, or
+// nil. An alias shares its target's fields without declaring them, so it is
+// never the owner: locks, guards and access facts are named after the one
+// type that spells the field out.
+func FieldOwner(pkg *types.Package, v *types.Var) *types.TypeName {
+	scope := pkg.Scope()
+	for _, name := range scope.Names() {
+		tn, ok := scope.Lookup(name).(*types.TypeName)
+		if !ok || tn.IsAlias() {
+			continue
+		}
+		st, ok := tn.Type().Underlying().(*types.Struct)
+		if !ok {
+			continue
+		}
+		for i := 0; i < st.NumFields(); i++ {
+			if st.Field(i) == v {
+				return tn
+			}
+		}
+	}
+	return nil
+}
+
 // SortDiagnostics orders diagnostics by (file, line, column, analyzer,
 // message) — the canonical emission order for every fafvet output format.
 func SortDiagnostics(ds []Diagnostic) {

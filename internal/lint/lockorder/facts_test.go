@@ -101,6 +101,14 @@ func TestCrossPackageFacts(t *testing.T) {
 		t.Errorf("Park fact = %+v, want blocks", park)
 	}
 
+	var touch funcFact
+	if !aFacts.Get("lockorder", "Box.Touch", &touch) {
+		t.Fatal("no exported fact for Box.Touch")
+	}
+	if len(touch.Acquires) != 1 || touch.Acquires[0] != "afake.Box.mu" {
+		t.Errorf("Box.Touch fact = %+v, want acquires [afake.Box.mu] (named after the declaring type, not its alias)", touch)
+	}
+
 	// Plant the reverse edge in a's fact file, as if some package a depends
 	// on had already established M-before-mu; b's local mu-before-M edge
 	// must then close the cycle.

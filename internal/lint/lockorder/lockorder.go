@@ -206,8 +206,8 @@ func (c *checker) computeCanonical(v *types.Var) string {
 	}
 	short := shortPkg(pkg.Path())
 	if v.IsField() {
-		if owner := fieldOwner(pkg, v); owner != "" {
-			return short + "." + owner + "." + v.Name()
+		if owner := lint.FieldOwner(pkg, v); owner != nil {
+			return short + "." + owner.Name() + "." + v.Name()
 		}
 		return short + "." + v.Name()
 	}
@@ -220,27 +220,6 @@ func (c *checker) computeCanonical(v *types.Var) string {
 		return short + "." + c.fnName + "." + v.Name()
 	}
 	return short + "." + v.Name()
-}
-
-// fieldOwner finds the package-scope named struct type declaring field v.
-func fieldOwner(pkg *types.Package, v *types.Var) string {
-	scope := pkg.Scope()
-	for _, name := range scope.Names() {
-		tn, ok := scope.Lookup(name).(*types.TypeName)
-		if !ok {
-			continue
-		}
-		st, ok := tn.Type().Underlying().(*types.Struct)
-		if !ok {
-			continue
-		}
-		for i := 0; i < st.NumFields(); i++ {
-			if st.Field(i) == v {
-				return tn.Name()
-			}
-		}
-	}
-	return ""
 }
 
 // factFor looks up the exported summary of a function in another module

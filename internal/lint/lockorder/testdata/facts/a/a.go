@@ -19,3 +19,16 @@ func Park() {
 	var wg sync.WaitGroup
 	wg.Wait()
 }
+
+// Box owns a field lock. Alias names the same struct and sorts before Box in
+// the package scope; the lock's canonical name must still come from Box.
+type Box struct{ mu sync.Mutex }
+
+// Alias is a second name for Box.
+type Alias = Box
+
+// Touch takes and releases the box's lock.
+func (b *Box) Touch() {
+	b.mu.Lock()
+	b.mu.Unlock()
+}

@@ -16,14 +16,10 @@ func (s *Server) SetAuditLog(l *obs.AuditLog) {
 }
 
 // SetAsyncAudit routes audit records through an async writer instead of
-// appending them inline; it takes precedence over SetAuditLog. Only the
-// sharded backend honors it — its commit callbacks enqueue outside any
-// server lock. The serialized backend always appends inline under its
-// decision lock (a blocking enqueue there would stall every contender),
-// so serialized servers use SetAuditLog. The caller owns the writer's
-// lifecycle: Flush/Close it only after the server has drained (Shutdown
-// returned), so no handler is still enqueuing. Pass nil to revert to
-// inline appends.
+// appending them inline; it takes precedence over SetAuditLog. The caller
+// owns the writer's lifecycle: Flush/Close it only after the server has
+// drained (Shutdown returned), so no handler is still enqueuing. Pass nil to
+// revert to inline appends.
 func (s *Server) SetAsyncAudit(w *obs.AsyncAuditWriter) {
 	s.asyncAudit.Store(w)
 }
@@ -31,21 +27,6 @@ func (s *Server) SetAsyncAudit(w *obs.AsyncAuditWriter) {
 // auditEnabled reports whether any audit sink is installed.
 func (s *Server) auditEnabled() bool {
 	return s.asyncAudit.Load() != nil || s.audit.Load() != nil
-}
-
-// auditDecision records one admit/preview outcome on the serialized
-// backend. Called with s.mu held, which keeps the log's record order
-// identical to the controller's decision order — the property that makes a
-// log replayable against a fresh controller. (The sharded backend gets the
-// same guarantee from commit-section callbacks; see executeSharded.)
-// Appends go straight to the inline log, never the async writer: its
-// enqueue can block on a full queue, and blocking under s.mu would stall
-// every request.
-func (s *Server) auditDecision(req Request, spec core.ConnSpec, dec core.Decision, opErr error) {
-	if s.audit.Load() == nil {
-		return
-	}
-	s.appendInline(s.decisionRecord(req, spec, dec, opErr))
 }
 
 // decisionRecord builds the audit record for one admit/preview outcome.
@@ -73,15 +54,6 @@ func (s *Server) decisionRecord(req Request, spec core.ConnSpec, dec core.Decisi
 	return rec
 }
 
-// auditRelease records one release outcome on the serialized backend.
-// Called with s.mu held (see auditDecision).
-func (s *Server) auditRelease(id string, found bool) {
-	if s.audit.Load() == nil {
-		return
-	}
-	s.appendInline(s.releaseRecord(id, found))
-}
-
 // releaseRecord builds the audit record for one release outcome.
 func (s *Server) releaseRecord(id string, found bool) obs.AuditRecord {
 	return obs.AuditRecord{
@@ -93,19 +65,14 @@ func (s *Server) releaseRecord(id string, found bool) obs.AuditRecord {
 }
 
 // appendAudit hands one record to the installed sink, preferring the async
-// writer, tracking log health in metrics. Used by the sharded backend's
-// commit callbacks, which run outside any server lock.
+// writer, tracking log health in metrics. Called from the controller's commit
+// callbacks, which run outside any server lock.
 func (s *Server) appendAudit(rec obs.AuditRecord) {
 	if w := s.asyncAudit.Load(); w != nil {
 		w.Enqueue(rec)
 		mAuditRecords.Inc()
 		return
 	}
-	s.appendInline(rec)
-}
-
-// appendInline appends one record to the inline log, if any.
-func (s *Server) appendInline(rec obs.AuditRecord) {
 	log := s.audit.Load()
 	if log == nil {
 		return

@@ -52,8 +52,19 @@ const (
 // through fault-injected connections and checks the system-level invariants
 // that must survive any transport behavior: no double-admit, client and
 // server views consistent, the audit log replayable to the exact server
-// state, and no goroutine left behind after shutdown.
-func TestChaosSignalingInvariants(t *testing.T) {
+// state, and no goroutine left behind after shutdown. The audit sink is the
+// inline log, appended to inside the controller's commit callbacks.
+func TestChaosSignalingInvariants(t *testing.T) { runChaosMatrix(t, false) }
+
+// TestChaosShardedSignalingInvariants runs the same matrix with the async
+// group-sync audit writer — the deployment shape of fafcacd. The two-phase
+// commit path, optimistic retries, and commit-ordered audit enqueues must
+// uphold the same invariants under every fault profile.
+func TestChaosShardedSignalingInvariants(t *testing.T) { runChaosMatrix(t, true) }
+
+// runChaosMatrix is the one fault matrix: every profile × seed cell over the
+// admission pipeline, with the audit sink the caller names.
+func runChaosMatrix(t *testing.T, asyncAudit bool) {
 	seeds := []int64{1, 7, 42}
 	if testing.Short() {
 		seeds = seeds[:1]
@@ -64,79 +75,31 @@ func TestChaosSignalingInvariants(t *testing.T) {
 			t.Run(fmt.Sprintf("%s/seed%d", profile.name, seed), func(t *testing.T) {
 				opts := profile.opts
 				opts.Seed = seed
-				runChaosCell(t, opts, false)
+				runChaosCell(t, opts, asyncAudit)
 			})
 		}
 	}
 }
 
-// TestChaosShardedSignalingInvariants runs the identical fault matrix over
-// the sharded pipeline with its async audit writer — the deployment shape
-// fafcacd defaults to. The two-phase commit path, optimistic retries, and
-// commit-ordered audit enqueues must uphold the same invariants the
-// serialized backend does under every fault profile.
-func TestChaosShardedSignalingInvariants(t *testing.T) {
-	seeds := []int64{1, 7, 42}
-	if testing.Short() {
-		seeds = seeds[:1]
-	}
-	for _, profile := range chaosProfiles() {
-		for _, seed := range seeds {
-			profile, seed := profile, seed
-			t.Run(fmt.Sprintf("%s/seed%d", profile.name, seed), func(t *testing.T) {
-				opts := profile.opts
-				opts.Seed = seed
-				runChaosCell(t, opts, true)
-			})
-		}
-	}
-}
-
-// chaosBackend is the slice of the two pipelines' shared surface the cell
-// needs for its final-state checks.
-type chaosBackend interface {
-	Connections() []*core.Connection
-}
-
-// runChaosCell runs one fault-matrix cell end to end. sharded selects the
-// pipeline under test: the serialized Controller with an inline audit log,
-// or the Sharded pipeline with the async group-sync audit writer.
-func runChaosCell(t *testing.T, fopts faultnet.Options, sharded bool) {
+// runChaosCell runs one fault-matrix cell end to end.
+func runChaosCell(t *testing.T, fopts faultnet.Options, asyncAudit bool) {
 	goroutinesBefore := runtime.NumGoroutine()
 
-	net0, err := topo.NewNetwork(topo.Default())
+	pipe, err := core.NewSharded(mustNetwork(t), core.Options{}, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
-	var (
-		backend chaosBackend
-		srv     *Server
-	)
+	srv, err := NewShardedServer(pipe)
+	if err != nil {
+		t.Fatal(err)
+	}
 	var auditBuf bytes.Buffer
 	var asyncWriter *obs.AsyncAuditWriter
-	if sharded {
-		pipe, err := core.NewSharded(net0, core.Options{}, 0)
-		if err != nil {
-			t.Fatal(err)
-		}
-		srv, err = NewShardedServer(pipe)
-		if err != nil {
-			t.Fatal(err)
-		}
+	if asyncAudit {
 		asyncWriter = obs.NewAsyncAuditWriter(obs.NewAuditLog(&auditBuf), 64, true)
 		srv.SetAsyncAudit(asyncWriter)
-		backend = pipe
 	} else {
-		ctl, err := core.NewController(net0, core.Options{})
-		if err != nil {
-			t.Fatal(err)
-		}
-		srv, err = NewServer(ctl)
-		if err != nil {
-			t.Fatal(err)
-		}
 		srv.SetAuditLog(obs.NewAuditLog(&auditBuf))
-		backend = ctl
 	}
 
 	l, err := net.Listen("tcp", "127.0.0.1:0")
@@ -166,8 +129,8 @@ func runChaosCell(t *testing.T, fopts faultnet.Options, sharded bool) {
 	wg.Wait()
 
 	// Shut down and require a full drain before judging state. The async
-	// audit writer (sharded cells) closes only after the server: producers
-	// stop first, then the queue drains to the buffer.
+	// audit writer closes only after the server: producers stop first, then
+	// the queue drains to the buffer.
 	if err := srv.Close(); err != nil {
 		t.Errorf("close: %v", err)
 	}
@@ -183,7 +146,7 @@ func runChaosCell(t *testing.T, fopts faultnet.Options, sharded bool) {
 	// Invariant 1: client and server views agree. Every id a client proved
 	// absent is absent; every admitted id was one a client could not rule out.
 	final := make(map[string][2]float64)
-	for _, c := range backend.Connections() {
+	for _, c := range pipe.Connections() {
 		final[c.ID] = [2]float64{c.HS, c.HR}
 	}
 	merged := make(map[string]chaosOutcome)

@@ -21,7 +21,7 @@ func newIdleServer(t *testing.T) *Server {
 	if err != nil {
 		t.Fatal(err)
 	}
-	srv, err := NewServer(ctl)
+	srv, err := NewShardedServer(ctl)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -23,11 +23,12 @@ type ReplayStats struct {
 }
 
 // Replay rebuilds controller state from an audit log, in record order. It is
-// the recovery half of the audit log's design: because the server appends
-// records under the same lock that serializes controller decisions, the file
-// order is the decision order, and re-running the state-changing records
-// against a fresh controller over the same topology and options must
-// reproduce every decision exactly.
+// the recovery half of the audit log's design: because state-changing records
+// are written inside the controller's commit critical section, the file order
+// is the commit order, and re-running those records against a fresh
+// controller over the same topology and options must reproduce every decision
+// (verdict exactly, allocations to units.AlmostEq — the agreement any number
+// of analyzer lanes guarantees).
 //
 // Replay therefore verifies as it goes: a replayed admit must be admitted
 // again with the same HS/HR allocations (within the engine's float

@@ -35,11 +35,12 @@ func admittedSet(ctl *core.Controller) map[string][2]float64 {
 	return out
 }
 
-// TestReplayReproducesControllerState is the recovery round trip: a mixed
-// workload is run against an audited server, then the log is read back and
-// replayed against a fresh controller, which must end with the identical
-// admitted set and allocations.
-func TestReplayReproducesControllerState(t *testing.T) {
+// recordWorkload runs a mixed workload against an audited server and returns
+// the log it wrote together with the admitted set the server ended with:
+// three admits and one real release, plus the state-neutral records a replay
+// must skip — a preview, a rejected admit, and a release that finds nothing.
+func recordWorkload(t *testing.T) ([]byte, map[string][2]float64) {
+	t.Helper()
 	var buf bytes.Buffer
 	client, srv := startServer(t)
 	srv.SetAuditLog(obs.NewAuditLog(&buf))
@@ -57,8 +58,6 @@ func TestReplayReproducesControllerState(t *testing.T) {
 			t.Fatalf("%s rejected: %s", a.id, dec.Reason)
 		}
 	}
-	// State-neutral records the replay must skip: a preview, a rejected
-	// admit, and a release that finds nothing.
 	if _, err := client.Preview(videoRequest("peek", 1, 0, 2, 0)); err != nil {
 		t.Fatal(err)
 	}
@@ -70,17 +69,22 @@ func TestReplayReproducesControllerState(t *testing.T) {
 	if ok, err := client.Release("ghost"); err != nil || ok {
 		t.Fatalf("ghost release: %v %v", ok, err)
 	}
-	// And one real release.
 	if ok, err := client.Release("v2"); err != nil || !ok {
 		t.Fatalf("release v2: %v %v", ok, err)
 	}
-	ctlSrv := srvController(srv)
-	want := admittedSet(ctlSrv)
+	return buf.Bytes(), admittedSet(srv.pipe)
+}
+
+// TestReplayReproducesControllerState is the recovery round trip: the log of
+// a mixed workload is read back and replayed against a fresh controller,
+// which must end with the identical admitted set and allocations.
+func TestReplayReproducesControllerState(t *testing.T) {
+	log, want := recordWorkload(t)
 	if len(want) != 2 {
 		t.Fatalf("server ended with %d connections, want 2", len(want))
 	}
 
-	records, err := obs.ReadAuditRecords(&buf)
+	records, err := obs.ReadAuditRecords(bytes.NewReader(log))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -107,14 +111,6 @@ func TestReplayReproducesControllerState(t *testing.T) {
 			t.Errorf("%s allocations: replayed HS=%v HR=%v, want HS=%v HR=%v", id, g[0], g[1], w[0], w[1])
 		}
 	}
-}
-
-// srvController reaches the server's controller (same package). The field
-// is guarded by s.mu, so take it even though the test is quiescent here.
-func srvController(s *Server) *core.Controller {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.ctl
 }
 
 // TestReplayDetectsOptionMismatch: replaying against a controller with a

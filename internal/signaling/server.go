@@ -21,10 +21,10 @@ import (
 // net/http.Server's accept loop.
 const acceptRetryMax = time.Second
 
-// Server exposes a Controller over newline-delimited JSON. The controller
-// is not concurrency-safe, so the server serializes all operations behind a
-// mutex; each accepted TCP connection may issue any number of sequential
-// requests.
+// Server exposes the admission controller over newline-delimited JSON. Each
+// accepted TCP connection may issue any number of sequential requests;
+// handlers call straight into the controller, which admits, releases and
+// reports concurrently and provides its own synchronization.
 //
 // The server keeps a registry of open connections, which is what makes
 // shutdown sound: Close force-closes everything immediately, Shutdown
@@ -32,20 +32,12 @@ const acceptRetryMax = time.Second
 // in-flight requests to finish, and force-closes stragglers only when its
 // context expires.
 type Server struct {
-	mu sync.Mutex
-	// ctl is the wrapped controller; it is not concurrency-safe, so every
-	// operation on it is serialized here. guarded by mu.
-	ctl *core.Controller
-
-	// pipe, when non-nil, is the sharded admission pipeline and the server
-	// dispatches operations to it concurrently — no mutex: the pipeline
-	// provides its own synchronization. Exactly one of ctl and pipe is set,
-	// at construction, and pipe is immutable afterwards.
+	// pipe is the admission controller; set at construction and immutable
+	// afterwards.
 	pipe *core.Sharded
 
-	// opts is the backend's effective CAC configuration, captured at
-	// construction so audit records can report β without touching the
-	// backend.
+	// opts is the controller's effective CAC configuration, captured at
+	// construction so audit records can report β.
 	opts core.Options
 
 	// IdleTimeout, when positive, bounds how long a connection may sit
@@ -57,18 +49,19 @@ type Server struct {
 	WriteTimeout time.Duration
 
 	// audit, when set, receives one record per admit/preview/release. An
-	// atomic pointer so SetAuditLog needs no lock ordering against s.mu.
+	// atomic pointer so SetAuditLog can run concurrently with handlers.
 	audit atomic.Pointer[obs.AuditLog]
 
 	// asyncAudit, when set, takes precedence over audit: records are
-	// enqueued to the async writer instead of appended inline. State-
-	// changing records are enqueued inside the backend's commit critical
-	// section (legacy: under mu; sharded: under the pipeline's commit
-	// lock), so queue order — and therefore file order — equals commit
-	// order, preserving replay-to-identical-state.
+	// enqueued to the async writer instead of appended inline. Either way
+	// state-changing records are handed over inside the controller's commit
+	// critical section, so file order equals commit order, preserving
+	// replay-to-identical-state.
 	asyncAudit atomic.Pointer[obs.AsyncAuditWriter]
 
 	wg sync.WaitGroup
+	// mu guards the listener and nothing else.
+	mu sync.Mutex
 	// listener is the accept-loop listener Serve registers. guarded by mu.
 	listener net.Listener
 	closed   chan struct{}
@@ -98,27 +91,10 @@ type connState struct {
 	active atomic.Bool // a request has been decoded and not yet answered
 }
 
-// NewServer wraps a controller.
-func NewServer(ctl *core.Controller) (*Server, error) {
-	if ctl == nil {
-		return nil, errors.New("signaling: server requires a controller")
-	}
-	return &Server{
-		ctl:     ctl,
-		opts:    ctl.Options(),
-		closed:  make(chan struct{}),
-		conns:   make(map[net.Conn]*connState),
-		drained: make(chan struct{}),
-	}, nil
-}
-
-// NewShardedServer wraps a sharded admission pipeline. Unlike the
-// controller-backed server, operations are NOT serialized behind the server
-// mutex: handlers call straight into the pipeline, which admits, releases
-// and reports concurrently.
+// NewShardedServer wraps an admission controller.
 func NewShardedServer(p *core.Sharded) (*Server, error) {
 	if p == nil {
-		return nil, errors.New("signaling: server requires a pipeline")
+		return nil, errors.New("signaling: server requires a controller")
 	}
 	return &Server{
 		pipe:    p,
@@ -405,89 +381,14 @@ func (s *Server) execute(req Request) Response {
 	return resp
 }
 
-// executeOp runs one request against the backend.
+// executeOp runs one request against the controller, with no server-level
+// lock. Audit records for state-changing operations are built and handed to
+// the sink by callbacks the controller invokes inside its commit critical
+// section, which is what keeps audit order equal to commit order.
 func (s *Server) executeOp(req Request) Response {
 	if err := req.Validate(); err != nil {
 		return Response{Error: err.Error()}
 	}
-	if s.pipe != nil {
-		return s.executeSharded(req)
-	}
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	switch req.Op {
-	case OpAdmit, OpPreview:
-		spec, err := req.Admit.Spec()
-		if err != nil {
-			return Response{Error: err.Error()}
-		}
-		var dec core.Decision
-		if req.Op == OpAdmit {
-			dec, err = s.ctl.RequestAdmission(spec)
-		} else {
-			dec, err = s.ctl.PreviewAdmission(spec)
-		}
-		s.auditDecision(req, spec, dec, err)
-		if err != nil {
-			return Response{Error: err.Error()}
-		}
-		return Response{OK: true, Decision: wireDecision(spec, dec)}
-	case OpPreviewBatch:
-		decs := make([]*Decision, len(req.AdmitBatch))
-		for i := range req.AdmitBatch {
-			spec, err := req.AdmitBatch[i].Spec()
-			if err != nil {
-				return Response{Error: err.Error()}
-			}
-			dec, opErr := s.ctl.PreviewAdmission(spec)
-			s.auditDecision(Request{Op: OpPreviewBatch, Admit: &req.AdmitBatch[i]}, spec, dec, opErr)
-			decs[i] = wireBatchDecision(spec, dec, opErr)
-		}
-		return Response{OK: true, Decisions: decs}
-	case OpRelease:
-		ok := s.ctl.Release(req.Release)
-		s.auditRelease(req.Release, ok)
-		return Response{OK: true, Released: &ok}
-	case OpReport:
-		delays, err := s.ctl.DelayReport()
-		if err != nil {
-			return Response{Error: err.Error()}
-		}
-		var report []ConnReport
-		for _, c := range s.ctl.Connections() {
-			report = append(report, ConnReport{
-				ID:             c.ID,
-				Src:            c.Src.String(),
-				Dst:            c.Dst.String(),
-				DelayMillis:    delays[c.ID] * 1e3,
-				DeadlineMillis: c.Deadline * 1e3,
-			})
-		}
-		return Response{OK: true, Report: report}
-	case OpBuffers:
-		buffers, err := s.ctl.BufferReport()
-		if err != nil {
-			return Response{Error: err.Error()}
-		}
-		var out []BufferReport
-		for _, b := range buffers {
-			out = append(out, BufferReport{
-				ID:      b.ConnID,
-				SrcKbit: b.SrcBufferBits / 1e3,
-				DstKbit: b.DstBufferBits / 1e3,
-			})
-		}
-		return Response{OK: true, Buffers: out}
-	default:
-		return Response{Error: fmt.Sprintf("signaling: unknown op %q", req.Op)}
-	}
-}
-
-// executeSharded runs one request against the sharded pipeline, with no
-// server-level lock. Audit records for state-changing operations are built
-// and enqueued by callbacks the pipeline invokes inside its commit critical
-// section, which is what keeps audit order equal to commit order.
-func (s *Server) executeSharded(req Request) Response {
 	switch req.Op {
 	case OpAdmit, OpPreview:
 		spec, err := req.Admit.Spec()

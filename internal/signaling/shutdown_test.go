@@ -24,7 +24,7 @@ func newServingServer(t *testing.T) (*Server, *core.Controller, string, chan err
 	if err != nil {
 		t.Fatal(err)
 	}
-	srv, err := NewServer(ctl)
+	srv, err := NewShardedServer(ctl)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -273,7 +273,7 @@ func TestShutdownWithoutServe(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	srv, err := NewServer(ctl)
+	srv, err := NewShardedServer(ctl)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -296,7 +296,7 @@ func TestIdleTimeoutClosesConnection(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	srv, err := NewServer(ctl)
+	srv, err := NewShardedServer(ctl)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -22,7 +22,7 @@ func startServer(t *testing.T) (*Client, *Server) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	srv, err := NewServer(ctl)
+	srv, err := NewShardedServer(ctl)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -221,7 +221,7 @@ func TestRequestValidation(t *testing.T) {
 }
 
 func TestNewServerValidation(t *testing.T) {
-	if _, err := NewServer(nil); err == nil {
+	if _, err := NewShardedServer(nil); err == nil {
 		t.Error("nil controller should be rejected")
 	}
 }

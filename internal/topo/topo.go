@@ -122,11 +122,11 @@ func (c Config) Validate() error {
 	return nil
 }
 
-// Network is a built topology with per-ring synchronous-bandwidth
-// bookkeeping. It is not safe for concurrent use.
+// Network is a built topology. It is immutable — the synchronous-bandwidth
+// ledgers live with the admission controller — and so safe for concurrent
+// use.
 type Network struct {
-	cfg   Config
-	rings []*fddi.Ring
+	cfg Config
 }
 
 // NewNetwork validates cfg and builds the topology.
@@ -134,15 +134,7 @@ func NewNetwork(cfg Config) (*Network, error) {
 	if err := cfg.Validate(); err != nil {
 		return nil, err
 	}
-	n := &Network{cfg: cfg}
-	for i := 0; i < cfg.NumRings; i++ {
-		r, err := fddi.NewRing(cfg.ringConfig(i))
-		if err != nil {
-			return nil, fmt.Errorf("topo: building ring %d: %w", i, err)
-		}
-		n.rings = append(n.rings, r)
-	}
-	return n, nil
+	return &Network{cfg: cfg}, nil
 }
 
 // ringConfig resolves the configuration of ring i.
@@ -161,10 +153,7 @@ func (n *Network) RingConfig(i int) fddi.RingConfig { return n.cfg.ringConfig(i)
 func (n *Network) Config() Config { return n.cfg }
 
 // NumRings returns the number of FDDI segments.
-func (n *Network) NumRings() int { return len(n.rings) }
-
-// Ring returns the allocation bookkeeping for ring i.
-func (n *Network) Ring(i int) *fddi.Ring { return n.rings[i] }
+func (n *Network) NumRings() int { return n.cfg.NumRings }
 
 // SwitchOf returns the backbone switch the given ring's interface device
 // attaches to.

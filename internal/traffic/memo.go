@@ -24,20 +24,17 @@ import (
 // Because the cache stores exact inner evaluations, a Memoized descriptor is
 // pointwise identical to its inner descriptor: it is a valid upper bound
 // wherever the inner is, monotone wherever the inner is, and exact (not just
-// within units.RelTol) at every queried point. For a bounded-size tabulated
-// view with the conservative Sampled semantics instead, use Table.
+// within units.RelTol) at every queried point.
 //
 // Memoized is NOT safe for concurrent use; every analyzer that embeds one is
 // itself documented single-threaded, and parallel drivers (sweeps,
 // replications) give each worker its own analyzer.
 type Memoized struct {
-	inner  Descriptor
-	rho    float64
-	bits   map[float64]float64
-	bp     []float64 // sorted ascending, exact duplicates removed
-	bpH    float64   // horizon bp was computed at (0 = not yet)
-	table  *Sampled  // lazily built Table, keyed by tableH
-	tableH float64
+	inner Descriptor
+	rho   float64
+	bits  map[float64]float64
+	bp    []float64 // sorted ascending, exact duplicates removed
+	bpH   float64   // horizon bp was computed at (0 = not yet)
 }
 
 var _ Descriptor = (*Memoized)(nil)
@@ -123,32 +120,6 @@ func (m *Memoized) Breakpoints(horizon float64) []float64 {
 		idx++
 	}
 	return m.bp[:idx]
-}
-
-// Table materializes the envelope onto its own CleanGrid up to the given
-// horizon (with n uniform fallback points) via Materialize, caching the
-// result per horizon. The returned Sampled is the conservative tabulated
-// view: a valid upper bound everywhere (step interpolation rounds up between
-// samples, subadditive extension beyond the horizon), monotone by
-// construction, and exact at every grid point. Use it where a bounded-size
-// O(log n) representation is worth the between-sample slack; the analysis
-// hot paths use the exact memo above instead, so their results are
-// bit-compatible with the unfused chains.
-func (m *Memoized) Table(horizon float64, n int) (*Sampled, error) {
-	if m.table != nil && m.tableH == horizon { //lint:allow floatcmp cache key: a near-equal horizon must rebuild, not alias a differently-gridded table
-		return m.table, nil
-	}
-	grid := Grid(m, horizon, n)
-	if len(grid) == 0 {
-		return nil, fmt.Errorf("traffic: Table horizon %v produced an empty grid", horizon)
-	}
-	tab, err := Materialize(m, grid)
-	if err != nil {
-		return nil, err
-	}
-	m.table = tab
-	m.tableH = horizon
-	return tab, nil
 }
 
 // String implements fmt.Stringer.

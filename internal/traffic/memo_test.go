@@ -119,45 +119,6 @@ func TestMemoizedGridEquivalence(t *testing.T) {
 	}
 }
 
-func TestMemoizedTableContract(t *testing.T) {
-	// Table must be: exact at grid points, a valid upper bound everywhere,
-	// and monotone.
-	src, _ := NewDualPeriodic(50e3, 0.010, 10e3, 0.001, 100e6)
-	var chain Descriptor = src
-	chain, _ = NewQuantized(chain, 36000, 94*384)
-	chain, _ = NewDelayed(chain, 0.4e-3, 140e6)
-	m := NewMemoized(chain)
-
-	const horizon = 32e-3
-	tab, err := m.Table(horizon, 128)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if again, err := m.Table(horizon, 128); err != nil || again != tab {
-		t.Errorf("Table must cache per horizon (got %p vs %p, err %v)", again, tab, err)
-	}
-	for _, p := range tab.Breakpoints(horizon) {
-		if !units.WithinRel(tab.Bits(p), chain.Bits(p), units.RelTol) {
-			t.Errorf("table not exact at grid point %v: %v vs %v", p, tab.Bits(p), chain.Bits(p))
-		}
-	}
-	rng := rand.New(rand.NewSource(11))
-	prev := 0.0
-	for i := 0; i < 500; i++ {
-		iv := rng.Float64() * 3 * horizon // includes the subadditive extension
-		if got, exact := tab.Bits(iv), chain.Bits(iv); got < exact*(1-units.RelTol) {
-			t.Errorf("table below exact envelope at %v: %v < %v", iv, got, exact)
-		}
-		_ = prev
-	}
-	grid := tab.Breakpoints(horizon)
-	for i := 1; i < len(grid); i++ {
-		if tab.Bits(grid[i]) < tab.Bits(grid[i-1]) {
-			t.Errorf("table not monotone between %v and %v", grid[i-1], grid[i])
-		}
-	}
-}
-
 func TestFusedMemoizedChainEndToEnd(t *testing.T) {
 	// The composition used by the analyzer: Fuse then Memoize, compared
 	// against the raw chain on a dense random probe set.
