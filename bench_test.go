@@ -317,9 +317,8 @@ func BenchmarkMuxAnalysis(b *testing.B) {
 		{"longBusy", 6, false},
 	} {
 		b.Run(c.name, func(b *testing.B) {
-			members := make([]traffic.Descriptor, c.members)
 			flats := make([]*traffic.Flat, c.members)
-			for i := range members {
+			for i := range flats {
 				chain, err := traffic.NewDelayed(newSource(), float64(8+i)*1e-3, 100e6)
 				if err != nil {
 					b.Fatal(err)
@@ -327,12 +326,9 @@ func BenchmarkMuxAnalysis(b *testing.B) {
 				if flats[i] = traffic.Flatten(chain, 0.025); flats[i] == nil {
 					b.Fatal("the chain has no lowering")
 				}
-				members[i] = flats[i]
 			}
-			tail := traffic.NewMemberTail()
-			tail.SetMembers(members...)
-			agg := traffic.SumFlats(tail, flats...)
 			var ws traffic.Workspace
+			agg := ws.Sum(flats)
 			opts := atm.MuxOptions{Workspace: &ws}
 			res, err := atm.AnalyzeAggregate(agg, p, opts)
 			if err != nil {

@@ -127,12 +127,12 @@ func AnalyzeMux(inputs []traffic.Descriptor, p MuxParams, opts MuxOptions) (MuxR
 }
 
 // AnalyzeAggregate bounds the same FIFO multiplexer given the combined
-// envelope of all its inputs — already summed, e.g. a materialized flat
-// breakpoint array delta-updated across admission probes — so callers that
-// maintain aggregates incrementally skip both the per-call Aggregate
-// construction and the per-point member summation. The result carries no
-// per-input Outputs (the caller owns the member set); everything else is
-// identical to AnalyzeMux over the member envelopes.
+// envelope of all its inputs — already summed, e.g. the flat breakpoint
+// array traffic.Workspace.Sum folds from the member flats — so callers that
+// hold lowered members skip both the per-call Aggregate construction and the
+// per-point member summation. The result carries no per-input Outputs (the
+// caller owns the member set); everything else is identical to AnalyzeMux
+// over the member envelopes.
 func AnalyzeAggregate(agg traffic.Descriptor, p MuxParams, opts MuxOptions) (MuxResult, error) {
 	if agg == nil {
 		return MuxResult{}, errors.New("atm: AnalyzeAggregate requires an aggregate envelope")

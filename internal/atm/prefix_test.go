@@ -21,13 +21,12 @@ func scanMuxFullGrid(agg traffic.Descriptor, capacity float64, opts MuxOptions) 
 }
 
 // portAggregate builds the shape the analyzer feeds scanMux: k connections of
-// the paper's source, each behind its own delay, lowered and summed under a
-// members-union tail.
+// the paper's source, each behind its own delay, lowered and folded by a
+// workspace of the aggregate's own into a sum under a members-union tail.
 func portAggregate(t *testing.T, k int, c1 float64) *traffic.Flat {
 	t.Helper()
-	members := make([]traffic.Descriptor, k)
 	flats := make([]*traffic.Flat, k)
-	for i := range members {
+	for i := range flats {
 		src, err := traffic.NewDualPeriodic(c1, 10e-3, c1/5, 1e-3, 100e6)
 		if err != nil {
 			t.Fatal(err)
@@ -36,11 +35,8 @@ func portAggregate(t *testing.T, k int, c1 float64) *traffic.Flat {
 		if flats[i] = traffic.Flatten(chain, 0.025); flats[i] == nil {
 			t.Fatal("the chain has no lowering")
 		}
-		members[i] = flats[i]
 	}
-	tail := traffic.NewMemberTail()
-	tail.SetMembers(members...)
-	return traffic.SumFlats(tail, flats...)
+	return new(traffic.Workspace).Sum(flats)
 }
 
 // TestScanMuxPrefixMatchesFullGrid: the busy period and the backlog of the

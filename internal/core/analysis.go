@@ -34,7 +34,8 @@ type Analyzer struct {
 	// macCache memoizes sender-MAC results, keyed first by connection and
 	// then by the probed allocation H: valid as long as the connection's
 	// source descriptor is unchanged. The two-level shape makes purging an id
-	// an O(1) delete instead of a scan over every (connection, H) pair.
+	// an O(1) delete instead of a scan over every (connection, H) pair. Each
+	// per-connection map holds at most maxDstEntries allocations.
 	macCache map[string]map[float64]macEntry
 	// stage0Cache carries each connection's fused, memoized envelope at the
 	// entrance of its first shared port across evaluations, keyed like
@@ -60,11 +61,6 @@ type Analyzer struct {
 	// envelope entering the destination (pointer identity) and the receiver
 	// allocation — together they pin every input of the Theorem 1 analysis.
 	dstCache map[string]map[dstKey]macEntry
-	// portAgg holds the materialized per-port aggregate envelopes (flat
-	// sums of the member envelopes entering each shared FIFO port),
-	// delta-updated as members appear, change allocation, or depart — see
-	// portAggregate. Unused when the flat path is disabled.
-	portAgg map[topo.PortID]*portAggState
 	// specs records, per connection id, the specification the per-connection
 	// caches above were populated under. Every evaluation revalidates its
 	// connections against this map and purges an id whose spec changed, so
@@ -87,9 +83,9 @@ type stage0Entry struct {
 	// flat is env lowered into a flat breakpoint array (nil when the chain
 	// has no exact lowering, e.g. shaped connections); flatTried
 	// distinguishes "not lowered yet" from "not lowerable". Cached beside
-	// env so the array — and its pointer identity, which the incremental
-	// port aggregates diff against — survives across evaluations exactly as
-	// long as the fused envelope does.
+	// env so the array — and its pointer identity, which portMux and dstCache
+	// key results by — survives across evaluations exactly as long as the
+	// fused envelope does.
 	flat      *traffic.Flat
 	flatTried bool
 }
@@ -125,7 +121,9 @@ type dstKey struct {
 // every downstream envelope), and the same states recur on the next
 // admission of the same spec, so the caps must hold a full bisection's
 // working set or every iteration recomputes it. On overflow the older half
-// is dropped — the recurring keys are the recently used ones.
+// of a list is dropped — the recurring keys are the recently used ones — and
+// a per-connection map (dstCache, macCache, stage0Cache: all capped by
+// maxDstEntries) is cleared.
 const (
 	maxStageFlatEntries = 512
 	maxPortMuxEntries   = 256
@@ -150,7 +148,6 @@ func NewAnalyzer(net *topo.Network, opts AnalysisOptions) (*Analyzer, error) {
 		stageFlats:  make(map[string][]stageFlatEntry),
 		portMux:     make(map[topo.PortID][]portMuxEntry),
 		dstCache:    make(map[string]map[dstKey]macEntry),
-		portAgg:     make(map[topo.PortID]*portAggState),
 		specs:       make(map[string]ConnSpec),
 	}
 	// The workspace is the analyzer's own even when the caller's options
@@ -376,6 +373,10 @@ func (ev *evaluation) srcMAC(c *Connection) (fddi.MACResult, error) {
 		// chosen point): 28 at the default 12 iterations.
 		byH = make(map[float64]macEntry, 32)
 		ev.a.macCache[c.ID] = byH
+	} else if len(byH) >= maxDstEntries {
+		// An id that keeps its spec is never purged, and a candidate adds
+		// fresh allocations with every decision: bound the map as dstCache is.
+		clear(byH)
 	}
 	byH[c.HS] = macEntry{res: res, err: err}
 	if err == nil {
@@ -457,6 +458,11 @@ func (ev *evaluation) envelopeEntering(c *Connection, stage int) (traffic.Descri
 			if byH == nil {
 				byH = make(map[float64]stage0Entry, 32)
 				ev.a.stage0Cache[c.ID] = byH
+			} else if len(byH) >= maxDstEntries {
+				// Bounded like macCache. Flats rebuilt after a reset are new
+				// arrays with the old values, so the caches keyed by flat
+				// identity miss once and no result moves.
+				clear(byH)
 			}
 			byH[c.HS] = stage0Entry{env: env}
 		}
@@ -527,7 +533,6 @@ func (ev *evaluation) muxDelay(p topo.PortID) (float64, error) {
 
 	var inputs []traffic.Descriptor
 	var flats []*traffic.Flat
-	var ids []string
 	allFlat := ev.a.flatEnabled()
 	for _, m := range ev.ordered {
 		for stage, q := range m.Route.Ports {
@@ -548,7 +553,6 @@ func (ev *evaluation) muxDelay(p topo.PortID) (float64, error) {
 			if allFlat {
 				if f := ev.flatEntering(m, stage); f != nil {
 					flats = append(flats, f)
-					ids = append(ids, m.ID)
 				} else {
 					allFlat = false
 				}
@@ -581,12 +585,14 @@ func (ev *evaluation) muxDelay(p topo.PortID) (float64, error) {
 				return e.delay, nil
 			}
 		}
-		// Every member lowered: analyze the port against the materialized
-		// flat aggregate, delta-updated from the previous member set (the
-		// common probe changes one member). The members-union tail covers
-		// evaluations beyond the flat window.
-		agg := ev.a.portAggregate(p, ids, flats)
-		res, err = atm.AnalyzeAggregate(agg, params, ev.a.opts.Mux)
+		// Every member lowered: the aggregate is the sum of the member flats,
+		// folded afresh in evaluation order, so the delay is a function of the
+		// member set alone. The workspace's sum arrays are free to take it:
+		// gathering the members above has finished every upstream port, and
+		// only the verdict outlives the analysis. The members-union tail
+		// covers evaluations beyond the flat window.
+		mFlatAggRebuilds.Inc()
+		res, err = atm.AnalyzeAggregate(ev.a.ws.Sum(flats), params, ev.a.opts.Mux)
 	} else {
 		res, err = atm.AnalyzeMux(inputs, params, ev.a.opts.Mux)
 	}

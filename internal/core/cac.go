@@ -126,10 +126,11 @@ type Decision struct {
 // that drive it from one goroutine.
 type Controller = Sharded
 
-// NewController builds a CAC over the given network: a one-lane Sharded. One
-// lane makes a sequential caller's decisions a deterministic function of its
-// call sequence — lanes are handed out round-robin and each keeps its own
-// delta-update history, so two lanes agree only to units.AlmostEq.
+// NewController builds a CAC over the given network: a one-lane Sharded. Lanes
+// are interchangeable in value — a delay is a function of the connection set,
+// not of what the lane analysed before — so one lane is chosen because a
+// sequential caller keeps one set of analysis caches warm that way, not for
+// determinism.
 func NewController(net *topo.Network, opts Options) (*Controller, error) {
 	return NewSharded(net, opts, 1)
 }

@@ -100,12 +100,11 @@ type AnalysisOptions struct {
 	DisableFusion bool
 	// DisableFlat switches off the flat breakpoint-array fast path layered on
 	// top of fusion: the closed-form lowering of fused chains into sorted
-	// breakpoint arrays and the incremental per-port aggregate envelopes
-	// delta-updated across admission probes. Like DisableFusion it exists for
-	// equivalence testing and regression bisection — the lowering rules are
-	// exact (values move only by float re-association, within units.RelTol) —
-	// not for production use. DisableFusion implies DisableFlat: the flat
-	// path lowers fused chains.
+	// breakpoint arrays and the per-port aggregate envelopes summed from
+	// them. Like DisableFusion it exists for equivalence testing and
+	// regression bisection — the lowering rules are exact (values move only by
+	// float re-association, within units.RelTol) — not for production use.
+	// DisableFusion implies DisableFlat: the flat path lowers fused chains.
 	DisableFlat bool
 }
 

@@ -2,9 +2,7 @@ package core
 
 import (
 	"slices"
-	"sort"
 
-	"fafnet/internal/topo"
 	"fafnet/internal/traffic"
 )
 
@@ -18,19 +16,6 @@ import (
 // vertices for an array nothing reads again. The constant trades speed, never
 // correctness.
 const flatHorizon = 0.025
-
-// flatRebuildDeltas bounds how many incremental add/subtract updates a
-// materialized per-port aggregate accumulates before it is rebuilt from its
-// member flats. Each delta leaves float dust at the cancelled breakpoints
-// (compacted away, but worth refreshing) and can only shrink the shared
-// horizon, so a periodic rebuild bounds both drifts.
-const flatRebuildDeltas = 64
-
-// flatCompactTol is the relative tolerance for compacting delta-updated
-// aggregates: generous enough to drop the ~1-ulp residue of an add/subtract
-// cancellation, orders of magnitude below units.RelTol so compaction never
-// moves a value the analyses could see.
-const flatCompactTol = 1e-12
 
 // flatEnabled reports whether the flat fast path applies: the lowering
 // operates on fused chains, so DisableFusion implies DisableFlat.
@@ -63,8 +48,8 @@ func (ev *evaluation) buildFlat(c *Connection, stage int) *traffic.Flat {
 		// envelopeEntering has just filled (or validated) the stage-0 cache
 		// entry for exactly this allocation; the lowered form lives beside
 		// the fused chain so later evaluations reuse the same array — which
-		// also keeps the pointer stable, the identity the incremental port
-		// aggregates diff against.
+		// also keeps the pointer stable, the identity portMux and dstCache
+		// key results by.
 		byH := ev.a.stage0Cache[c.ID]
 		e, ok := byH[c.HS]
 		if !ok {
@@ -114,126 +99,3 @@ func (ev *evaluation) buildFlat(c *Connection, stage int) *traffic.Flat {
 	}
 	return f
 }
-
-// portAggState is one materialized per-port aggregate envelope: the flat sum
-// of the member flats most recently fed to the port's mux analysis, plus the
-// scratch array the delta updates ping-pong against.
-type portAggState struct {
-	members map[string]*traffic.Flat // member id → the flat its sum contains
-	sum     *traffic.Flat
-	scratch *traffic.Flat
-	// tail is the reusable members-union tail installed on sum after every
-	// update: beyond-window evaluations and breakpoint unions go through the
-	// member flats' own caches instead of re-walking descriptor chains.
-	tail   *traffic.MemberTail
-	deltas int
-}
-
-// portAggregate returns the materialized aggregate envelope of port p over
-// the given members, delta-updating the cached sum: members whose flat is
-// unchanged (same array, guaranteed by the stage-0 cache's pointer
-// stability) cost nothing, departed or changed members are subtracted, new
-// ones added — so an admission probe, which changes only the candidate's
-// allocation, costs one subtract and one add instead of a k-way re-sum, and
-// admits/releases between sessions delta the same materialized state.
-// The sum's tail is the members-union over the flats themselves, so
-// beyond-window evaluations and breakpoint unions ride the members' caches;
-// when nothing changed since the last call the sum — including its cached
-// breakpoint list — is returned untouched.
-func (a *Analyzer) portAggregate(p topo.PortID, ids []string, flats []*traffic.Flat) *traffic.Flat {
-	st := a.portAgg[p]
-	if st == nil {
-		st = &portAggState{
-			members: make(map[string]*traffic.Flat, len(ids)+1),
-			tail:    traffic.NewMemberTail(),
-		}
-		a.portAgg[p] = st
-	}
-
-	// Diff the wanted member set against the materialized one. Stale ids are
-	// collected and sorted so the subtraction order — and with it the float
-	// dust of the updates — is deterministic run to run.
-	var stale []string
-	for id, f := range st.members {
-		keep := false
-		for i, wid := range ids {
-			if wid == id && flats[i] == f {
-				keep = true
-				break
-			}
-		}
-		if !keep {
-			stale = append(stale, id)
-		}
-	}
-	fresh := 0
-	for i, id := range ids {
-		if st.members[id] != flats[i] {
-			fresh++
-		}
-	}
-
-	// Unchanged member set: the materialized sum — tail, cached breakpoint
-	// union and segment cursor included — is current. The grid assembly of
-	// the mux scan then costs a prefix lookup, not a chain walk.
-	if st.sum != nil && len(stale)+fresh == 0 {
-		return st.sum
-	}
-
-	retail := func() {
-		members := make([]traffic.Descriptor, len(flats))
-		for i, f := range flats {
-			members[i] = f
-		}
-		st.tail.SetMembers(members...)
-		st.sum.Retail(st.tail)
-	}
-
-	if st.sum == nil || st.deltas+len(stale)+fresh > flatRebuildDeltas || len(stale)+fresh > len(ids)/2+1 {
-		st.sum = traffic.SumFlats(zeroTail{}, flats...)
-		st.scratch = nil
-		st.deltas = 0
-		clear(st.members)
-		for i, id := range ids {
-			st.members[id] = flats[i]
-		}
-		retail()
-		mFlatAggRebuilds.Inc()
-		return st.sum
-	}
-
-	if st.scratch == nil {
-		st.scratch = &traffic.Flat{}
-	}
-	sort.Strings(stale)
-	for _, id := range stale {
-		traffic.SubInto(st.scratch, st.sum, st.members[id])
-		st.sum, st.scratch = st.scratch, st.sum
-		delete(st.members, id)
-		st.deltas++
-		mFlatAggDeltas.Inc()
-	}
-	for i, id := range ids {
-		if st.members[id] == flats[i] {
-			continue
-		}
-		traffic.SumInto(st.scratch, st.sum, flats[i])
-		st.sum, st.scratch = st.scratch, st.sum
-		st.members[id] = flats[i]
-		st.deltas++
-		mFlatAggDeltas.Inc()
-	}
-	// Cancelled breakpoints of departed members survive as collinear
-	// vertices carrying ~1-ulp residue; compacting keeps the array (and
-	// every later merge against it) bounded.
-	st.sum.Compact(flatCompactTol)
-	retail()
-	return st.sum
-}
-
-// zeroTail seeds SumFlats rebuilds; portAggregate installs the real
-// members-union tail immediately afterwards.
-type zeroTail struct{}
-
-func (zeroTail) Bits(float64) float64  { return 0 }
-func (zeroTail) LongTermRate() float64 { return 0 }

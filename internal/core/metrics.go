@@ -95,10 +95,8 @@ var (
 		"Descriptor chains lowered into flat breakpoint arrays (stage-0 envelopes and receiver-side conversions).")
 	mFlatFallbacks = obs.Default.Counter("fafnet_cac_flat_fallbacks_total",
 		"Envelope evaluations that fell back to the closure-tree path because a chain had no exact flat lowering (e.g. shaped connections).")
-	mFlatAggDeltas = obs.Default.Counter("fafnet_cac_flat_agg_deltas_total",
-		"Incremental updates of materialized per-port aggregate envelopes (one member flat added or subtracted).")
 	mFlatAggRebuilds = obs.Default.Counter("fafnet_cac_flat_agg_rebuilds_total",
-		"Per-port aggregate envelopes rebuilt from scratch (first use, membership churn past the delta budget, or drift-bound refresh).")
+		"Per-port aggregate envelopes summed from their member flats: one per FIFO-port analysis on the flat path, that is, per port-verdict cache miss.")
 )
 
 func probeCutoffs(at string) *obs.Counter {

@@ -1,0 +1,190 @@
+package core
+
+import (
+	"fmt"
+	"math"
+	"math/rand"
+	"testing"
+
+	"fafnet/internal/topo"
+	"fafnet/internal/traffic"
+)
+
+// churnDriver is the admit/release sequence of the benchmark's churn
+// workload against a one-lane controller: the paper's source from a random
+// free host to a random remote one under a class deadline, the oldest
+// connections released first so that at most `standing` stand.
+type churnDriver struct {
+	t        *testing.T
+	ctl      *Sharded
+	rng      *rand.Rand
+	source   traffic.Descriptor
+	standing int
+	free     []topo.HostID
+	held     []ConnSpec // admission order, oldest first
+}
+
+func newChurnDriver(t *testing.T, standing int) *churnDriver {
+	t.Helper()
+	ctl, err := NewSharded(defaultNet(t), Options{}, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	src, err := traffic.NewDualPeriodic(50e3, 0.010, 10e3, 0.001, 100e6)
+	if err != nil {
+		t.Fatal(err)
+	}
+	d := &churnDriver{t: t, ctl: ctl, rng: rand.New(rand.NewSource(1)), source: src, standing: standing}
+	cfg := ctl.Network().Config()
+	for r := 0; r < cfg.NumRings; r++ {
+		for h := 0; h < cfg.HostsPerRing; h++ {
+			d.free = append(d.free, topo.HostID{Ring: r, Index: h})
+		}
+	}
+	return d
+}
+
+// admit releases down to standing−1 connections and requests one more under
+// the given id, drawn as the benchmark draws it.
+func (d *churnDriver) admit(id string) Decision {
+	d.t.Helper()
+	for len(d.held) >= d.standing {
+		oldest := d.held[0]
+		if !d.ctl.Release(oldest.ID) {
+			d.t.Fatalf("release %s: not held", oldest.ID)
+		}
+		d.held, d.free = d.held[1:], append(d.free, oldest.Src)
+	}
+	cfg := d.ctl.Network().Config()
+	i := d.rng.Intn(len(d.free))
+	src := d.free[i]
+	dstRing := d.rng.Intn(cfg.NumRings - 1)
+	if dstRing >= src.Ring {
+		dstRing++
+	}
+	spec := ConnSpec{
+		ID:       id,
+		Src:      src,
+		Dst:      topo.HostID{Ring: dstRing, Index: d.rng.Intn(cfg.HostsPerRing)},
+		Source:   d.source,
+		Deadline: 0.030 + 0.005*float64(d.rng.Intn(8)),
+	}
+	dec, err := d.ctl.RequestAdmission(spec)
+	if err != nil {
+		d.t.Fatalf("admit %s: %v", id, err)
+	}
+	if dec.Admitted {
+		d.held, d.free = append(d.held, spec), append(d.free[:i], d.free[i+1:]...)
+	}
+	return dec
+}
+
+// TestWarmLaneEqualsFreshAnalyzer is the property the port aggregates are
+// summed afresh for: a delay is a function of the connection set alone. After
+// every admit of a 600-admit churn, the delays the warm lane reports — and
+// the delays the admitting decision carried — are, bit for bit, those of an
+// analyzer that has never seen another set.
+func TestWarmLaneEqualsFreshAnalyzer(t *testing.T) {
+	d := newChurnDriver(t, 6)
+	compared, differ := 0, 0
+	for i := 0; i < 600; i++ {
+		dec := d.admit(fmt.Sprintf("w%d", i))
+		if !dec.Admitted {
+			continue
+		}
+		fresh, err := NewAnalyzer(d.ctl.Network(), d.ctl.Options().Analysis)
+		if err != nil {
+			t.Fatal(err)
+		}
+		want, err := fresh.Delays(d.ctl.Connections())
+		if err != nil {
+			t.Fatal(err)
+		}
+		report, err := d.ctl.DelayReport()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(report) != len(want) {
+			t.Fatalf("admit %d: the lane reports %d delays, a fresh analyzer %d", i, len(report), len(want))
+		}
+		for id, w := range want {
+			compared++
+			if got := report[id]; !sameFloatBits(got, w) {
+				differ++
+				t.Errorf("admit %d, %s: the warm lane reports %v (%#x), a fresh analyzer %v (%#x)",
+					i, id, got, math.Float64bits(got), w, math.Float64bits(w))
+			}
+		}
+		for id, got := range dec.Delays {
+			compared++
+			if w := want[id]; !sameFloatBits(got, w) {
+				differ++
+				t.Errorf("admit %d, %s: the decision carried %v (%#x), a fresh analyzer %v (%#x)",
+					i, id, got, math.Float64bits(got), w, math.Float64bits(w))
+			}
+		}
+	}
+	if compared < 3000 {
+		t.Fatalf("only %d delays compared: the churn no longer holds a standing set", compared)
+	}
+	if differ > 0 {
+		t.Fatalf("%d of %d delays differ", differ, compared)
+	}
+}
+
+// TestPerConnectionCachesStayBounded: clients that reuse a handful of ids
+// with unchanged specs never trip the spec-change purge or the tracked-id
+// cap, and every decision probes allocations the candidate's maps have not
+// seen. Each per-connection map must stay within maxDstEntries all the same.
+func TestPerConnectionCachesStayBounded(t *testing.T) {
+	if testing.Short() {
+		t.Skip("3,000 admit/release operations")
+	}
+	// One id per host with a fixed destination and deadline, so a reused id
+	// always carries the spec its caches were filled under.
+	d := newChurnDriver(t, 1<<30)
+	specs := make([]ConnSpec, len(d.free))
+	for i, src := range d.free {
+		specs[i] = ConnSpec{
+			ID:       fmt.Sprintf("h%d", i),
+			Src:      src,
+			Dst:      topo.HostID{Ring: (src.Ring + 1) % d.ctl.Network().Config().NumRings, Index: src.Index},
+			Source:   d.source,
+			Deadline: 0.050,
+		}
+	}
+	up := make([]bool, len(specs))
+	for op := 0; op < 3000; op++ {
+		i := d.rng.Intn(len(specs))
+		if up[i] {
+			if !d.ctl.Release(specs[i].ID) {
+				t.Fatalf("op %d: release %s: not held", op, specs[i].ID)
+			}
+			up[i] = false
+			continue
+		}
+		dec, err := d.ctl.RequestAdmission(specs[i])
+		if err != nil {
+			t.Fatalf("op %d: admit %s: %v", op, specs[i].ID, err)
+		}
+		up[i] = dec.Admitted
+	}
+	an := d.ctl.acquireLane()
+	defer d.ctl.releaseLane(an)
+	mac, stage0 := 0, 0
+	for id, byH := range an.macCache {
+		if len(byH) > maxDstEntries {
+			t.Errorf("macCache[%s] holds %d allocations, cap %d", id, len(byH), maxDstEntries)
+		}
+		mac += len(byH)
+	}
+	for id, byH := range an.stage0Cache {
+		if len(byH) > maxDstEntries {
+			t.Errorf("stage0Cache[%s] holds %d allocations, cap %d", id, len(byH), maxDstEntries)
+		}
+		stage0 += len(byH)
+	}
+	// With every map within its cap the totals are within ids × cap; at the
+	// parent commit they read 38,100 and 34,154 here, linear in the op count.
+	t.Logf("%d sender-MAC entries, %d stage-0 envelopes on %d ids", mac, stage0, len(specs))
+}

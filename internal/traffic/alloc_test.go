@@ -128,21 +128,23 @@ func TestSumIntoAllocationFree(t *testing.T) {
 	}
 }
 
-// TestDeltaUpdateAllocationFree pins the aggregate delta-update cycle the
-// analyzer runs per probe — subtract the changed member, add its replacement
-// — at zero allocations on warm scratch.
-func TestDeltaUpdateAllocationFree(t *testing.T) {
+// TestWorkspaceSumAllocationFree pins the fold the analyzer runs per port
+// analysis — three members, and the one-member copy — at zero allocations
+// once the workspace's two arrays have grown.
+func TestWorkspaceSumAllocationFree(t *testing.T) {
 	a, b := flatPair(t)
-	agg := traffic.SumFlats(traffic.NewAggregate(a.Tail(), b.Tail()), a, b)
-	scratch := &traffic.Flat{}
-	cur := &traffic.Flat{}
-	traffic.SubInto(scratch, agg, b) // sizes both scratches
-	traffic.SumInto(cur, scratch, b)
+	cbr, err := traffic.NewCBR(4e6)
+	if err != nil {
+		t.Fatal(err)
+	}
+	three := []*traffic.Flat{a, b, traffic.Flatten(cbr, 64e-3)}
+	var ws traffic.Workspace
+	ws.Sum(three) // sizes the arrays
 	if n := testing.AllocsPerRun(100, func() {
-		traffic.SubInto(scratch, cur, b)
-		traffic.SumInto(cur, scratch, b)
+		ws.Sum(three)
+		ws.Sum(three[:1])
 	}); n != 0 {
-		t.Errorf("warm delta update: %v allocs per run, want 0", n)
+		t.Errorf("warm Workspace.Sum: %v allocs per run, want 0", n)
 	}
 }
 

@@ -65,23 +65,6 @@ var _ BreakpointAppender = (*Flat)(nil)
 // so the bound trades window size, never correctness.
 const maxFlatSegments = 1 << 14
 
-// NewFlat assembles a Flat from parallel breakpoint arrays. ts must be
-// strictly increasing and start at 0, vs and ss must have the same length,
-// horizon must be at least the last breakpoint, and tail must be the exact
-// descriptor the array represents (consulted beyond the horizon and for
-// Breakpoints). The slices are NOT copied; the caller yields ownership.
-func NewFlat(ts, vs, ss []float64, horizon float64, tail Descriptor) *Flat {
-	if len(ts) == 0 || len(ts) != len(vs) || len(ts) != len(ss) || ts[0] != 0 || tail == nil || horizon < ts[len(ts)-1] {
-		return nil
-	}
-	for i := 1; i < len(ts); i++ {
-		if !(ts[i] > ts[i-1]) {
-			return nil
-		}
-	}
-	return &Flat{ts: ts, vs: vs, ss: ss, horizon: horizon, tail: tail, rho: tail.LongTermRate()}
-}
-
 // Horizon returns the upper end of the window the breakpoint array covers;
 // evaluations beyond it delegate to the tail chain.
 func (f *Flat) Horizon() float64 { return f.horizon }
@@ -183,8 +166,8 @@ func (f *Flat) cachedBreakpoints(horizon float64) []float64 {
 // AppendBreakpoints implements BreakpointAppender: the cached list when it
 // covers the horizon, the tail chain's own enumeration otherwise — without
 // filling the cache, so a single-use flat (the receiver-side reassembly of a
-// probe, a port aggregate between two membership changes) materializes
-// nothing it will not be asked for again.
+// probe, a port aggregate) materializes nothing it will not be asked for
+// again.
 func (f *Flat) AppendBreakpoints(dst []float64, horizon float64) []float64 {
 	if horizon <= 0 {
 		return dst
@@ -633,7 +616,7 @@ func SumFlats(tail Descriptor, flats ...*Flat) *Flat {
 	for _, f := range flats[1:] {
 		dst := &Flat{}
 		dst.ensure(acc.Segments() + f.Segments())
-		mergeLinear(dst, acc, f, 1)
+		mergeLinear(dst, acc, f)
 		dst.tail = tail
 		acc = dst
 	}
@@ -641,7 +624,7 @@ func SumFlats(tail Descriptor, flats ...*Flat) *Flat {
 		// Single input: copy, so the caller may mutate the result freely.
 		dst := &Flat{}
 		dst.ensure(acc.Segments())
-		mergeLinear(dst, acc, acc.zero(), 1)
+		mergeLinear(dst, acc, acc.zero())
 		acc = dst
 	}
 	acc.tail = tail
@@ -650,7 +633,7 @@ func SumFlats(tail Descriptor, flats ...*Flat) *Flat {
 }
 
 // zero returns an all-zero flat over the same horizon, used to express copy
-// and negate through the one merge kernel.
+// through the one merge kernel.
 func (f *Flat) zero() *Flat {
 	return &Flat{ts: []float64{0}, vs: []float64{0}, ss: []float64{0}, horizon: f.horizon, tail: zeroDesc{}}
 }
@@ -680,22 +663,11 @@ func (f *Flat) ensure(n int) {
 func SumInto(dst, a, b *Flat) {
 	dst.ensure(a.Segments() + b.Segments())
 	dst.ensureTail(a, b)
-	mergeLinear(dst, a, b, 1)
-}
-
-// SubInto writes the exact difference a − b into dst under the same scratch
-// contract as SumInto. It is the release half of aggregate delta-updates:
-// subtracting a departed member's flat from a materialized sum. The caller
-// owns the tail (a difference has no canonical chain); dst keeps whatever
-// tail it has, so seed dst via SumFlats or set Retail before evaluating
-// beyond the horizon.
-func SubInto(dst, a, b *Flat) {
-	dst.ensure(a.Segments() + b.Segments())
-	mergeLinear(dst, a, b, -1)
+	mergeLinear(dst, a, b)
 }
 
 // flatTail aggregates member tails for a scratch sum without rebuilding a
-// descriptor per update: the members slice is rewritten in place.
+// descriptor per sum: the members slice is rewritten in place.
 type flatTail struct {
 	members []Descriptor
 }
@@ -780,25 +752,9 @@ func (t *flatTail) AppendBreakpoints(dst []float64, horizon float64) []float64 {
 	return dst
 }
 
-// NewMemberTail returns a reusable members-union tail for materialized sums:
-// Bits and LongTermRate sum the members, Breakpoints unions them. Passing the
-// member Flats themselves (rather than their chains) makes every beyond-window
-// evaluation and every breakpoint union go through the members' own fast paths
-// and caches.
-func NewMemberTail() *MemberTail { return &MemberTail{} }
-
-// MemberTail is the exported handle for a reusable members-union tail; see
-// NewMemberTail.
-type MemberTail = flatTail
-
-// SetMembers replaces the member set in place, reusing the backing array.
-func (t *flatTail) SetMembers(ms ...Descriptor) {
-	t.members = append(t.members[:0], ms...)
-}
-
 // ensureTail points dst's tail at a flatTail over a's and b's tails, reusing
 // the existing flatTail (and its backing array, when large enough) so warm
-// updates stay allocation-free.
+// sums stay allocation-free.
 func (dst *Flat) ensureTail(a, b *Flat) {
 	ft, ok := dst.tail.(*flatTail)
 	if !ok {
@@ -808,24 +764,14 @@ func (dst *Flat) ensureTail(a, b *Flat) {
 	ft.members = append(ft.members[:0], a.tail, b.tail)
 }
 
-// Retail replaces the tail chain (and the cached breakpoints derived from
-// it). Use it after delta-updates when the canonical chain of the result is
-// known — e.g. the Aggregate over the current member set.
-func (f *Flat) Retail(tail Descriptor) {
-	f.tail = tail
-	f.rho = tail.LongTermRate()
-	f.bp = nil
-	f.bpH = 0
-}
-
-// mergeLinear writes a + sign·b into dst over the union of breakpoints,
-// clipped to the smaller horizon. It is the aggregate delta-update kernel —
-// one admit, release, or probe step adds or subtracts one connection's flat
-// from a materialized sum — and runs on preallocated scratch: the caller
-// (SumInto/SubInto) has sized dst, so the kernel only writes by index.
+// mergeLinear writes a + b into dst over the union of breakpoints, clipped to
+// the smaller horizon. It is the one summation kernel — SumFlats, SumInto and
+// Workspace.Sum all fold through it, so "the sum" of a member list has one
+// association and one interpolation — and runs on preallocated scratch: the
+// caller has sized dst, so the kernel only writes by index.
 //
 //fafvet:hotpath
-func mergeLinear(dst, a, b *Flat, sign float64) {
+func mergeLinear(dst, a, b *Flat) {
 	h := math.Min(a.horizon, b.horizon)
 	na, nb := len(a.ts), len(b.ts)
 	ts := dst.ts[:cap(dst.ts)]
@@ -865,47 +811,16 @@ func mergeLinear(dst, a, b *Flat, sign float64) {
 			sb = b.ss[p]
 		}
 		ts[k] = t
-		vs[k] = va + sign*vb
-		ss[k] = sa + sign*sb
+		vs[k] = va + vb
+		ss[k] = sa + sb
 		k++
 	}
 	dst.ts = ts[:k]
 	dst.vs = vs[:k]
 	dst.ss = ss[:k]
 	dst.horizon = h
-	dst.rho = a.rho + sign*b.rho
+	dst.rho = a.rho + b.rho
 	dst.hint = 0
 	dst.bp = nil
 	dst.bpH = 0
-}
-
-// Compact drops breakpoints that are collinear with their predecessor within
-// the given relative tolerance, in place. Delta-updated aggregates grow
-// residual vertices from departed members (their times remain, carrying the
-// float dust of an add followed by a subtract); compaction keeps the array
-// bounded while moving values by at most tol relative. Returns the number of
-// breakpoints removed.
-func (f *Flat) Compact(tol float64) int {
-	n := len(f.ts)
-	if n < 2 {
-		return 0
-	}
-	k := 1
-	for i := 1; i < n; i++ {
-		pt, pv, ps := f.ts[k-1], f.vs[k-1], f.ss[k-1]
-		predicted := pv + ps*(f.ts[i]-pt)
-		scale := math.Max(math.Abs(predicted), math.Abs(f.vs[i]))
-		sScale := math.Max(math.Abs(ps), math.Abs(f.ss[i]))
-		if math.Abs(f.vs[i]-predicted) <= tol*scale+units.Eps && math.Abs(f.ss[i]-ps) <= tol*sScale+units.Eps {
-			continue
-		}
-		f.ts[k], f.vs[k], f.ss[k] = f.ts[i], f.vs[i], f.ss[i]
-		k++
-	}
-	removed := n - k
-	f.ts = f.ts[:k]
-	f.vs = f.vs[:k]
-	f.ss = f.ss[:k]
-	f.hint = 0
-	return removed
 }

@@ -294,68 +294,6 @@ func TestSumFlatsMatchesAggregate(t *testing.T) {
 	checkAgreement(t, "sum", agg, sum, probePoints(agg, flatTestHorizon, rng))
 }
 
-// TestDeltaUpdateRoundTrip drives the incremental-aggregate cycle the
-// analyzer runs per probe — subtract one member, add a replacement — and
-// checks the delta-updated aggregate stays pointwise equal to a from-scratch
-// sum of the current member set, through many cycles.
-func TestDeltaUpdateRoundTrip(t *testing.T) {
-	cases := flatCases(t)
-	base := []Descriptor{cases["periodic"], cases["dual"], cases["cbr"]}
-	flats := make([]*Flat, len(base))
-	for i, m := range base {
-		flats[i] = Flatten(m, flatTestHorizon)
-	}
-	agg := SumFlats(NewAggregate(base...), flats...)
-
-	rng := rand.New(rand.NewSource(11))
-	scratch := &Flat{}
-	cur := agg
-	members := append([]*Flat(nil), flats...)
-	for cycle := 0; cycle < 50; cycle++ {
-		// Replace a random member with a fresh random Periodic.
-		idx := rng.Intn(len(members))
-		p, err := NewPeriodic(20000+rng.Float64()*80000, []float64{5e-3, 8e-3, 10e-3}[rng.Intn(3)], 100e6)
-		if err != nil {
-			t.Fatal(err)
-		}
-		nf := Flatten(p, flatTestHorizon)
-		SubInto(scratch, cur, members[idx])
-		SumInto(cur, scratch, nf)
-		members[idx] = nf
-
-		tails := make([]Descriptor, len(members))
-		for i, m := range members {
-			tails[i] = m.Tail()
-		}
-		ref := SumFlats(NewAggregate(tails...), members...)
-		for trial := 0; trial < 40; trial++ {
-			pt := rng.Float64() * flatTestHorizon
-			got, want := cur.Bits(pt), ref.Bits(pt)
-			if !units.WithinRel(got, want, units.RelTol) {
-				t.Fatalf("cycle %d: Bits(%v) incremental=%v scratch=%v", cycle, pt, got, want)
-			}
-		}
-	}
-	// Compaction keeps residual vertices from departed members bounded
-	// without moving values beyond its tolerance.
-	before := cur.Segments()
-	probe := make([]float64, 200)
-	want := make([]float64, len(probe))
-	for i := range probe {
-		probe[i] = rng.Float64() * cur.Horizon()
-		want[i] = cur.Bits(probe[i])
-	}
-	removed := cur.Compact(units.RelTol)
-	if cur.Segments()+removed != before {
-		t.Fatalf("Compact accounting: %d segments + %d removed != %d before", cur.Segments(), removed, before)
-	}
-	for i, pt := range probe {
-		if !units.WithinRel(cur.Bits(pt), want[i], 1e-8) {
-			t.Fatalf("Compact moved Bits(%v): %v -> %v", pt, want[i], cur.Bits(pt))
-		}
-	}
-}
-
 // TestMergeLinearClipsToSharedHorizon: the merge result covers only the
 // window both operands cover exactly; the tail serves the rest.
 func TestMergeLinearClipsToSharedHorizon(t *testing.T) {

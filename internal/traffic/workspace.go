@@ -1,6 +1,9 @@
 package traffic
 
-import "math/bits"
+import (
+	"math/bits"
+	"slices"
+)
 
 // Workspace is a free list of []float64 scratch buffers, by power-of-two
 // size class, for the per-analysis working set of the server analyses:
@@ -26,6 +29,11 @@ type Workspace struct {
 	// like the class buffers; keeping the one buffer means it grows to the
 	// deepest horizon seen and then stays.
 	bp []float64
+
+	// sum holds the two breakpoint arrays Sum folds between, and sumTail the
+	// members-union tail it installs on the result.
+	sum     [2]Flat
+	sumTail flatTail
 }
 
 const (
@@ -83,4 +91,40 @@ func (w *Workspace) Put(b []float64) {
 		w.free[c][k] = b[:0]
 		w.n[c] = k + 1
 	}
+}
+
+// Sum returns the exact sum of the given flats: SumFlats' left fold through
+// the same merge kernel, so vertex for vertex and bit for bit the same array,
+// built in two arrays the workspace keeps and allocation-free once they have
+// grown. The tail is the members-union over the flats themselves (not their
+// chains), so evaluations beyond the shared window and breakpoint unions go
+// through the members' own fast paths and caches.
+//
+// The flats are only read, and the result is a copy even for one member —
+// members are arrays some cache hands out again, while the result is
+// overwritten by the next Sum on this workspace and is valid only until then.
+// Returns nil when no input or a nil input is given.
+func (w *Workspace) Sum(flats []*Flat) *Flat {
+	if len(flats) == 0 || slices.Contains(flats, nil) {
+		return nil
+	}
+	w.sumTail.members = w.sumTail.members[:0]
+	for _, f := range flats {
+		w.sumTail.members = append(w.sumTail.members, f)
+	}
+	acc := flats[0]
+	if len(flats) == 1 {
+		dst := &w.sum[0]
+		dst.ensure(acc.Segments())
+		mergeLinear(dst, acc, acc.zero())
+		acc = dst
+	}
+	for i, f := range flats[1:] {
+		dst := &w.sum[i&1]
+		dst.ensure(acc.Segments() + f.Segments())
+		mergeLinear(dst, acc, f)
+		acc = dst
+	}
+	acc.tail = &w.sumTail
+	return acc
 }
