@@ -104,12 +104,7 @@ func AnalyzeMux(inputs []traffic.Descriptor, p MuxParams, opts MuxOptions) (MuxR
 			return MuxResult{}, fmt.Errorf("atm: input %d is nil", i)
 		}
 	}
-	// The aggregate is scanned twice over largely the same points (busy-period
-	// search, then the extremum pass over the merged grid) and its breakpoint
-	// union is re-requested at every doubled horizon; the memo makes each
-	// distinct point cost one chain walk total instead of one per scan.
-	agg := traffic.NewMemoized(traffic.NewAggregate(inputs...))
-	res, err := AnalyzeAggregate(agg, p, opts)
+	res, err := AnalyzeAggregate(traffic.NewAggregate(inputs...), p, opts)
 	if err != nil {
 		return MuxResult{}, err
 	}

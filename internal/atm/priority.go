@@ -62,9 +62,7 @@ func AnalyzePriorityMux(classes []PriorityClass, p MuxParams, opts MuxOptions) (
 			}
 		}
 		cumulative = append(cumulative, class.Inputs...)
-		// Same memoization as AnalyzeMux: the busy-period search and the
-		// extremum pass revisit the same grid points.
-		agg := traffic.NewMemoized(traffic.NewAggregate(cumulative...))
+		agg := traffic.NewAggregate(cumulative...)
 		if agg.LongTermRate() >= p.CapacityBps*(1-units.RelTol) {
 			return PriorityMuxResult{}, fmt.Errorf("%w: classes 0..%d carry %v bps, C=%v bps",
 				ErrMuxOverload, k, agg.LongTermRate(), p.CapacityBps)

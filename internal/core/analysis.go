@@ -24,50 +24,25 @@ var errInfeasible = errors.New("core: no finite delay bound")
 
 // Analyzer computes network-wide worst-case delays by propagating traffic
 // envelopes along every connection's server chain and analyzing each shared
-// FIFO port with the envelopes of all connections that traverse it. It
-// caches the expensive sender-MAC analyses across evaluations (an existing
-// connection's source envelope does not depend on any other connection's
-// allocation). Analyzer is not safe for concurrent use.
+// FIFO port with the envelopes of all connections that traverse it. What it
+// learns about a connection — none of which depends on any other connection's
+// allocation except through the keys it is stored under — is kept across
+// evaluations in one record per connection id. Analyzer is not safe for
+// concurrent use.
 type Analyzer struct {
 	net  *topo.Network
 	opts AnalysisOptions
-	// macCache memoizes sender-MAC results, keyed first by connection and
-	// then by the probed allocation H: valid as long as the connection's
-	// source descriptor is unchanged. The two-level shape makes purging an id
-	// an O(1) delete instead of a scan over every (connection, H) pair. Each
-	// per-connection map holds at most maxDstEntries allocations.
-	macCache map[string]map[float64]macEntry
-	// stage0Cache carries each connection's fused, memoized envelope at the
-	// entrance of its first shared port across evaluations, keyed like
-	// macCache by the sender allocation it was built with: a CAC bisection
-	// revisits the same handful of allocations, and each entry (with every
-	// Bits value its memo accumulates, and its lowered flat's pointer
-	// identity) stays valid until the id is purged. Unused under DisableFusion.
-	stage0Cache map[string]map[float64]stage0Entry
-	// stageFlats caches each connection's per-stage flat envelopes across
-	// evaluations, keyed by the exact inputs that determine them: the sender
-	// allocation and the worst-case delays of the upstream ports on the
-	// route. Admission probes and releases revisit the same global states,
-	// so the same keys — and therefore the same pointer-stable arrays —
-	// recur, which in turn lets portMux and dstCache key entire analysis
-	// results by flat identity.
-	stageFlats map[string][]stageFlatEntry
+	// conns holds the one cache record per connection id. Every evaluation
+	// revalidates its connections against it and starts a fresh record for an
+	// id whose spec changed, so cached state survives a release (an
+	// admit/release/re-admit cycle — the steady state of a CAC — reuses
+	// everything) without a reused id ever seeing another spec's results.
+	conns map[string]*connCache
 	// portMux caches FIFO-port analysis results keyed by the exact member
 	// flat set (pointer identity, in evaluation order): a port whose members
 	// all match a previously analyzed state reuses the delay verbatim. Flats
 	// are value-immutable, so pointer equality implies envelope equality.
 	portMux map[topo.PortID][]portMuxEntry
-	// dstCache caches receiver-MAC analyses keyed by the connection's flat
-	// envelope entering the destination (pointer identity) and the receiver
-	// allocation — together they pin every input of the Theorem 1 analysis.
-	dstCache map[string]map[dstKey]macEntry
-	// specs records, per connection id, the specification the per-connection
-	// caches above were populated under. Every evaluation revalidates its
-	// connections against this map and purges an id whose spec changed, so
-	// cached state survives a release (an admit/release/re-admit cycle — the
-	// steady state of a CAC — reuses everything) without a reused id ever
-	// seeing another spec's results.
-	specs map[string]ConnSpec
 	// stats accumulates cache hit/miss counts over the analyzer's lifetime.
 	stats CacheStats
 	// ws is the scratch every MAC and mux analysis of this analyzer takes its
@@ -78,26 +53,45 @@ type Analyzer struct {
 	ws traffic.Workspace
 }
 
-type stage0Entry struct {
-	env traffic.Descriptor
-	// flat is env lowered into a flat breakpoint array (nil when the chain
-	// has no exact lowering, e.g. shaped connections); flatTried
-	// distinguishes "not lowered yet" from "not lowerable". Cached beside
-	// env so the array — and its pointer identity, which portMux and dstCache
-	// key results by — survives across evaluations exactly as long as the
-	// fused envelope does.
-	flat      *traffic.Flat
-	flatTried bool
+// connCache is everything the analyzer remembers about one connection, valid
+// for exactly the spec it was filled under. Each map is keyed by the exact
+// inputs that determine its values, so an entry is a pure function of its
+// key: admission probes and releases revisit the same global states, the same
+// keys recur, and with them the same pointer-stable flats — which is what
+// lets stage, dst and portMux key whole analysis results by flat identity.
+type connCache struct {
+	spec ConnSpec
+	// src is keyed by the sender allocation H_S.
+	src map[float64]*srcEntry
+	// stage holds the flat envelopes entering the second and later ports of
+	// the route.
+	stage map[stageKey]*traffic.Flat
+	// dst holds the receiver-MAC analyses (Theorem 1 on the destination ring).
+	dst map[dstKey]macEntry
 }
 
-// stageFlatEntry is one cached per-stage flat: the envelope of a connection
-// entering route port `stage`, valid whenever the sender allocation and the
-// upstream port delays match exactly.
-type stageFlatEntry struct {
-	stage int
-	h     float64
-	ds    []float64 // worst-case delays of ports 0..stage-1, exact
-	flat  *traffic.Flat
+// srcEntry is what one sender allocation determines: the sender-MAC analysis
+// and, once an evaluation has asked for it, the envelope entering the first
+// shared port (nil until then, and for good when the MAC has no finite bound).
+type srcEntry struct {
+	mac macEntry
+	env traffic.Descriptor
+}
+
+// stageKey identifies the envelope entering a later port: the flat that
+// entered the port upstream — itself cached under the sender allocation and
+// the delays further upstream, so its identity stands for all of them — and
+// that port's worst-case delay.
+type stageKey struct {
+	prev  *traffic.Flat
+	delay float64
+}
+
+// dstKey identifies a receiver-MAC analysis: the flat envelope entering the
+// destination interface device and the receiver allocation.
+type dstKey struct {
+	flat *traffic.Flat
+	hr   float64
 }
 
 // portMuxEntry is one cached FIFO-port analysis: the member flats it was
@@ -109,30 +103,62 @@ type portMuxEntry struct {
 	err   error
 }
 
-// dstKey identifies a receiver-MAC analysis: the flat envelope entering the
-// destination interface device and the receiver allocation.
-type dstKey struct {
-	flat *traffic.Flat
-	hr   float64
-}
-
-// Per-key cache entry caps. One CAC bisection at a busy port generates on
-// the order of a hundred distinct states (each probed allocation shifts
-// every downstream envelope), and the same states recur on the next
-// admission of the same spec, so the caps must hold a full bisection's
-// working set or every iteration recomputes it. On overflow the older half
-// of a list is dropped — the recurring keys are the recently used ones — and
-// a per-connection map (dstCache, macCache, stage0Cache: all capped by
-// maxDstEntries) is cleared.
-const (
-	maxStageFlatEntries = 512
-	maxPortMuxEntries   = 256
-	maxDstEntries       = 512
-)
-
 type macEntry struct {
 	res fddi.MACResult
 	err error
+}
+
+// Cache caps. One CAC bisection at a busy port generates on the order of a
+// hundred distinct states (each probed allocation shifts every downstream
+// envelope), and the same states recur on the next admission of the same
+// spec, so the caps must hold a full bisection's working set or every
+// iteration recomputes it. A map of a connection record that an insert finds
+// full is cleared (see remember); a port's verdict list drops its older half,
+// the recurring member sets being the recently used ones.
+const (
+	maxConnEntries    = 512
+	maxPortMuxEntries = 256
+)
+
+// flatHorizon is the window (seconds) over which the analyzer materializes
+// flat breakpoint arrays: a few TTRTs, enough for the mux busy periods and the
+// busy intervals of lightly loaded rings, while keeping every cached array
+// small. A scan that walks deeper — a receiver MAC near its stability limit
+// has a busy interval of hundreds of rotations — evaluates the few hundred
+// points it visits beyond the window through the flat's exact tail chain;
+// lowering the envelope out to that depth first would cost ten thousand
+// vertices for an array nothing reads again. The constant trades speed, never
+// correctness.
+const flatHorizon = 0.025
+
+// remember stores v under k in one map of a connection record. An id that
+// keeps its spec keeps its record, and every decision probes allocations the
+// maps have not seen, so each is bounded: an insert that finds the map at
+// maxConnEntries clears it first. Flats rebuilt after a clear are new arrays
+// with the old values, so the caches keyed by flat identity miss once and no
+// result moves.
+func remember[K comparable, V any](m *map[K]V, k K, v V) {
+	switch {
+	case *m == nil:
+		// A decision probes up to 2·SearchIters + 4 allocations (two
+		// bisections with their starting points, the segment maximum, the
+		// chosen point): 28 at the default 12 iterations.
+		*m = make(map[K]V, 32)
+	case len(*m) >= maxConnEntries:
+		clear(*m)
+	}
+	(*m)[k] = v
+}
+
+// chain returns the descriptor chain to compose further transforms on: a
+// flat's tail — the fused chain it was lowered from — and anything else
+// itself. Handing a transform the flat would hide the chain's Quantized and
+// Delayed nodes from Fuse, whose Q∘Q and D∘D rules then stop firing.
+func chain(env traffic.Descriptor) traffic.Descriptor {
+	if f, ok := env.(*traffic.Flat); ok {
+		return f.Tail()
+	}
+	return env
 }
 
 // NewAnalyzer builds an analyzer for the given network.
@@ -141,14 +167,10 @@ func NewAnalyzer(net *topo.Network, opts AnalysisOptions) (*Analyzer, error) {
 		return nil, errors.New("core: Analyzer requires a network")
 	}
 	a := &Analyzer{
-		net:         net,
-		opts:        opts,
-		macCache:    make(map[string]map[float64]macEntry),
-		stage0Cache: make(map[string]map[float64]stage0Entry),
-		stageFlats:  make(map[string][]stageFlatEntry),
-		portMux:     make(map[topo.PortID][]portMuxEntry),
-		dstCache:    make(map[string]map[dstKey]macEntry),
-		specs:       make(map[string]ConnSpec),
+		net:     net,
+		opts:    opts,
+		conns:   make(map[string]*connCache),
+		portMux: make(map[topo.PortID][]portMuxEntry),
 	}
 	// The workspace is the analyzer's own even when the caller's options
 	// carry one: options are copied between analyzers (one per lane), a
@@ -166,36 +188,28 @@ func NewAnalyzer(net *topo.Network, opts AnalysisOptions) (*Analyzer, error) {
 // stage-0 state.
 const maxTrackedConns = 256
 
-// revalidate checks connection c against the spec its cached state was built
-// under, purging the per-connection caches when the id is new or the spec
-// changed. It makes cache reuse safe across releases: stale state cannot leak
-// into a reused id because the first evaluation that sees the new spec
-// drops it. current is the connection set of the evaluation being built.
-func (a *Analyzer) revalidate(c *Connection, current map[string]*Connection) {
-	if old, ok := a.specs[c.ID]; ok && sameSpec(old, c.ConnSpec) {
-		return
+// revalidate returns connection c's cache record, starting a fresh one when
+// the id is new or its spec differs from the one the record was filled under.
+// It makes cache reuse safe across releases: stale state cannot leak into a
+// reused id because the first evaluation that sees the new spec drops it.
+// current is the connection set of the evaluation being built.
+func (a *Analyzer) revalidate(c *Connection, current map[string]*Connection) *connCache {
+	if rec, ok := a.conns[c.ID]; ok && sameSpec(rec.spec, c.ConnSpec) {
+		return rec
 	}
-	if len(a.specs) >= maxTrackedConns {
-		for id := range a.specs {
+	if len(a.conns) >= maxTrackedConns {
+		for id := range a.conns {
 			if _, standing := current[id]; !standing {
-				a.purge(id)
-				delete(a.specs, id)
+				delete(a.conns, id)
 			}
 		}
 		// Port verdicts are keyed by member flats; those of the evicted ids
 		// can never match again and age out of the per-port lists, those of
 		// the standing set stay valid.
 	}
-	a.purge(c.ID)
-	a.specs[c.ID] = c.ConnSpec
-}
-
-// purge drops every per-connection cache entry for the given id.
-func (a *Analyzer) purge(connID string) {
-	delete(a.macCache, connID)
-	delete(a.stage0Cache, connID)
-	delete(a.stageFlats, connID)
-	delete(a.dstCache, connID)
+	rec := &connCache{spec: c.ConnSpec}
+	a.conns[c.ID] = rec
+	return rec
 }
 
 // sameSpec reports whether two specifications are identical for caching
@@ -243,19 +257,7 @@ func (a *Analyzer) Delays(conns []*Connection) (map[string]float64, error) {
 	if err != nil {
 		return nil, err
 	}
-	out := make(map[string]float64, len(conns))
-	for _, c := range conns {
-		d, err := ev.totalDelay(c)
-		if err != nil {
-			if errors.Is(err, errInfeasible) {
-				out[c.ID] = math.Inf(1)
-				continue
-			}
-			return nil, err
-		}
-		out[c.ID] = d
-	}
-	return out, nil
+	return ev.delays()
 }
 
 // Breakdown returns the per-server decomposition of one connection's worst
@@ -279,15 +281,20 @@ type evaluation struct {
 	a       *Analyzer
 	conns   map[string]*Connection
 	ordered []*Connection // deterministic iteration order
+	// recs holds each connection's cache record, as revalidated when the
+	// evaluation was built: the evaluation keeps filling the records of its
+	// own specs even if the analyzer has since started others for the ids.
+	recs map[string]*connCache
 
-	portDelay  map[topo.PortID]float64
-	portBusy   map[topo.PortID]bool
+	portDelay map[topo.PortID]float64
+	portBusy  map[topo.PortID]bool
+	// envMemo is the one envelope per (connection, server boundary) of
+	// Eq. 7: a *traffic.Flat wherever the fused chain lowers — the flat
+	// carries that chain as its tail — and the fused chain where it does not
+	// (shaped connections, windows a port delay has used up).
 	envMemo    map[envKey]traffic.Descriptor
 	macMemo    map[string]fddi.MACResult // sender MAC per connection this evaluation
 	shaperMemo map[string]shaper.Result  // ingress regulator per shaped connection
-	// flatMemo memoizes flatEntering per evaluation, including the nil
-	// verdict for chains with no exact lowering.
-	flatMemo map[envKey]*traffic.Flat
 
 	// prefilledDelay carries end-to-end results proven unaffected by the
 	// current probe (see ProbeSession); totalDelay returns them directly.
@@ -306,12 +313,12 @@ func (a *Analyzer) newEvaluation(conns []*Connection) (*evaluation, error) {
 	ev := &evaluation{
 		a:          a,
 		conns:      make(map[string]*Connection, len(conns)),
+		recs:       make(map[string]*connCache, len(conns)),
 		portDelay:  make(map[topo.PortID]float64, 8),
 		portBusy:   make(map[topo.PortID]bool, 8),
 		envMemo:    make(map[envKey]traffic.Descriptor, 4*len(conns)),
 		macMemo:    make(map[string]fddi.MACResult, len(conns)),
 		shaperMemo: make(map[string]shaper.Result, len(conns)),
-		flatMemo:   make(map[envKey]*traffic.Flat, 4*len(conns)),
 	}
 	for _, c := range conns {
 		if c == nil {
@@ -335,7 +342,7 @@ func (a *Analyzer) newEvaluation(conns []*Connection) (*evaluation, error) {
 	// Revalidate once the set is complete: an overflow eviction must know
 	// every connection of this evaluation, not only the ones seen so far.
 	for _, c := range ev.ordered {
-		a.revalidate(c, ev.conns)
+		ev.recs[c.ID] = a.revalidate(c, ev.conns)
 	}
 	sort.Slice(ev.ordered, func(i, j int) bool { return ev.ordered[i].ID < ev.ordered[j].ID })
 	return ev, nil
@@ -347,14 +354,14 @@ func (ev *evaluation) srcMAC(c *Connection) (fddi.MACResult, error) {
 	if res, ok := ev.macMemo[c.ID]; ok {
 		return res, nil
 	}
-	byH := ev.a.macCache[c.ID]
-	if e, ok := byH[c.HS]; ok {
+	rec := ev.recs[c.ID]
+	if e := rec.src[c.HS]; e != nil {
 		ev.a.stats.MACHits++
 		mCacheMACHits.Inc()
-		if e.err == nil {
-			ev.macMemo[c.ID] = e.res
+		if e.mac.err == nil {
+			ev.macMemo[c.ID] = e.mac.res
 		}
-		return e.res, e.err
+		return e.mac.res, e.mac.err
 	}
 	ev.a.stats.MACMisses++
 	mCacheMACMisses.Inc()
@@ -367,18 +374,7 @@ func (ev *evaluation) srcMAC(c *Connection) (fddi.MACResult, error) {
 	if err != nil {
 		err = fmt.Errorf("%w: sender MAC of %q: %v", errInfeasible, c.ID, err)
 	}
-	if byH == nil {
-		// A decision probes up to 2·SearchIters + 4 allocations (two
-		// bisections with their starting points, the segment maximum, the
-		// chosen point): 28 at the default 12 iterations.
-		byH = make(map[float64]macEntry, 32)
-		ev.a.macCache[c.ID] = byH
-	} else if len(byH) >= maxDstEntries {
-		// An id that keeps its spec is never purged, and a candidate adds
-		// fresh allocations with every decision: bound the map as dstCache is.
-		clear(byH)
-	}
-	byH[c.HS] = macEntry{res: res, err: err}
+	remember(&rec.src, c.HS, &srcEntry{mac: macEntry{res: res, err: err}})
 	if err == nil {
 		ev.macMemo[c.ID] = res
 	}
@@ -386,8 +382,8 @@ func (ev *evaluation) srcMAC(c *Connection) (fddi.MACResult, error) {
 }
 
 // envelopeHit answers an envelopeEntering query from the per-evaluation
-// memo or (for stage 0) the cross-evaluation stage-0 cache. On a warm probe
-// nearly every envelope query lands here, so the helper is annotated: the
+// memo or (for stage 0) the connection's record. On a warm probe nearly
+// every envelope query lands here, so the helper is annotated: the
 // hotpath analyzer proves the dominant path of a probe allocation-free and
 // non-blocking, while the rebuild tail below stays unannotated — it is
 // entered once per (connection, allocation) and allocates by design.
@@ -397,13 +393,13 @@ func (ev *evaluation) envelopeHit(key envKey, c *Connection) (traffic.Descriptor
 	if env, ok := ev.envMemo[key]; ok {
 		return env, true
 	}
-	if key.stage != 0 || ev.a.opts.DisableFusion {
+	if key.stage != 0 {
 		return nil, false
 	}
 	// Exact equality on the allocation: the cached envelope is valid only
 	// for precisely the h it was built with.
-	e, ok := ev.a.stage0Cache[c.ID][c.HS]
-	if !ok {
+	e := ev.recs[c.ID].src[c.HS]
+	if e == nil || e.env == nil {
 		return nil, false
 	}
 	ev.a.stats.Stage0Hits++
@@ -413,18 +409,21 @@ func (ev *evaluation) envelopeHit(key envKey, c *Connection) (traffic.Descriptor
 }
 
 // envelopeEntering returns connection c's traffic envelope at the entrance
-// of the stage-th shared port on its route.
+// of the stage-th shared port on its route (past the last port: at the
+// destination interface device). It is the one builder of envMemo. Every
+// envelope is composed on the fused chain and lowered beside it: stage 0 by
+// Flatten, a later stage by shifting the upstream flat, so nothing is lowered
+// twice and a stage-cache hit returns the very flat portMux and dst key by.
 func (ev *evaluation) envelopeEntering(c *Connection, stage int) (traffic.Descriptor, error) {
 	key := envKey{connID: c.ID, stage: stage}
 	if env, ok := ev.envelopeHit(key, c); ok {
 		return env, nil
 	}
+	rec := ev.recs[c.ID]
 	var env traffic.Descriptor
 	if stage == 0 {
-		if !ev.a.opts.DisableFusion {
-			ev.a.stats.Stage0Misses++
-			mCacheStage0Misses.Inc()
-		}
+		ev.a.stats.Stage0Misses++
+		mCacheStage0Misses.Inc()
 		// Sender MAC output, optional ingress regulator, then frame→cell
 		// conversion (Theorem 2). The constant-delay stages in between are
 		// envelope-invariant.
@@ -445,27 +444,18 @@ func (ev *evaluation) envelopeEntering(c *Connection, stage int) (traffic.Descri
 		if err != nil {
 			return nil, err
 		}
-		env = conv
-		if !ev.a.opts.DisableFusion {
-			// The stage-0 envelope depends only on this connection's spec and
-			// sender allocation, so the fused, memoized form — and every Bits
-			// value it accumulates — is reusable verbatim by later evaluations
-			// until the connection is Forgotten. Entries are kept per probed
-			// allocation: a bisection that revisits an h reuses the envelope
-			// and its lowered flat, pointer identity included.
-			env = traffic.Fuse(env)
-			byH := ev.a.stage0Cache[c.ID]
-			if byH == nil {
-				byH = make(map[float64]stage0Entry, 32)
-				ev.a.stage0Cache[c.ID] = byH
-			} else if len(byH) >= maxDstEntries {
-				// Bounded like macCache. Flats rebuilt after a reset are new
-				// arrays with the old values, so the caches keyed by flat
-				// identity miss once and no result moves.
-				clear(byH)
-			}
-			byH[c.HS] = stage0Entry{env: env}
+		// The stage-0 envelope depends only on this connection's spec and
+		// sender allocation, so it is kept beside the sender-MAC result that
+		// srcMAC has just stored or found under this allocation: a bisection
+		// that revisits an h reuses the envelope, pointer identity included.
+		env = traffic.Fuse(conv)
+		if f := traffic.Flatten(env, flatHorizon); f != nil {
+			env = f
+			mFlatLowerings.Inc()
+		} else {
+			mFlatFallbacks.Inc()
 		}
+		rec.src[c.HS].env = env
 	} else {
 		prev, err := ev.envelopeEntering(c, stage-1)
 		if err != nil {
@@ -475,18 +465,30 @@ func (ev *evaluation) envelopeEntering(c *Connection, stage int) (traffic.Descri
 		if err != nil {
 			return nil, err
 		}
-		out, err := traffic.NewDelayed(prev, d, ev.a.net.PortCapacity())
+		// A stage hit returns before the chain is built; nothing is stored
+		// under a nil prev.
+		pf, _ := prev.(*traffic.Flat)
+		sk := stageKey{prev: pf, delay: d}
+		if f := rec.stage[sk]; f != nil {
+			ev.envMemo[key] = f
+			return f, nil
+		}
+		capBps := ev.a.net.PortCapacity()
+		out, err := traffic.NewDelayed(chain(prev), d, capBps)
 		if err != nil {
 			return nil, fmt.Errorf("core: envelope after port %v: %w", c.Route.Ports[stage-1], err)
 		}
-		env = out
-		if !ev.a.opts.DisableFusion {
-			// Every per-port stage shares the one backbone port capacity, so
-			// the Delayed stack over the stage-0 envelope collapses to a
-			// single Delayed with the summed delay; downstream consumers
-			// (later ports' mux analyses, the receiver MAC) then pay one
-			// transform per Bits call instead of one per traversed port.
-			env = traffic.Fuse(env)
+		// Every per-port stage shares the one backbone port capacity, so the
+		// Delayed stack over the stage-0 envelope collapses to a single
+		// Delayed with the summed delay; downstream consumers (later ports'
+		// mux analyses, the receiver MAC) then pay one transform per Bits
+		// call instead of one per traversed port.
+		env = traffic.Fuse(out)
+		if pf != nil {
+			if f := pf.ShiftCap(d, capBps, flatHorizon, env); f != nil {
+				remember(&rec.stage, sk, f)
+				env = f
+			}
 		}
 	}
 	ev.envMemo[key] = env
@@ -533,7 +535,6 @@ func (ev *evaluation) muxDelay(p topo.PortID) (float64, error) {
 
 	var inputs []traffic.Descriptor
 	var flats []*traffic.Flat
-	allFlat := ev.a.flatEnabled()
 	for _, m := range ev.ordered {
 		for stage, q := range m.Route.Ports {
 			if q != p {
@@ -550,12 +551,8 @@ func (ev *evaluation) muxDelay(p topo.PortID) (float64, error) {
 				return 0, err
 			}
 			inputs = append(inputs, env)
-			if allFlat {
-				if f := ev.flatEntering(m, stage); f != nil {
-					flats = append(flats, f)
-				} else {
-					allFlat = false
-				}
+			if f, ok := env.(*traffic.Flat); ok {
+				flats = append(flats, f)
 			}
 			break
 		}
@@ -567,6 +564,7 @@ func (ev *evaluation) muxDelay(p topo.PortID) (float64, error) {
 	var res atm.MuxResult
 	var err error
 	params := atm.MuxParams{CapacityBps: ev.a.net.PortCapacity()}
+	allFlat := len(flats) == len(inputs)
 	if allFlat {
 		// A port whose member flat set matches a previously analyzed state
 		// (pointer identity — flats are value-immutable, and the stage caches
@@ -594,6 +592,11 @@ func (ev *evaluation) muxDelay(p topo.PortID) (float64, error) {
 		mFlatAggRebuilds.Inc()
 		res, err = atm.AnalyzeAggregate(ev.a.ws.Sum(flats), params, ev.a.opts.Mux)
 	} else {
+		// A member without a lowering (a shaped connection) puts the whole
+		// port on the chains.
+		for i, in := range inputs {
+			inputs[i] = chain(in)
+		}
 		res, err = atm.AnalyzeMux(inputs, params, ev.a.opts.Mux)
 	}
 	if err != nil {
@@ -631,45 +634,41 @@ func (a *Analyzer) storePortMux(p topo.PortID, flats []*traffic.Flat, delay floa
 // dstMAC analyzes the receiving interface device's MAC on the destination
 // ring (the FDDI_R portion, mirroring the FDDI_S analysis).
 func (ev *evaluation) dstMAC(c *Connection) (fddi.MACResult, error) {
+	env, err := ev.envelopeEntering(c, len(c.Route.Ports))
+	if err != nil {
+		return fddi.MACResult{}, err
+	}
 	// The receiver-MAC analysis is a pure function of the envelope entering
 	// the destination and the receiver allocation. When the envelope is a
 	// cached flat, its pointer identity pins the whole input, so a previous
 	// verdict for the same (flat, HR) pair — the common case across the
 	// probes and releases of a CAC — is reused verbatim.
-	lf := ev.flatEntering(c, len(c.Route.Ports))
+	rec := ev.recs[c.ID]
+	lf, _ := env.(*traffic.Flat)
 	if lf != nil {
-		if e, ok := ev.a.dstCache[c.ID][dstKey{flat: lf, hr: c.HR}]; ok {
+		if e, ok := rec.dst[dstKey{flat: lf, hr: c.HR}]; ok {
 			return e.res, e.err
 		}
 	}
-	env, err := ev.envelopeEntering(c, len(c.Route.Ports))
-	if err != nil {
-		return fddi.MACResult{}, err
-	}
 	frameBits := ev.a.net.RingConfig(c.Dst.Ring).FrameBits(c.HR)
-	reassembled, err := ifdev.ReceiverConversion(env, frameBits, ev.a.net.Config().ID)
+	reassembled, err := ifdev.ReceiverConversion(chain(env), frameBits, ev.a.net.Config().ID)
 	if err != nil {
 		return fddi.MACResult{}, err
 	}
-	var input traffic.Descriptor = reassembled
-	if !ev.a.opts.DisableFusion {
-		// The receiver-MAC analysis dominates probe cost: Theorem 1 walks a
-		// grid proportional to the busy interval, paying the full transform
-		// chain at every point. Fusing flattens the reassembled chain first.
-		// (No Memoized here: the MAC grid visits each point about once, so a
-		// per-call evaluation cache would cost more than it saves.)
-		input = traffic.Fuse(reassembled)
-		if lf != nil {
-			// Apply the reassembly quantization to the already-lowered
-			// stage-chain flat in closed form: every grid evaluation of the
-			// scans inside the window becomes a segment lookup instead of a
-			// chain walk. The fused chain stays on as the exact tail. The
-			// flat is scanned once and dropped; only the verdict is cached.
-			if qn, ok := reassembled.(traffic.Quantized); ok {
-				if qf := lf.Quantize(qn.QuantumBits, qn.OutBits, flatHorizon, input); qf != nil {
-					input = qf
-					mFlatLowerings.Inc()
-				}
+	// The receiver-MAC analysis dominates probe cost: Theorem 1 walks a grid
+	// proportional to the busy interval, paying the full transform chain at
+	// every point. Fusing flattens the reassembled chain first.
+	input := traffic.Fuse(reassembled)
+	if lf != nil {
+		// Apply the reassembly quantization to the already-lowered flat in
+		// closed form: every grid evaluation of the scans inside the window
+		// becomes a segment lookup instead of a chain walk. The fused chain
+		// stays on as the exact tail. The flat is scanned once and dropped;
+		// only the verdict is cached.
+		if qn, ok := reassembled.(traffic.Quantized); ok {
+			if qf := lf.Quantize(qn.QuantumBits, qn.OutBits, flatHorizon, input); qf != nil {
+				input = qf
+				mFlatLowerings.Inc()
 			}
 		}
 	}
@@ -684,16 +683,27 @@ func (ev *evaluation) dstMAC(c *Connection) (fddi.MACResult, error) {
 		res = fddi.MACResult{}
 	}
 	if lf != nil {
-		byKey := ev.a.dstCache[c.ID]
-		if byKey == nil {
-			byKey = make(map[dstKey]macEntry, 32)
-			ev.a.dstCache[c.ID] = byKey
-		} else if len(byKey) >= maxDstEntries {
-			clear(byKey)
-		}
-		byKey[dstKey{flat: lf, hr: c.HR}] = macEntry{res: res, err: err}
+		remember(&rec.dst, dstKey{flat: lf, hr: c.HR}, macEntry{res: res, err: err})
 	}
 	return res, err
+}
+
+// delays is Eq. 7 for every connection of the evaluation. A connection
+// without a finite bound maps to +Inf; any other error is a structural
+// problem and ends the evaluation.
+func (ev *evaluation) delays() (map[string]float64, error) {
+	out := make(map[string]float64, len(ev.ordered))
+	for _, c := range ev.ordered {
+		d, err := ev.totalDelay(c)
+		switch {
+		case errors.Is(err, errInfeasible):
+			d = math.Inf(1)
+		case err != nil:
+			return nil, err
+		}
+		out[c.ID] = d
+	}
+	return out, nil
 }
 
 // totalDelay is Eq. 7: the sum of the worst-case delays of every server on

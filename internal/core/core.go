@@ -90,22 +90,6 @@ type AnalysisOptions struct {
 	MAC fddi.Options
 	// Mux tunes the FIFO-multiplexer busy-period searches.
 	Mux atm.MuxOptions
-	// DisableFusion switches off the algebraic envelope-chain fusion and the
-	// evaluation caches layered on top of it (traffic.Fuse / traffic.Memoized
-	// wrappers in the analyzer and the probe session's cross-probe stage-0
-	// envelope reuse). The optimized path is value-preserving by construction
-	// — fusion applies only exact rewrites and the memo stores exact inner
-	// evaluations — so this flag exists for equivalence testing and for
-	// bisecting suspected optimizer regressions, not for production use.
-	DisableFusion bool
-	// DisableFlat switches off the flat breakpoint-array fast path layered on
-	// top of fusion: the closed-form lowering of fused chains into sorted
-	// breakpoint arrays and the per-port aggregate envelopes summed from
-	// them. Like DisableFusion it exists for equivalence testing and
-	// regression bisection — the lowering rules are exact (values move only by
-	// float re-association, within units.RelTol) — not for production use.
-	// DisableFusion implies DisableFlat: the flat path lowers fused chains.
-	DisableFlat bool
 }
 
 // PortDelay reports the worst-case delay contributed by one shared FIFO

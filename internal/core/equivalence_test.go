@@ -87,13 +87,35 @@ func (g *scenarioGen) next(prefix string, sc int) []*Connection {
 	return conns
 }
 
+// checkAgainstClosureOracle holds the delays an analyzer computed for conns
+// to closureDelays: within units.RelTol on every connection's end-to-end
+// delay, and exactly on feasibility (both infinite or both finite).
+func checkAgainstClosureOracle(t *testing.T, net *topo.Network, sc int, conns []*Connection, got map[string]float64) {
+	t.Helper()
+	want, err := closureDelays(net, conns)
+	if err != nil {
+		t.Fatalf("scenario %d: closure oracle: %v", sc, err)
+	}
+	if len(got) != len(want) {
+		t.Fatalf("scenario %d: %d delays, want %d", sc, len(got), len(want))
+	}
+	for id, w := range want {
+		g := got[id]
+		if math.IsInf(w, 1) != math.IsInf(g, 1) {
+			t.Fatalf("scenario %d, conn %s: feasibility diverged: analyzer %v, closure oracle %v", sc, id, g, w)
+		}
+		if !math.IsInf(w, 1) && !units.WithinRel(g, w, units.RelTol) {
+			t.Fatalf("scenario %d, conn %s: analyzer %v, closure oracle %v", sc, id, g, w)
+		}
+	}
+}
+
 // TestFusionEquivalenceRandomized is the soundness harness of the probe
 // accelerator: across randomized scenarios (connection counts, placements,
-// allocations, and source mixes), the optimized analyzer — envelope fusion,
-// stage-0 memoization, MAC and mux fast paths — must agree with the
-// unoptimized evaluation (DisableFusion) within units.RelTol on every
-// connection's end-to-end delay, and exactly on feasibility (both infinite or
-// both finite).
+// allocations, and source mixes), the analyzer — envelope fusion, flat
+// lowering, the per-connection records, MAC and mux fast paths — must agree
+// with Eq. 7 on the raw closure tree (closureDelays) within units.RelTol on
+// every connection's end-to-end delay, and exactly on feasibility.
 func TestFusionEquivalenceRandomized(t *testing.T) {
 	net := defaultNet(t)
 	gen := newScenarioGen(t, net, 20250806)
@@ -106,54 +128,32 @@ func TestFusionEquivalenceRandomized(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		reference, err := NewAnalyzer(net, AnalysisOptions{DisableFusion: true})
-		if err != nil {
-			t.Fatal(err)
-		}
 		got, err := optimized.Delays(conns)
 		if err != nil {
 			t.Fatalf("scenario %d: optimized: %v", sc, err)
 		}
-		want, err := reference.Delays(conns)
-		if err != nil {
-			t.Fatalf("scenario %d: reference: %v", sc, err)
-		}
-		if len(got) != len(want) {
-			t.Fatalf("scenario %d: %d delays, want %d", sc, len(got), len(want))
-		}
-		for id, w := range want {
-			g := got[id]
-			if math.IsInf(w, 1) != math.IsInf(g, 1) {
-				t.Fatalf("scenario %d, conn %s: feasibility diverged: optimized %v, reference %v", sc, id, g, w)
-			}
-			if !math.IsInf(w, 1) && !units.WithinRel(g, w, units.RelTol) {
-				t.Fatalf("scenario %d, conn %s: optimized %v, reference %v", sc, id, g, w)
-			}
-		}
+		checkAgainstClosureOracle(t, net, sc, conns, got)
 
-		// A second evaluation through the warmed caches (macCache,
-		// stage0Cache) must reproduce the first exactly.
+		// A second evaluation through the warmed records must reproduce the
+		// first exactly.
 		again, err := optimized.Delays(conns)
 		if err != nil {
 			t.Fatalf("scenario %d: warmed: %v", sc, err)
 		}
 		for id, g := range got {
-			if a := again[id]; a != g && !(math.IsInf(a, 1) && math.IsInf(g, 1)) {
+			if a := again[id]; !sameFloatBits(a, g) {
 				t.Fatalf("scenario %d, conn %s: warmed cache diverged: %v then %v", sc, id, g, a)
 			}
 		}
 	}
 }
 
-// TestFlatEquivalenceRandomized extends the randomized harness to the flat
-// breakpoint-array fast path, in two modes across the same 120-scenario
-// distribution (plus shaped connections, which have no exact lowering and
-// must take the closure-tree fallback):
+// TestFlatEquivalenceRandomized extends the randomized harness to ports that
+// mix lowered and unlowered members, in two modes across the same
+// 120-scenario distribution plus shaped connections (which have no exact
+// lowering and put every port they cross on the closure-tree fallback):
 //
-//   - flat vs closure tree: the default analyzer (flat lowering, per-port
-//     aggregates summed from the member flats) must agree with DisableFlat —
-//     fusion on, closure trees on the hot path — within units.RelTol on every
-//     delay, exactly on feasibility;
+//   - analyzer vs closure oracle, as above;
 //   - warm vs fresh: one long-lived analyzer carries its caches and its
 //     workspace across every scenario (previous connections gone, new ones
 //     admitted); a delay is a function of the connection set alone, so its
@@ -172,44 +172,52 @@ func TestFlatEquivalenceRandomized(t *testing.T) {
 
 	const scenarios = 120
 	for sc := 0; sc < scenarios; sc++ {
-		conns := gen.next("f", sc)
+		checkWarmAndFresh(t, net, warm, sc, gen.next("f", sc))
+	}
+}
 
-		flat, err := NewAnalyzer(net, AnalysisOptions{})
-		if err != nil {
-			t.Fatal(err)
-		}
-		closure, err := NewAnalyzer(net, AnalysisOptions{DisableFlat: true})
-		if err != nil {
-			t.Fatal(err)
-		}
-		got, err := flat.Delays(conns)
-		if err != nil {
-			t.Fatalf("scenario %d: flat: %v", sc, err)
-		}
-		want, err := closure.Delays(conns)
-		if err != nil {
-			t.Fatalf("scenario %d: closure tree: %v", sc, err)
-		}
-		for id, w := range want {
-			g := got[id]
-			if math.IsInf(w, 1) != math.IsInf(g, 1) {
-				t.Fatalf("scenario %d, conn %s: feasibility diverged: flat %v, closure %v", sc, id, g, w)
-			}
-			if !math.IsInf(w, 1) && !units.WithinRel(g, w, units.RelTol) {
-				t.Fatalf("scenario %d, conn %s: flat %v, closure %v", sc, id, g, w)
-			}
-		}
+// checkWarmAndFresh evaluates conns on a fresh analyzer and on warm, holding
+// the fresh delays to the closure oracle and the warm ones to the fresh ones
+// bit for bit.
+func checkWarmAndFresh(t *testing.T, net *topo.Network, warm *Analyzer, sc int, conns []*Connection) {
+	t.Helper()
+	fresh, err := NewAnalyzer(net, AnalysisOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	got, err := fresh.Delays(conns)
+	if err != nil {
+		t.Fatalf("scenario %d: fresh: %v", sc, err)
+	}
+	checkAgainstClosureOracle(t, net, sc, conns, got)
 
-		// Warm vs fresh: the same set through whatever the previous scenarios
-		// left behind.
-		carried, err := warm.Delays(conns)
-		if err != nil {
-			t.Fatalf("scenario %d: warm: %v", sc, err)
-		}
-		for id, g := range got {
-			if w := carried[id]; !sameFloatBits(w, g) {
-				t.Fatalf("scenario %d, conn %s: fresh %v, warm %v", sc, id, g, w)
-			}
+	// Warm vs fresh: the same set through whatever the previous scenarios
+	// left behind.
+	carried, err := warm.Delays(conns)
+	if err != nil {
+		t.Fatalf("scenario %d: warm: %v", sc, err)
+	}
+	for id, g := range got {
+		if w := carried[id]; !sameFloatBits(w, g) {
+			t.Fatalf("scenario %d, conn %s: fresh %v, warm %v", sc, id, g, w)
 		}
 	}
+}
+
+// FuzzDelaysAgainstClosureOracle runs the harnesses' scenario generator under
+// a fuzzed seed. One warm analyzer serves every input of the process, and
+// every input reuses the same connection ids under new specs, so each one
+// exercises the fresh-record path on top of whatever the earlier inputs left
+// in the port caches and the workspace.
+func FuzzDelaysAgainstClosureOracle(f *testing.F) {
+	net := defaultNet(f)
+	warm, err := NewAnalyzer(net, AnalysisOptions{})
+	if err != nil {
+		f.Fatal(err)
+	}
+	f.Fuzz(func(t *testing.T, seed int64, shaped bool) {
+		gen := newScenarioGen(t, net, seed)
+		gen.shaped = shaped
+		checkWarmAndFresh(t, net, warm, 0, gen.next("z", 0))
+	})
 }

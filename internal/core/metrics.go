@@ -3,17 +3,17 @@ package core
 import "fafnet/internal/obs"
 
 // CacheStats counts the analyzer's cross-evaluation cache traffic: lookups
-// of the stage-0 envelope cache and the two-level sender-MAC cache. The
-// Analyzer accumulates totals over its lifetime; Decision carries the
-// per-decision difference so an audit record shows what each admission
-// cost. Per-evaluation memo hits (envMemo, macMemo) are not counted — they
-// are scratch state, not the caches whose effectiveness PR-3 rests on.
+// of a connection record's entry for the probed sender allocation, which
+// holds the sender-MAC result and the stage-0 envelope. The Analyzer
+// accumulates totals over its lifetime; Decision carries the per-decision
+// difference so an audit record shows what each admission cost.
+// Per-evaluation memo hits (envMemo, macMemo) are not counted — they are
+// scratch state, not the caches whose effectiveness PR-3 rests on.
 type CacheStats struct {
-	// Stage0Hits and Stage0Misses count cross-evaluation lookups of the
-	// fused stage-0 envelope cache. Zero under DisableFusion.
+	// Stage0Hits and Stage0Misses count lookups for the stage-0 envelope: a
+	// hit is an entry whose envelope has been built.
 	Stage0Hits, Stage0Misses uint64
-	// MACHits and MACMisses count lookups of the per-(connection, H)
-	// sender-MAC result cache.
+	// MACHits and MACMisses count lookups for the sender-MAC result.
 	MACHits, MACMisses uint64
 }
 
@@ -68,8 +68,6 @@ var (
 		"Sender-MAC cache lookups served from cache.")
 	mCacheMACMisses = obs.Default.Counter("fafnet_cac_cache_mac_misses_total",
 		"Sender-MAC cache lookups that ran the Theorem 1 analysis.")
-	mProbeStage0Reused = obs.Default.Counter("fafnet_cac_probe_stage0_reused_total",
-		"Stage-0 envelopes carried into probe evaluations without recomputation.")
 
 	mVerdictHits = obs.Default.Counter("fafnet_cac_verdict_cache_hits_total",
 		"Admission decisions answered from the verdict cache without running any probe.")

@@ -3,10 +3,8 @@ package core
 import (
 	"errors"
 	"fmt"
-	"math"
 
 	"fafnet/internal/topo"
-	"fafnet/internal/traffic"
 	"fafnet/internal/units"
 )
 
@@ -35,16 +33,6 @@ type ProbeSession struct {
 	cleanDelay     map[string]float64
 	affected       int
 
-	// stage0 holds each existing connection's envelope entering its first
-	// shared port (sender MAC → optional shaper → frame→cell conversion),
-	// fused and wrapped in an evaluation memo. That stage depends only on
-	// the connection's own source and allocation — never on the candidate's
-	// probed (hs, hr) — so one descriptor serves every probe of the session,
-	// and the memo carries envelope evaluations across probes: the grid
-	// points a port analysis visits barely move between bisection steps.
-	// Empty when the analyzer runs with DisableFusion.
-	stage0 map[string]traffic.Descriptor
-
 	// probe and scratch are reused across probes: the connection set is
 	// identical every time (existing ∪ candidate), so the evaluation's maps
 	// are cleared and re-seeded instead of reallocated for each of the up to
@@ -67,7 +55,6 @@ func (a *Analyzer) NewProbeSession(existing []*Connection, cand *Connection) (*P
 		existing:       existing,
 		cand:           cand,
 		cleanPortDelay: make(map[topo.PortID]float64),
-		cleanDelay:     make(map[string]float64),
 	}
 
 	tainted := make(map[topo.PortID]bool, len(cand.Route.Ports))
@@ -103,35 +90,18 @@ func (a *Analyzer) NewProbeSession(existing []*Connection, cand *Connection) (*P
 	if err != nil {
 		return nil, err
 	}
+	if s.cleanDelay, err = ev.delays(); err != nil {
+		return nil, err
+	}
 	for _, m := range ev.ordered {
-		d, derr := ev.totalDelay(m)
-		if derr != nil {
-			if errors.Is(derr, errInfeasible) {
-				d = math.Inf(1)
-			} else {
-				return nil, derr
-			}
-		}
 		if isAffected(m) {
 			s.affected++
-			continue
+			delete(s.cleanDelay, m.ID)
 		}
-		s.cleanDelay[m.ID] = d
 	}
 	for p, d := range ev.portDelay {
 		if !tainted[p] {
 			s.cleanPortDelay[p] = d
-		}
-	}
-	if !a.opts.DisableFusion {
-		// envelopeEntering already fused and memoized these (stage0Cache);
-		// carrying the same wrappers into every probe shares the accumulated
-		// evaluations without even a cache lookup on the hot path.
-		s.stage0 = make(map[string]traffic.Descriptor, len(existing))
-		for _, m := range existing {
-			if env, ok := ev.envMemo[envKey{connID: m.ID, stage: 0}]; ok {
-				s.stage0[m.ID] = env
-			}
 		}
 	}
 	return s, nil
@@ -166,17 +136,9 @@ func (s *ProbeSession) Delays(hs, hr float64) (map[string]float64, error) {
 	if err != nil {
 		return nil, err
 	}
-	out := make(map[string]float64, len(ev.ordered))
-	for _, c := range ev.ordered {
-		d, derr := ev.totalDelay(c)
-		if derr != nil {
-			if errors.Is(derr, errInfeasible) {
-				out[c.ID] = math.Inf(1)
-				continue
-			}
-			return nil, fmt.Errorf("core: probe evaluation: %w", derr)
-		}
-		out[c.ID] = d
+	out, err := ev.delays()
+	if err != nil {
+		return nil, fmt.Errorf("core: probe evaluation: %w", err)
 	}
 	return out, nil
 }
@@ -276,12 +238,12 @@ func (s *ProbeSession) evaluation(hs, hr float64) (*evaluation, error) {
 }
 
 // reseed clears the scratch evaluation's memo maps and re-seeds them with
-// the session's probe-invariant results: untainted port delays, unaffected
-// end-to-end delays, and the existing connections' stage-0 envelopes. It
-// runs once per probe — up to 2·SearchIters + 4 times per admission request —
-// and touches only preallocated state, so it is annotated: the hotpath analyzer
-// proves it allocation-free, non-blocking and deterministic (the map
-// re-seeding loops are per-key transfers, which are iteration-order-safe).
+// the session's probe-invariant results: untainted port delays and unaffected
+// end-to-end delays. It runs once per probe — up to 2·SearchIters + 4 times
+// per admission request — and touches only preallocated state, so it is
+// annotated: the hotpath analyzer proves it allocation-free, non-blocking and
+// deterministic (the map re-seeding loop is a per-key transfer, which is
+// iteration-order-safe).
 //
 //fafvet:hotpath
 func (s *ProbeSession) reseed() {
@@ -291,16 +253,11 @@ func (s *ProbeSession) reseed() {
 	clear(ev.envMemo)
 	clear(ev.macMemo)
 	clear(ev.shaperMemo)
-	// Flat arrays are re-resolved per probe: stage-0 flats come straight
-	// from the analyzer's stage-0 cache (pointer-stable across probes), and
-	// stage-k flats shift with the probe's port delays.
-	clear(ev.flatMemo)
+	// Envelopes are re-resolved per probe: stage-0 envelopes come straight
+	// from the connections' records (pointer-stable across probes), later
+	// stages shift with the probe's port delays.
 	ev.prefilledDelay = s.cleanDelay
 	for p, d := range s.cleanPortDelay {
 		ev.portDelay[p] = d
 	}
-	for id, env := range s.stage0 {
-		ev.envMemo[envKey{connID: id, stage: 0}] = env
-	}
-	mProbeStage0Reused.Add(uint64(len(s.stage0)))
 }

@@ -135,7 +135,7 @@ func TestWarmLaneEqualsFreshAnalyzer(t *testing.T) {
 // TestPerConnectionCachesStayBounded: clients that reuse a handful of ids
 // with unchanged specs never trip the spec-change purge or the tracked-id
 // cap, and every decision probes allocations the candidate's maps have not
-// seen. Each per-connection map must stay within maxDstEntries all the same.
+// seen. Every map of every record must stay within maxConnEntries all the same.
 func TestPerConnectionCachesStayBounded(t *testing.T) {
 	if testing.Short() {
 		t.Skip("3,000 admit/release operations")
@@ -171,20 +171,16 @@ func TestPerConnectionCachesStayBounded(t *testing.T) {
 	}
 	an := d.ctl.acquireLane()
 	defer d.ctl.releaseLane(an)
-	mac, stage0 := 0, 0
-	for id, byH := range an.macCache {
-		if len(byH) > maxDstEntries {
-			t.Errorf("macCache[%s] holds %d allocations, cap %d", id, len(byH), maxDstEntries)
+	src, stage, dst := 0, 0, 0
+	for id, rec := range an.conns {
+		for name, n := range map[string]int{"src": len(rec.src), "stage": len(rec.stage), "dst": len(rec.dst)} {
+			if n > maxConnEntries {
+				t.Errorf("conns[%s].%s holds %d entries, cap %d", id, name, n, maxConnEntries)
+			}
 		}
-		mac += len(byH)
+		src, stage, dst = src+len(rec.src), stage+len(rec.stage), dst+len(rec.dst)
 	}
-	for id, byH := range an.stage0Cache {
-		if len(byH) > maxDstEntries {
-			t.Errorf("stage0Cache[%s] holds %d allocations, cap %d", id, len(byH), maxDstEntries)
-		}
-		stage0 += len(byH)
-	}
-	// With every map within its cap the totals are within ids × cap; at the
-	// parent commit they read 38,100 and 34,154 here, linear in the op count.
-	t.Logf("%d sender-MAC entries, %d stage-0 envelopes on %d ids", mac, stage0, len(specs))
+	// With every map within its cap the totals are within ids × cap; without
+	// one the sender-side map alone read 38,100 here, linear in the op count.
+	t.Logf("%d sender allocations, %d stage flats, %d receiver-MAC results on %d ids", src, stage, dst, len(specs))
 }

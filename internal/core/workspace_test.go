@@ -1,9 +1,16 @@
 package core
 
 import (
+	"bytes"
 	"fmt"
+	"slices"
+	"strconv"
+	"strings"
 	"sync"
 	"testing"
+
+	"fafnet/internal/obs"
+	"fafnet/internal/traffic"
 )
 
 // standingSix returns six connections on distinct source hosts of the default
@@ -42,15 +49,99 @@ func TestOverflowEvictionKeepsStandingSet(t *testing.T) {
 		}
 		if d := a.CacheStats().Sub(before); d.MACMisses > 1 {
 			t.Fatalf("evaluation %d (%d ids tracked): %d sender-MAC misses, want at most the candidate's one — the standing set was recomputed",
-				i, len(a.specs), d.MACMisses)
+				i, len(a.conns), d.MACMisses)
 		}
-		if len(a.specs) > maxTrackedConns {
-			t.Fatalf("evaluation %d: %d ids tracked, bound %d", i, len(a.specs), maxTrackedConns)
+		if len(a.conns) > maxTrackedConns {
+			t.Fatalf("evaluation %d: %d ids tracked, bound %d", i, len(a.conns), maxTrackedConns)
 		}
 	}
 	for _, c := range standing {
-		if _, ok := a.specs[c.ID]; !ok {
+		if _, ok := a.conns[c.ID]; !ok {
 			t.Errorf("standing connection %q lost its tracked state", c.ID)
+		}
+	}
+}
+
+// counterValue reads one unlabelled counter of the process-wide registry off
+// its Prometheus exposition, the one view other packages' counters have.
+func counterValue(t *testing.T, name string) uint64 {
+	t.Helper()
+	var b bytes.Buffer
+	if err := obs.Default.WritePrometheus(&b); err != nil {
+		t.Fatal(err)
+	}
+	for _, line := range strings.Split(b.String(), "\n") {
+		if f := strings.Fields(line); len(f) == 2 && f[0] == name {
+			v, err := strconv.ParseUint(f[1], 10, 64)
+			if err != nil {
+				t.Fatalf("%s: %v", line, err)
+			}
+			return v
+		}
+	}
+	t.Fatalf("no counter %s in the registry", name)
+	return 0
+}
+
+// TestWarmEvaluationRunsNoAnalysis: everything an evaluation computes is a
+// function of keys the connection records and the port lists hold, so
+// evaluating an unchanged set again runs no server analysis and lowers
+// nothing, is handed the very flats of the first evaluation at every server
+// boundary — a stage-cache hit is pointer identity, which is what portMux and
+// dst key by — and allocates little more than its own memo maps.
+func TestWarmEvaluationRunsNoAnalysis(t *testing.T) {
+	standing := standingSix(t)
+	a, err := NewAnalyzer(defaultNet(t), AnalysisOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := a.Delays(standing); err != nil {
+		t.Fatal(err)
+	}
+
+	counters := []string{"fafnet_fddi_mac_analyses_total", "fafnet_atm_mux_analyses_total", "fafnet_cac_flat_lowerings_total"}
+	before := make([]uint64, len(counters))
+	for i, name := range counters {
+		before[i] = counterValue(t, name)
+	}
+	allocs := testing.AllocsPerRun(10, func() {
+		if _, err := a.Delays(standing); err != nil {
+			t.Error(err)
+		}
+	})
+	for i, name := range counters {
+		if d := counterValue(t, name) - before[i]; d != 0 {
+			t.Errorf("warm evaluations added %d to %s, want 0", d, name)
+		}
+	}
+	if allocs > 100 {
+		t.Errorf("a warm Delays over %d connections allocates %v times, want at most 100", len(standing), allocs)
+	}
+
+	var first []*traffic.Flat
+	for round := 0; round < 2; round++ {
+		ev, err := a.newEvaluation(standing)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var flats []*traffic.Flat
+		for _, c := range ev.ordered {
+			for stage := 0; stage <= len(c.Route.Ports); stage++ {
+				env, err := ev.envelopeEntering(c, stage)
+				if err != nil {
+					t.Fatal(err)
+				}
+				f, ok := env.(*traffic.Flat)
+				if !ok {
+					t.Fatalf("%s, stage %d: the envelope is a %T, want a flat", c.ID, stage, env)
+				}
+				flats = append(flats, f)
+			}
+		}
+		if round == 0 {
+			first = flats
+		} else if !slices.Equal(flats, first) {
+			t.Errorf("the second evaluation was handed other flats than the first:\n%p\n%p", first, flats)
 		}
 	}
 }

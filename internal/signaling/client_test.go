@@ -99,8 +99,11 @@ func flakyThenRealDialer(t *testing.T, n int, badAddr, goodAddr string) func(str
 }
 
 func TestIdempotentOpsRetryAcrossRedial(t *testing.T) {
-	_, srv := startServer(t)
-	goodAddr := srv.Addr().String()
+	// The address the helper's client dialed, not srv.Addr(): Dial succeeds
+	// off the listen backlog, possibly before Serve has stored its listener,
+	// and Addr is nil until then.
+	first, _ := startServer(t)
+	goodAddr := first.cfg.Addr
 	badAddr := slammingListener(t, true)
 
 	var slept []time.Duration
@@ -163,8 +166,8 @@ type deadConn struct{ net.Conn }
 func (d deadConn) Write([]byte) (int, error) { return 0, io.ErrClosedPipe }
 
 func TestAdmitRetriedWhileConfirmedUnsent(t *testing.T) {
-	_, srv := startServer(t)
-	goodAddr := srv.Addr().String()
+	first, _ := startServer(t) // not srv.Addr(): see TestIdempotentOpsRetryAcrossRedial
+	goodAddr := first.cfg.Addr
 
 	dials := 0
 	client, err := DialConfig(ClientConfig{

@@ -23,11 +23,12 @@ func evalPoints() []float64 {
 	return pts
 }
 
-// TestFusedEnvelopeEvalAllocationFree pins the warm fused-envelope path: a
-// realistic stage-0 chain (MAC output shape → frame→cell quantization →
-// FIFO port delays), fused and memoized exactly as the analyzer's stage-0
-// cache builds it, must answer repeated Bits queries with zero allocations
-// once the memo has seen the points.
+// TestFusedEnvelopeEvalAllocationFree pins the envelope the analyzer hands
+// its port and MAC scans: a realistic stage chain (MAC output shape →
+// frame→cell quantization → FIFO port delays), fused and lowered with Flatten
+// over the analyzer's 25 ms window exactly as core.evaluation builds it, must
+// answer Bits with zero allocations both inside the window (the breakpoint
+// array) and beyond it (the fused chain kept as the tail).
 func TestFusedEnvelopeEvalAllocationFree(t *testing.T) {
 	src, err := traffic.NewDualPeriodic(50e3, 0.010, 10e3, 0.001, 100e6)
 	if err != nil {
@@ -45,19 +46,23 @@ func TestFusedEnvelopeEvalAllocationFree(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	m := traffic.NewMemoized(traffic.Fuse(d2))
+	const window = 0.025
+	f := traffic.Flatten(traffic.Fuse(d2), window)
+	if f == nil {
+		t.Fatal("Flatten returned nil")
+	}
 
 	pts := evalPoints()
-	var sink float64
-	for _, p := range pts {
-		sink += m.Bits(p)
+	if first, last := pts[0], pts[len(pts)-1]; !(first < f.Horizon() && last > f.Horizon()) {
+		t.Fatalf("points %v … %v do not straddle the window %v", first, last, f.Horizon())
 	}
+	var sink float64
 	if n := testing.AllocsPerRun(100, func() {
 		for _, p := range pts {
-			sink += m.Bits(p)
+			sink += f.Bits(p)
 		}
 	}); n != 0 {
-		t.Errorf("warm memoized fused envelope: %v allocs per run, want 0", n)
+		t.Errorf("fused, lowered envelope: %v allocs per run, want 0", n)
 	}
 	_ = sink
 }

@@ -275,10 +275,6 @@ func Flatten(d Descriptor, horizon float64) *Flat {
 		// A flat embedded in a chain keeps its window; the enclosing
 		// lowering is clipped to it and the tail serves the rest.
 		return v
-	case *Memoized:
-		// The memo stores exact inner evaluations, so lowering the inner is
-		// lowering the whole.
-		return Flatten(v.Inner(), horizon)
 	case CBR:
 		b := &flatBuilder{}
 		b.add(0, 0, v.RateBps)

@@ -75,7 +75,6 @@ func flatCases(t *testing.T) map[string]Descriptor {
 		"leakyNoSigma": lbNoSigma,
 		"leakySlow":    lbSlowPeak,
 		"sampled":      samp,
-		"memoized":     NewMemoized(dual),
 		"quantized":    quant,
 		"delayed":      delayed,
 		"delayedCap":   delayedCap,

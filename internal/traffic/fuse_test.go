@@ -18,8 +18,6 @@ func chainDepth(d Descriptor) int {
 		return 1 + chainDepth(v.Inner)
 	case Quantized:
 		return 1 + chainDepth(v.Inner)
-	case *Memoized:
-		return 1 + chainDepth(v.inner)
 	default:
 		return 0
 	}

@@ -28,7 +28,7 @@ import (
 //
 // The two point families are built as separate ascending runs and merged
 // linearly; breakpoint providers that already emit ascending points (sources,
-// delay-shifted chains, Memoized caches) therefore never pay a comparison
+// delay-shifted chains, Flat caches) therefore never pay a comparison
 // sort here — grid assembly is the inner loop of every server analysis.
 func oracleGrid(d Descriptor, horizon float64, n int) []float64 {
 	if horizon <= 0 {
