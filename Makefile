@@ -12,7 +12,7 @@ BENCH_JSON ?= BENCH.json
 
 # bench-compare baseline: the JSON report committed with the most recent
 # performance PR.
-BENCH_BASELINE ?= BENCH_PR20.json
+BENCH_BASELINE ?= BENCH_PR21.json
 
 # calibrate knobs: scenario count and base seed for the randomized sweep.
 CAL_SCENARIOS ?= 100

@@ -9,9 +9,9 @@
 //	        [-audit-queue 1024] [-audit-group-sync]
 //	        [-recover cac-audit.jsonl] [-drain-grace 10s] [-idle-timeout 5m]
 //
-// The daemon runs the sharded admission pipeline: per-ring shard ledgers,
-// concurrent request handling, and an asynchronous audit writer (see
-// DESIGN.md §10).
+// The daemon runs the sharded admission pipeline: one published snapshot of
+// the admitted state, concurrent request handling, and an asynchronous audit
+// writer (see DESIGN.md §10).
 //
 // Try it with netcat:
 //

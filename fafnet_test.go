@@ -87,9 +87,9 @@ func TestFacadeValidation(t *testing.T) {
 // contract, through the library API: after any balanced sequence of
 // admissions and releases every ring's allocated synchronous time is exactly
 // zero and its available time exactly what it started with — bit for bit,
-// not to a tolerance — and no reservation stays behind. Connection ids are
-// reused (one per source host), so a reservation left pending under an id
-// would fail that id's next admission with an error.
+// not to a tolerance. Connection ids are reused (one per source host), so
+// an id left behind in the admitted state would fail that id's next
+// admission with an error.
 func TestLedgersExactAfterBalancedChurn(t *testing.T) {
 	net, err := fafnet.NewNetwork(fafnet.DefaultTopology())
 	if err != nil {
@@ -174,7 +174,7 @@ func TestLedgersExactAfterBalancedChurn(t *testing.T) {
 	checkLedgers("after the churn")
 
 	// Every id admits and releases once more on the empty network: none of
-	// them left a reservation behind.
+	// them left anything behind.
 	for _, h := range hosts {
 		if !admit(h, 0) {
 			t.Fatalf("%s rejected on an empty network", id(h))

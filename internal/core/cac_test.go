@@ -387,46 +387,3 @@ func TestDecisionDelaysMatchReport(t *testing.T) {
 		t.Error("admitted connection has no finite bound")
 	}
 }
-
-// TestCommitRollsBackOnReceiverRingFailure is the regression test for the
-// half-committed admit, driven through RequestAdmission: when the receiver
-// ring's ledger refuses its reservation at commit time, the request must fail
-// with the sender ring's reservation rolled back and nothing recorded.
-func TestCommitRollsBackOnReceiverRingFailure(t *testing.T) {
-	ctl := newController(t, Options{})
-	spec := testSpec(t, "c1", 0, 0, 1, 0)
-
-	// Exhaust the receiver ring's ledger behind the published snapshot: the
-	// analysis still sees the ring free and admits, so only the commit's
-	// second reservation can fail, while the sender ring stays wide open.
-	dst := ctl.shards[spec.Dst.Ring]
-	if err := dst.reserve("squatter", dst.availCommitted()); err != nil {
-		t.Fatal(err)
-	}
-
-	dec, err := ctl.RequestAdmission(spec)
-	if err == nil || dec.Admitted {
-		t.Fatalf("admit with a full receiver ring: Admitted=%v err=%v, want an error", dec.Admitted, err)
-	}
-	src := ctl.shards[spec.Src.Ring]
-	src.mu.Lock()
-	_, held := src.budget.Allocation("c1")
-	pending := len(src.pending)
-	src.mu.Unlock()
-	if held || pending != 0 {
-		t.Errorf("sender-ring reservation leaked after the receiver-ring failure (held=%v, %d pending)", held, pending)
-	}
-	if ctl.Active() != 0 {
-		t.Errorf("controller recorded %d connections after a failed commit", ctl.Active())
-	}
-
-	// Once the squatter leaves, the same id admits cleanly — no residue.
-	dst.abort("squatter")
-	dec, err = ctl.RequestAdmission(spec)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !dec.Admitted {
-		t.Fatalf("post-rollback admit rejected: %s", dec.Reason)
-	}
-}

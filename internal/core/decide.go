@@ -11,8 +11,8 @@ import (
 // of the standing connection set, the per-ring availabilities, and the
 // candidate specification. Everything stateful — bandwidth bookkeeping, the
 // admitted set — stays with the caller: Sharded evaluates against an
-// immutable snapshot and commits through two-phase ring reservations, and
-// the tests' serial oracle runs the same function against a plain map.
+// immutable snapshot and commits by publishing its successor, and the
+// tests' serial oracle runs the same function against a plain map.
 
 // decideAgainst runs steps 1–5 of the admission algorithm — availability
 // floor (Eq. 26–27), feasibility at the segment maximum, the

@@ -56,7 +56,7 @@ var (
 	mReleases = obs.Default.Counter("fafnet_cac_releases_total",
 		"Connections released (admitted connections torn down).")
 	mBookkeepingErrors = obs.Default.Counter("fafnet_cac_bookkeeping_errors_total",
-		"Ring bandwidth releases that found no allocation to free — controller and ring state have diverged.")
+		"Commits refused because the decided allocation was not positive or would have broken a ring's protocol constraint (sum of H <= TTRT - overhead) on the snapshot it was decided against; nothing was published. Must stay 0.")
 	gActive = obs.Default.Gauge("fafnet_cac_active_connections",
 		"Currently admitted connections.")
 
@@ -77,13 +77,11 @@ var (
 		"Admission decisions that bypassed the verdict cache (unfingerprintable spec or admitted set).")
 
 	mShardCommits = obs.Default.Counter("fafnet_shard_commits_total",
-		"Two-phase reserve/commit sequences that published a new admitted-state snapshot.")
+		"Admissions committed: each published a new admitted-state snapshot.")
 	mShardCommitRetries = obs.Default.Counter("fafnet_shard_commit_retries_total",
 		"Admission commits abandoned because another commit published first; the decision re-ran against the fresh snapshot.")
 	mShardPessimisticCommits = obs.Default.Counter("fafnet_shard_pessimistic_commits_total",
 		"Decisions that fell back to deciding under the commit lock after exhausting optimistic retries.")
-	mShardReserveAborts = obs.Default.Counter("fafnet_shard_reserve_aborts_total",
-		"Shard reservations rolled back because the partner ring could not cover its half of a two-ring admission.")
 	gShardUtilMax = obs.Default.Gauge("fafnet_shard_allocated_fraction_max",
 		"Highest committed synchronous-bandwidth fraction across ring shards.")
 	gShardImbalance = obs.Default.Gauge("fafnet_shard_imbalance",

@@ -4,38 +4,31 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"math"
 	"runtime"
 	"sort"
 	"sync"
 	"sync/atomic"
 
-	"fafnet/internal/fddi"
 	"fafnet/internal/obs"
 	"fafnet/internal/topo"
 )
 
 // Sharded is the admission controller: the CAC algorithm of Section 5.3
 // (decideAgainst) behind a pipeline that lets decisions run concurrently. It
-// is safe for concurrent use, and rests on three mechanisms:
+// is safe for concurrent use, and rests on two mechanisms:
 //
-//   - Per-ring shard controllers. Each FDDI segment's H-budget ledger lives
-//     in its own shard with its own mutex, so charging the sender ring never
-//     contends with charging an unrelated receiver ring. Shard locks are
-//     leaves: the pipeline never holds two at once (a two-ring admission
-//     touches them strictly one at a time, in ascending ring order), which
-//     keeps the fafvet lockorder graph acyclic even though every shard
-//     shares the one mutex field.
-//
-//   - Immutable admitted-state snapshots. The admitted set, per-ring
-//     committed availability, and the state fingerprint are published as a
-//     copy-on-write snapshot behind an atomic pointer. Analysis — the
-//     expensive part, milliseconds of probing — runs against a snapshot with
-//     no lock held, on an analyzer checked out from a fixed lane pool.
-//     Commits are optimistic: a decision computed against snapshot S commits
-//     only if S is still current; otherwise the world changed mid-analysis
-//     and the decision re-runs against the fresh snapshot (Eq. 24–25 demand
-//     every admitted connection's delay be re-verified, and a stale snapshot
-//     can no longer prove that).
+//   - Immutable admitted-state snapshots. The admitted set, the ring ledgers
+//     derived from it (Eq. 26–27), and the state fingerprint are published
+//     as a copy-on-write snapshot behind an atomic pointer: the snapshot is
+//     the only copy of the admitted state. Analysis — the expensive part,
+//     milliseconds of probing — runs against a snapshot with no lock held,
+//     on an analyzer checked out from a fixed lane pool. Commits are
+//     optimistic: a decision computed against snapshot S commits only if S
+//     is still current; otherwise the world changed mid-analysis and the
+//     decision re-runs against the fresh snapshot (Eq. 24–25 demand every
+//     admitted connection's delay be re-verified, and a stale snapshot can
+//     no longer prove that).
 //
 //   - An exact verdict cache. The CAC verdict is a pure function of the
 //     admitted multiset of (endpoints, traffic, H_S, H_R) and the candidate
@@ -48,9 +41,9 @@ import (
 //     the leader's analysis instead of duplicating it, which is what batches
 //     a burst of same-class candidates into one probe.
 //
-// Lock ordering: commitMu → shard.mu, commitMu → (audit record callback).
-// cacheMu and shard.mu are leaves. Analyzer lanes are a channel, not a
-// lock, and are never held across a commit on the optimistic path.
+// Lock ordering: commitMu → (audit record callback). cacheMu is a leaf.
+// Analyzer lanes are a channel, not a lock, and are never held across a
+// commit on the optimistic path.
 type Sharded struct {
 	net  *topo.Network
 	opts Options
@@ -59,11 +52,8 @@ type Sharded struct {
 	// checking one out grants exclusive use until it is returned.
 	lanes chan *Analyzer
 
-	// shards holds one budget ledger per FDDI segment, indexed by ring.
-	shards []*shard
-
-	// commitMu serializes state transitions: two-phase commits and
-	// releases. Analysis never runs under it on the optimistic path.
+	// commitMu serializes state transitions: commits and releases.
+	// Analysis never runs under it on the optimistic path.
 	// snap is only Stored while commitMu is held (Loads are lock-free).
 	commitMu sync.Mutex
 	snap     atomic.Pointer[snapState]
@@ -72,101 +62,6 @@ type Sharded struct {
 	// cache is the verdict cache and its single-flight table: an entry with
 	// an open done channel is a computation in flight. guarded by cacheMu.
 	cache map[verdictKey]*verdictEntry
-}
-
-// shard owns one ring's synchronous-bandwidth ledger. Reservations are the
-// first phase of a two-ring commit: bandwidth is charged to the ledger but
-// marked pending, so an abort can roll it back without touching committed
-// state. All reservations resolve (confirm or abort) before their commit
-// critical section ends, so pending mass is zero whenever commitMu is free.
-type shard struct {
-	ring int
-	mu   sync.Mutex
-	// budget is the ring's H-budget ledger. guarded by mu.
-	budget *fddi.Ring
-	// pending maps reservation ids to the bandwidth charged but not yet
-	// committed. guarded by mu.
-	pending map[string]float64
-	// pendingSum is the total pending mass, maintained so committed
-	// availability is budget availability plus pendingSum. guarded by mu.
-	pendingSum float64
-}
-
-// reserve charges h to the ledger as a pending reservation.
-func (s *shard) reserve(id string, h float64) error {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if err := s.budget.Allocate(id, h); err != nil {
-		return err
-	}
-	s.pending[id] = h
-	s.pendingSum += h
-	return nil
-}
-
-// abort rolls back a pending reservation.
-func (s *shard) abort(id string) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	h, ok := s.pending[id]
-	if !ok {
-		return
-	}
-	delete(s.pending, id)
-	s.pendingSum -= h
-	if !s.budget.Release(id) {
-		mBookkeepingErrors.Inc()
-	}
-}
-
-// confirm promotes a pending reservation to committed state.
-func (s *shard) confirm(id string) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	h, ok := s.pending[id]
-	if !ok {
-		// The reservation was made a few lines up in the same commit
-		// sequence; a miss means the two-phase bookkeeping diverged.
-		mBookkeepingErrors.Inc()
-		return
-	}
-	delete(s.pending, id)
-	s.pendingSum -= h
-}
-
-// releaseCommitted frees a committed allocation, reporting whether it
-// existed.
-func (s *shard) releaseCommitted(id string) bool {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.budget.Release(id)
-}
-
-// ledger returns the ring's allocated and available synchronous time
-// counting only committed allocations: pending reservations are taken back
-// out so in-flight two-phase commits never distort what a concurrent
-// analysis sees as free.
-func (s *shard) ledger() (allocated, available float64) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.budget.Allocated() - s.pendingSum, s.budget.Available() + s.pendingSum
-}
-
-// availCommitted returns the committed availability (Eq. 26–27).
-func (s *shard) availCommitted() float64 {
-	_, available := s.ledger()
-	return available
-}
-
-// utilization returns the committed allocated fraction of the shard's
-// usable budget.
-func (s *shard) utilization() float64 {
-	alloc, avail := s.ledger()
-	usable := alloc + avail
-	if usable <= 0 {
-		return 0
-	}
-	return alloc / usable
 }
 
 // snapState is one immutable published view of the admitted state. Every
@@ -179,8 +74,10 @@ type snapState struct {
 	// busy maps each source host that already originates a connection to
 	// that connection's id.
 	busy map[topo.HostID]string
-	// avail is the committed synchronous-bandwidth availability per ring.
-	avail []float64
+	// allocated and avail are the ring ledgers (Eq. 26–27), indexed by ring:
+	// Ω, the allocations of conns on that ring summed in id order, and
+	// H^max_avai = max(0, TTRT − Δ − Ω).
+	allocated, avail []float64
 	// hash is the multiset fingerprint of the admitted set; meaningful only
 	// when unhashable is zero.
 	hash stateHash
@@ -221,9 +118,9 @@ const verdictCacheCap = 4096
 const maxOptimisticRetries = 16
 
 // NewSharded builds the admission controller over the given network
-// topology. The network is used read-only (routing and ring configuration);
-// bandwidth bookkeeping lives in the per-ring shards. lanes is the number of
-// pooled analyzers (≤ 0 selects a GOMAXPROCS-based default).
+// topology. The network is used read-only (routing and ring configuration).
+// lanes is the number of pooled analyzers (≤ 0 selects a GOMAXPROCS-based
+// default).
 func NewSharded(net *topo.Network, opts Options, lanes int) (*Sharded, error) {
 	if net == nil {
 		return nil, errors.New("core: controller requires a network")
@@ -252,21 +149,11 @@ func NewSharded(net *topo.Network, opts Options, lanes int) (*Sharded, error) {
 		p.lanes <- an
 	}
 	for i := 0; i < net.NumRings(); i++ {
-		budget, err := fddi.NewRing(net.RingConfig(i))
-		if err != nil {
+		if err := net.RingConfig(i).Validate(); err != nil {
 			return nil, err
 		}
-		p.shards = append(p.shards, &shard{
-			ring:    i,
-			budget:  budget,
-			pending: make(map[string]float64),
-		})
 	}
-	p.snap.Store(&snapState{
-		byID:  make(map[string]*Connection),
-		busy:  make(map[topo.HostID]string),
-		avail: p.shardAvail(),
-	})
+	p.snap.Store(nextSnap(net, nil))
 	return p, nil
 }
 
@@ -300,7 +187,8 @@ func (p *Sharded) SourceBusy(h topo.HostID) bool {
 // allocated to admitted connections (Ω) and what is still available
 // (H^max_avai, Eq. 26–27).
 func (p *Sharded) RingLedger(i int) (allocated, available float64) {
-	return p.shards[i].ledger()
+	snap := p.snap.Load()
+	return snap.allocated[i], snap.avail[i]
 }
 
 func (p *Sharded) acquireLane() *Analyzer   { return <-p.lanes }
@@ -310,7 +198,7 @@ func (p *Sharded) releaseLane(an *Analyzer) { p.lanes <- an }
 // specification: compute availability (Eq. 26–27), test feasibility at the
 // maximum allocation, locate (H^min_need, H^max_need) by binary search along
 // the allocation segment, and commit the β-interpolated allocation
-// (Eq. 35–36) through the two-phase shard protocol. A non-nil error indicates
+// (Eq. 35–36) by publishing the successor snapshot. A non-nil error indicates
 // an invalid request, not a rejection. On a verdict cache hit — the same
 // candidate class against the same admitted multiset — Decision.Delays
 // contains only the candidate's entry and Probes is 0.
@@ -517,27 +405,15 @@ func (p *Sharded) analyzeOn(an *Analyzer, snap *snapState, spec ConnSpec, route 
 	return dec, cand, err
 }
 
-// commitAdmit is the two-phase commit: reserve the candidate's bandwidth on
-// the sender and receiver shards (ascending ring order, one lock at a
-// time), then — with the snapshot verified still current — confirm the
-// reservations and publish the successor snapshot. A stale snapshot aborts
-// every reservation and reports false so the caller re-decides.
+// commitAdmit commits an optimistic decision: with the snapshot verified
+// still current, it publishes the successor. A stale snapshot reports false
+// so the caller re-decides.
 func (p *Sharded) commitAdmit(snap *snapState, cand *Connection, dec Decision, record func(Decision, error)) (recorded, ok bool) {
 	p.commitMu.Lock()
 	defer p.commitMu.Unlock()
-	if p.snap.Load() != snap {
+	if p.snap.Load() != snap || !p.commitLocked(snap, cand, dec) {
 		return false, false
 	}
-	if err := p.reserveBoth(cand, dec.HS, dec.HR); err != nil {
-		// Unreachable when the snapshot is current: the decision capped its
-		// allocation at this exact ledger's availability. Defensively treat
-		// as a lost race.
-		return false, false
-	}
-	p.confirmBoth(cand)
-	cand.HS, cand.HR = dec.HS, dec.HR
-	p.publishAdd(snap, cand)
-	mShardCommits.Inc()
 	if record != nil {
 		record(dec, nil)
 		recorded = true
@@ -545,36 +421,23 @@ func (p *Sharded) commitAdmit(snap *snapState, cand *Connection, dec Decision, r
 	return recorded, true
 }
 
-// reserveBoth places the candidate's reservations in ascending ring order.
-// The pair is transactional: on a two-ring admission where the second
-// reservation fails, the first is rolled back, so a failed commit never
-// leaves one ring charged for a connection that was not admitted.
-func (p *Sharded) reserveBoth(cand *Connection, hs, hr float64) error {
-	if !cand.Route.CrossesBackbone {
-		return p.shards[cand.Src.Ring].reserve(cand.ID, hs)
+// commitLocked admits cand with dec's allocation on top of snap, the current
+// snapshot. Called with commitMu held. The decision capped its allocation at
+// snap's own availability, so the protocol constraint ΣH <= TTRT − Δ holds
+// by construction; it is checked all the same, and a commit that would
+// break it publishes nothing and reports false.
+func (p *Sharded) commitLocked(snap *snapState, cand *Connection, dec Decision) bool {
+	src, dst := cand.Src.Ring, cand.Dst.Ring
+	if !p.net.RingConfig(src).Fits(snap.allocated[src], dec.HS) ||
+		(cand.Route.CrossesBackbone && !p.net.RingConfig(dst).Fits(snap.allocated[dst], dec.HR)) {
+		mBookkeepingErrors.Inc()
+		return false
 	}
-	first, fh := cand.Src.Ring, hs
-	second, sh := cand.Dst.Ring, hr
-	if second < first {
-		first, fh, second, sh = second, sh, first, fh
-	}
-	if err := p.shards[first].reserve(cand.ID, fh); err != nil {
-		return err
-	}
-	if err := p.shards[second].reserve(cand.ID, sh); err != nil {
-		p.shards[first].abort(cand.ID)
-		mShardReserveAborts.Inc()
-		return err
-	}
-	return nil
-}
-
-// confirmBoth promotes the candidate's reservations to committed state.
-func (p *Sharded) confirmBoth(cand *Connection) {
-	p.shards[cand.Src.Ring].confirm(cand.ID)
-	if cand.Route.CrossesBackbone {
-		p.shards[cand.Dst.Ring].confirm(cand.ID)
-	}
+	cand.HS, cand.HR = dec.HS, dec.HR
+	conns := make([]*Connection, 0, len(snap.conns)+1)
+	p.publish(append(append(conns, snap.conns...), cand))
+	mShardCommits.Inc()
+	return true
 }
 
 // decidePessimistic decides while holding commitMu, pinning the snapshot:
@@ -599,13 +462,9 @@ func (p *Sharded) decidePessimistic(spec ConnSpec, route topo.Route, commit bool
 	if !dec.Admitted || !commit {
 		return dec, false, nil
 	}
-	if err := p.reserveBoth(cand, dec.HS, dec.HR); err != nil {
-		return Decision{}, false, fmt.Errorf("core: sharded commit: %w", err)
+	if !p.commitLocked(snap, cand, dec) {
+		return Decision{}, false, fmt.Errorf("core: commit of %q: allocation (%v, %v) exceeds the ring ledgers it was decided against", spec.ID, dec.HS, dec.HR)
 	}
-	p.confirmBoth(cand)
-	cand.HS, cand.HR = dec.HS, dec.HR
-	p.publishAdd(snap, cand)
-	mShardCommits.Inc()
 	recorded := false
 	if record != nil {
 		record(dec, nil)
@@ -615,7 +474,7 @@ func (p *Sharded) decidePessimistic(spec ConnSpec, route topo.Route, commit bool
 }
 
 // Release tears down an admitted connection, freeing its bandwidth on both
-// shards. It reports whether the connection existed.
+// rings. It reports whether the connection existed.
 func (p *Sharded) Release(id string) bool {
 	return p.release(id, nil)
 }
@@ -631,22 +490,19 @@ func (p *Sharded) release(id string, record func(bool)) bool {
 	p.commitMu.Lock()
 	defer p.commitMu.Unlock()
 	snap := p.snap.Load()
-	conn, ok := snap.byID[id]
-	if !ok {
+	if _, ok := snap.byID[id]; !ok {
 		if record != nil {
 			record(false)
 		}
 		return false
 	}
-	if !p.shards[conn.Src.Ring].releaseCommitted(id) {
-		mBookkeepingErrors.Inc()
-	}
-	if conn.Route.CrossesBackbone {
-		if !p.shards[conn.Dst.Ring].releaseCommitted(id) {
-			mBookkeepingErrors.Inc()
+	conns := make([]*Connection, 0, len(snap.conns)-1)
+	for _, c := range snap.conns {
+		if c.ID != id {
+			conns = append(conns, c)
 		}
 	}
-	p.publishRemove(snap, conn)
+	p.publish(conns)
 	mReleases.Inc()
 	if record != nil {
 		record(true)
@@ -654,69 +510,19 @@ func (p *Sharded) release(id string, record func(bool)) bool {
 	return true
 }
 
-// publishAdd publishes the successor snapshot with cand admitted.
-func (p *Sharded) publishAdd(snap *snapState, cand *Connection) {
-	conns := make([]*Connection, 0, len(snap.conns)+1)
-	conns = append(conns, snap.conns...)
-	conns = append(conns, cand)
-	p.snap.Store(nextSnap(p.shardAvail(), conns))
-	p.refreshGauges(p.snap.Load())
-}
-
-// publishRemove publishes the successor snapshot with conn released.
-func (p *Sharded) publishRemove(snap *snapState, conn *Connection) {
-	conns := make([]*Connection, 0, len(snap.conns)-1)
-	for _, c := range snap.conns {
-		if c.ID != conn.ID {
-			conns = append(conns, c)
-		}
-	}
-	p.snap.Store(nextSnap(p.shardAvail(), conns))
-	p.refreshGauges(p.snap.Load())
-}
-
-// shardAvail samples every shard's committed availability.
-func (p *Sharded) shardAvail() []float64 {
-	avail := make([]float64, len(p.shards))
-	for i, sh := range p.shards {
-		avail[i] = sh.availCommitted()
-	}
-	return avail
-}
-
-// nextSnap builds the successor snapshot for the given admitted set. The
-// state hash is recomputed from scratch — the admitted set is small (the
-// paper's availability bound caps concurrent connections long before the
-// snapshot copy costs anything), and recomputation keeps the hash
-// trivially in sync with the multiset it names.
-func nextSnap(avail []float64, conns []*Connection) *snapState {
-	sort.Slice(conns, func(i, j int) bool { return conns[i].ID < conns[j].ID })
-	next := &snapState{
-		conns: conns,
-		byID:  make(map[string]*Connection, len(conns)),
-		busy:  make(map[topo.HostID]string, len(conns)),
-		avail: avail,
-	}
-	for _, c := range conns {
-		next.byID[c.ID] = c
-		next.busy[c.Src] = c.ID
-		fp, ok := connFingerprint(c)
-		if !ok {
-			next.unhashable++
-			continue
-		}
-		next.hash.add(fp)
-	}
-	return next
-}
-
-// refreshGauges updates the shard balance gauges and the active-connection
-// gauge from a freshly published snapshot.
-func (p *Sharded) refreshGauges(snap *snapState) {
+// publish stores the snapshot of the given admitted set (which it takes
+// ownership of) and sets the active-connection and ring balance gauges from
+// it. Called with commitMu held.
+func (p *Sharded) publish(conns []*Connection) {
+	snap := nextSnap(p.net, conns)
+	p.snap.Store(snap)
 	gActive.Set(float64(len(snap.conns)))
 	minU, maxU := 1.0, 0.0
-	for _, sh := range p.shards {
-		u := sh.utilization()
+	for r, alloc := range snap.allocated {
+		u := 0.0
+		if usable := alloc + snap.avail[r]; usable > 0 {
+			u = alloc / usable
+		}
 		if u < minU {
 			minU = u
 		}
@@ -729,6 +535,44 @@ func (p *Sharded) refreshGauges(snap *snapState) {
 	}
 	gShardUtilMax.Set(maxU)
 	gShardImbalance.Set(maxU - minU)
+}
+
+// nextSnap builds the snapshot of the given admitted set. Ring ledgers and
+// state hash are recomputed from scratch — the admitted set is small (the
+// paper's availability bound caps concurrent connections long before the
+// snapshot copy costs anything), and recomputation keeps both trivially in
+// sync with the set they describe: an empty set is the initial ledger, bit
+// for bit. Ω is a float sum and float addition is not associative, so it
+// runs in id order, the order fddi.Ring.Allocated sums in.
+func nextSnap(net *topo.Network, conns []*Connection) *snapState {
+	sort.Slice(conns, func(i, j int) bool { return conns[i].ID < conns[j].ID })
+	rings := net.NumRings()
+	ledgers := make([]float64, 2*rings)
+	next := &snapState{
+		conns:     conns,
+		byID:      make(map[string]*Connection, len(conns)),
+		busy:      make(map[topo.HostID]string, len(conns)),
+		allocated: ledgers[:rings:rings],
+		avail:     ledgers[rings:],
+	}
+	for _, c := range conns {
+		next.byID[c.ID] = c
+		next.busy[c.Src] = c.ID
+		next.allocated[c.Src.Ring] += c.HS
+		if c.Route.CrossesBackbone {
+			next.allocated[c.Dst.Ring] += c.HR
+		}
+		fp, ok := connFingerprint(c)
+		if !ok {
+			next.unhashable++
+			continue
+		}
+		next.hash.add(fp)
+	}
+	for r := range next.avail {
+		next.avail[r] = math.Max(0, net.RingConfig(r).UsableTTRT()-next.allocated[r])
+	}
+	return next
 }
 
 // DelayReport returns the current worst-case delay of every admitted

@@ -140,6 +140,15 @@ func runShardedEquivalence(t *testing.T, lanes int) {
 						sc, op, id, want, got)
 				}
 			}
+			// The ledger derived from the snapshot against the one the oracle
+			// maintains in place, on every ring after every op.
+			for r, ring := range ctl.rings {
+				allocated, available := pipe.RingLedger(r)
+				if !sameFloatBits(allocated, ring.Allocated()) || !sameFloatBits(available, ring.Available()) {
+					t.Fatalf("scenario %d op %d: ring %d ledger diverged: serialized Ω=%v avail=%v, sharded Ω=%v avail=%v",
+						sc, op, r, ring.Allocated(), ring.Available(), allocated, available)
+				}
+			}
 		}
 
 		// The final admitted sets must be identical: same ids, same
@@ -188,83 +197,6 @@ func compareDecisions(t *testing.T, sc, op int, id string, want, got Decision) {
 			t.Fatalf("scenario %d op %d (%s): %s diverged: serialized %v, sharded %v",
 				sc, op, id, f.name, f.want, f.got)
 		}
-	}
-}
-
-// TestShardedTwoPhaseRollback exercises the reservation rollback directly: a
-// two-ring reservation whose second leg fails must leave the first leg's
-// shard exactly as it found it — no pending mass, availability unchanged.
-func TestShardedTwoPhaseRollback(t *testing.T) {
-	net := defaultNet(t)
-	pipe, err := NewSharded(net, Options{}, 1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	src := topo.HostID{Ring: 0, Index: 0}
-	dst := topo.HostID{Ring: 2, Index: 1}
-	route, err := net.Route(src, dst)
-	if err != nil {
-		t.Fatal(err)
-	}
-	cand := &Connection{ConnSpec: ConnSpec{ID: "roll", Src: src, Dst: dst}, Route: route}
-
-	srcShard := pipe.shards[src.Ring]
-	dstShard := pipe.shards[dst.Ring]
-	srcBefore := srcShard.availCommitted()
-
-	// Exhaust the destination ring so the second reservation must fail.
-	dstShard.mu.Lock()
-	hog := dstShard.budget.Available()
-	dstShard.mu.Unlock()
-	if err := dstShard.reserve("hog", hog); err != nil {
-		t.Fatalf("hog reservation: %v", err)
-	}
-	aborts := mShardReserveAborts.Value()
-	if err := pipe.reserveBoth(cand, 1e-3, 1e-3); err == nil {
-		t.Fatal("reserveBoth succeeded against an exhausted destination ring")
-	}
-	if got := mShardReserveAborts.Value(); got != aborts+1 {
-		t.Errorf("reserve aborts counter: %d, want %d", got, aborts+1)
-	}
-	srcShard.mu.Lock()
-	_, stillPending := srcShard.pending[cand.ID]
-	srcShard.mu.Unlock()
-	if stillPending {
-		t.Error("rollback left the source-ring reservation pending")
-	}
-	if got := srcShard.availCommitted(); !units.AlmostEq(got, srcBefore) {
-		t.Errorf("source-ring availability after rollback: %v, want %v", got, srcBefore)
-	}
-
-	// After the hog aborts, the same reservation must go through, and
-	// confirmation must charge committed availability on both rings.
-	dstShard.abort("hog")
-	dstShard.mu.Lock()
-	afterAbort := dstShard.pendingSum
-	dstShard.mu.Unlock()
-	if afterAbort != 0 {
-		t.Fatalf("pending mass after abort: %v, want 0", afterAbort)
-	}
-	if err := pipe.reserveBoth(cand, 1e-3, 1e-3); err != nil {
-		t.Fatalf("reserveBoth after abort: %v", err)
-	}
-	// While pending, committed availability is unchanged (pendingSum is
-	// added back) — a concurrent analysis must not see half a commit.
-	if got := srcShard.availCommitted(); !units.AlmostEq(got, srcBefore) {
-		t.Errorf("availability with a pending reservation: %v, want %v", got, srcBefore)
-	}
-	pipe.confirmBoth(cand)
-	if got := srcShard.availCommitted(); !units.AlmostEq(got, srcBefore-1e-3) {
-		t.Errorf("availability after confirm: %v, want %v", got, srcBefore-1e-3)
-	}
-	srcShard.mu.Lock()
-	srcPending := len(srcShard.pending)
-	srcShard.mu.Unlock()
-	dstShard.mu.Lock()
-	dstPending := len(dstShard.pending)
-	dstShard.mu.Unlock()
-	if srcPending != 0 || dstPending != 0 {
-		t.Error("confirm left reservations pending")
 	}
 }
 
@@ -379,21 +311,48 @@ func TestShardedBatchOrdering(t *testing.T) {
 // TestShardedConcurrentHammer drives admits, previews, and releases from
 // many goroutines at once (the -race configuration this file exists for)
 // and then checks the global invariants: all bandwidth accounted, no
-// pending reservations, no connection left after every worker released its
-// admissions, and every shard ledger back to its initial availability.
+// connection left after every worker released its admissions, and every ring
+// ledger back to its initial availability. A reader goroutine checks
+// meanwhile that every published ledger is a valid one.
 func TestShardedConcurrentHammer(t *testing.T) {
 	net := defaultNet(t)
 	pipe, err := NewSharded(net, Options{}, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
-	initial := pipe.shardAvail()
+	ringAvail := func() []float64 {
+		avail := make([]float64, net.NumRings())
+		for r := range avail {
+			_, avail[r] = pipe.RingLedger(r)
+		}
+		return avail
+	}
+	initial := ringAvail()
 
 	const workers = 8
 	iters := 12
 	if testing.Short() {
 		iters = 4
 	}
+	stop := make(chan struct{})
+	readerDone := make(chan struct{})
+	go func() {
+		defer close(readerDone)
+		for {
+			select {
+			case <-stop:
+				return
+			default:
+			}
+			for r := 0; r < net.NumRings(); r++ {
+				allocated, available := pipe.RingLedger(r)
+				if allocated < 0 || available < 0 || allocated+available > net.RingConfig(r).UsableTTRT()+1e-12 {
+					t.Errorf("ring %d published an invalid ledger: Ω=%v avail=%v", r, allocated, available)
+					return
+				}
+			}
+		}
+	}()
 	var wg sync.WaitGroup
 	for w := 0; w < workers; w++ {
 		w := w
@@ -450,19 +409,13 @@ func TestShardedConcurrentHammer(t *testing.T) {
 		}()
 	}
 	wg.Wait()
+	close(stop)
+	<-readerDone
 
 	if got := pipe.Active(); got != 0 {
 		t.Fatalf("hammer left %d connections admitted", got)
 	}
-	for i, sh := range pipe.shards {
-		sh.mu.Lock()
-		pendN, pendSum := len(sh.pending), sh.pendingSum
-		sh.mu.Unlock()
-		if pendN != 0 || pendSum != 0 {
-			t.Errorf("shard %d left %d pending reservations (mass %v)", i, pendN, pendSum)
-		}
-	}
-	final := pipe.shardAvail()
+	final := ringAvail()
 	for i := range final {
 		if !units.AlmostEq(final[i], initial[i]) {
 			t.Errorf("ring %d availability drifted: %v before, %v after", i, initial[i], final[i])

@@ -75,6 +75,14 @@ func (c RingConfig) Validate() error {
 // UsableTTRT returns TTRT − Δ, the synchronous time divisible among stations.
 func (c RingConfig) UsableTTRT() float64 { return c.TTRT - c.Overhead }
 
+// Fits reports whether a ring already carrying allocated seconds per rotation
+// (Ω) can grant h more: h is positive and the protocol constraint
+// ΣH <= TTRT − Δ still holds.
+func (c RingConfig) Fits(allocated, h float64) bool {
+	const slack = 1e-12 // forgive float residue from β interpolation
+	return h > 0 && h <= math.Max(0, c.UsableTTRT()-allocated)+slack
+}
+
 // Ring tracks the synchronous-bandwidth allocations on one FDDI ring. It
 // implements the availability computation of Eq. 26–27: the bandwidth
 // available to a new connection is TTRT − (Ω + Δ), where Ω is the total
@@ -142,8 +150,7 @@ func (r *Ring) Allocate(connID string, h float64) error {
 	if _, ok := r.alloc[connID]; ok {
 		return fmt.Errorf("fddi: connection %q already holds an allocation", connID)
 	}
-	const slack = 1e-12 // forgive float residue from β interpolation
-	if h > r.Available()+slack {
+	if !r.cfg.Fits(r.Allocated(), h) {
 		return fmt.Errorf("fddi: allocation %v for %q exceeds available %v", h, connID, r.Available())
 	}
 	r.alloc[connID] = h

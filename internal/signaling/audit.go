@@ -7,26 +7,18 @@ import (
 	"fafnet/internal/obs"
 )
 
-// SetAuditLog installs the admission audit log: from now on every admit,
-// preview and release operation appends one record. Pass nil to stop
-// auditing. Safe to call concurrently with request handling; the server
-// does not close the log.
-func (s *Server) SetAuditLog(l *obs.AuditLog) {
-	s.audit.Store(l)
-}
-
-// SetAsyncAudit routes audit records through an async writer instead of
-// appending them inline; it takes precedence over SetAuditLog. The caller
-// owns the writer's lifecycle: Flush/Close it only after the server has
-// drained (Shutdown returned), so no handler is still enqueuing. Pass nil to
-// revert to inline appends.
+// SetAsyncAudit installs the admission audit sink: from now on every admit,
+// preview and release operation enqueues one record to the writer. Safe to
+// call concurrently with request handling. The caller owns the writer's
+// lifecycle: Close it only after the server has drained (Shutdown returned),
+// so no handler is still enqueuing. Pass nil to stop auditing.
 func (s *Server) SetAsyncAudit(w *obs.AsyncAuditWriter) {
 	s.asyncAudit.Store(w)
 }
 
-// auditEnabled reports whether any audit sink is installed.
+// auditEnabled reports whether the audit sink is installed.
 func (s *Server) auditEnabled() bool {
-	return s.asyncAudit.Load() != nil || s.audit.Load() != nil
+	return s.asyncAudit.Load() != nil
 }
 
 // decisionRecord builds the audit record for one admit/preview outcome.
@@ -64,24 +56,13 @@ func (s *Server) releaseRecord(id string, found bool) obs.AuditRecord {
 	}
 }
 
-// appendAudit hands one record to the installed sink, preferring the async
-// writer, tracking log health in metrics. Called from the controller's commit
-// callbacks, which run outside any server lock.
+// appendAudit hands one record to the installed sink. Called from the
+// controller's commit callbacks, which run outside any server lock.
 func (s *Server) appendAudit(rec obs.AuditRecord) {
 	if w := s.asyncAudit.Load(); w != nil {
 		w.Enqueue(rec)
 		mAuditRecords.Inc()
-		return
 	}
-	log := s.audit.Load()
-	if log == nil {
-		return
-	}
-	if err := log.Append(rec); err != nil {
-		mAuditErrors.Inc()
-		return
-	}
-	mAuditRecords.Inc()
 }
 
 // auditStages converts the analysis-layer decomposition into the audit-log

@@ -20,10 +20,19 @@ import (
 	"fafnet/internal/units"
 )
 
-// auditedServer is startServer plus a file-backed audit log; it returns a
-// function that reads back every record appended so far. A file (not a
-// shared buffer) keeps the test free of data races with the server's append
-// goroutine: the bytes travel through the OS, not shared Go memory.
+// auditTo installs the server's audit sink over log, the way fafcacd does,
+// and closes the writer with the test. Flush it before reading the log back.
+func auditTo(t *testing.T, srv *Server, log *obs.AuditLog) *obs.AsyncAuditWriter {
+	t.Helper()
+	writer := obs.NewAsyncAuditWriter(log, 0, false)
+	srv.SetAsyncAudit(writer)
+	t.Cleanup(func() { writer.Close() })
+	return writer
+}
+
+// auditedServer is startServer plus a file-backed audit log behind the async
+// writer; it returns a function that flushes the writer and reads back every
+// record appended so far.
 func auditedServer(t *testing.T) (*Client, func() []obs.AuditRecord) {
 	t.Helper()
 	client, srv := startServer(t)
@@ -32,9 +41,9 @@ func auditedServer(t *testing.T) (*Client, func() []obs.AuditRecord) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	srv.SetAuditLog(log)
-	t.Cleanup(func() { log.Close() })
+	writer := auditTo(t, srv, log)
 	return client, func() []obs.AuditRecord {
+		writer.Flush()
 		data, err := os.ReadFile(path)
 		if err != nil {
 			t.Fatal(err)

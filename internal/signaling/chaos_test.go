@@ -53,18 +53,19 @@ const (
 // that must survive any transport behavior: no double-admit, client and
 // server views consistent, the audit log replayable to the exact server
 // state, and no goroutine left behind after shutdown. The audit sink is the
-// inline log, appended to inside the controller's commit callbacks.
-func TestChaosSignalingInvariants(t *testing.T) { runChaosMatrix(t, false) }
+// async group-sync writer, the deployment shape of fafcacd. This matrix runs
+// on one analyzer lane, the controller core.NewController builds.
+func TestChaosSignalingInvariants(t *testing.T) { runChaosMatrix(t, 1) }
 
-// TestChaosShardedSignalingInvariants runs the same matrix with the async
-// group-sync audit writer — the deployment shape of fafcacd. The two-phase
-// commit path, optimistic retries, and commit-ordered audit enqueues must
-// uphold the same invariants under every fault profile.
-func TestChaosShardedSignalingInvariants(t *testing.T) { runChaosMatrix(t, true) }
+// TestChaosShardedSignalingInvariants runs the same matrix on the daemon's
+// default lane count: concurrent analyses, optimistic retries, and
+// commit-ordered audit enqueues must uphold the same invariants under every
+// fault profile.
+func TestChaosShardedSignalingInvariants(t *testing.T) { runChaosMatrix(t, 0) }
 
-// runChaosMatrix is the one fault matrix: every profile × seed cell over the
-// admission pipeline, with the audit sink the caller names.
-func runChaosMatrix(t *testing.T, asyncAudit bool) {
+// runChaosMatrix is the one fault matrix: every profile × seed cell over an
+// admission pipeline with the given lane count.
+func runChaosMatrix(t *testing.T, lanes int) {
 	seeds := []int64{1, 7, 42}
 	if testing.Short() {
 		seeds = seeds[:1]
@@ -75,17 +76,17 @@ func runChaosMatrix(t *testing.T, asyncAudit bool) {
 			t.Run(fmt.Sprintf("%s/seed%d", profile.name, seed), func(t *testing.T) {
 				opts := profile.opts
 				opts.Seed = seed
-				runChaosCell(t, opts, asyncAudit)
+				runChaosCell(t, opts, lanes)
 			})
 		}
 	}
 }
 
 // runChaosCell runs one fault-matrix cell end to end.
-func runChaosCell(t *testing.T, fopts faultnet.Options, asyncAudit bool) {
+func runChaosCell(t *testing.T, fopts faultnet.Options, lanes int) {
 	goroutinesBefore := runtime.NumGoroutine()
 
-	pipe, err := core.NewSharded(mustNetwork(t), core.Options{}, 0)
+	pipe, err := core.NewSharded(mustNetwork(t), core.Options{}, lanes)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -94,13 +95,8 @@ func runChaosCell(t *testing.T, fopts faultnet.Options, asyncAudit bool) {
 		t.Fatal(err)
 	}
 	var auditBuf bytes.Buffer
-	var asyncWriter *obs.AsyncAuditWriter
-	if asyncAudit {
-		asyncWriter = obs.NewAsyncAuditWriter(obs.NewAuditLog(&auditBuf), 64, true)
-		srv.SetAsyncAudit(asyncWriter)
-	} else {
-		srv.SetAuditLog(obs.NewAuditLog(&auditBuf))
-	}
+	asyncWriter := obs.NewAsyncAuditWriter(obs.NewAuditLog(&auditBuf), 64, true)
+	srv.SetAsyncAudit(asyncWriter)
 
 	l, err := net.Listen("tcp", "127.0.0.1:0")
 	if err != nil {
@@ -137,10 +133,8 @@ func runChaosCell(t *testing.T, fopts faultnet.Options, asyncAudit bool) {
 	if err := <-serveDone; err != nil {
 		t.Errorf("serve: %v", err)
 	}
-	if asyncWriter != nil {
-		if err := asyncWriter.Close(); err != nil {
-			t.Errorf("audit writer close: %v", err)
-		}
+	if err := asyncWriter.Close(); err != nil {
+		t.Errorf("audit writer close: %v", err)
 	}
 
 	// Invariant 1: client and server views agree. Every id a client proved

@@ -2,12 +2,16 @@ package signaling
 
 import (
 	"bytes"
+	"encoding/json"
+	"fmt"
 	"math"
 	"os"
 	"path/filepath"
+	"reflect"
 	"strconv"
 	"strings"
 	"testing"
+	"time"
 
 	"fafnet/internal/core"
 	"fafnet/internal/obs"
@@ -20,6 +24,28 @@ func ringLedgers(ctl *core.Controller) [][2]float64 {
 		out[r][0], out[r][1] = ctl.RingLedger(r)
 	}
 	return out
+}
+
+// releaseAllExact releases every admitted connection and requires every ring
+// ledger to be back at exactly its initial value; after names what ran before.
+func releaseAllExact(t *testing.T, ctl *core.Controller, initial [][2]float64, after string) {
+	t.Helper()
+	for _, c := range ctl.Connections() {
+		if !ctl.Release(c.ID) {
+			t.Fatalf("admitted connection %q cannot be released", c.ID)
+		}
+	}
+	if ctl.Active() != 0 {
+		t.Fatalf("%d connections active after releasing every one", ctl.Active())
+	}
+	for r, got := range ringLedgers(ctl) {
+		for i, name := range []string{"allocated", "available"} {
+			if math.Float64bits(got[i]) != math.Float64bits(initial[r][i]) {
+				t.Errorf("ring %d %s = %v after releasing everything, want exactly %v (%s)",
+					r, name, got[i], initial[r][i], after)
+			}
+		}
+	}
 }
 
 // FuzzReplay feeds arbitrary bytes through the path -recover trusts with the
@@ -45,19 +71,60 @@ func FuzzReplay(f *testing.F) {
 			t.Fatalf("replay succeeded with %d connections active, want %d admits − %d releases",
 				ctl.Active(), stats.Admits, stats.Releases)
 		}
-		for _, c := range ctl.Connections() {
-			if !ctl.Release(c.ID) {
-				t.Fatalf("admitted connection %q cannot be released", c.ID)
-			}
+		releaseAllExact(t, ctl, initial, fmt.Sprintf("replay error: %v", err))
+	})
+}
+
+// FuzzServerRequests feeds arbitrary bytes through the path a client socket
+// reaches: the decoder loop of handle (stop at the first error), then
+// Server.execute on a one-lane pipeline, at most 16 requests a stream and no
+// sockets. Whatever arrives, nothing may panic; a request that passes Validate
+// must survive its own wire encoding unchanged; no single request may hold
+// the lane for more than two seconds; and releasing what the stream left
+// admitted must return every ring ledger to exactly its initial value.
+//
+// The committed corpus (testdata/fuzz/FuzzServerRequests) is an
+// admit/preview/release/report stream, a valid dual-periodic source whose
+// sub-period is 10⁻⁷ of its period (82 s of breakpoint enumeration before
+// the sub-period loop honoured maxBreakpoints), a 512-member previewBatch, a
+// request behind a malformed prefix, an unknown op, and a 1e308 field.
+func FuzzServerRequests(f *testing.F) {
+	f.Fuzz(func(t *testing.T, data []byte) {
+		ctl := freshController(t, core.Options{})
+		srv, err := NewShardedServer(ctl)
+		if err != nil {
+			t.Fatal(err)
 		}
-		for r, got := range ringLedgers(ctl) {
-			for i, name := range []string{"allocated", "available"} {
-				if math.Float64bits(got[i]) != math.Float64bits(initial[r][i]) {
-					t.Errorf("ring %d %s = %v after releasing everything, want exactly %v (replay error: %v)",
-						r, name, got[i], initial[r][i], err)
+		initial := ringLedgers(ctl)
+		dec := json.NewDecoder(bytes.NewReader(data))
+		for n := 0; n < 16; n++ {
+			var req Request
+			if err := dec.Decode(&req); err != nil {
+				break
+			}
+			if req.Validate() == nil {
+				wire, err := json.Marshal(req)
+				if err != nil {
+					t.Fatalf("valid request %+v does not encode: %v", req, err)
+				}
+				var back Request
+				if err := json.Unmarshal(wire, &back); err != nil {
+					t.Fatalf("valid request does not decode from its own encoding %s: %v", wire, err)
+				}
+				if len(req.AdmitBatch) == 0 {
+					req.AdmitBatch = nil // "admitBatch":[] is omitted like null
+				}
+				if !reflect.DeepEqual(req, back) {
+					t.Fatalf("request changed on the wire: %+v became %+v", req, back)
 				}
 			}
+			start := time.Now()
+			srv.execute(req)
+			if took := time.Since(start); took > 2*time.Second {
+				t.Fatalf("%s request ran %v", req.Op, took)
+			}
 		}
+		releaseAllExact(t, ctl, initial, "request stream")
 	})
 }
 

@@ -41,13 +41,10 @@ func opLabel(op Op) string {
 	return opInvalid
 }
 
-// Audit-log health counters.
-var (
-	mAuditRecords = obs.Default.Counter("fafnet_signaling_audit_records_total",
-		"Audit records appended to the audit log.")
-	mAuditErrors = obs.Default.Counter("fafnet_signaling_audit_errors_total",
-		"Audit records that could not be appended (check disk space and permissions).")
-)
+// mAuditRecords counts what the server queued; what reached the file, and what
+// failed to, is the writer's to count (fafnet_audit_async_*).
+var mAuditRecords = obs.Default.Counter("fafnet_signaling_audit_records_total",
+	"Audit records handed to the audit writer.")
 
 // Connection-lifecycle and shutdown metrics.
 var (

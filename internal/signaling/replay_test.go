@@ -43,7 +43,7 @@ func recordWorkload(t *testing.T) ([]byte, map[string][2]float64) {
 	t.Helper()
 	var buf bytes.Buffer
 	client, srv := startServer(t)
-	srv.SetAuditLog(obs.NewAuditLog(&buf))
+	writer := auditTo(t, srv, obs.NewAuditLog(&buf))
 
 	admits := []struct {
 		id               string
@@ -72,6 +72,7 @@ func recordWorkload(t *testing.T) ([]byte, map[string][2]float64) {
 	if ok, err := client.Release("v2"); err != nil || !ok {
 		t.Fatalf("release v2: %v %v", ok, err)
 	}
+	writer.Flush()
 	return buf.Bytes(), admittedSet(srv.pipe)
 }
 
@@ -118,10 +119,11 @@ func TestReplayReproducesControllerState(t *testing.T) {
 func TestReplayDetectsOptionMismatch(t *testing.T) {
 	var buf bytes.Buffer
 	client, srv := startServer(t)
-	srv.SetAuditLog(obs.NewAuditLog(&buf))
+	writer := auditTo(t, srv, obs.NewAuditLog(&buf))
 	if _, err := client.Admit(videoRequest("v1", 0, 0, 1, 0)); err != nil {
 		t.Fatal(err)
 	}
+	writer.Flush()
 	records, err := obs.ReadAuditRecords(&buf)
 	if err != nil {
 		t.Fatal(err)

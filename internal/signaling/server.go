@@ -48,13 +48,9 @@ type Server struct {
 	IdleTimeout  time.Duration
 	WriteTimeout time.Duration
 
-	// audit, when set, receives one record per admit/preview/release. An
-	// atomic pointer so SetAuditLog can run concurrently with handlers.
-	audit atomic.Pointer[obs.AuditLog]
-
-	// asyncAudit, when set, takes precedence over audit: records are
-	// enqueued to the async writer instead of appended inline. Either way
-	// state-changing records are handed over inside the controller's commit
+	// asyncAudit, when set, receives one record per admit/preview/release.
+	// An atomic pointer so SetAsyncAudit can run concurrently with handlers.
+	// State-changing records are enqueued inside the controller's commit
 	// critical section, so file order equals commit order, preserving
 	// replay-to-identical-state.
 	asyncAudit atomic.Pointer[obs.AsyncAuditWriter]

@@ -404,6 +404,23 @@ func TestDualPeriodicSeamsEmittedOnce(t *testing.T) {
 	}
 }
 
+// TestDualPeriodicSubPeriodsCapped holds the sub-period loop to the cap the
+// long-period loop honours: a valid source with P1/P2 = 10⁵ used to advertise
+// every one of its 10⁵ bursts per long period.
+func TestDualPeriodicSubPeriodsCapped(t *testing.T) {
+	src, err := NewDualPeriodic(50e3, 10e-3, 0.5, 1e-7, 100e6)
+	if err != nil {
+		t.Fatal(err)
+	}
+	raw := src.Breakpoints(20e-3)
+	if len(raw) > maxBreakpoints+2 {
+		t.Errorf("%d breakpoints over two long periods, want at most %d", len(raw), maxBreakpoints+2)
+	}
+	if !sort.Float64sAreSorted(raw) {
+		t.Error("capped breakpoints are not ascending")
+	}
+}
+
 // TestGridAssemblyAllocationFree holds grid assembly at zero allocations on a
 // warmed workspace: chain enumeration appends into the workspace's breakpoint
 // scratch, the merge writes into a size-class buffer, and Put returns it.

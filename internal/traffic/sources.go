@@ -237,7 +237,9 @@ func (s DualPeriodic) AppendBreakpoints(dst []float64, horizon float64) []float6
 	perP1 := int(units.FloorDiv(s.P1, s.P2)) + 1
 	// visited counts two points per burst instant, a seam's instant twice
 	// over (once for either float path), so maxBreakpoints ends the list at
-	// the period it always did and deep grids keep their reach.
+	// the period it always did and deep grids keep their reach. A single
+	// period with more than maxBreakpoints/2 sub-periods ends at the cap
+	// too, so P1/P2 does not bound the list where the horizon does not.
 	visited := 0
 	seam := false // the previous period has emitted this period's base
 	for k := 0; ; k++ {
@@ -251,7 +253,7 @@ func (s DualPeriodic) AppendBreakpoints(dst []float64, horizon float64) []float6
 		}
 		for ; j < perP1; j++ {
 			t := base + float64(j)*s.P2
-			if t > base+s.P1 || t > horizon {
+			if t > base+s.P1 || t > horizon || 2*j > maxBreakpoints {
 				break
 			}
 			visited += 2

@@ -448,25 +448,3 @@ func (s *Sampled) Breakpoints(horizon float64) []float64 {
 func (s *Sampled) String() string {
 	return fmt.Sprintf("Sampled(%d points, horizon=%.3g s, rho=%.3g bps)", len(s.grid), s.grid[len(s.grid)-1], s.rho)
 }
-
-// Materialize evaluates d on the given grid and returns the tabulated
-// envelope, decoupling downstream evaluation cost from the depth of the
-// transform chain. The grid must be non-empty, strictly increasing and
-// positive (as produced by Grid).
-func Materialize(d Descriptor, grid []float64) (*Sampled, error) {
-	if len(grid) == 0 {
-		return nil, fmt.Errorf("traffic: Materialize requires a non-empty grid")
-	}
-	bits := make([]float64, len(grid))
-	maxSoFar := 0.0
-	for i, t := range grid {
-		v := d.Bits(t)
-		// Guard monotonicity against numeric jitter in composite envelopes.
-		if v < maxSoFar {
-			v = maxSoFar
-		}
-		maxSoFar = v
-		bits[i] = v
-	}
-	return NewSampled(grid, bits, d.LongTermRate())
-}

@@ -3,7 +3,6 @@ package traffic
 import (
 	"math"
 	"testing"
-	"testing/quick"
 
 	"fafnet/internal/units"
 )
@@ -273,41 +272,6 @@ func TestSampledCopiesInput(t *testing.T) {
 	bits[0] = 999
 	if got := s.Bits(0.001); got != 5 {
 		t.Errorf("Sampled observed caller mutation: Bits = %v, want 5", got)
-	}
-}
-
-func TestMaterializeDominates(t *testing.T) {
-	// A materialized envelope must dominate the original at every point
-	// (conservative upward interpolation).
-	d := mustDual(t)
-	grid := Grid(d, 0.05, 256)
-	s, err := Materialize(d, grid)
-	if err != nil {
-		t.Fatal(err)
-	}
-	f := func(x float64) bool {
-		iv := math.Mod(math.Abs(x), 0.05)
-		if iv <= 0 {
-			return true
-		}
-		return s.Bits(iv)+units.Eps >= d.Bits(iv)
-	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 1000}); err != nil {
-		t.Error(err)
-	}
-}
-
-func TestMaterializeExactOnGrid(t *testing.T) {
-	d := mustDual(t)
-	grid := Grid(d, 0.05, 128)
-	s, err := Materialize(d, grid)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, g := range grid {
-		if got, want := s.Bits(g), d.Bits(g); !units.AlmostEq(got, want) {
-			t.Fatalf("Bits(%v) = %v, want %v", g, got, want)
-		}
 	}
 }
 
