@@ -37,9 +37,8 @@ $(FAFVET): FORCE
 FORCE:
 
 # Standard vet plus this repository's analyzer suite (unitcheck, floatcmp,
-# epslit, randsrc, flowdims, desorder, lockorder, guardedby, golife,
-# errdrop, hotpath, atomicvisit — see README "Static analysis & unit
-# conventions"). fafvet's
+# epslit, randsrc, desorder, lockorder, guardedby, golife, errdrop,
+# hotpath — see README "Static analysis & unit conventions"). fafvet's
 # driver mode re-invokes go vet against itself, aggregates diagnostics
 # across packages, and applies the committed baseline of intended findings.
 vet: $(FAFVET)

@@ -2,12 +2,10 @@ package main
 
 import (
 	"fafnet/internal/lint"
-	"fafnet/internal/lint/atomicvisit"
 	"fafnet/internal/lint/desorder"
 	"fafnet/internal/lint/epslit"
 	"fafnet/internal/lint/errdrop"
 	"fafnet/internal/lint/floatcmp"
-	"fafnet/internal/lint/flowdims"
 	"fafnet/internal/lint/golife"
 	"fafnet/internal/lint/guardedby"
 	"fafnet/internal/lint/hotpath"
@@ -26,13 +24,11 @@ func suite() []*lint.Analyzer {
 		floatcmp.Analyzer,
 		epslit.Analyzer,
 		randsrc.Analyzer,
-		flowdims.Analyzer,
 		desorder.Analyzer,
 		lockorder.Analyzer,
 		guardedby.Analyzer,
 		golife.Analyzer,
 		errdrop.Analyzer,
 		hotpath.Analyzer,
-		atomicvisit.Analyzer,
 	}
 }

@@ -129,9 +129,9 @@ func TestDriverSARIFOutput(t *testing.T) {
 	for _, r := range run.Tool.Driver.Rules {
 		rules[r.ID] = true
 	}
-	for _, want := range []string{"unitcheck", "floatcmp", "epslit", "randsrc", "flowdims", "desorder", "lockorder", "guardedby", "golife", "errdrop"} {
-		if !rules[want] {
-			t.Errorf("rules are missing analyzer %q", want)
+	for _, a := range suite() {
+		if !rules[a.Name] {
+			t.Errorf("rules are missing analyzer %q", a.Name)
 		}
 	}
 	if len(run.Results) != 1 {

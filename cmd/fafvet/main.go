@@ -11,14 +11,15 @@
 //	bin/fafvet -baseline=.fafvet-baseline.json ./...
 //	bin/fafvet -format=sarif -o fafvet.sarif ./...
 //
-// It bundles twelve analyzers that enforce the correctness conventions the
+// It bundles ten analyzers that enforce the correctness conventions the
 // Go type system cannot see (README "Static analysis & unit conventions"):
 //
-//	unitcheck    dimensional consistency of float64 seconds/bits/bps
+//	unitcheck    dimensional consistency of float64 seconds/bits/bps, by name
+//	             and by dataflow through per-package facts
 //	floatcmp     no exact ==/<=/>= between computed physical quantities
 //	epslit       no raw tolerance/physical-constant literals
-//	randsrc      no unseeded randomness or wall-clock reads in simulators
-//	flowdims     interprocedural unit dataflow via exported per-package facts
+//	randsrc      no unseeded randomness or wall-clock reads in simulators, no
+//	             function-style sync/atomic anywhere (typed atomics only)
 //	desorder     no goroutines/channels/sleeps/global writes in DES handlers
 //	lockorder    repo-wide lock-order cycles, no blocking calls under a lock
 //	guardedby    "guarded by <mu>" field annotations hold at every access
@@ -26,8 +27,6 @@
 //	errdrop      no dropped errors on audit, deadline, flush or release calls
 //	hotpath      //fafvet:hotpath functions are transitively allocation-,
 //	             blocking- and wall-clock-free
-//	atomicvisit  a variable accessed through sync/atomic anywhere is accessed
-//	             atomically everywhere
 //
 // The driver's -format=dot mode additionally dumps the whole-program lock
 // graph (lockorder's cross-package acquisition edges) as Graphviz:

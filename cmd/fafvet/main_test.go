@@ -50,63 +50,76 @@ func writeModule(t *testing.T, files map[string]string) string {
 	return dir
 }
 
-// TestSeededViolationsFail re-introduces one violation per analyzer into a
-// scratch module and checks that the suite rejects each: the zero-findings
-// baseline over this repository is only meaningful if the gate actually
-// trips.
-func TestSeededViolationsFail(t *testing.T) {
-	bin := buildTool(t)
-
-	cases := []struct {
-		name  string
-		files map[string]string
-		want  string // diagnostic substring expected in the vet output
-	}{
-		{
-			name: "randsrc global rand",
-			files: map[string]string{"internal/des/bad.go": `package des
+// seededCases re-introduce one violation each into a scratch module. Every
+// registered analyzer needs at least one (TestEveryAnalyzerHasSeededCase):
+// an analyzer that cannot be shown to catch anything cannot be registered.
+var seededCases = []struct {
+	name     string
+	analyzer string // the one analyzer that reports, alone
+	files    map[string]string
+	want     string // diagnostic substring expected in the vet output
+}{
+	{
+		name:     "randsrc global rand",
+		analyzer: "randsrc",
+		files: map[string]string{"internal/des/bad.go": `package des
 
 import "math/rand"
 
 func Jitter() float64 { return rand.Float64() }
 `},
-			want: "breaks seeded replay",
-		},
-		{
-			name: "epslit raw tolerance literal",
-			files: map[string]string{"internal/core/bad.go": `package core
+		want: "breaks seeded replay",
+	},
+	{
+		name:     "randsrc wall clock in the workload generator",
+		analyzer: "randsrc",
+		files: map[string]string{"internal/workload/bad.go": `package workload
+
+import "time"
+
+func Stamp() int64 { return time.Now().UnixNano() }
+`},
+		want: "time.Now reads the wall clock in a simulation package",
+	},
+	{
+		name:     "epslit raw tolerance literal",
+		analyzer: "epslit",
+		files: map[string]string{"internal/core/bad.go": `package core
 
 var ttrt = 4e-3
 `},
-			want: "raw physical literal",
-		},
-		{
-			name: "floatcmp exact comparison",
-			files: map[string]string{"internal/core/bad.go": `package core
+		want: "raw physical literal",
+	},
+	{
+		name:     "floatcmp exact comparison",
+		analyzer: "floatcmp",
+		files: map[string]string{"internal/core/bad.go": `package core
 
 func Beats(delayA, delayB float64) bool { return delayA <= delayB }
 `},
-			want: "units.AlmostLE",
-		},
-		{
-			name: "unitcheck dimension mismatch",
-			files: map[string]string{"internal/core/bad.go": `package core
+		want: "units.AlmostLE",
+	},
+	{
+		name:     "unitcheck dimension mismatch",
+		analyzer: "unitcheck",
+		files: map[string]string{"internal/core/bad.go": `package core
 
 func Sum(delay, rateBps float64) float64 { return delay + rateBps }
 `},
-			want: "cross-dimension addition",
-		},
-		{
-			// flowdims needs two packages: the unit of Span's result is only
-			// known through the fact file exported when vetting package a.
-			name: "flowdims cross-package unit flow",
-			files: map[string]string{
-				"internal/core/a/a.go": `package a
+		want: "cross-dimension addition",
+	},
+	{
+		// Two packages: the unit of Span's result is only known through the
+		// fact file exported when vetting package a.
+		name:     "flowdims cross-package unit flow",
+		analyzer: "unitcheck",
+		files: map[string]string{
+			"internal/core/a/a.go": `package a
 
 // Span returns the gap between two delays.
 func Span(startDelay, endDelay float64) float64 { return endDelay - startDelay }
 `,
-				"internal/core/b/b.go": `package b
+			"internal/core/b/b.go": `package b
 
 import "fafnet/internal/core/a"
 
@@ -116,12 +129,13 @@ func Use(aDelay, bDelay float64) float64 {
 	return frameBits
 }
 `,
-			},
-			want: `seconds value flows into "frameBits"`,
 		},
-		{
-			name: "desorder goroutine in event handler",
-			files: map[string]string{"internal/des/bad.go": `package des
+		want: `seconds value stored in "frameBits"`,
+	},
+	{
+		name:     "desorder goroutine in event handler",
+		analyzer: "desorder",
+		files: map[string]string{"internal/des/bad.go": `package des
 
 type Sim struct{}
 
@@ -133,11 +147,12 @@ func Chatter(s *Sim, done chan int) error {
 	})
 }
 `},
-			want: "goroutine spawned inside a DES event handler",
-		},
-		{
-			name: "lockorder wait under mutex",
-			files: map[string]string{"internal/signaling/bad.go": `package signaling
+		want: "goroutine spawned inside a DES event handler",
+	},
+	{
+		name:     "lockorder wait under mutex",
+		analyzer: "lockorder",
+		files: map[string]string{"internal/signaling/bad.go": `package signaling
 
 import "sync"
 
@@ -152,14 +167,15 @@ func (s *Srv) Close() {
 	s.wg.Wait()
 }
 `},
-			want: "WaitGroup.Wait while s.mu is held",
-		},
-		{
-			// guardedby needs two packages: the annotation on Table.Rows
-			// travels to the consumer as an exported fact.
-			name: "guardedby cross-package unlocked access",
-			files: map[string]string{
-				"internal/state/state.go": `package state
+		want: "WaitGroup.Wait while s.mu is held",
+	},
+	{
+		// guardedby needs two packages: the annotation on Table.Rows
+		// travels to the consumer as an exported fact.
+		name:     "guardedby cross-package unlocked access",
+		analyzer: "guardedby",
+		files: map[string]string{
+			"internal/state/state.go": `package state
 
 import "sync"
 
@@ -170,18 +186,19 @@ type Table struct {
 	Rows map[string]int
 }
 `,
-				"internal/user/user.go": `package user
+			"internal/user/user.go": `package user
 
 import "fafnet/internal/state"
 
 func Bad(t *state.Table) int { return t.Rows["x"] }
 `,
-			},
-			want: "accessed without holding",
 		},
-		{
-			name: "golife unjoined goroutine",
-			files: map[string]string{"internal/daemon/bad.go": `package daemon
+		want: "accessed without holding",
+	},
+	{
+		name:     "golife unjoined goroutine",
+		analyzer: "golife",
+		files: map[string]string{"internal/daemon/bad.go": `package daemon
 
 func Watch() {
 	go func() {
@@ -190,14 +207,15 @@ func Watch() {
 	}()
 }
 `},
-			want: "no provable stop path",
-		},
-		{
-			// errdrop matches obs.AuditLog by its module path, so the scratch
-			// module (named fafnet) can pose its own.
-			name: "errdrop dropped audit sync",
-			files: map[string]string{
-				"internal/obs/obs.go": `package obs
+		want: "no provable stop path",
+	},
+	{
+		// errdrop matches obs.AuditLog by its module path, so the scratch
+		// module (named fafnet) can pose its own.
+		name:     "errdrop dropped audit sync",
+		analyzer: "errdrop",
+		files: map[string]string{
+			"internal/obs/obs.go": `package obs
 
 // AuditLog poses as the real audit log.
 type AuditLog struct{}
@@ -205,7 +223,7 @@ type AuditLog struct{}
 // Sync flushes.
 func (l *AuditLog) Sync() error { return nil }
 `,
-				"internal/daemon/bad.go": `package daemon
+			"internal/daemon/bad.go": `package daemon
 
 import "fafnet/internal/obs"
 
@@ -213,43 +231,46 @@ func Stop(l *obs.AuditLog) {
 	_ = l.Sync()
 }
 `,
-			},
-			want: "the error from (obs.AuditLog).Sync is dropped",
 		},
-		{
-			name: "hotpath allocation on an annotated path",
-			files: map[string]string{"internal/hot/bad.go": `package hot
+		want: "the error from (obs.AuditLog).Sync is dropped",
+	},
+	{
+		name:     "hotpath allocation on an annotated path",
+		analyzer: "hotpath",
+		files: map[string]string{"internal/hot/bad.go": `package hot
 
 //fafvet:hotpath
 func Eval(xs []float64) []float64 {
 	return append(xs, 1)
 }
 `},
-			want: "append may grow its backing array",
-		},
-		{
-			// hotpath needs two packages here: the callee is unproven because
-			// package k exports no clean fact for it.
-			name: "hotpath cross-package unproven callee",
-			files: map[string]string{
-				"internal/k/k.go": `package k
+		want: "append may grow its backing array",
+	},
+	{
+		// hotpath needs two packages here: the callee is unproven because
+		// package k exports no clean fact for it.
+		name:     "hotpath cross-package unproven callee",
+		analyzer: "hotpath",
+		files: map[string]string{
+			"internal/k/k.go": `package k
 
 // Build allocates.
 func Build(n int) []float64 { return make([]float64, n) }
 `,
-				"internal/hot/bad.go": `package hot
+			"internal/hot/bad.go": `package hot
 
 import "fafnet/internal/k"
 
 //fafvet:hotpath
 func Eval() float64 { return k.Build(1)[0] }
 `,
-			},
-			want: "is not proven hot-path-safe",
 		},
-		{
-			name: "atomicvisit mixed plain and atomic access",
-			files: map[string]string{"internal/stats/bad.go": `package stats
+		want: "is not proven hot-path-safe",
+	},
+	{
+		name:     "randsrc function-style atomic beside a plain read",
+		analyzer: "randsrc",
+		files: map[string]string{"internal/stats/bad.go": `package stats
 
 import "sync/atomic"
 
@@ -259,14 +280,15 @@ func (c *Ctr) Inc() { atomic.AddUint64(&c.n, 1) }
 
 func (c *Ctr) Read() uint64 { return c.n }
 `},
-			want: "mixed access tears",
-		},
-		{
-			// atomicvisit needs two packages: the counter's atomic contract
-			// reaches the consumer as an exported fact.
-			name: "atomicvisit cross-package plain access",
-			files: map[string]string{
-				"internal/stats/stats.go": `package stats
+		want: "function-style atomic.AddUint64",
+	},
+	{
+		// The plain read sits in another package; the ban needs no fact to
+		// see the call that makes it a hazard.
+		name:     "randsrc function-style atomic read plainly across packages",
+		analyzer: "randsrc",
+		files: map[string]string{
+			"internal/stats/stats.go": `package stats
 
 import "sync/atomic"
 
@@ -276,18 +298,19 @@ var Hits uint64
 // Bump records one.
 func Bump() { atomic.AddUint64(&Hits, 1) }
 `,
-				"internal/view/view.go": `package view
+			"internal/view/view.go": `package view
 
 import "fafnet/internal/stats"
 
 func Snapshot() uint64 { return stats.Hits }
 `,
-			},
-			want: "accessed with sync/atomic in its declaring package fafnet/internal/stats but plainly here",
 		},
-		{
-			name: "errdrop dropped ring release",
-			files: map[string]string{"internal/fddi/bad.go": `package fddi
+		want: "declare it as a typed atomic",
+	},
+	{
+		name:     "errdrop dropped ring release",
+		analyzer: "errdrop",
+		files: map[string]string{"internal/fddi/bad.go": `package fddi
 
 // Ring poses as the bandwidth bookkeeper.
 type Ring struct{}
@@ -299,10 +322,17 @@ func Drop(r *Ring) {
 	r.Release("c1")
 }
 `},
-			want: "the bool from fddi.Ring.Release is dropped",
-		},
-	}
-	for _, tc := range cases {
+		want: "the bool from fddi.Ring.Release is dropped",
+	},
+}
+
+// TestSeededViolationsFail checks that the suite rejects each seeded
+// violation, through the named analyzer and no other: the zero-findings
+// baseline over this repository is only meaningful if the gate actually
+// trips.
+func TestSeededViolationsFail(t *testing.T) {
+	bin := buildTool(t)
+	for _, tc := range seededCases {
 		t.Run(tc.name, func(t *testing.T) {
 			dir := writeModule(t, tc.files)
 			out, ok := vetModule(t, bin, dir)
@@ -312,7 +342,27 @@ func Drop(r *Ring) {
 			if !strings.Contains(out, tc.want) {
 				t.Errorf("vet output does not contain %q:\n%s", tc.want, out)
 			}
+			suffix := " (" + tc.analyzer + ")"
+			for _, line := range strings.Split(strings.TrimSpace(out), "\n") {
+				if !strings.HasPrefix(line, "#") && !strings.HasSuffix(line, suffix) {
+					t.Errorf("%s is not the only analyzer reporting: %s", tc.analyzer, line)
+				}
+			}
 		})
+	}
+}
+
+// TestEveryAnalyzerHasSeededCase fails when an analyzer is registered in
+// suite() without a seeded violation that trips it.
+func TestEveryAnalyzerHasSeededCase(t *testing.T) {
+	seeded := make(map[string]bool)
+	for _, tc := range seededCases {
+		seeded[tc.analyzer] = true
+	}
+	for _, a := range suite() {
+		if !seeded[a.Name] {
+			t.Errorf("analyzer %q is registered but no case of seededCases trips it", a.Name)
+		}
 	}
 }
 

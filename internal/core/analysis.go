@@ -488,6 +488,8 @@ func (ev *evaluation) envelopeEntering(c *Connection, stage int) (traffic.Descri
 			if f := pf.ShiftCap(d, capBps, flatHorizon, env); f != nil {
 				remember(&rec.stage, sk, f)
 				env = f
+			} else {
+				mFlatFallbacks.Inc()
 			}
 		}
 	}
@@ -669,6 +671,8 @@ func (ev *evaluation) dstMAC(c *Connection) (fddi.MACResult, error) {
 			if qf := lf.Quantize(qn.QuantumBits, qn.OutBits, flatHorizon, input); qf != nil {
 				input = qf
 				mFlatLowerings.Inc()
+			} else {
+				mFlatFallbacks.Inc()
 			}
 		}
 	}

@@ -90,7 +90,7 @@ var (
 	mFlatLowerings = obs.Default.Counter("fafnet_cac_flat_lowerings_total",
 		"Descriptor chains lowered into flat breakpoint arrays (stage-0 envelopes and receiver-side conversions).")
 	mFlatFallbacks = obs.Default.Counter("fafnet_cac_flat_fallbacks_total",
-		"Envelope evaluations that fell back to the closure-tree path because a chain had no exact flat lowering (e.g. shaped connections).")
+		"Envelopes left on the closure-tree path: a stage-0 chain with no exact flat lowering (e.g. a shaped connection), a later stage whose port delay used up the flat window, or a receiver-side conversion that did not quantize in closed form.")
 	mFlatAggRebuilds = obs.Default.Counter("fafnet_cac_flat_agg_rebuilds_total",
 		"Per-port aggregate envelopes summed from their member flats: one per FIFO-port analysis on the flat path, that is, per port-verdict cache miss.")
 )

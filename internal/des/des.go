@@ -206,8 +206,8 @@ type PoissonProcess struct {
 // NewPoissonProcess returns a Poisson process with intensity lambda in events
 // per second; lambda must be positive.
 func NewPoissonProcess(rng *RNG, lambda float64) (*PoissonProcess, error) {
-	if lambda <= 0 {
-		return nil, fmt.Errorf("des: Poisson intensity %v must be positive", lambda)
+	if lambda <= 0 || !positiveFinite(1/lambda) {
+		return nil, fmt.Errorf("des: Poisson intensity %v must be positive, with a finite mean gap", lambda)
 	}
 	if rng == nil {
 		return nil, errors.New("des: Poisson process requires an RNG")

@@ -101,6 +101,11 @@ type GammaProcess struct {
 	lambda float64
 }
 
+// positiveFinite reports whether a derived mean gap or scale is one a
+// process can draw from: rate and shape are each positive, yet their product
+// or Γ(1+1/shape) can still under- or overflow.
+func positiveFinite(x float64) bool { return x > 0 && !math.IsInf(x, 0) }
+
 // NewGammaProcess returns a Gamma renewal process with mean rate lambda
 // arrivals per second and the given shape; both must be positive. The scale
 // is derived so the mean interarrival is exactly 1/lambda.
@@ -111,7 +116,11 @@ func NewGammaProcess(rng *RNG, lambda, shape float64) (*GammaProcess, error) {
 	if lambda <= 0 || shape <= 0 {
 		return nil, fmt.Errorf("des: Gamma process parameters (lambda=%v, shape=%v) must be positive", lambda, shape)
 	}
-	return &GammaProcess{rng: rng, shape: shape, scale: 1 / (lambda * shape), lambda: lambda}, nil
+	scale := 1 / (lambda * shape)
+	if !positiveFinite(scale) {
+		return nil, fmt.Errorf("des: Gamma process parameters (lambda=%v, shape=%v) leave no usable scale (%v)", lambda, shape, scale)
+	}
+	return &GammaProcess{rng: rng, shape: shape, scale: scale, lambda: lambda}, nil
 }
 
 // Next returns the time to the next arrival.
@@ -142,7 +151,11 @@ func NewWeibullProcess(rng *RNG, lambda, shape float64) (*WeibullProcess, error)
 	if lambda <= 0 || shape <= 0 {
 		return nil, fmt.Errorf("des: Weibull process parameters (lambda=%v, shape=%v) must be positive", lambda, shape)
 	}
-	return &WeibullProcess{rng: rng, shape: shape, scale: 1 / (lambda * math.Gamma(1+1/shape)), lambda: lambda}, nil
+	scale := 1 / (lambda * math.Gamma(1+1/shape))
+	if !positiveFinite(scale) {
+		return nil, fmt.Errorf("des: Weibull process parameters (lambda=%v, shape=%v) leave no usable scale (%v)", lambda, shape, scale)
+	}
+	return &WeibullProcess{rng: rng, shape: shape, scale: scale, lambda: lambda}, nil
 }
 
 // Next returns the time to the next arrival.

@@ -15,6 +15,7 @@ import (
 	"go/ast"
 	"go/token"
 	"go/types"
+	"strconv"
 	"strings"
 	"unicode"
 )
@@ -70,18 +71,8 @@ func fmt_exp(base string, e int8) string {
 	case 1:
 		return base
 	default:
-		return base + "^" + itoa(int(e))
+		return base + "^" + strconv.Itoa(int(e))
 	}
-}
-
-func itoa(n int) string {
-	if n < 0 {
-		return "-" + itoa(-n)
-	}
-	if n < 10 {
-		return string(rune('0' + n))
-	}
-	return itoa(n/10) + string(rune('0'+n%10))
 }
 
 // Recognized reports whether d is one of the dimensions the units package
@@ -199,10 +190,7 @@ func splitWords(name string) []string {
 
 // IsFloat reports whether t is float64/float32 or an untyped numeric — the
 // only types dimension inference applies to.
-func IsFloat(t types.Type) bool { return isFloat(t) }
-
-// isFloat reports whether t is float64/float32 or an untyped numeric.
-func isFloat(t types.Type) bool {
+func IsFloat(t types.Type) bool {
 	if t == nil {
 		return false
 	}
@@ -213,33 +201,64 @@ func isFloat(t types.Type) bool {
 	return b.Info()&types.IsFloat != 0 || b.Info()&types.IsUntyped != 0 && b.Info()&types.IsNumeric != 0
 }
 
-// OfExpr infers the dimension of e bottom-up. The returned Kind is Unknown
-// whenever any contributing part resists inference.
+// Inferer evaluates expressions bottom-up. Flow, when set, is asked first
+// about every identifier, selector and call — the leaves the naming
+// conventions speak for — so an analyzer that has learned more than names
+// say (function summaries, imported facts, field dimensions established by
+// use) evaluates through this same walker; a true answer is Physical.
+type Inferer struct {
+	Info *types.Info
+	Flow func(ast.Expr) (Dim, bool)
+}
+
+// OfExpr infers the dimension of e from names alone.
 func OfExpr(info *types.Info, e ast.Expr) (Dim, Kind) {
+	return Inferer{Info: info}.OfExpr(e)
+}
+
+// OfExpr infers the dimension of e. The returned Kind is Unknown whenever
+// any contributing part resists inference.
+func (in Inferer) OfExpr(e ast.Expr) (Dim, Kind) {
 	switch e := e.(type) {
 	case *ast.ParenExpr:
-		return OfExpr(info, e.X)
+		return in.OfExpr(e.X)
 	case *ast.UnaryExpr:
 		if e.Op == token.SUB || e.Op == token.ADD {
-			return OfExpr(info, e.X)
+			return in.OfExpr(e.X)
 		}
 	case *ast.BasicLit:
 		if e.Kind == token.FLOAT || e.Kind == token.INT {
 			return Dim{}, Scalar
 		}
-	case *ast.Ident:
-		return ofNamed(info, e, e.Name)
-	case *ast.SelectorExpr:
-		return ofNamed(info, e, e.Sel.Name)
 	case *ast.IndexExpr:
 		// delays[id]: the collection's name describes the elements.
-		return OfExpr(info, e.X)
-	case *ast.CallExpr:
-		return ofCall(info, e)
+		return in.OfExpr(e.X)
 	case *ast.BinaryExpr:
-		return ofBinary(info, e)
+		return in.ofBinary(e)
+	case *ast.Ident:
+		if d, ok := in.flow(e); ok {
+			return d, Physical
+		}
+		return ofNamed(in.Info, e, e.Name)
+	case *ast.SelectorExpr:
+		if d, ok := in.flow(e); ok {
+			return d, Physical
+		}
+		return ofNamed(in.Info, e, e.Sel.Name)
+	case *ast.CallExpr:
+		if d, ok := in.flow(e); ok {
+			return d, Physical
+		}
+		return in.ofCall(e)
 	}
 	return Dim{}, Unknown
+}
+
+func (in Inferer) flow(e ast.Expr) (Dim, bool) {
+	if in.Flow == nil {
+		return Dim{}, false
+	}
+	return in.Flow(e)
 }
 
 // ofNamed infers from a (possibly qualified) identifier. Name-based inference
@@ -247,7 +266,7 @@ func OfExpr(info *types.Info, e ast.Expr) (Dim, Kind) {
 // dimension; only nameless constants degrade to Scalar.
 func ofNamed(info *types.Info, e ast.Expr, name string) (Dim, Kind) {
 	tv, ok := info.Types[e]
-	if !ok || !isFloat(tv.Type) {
+	if !ok || !IsFloat(tv.Type) {
 		return Dim{}, Unknown
 	}
 	if d, ok := FromName(name); ok {
@@ -265,9 +284,9 @@ func ofNamed(info *types.Info, e ast.Expr, name string) (Dim, Kind) {
 // in.Bits(t) yields bits, in.LongTermRate() yields bits/second. A handful of
 // dimension-preserving stdlib/units helpers pass their argument's dimension
 // through.
-func ofCall(info *types.Info, call *ast.CallExpr) (Dim, Kind) {
-	tv, ok := info.Types[call]
-	if !ok || !isFloat(tv.Type) {
+func (in Inferer) ofCall(call *ast.CallExpr) (Dim, Kind) {
+	tv, ok := in.Info.Types[call]
+	if !ok || !IsFloat(tv.Type) {
 		return Dim{}, Unknown
 	}
 	var name string
@@ -285,7 +304,7 @@ func ofCall(info *types.Info, call *ast.CallExpr) (Dim, Kind) {
 		// dimension; conflicting known argument dimensions are the
 		// arguments' own problem (reported at the call site by unitcheck).
 		for _, arg := range call.Args {
-			if d, k := OfExpr(info, arg); k == Physical {
+			if d, k := in.OfExpr(arg); k == Physical {
 				return d, k
 			}
 		}
@@ -295,7 +314,7 @@ func ofCall(info *types.Info, call *ast.CallExpr) (Dim, Kind) {
 		return Dim{}, Scalar
 	case "float64", "float32":
 		if len(call.Args) == 1 {
-			if d, k := OfExpr(info, call.Args[0]); k == Physical {
+			if d, k := in.OfExpr(call.Args[0]); k == Physical {
 				return d, k
 			}
 		}
@@ -310,9 +329,9 @@ func ofCall(info *types.Info, call *ast.CallExpr) (Dim, Kind) {
 // ofBinary propagates dimensions through arithmetic. Mismatches are not
 // reported here — unitcheck walks the same nodes and reports; this function
 // only answers "what comes out".
-func ofBinary(info *types.Info, e *ast.BinaryExpr) (Dim, Kind) {
-	ld, lk := OfExpr(info, e.X)
-	rd, rk := OfExpr(info, e.Y)
+func (in Inferer) ofBinary(e *ast.BinaryExpr) (Dim, Kind) {
+	ld, lk := in.OfExpr(e.X)
+	rd, rk := in.OfExpr(e.Y)
 	switch e.Op {
 	case token.ADD, token.SUB:
 		// The sum of a physical quantity and anything known keeps the

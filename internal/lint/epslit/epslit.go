@@ -39,7 +39,7 @@ func run(pass *lint.Pass) error {
 		return nil
 	}
 	for _, f := range pass.Files {
-		if strings.HasSuffix(pass.Fset.Position(f.Pos()).Filename, "_test.go") {
+		if pass.InTestFile(f.Pos()) {
 			continue // test tolerances are local assertions, not shared physics
 		}
 		ast.Inspect(f, func(n ast.Node) bool {

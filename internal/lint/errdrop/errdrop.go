@@ -39,11 +39,11 @@ var Analyzer = &lint.Analyzer{
 }
 
 func run(pass *lint.Pass) error {
-	if p := pass.Pkg.Path(); p != lint.ModulePath && !strings.HasPrefix(p, lint.ModulePath+"/") {
+	if !lint.InModule(pass.Pkg.Path()) {
 		return nil
 	}
 	for _, f := range pass.Files {
-		if strings.HasSuffix(pass.Fset.Position(f.Pos()).Filename, "_test.go") {
+		if pass.InTestFile(f.Pos()) {
 			continue
 		}
 		for _, d := range f.Decls {
@@ -218,7 +218,7 @@ func isModuleRelease(fn *types.Func) bool {
 	if named == nil || named.Obj().Pkg() == nil {
 		return false
 	}
-	if p := named.Obj().Pkg().Path(); p != lint.ModulePath && !strings.HasPrefix(p, lint.ModulePath+"/") {
+	if !lint.InModule(named.Obj().Pkg().Path()) {
 		return false
 	}
 	sig := fn.Type().(*types.Signature)

@@ -12,10 +12,10 @@ type payload struct {
 
 func TestRoundTrip(t *testing.T) {
 	f := make(File)
-	if err := f.Set("flowdims", "Span", payload{T: 1}); err != nil {
+	if err := f.Set("unitcheck", "Span", payload{T: 1}); err != nil {
 		t.Fatal(err)
 	}
-	if err := f.Set("flowdims", "Volume", payload{B: 1}); err != nil {
+	if err := f.Set("unitcheck", "Volume", payload{B: 1}); err != nil {
 		t.Fatal(err)
 	}
 	data, err := Encode(f)
@@ -27,10 +27,10 @@ func TestRoundTrip(t *testing.T) {
 		t.Fatal(err)
 	}
 	var p payload
-	if !g.Get("flowdims", "Span", &p) || p.T != 1 {
+	if !g.Get("unitcheck", "Span", &p) || p.T != 1 {
 		t.Errorf("Span fact did not survive the round trip: %+v", p)
 	}
-	if g.Get("flowdims", "Missing", &p) {
+	if g.Get("unitcheck", "Missing", &p) {
 		t.Error("Get reported a fact that was never set")
 	}
 	if g.Get("otherpass", "Span", &p) {
@@ -44,7 +44,7 @@ func TestEncodeDeterministic(t *testing.T) {
 	build := func(order []string) []byte {
 		f := make(File)
 		for _, k := range order {
-			if err := f.Set("flowdims", k, payload{T: 1}); err != nil {
+			if err := f.Set("unitcheck", k, payload{T: 1}); err != nil {
 				t.Fatal(err)
 			}
 		}

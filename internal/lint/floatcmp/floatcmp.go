@@ -32,7 +32,7 @@ loop conditions are not reported.`,
 
 func run(pass *lint.Pass) error {
 	for _, f := range pass.Files {
-		if strings.HasSuffix(pass.Fset.Position(f.Pos()).Filename, "_test.go") {
+		if pass.InTestFile(f.Pos()) {
 			continue // tests assert on fixed scenarios; exactness is intended
 		}
 		forConds := make(map[ast.Expr]bool)

@@ -28,7 +28,6 @@ import (
 	"go/ast"
 	"go/token"
 	"go/types"
-	"strings"
 
 	"fafnet/internal/lint"
 )
@@ -41,7 +40,7 @@ var Analyzer = &lint.Analyzer{
 }
 
 func run(pass *lint.Pass) error {
-	if p := pass.Pkg.Path(); p != lint.ModulePath && !strings.HasPrefix(p, lint.ModulePath+"/") {
+	if !lint.InModule(pass.Pkg.Path()) {
 		return nil
 	}
 	c := &checker{
@@ -63,7 +62,7 @@ func run(pass *lint.Pass) error {
 	for _, f := range pass.Files {
 		// Test files may leak for the length of one test; the -race chaos
 		// suite polices those, not the lifecycle gate.
-		if strings.HasSuffix(pass.Fset.Position(f.Pos()).Filename, "_test.go") {
+		if pass.InTestFile(f.Pos()) {
 			continue
 		}
 		ast.Inspect(f, func(n ast.Node) bool {
@@ -102,7 +101,7 @@ func (c *checker) check(g *ast.GoStmt) {
 			c.pass.Report(g.Pos(), "goroutine has no provable stop path (no WaitGroup.Done, channel operation, or cancellation receive); join it, give it a shutdown signal, or waive with //lint:allow golife <reason>")
 		}
 	default:
-		fn := c.callee(g.Call)
+		fn := lint.CalleeFunc(c.pass.TypesInfo, g.Call)
 		if fn == nil {
 			// Spawning an expression we cannot resolve (a stored closure, a
 			// method value) — the stop path, if any, is not visible here.
@@ -117,20 +116,6 @@ func (c *checker) check(g *ast.GoStmt) {
 			c.pass.Reportf(g.Pos(), "goroutine runs %s, which has no provable stop path (no WaitGroup.Done, channel operation, or cancellation receive); join it, give it a shutdown signal, or waive with //lint:allow golife <reason>", fn.Name())
 		}
 	}
-}
-
-// callee resolves a call to the invoked *types.Func, or nil for dynamic
-// calls (function-typed variables, stored closures).
-func (c *checker) callee(call *ast.CallExpr) *types.Func {
-	switch fun := ast.Unparen(call.Fun).(type) {
-	case *ast.Ident:
-		fn, _ := c.pass.TypesInfo.Uses[fun].(*types.Func)
-		return fn
-	case *ast.SelectorExpr:
-		fn, _ := c.pass.TypesInfo.Uses[fun.Sel].(*types.Func)
-		return fn
-	}
-	return nil
 }
 
 // funcHasStop reports whether fn's body (transitively through same-package
@@ -190,7 +175,7 @@ func (c *checker) bodyHasStop(body *ast.BlockStmt) bool {
 				found = true
 				return false
 			}
-			if fn := c.callee(n); fn != nil {
+			if fn := lint.CalleeFunc(c.pass.TypesInfo, n); fn != nil {
 				if _, local := c.decls[fn]; local && c.funcHasStop(fn) {
 					found = true
 					return false

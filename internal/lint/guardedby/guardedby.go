@@ -24,7 +24,6 @@ import (
 	"go/types"
 	"regexp"
 	"sort"
-	"strings"
 
 	"fafnet/internal/lint"
 	"fafnet/internal/lint/heldset"
@@ -58,8 +57,7 @@ type guardFact struct {
 }
 
 func run(pass *lint.Pass) error {
-	p := pass.Pkg.Path()
-	if p != lint.ModulePath && !strings.HasPrefix(p, lint.ModulePath+"/") {
+	if !lint.InModule(pass.Pkg.Path()) {
 		return nil
 	}
 	c := &checker{
@@ -322,7 +320,7 @@ func (c *checker) guardFor(v *types.Var) *types.Var {
 		return nil
 	}
 	path := v.Pkg().Path()
-	if path != lint.ModulePath && !strings.HasPrefix(path, lint.ModulePath+"/") {
+	if !lint.InModule(path) {
 		return nil
 	}
 	if gv, ok := c.foreign[v]; ok {
@@ -457,15 +455,8 @@ func (c *checker) walkAll(cfg *heldset.Config) {
 
 // calleeIn resolves a call to a function declared in this package.
 func (c *checker) calleeIn(call *ast.CallExpr) *types.Func {
-	var obj types.Object
-	switch fun := ast.Unparen(call.Fun).(type) {
-	case *ast.Ident:
-		obj = c.pass.TypesInfo.Uses[fun]
-	case *ast.SelectorExpr:
-		obj = c.pass.TypesInfo.Uses[fun.Sel]
-	}
-	fn, ok := obj.(*types.Func)
-	if !ok {
+	fn := lint.CalleeFunc(c.pass.TypesInfo, call)
+	if fn == nil {
 		return nil
 	}
 	if _, declared := c.decls[fn]; !declared {

@@ -97,8 +97,7 @@ type ifaceFact []string
 const ifacesKey = "ifaces"
 
 func run(pass *lint.Pass) error {
-	p := pass.Pkg.Path()
-	if p != lint.ModulePath && !strings.HasPrefix(p, lint.ModulePath+"/") {
+	if !lint.InModule(pass.Pkg.Path()) {
 		return nil
 	}
 	c := &checker{
@@ -173,7 +172,7 @@ func (c *checker) collect() {
 	info := c.pass.TypesInfo
 	consumed := make(map[token.Pos]bool)
 	for _, f := range c.pass.Files {
-		if strings.HasSuffix(c.pass.Fset.Position(f.Pos()).Filename, "_test.go") {
+		if c.pass.InTestFile(f.Pos()) {
 			continue
 		}
 		for _, d := range f.Decls {
@@ -209,7 +208,7 @@ func (c *checker) collect() {
 	// Directive hygiene: every //fafvet: comment must be a marker attached
 	// to a function or interface-method declaration.
 	for _, f := range c.pass.Files {
-		if strings.HasSuffix(c.pass.Fset.Position(f.Pos()).Filename, "_test.go") {
+		if c.pass.InTestFile(f.Pos()) {
 			continue
 		}
 		for _, cg := range f.Comments {
@@ -282,7 +281,7 @@ func markerIn(groups ...*ast.CommentGroup) (token.Pos, bool) {
 func (c *checker) importIfaces() {
 	for _, imp := range c.pass.Pkg.Imports() {
 		path := imp.Path()
-		if path != lint.ModulePath && !strings.HasPrefix(path, lint.ModulePath+"/") {
+		if !lint.InModule(path) {
 			continue
 		}
 		var list ifaceFact

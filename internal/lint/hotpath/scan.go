@@ -5,7 +5,6 @@ import (
 	"go/ast"
 	"go/token"
 	"go/types"
-	"strings"
 
 	"fafnet/internal/lint"
 	"fafnet/internal/lint/heldset"
@@ -173,7 +172,7 @@ func (s *scanner) call(call *ast.CallExpr) bool {
 		return true // the FuncLit rule already fires on the literal itself
 	}
 
-	fn := calleeFunc(info, call)
+	fn := lint.CalleeFunc(info, call)
 	if fn == nil {
 		s.add(call.Pos(), "hot path: dynamic call through a function value cannot be verified; call a named function or an annotated interface method")
 		return true
@@ -204,7 +203,7 @@ func (s *scanner) call(call *ast.CallExpr) bool {
 			s.add(call.Pos(), "hot path: %s has no analyzable body in this package; it cannot be verified", funcDisplay(fn))
 		}
 		s.boxedArgs(call, sig)
-	case path == lint.ModulePath || strings.HasPrefix(path, lint.ModulePath+"/"):
+	case lint.InModule(path):
 		key := fn.Name()
 		if recv := heldset.ReceiverNamed(fn); recv != "" {
 			key = recv + "." + fn.Name()
@@ -214,7 +213,7 @@ func (s *scanner) call(call *ast.CallExpr) bool {
 			s.boxedArgs(call, sig)
 			return true
 		}
-		s.add(call.Pos(), "hot path: call to %s.%s is not proven hot-path-safe (no hotpath fact exported by %s); keep the hot path inside proven callees or move this call off it", shortPkg(path), funcDisplay(fn), path)
+		s.add(call.Pos(), "hot path: call to %s.%s is not proven hot-path-safe (no hotpath fact exported by %s); keep the hot path inside proven callees or move this call off it", lint.ShortPkg(path), funcDisplay(fn), path)
 	default:
 		s.stdlibCall(call, fn, sig, path)
 	}
@@ -369,36 +368,12 @@ func (s *scanner) mapRangeOrderSafe(rs *ast.RangeStmt) bool {
 	return true
 }
 
-// calleeFunc resolves a call to the invoked *types.Func, nil for dynamic
-// calls.
-func calleeFunc(info *types.Info, call *ast.CallExpr) *types.Func {
-	var obj types.Object
-	switch fun := ast.Unparen(call.Fun).(type) {
-	case *ast.Ident:
-		obj = info.Uses[fun]
-	case *ast.SelectorExpr:
-		obj = info.Uses[fun.Sel]
-	}
-	fn, _ := obj.(*types.Func)
-	return fn
-}
-
 // funcDisplayFromCall names the callee for the boxing diagnostic.
 func funcDisplayFromCall(info *types.Info, call *ast.CallExpr) string {
-	if fn := calleeFunc(info, call); fn != nil {
+	if fn := lint.CalleeFunc(info, call); fn != nil {
 		return funcDisplay(fn)
 	}
 	return "the callee"
-}
-
-// shortPkg abbreviates a module package path the way lockorder does.
-func shortPkg(path string) string {
-	for _, prefix := range []string{lint.ModulePath + "/internal/", lint.ModulePath + "/cmd/", lint.ModulePath + "/"} {
-		if rest, ok := strings.CutPrefix(path, prefix); ok {
-			return strings.ReplaceAll(rest, "/", ".")
-		}
-	}
-	return path
 }
 
 func isStringType(t types.Type) bool {

@@ -124,6 +124,11 @@ func (p *Pass) Reportf(pos token.Pos, format string, args ...any) {
 	p.Report(pos, fmt.Sprintf(format, args...))
 }
 
+// InTestFile reports whether pos lies in a _test.go file.
+func (p *Pass) InTestFile(pos token.Pos) bool {
+	return strings.HasSuffix(p.Fset.Position(pos).Filename, "_test.go")
+}
+
 // allowKey identifies one suppressed (file line, analyzer) pair.
 type allowKey struct {
 	file     string
@@ -274,6 +279,20 @@ func FieldOwner(pkg *types.Package, v *types.Var) *types.TypeName {
 		}
 	}
 	return nil
+}
+
+// CalleeFunc resolves a call to the invoked *types.Func, or nil for dynamic
+// calls (function-typed variables, stored closures) and conversions.
+func CalleeFunc(info *types.Info, call *ast.CallExpr) *types.Func {
+	var obj types.Object
+	switch fun := ast.Unparen(call.Fun).(type) {
+	case *ast.Ident:
+		obj = info.Uses[fun]
+	case *ast.SelectorExpr:
+		obj = info.Uses[fun.Sel]
+	}
+	fn, _ := obj.(*types.Func)
+	return fn
 }
 
 // SortDiagnostics orders diagnostics by (file, line, column, analyzer,

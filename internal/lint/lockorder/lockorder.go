@@ -84,8 +84,7 @@ type edgeFact struct {
 }
 
 func run(pass *lint.Pass) error {
-	p := pass.Pkg.Path()
-	if p != lint.ModulePath && !strings.HasPrefix(p, lint.ModulePath+"/") {
+	if !lint.InModule(pass.Pkg.Path()) {
 		return nil
 	}
 	c := &checker{
@@ -163,7 +162,7 @@ type checker struct {
 func (c *checker) importEdges() {
 	for _, imp := range c.pass.Pkg.Imports() {
 		path := imp.Path()
-		if path != lint.ModulePath && !strings.HasPrefix(path, lint.ModulePath+"/") {
+		if !lint.InModule(path) {
 			continue
 		}
 		var edges []edgeFact
@@ -173,17 +172,6 @@ func (c *checker) importEdges() {
 			}
 		}
 	}
-}
-
-// shortPkg abbreviates a module package path for canonical lock names:
-// fafnet/internal/signaling → signaling, fafnet/cmd/fafcacd → fafcacd.
-func shortPkg(path string) string {
-	for _, prefix := range []string{lint.ModulePath + "/internal/", lint.ModulePath + "/cmd/", lint.ModulePath + "/"} {
-		if rest, ok := strings.CutPrefix(path, prefix); ok {
-			return strings.ReplaceAll(rest, "/", ".")
-		}
-	}
-	return path
 }
 
 // canonical names a mutex object stably across packages: pkg.Type.field for
@@ -204,7 +192,7 @@ func (c *checker) computeCanonical(v *types.Var) string {
 	if pkg == nil {
 		return v.Name()
 	}
-	short := shortPkg(pkg.Path())
+	short := lint.ShortPkg(pkg.Path())
 	if v.IsField() {
 		if owner := lint.FieldOwner(pkg, v); owner != nil {
 			return short + "." + owner.Name() + "." + v.Name()
@@ -230,7 +218,7 @@ func (c *checker) factFor(fn *types.Func) (funcFact, bool) {
 		return funcFact{}, false
 	}
 	path := pkg.Path()
-	if path != lint.ModulePath && !strings.HasPrefix(path, lint.ModulePath+"/") {
+	if !lint.InModule(path) {
 		return funcFact{}, false
 	}
 	key := fn.Name()
@@ -315,7 +303,7 @@ func (c *checker) summarize() {
 
 // calleeIn resolves a call to a function declared in this package.
 func (c *checker) calleeIn(call *ast.CallExpr) *types.Func {
-	fn := calleeFunc(c.pass.TypesInfo, call)
+	fn := lint.CalleeFunc(c.pass.TypesInfo, call)
 	if fn == nil {
 		return nil
 	}
@@ -328,23 +316,11 @@ func (c *checker) calleeIn(call *ast.CallExpr) *types.Func {
 // importedCallee resolves a call to a function in another module package and
 // returns its exported summary, if any.
 func (c *checker) importedCallee(call *ast.CallExpr) (funcFact, bool) {
-	fn := calleeFunc(c.pass.TypesInfo, call)
+	fn := lint.CalleeFunc(c.pass.TypesInfo, call)
 	if fn == nil {
 		return funcFact{}, false
 	}
 	return c.factFor(fn)
-}
-
-func calleeFunc(info *types.Info, call *ast.CallExpr) *types.Func {
-	var obj types.Object
-	switch fun := ast.Unparen(call.Fun).(type) {
-	case *ast.Ident:
-		obj = info.Uses[fun]
-	case *ast.SelectorExpr:
-		obj = info.Uses[fun.Sel]
-	}
-	fn, _ := obj.(*types.Func)
-	return fn
 }
 
 // walkConfig wires the shared held-set walker to this checker's reporting.

@@ -1,9 +1,12 @@
-// Package randsrc defines an analyzer that keeps the simulation packages
-// replayable: every random draw must come from the seeded des.RNG, and
-// simulation logic must never read the wall clock. A single global
-// rand.Float64() or time.Now() breaks bit-exact replication of experiment
-// runs (internal/sim replays scenarios by seed) and invalidates the
-// paired-seed comparisons the evaluation rests on.
+// Package randsrc defines the analyzer that holds this module's API bans.
+// Two keep the simulation packages replayable: every random draw must come
+// from the seeded des.RNG, and simulation logic must never read the wall
+// clock. A single global rand.Float64() or time.Now() breaks bit-exact
+// replication of experiment runs (internal/sim replays scenarios by seed) and
+// invalidates the paired-seed comparisons the evaluation rests on. The third
+// holds module-wide: shared words are typed atomics, never plain variables
+// passed to the function-style sync/atomic API, so a variable cannot be
+// accessed atomically in one place and plainly in another.
 package randsrc
 
 import (
@@ -13,26 +16,37 @@ import (
 	"fafnet/internal/lint"
 )
 
-// Analyzer forbids unseeded randomness and wall-clock reads in simulators.
+// Analyzer forbids unseeded randomness and wall-clock reads in simulators,
+// and the function-style sync/atomic API in the module's non-test code.
 var Analyzer = &lint.Analyzer{
 	Name: "randsrc",
-	Doc: `forbid global math/rand and time.Now in simulation packages
+	Doc: `forbid global math/rand and time.Now in simulators, function-style sync/atomic everywhere
 
-Inside internal/des, internal/sim, internal/packetsim, internal/atm and
-internal/fddi, every variate must be drawn from a seeded des.RNG and
+Inside internal/des, internal/sim, internal/packetsim, internal/workload,
+internal/atm, internal/fddi, internal/tokenring, internal/ifdev and
+internal/shaper, every variate must be drawn from a seeded des.RNG and
 simulation time must come from the DES clock (Simulator.Now). The analyzer
 reports any use of math/rand package-level functions (except the New*
-constructors, which build seeded generators) and any use of time.Now.`,
+constructors, which build seeded generators) and any use of time.Now.
+In every non-test file of the module it reports any use of a sync/atomic
+package-level function: atomic.AddUint64(&x, 1) leaves x a plain variable
+that a plain read elsewhere tears, while a typed atomic (atomic.Uint64,
+atomic.Pointer[T]) has no plain access to mix in.`,
 	Run: run,
 }
 
-// scopes are the package-path prefixes the determinism rule covers.
+// scopes are the package-path prefixes the determinism rule covers: every
+// package that runs a simulator or feeds one its seeded streams.
 var scopes = []string{
 	"fafnet/internal/des",
 	"fafnet/internal/sim",
 	"fafnet/internal/packetsim",
+	"fafnet/internal/workload",
 	"fafnet/internal/atm",
 	"fafnet/internal/fddi",
+	"fafnet/internal/tokenring",
+	"fafnet/internal/ifdev",
+	"fafnet/internal/shaper",
 }
 
 // allowedRand are math/rand package-level constructors that produce a
@@ -43,15 +57,16 @@ var allowedRand = map[string]bool{
 }
 
 func run(pass *lint.Pass) error {
-	inScope := false
+	sim := false
 	for _, s := range scopes {
 		p := pass.Pkg.Path()
 		if p == s || strings.HasPrefix(p, s+"/") {
-			inScope = true
+			sim = true
 			break
 		}
 	}
-	if !inScope {
+	module := lint.InModule(pass.Pkg.Path())
+	if !sim && !module {
 		return nil
 	}
 	for id, obj := range pass.TypesInfo.Uses {
@@ -60,18 +75,20 @@ func run(pass *lint.Pass) error {
 			continue
 		}
 		if sig, ok := fn.Type().(*types.Signature); !ok || sig.Recv() != nil {
-			continue // methods on an explicit generator instance are fine
+			continue // methods on an explicit generator or a typed atomic are fine
 		}
-		switch fn.Pkg().Path() {
-		case "math/rand", "math/rand/v2":
+		switch path := fn.Pkg().Path(); {
+		case sim && (path == "math/rand" || path == "math/rand/v2"):
 			if !allowedRand[fn.Name()] {
-				pass.Reportf(id.Pos(), "global %s.%s breaks seeded replay; draw from a des.RNG", pathBase(fn.Pkg().Path()), fn.Name())
+				pass.Reportf(id.Pos(), "global %s.%s breaks seeded replay; draw from a des.RNG", pathBase(path), fn.Name())
 			}
-		case "time":
+		case sim && path == "time":
 			switch fn.Name() {
 			case "Now", "Since", "Until":
 				pass.Reportf(id.Pos(), "time.%s reads the wall clock in a simulation package; use the DES clock (Simulator.Now)", fn.Name())
 			}
+		case module && path == "sync/atomic" && !pass.InTestFile(id.Pos()):
+			pass.Reportf(id.Pos(), "function-style atomic.%s leaves its operand a plain variable that a plain access elsewhere tears; declare it as a typed atomic (atomic.Uint64, atomic.Pointer[T], ...)", fn.Name())
 		}
 	}
 	return nil

@@ -16,3 +16,10 @@ func TestRandsrc(t *testing.T) {
 func TestOutOfScope(t *testing.T) {
 	linttest.RunExpectNone(t, randsrc.Analyzer, "testdata/d", "fafnet/internal/signaling/linttestdata")
 }
+
+// TestAtomicBan checks the module-wide rule from a package outside the
+// simulation set, and that code outside the module is left alone.
+func TestAtomicBan(t *testing.T) {
+	linttest.Run(t, randsrc.Analyzer, "testdata/atomics", "fafnet/internal/signaling/linttestdata")
+	linttest.RunExpectNone(t, randsrc.Analyzer, "testdata/atomics", "example.com/linttestdata")
+}

@@ -1,10 +1,10 @@
-// Package a exercises the flowdims analyzer: dimensions established by
-// dataflow — through returns, parameter usage and struct fields — are
-// enforced where name-based inference is blind.
-package a
+// Package flow exercises unitcheck's dataflow: dimensions established
+// through returns, parameter usage and struct fields are enforced where the
+// names at the offending site say nothing.
+package flow
 
 // Span carries no unit in its name, but both parameters and the returned
-// difference are seconds; flowdims summarizes it as seconds → usable at
+// difference are seconds; the analyzer summarizes it as seconds → usable at
 // every call site below.
 func Span(startDelay, endDelay float64) float64 {
 	return endDelay - startDelay
@@ -17,7 +17,7 @@ func Volume(rateBps, horizon float64) float64 {
 
 // badStore stores the seconds result of Span under a bits name.
 func badStore(a, b float64) {
-	sinkBits := Span(a, b) // want `seconds value flows into "sinkBits", which is declared bits by name`
+	sinkBits := Span(a, b) // want `seconds value stored in "sinkBits", which is declared bits by name`
 	_ = sinkBits
 }
 
@@ -29,7 +29,7 @@ func goodStore(a, b float64) {
 
 // badAdd adds the seconds result of Span to a rate.
 func badAdd(a, b, linkBps float64) float64 {
-	return linkBps + Span(a, b) // want `cross-dimension addition via dataflow: bits/second \+ seconds`
+	return linkBps + Span(a, b) // want `cross-dimension addition: bits/second \+ seconds`
 }
 
 // Shape has one unit-named field and one whose dimension only its uses
@@ -49,13 +49,13 @@ func (s *Shape) Fill(deadline float64) {
 
 // badField compares the seconds field against a bit count.
 func badField(s *Shape) bool {
-	return s.Window > s.SigmaBits // want `cross-dimension comparison via dataflow: seconds > bits`
+	return s.Window > s.SigmaBits // want `cross-dimension comparison: seconds > bits`
 }
 
 // badArg feeds the bits result of Volume into Span, whose parameters are
 // seconds by dataflow.
 func badArg(rateBps, horizon float64) float64 {
-	return Span(Volume(rateBps, horizon), horizon) // want `argument flows bits into parameter "startDelay" of Span, which carries seconds`
+	return Span(Volume(rateBps, horizon), horizon) // want `argument is bits but parameter "startDelay" of Span wants seconds`
 }
 
 // Chained returns seconds through one level of indirection; the summary
@@ -66,7 +66,7 @@ func Chained(a, b float64) float64 {
 
 // badChain stores the chained seconds under a rate name.
 func badChain(a, b float64) {
-	peakBps := Chained(a, b) // want `seconds value flows into "peakBps", which is declared bits/second by name`
+	peakBps := Chained(a, b) // want `seconds value stored in "peakBps", which is declared bits/second by name`
 	_ = peakBps
 }
 

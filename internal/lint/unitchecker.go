@@ -56,6 +56,23 @@ type Config struct {
 // get an empty fact file and are otherwise skipped.
 const ModulePath = "fafnet"
 
+// InModule reports whether the import path names a package of this module.
+func InModule(path string) bool {
+	return path == ModulePath || strings.HasPrefix(path, ModulePath+"/")
+}
+
+// ShortPkg abbreviates a module package path for lock names and
+// diagnostics: fafnet/internal/signaling → signaling, fafnet/cmd/fafcacd →
+// fafcacd, fafnet/internal/lint/dims → lint.dims.
+func ShortPkg(path string) string {
+	for _, prefix := range []string{ModulePath + "/internal/", ModulePath + "/cmd/", ModulePath + "/"} {
+		if rest, ok := strings.CutPrefix(path, prefix); ok {
+			return strings.ReplaceAll(rest, "/", ".")
+		}
+	}
+	return path
+}
+
 // MachinePrefix introduces one machine-readable diagnostic line on stderr
 // when the tool runs with -emit=machine. The standalone driver (cmd/fafvet
 // run on package patterns) greps these lines out of `go vet` output to
@@ -247,7 +264,7 @@ func runConfig(cfgFile string, analyzers []*Analyzer) ([]Diagnostic, error) {
 		return nil, fmt.Errorf("parsing vet config %s: %w", cfgFile, err)
 	}
 
-	inModule := cfg.ImportPath == ModulePath || strings.HasPrefix(cfg.ImportPath, ModulePath+"/")
+	inModule := InModule(cfg.ImportPath)
 	if cfg.VetxOnly {
 		// A dependency vetted only for its facts. Standard-library (and any
 		// other out-of-module) packages carry no fafnet facts: write the

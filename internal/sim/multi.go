@@ -119,12 +119,9 @@ func RunMulti(cfg MultiConfig) (MultiResult, error) {
 	cfg = cfg.withDefaults()
 	replaying := len(cfg.Replay) > 0
 
-	net, err := topo.NewNetwork(cfg.Topology)
+	net, err := newNetwork(cfg.Topology)
 	if err != nil {
 		return MultiResult{}, err
-	}
-	if cfg.Topology.NumRings < 2 {
-		return MultiResult{}, errors.New("sim: multi-class runs need at least two rings (routes cross the backbone)")
 	}
 	ctl, err := core.NewController(net, cfg.CAC)
 	if err != nil {

@@ -181,6 +181,20 @@ type Result struct {
 	Duration float64
 }
 
+// newNetwork builds the topology both drivers run on. Every simulated
+// connection is addressed to a host on another ring, so one ring is not a
+// topology either driver can draw a destination from.
+func newNetwork(cfg topo.Config) (*topo.Network, error) {
+	net, err := topo.NewNetwork(cfg)
+	if err != nil {
+		return nil, err
+	}
+	if cfg.NumRings < 2 {
+		return nil, errors.New("sim: runs need at least two rings (routes cross the backbone)")
+	}
+	return net, nil
+}
+
 // Run executes one simulation and returns its statistics.
 func Run(cfg Config) (Result, error) {
 	cfg = cfg.withDefaults()
@@ -190,7 +204,7 @@ func Run(cfg Config) (Result, error) {
 	if cfg.Utilization <= 0 {
 		return Result{}, fmt.Errorf("sim: utilization %v must be positive", cfg.Utilization)
 	}
-	net, err := topo.NewNetwork(cfg.Topology)
+	net, err := newNetwork(cfg.Topology)
 	if err != nil {
 		return Result{}, err
 	}

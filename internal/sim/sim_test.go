@@ -4,6 +4,7 @@ import (
 	"testing"
 
 	"fafnet/internal/core"
+	"fafnet/internal/topo"
 	"fafnet/internal/units"
 )
 
@@ -96,6 +97,12 @@ func TestRunValidation(t *testing.T) {
 	bad2.Workload.DeadlineMax = bad2.Workload.DeadlineMin / 2
 	if _, err := Run(bad2); err == nil {
 		t.Error("inverted deadline range should be rejected")
+	}
+	oneRing := fastCfg(0.5, 1)
+	oneRing.Topology = topo.Default()
+	oneRing.Topology.NumRings = 1
+	if _, err := Run(oneRing); err == nil {
+		t.Error("a one-ring topology has no remote destination and should be rejected")
 	}
 }
 

@@ -79,67 +79,58 @@ func pointSeed(base int64, series, point int) int64 {
 	return base + int64(series)*1_000_003 + int64(point)*7919
 }
 
-// BetaSweep reproduces Figure 7: admission probability against β, one
-// series per offered utilization.
-func BetaSweep(base Config, utils, betas []float64) ([]Series, error) {
-	out := make([]Series, len(utils))
+// sweep runs one simulation per (series, x) coordinate: base edited by set,
+// seeded by pointSeed, collected into one labeled series per label.
+func sweep(base Config, labels []string, xs []float64, set func(cfg *Config, si, pi int)) ([]Series, error) {
+	out := make([]Series, len(labels))
 	var jobs []job
-	for si, u := range utils {
-		out[si] = Series{Label: fmt.Sprintf("U=%.2g", u), Points: make([]Point, len(betas))}
-		for pi, beta := range betas {
+	for si, label := range labels {
+		out[si] = Series{Label: label, Points: make([]Point, len(xs))}
+		for pi, x := range xs {
 			cfg := base
-			cfg.Utilization = u
-			cfg.CAC.Beta = beta
-			cfg.CAC.BetaSet = true
+			set(&cfg, si, pi)
 			cfg.Seed = pointSeed(base.Seed, si, pi)
-			jobs = append(jobs, job{series: si, point: pi, cfg: cfg, x: beta})
+			jobs = append(jobs, job{series: si, point: pi, cfg: cfg, x: x})
 		}
 	}
 	if err := runJobs(jobs, out); err != nil {
 		return nil, err
 	}
 	return out, nil
+}
+
+// seriesLabels formats one series label per value.
+func seriesLabels[T any](format string, vs []T) []string {
+	out := make([]string, len(vs))
+	for i, v := range vs {
+		out[i] = fmt.Sprintf(format, v)
+	}
+	return out
+}
+
+// BetaSweep reproduces Figure 7: admission probability against β, one
+// series per offered utilization.
+func BetaSweep(base Config, utils, betas []float64) ([]Series, error) {
+	return sweep(base, seriesLabels("U=%.2g", utils), betas, func(cfg *Config, si, pi int) {
+		cfg.Utilization = utils[si]
+		cfg.CAC.Beta, cfg.CAC.BetaSet = betas[pi], true
+	})
 }
 
 // LoadSweep reproduces Figure 8: admission probability against offered
 // utilization, one series per β.
 func LoadSweep(base Config, betas, utils []float64) ([]Series, error) {
-	out := make([]Series, len(betas))
-	var jobs []job
-	for si, beta := range betas {
-		out[si] = Series{Label: fmt.Sprintf("beta=%.2g", beta), Points: make([]Point, len(utils))}
-		for pi, u := range utils {
-			cfg := base
-			cfg.Utilization = u
-			cfg.CAC.Beta = beta
-			cfg.CAC.BetaSet = true
-			cfg.Seed = pointSeed(base.Seed, si, pi)
-			jobs = append(jobs, job{series: si, point: pi, cfg: cfg, x: u})
-		}
-	}
-	if err := runJobs(jobs, out); err != nil {
-		return nil, err
-	}
-	return out, nil
+	return sweep(base, seriesLabels("beta=%.2g", betas), utils, func(cfg *Config, si, pi int) {
+		cfg.Utilization = utils[pi]
+		cfg.CAC.Beta, cfg.CAC.BetaSet = betas[si], true
+	})
 }
 
 // RuleSweep is the E4 ablation: admission probability against offered
 // utilization, one series per allocation rule, at the base configuration's β.
 func RuleSweep(base Config, rules []core.Rule, utils []float64) ([]Series, error) {
-	out := make([]Series, len(rules))
-	var jobs []job
-	for si, rule := range rules {
-		out[si] = Series{Label: rule.String(), Points: make([]Point, len(utils))}
-		for pi, u := range utils {
-			cfg := base
-			cfg.Utilization = u
-			cfg.CAC.Rule = rule
-			cfg.Seed = pointSeed(base.Seed, si, pi)
-			jobs = append(jobs, job{series: si, point: pi, cfg: cfg, x: u})
-		}
-	}
-	if err := runJobs(jobs, out); err != nil {
-		return nil, err
-	}
-	return out, nil
+	return sweep(base, seriesLabels("%v", rules), utils, func(cfg *Config, si, pi int) {
+		cfg.Utilization = utils[pi]
+		cfg.CAC.Rule = rules[si]
+	})
 }

@@ -63,33 +63,10 @@ func NewGenerator(spec Spec, seed int64) (*Generator, error) {
 	}
 	g := &Generator{}
 	for i, c := range spec.Classes {
-		cg := &classGen{class: c, index: i, rng: des.NewRNG(seed + int64(i+1)*classSeedStride), peak: 1}
-		rate := c.Arrival.RatePerSec
-		if d := c.Diurnal; d != nil {
-			// Thinning generates candidates at the peak rate and keeps each
-			// with probability factor(t)/peak.
-			cg.peak = 1 + d.Amplitude
-			rate *= cg.peak
-		}
-		switch c.Arrival.Process {
-		case ProcessPoisson:
-			p, err := des.NewPoissonProcess(cg.rng, rate)
-			if err != nil {
-				return nil, fmt.Errorf("workload: class %q: %w", c.Name, err)
-			}
-			cg.gap = p.Next
-		case ProcessGamma:
-			p, err := des.NewGammaProcess(cg.rng, rate, c.Arrival.Shape)
-			if err != nil {
-				return nil, fmt.Errorf("workload: class %q: %w", c.Name, err)
-			}
-			cg.gap = p.Next
-		case ProcessWeibull:
-			p, err := des.NewWeibullProcess(cg.rng, rate, c.Arrival.Shape)
-			if err != nil {
-				return nil, fmt.Errorf("workload: class %q: %w", c.Name, err)
-			}
-			cg.gap = p.Next
+		cg := &classGen{class: c, index: i, rng: des.NewRNG(seed + int64(i+1)*classSeedStride)}
+		var err error
+		if cg.gap, cg.peak, err = c.gaps(cg.rng); err != nil {
+			return nil, fmt.Errorf("workload: class %q: %w", c.Name, err)
 		}
 		cg.advance()
 		g.classes = append(g.classes, cg)
@@ -97,10 +74,44 @@ func NewGenerator(spec Spec, seed int64) (*Generator, error) {
 	return g, nil
 }
 
+// gaps builds the class's interarrival process on rng and returns its draw
+// function beside the diurnal peak factor (1 when unmodulated): thinning
+// generates candidates at the peak rate and keeps each with probability
+// factor(t)/peak.
+func (c Class) gaps(rng *des.RNG) (gap func() float64, peak float64, err error) {
+	peak = 1
+	if d := c.Diurnal; d != nil {
+		peak += d.Amplitude
+	}
+	rate := c.Arrival.RatePerSec * peak
+	switch c.Arrival.Process {
+	case ProcessPoisson:
+		p, err := des.NewPoissonProcess(rng, rate)
+		if err != nil {
+			return nil, 0, err
+		}
+		return p.Next, peak, nil
+	case ProcessGamma:
+		p, err := des.NewGammaProcess(rng, rate, c.Arrival.Shape)
+		if err != nil {
+			return nil, 0, err
+		}
+		return p.Next, peak, nil
+	case ProcessWeibull:
+		p, err := des.NewWeibullProcess(rng, rate, c.Arrival.Shape)
+		if err != nil {
+			return nil, 0, err
+		}
+		return p.Next, peak, nil
+	}
+	return nil, 0, fmt.Errorf("unknown arrival process %q", c.Arrival.Process)
+}
+
 // advance moves nextAt to the class's next accepted arrival, applying
 // diurnal thinning: candidates arrive at the peak rate and survive with
-// probability factor(t)/peak. Termination is sure because the acceptance
-// probability is bounded below by (1−Amplitude)/(1+Amplitude) > 0.
+// probability factor(t)/peak. Validate bounds the acceptance probability
+// below by minThinningKeep, so the loop ends after 1/minThinningKeep
+// candidates in expectation even at the trough.
 func (c *classGen) advance() {
 	for {
 		c.nextAt += c.gap()

@@ -15,8 +15,10 @@ import (
 	"errors"
 	"fmt"
 	"io"
+	"math"
 	"os"
 
+	"fafnet/internal/des"
 	"fafnet/internal/scenario"
 	"fafnet/internal/units"
 )
@@ -101,16 +103,34 @@ type Lifetime struct {
 type Diurnal struct {
 	// PeriodSeconds is the modulation period (a compressed "day").
 	PeriodSeconds float64 `json:"periodSeconds"`
-	// Amplitude is the relative swing, in [0, 1).
+	// Amplitude is the relative swing, in [0, 0.98] (see minThinningKeep).
 	Amplitude float64 `json:"amplitude"`
 	// PhaseSeconds shifts the curve (0 starts at the mean, rising).
 	PhaseSeconds float64 `json:"phaseSeconds,omitempty"`
 }
 
+// maxMeanGapSeconds bounds a class's mean interarrival time 1/ratePerSec
+// (some 30,000 years): beyond it a few heavy-tailed gaps sum past the
+// largest float64 and the arrival clock reads +Inf.
+const maxMeanGapSeconds = 1e12
+
+// minThinningKeep (a probability) is the least share of candidates thinning
+// may keep at the trough of the curve, (1−Amplitude)/(1+Amplitude): the
+// generator draws 1/keep candidates per trough arrival, and an amplitude
+// approaching 1 never produces one. 0.01 admits amplitudes up to 0.98.
+const minThinningKeep = 0.01
+
 // factor returns the modulation multiplier at time t, in
 // [1−Amplitude, 1+Amplitude].
 func (d *Diurnal) factor(t float64) float64 {
-	return 1 + d.Amplitude*sin2pi((t-d.PhaseSeconds)/d.PeriodSeconds)
+	f := 1 + d.Amplitude*sin2pi((t-d.PhaseSeconds)/d.PeriodSeconds)
+	if math.IsNaN(f) {
+		// The phase overflowed (a period next to zero, a phase next to the
+		// float range): no curve is defined out there, and thinning would
+		// compare against NaN forever.
+		return 1
+	}
+	return f
 }
 
 // Validate reports whether the spec is usable.
@@ -147,6 +167,10 @@ func (c Class) validate() error {
 	if c.Arrival.RatePerSec <= 0 {
 		return fmt.Errorf("arrival rate %v must be positive", c.Arrival.RatePerSec)
 	}
+	if c.Arrival.RatePerSec*maxMeanGapSeconds < 1 {
+		return fmt.Errorf("arrival rate %v is below one arrival in %v s: arrival instants would leave the float range",
+			c.Arrival.RatePerSec, maxMeanGapSeconds)
+	}
 	switch c.Lifetime.Dist {
 	case LifetimeExponential:
 	case LifetimePareto:
@@ -178,11 +202,19 @@ func (c Class) validate() error {
 		if d.PeriodSeconds <= 0 {
 			return fmt.Errorf("diurnal period %v must be positive", d.PeriodSeconds)
 		}
-		if d.Amplitude < 0 || d.Amplitude >= 1 {
-			return fmt.Errorf("diurnal amplitude %v must be in [0, 1)", d.Amplitude)
+		if d.Amplitude < 0 {
+			return fmt.Errorf("diurnal amplitude %v must not be negative", d.Amplitude)
+		}
+		if keep := (1 - d.Amplitude) / (1 + d.Amplitude); !(keep >= minThinningKeep) {
+			return fmt.Errorf("diurnal amplitude %v keeps a trough candidate with probability %.3g, below %v: thinning would spin",
+				d.Amplitude, keep, minThinningKeep)
 		}
 	}
-	return nil
+	// Whatever is accepted here, NewGenerator can build: the process
+	// constructors derive a scale from rate and shape and refuse one that
+	// under- or overflows (a Weibull shape of 0.001 needs Γ(1001)).
+	_, _, err := c.gaps(des.NewRNG(0))
+	return err
 }
 
 // Parse reads a spec from JSON, rejecting unknown fields.

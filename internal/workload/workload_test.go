@@ -41,6 +41,8 @@ func TestValidateErrors(t *testing.T) {
 		}, "deadline range"},
 		{"diurnal period", func(s *Spec) { s.Classes[2].Diurnal.PeriodSeconds = 0 }, "period"},
 		{"diurnal amplitude", func(s *Spec) { s.Classes[2].Diurnal.Amplitude = 1 }, "amplitude"},
+		{"diurnal amplitude negative", func(s *Spec) { s.Classes[2].Diurnal.Amplitude = -0.1 }, "must not be negative"},
+		{"diurnal amplitude spins", func(s *Spec) { s.Classes[2].Diurnal.Amplitude = 0.99999999 }, "with probability 5e-09"},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
