@@ -18,7 +18,7 @@ BENCH_BASELINE ?= BENCH_PR21.json
 CAL_SCENARIOS ?= 100
 CAL_SEED      ?= 1
 
-.PHONY: all build fmt vet sarif lockgraph lockgraph-check race test short bench bench-compare bench-e2e chaos load-smoke calibrate docs-check check clean
+.PHONY: all build fmt vet sarif lockgraph lockgraph-check race test short fuzz-smoke bench bench-compare bench-e2e chaos load-smoke calibrate docs-check check clean
 
 all: build
 
@@ -73,6 +73,27 @@ test:
 
 short:
 	$(GO) test -short ./...
+
+# Ten seconds of mutation for every committed native fuzz target, one `go
+# test` run each (-fuzz takes a single target): `make test` replays only
+# their seed corpora. A crasher is written under the package's testdata/fuzz
+# and fails the target.
+FUZZ_TARGETS := \
+	./internal/traffic:FuzzGridAssembly \
+	./internal/traffic:FuzzWorkspaceSum \
+	./internal/traffic:FuzzMinFlats \
+	./internal/core:FuzzDelaysAgainstClosureOracle \
+	./internal/scenario:FuzzParse \
+	./internal/workload:FuzzParse \
+	./internal/workload:FuzzReadTrace \
+	./internal/signaling:FuzzReplay \
+	./internal/signaling:FuzzServerRequests
+
+fuzz-smoke:
+	@for t in $(FUZZ_TARGETS); do \
+		echo "fuzz $$t"; \
+		$(GO) test $${t%%:*} -run '^$$' -fuzz "^$${t##*:}\$$" -fuzztime 10s -parallel 2 || exit 1; \
+	done
 
 # The fault-injection suite: the full seed × fault-profile chaos matrix over
 # the signaling stack plus the faultnet package's own tests, under the race

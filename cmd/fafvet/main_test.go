@@ -150,6 +150,23 @@ func Chatter(s *Sim, done chan int) error {
 		want: "goroutine spawned inside a DES event handler",
 	},
 	{
+		// The server simulators schedule their own handlers: the port, ring,
+		// interface-device and regulator packages are in scope too.
+		name:     "desorder channel send in an atm port handler",
+		analyzer: "desorder",
+		files: map[string]string{"internal/atm/bad.go": `package atm
+
+type Sim struct{}
+
+func (s *Sim) After(d float64, fire func()) error { fire(); _ = d; return nil }
+
+func Drain(s *Sim, sent chan int) error {
+	return s.After(1, func() { sent <- 1 })
+}
+`},
+		want: "inside a DES event handler",
+	},
+	{
 		name:     "lockorder wait under mutex",
 		analyzer: "lockorder",
 		files: map[string]string{"internal/signaling/bad.go": `package signaling

@@ -29,46 +29,31 @@ type MuxParams struct {
 	BufferBits float64
 }
 
-// Busy-period search defaults.
+// The busy-period search.
 const (
-	// defaultInitialHorizon seeds the doubling busy-period search (seconds);
-	// 16 ms covers several TTRTs of the paper's scenarios on the first try.
-	defaultInitialHorizon = 16e-3
-	// defaultMaxHorizon bounds the busy-period search (seconds).
-	defaultMaxHorizon = 4
+	// gridPoints is the uniform fallback resolution per search window.
+	gridPoints = 128
+	// initialHorizon seeds the doubling busy-period search (seconds); 16 ms
+	// covers several TTRTs of the paper's scenarios on the first try.
+	initialHorizon = 16e-3
+	// maxHorizon bounds the busy-period search (seconds).
+	maxHorizon = 4
 )
 
-// MuxOptions tunes the numeric search. The zero value selects defaults.
+// MuxOptions carries the resources of an analysis; it holds no tuning value.
 type MuxOptions struct {
-	// GridPoints is the uniform fallback resolution per busy-period search
-	// window (default 128).
-	GridPoints int
-	// InitialHorizon seeds the doubling search for the busy period
-	// (default 16 ms).
-	InitialHorizon float64
-	// MaxHorizon bounds the busy-period search (default 4 s).
-	MaxHorizon float64
-	// Workspace is the scratch the analysis takes its candidate grids from:
-	// a resource handle, not a tuning knob. Its owner (one core.Analyzer)
-	// must not run two analyses on it at once. Nil runs the same code on a
-	// fresh workspace.
+	// Workspace is the scratch the analysis takes its candidate grids from.
+	// Its owner (one core.Analyzer) must not run two analyses on it at once.
+	// Nil runs the same code on a fresh workspace.
 	Workspace *traffic.Workspace
 }
 
-func (o MuxOptions) withDefaults() MuxOptions {
-	if o.GridPoints <= 0 {
-		o.GridPoints = 128
-	}
-	if o.InitialHorizon <= 0 {
-		o.InitialHorizon = defaultInitialHorizon
-	}
-	if o.MaxHorizon <= 0 {
-		o.MaxHorizon = defaultMaxHorizon
-	}
+// workspace returns the workspace to run on.
+func (o MuxOptions) workspace() *traffic.Workspace {
 	if o.Workspace == nil {
-		o.Workspace = new(traffic.Workspace)
+		return new(traffic.Workspace)
 	}
-	return o
+	return o.Workspace
 }
 
 // MuxResult is the outcome of the FIFO multiplexer analysis.
@@ -138,7 +123,6 @@ func AnalyzeAggregate(agg traffic.Descriptor, p MuxParams, opts MuxOptions) (Mux
 	if p.BufferBits < 0 {
 		return MuxResult{}, fmt.Errorf("atm: buffer %v must be non-negative", p.BufferBits)
 	}
-	opts = opts.withDefaults()
 	mMuxAnalyses.Inc()
 
 	if agg.LongTermRate() >= p.CapacityBps*(1-units.RelTol) {
@@ -146,7 +130,7 @@ func AnalyzeAggregate(agg traffic.Descriptor, p MuxParams, opts MuxOptions) (Mux
 		return MuxResult{}, fmt.Errorf("%w: Σρ=%v bps, C=%v bps", ErrMuxOverload, agg.LongTermRate(), p.CapacityBps)
 	}
 
-	busy, backlog, err := scanMux(agg, p.CapacityBps, opts)
+	busy, backlog, err := scanMux(agg, p.CapacityBps, opts.workspace())
 	if err != nil {
 		mMuxInfeasible.Inc()
 		return MuxResult{}, err
@@ -182,11 +166,10 @@ const muxPrefixDivisor = 8
 // with the t→0⁺ point merged in — the limit matters for envelopes with an
 // instantaneous burst. Each grid lives in a workspace buffer for the duration
 // of its scan, so on a warmed workspace the search allocates nothing.
-func scanMux(agg traffic.Descriptor, capacity float64, opts MuxOptions) (busy, backlog float64, err error) {
-	ws := opts.Workspace
-	for horizon := opts.InitialHorizon; horizon <= opts.MaxHorizon*2; horizon *= 2 {
+func scanMux(agg traffic.Descriptor, capacity float64, ws *traffic.Workspace) (busy, backlog float64, err error) {
+	for horizon := initialHorizon; horizon <= maxHorizon*2; horizon *= 2 {
 		for _, limit := range [...]float64{horizon / muxPrefixDivisor, horizon} {
-			grid := ws.GridPrefix(agg, horizon, opts.GridPoints, limit)
+			grid := ws.GridPrefix(agg, horizon, gridPoints, limit)
 			if i, ok := busyCrossing(agg, grid, capacity); ok {
 				busy = grid[i]
 				grid = traffic.InsertGridPoint(grid[:i+1], traffic.GridNudge)
@@ -197,7 +180,7 @@ func scanMux(agg traffic.Descriptor, capacity float64, opts MuxOptions) (busy, b
 			ws.Put(grid)
 		}
 	}
-	return 0, 0, fmt.Errorf("%w: no idle point within %v s", ErrMuxNoConvergence, opts.MaxHorizon)
+	return 0, 0, fmt.Errorf("%w: no idle point within %v s", ErrMuxNoConvergence, maxHorizon)
 }
 
 // maxMuxBacklog returns the worst-case queue content: the maximum of

@@ -9,9 +9,9 @@ import (
 // scanMuxFullGrid is scanMux as it ran before the grid had a stop: the whole
 // candidate grid of every horizon is assembled before the crossing is looked
 // for. It is the reference the prefix-first search is held to.
-func scanMuxFullGrid(agg traffic.Descriptor, capacity float64, opts MuxOptions) (busy, backlog float64, ok bool) {
-	for horizon := opts.InitialHorizon; horizon <= opts.MaxHorizon*2; horizon *= 2 {
-		grid := opts.Workspace.Grid(agg, horizon, opts.GridPoints)
+func scanMuxFullGrid(agg traffic.Descriptor, capacity float64, ws *traffic.Workspace) (busy, backlog float64, ok bool) {
+	for horizon := initialHorizon; horizon <= maxHorizon*2; horizon *= 2 {
+		grid := ws.Grid(agg, horizon, gridPoints)
 		if i, found := busyCrossing(agg, grid, capacity); found {
 			grid = traffic.InsertGridPoint(grid[:i+1], traffic.GridNudge)
 			return grid[len(grid)-1], maxMuxBacklog(agg, grid, capacity), true
@@ -46,8 +46,7 @@ func portAggregate(t *testing.T, k int, c1 float64) *traffic.Flat {
 func TestScanMuxPrefixMatchesFullGrid(t *testing.T) {
 	capacity := PayloadCapacity(DefaultLinkBps)
 	var ws traffic.Workspace
-	opts := MuxOptions{Workspace: &ws}.withDefaults()
-	firstPrefix := opts.InitialHorizon / muxPrefixDivisor
+	const firstPrefix = initialHorizon / muxPrefixDivisor
 	seen := map[string]int{}
 	for k := 1; k <= 9; k++ {
 		for _, c1 := range []float64{20e3, 50e3, 100e3, 150e3, 200e3} {
@@ -55,8 +54,8 @@ func TestScanMuxPrefixMatchesFullGrid(t *testing.T) {
 			if agg.LongTermRate() >= capacity {
 				continue
 			}
-			wantBusy, wantBacklog, ok := scanMuxFullGrid(agg, capacity, opts)
-			busy, backlog, err := scanMux(agg, capacity, opts)
+			wantBusy, wantBacklog, ok := scanMuxFullGrid(agg, capacity, &ws)
+			busy, backlog, err := scanMux(agg, capacity, &ws)
 			if ok != (err == nil) {
 				t.Fatalf("k=%d c1=%v: full-grid search found a crossing: %v, prefix-first search: %v", k, c1, ok, err)
 			}
@@ -69,7 +68,7 @@ func TestScanMuxPrefixMatchesFullGrid(t *testing.T) {
 			switch {
 			case busy <= firstPrefix:
 				seen["first prefix"]++
-			case busy <= opts.InitialHorizon:
+			case busy <= initialHorizon:
 				seen["extension"]++
 			default:
 				seen["doubled horizon"]++

@@ -42,7 +42,7 @@ func AnalyzePriorityMux(classes []PriorityClass, p MuxParams, opts MuxOptions) (
 	if p.CapacityBps <= 0 {
 		return PriorityMuxResult{}, fmt.Errorf("atm: capacity %v must be positive", p.CapacityBps)
 	}
-	opts = opts.withDefaults()
+	ws := opts.workspace()
 	// One wire cell at the wire rate equals one payload's worth of bits at
 	// the payload-effective rate: wire/(C·wire/payload) = payload/C.
 	blocking := CellPayloadBits / p.CapacityBps
@@ -67,7 +67,7 @@ func AnalyzePriorityMux(classes []PriorityClass, p MuxParams, opts MuxOptions) (
 			return PriorityMuxResult{}, fmt.Errorf("%w: classes 0..%d carry %v bps, C=%v bps",
 				ErrMuxOverload, k, agg.LongTermRate(), p.CapacityBps)
 		}
-		_, backlog, err := scanMux(agg, p.CapacityBps, opts)
+		_, backlog, err := scanMux(agg, p.CapacityBps, ws)
 		if err != nil {
 			return PriorityMuxResult{}, fmt.Errorf("atm: class %d: %w", k, err)
 		}

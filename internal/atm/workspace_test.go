@@ -18,11 +18,10 @@ func TestScanMuxAllocationFree(t *testing.T) {
 		sum := portAggregate(t, 6, c1)
 
 		var ws traffic.Workspace
-		opts := MuxOptions{Workspace: &ws}.withDefaults()
 		var busy float64
 		run := func() {
 			var err error
-			if busy, _, err = scanMux(sum, capacity, opts); err != nil {
+			if busy, _, err = scanMux(sum, capacity, &ws); err != nil {
 				t.Fatal(err)
 			}
 		}

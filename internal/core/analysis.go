@@ -75,7 +75,7 @@ type connCache struct {
 // shared port (nil until then, and for good when the MAC has no finite bound).
 type srcEntry struct {
 	mac macEntry
-	env traffic.Descriptor
+	env *traffic.Flat
 }
 
 // stageKey identifies the envelope entering a later port: the flat that
@@ -148,17 +148,6 @@ func remember[K comparable, V any](m *map[K]V, k K, v V) {
 		clear(*m)
 	}
 	(*m)[k] = v
-}
-
-// chain returns the descriptor chain to compose further transforms on: a
-// flat's tail — the fused chain it was lowered from — and anything else
-// itself. Handing a transform the flat would hide the chain's Quantized and
-// Delayed nodes from Fuse, whose Q∘Q and D∘D rules then stop firing.
-func chain(env traffic.Descriptor) traffic.Descriptor {
-	if f, ok := env.(*traffic.Flat); ok {
-		return f.Tail()
-	}
-	return env
 }
 
 // NewAnalyzer builds an analyzer for the given network.
@@ -289,10 +278,11 @@ type evaluation struct {
 	portDelay map[topo.PortID]float64
 	portBusy  map[topo.PortID]bool
 	// envMemo is the one envelope per (connection, server boundary) of
-	// Eq. 7: a *traffic.Flat wherever the fused chain lowers — the flat
-	// carries that chain as its tail — and the fused chain where it does not
-	// (shaped connections, windows a port delay has used up).
-	envMemo    map[envKey]traffic.Descriptor
+	// Eq. 7: the fused chain lowered over flatHorizon, which the flat carries
+	// on as its tail. Further transforms are composed on that tail — handing
+	// them the flat would hide the chain's Quantized and Delayed nodes from
+	// Fuse, whose Q∘Q and D∘D rules then stop firing.
+	envMemo    map[envKey]*traffic.Flat
 	macMemo    map[string]fddi.MACResult // sender MAC per connection this evaluation
 	shaperMemo map[string]shaper.Result  // ingress regulator per shaped connection
 
@@ -316,7 +306,7 @@ func (a *Analyzer) newEvaluation(conns []*Connection) (*evaluation, error) {
 		recs:       make(map[string]*connCache, len(conns)),
 		portDelay:  make(map[topo.PortID]float64, 8),
 		portBusy:   make(map[topo.PortID]bool, 8),
-		envMemo:    make(map[envKey]traffic.Descriptor, 4*len(conns)),
+		envMemo:    make(map[envKey]*traffic.Flat, 4*len(conns)),
 		macMemo:    make(map[string]fddi.MACResult, len(conns)),
 		shaperMemo: make(map[string]shaper.Result, len(conns)),
 	}
@@ -389,7 +379,7 @@ func (ev *evaluation) srcMAC(c *Connection) (fddi.MACResult, error) {
 // entered once per (connection, allocation) and allocates by design.
 //
 //fafvet:hotpath
-func (ev *evaluation) envelopeHit(key envKey, c *Connection) (traffic.Descriptor, bool) {
+func (ev *evaluation) envelopeHit(key envKey, c *Connection) (*traffic.Flat, bool) {
 	if env, ok := ev.envMemo[key]; ok {
 		return env, true
 	}
@@ -414,13 +404,13 @@ func (ev *evaluation) envelopeHit(key envKey, c *Connection) (traffic.Descriptor
 // envelope is composed on the fused chain and lowered beside it: stage 0 by
 // Flatten, a later stage by shifting the upstream flat, so nothing is lowered
 // twice and a stage-cache hit returns the very flat portMux and dst key by.
-func (ev *evaluation) envelopeEntering(c *Connection, stage int) (traffic.Descriptor, error) {
+func (ev *evaluation) envelopeEntering(c *Connection, stage int) (*traffic.Flat, error) {
 	key := envKey{connID: c.ID, stage: stage}
 	if env, ok := ev.envelopeHit(key, c); ok {
 		return env, nil
 	}
 	rec := ev.recs[c.ID]
-	var env traffic.Descriptor
+	var env *traffic.Flat
 	if stage == 0 {
 		ev.a.stats.Stage0Misses++
 		mCacheStage0Misses.Inc()
@@ -448,13 +438,13 @@ func (ev *evaluation) envelopeEntering(c *Connection, stage int) (traffic.Descri
 		// sender allocation, so it is kept beside the sender-MAC result that
 		// srcMAC has just stored or found under this allocation: a bisection
 		// that revisits an h reuses the envelope, pointer identity included.
-		env = traffic.Fuse(conv)
-		if f := traffic.Flatten(env, flatHorizon); f != nil {
-			env = f
-			mFlatLowerings.Inc()
-		} else {
-			mFlatFallbacks.Inc()
+		if env = traffic.Flatten(traffic.Fuse(conv), flatHorizon); env == nil {
+			if err := sourceLowers(c); err != nil {
+				return nil, err
+			}
+			return nil, fmt.Errorf("%w: envelope of %q: the segment cap ends its window before the sender-side delay", errInfeasible, c.ID)
 		}
+		mFlatLowerings.Inc()
 		rec.src[c.HS].env = env
 	} else {
 		prev, err := ev.envelopeEntering(c, stage-1)
@@ -465,16 +455,14 @@ func (ev *evaluation) envelopeEntering(c *Connection, stage int) (traffic.Descri
 		if err != nil {
 			return nil, err
 		}
-		// A stage hit returns before the chain is built; nothing is stored
-		// under a nil prev.
-		pf, _ := prev.(*traffic.Flat)
-		sk := stageKey{prev: pf, delay: d}
+		// A stage hit returns before the chain is built.
+		sk := stageKey{prev: prev, delay: d}
 		if f := rec.stage[sk]; f != nil {
 			ev.envMemo[key] = f
 			return f, nil
 		}
 		capBps := ev.a.net.PortCapacity()
-		out, err := traffic.NewDelayed(chain(prev), d, capBps)
+		out, err := traffic.NewDelayed(prev.Tail(), d, capBps)
 		if err != nil {
 			return nil, fmt.Errorf("core: envelope after port %v: %w", c.Route.Ports[stage-1], err)
 		}
@@ -483,18 +471,32 @@ func (ev *evaluation) envelopeEntering(c *Connection, stage int) (traffic.Descri
 		// Delayed with the summed delay; downstream consumers (later ports'
 		// mux analyses, the receiver MAC) then pay one transform per Bits
 		// call instead of one per traversed port.
-		env = traffic.Fuse(out)
-		if pf != nil {
-			if f := pf.ShiftCap(d, capBps, flatHorizon, env); f != nil {
-				remember(&rec.stage, sk, f)
-				env = f
-			} else {
-				mFlatFallbacks.Inc()
+		tail := traffic.Fuse(out)
+		if env = prev.ShiftCap(d, capBps, flatHorizon, tail); env == nil {
+			// The port delay used up the upstream window: lower the fused
+			// chain afresh, over a window that reaches past the delay.
+			if env = traffic.Flatten(tail, flatHorizon); env == nil {
+				return nil, fmt.Errorf("%w: envelope of %q after port %v: the segment cap ends its window before the delay %v",
+					errInfeasible, c.ID, c.Route.Ports[stage-1], d)
 			}
+			mFlatLowerings.Inc()
 		}
+		remember(&rec.stage, sk, env)
 	}
 	ev.envMemo[key] = env
 	return env, nil
+}
+
+// sourceLowers reports c's source as invalid when traffic.Flatten has no rule
+// for it (a descriptor type from outside package traffic, at the root or under
+// a transform). Every envelope of an evaluation is a flat, so such a
+// connection cannot be analysed at any allocation: that is an error of the
+// request, not a verdict on it.
+func sourceLowers(c *Connection) error {
+	if traffic.Flatten(c.Source, flatHorizon) == nil {
+		return fmt.Errorf("core: connection %q: source %T has no lowering to a flat envelope", c.ID, c.Source)
+	}
+	return nil
 }
 
 // shaperResult analyzes the ingress regulator for a shaped connection,
@@ -509,7 +511,7 @@ func (ev *evaluation) shaperResult(c *Connection, pre traffic.Descriptor) (shape
 		return shaper.Result{}, fmt.Errorf("%w: shaper of %q: bucket %v bits below frame size %v",
 			errInfeasible, c.ID, c.Shape.SigmaBits, frameBits)
 	}
-	res, err := shaper.Analyze(pre, *c.Shape, shaper.Options{})
+	res, err := shaper.Analyze(pre, *c.Shape)
 	if err != nil {
 		return shaper.Result{}, fmt.Errorf("%w: shaper of %q: %v", errInfeasible, c.ID, err)
 	}
@@ -535,7 +537,6 @@ func (ev *evaluation) muxDelay(p topo.PortID) (float64, error) {
 	ev.portBusy[p] = true
 	defer func() { ev.portBusy[p] = false }()
 
-	var inputs []traffic.Descriptor
 	var flats []*traffic.Flat
 	for _, m := range ev.ordered {
 		for stage, q := range m.Route.Ports {
@@ -552,73 +553,54 @@ func (ev *evaluation) muxDelay(p topo.PortID) (float64, error) {
 				}
 				return 0, err
 			}
-			inputs = append(inputs, env)
-			if f, ok := env.(*traffic.Flat); ok {
-				flats = append(flats, f)
-			}
+			flats = append(flats, env)
 			break
 		}
 	}
-	if len(inputs) == 0 {
+	if len(flats) == 0 {
 		ev.portDelay[p] = 0
 		return 0, nil
 	}
-	var res atm.MuxResult
-	var err error
-	params := atm.MuxParams{CapacityBps: ev.a.net.PortCapacity()}
-	allFlat := len(flats) == len(inputs)
-	if allFlat {
-		// A port whose member flat set matches a previously analyzed state
-		// (pointer identity — flats are value-immutable, and the stage caches
-		// keep pointers stable across probes of the same global state) reuses
-		// the verdict without touching the aggregate.
-		// Newest first: storePortMux appends, and the states that recur are
-		// the recent ones.
-		entries := ev.a.portMux[p]
-		for i := len(entries) - 1; i >= 0; i-- {
-			if e := &entries[i]; slices.Equal(e.flats, flats) {
-				if e.err != nil {
-					ev.portDelay[p] = math.Inf(1)
-					return 0, e.err
-				}
-				ev.portDelay[p] = e.delay
-				return e.delay, nil
+	// A port whose member flat set matches a previously analyzed state
+	// (pointer identity — flats are value-immutable, and the stage caches
+	// keep pointers stable across probes of the same global state) reuses
+	// the verdict without touching the aggregate.
+	// Newest first: storePortMux appends, and the states that recur are
+	// the recent ones.
+	entries := ev.a.portMux[p]
+	for i := len(entries) - 1; i >= 0; i-- {
+		if e := &entries[i]; slices.Equal(e.flats, flats) {
+			if e.err != nil {
+				ev.portDelay[p] = math.Inf(1)
+				return 0, e.err
 			}
+			ev.portDelay[p] = e.delay
+			return e.delay, nil
 		}
-		// Every member lowered: the aggregate is the sum of the member flats,
-		// folded afresh in evaluation order, so the delay is a function of the
-		// member set alone. The workspace's sum arrays are free to take it:
-		// gathering the members above has finished every upstream port, and
-		// only the verdict outlives the analysis. The members-union tail
-		// covers evaluations beyond the flat window.
-		mFlatAggRebuilds.Inc()
-		res, err = atm.AnalyzeAggregate(ev.a.ws.Sum(flats), params, ev.a.opts.Mux)
-	} else {
-		// A member without a lowering (a shaped connection) puts the whole
-		// port on the chains.
-		for i, in := range inputs {
-			inputs[i] = chain(in)
-		}
-		res, err = atm.AnalyzeMux(inputs, params, ev.a.opts.Mux)
 	}
+	// The aggregate is the sum of the member flats, folded afresh in
+	// evaluation order, so the delay is a function of the member set alone.
+	// The workspace's sum arrays are free to take it: gathering the members
+	// above has finished every upstream port, and only the verdict outlives
+	// the analysis. The members-union tail covers evaluations beyond the flat
+	// window.
+	mFlatAggRebuilds.Inc()
+	params := atm.MuxParams{CapacityBps: ev.a.net.PortCapacity()}
+	res, err := atm.AnalyzeAggregate(ev.a.ws.Sum(flats), params, ev.a.opts.Mux)
 	if err != nil {
 		switch {
 		case errors.Is(err, atm.ErrMuxOverload),
 			errors.Is(err, atm.ErrMuxNoConvergence),
 			errors.Is(err, atm.ErrMuxBufferOverflow):
 			err = fmt.Errorf("%w: port %v: %v", errInfeasible, p, err)
-			if allFlat {
-				ev.a.storePortMux(p, flats, 0, err)
-			}
+			ev.a.storePortMux(p, flats, 0, err)
 			ev.portDelay[p] = math.Inf(1)
 			return 0, err
 		default:
 			return 0, err
 		}
 	}
-	if allFlat {
-		ev.a.storePortMux(p, flats, res.Delay, nil)
-	}
+	ev.a.storePortMux(p, flats, res.Delay, nil)
 	ev.portDelay[p] = res.Delay
 	return res.Delay, nil
 }
@@ -641,19 +623,17 @@ func (ev *evaluation) dstMAC(c *Connection) (fddi.MACResult, error) {
 		return fddi.MACResult{}, err
 	}
 	// The receiver-MAC analysis is a pure function of the envelope entering
-	// the destination and the receiver allocation. When the envelope is a
-	// cached flat, its pointer identity pins the whole input, so a previous
-	// verdict for the same (flat, HR) pair — the common case across the
-	// probes and releases of a CAC — is reused verbatim.
+	// the destination and the receiver allocation. The cached flat's pointer
+	// identity pins the whole input, so a previous verdict for the same
+	// (flat, HR) pair — the common case across the probes and releases of a
+	// CAC — is reused verbatim.
 	rec := ev.recs[c.ID]
-	lf, _ := env.(*traffic.Flat)
-	if lf != nil {
-		if e, ok := rec.dst[dstKey{flat: lf, hr: c.HR}]; ok {
-			return e.res, e.err
-		}
+	dk := dstKey{flat: env, hr: c.HR}
+	if e, ok := rec.dst[dk]; ok {
+		return e.res, e.err
 	}
 	frameBits := ev.a.net.RingConfig(c.Dst.Ring).FrameBits(c.HR)
-	reassembled, err := ifdev.ReceiverConversion(chain(env), frameBits, ev.a.net.Config().ID)
+	reassembled, err := ifdev.ReceiverConversion(env.Tail(), frameBits, ev.a.net.Config().ID)
 	if err != nil {
 		return fddi.MACResult{}, err
 	}
@@ -661,19 +641,15 @@ func (ev *evaluation) dstMAC(c *Connection) (fddi.MACResult, error) {
 	// proportional to the busy interval, paying the full transform chain at
 	// every point. Fusing flattens the reassembled chain first.
 	input := traffic.Fuse(reassembled)
-	if lf != nil {
-		// Apply the reassembly quantization to the already-lowered flat in
-		// closed form: every grid evaluation of the scans inside the window
-		// becomes a segment lookup instead of a chain walk. The fused chain
-		// stays on as the exact tail. The flat is scanned once and dropped;
-		// only the verdict is cached.
-		if qn, ok := reassembled.(traffic.Quantized); ok {
-			if qf := lf.Quantize(qn.QuantumBits, qn.OutBits, flatHorizon, input); qf != nil {
-				input = qf
-				mFlatLowerings.Inc()
-			} else {
-				mFlatFallbacks.Inc()
-			}
+	// Apply the reassembly quantization to the already-lowered flat in closed
+	// form: every grid evaluation of the scans inside the window becomes a
+	// segment lookup instead of a chain walk. The fused chain stays on as the
+	// exact tail. The flat is scanned once and dropped; only the verdict is
+	// cached.
+	if qn, ok := reassembled.(traffic.Quantized); ok {
+		if qf := env.Quantize(qn.QuantumBits, qn.OutBits, flatHorizon, input); qf != nil {
+			input = qf
+			mFlatLowerings.Inc()
 		}
 	}
 	params := fddi.MACParams{
@@ -686,9 +662,7 @@ func (ev *evaluation) dstMAC(c *Connection) (fddi.MACResult, error) {
 		err = fmt.Errorf("%w: receiver MAC of %q: %v", errInfeasible, c.ID, err)
 		res = fddi.MACResult{}
 	}
-	if lf != nil {
-		remember(&rec.dst, dstKey{flat: lf, hr: c.HR}, macEntry{res: res, err: err})
-	}
+	remember(&rec.dst, dk, macEntry{res: res, err: err})
 	return res, err
 }
 

@@ -53,11 +53,6 @@ type Options struct {
 	HMinAbs float64
 	// SearchIters bounds each binary search (default 12).
 	SearchIters int
-	// EqualTolerance is the relative tolerance for the "same delays as the
-	// maximum allocation" test of Eq. 31–32 (default 10%: the quantized
-	// Theorem 1 delays move in TTRT-sized steps, so a tight tolerance
-	// inflates H^max_need without improving any delay).
-	EqualTolerance float64
 	// Rule selects the allocation segment (default RuleProportional).
 	Rule Rule
 	// Analysis tunes the underlying server analyses.
@@ -76,11 +71,14 @@ func (o Options) withDefaults() Options {
 		// resolution beyond ~2^-12 cannot change any decision.
 		o.SearchIters = 12
 	}
-	if o.EqualTolerance <= 0 {
-		o.EqualTolerance = 0.10
-	}
 	return o
 }
+
+// equalTolerance is the relative tolerance of the "same delays as the maximum
+// allocation" test of Eq. 31–32: the quantized Theorem 1 delays move in
+// TTRT-sized steps, so a tight tolerance inflates H^max_need without
+// improving any delay.
+const equalTolerance = 0.10
 
 // Rejection reasons reported in Decision.Reason.
 const (

@@ -66,7 +66,7 @@ func (o *closureOracle) sender(c *Connection) (traffic.Descriptor, float64, erro
 	if c.Shape.SigmaBits < ring.FrameBits(c.HS) {
 		return nil, 0, fmt.Errorf("%w: shaper of %q: bucket below frame size", errNoBound, c.ID)
 	}
-	sh, err := shaper.Analyze(mac.Output, *c.Shape, shaper.Options{})
+	sh, err := shaper.Analyze(mac.Output, *c.Shape)
 	if err != nil {
 		return nil, 0, fmt.Errorf("%w: shaper of %q: %v", errNoBound, c.ID, err)
 	}

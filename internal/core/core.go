@@ -23,7 +23,12 @@ type ConnSpec struct {
 	ID string
 	// Src and Dst are the endpoint hosts.
 	Src, Dst topo.HostID
-	// Source is the traffic descriptor Γ(I) declared at the sender.
+	// Source is the traffic descriptor Γ(I) declared at the sender. It must
+	// be one traffic.Flatten can lower — a source model or transform of
+	// package traffic, in any composition: the analysis holds every envelope
+	// as a flat breakpoint array, and a descriptor type from outside the
+	// package is an error of the request, from Analyzer.Delays and from
+	// RequestAdmission alike.
 	Source traffic.Descriptor
 	// Deadline D is the required bound on worst-case end-to-end delay.
 	Deadline float64

@@ -89,7 +89,7 @@ func decideAgainst(an *Analyzer, opts Options, standing []*Connection, avail fun
 	// the segment, so the equality set too is an interval ending at 1.
 	alphaEq := bisect(opts, seg, alphaMin, func(a allocation) bool {
 		counted()
-		return session.FeasibleWithin(a.hs, a.hr, delaysMax, opts.EqualTolerance)
+		return session.FeasibleWithin(a.hs, a.hr, delaysMax, equalTolerance)
 	})
 	maxAlloc := seg.at(alphaEq)
 	dec.HSMaxNeed, dec.HRMaxNeed = maxAlloc.hs, maxAlloc.hr

@@ -1,9 +1,11 @@
 package core
 
 import (
+	"errors"
 	"fmt"
 	"math"
 	"math/rand"
+	"strings"
 	"testing"
 
 	"fafnet/internal/shaper"
@@ -20,9 +22,9 @@ type scenarioGen struct {
 	t   *testing.T
 	net *topo.Network
 	rng *rand.Rand
-	// shaped puts a regulator on roughly one connection in six: shaped
-	// stage-0 chains have no exact flat lowering, so these connections ride
-	// the closure-tree fallback while sharing ports with flat members.
+	// shaped puts a regulator on roughly one connection in six: their stage-0
+	// chains hold a Min, lowered by the two-envelope rule, and share ports
+	// with plain members.
 	shaped bool
 }
 
@@ -149,9 +151,9 @@ func TestFusionEquivalenceRandomized(t *testing.T) {
 }
 
 // TestFlatEquivalenceRandomized extends the randomized harness to ports that
-// mix lowered and unlowered members, in two modes across the same
-// 120-scenario distribution plus shaped connections (which have no exact
-// lowering and put every port they cross on the closure-tree fallback):
+// mix plain and shaped members (a shaped connection's envelope is the Min of
+// its bucket and its delayed input), in two modes across the same
+// 120-scenario distribution:
 //
 //   - analyzer vs closure oracle, as above;
 //   - warm vs fresh: one long-lived analyzer carries its caches and its
@@ -220,4 +222,149 @@ func FuzzDelaysAgainstClosureOracle(f *testing.F) {
 		gen.shaped = shaped
 		checkWarmAndFresh(t, net, warm, 0, gen.next("z", 0))
 	})
+}
+
+// TestEnvelopeReloweredPastTheWindow is the one later-stage case a shift of
+// the upstream flat cannot serve: four bursty connections saturate a 68 Mb/s
+// backbone, the second port's worst-case delay exceeds flatHorizon, and
+// nothing of the upstream window is left to shift. envelopeEntering lowers
+// the fused chain afresh there — over the full window, equal to the raw
+// closure chain point for point, kept under the stage key like any other
+// flat — and Eq. 7 on those envelopes agrees with closureDelays.
+func TestEnvelopeReloweredPastTheWindow(t *testing.T) {
+	cfg := topo.Default()
+	cfg.LinkBps = 68e6
+	net, err := topo.NewNetwork(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var conns []*Connection
+	for i := 0; i < 4; i++ {
+		conns = append(conns, testConnOn(t, net, fmt.Sprintf("c%d", i), 0, i, 1, i, 2e-3, 2e-3))
+	}
+	// One member regulated: a Min envelope goes through the same branch.
+	conns[3].Shape = &shaper.Spec{SigmaBits: 40e3, RhoBps: 18e6}
+	a, err := NewAnalyzer(net, AnalysisOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	oracle := &closureOracle{net: net, conns: conns, portDelay: make(map[topo.PortID]float64)}
+
+	var first []*traffic.Flat
+	for round := 0; round < 2; round++ {
+		lowered := counterValue(t, "fafnet_cac_flat_lowerings_total")
+		ev, err := a.newEvaluation(conns)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for i, c := range ev.ordered {
+			d, err := ev.muxDelay(c.Route.Ports[1])
+			if err != nil {
+				t.Fatal(err)
+			}
+			if d <= flatHorizon {
+				t.Fatalf("port %v delays by %v, within the %v window: the scenario no longer reaches the branch", c.Route.Ports[1], d, flatHorizon)
+			}
+			up, err := ev.envelopeEntering(c, 1)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if up.ShiftCap(d, net.PortCapacity(), flatHorizon, up.Tail()) != nil {
+				t.Fatalf("%s: the stage-1 window %v outlasts the port delay %v", c.ID, up.Horizon(), d)
+			}
+			env, err := ev.envelopeEntering(c, 2)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if env.Horizon() != flatHorizon {
+				t.Errorf("%s: re-lowered window %v, want the full %v", c.ID, env.Horizon(), flatHorizon)
+			}
+			want, err := oracle.entering(c, 2)
+			if err != nil {
+				t.Fatal(err)
+			}
+			for k := 1; k <= 300; k++ {
+				pt := float64(k) * flatHorizon / 200
+				if got, w := env.Bits(pt), want.Bits(pt); !units.WithinRel(got, w, units.RelTol) {
+					t.Fatalf("%s: Bits(%v) = %v on the re-lowered flat, %v on the closure chain", c.ID, pt, got, w)
+				}
+			}
+			if round == 0 {
+				first = append(first, env)
+			} else if env != first[i] {
+				t.Errorf("%s: the second evaluation lowered stage 2 again", c.ID)
+			}
+		}
+		if n := counterValue(t, "fafnet_cac_flat_lowerings_total") - lowered; round == 1 && n != 0 {
+			t.Errorf("the warm evaluation lowered %d chains, want 0", n)
+		}
+	}
+
+	got, err := a.Delays(conns)
+	if err != nil {
+		t.Fatal(err)
+	}
+	checkAgainstClosureOracle(t, net, 0, conns, got)
+	for id, d := range got {
+		if math.IsInf(d, 1) {
+			t.Errorf("%s has no finite bound: the scenario was meant to stay feasible", id)
+		}
+	}
+}
+
+// unlowerable is a descriptor type from outside package traffic: Flatten has
+// no rule for it.
+type unlowerable struct{ traffic.Descriptor }
+
+// TestSourceWithoutLoweringIsAnError: every envelope of an evaluation is a
+// flat, so a source type Flatten cannot lower is an invalid request — an
+// error from Delays and from RequestAdmission, not a verdict — and the failed
+// request leaves the admitted set and both ring ledgers exactly as they were.
+func TestSourceWithoutLoweringIsAnError(t *testing.T) {
+	ctl := newController(t, Options{})
+	if dec, err := ctl.RequestAdmission(testSpec(t, "held", 0, 0, 1, 0)); err != nil || !dec.Admitted {
+		t.Fatalf("standing admission: %+v, %v", dec, err)
+	}
+	type ledger struct{ allocated, available float64 }
+	ledgers := func() (out []ledger) {
+		for r := 0; r < ctl.Network().Config().NumRings; r++ {
+			al, av := ctl.RingLedger(r)
+			out = append(out, ledger{al, av})
+		}
+		return out
+	}
+	before := ledgers()
+
+	spec := testSpec(t, "opaque", 0, 1, 1, 1)
+	spec.Source = unlowerable{spec.Source}
+	for _, request := range []func(ConnSpec) (Decision, error){ctl.RequestAdmission, ctl.PreviewAdmission} {
+		dec, err := request(spec)
+		if err == nil || !strings.Contains(err.Error(), "no lowering") {
+			t.Fatalf("decision %+v, error %v; want the no-lowering error", dec, err)
+		}
+		if errors.Is(err, errInfeasible) {
+			t.Fatalf("%v reads as an infeasible allocation, want a structural error", err)
+		}
+	}
+	if ctl.Active() != 1 || ctl.SourceBusy(spec.Src) {
+		t.Errorf("the failed request changed the admitted set: %d active, source busy %v", ctl.Active(), ctl.SourceBusy(spec.Src))
+	}
+	for r, l := range ledgers() {
+		if !sameFloatBits(l.allocated, before[r].allocated) || !sameFloatBits(l.available, before[r].available) {
+			t.Errorf("ring %d ledger moved: %+v, was %+v", r, l, before[r])
+		}
+	}
+	if !ctl.Release("held") {
+		t.Fatal("the standing connection is gone")
+	}
+
+	an, err := NewAnalyzer(ctl.Network(), AnalysisOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	c := testConn(t, "opaque", 0, 1, 1, 1, 2e-3, 2e-3)
+	c.Source = unlowerable{c.Source}
+	if _, err := an.Delays([]*Connection{c}); err == nil || !strings.Contains(err.Error(), "no lowering") {
+		t.Fatalf("Delays: error %v, want the no-lowering error", err)
+	}
 }

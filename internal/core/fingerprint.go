@@ -17,9 +17,8 @@ import (
 //
 // The state hash is a commutative multiset hash (a wrapping sum of strongly
 // mixed per-connection fingerprints, on two independent lanes for 128 bits
-// of discrimination), which is what makes it maintainable incrementally:
-// admitting or releasing a connection adds or subtracts one term in O(1)
-// instead of rehashing the whole admitted set under a lock.
+// of discrimination): nextSnap sums it afresh over the admitted set of every
+// snapshot it builds, and the sum does not depend on the order of the set.
 
 // fingerprint is a 128-bit hash carried as two independently mixed 64-bit
 // lanes. Two fingerprints are meant to collide only for genuinely identical
@@ -65,24 +64,6 @@ func (h *hasher) word(w uint64) {
 // specifications, and treating them distinctly errs toward cache misses,
 // never wrong hits.
 func (h *hasher) float(v float64) { h.word(math.Float64bits(v)) }
-
-// str absorbs a string length-prefixed, byte-exact.
-func (h *hasher) str(s string) {
-	h.word(uint64(len(s)))
-	var w uint64
-	n := 0
-	for i := 0; i < len(s); i++ {
-		w = w<<8 | uint64(s[i])
-		n++
-		if n == 8 {
-			h.word(w)
-			w, n = 0, 0
-		}
-	}
-	if n > 0 {
-		h.word(w)
-	}
-}
 
 // Descriptor type tags. Each fingerprintable descriptor gets a distinct tag
 // so (CBR 5e6) can never alias (LeakyBucket σ=5e6 ...).
@@ -172,10 +153,7 @@ func connFingerprint(c *Connection) (fp fingerprint, ok bool) {
 }
 
 // stateHash is the commutative multiset hash of an admitted set: the
-// wrapping sum of member connection fingerprints. add and remove are exact
-// inverses, which is what lets the sharded pipeline maintain the hash
-// incrementally across admits and releases.
+// wrapping sum of member connection fingerprints.
 type stateHash struct{ a, b uint64 }
 
-func (s *stateHash) add(f fingerprint)    { s.a += f.a; s.b += f.b }
-func (s *stateHash) remove(f fingerprint) { s.a -= f.a; s.b -= f.b }
+func (s *stateHash) add(f fingerprint) { s.a += f.a; s.b += f.b }

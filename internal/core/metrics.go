@@ -88,11 +88,9 @@ var (
 		"Spread between the most and least loaded ring shards (allocated-fraction max minus min).")
 
 	mFlatLowerings = obs.Default.Counter("fafnet_cac_flat_lowerings_total",
-		"Descriptor chains lowered into flat breakpoint arrays (stage-0 envelopes and receiver-side conversions).")
-	mFlatFallbacks = obs.Default.Counter("fafnet_cac_flat_fallbacks_total",
-		"Envelopes left on the closure-tree path: a stage-0 chain with no exact flat lowering (e.g. a shaped connection), a later stage whose port delay used up the flat window, or a receiver-side conversion that did not quantize in closed form.")
+		"Descriptor chains lowered into flat breakpoint arrays: stage-0 envelopes, receiver-side conversions, and later stages lowered afresh because a port delay used up the upstream window.")
 	mFlatAggRebuilds = obs.Default.Counter("fafnet_cac_flat_agg_rebuilds_total",
-		"Per-port aggregate envelopes summed from their member flats: one per FIFO-port analysis on the flat path, that is, per port-verdict cache miss.")
+		"Per-port aggregate envelopes summed from their member flats: one per FIFO-port analysis, that is, per port-verdict cache miss.")
 )
 
 func probeCutoffs(at string) *obs.Counter {

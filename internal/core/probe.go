@@ -50,6 +50,11 @@ func (a *Analyzer) NewProbeSession(existing []*Connection, cand *Connection) (*P
 	if cand == nil {
 		return nil, errors.New("core: probe session requires a candidate")
 	}
+	// The probes report every analysis error as a miss, so the one error a
+	// validated spec can still carry is caught here, once per session.
+	if err := sourceLowers(cand); err != nil {
+		return nil, err
+	}
 	s := &ProbeSession{
 		a:              a,
 		existing:       existing,

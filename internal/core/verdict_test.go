@@ -106,8 +106,8 @@ func TestVerdictOnlyProbesMatchFullProbes(t *testing.T) {
 				if delaysMax == nil {
 					continue
 				}
-				want = fullProbe(t, side.full, standing, cand, a, delaysMax, opts.EqualTolerance)
-				if got := side.only.FeasibleWithin(a.hs, a.hr, delaysMax, opts.EqualTolerance); got != want {
+				want = fullProbe(t, side.full, standing, cand, a, delaysMax, equalTolerance)
+				if got := side.only.FeasibleWithin(a.hs, a.hr, delaysMax, equalTolerance); got != want {
 					t.Fatalf("scenario %d, α=%v, %s: FeasibleWithin = %v, the full map's conjunction = %v", sc, alpha, side.name, got, want)
 				}
 				verdicts[map[bool]string{true: "equal", false: "unequal"}[want]]++

@@ -6,6 +6,7 @@ import (
 	"math/rand"
 	"testing"
 
+	"fafnet/internal/shaper"
 	"fafnet/internal/topo"
 	"fafnet/internal/traffic"
 )
@@ -22,6 +23,9 @@ type churnDriver struct {
 	standing int
 	free     []topo.HostID
 	held     []ConnSpec // admission order, oldest first
+	// shape, when set, puts every fourth request behind this regulator.
+	shape    *shaper.Spec
+	requests int
 }
 
 func newChurnDriver(t *testing.T, standing int) *churnDriver {
@@ -69,6 +73,9 @@ func (d *churnDriver) admit(id string) Decision {
 		Source:   d.source,
 		Deadline: 0.030 + 0.005*float64(d.rng.Intn(8)),
 	}
+	if d.requests++; d.shape != nil && d.requests%4 == 0 {
+		spec.Shape = d.shape
+	}
 	dec, err := d.ctl.RequestAdmission(spec)
 	if err != nil {
 		d.t.Fatalf("admit %s: %v", id, err)
@@ -83,14 +90,20 @@ func (d *churnDriver) admit(id string) Decision {
 // summed afresh for: a delay is a function of the connection set alone. After
 // every admit of a 600-admit churn, the delays the warm lane reports — and
 // the delays the admitting decision carried — are, bit for bit, those of an
-// analyzer that has never seen another set.
+// analyzer that has never seen another set. Every fourth request is shaped:
+// the regulator's Min envelope lowers like the others, so those members ride
+// the same port-verdict and receiver-MAC caches.
 func TestWarmLaneEqualsFreshAnalyzer(t *testing.T) {
 	d := newChurnDriver(t, 6)
-	compared, differ := 0, 0
+	d.shape = &shaper.Spec{SigmaBits: 40e3, RhoBps: 6e6}
+	compared, differ, shaped := 0, 0, 0
 	for i := 0; i < 600; i++ {
 		dec := d.admit(fmt.Sprintf("w%d", i))
 		if !dec.Admitted {
 			continue
+		}
+		if d.held[len(d.held)-1].Shape != nil {
+			shaped++
 		}
 		fresh, err := NewAnalyzer(d.ctl.Network(), d.ctl.Options().Analysis)
 		if err != nil {
@@ -124,8 +137,8 @@ func TestWarmLaneEqualsFreshAnalyzer(t *testing.T) {
 			}
 		}
 	}
-	if compared < 3000 {
-		t.Fatalf("only %d delays compared: the churn no longer holds a standing set", compared)
+	if compared < 3000 || shaped < 50 {
+		t.Fatalf("only %d delays compared, %d admits shaped: the churn no longer holds a standing set with shaped members", compared, shaped)
 	}
 	if differ > 0 {
 		t.Fatalf("%d of %d delays differ", differ, compared)

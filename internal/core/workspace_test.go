@@ -10,6 +10,7 @@ import (
 	"testing"
 
 	"fafnet/internal/obs"
+	"fafnet/internal/shaper"
 	"fafnet/internal/traffic"
 )
 
@@ -91,6 +92,9 @@ func counterValue(t *testing.T, name string) uint64 {
 // dst key by — and allocates little more than its own memo maps.
 func TestWarmEvaluationRunsNoAnalysis(t *testing.T) {
 	standing := standingSix(t)
+	// One member behind a regulator: its Min envelope lowers like any other,
+	// so the port verdicts and its receiver-MAC verdict are cached too.
+	standing[3].Shape = &shaper.Spec{SigmaBits: 40e3, RhoBps: 18e6}
 	a, err := NewAnalyzer(defaultNet(t), AnalysisOptions{})
 	if err != nil {
 		t.Fatal(err)
@@ -127,13 +131,9 @@ func TestWarmEvaluationRunsNoAnalysis(t *testing.T) {
 		var flats []*traffic.Flat
 		for _, c := range ev.ordered {
 			for stage := 0; stage <= len(c.Route.Ports); stage++ {
-				env, err := ev.envelopeEntering(c, stage)
+				f, err := ev.envelopeEntering(c, stage)
 				if err != nil {
 					t.Fatal(err)
-				}
-				f, ok := env.(*traffic.Flat)
-				if !ok {
-					t.Fatalf("%s, stage %d: the envelope is a %T, want a flat", c.ID, stage, env)
 				}
 				flats = append(flats, f)
 			}

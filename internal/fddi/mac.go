@@ -50,44 +50,29 @@ const (
 	OutputExact
 )
 
-// Options tunes the numeric extremum searches of the analysis. The zero
-// value selects the defaults.
+// The numeric extremum searches of the analysis.
+const (
+	// tGridPoints is the uniform fallback resolution of the search grid over
+	// the busy interval.
+	tGridPoints = 160
+	// outGridPoints is the resolution of the materialized output envelope of
+	// OutputExact, over the horizon max(2·B, 8·TTRT).
+	outGridPoints = 160
+	// maxBusyRotations bounds the busy-interval search in units of TTRT.
+	maxBusyRotations = 4096
+)
+
+// Options selects the output-envelope representation and carries the
+// analysis's scratch. The zero value is the delay-based bound on a fresh
+// workspace.
 type Options struct {
-	// TGridPoints is the uniform fallback resolution of the search grid over
-	// the busy interval (default 160).
-	TGridPoints int
-	// OutGridPoints is the resolution of the materialized output envelope
-	// when Output == OutputExact (default 160).
-	OutGridPoints int
-	// MaxBusyRotations bounds the busy-interval search in units of TTRT
-	// (default 4096).
-	MaxBusyRotations int
 	// Output selects the output-envelope representation.
 	Output OutputBound
-	// OutputHorizon is the materialization horizon for OutputExact; 0 means
-	// max(2·B, 8·TTRT).
-	OutputHorizon float64
 	// Workspace is the scratch the analysis takes its candidate grid and scan
 	// tables from: a resource handle, not a tuning knob. Its owner (one
 	// core.Analyzer) must not run two analyses on it at once. Nil runs the
 	// same code on a fresh workspace.
 	Workspace *traffic.Workspace
-}
-
-func (o Options) withDefaults() Options {
-	if o.TGridPoints <= 0 {
-		o.TGridPoints = 160
-	}
-	if o.OutGridPoints <= 0 {
-		o.OutGridPoints = 160
-	}
-	if o.MaxBusyRotations <= 0 {
-		o.MaxBusyRotations = 4096
-	}
-	if o.Workspace == nil {
-		o.Workspace = new(traffic.Workspace)
-	}
-	return o
 }
 
 // MACResult is the outcome of Theorem 1 for one connection at one FDDI MAC.
@@ -148,7 +133,9 @@ func AnalyzeMAC(in traffic.Descriptor, p MACParams, opts Options) (MACResult, er
 	if err := p.validate(); err != nil {
 		return MACResult{}, err
 	}
-	opts = opts.withDefaults()
+	if opts.Workspace == nil {
+		opts.Workspace = new(traffic.Workspace)
+	}
 	mMACAnalyses.Inc()
 	envelopeEvals := 0
 	defer func() { mMACEnvelopeEvals.Add(uint64(envelopeEvals)) }()
@@ -162,21 +149,21 @@ func AnalyzeMAC(in traffic.Descriptor, p MACParams, opts Options) (MACResult, er
 		return MACResult{}, fmt.Errorf("%w: rho=%v bps, H·BW/TTRT=%v bps", ErrOverload, in.LongTermRate(), svc/ttrt)
 	}
 
-	busy, busyEvals, converged := busyInterval(in, svc, ttrt, opts.MaxBusyRotations)
+	busy, busyEvals, converged := busyInterval(in, svc, ttrt, maxBusyRotations)
 	envelopeEvals += busyEvals
 	if !converged {
 		mMACInfeasible.Inc()
-		return MACResult{}, fmt.Errorf("%w: no busy-interval end within %d rotations", ErrNoConvergence, opts.MaxBusyRotations)
+		return MACResult{}, fmt.Errorf("%w: no busy-interval end within %d rotations", ErrNoConvergence, maxBusyRotations)
 	}
 
-	backlog, delay, scanEvals := scanMAC(opts.Workspace, in, p, busy, opts.TGridPoints)
+	backlog, delay, scanEvals := scanMAC(opts.Workspace, in, p, busy, tGridPoints)
 	envelopeEvals += scanEvals
 	if p.BufferBits > 0 && backlog > p.BufferBits*(1+units.RelTol) {
 		mMACInfeasible.Inc()
 		return MACResult{}, fmt.Errorf("%w: F=%v bits, S=%v bits", ErrBufferOverflow, backlog, p.BufferBits)
 	}
 
-	out, err := outputEnvelope(in, p, opts, busy, delay)
+	out, err := outputEnvelope(in, p, opts.Output, busy, delay)
 	if err != nil {
 		return MACResult{}, err
 	}
@@ -184,9 +171,9 @@ func AnalyzeMAC(in traffic.Descriptor, p MACParams, opts Options) (MACResult, er
 }
 
 // outputEnvelope builds Γ'(I) = min(BW, Υ(I)) per the selected bound.
-func outputEnvelope(in traffic.Descriptor, p MACParams, opts Options, busy, delay float64) (traffic.Descriptor, error) {
+func outputEnvelope(in traffic.Descriptor, p MACParams, bound OutputBound, busy, delay float64) (traffic.Descriptor, error) {
 	bw := p.Ring.BandwidthBps
-	if opts.Output == OutputDelayBased {
+	if bound == OutputDelayBased {
 		out, err := traffic.NewDelayed(in, delay, bw)
 		if err != nil {
 			return nil, fmt.Errorf("fddi: building output envelope: %w", err)
@@ -195,15 +182,12 @@ func outputEnvelope(in traffic.Descriptor, p MACParams, opts Options, busy, dela
 	}
 
 	// Exact Υ(I) = max_{0<=t<=B} (A(t+I) − avail(t))/I, materialized.
-	horizon := opts.OutputHorizon
-	if horizon <= 0 {
-		horizon = math.Max(2*busy, 8*p.Ring.TTRT)
-	}
+	horizon := math.Max(2*busy, 8*p.Ring.TTRT)
 	tGrid := traffic.MergeGrids(busy,
-		traffic.Grid(in, busy, opts.TGridPoints),
+		traffic.Grid(in, busy, tGridPoints),
 		appendMultiples(nil, p.Ring.TTRT, busy))
 	tGrid = append([]float64{0}, tGrid...)
-	iGrid := traffic.Grid(in, horizon, opts.OutGridPoints)
+	iGrid := traffic.Grid(in, horizon, outGridPoints)
 	bits := make([]float64, len(iGrid))
 	for i, iv := range iGrid {
 		best := 0.0

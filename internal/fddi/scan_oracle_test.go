@@ -58,7 +58,7 @@ func TestScanMACMatchesExhaustiveScan(t *testing.T) {
 		for k, in := range []traffic.Descriptor{chain, flat} {
 			t.Run(fmt.Sprintf("%s/%T", c.name, in), func(t *testing.T) {
 				p := MACParams{Ring: ring, H: c.h}
-				busy, _, ok := busyInterval(in, p.ServiceBitsPerRotation(), ring.TTRT, 4096)
+				busy, _, ok := busyInterval(in, p.ServiceBitsPerRotation(), ring.TTRT, maxBusyRotations)
 				if !ok {
 					t.Fatal("no busy interval")
 				}
@@ -66,7 +66,7 @@ func TestScanMACMatchesExhaustiveScan(t *testing.T) {
 					t.Fatalf("busy interval of %v rotations, want at least %v: the case exercises nothing", busy/ring.TTRT, c.minRot)
 				}
 				var ws traffic.Workspace
-				gotF, gotChi, evals := scanMAC(&ws, in, p, busy, 160)
+				gotF, gotChi, evals := scanMAC(&ws, in, p, busy, tGridPoints)
 				wantF, wantChi, all := exhaustiveScanMAC(in, p, busy, 160)
 				if gotF != wantF {
 					t.Errorf("F = %v, exhaustive scan %v", gotF, wantF)

@@ -73,11 +73,11 @@ func TestScanMACAllocationFree(t *testing.T) {
 	var ws traffic.Workspace
 	for _, in := range []traffic.Descriptor{chain, flat} {
 		for _, p := range []MACParams{shallow, deep} {
-			busy, _, ok := busyInterval(in, p.ServiceBitsPerRotation(), p.Ring.TTRT, 4096)
+			busy, _, ok := busyInterval(in, p.ServiceBitsPerRotation(), p.Ring.TTRT, maxBusyRotations)
 			if !ok {
 				t.Fatal("no busy interval")
 			}
-			run := func() { scanMAC(&ws, in, p, busy, 160) }
+			run := func() { scanMAC(&ws, in, p, busy, tGridPoints) }
 			run()
 			if avg := testing.AllocsPerRun(20, run); avg != 0 {
 				t.Errorf("scanMAC over %T at B=%v allocates %v times per run on a warmed workspace", in, busy, avg)

@@ -21,8 +21,9 @@ var Analyzer = &lint.Analyzer{
 	Name: "desorder",
 	Doc: `forbid goroutines, channel ops, sleeps and global writes in DES event handlers
 
-Inside internal/des, internal/sim, internal/packetsim and internal/tokenring,
-any function scheduled as an event callback — passed to Schedule/After or
+Inside every package that schedules events (internal/des, sim, packetsim,
+tokenring, atm, fddi, ifdev, shaper), any function scheduled as an event
+callback — passed to Schedule/After or
 stored in an Event's Fire field, directly or through a local closure
 variable — must mutate simulator state only through scheduler-owned
 structures. The analyzer reports go statements, channel sends/receives,
@@ -38,6 +39,10 @@ var scopes = []string{
 	"fafnet/internal/sim",
 	"fafnet/internal/packetsim",
 	"fafnet/internal/tokenring",
+	"fafnet/internal/atm",
+	"fafnet/internal/fddi",
+	"fafnet/internal/ifdev",
+	"fafnet/internal/shaper",
 }
 
 // schedulerEntry names the methods/functions whose function-typed arguments

@@ -46,30 +46,19 @@ type Result struct {
 	Output traffic.Descriptor
 }
 
-// Options tunes the numeric search. The zero value selects defaults.
-type Options struct {
-	// GridPoints is the fallback search resolution (default 128).
-	GridPoints int
-	// MaxHorizon bounds the busy-period search (default 4 s).
-	MaxHorizon float64
-}
-
-func (o Options) withDefaults() Options {
-	if o.GridPoints <= 0 {
-		o.GridPoints = 128
-	}
-	if o.MaxHorizon <= 0 {
-		o.MaxHorizon = 4
-	}
-	return o
-}
-
 // ErrUnstable indicates the token rate cannot sustain the input.
 var ErrUnstable = errors.New("shaper: token rate below the input's long-term rate")
 
-// initialHorizon seeds the doubling busy-period search (seconds), matching
-// the ATM mux default.
-const initialHorizon = 16e-3
+// The busy-period search.
+const (
+	// gridPoints is the fallback search resolution.
+	gridPoints = 128
+	// initialHorizon seeds the doubling busy-period search (seconds), as at
+	// the ATM mux.
+	initialHorizon = 16e-3
+	// maxHorizon bounds the busy-period search (seconds).
+	maxHorizon = 4
+)
 
 // Analyze bounds a (σ, ρ) regulator fed by in: the worst-case shaping delay
 // is the largest time by which the bucket constraint lags the arrivals,
@@ -78,14 +67,13 @@ const initialHorizon = 16e-3
 //
 // and the output conforms to the bucket while never exceeding what the
 // delayed input supplies.
-func Analyze(in traffic.Descriptor, spec Spec, opts Options) (Result, error) {
+func Analyze(in traffic.Descriptor, spec Spec) (Result, error) {
 	if in == nil {
 		return Result{}, errors.New("shaper: Analyze requires an input descriptor")
 	}
 	if err := spec.Validate(); err != nil {
 		return Result{}, err
 	}
-	opts = opts.withDefaults()
 	if in.LongTermRate() >= spec.RhoBps*(1-units.RelTol) {
 		return Result{}, fmt.Errorf("%w: rho=%v bps, input=%v bps", ErrUnstable, spec.RhoBps, in.LongTermRate())
 	}
@@ -97,8 +85,8 @@ func Analyze(in traffic.Descriptor, spec Spec, opts Options) (Result, error) {
 	var delay float64
 	found := false
 	prev := -1.0
-	for horizon := initialHorizon; horizon <= opts.MaxHorizon*2; horizon *= 2 {
-		grid := traffic.MergeGrids(horizon, traffic.Grid(in, horizon, opts.GridPoints), []float64{traffic.GridNudge})
+	for horizon := initialHorizon; horizon <= maxHorizon*2; horizon *= 2 {
+		grid := traffic.MergeGrids(horizon, traffic.Grid(in, horizon, gridPoints), []float64{traffic.GridNudge})
 		for _, t := range grid {
 			if lag := (in.Bits(t)-spec.SigmaBits)/spec.RhoBps - t; lag > delay {
 				delay = lag
@@ -112,7 +100,7 @@ func Analyze(in traffic.Descriptor, spec Spec, opts Options) (Result, error) {
 		prev = delay
 	}
 	if !found {
-		return Result{}, fmt.Errorf("%w: lag did not stabilize within %v s", ErrUnstable, opts.MaxHorizon)
+		return Result{}, fmt.Errorf("%w: lag did not stabilize within %v s", ErrUnstable, maxHorizon)
 	}
 	if delay < 0 {
 		delay = 0

@@ -28,7 +28,7 @@ func TestAnalyzeClosedForm(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := Analyze(in, Spec{SigmaBits: 4e4, RhoBps: 12e6}, Options{})
+	res, err := Analyze(in, Spec{SigmaBits: 4e4, RhoBps: 12e6})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -55,7 +55,7 @@ func TestAnalyzeConformantInputPassesFreely(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := Analyze(in, Spec{SigmaBits: 1e4, RhoBps: 10e6}, Options{})
+	res, err := Analyze(in, Spec{SigmaBits: 1e4, RhoBps: 10e6})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -69,11 +69,11 @@ func TestAnalyzeUnstable(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	_, err = Analyze(in, Spec{SigmaBits: 1e4, RhoBps: 10e6}, Options{})
+	_, err = Analyze(in, Spec{SigmaBits: 1e4, RhoBps: 10e6})
 	if !errors.Is(err, ErrUnstable) {
 		t.Errorf("err = %v, want ErrUnstable", err)
 	}
-	if _, err := Analyze(nil, Spec{SigmaBits: 1, RhoBps: 1}, Options{}); err == nil {
+	if _, err := Analyze(nil, Spec{SigmaBits: 1, RhoBps: 1}); err == nil {
 		t.Error("nil input should be rejected")
 	}
 }
@@ -138,7 +138,7 @@ func TestSimMatchesAnalysis(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	bound, err := Analyze(in, spec, Options{})
+	bound, err := Analyze(in, spec)
 	if err != nil {
 		t.Fatal(err)
 	}

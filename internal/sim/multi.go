@@ -1,10 +1,7 @@
 package sim
 
 import (
-	"errors"
 	"fmt"
-	"hash/fnv"
-	"math"
 	"sort"
 
 	"fafnet/internal/core"
@@ -105,249 +102,117 @@ type MultiResult struct {
 	Duration float64
 }
 
-// classAccum is the per-class accumulator keyed by class name during the
-// run; it becomes a ClassResult afterwards.
-type classAccum struct {
-	ap         stats.Ratio
-	slack      stats.Sample
-	rejections map[string]int
+// eventArrival is a trace event as the driver takes it.
+func eventArrival(ev workload.Event) (arrival, bool, error) {
+	spec, err := ev.Req.Spec()
+	if err != nil {
+		return arrival{}, false, fmt.Errorf("sim: request %s: %w", ev.Req.ID, err)
+	}
+	return arrival{spec: spec, class: ev.Class, event: ev}, true, nil
+}
+
+// replayFeed re-issues a recorded trace, event for event, with no randomness.
+func replayFeed(events []workload.Event) feed {
+	n := 0 // events handed out so far
+	return feed{
+		next: func(float64) (float64, bool) {
+			if n == len(events) {
+				return 0, false
+			}
+			n++
+			return events[n-1].At, true
+		},
+		request:  func() (arrival, bool, error) { return eventArrival(events[n-1]) },
+		lifetime: func() float64 { return events[n-1].LifetimeSeconds },
+	}
+}
+
+// generatorFeed is RunMulti's generating stream: each arrival comes off the
+// workload generator whole — time, class, deadline, lifetime, source, drawn
+// from the class's own streams when the previous arrival has been handled —
+// and only its endpoints are drawn, by d, when it fires.
+func generatorFeed(gen *workload.Generator, d *driver) feed {
+	var cur workload.ClassArrival
+	seq := 0
+	return feed{
+		next: func(float64) (float64, bool) {
+			cur = gen.Next()
+			return cur.At, true
+		},
+		request: func() (arrival, bool, error) {
+			// Arrivals finding no idle host are never recorded: a trace holds
+			// issued requests only.
+			src, dst, ok := d.pick(0)
+			if !ok {
+				return arrival{}, false, nil
+			}
+			seq++
+			return eventArrival(workload.Event{
+				At:              cur.At,
+				Class:           cur.Class,
+				LifetimeSeconds: cur.Lifetime,
+				Req: scenario.Request{
+					ID:             fmt.Sprintf("w%d", seq),
+					SrcRing:        src.Ring,
+					SrcHost:        src.Index,
+					DstRing:        dst.Ring,
+					DstHost:        dst.Index,
+					DeadlineMillis: cur.Deadline / units.Millisecond,
+					Source:         cur.Source,
+				},
+			})
+		},
+		lifetime: func() float64 { return cur.Lifetime },
+	}
 }
 
 // RunMulti executes one multi-class admission simulation, either generating
 // arrivals from cfg.Spec or replaying cfg.Replay.
 func RunMulti(cfg MultiConfig) (MultiResult, error) {
 	cfg = cfg.withDefaults()
-	replaying := len(cfg.Replay) > 0
-
-	net, err := newNetwork(cfg.Topology)
+	// The run's own RNG places the requests; the generator's classes draw
+	// from strided seeds of their own.
+	d, err := newDriver(cfg.Topology, cfg.CAC, des.NewRNG(cfg.Seed))
 	if err != nil {
 		return MultiResult{}, err
 	}
-	ctl, err := core.NewController(net, cfg.CAC)
-	if err != nil {
-		return MultiResult{}, err
-	}
-
-	var gen *workload.Generator
-	if !replaying {
-		gen, err = workload.NewGenerator(cfg.Spec, cfg.Seed)
+	f := replayFeed(cfg.Replay)
+	if len(cfg.Replay) == 0 {
+		gen, err := workload.NewGenerator(cfg.Spec, cfg.Seed)
 		if err != nil {
 			return MultiResult{}, err
 		}
+		f, d.budget = generatorFeed(gen, d), cfg.Requests
 	}
 
-	rng := des.NewRNG(cfg.Seed) // endpoint selection; generator classes use strided seeds
-	simulator := des.NewSimulator()
-	hosts := net.Hosts()
-
-	res := MultiResult{}
-	perClass := make(map[string]*classAccum)
-	cls := func(name string) *classAccum {
-		a := perClass[name]
-		if a == nil {
-			a = &classAccum{rejections: make(map[string]int)}
-			perClass[name] = a
-		}
-		return a
-	}
-	fp := fnv.New64a()
-
-	total := 0
-	counted := 0
-	seq := 0
-	activeSince := 0.0
-	activeIntegral := 0.0
-	active := 0
-	noteActiveChange := func(now float64, delta int) {
-		activeIntegral += float64(active) * (now - activeSince)
-		activeSince = now
-		active += delta
-	}
-
-	idle := make([]topo.HostID, 0, len(hosts))
-	remote := make([]topo.HostID, 0, len(hosts))
-	var fpBuf [8]byte
-
-	fpWrite := func(bits uint64) {
-		for i := range fpBuf {
-			fpBuf[i] = byte(bits >> (8 * (7 - i)))
-		}
-		fp.Write(fpBuf[:])
-	}
-
-	// issue runs one admission request and its bookkeeping; shared verbatim
-	// by the generating and replay paths so their decision streams are
-	// computed by the same code.
-	issue := func(ev workload.Event) error {
-		now := simulator.Now()
-		spec, err := ev.Req.Spec()
-		if err != nil {
-			return fmt.Errorf("sim: request %s: %w", ev.Req.ID, err)
-		}
-		dec, err := ctl.RequestAdmission(spec)
-		if err != nil {
-			return fmt.Errorf("sim: admission request %s: %w", ev.Req.ID, err)
-		}
-
-		fp.Write([]byte(ev.Req.ID))
-		fpWrite(math.Float64bits(ev.At))
-		if dec.Admitted {
-			fpWrite(1)
-		} else {
-			fpWrite(0)
-		}
-		fpWrite(math.Float64bits(dec.HS))
-		fpWrite(math.Float64bits(dec.HR))
-
-		total++
-		if total > cfg.Warmup {
-			counted++
-			a := cls(ev.Class)
-			a.ap.Record(dec.Admitted)
-			res.Total.Record(dec.Admitted)
-			workload.RecordRequest(ev.Class)
-			if dec.Admitted {
-				a.slack.Add(spec.Deadline - dec.Delays[spec.ID])
-				workload.RecordAdmission(ev.Class)
-			} else {
-				a.rejections[dec.Reason]++
-			}
-		}
-		if dec.Admitted {
-			noteActiveChange(now, +1)
-			id := spec.ID
-			if _, err := simulator.Schedule(ev.At+ev.LifetimeSeconds, func() {
-				noteActiveChange(simulator.Now(), -1)
-				if !ctl.Release(id) {
-					// Exactly one departure is scheduled per admission, so a
-					// miss here is a corrupted simulation, not a data point.
-					panic("sim: departure event for unknown connection " + id)
-				}
-			}); err != nil {
-				return fmt.Errorf("sim: scheduling departure: %w", err)
-			}
-		}
+	var res MultiResult
+	perClass := make(map[string]*tally)
+	d.warmup = cfg.Warmup
+	d.issued = func(a arrival, dec core.Decision, _ int, counted bool) {
 		if cfg.Record {
-			res.Trace = append(res.Trace, ev)
+			res.Trace = append(res.Trace, a.event)
 		}
-		return nil
-	}
-
-	var loopErr error
-	fail := func(err error) {
-		loopErr = err
-		simulator.Halt()
-	}
-
-	if replaying {
-		events := cfg.Replay
-		var scheduleNext func(i int)
-		scheduleNext = func(i int) {
-			if i >= len(events) {
-				return
-			}
-			if _, err := simulator.Schedule(events[i].At, func() {
-				if loopErr != nil {
-					return
-				}
-				if err := issue(events[i]); err != nil {
-					fail(err)
-					return
-				}
-				if i+1 >= len(events) {
-					// The recording run halted inside its final arrival's
-					// handler; halting here leaves the same departures
-					// pending, so the admitted snapshot matches too.
-					simulator.Halt()
-					return
-				}
-				scheduleNext(i + 1)
-			}); err != nil {
-				fail(err)
-			}
+		if !counted {
+			return
 		}
-		scheduleNext(0)
-	} else {
-		var scheduleNext func()
-		scheduleNext = func() {
-			arrival := gen.Next()
-			if _, err := simulator.Schedule(arrival.At, func() {
-				if loopErr != nil {
-					return
-				}
-				// Source: uniform among hosts not currently originating a
-				// connection. Arrivals finding none are dropped, not queued,
-				// and never recorded — a trace holds issued requests only.
-				idle = idle[:0]
-				for _, h := range hosts {
-					if !ctl.SourceBusy(h) {
-						idle = append(idle, h)
-					}
-				}
-				if len(idle) == 0 {
-					res.SkippedNoIdleHost++
-					scheduleNext()
-					return
-				}
-				src := idle[rng.Intn(len(idle))]
-				// Destination: uniform among hosts on other rings.
-				remote = remote[:0]
-				for _, h := range hosts {
-					if h.Ring != src.Ring {
-						remote = append(remote, h)
-					}
-				}
-				dst := remote[rng.Intn(len(remote))]
-
-				seq++
-				ev := workload.Event{
-					At:              arrival.At,
-					Class:           arrival.Class,
-					LifetimeSeconds: arrival.Lifetime,
-					Req: scenario.Request{
-						ID:             fmt.Sprintf("w%d", seq),
-						SrcRing:        src.Ring,
-						SrcHost:        src.Index,
-						DstRing:        dst.Ring,
-						DstHost:        dst.Index,
-						DeadlineMillis: arrival.Deadline / units.Millisecond,
-						Source:         arrival.Source,
-					},
-				}
-				if err := issue(ev); err != nil {
-					fail(err)
-					return
-				}
-				if counted >= cfg.Requests {
-					simulator.Halt()
-					return
-				}
-				scheduleNext()
-			}); err != nil {
-				fail(err)
-			}
+		t := perClass[a.class]
+		if t == nil {
+			t = &tally{rejections: make(map[string]int)}
+			perClass[a.class] = t
 		}
-		scheduleNext()
+		t.record(a.spec, dec)
+		res.Total.Record(dec.Admitted)
+		workload.RecordRequest(a.class)
+		if dec.Admitted {
+			workload.RecordAdmission(a.class)
+		}
 	}
-
-	simulator.Run(math.Inf(1))
-	if loopErr != nil {
-		return MultiResult{}, loopErr
+	if res.Duration, res.MeanActive, err = d.run(f); err != nil {
+		return MultiResult{}, err
 	}
-	if !replaying && counted < cfg.Requests {
-		return MultiResult{}, errors.New("sim: simulation ended before reaching the request budget")
-	}
-	if total == 0 {
-		return MultiResult{}, errors.New("sim: replay issued no requests")
-	}
-
-	res.Duration = simulator.Now()
-	noteActiveChange(res.Duration, 0)
-	if res.Duration > 0 {
-		res.MeanActive = activeIntegral / res.Duration
-	}
-	res.Fingerprint = fp.Sum64()
-	res.Admitted = ctl.Connections()
+	res.SkippedNoIdleHost = d.skipped
+	res.Fingerprint = d.fp.Sum64()
+	res.Admitted = d.ctl.Connections()
 
 	names := make([]string, 0, len(perClass))
 	for name := range perClass {
@@ -356,15 +221,15 @@ func RunMulti(cfg MultiConfig) (MultiResult, error) {
 	sort.Strings(names)
 	aps := make([]float64, 0, len(names))
 	for _, name := range names {
-		a := perClass[name]
+		t := perClass[name]
 		res.PerClass = append(res.PerClass, ClassResult{
 			Class:      name,
-			AP:         a.ap,
-			Slack:      a.slack,
-			Rejections: a.rejections,
+			AP:         t.ap,
+			Slack:      t.slack,
+			Rejections: t.rejections,
 		})
-		workload.SetClassAP(name, a.ap.Value())
-		aps = append(aps, a.ap.Value())
+		workload.SetClassAP(name, t.ap.Value())
+		aps = append(aps, t.ap.Value())
 	}
 	res.Jain = stats.JainIndex(aps)
 	workload.SetClassAP(workload.Overall, res.Total.Value())

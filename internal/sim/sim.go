@@ -4,12 +4,18 @@
 // routes always cross the ATM backbone, admitted connections hold their
 // resources for exponentially distributed lifetimes, and the metric is the
 // admission probability (AP).
+//
+// There is one event loop, driver: arrivals fire on a des.Simulator, each is
+// put to the admission controller, an admitted connection departs after its
+// holding time. Run (one source model, one RNG) and RunMulti (a multi-class
+// workload generated, or a recorded trace replayed) are feeds of it — where
+// the next arrival is, what it asks for, how long it holds — and differ in
+// nothing else; sweeps, replications and the calibration gate are built on
+// those two.
 package sim
 
 import (
-	"errors"
 	"fmt"
-	"math"
 
 	"fafnet/internal/core"
 	"fafnet/internal/des"
@@ -181,21 +187,10 @@ type Result struct {
 	Duration float64
 }
 
-// newNetwork builds the topology both drivers run on. Every simulated
-// connection is addressed to a host on another ring, so one ring is not a
-// topology either driver can draw a destination from.
-func newNetwork(cfg topo.Config) (*topo.Network, error) {
-	net, err := topo.NewNetwork(cfg)
-	if err != nil {
-		return nil, err
-	}
-	if cfg.NumRings < 2 {
-		return nil, errors.New("sim: runs need at least two rings (routes cross the backbone)")
-	}
-	return net, nil
-}
-
-// Run executes one simulation and returns its statistics.
+// Run executes one simulation and returns its statistics. Everything random
+// comes from the run's single RNG, so the stream of a seed is fixed by the
+// order of the draws: gap, source, bias, destination, deadline, and — after
+// an admit only — lifetime.
 func Run(cfg Config) (Result, error) {
 	cfg = cfg.withDefaults()
 	if err := cfg.Workload.Validate(); err != nil {
@@ -204,11 +199,8 @@ func Run(cfg Config) (Result, error) {
 	if cfg.Utilization <= 0 {
 		return Result{}, fmt.Errorf("sim: utilization %v must be positive", cfg.Utilization)
 	}
-	net, err := newNetwork(cfg.Topology)
-	if err != nil {
-		return Result{}, err
-	}
-	ctl, err := core.NewController(net, cfg.CAC)
+	rng := des.NewRNG(cfg.Seed)
+	d, err := newDriver(cfg.Topology, cfg.CAC, rng)
 	if err != nil {
 		return Result{}, err
 	}
@@ -216,146 +208,48 @@ func Run(cfg Config) (Result, error) {
 	if err != nil {
 		return Result{}, err
 	}
-
-	rng := des.NewRNG(cfg.Seed)
-	simulator := des.NewSimulator()
 	arrivals, err := des.NewPoissonProcess(rng, cfg.ArrivalRate())
 	if err != nil {
 		return Result{}, err
 	}
 
-	res := Result{Rejections: make(map[string]int)}
-	hosts := net.Hosts()
-	counted := 0
-	total := 0
-	seq := 0
-	activeSince := 0.0
-	activeIntegral := 0.0
-	active := 0
-
-	noteActiveChange := func(now float64, delta int) {
-		activeIntegral += float64(active) * (now - activeSince)
-		activeSince = now
-		active += delta
-	}
-
-	// idle and remote are scratch buffers for the per-arrival host selection
-	// scans, hoisted out of the closure so the simulation loop reuses their
-	// backing arrays instead of allocating two slices per Poisson arrival.
-	idle := make([]topo.HostID, 0, len(hosts))
-	remote := make([]topo.HostID, 0, len(hosts))
-
-	handleArrival := func() error {
-		now := simulator.Now()
-		// Source: uniform among hosts not currently originating a
-		// connection.
-		idle = idle[:0]
-		for _, h := range hosts {
-			if !ctl.SourceBusy(h) {
-				idle = append(idle, h)
-			}
-		}
-		if len(idle) == 0 {
-			res.SkippedNoIdleHost++
-			return nil
-		}
-		src := idle[rng.Intn(len(idle))]
-		// Destination: uniform among hosts on other rings (the route always
-		// crosses the backbone), optionally biased toward the hot ring 0.
-		hotOnly := cfg.DestBias > 0 && src.Ring != 0 && rng.Float64() < cfg.DestBias
-		remote = remote[:0]
-		for _, h := range hosts {
-			if h.Ring == src.Ring {
-				continue
-			}
-			if hotOnly && h.Ring != 0 {
-				continue
-			}
-			remote = append(remote, h)
-		}
-		dst := remote[rng.Intn(len(remote))]
-
-		seq++
-		spec := core.ConnSpec{
-			ID:             fmt.Sprintf("m%d", seq),
-			Src:            src,
-			Dst:            dst,
-			Source:         source,
-			Deadline:       rng.Uniform(cfg.Workload.DeadlineMin, cfg.Workload.DeadlineMax),
-			HostBufferBits: cfg.Workload.HostBufferBits,
-			IDBufferBits:   cfg.Workload.IDBufferBits,
-		}
-		activeNow := ctl.Active()
-		dec, err := ctl.RequestAdmission(spec)
-		if err != nil {
-			return fmt.Errorf("sim: admission request %s: %w", spec.ID, err)
-		}
-
-		total++
-		if total > cfg.Warmup {
-			counted++
-			res.AP.Record(dec.Admitted)
+	var res Result
+	all := tally{rejections: make(map[string]int)}
+	d.warmup, d.budget = cfg.Warmup, cfg.Requests
+	d.issued = func(a arrival, dec core.Decision, activeBefore int, counted bool) {
+		if counted {
+			all.record(a.spec, dec)
 			res.Probes.Add(float64(dec.Probes))
-			res.ActiveAtArrival.Add(float64(activeNow))
-			if dec.Admitted {
-				res.SlackAtAdmission.Add(spec.Deadline - dec.Delays[spec.ID])
-			} else {
-				res.Rejections[dec.Reason]++
-			}
-		}
-		if dec.Admitted {
-			noteActiveChange(now, +1)
-			id := spec.ID
-			if _, err := simulator.After(rng.Exp(cfg.Workload.MeanLifetime), func() {
-				noteActiveChange(simulator.Now(), -1)
-				if !ctl.Release(id) {
-					// Exactly one departure is scheduled per admission, so a
-					// miss here is a corrupted simulation, not a data point.
-					panic("sim: departure event for unknown connection " + id)
-				}
-			}); err != nil {
-				return fmt.Errorf("sim: scheduling departure: %w", err)
-			}
-		}
-		if counted >= cfg.Requests {
-			simulator.Halt()
-		}
-		return nil
-	}
-
-	var loopErr error
-	var scheduleNext func()
-	scheduleNext = func() {
-		if _, err := simulator.After(arrivals.Next(), func() {
-			if loopErr != nil {
-				return
-			}
-			if err := handleArrival(); err != nil {
-				loopErr = err
-				simulator.Halt()
-				return
-			}
-			scheduleNext()
-		}); err != nil {
-			loopErr = err
-			simulator.Halt()
+			res.ActiveAtArrival.Add(float64(activeBefore))
 		}
 	}
-	scheduleNext()
-	simulator.Run(math.Inf(1))
-	if loopErr != nil {
-		return Result{}, loopErr
+	seq := 0
+	res.Duration, res.MeanActive, err = d.run(feed{
+		next: func(now float64) (float64, bool) { return now + arrivals.Next(), true },
+		request: func() (arrival, bool, error) {
+			src, dst, ok := d.pick(cfg.DestBias)
+			if !ok {
+				return arrival{}, false, nil
+			}
+			seq++
+			return arrival{spec: core.ConnSpec{
+				ID:             fmt.Sprintf("m%d", seq),
+				Src:            src,
+				Dst:            dst,
+				Source:         source,
+				Deadline:       rng.Uniform(cfg.Workload.DeadlineMin, cfg.Workload.DeadlineMax),
+				HostBufferBits: cfg.Workload.HostBufferBits,
+				IDBufferBits:   cfg.Workload.IDBufferBits,
+			}}, true, nil
+		},
+		lifetime: func() float64 { return rng.Exp(cfg.Workload.MeanLifetime) },
+	})
+	if err != nil {
+		return Result{}, err
 	}
-	if counted < cfg.Requests {
-		return Result{}, errors.New("sim: simulation ended before reaching the request budget")
-	}
-
-	res.Duration = simulator.Now()
-	noteActiveChange(res.Duration, 0)
-	if res.Duration > 0 {
-		res.MeanActive = activeIntegral / res.Duration
-		res.AchievedUtilization = res.MeanActive * cfg.Workload.Source.Rho() /
-			(cfg.LinkShare * cfg.Topology.LinkBps)
-	}
+	res.AP, res.SlackAtAdmission, res.Rejections = all.ap, all.slack, all.rejections
+	res.SkippedNoIdleHost = d.skipped
+	res.AchievedUtilization = res.MeanActive * cfg.Workload.Source.Rho() /
+		(cfg.LinkShare * cfg.Topology.LinkBps)
 	return res, nil
 }

@@ -18,9 +18,10 @@ import (
 // previous segment's value at ts[i]. ts[0] is always 0. A point evaluation
 // is one binary search plus one fused multiply-add; closure-tree composition
 // (Delayed over Quantized over a source) is replaced by exact closed-form
-// operations on the array: Sum is an O(n+m) breakpoint merge, rate-capping
-// and delay-shifting are segment walks, and frame/cell quantization emits
-// the exact staircase crossings.
+// operations on the array: Sum is an O(n+m) breakpoint merge, Min the same
+// walk with the crossings inserted, rate-capping and delay-shifting are
+// segment walks, and frame/cell quantization emits the exact staircase
+// crossings.
 //
 // A Flat covers [0, horizon] exactly; beyond the horizon Bits delegates to
 // tail, the untransformed descriptor chain the array was lowered from, so a
@@ -260,12 +261,13 @@ func (b *flatBuilder) finish(horizon float64, tail Descriptor) *Flat {
 }
 
 // Flatten lowers a descriptor chain into one flat breakpoint array covering
-// [0, horizon], or returns nil when the chain contains a node with no exact
-// closed-form lowering (callers then keep the closure-tree path — Flatten is
-// an accelerator, never an approximation). Every lowering rule is exact in
-// the same sense Fuse is: the array evaluates to the chain's value up to
-// float re-association, with the chain itself retained as the tail for
-// points beyond the horizon.
+// [0, horizon]. Every descriptor type of this package has a rule, and every
+// rule is exact in the same sense Fuse is: the array evaluates to the chain's
+// value up to float re-association, with the chain itself retained as the
+// tail for points beyond the horizon. It returns nil in two cases only: the
+// chain holds a type from outside the package, for which there is no rule, or
+// the segment cap ended a window before a Delayed stage's delay, so nothing
+// of the shifted window is left to cover.
 func Flatten(d Descriptor, horizon float64) *Flat {
 	if horizon <= 0 {
 		return nil
@@ -313,6 +315,16 @@ func Flatten(d Descriptor, horizon float64) *Flat {
 			}
 		}
 		return SumFlats(d, flats...)
+	case Min:
+		acc := Flatten(v.members[0], horizon)
+		for _, m := range v.members[1:] {
+			f := Flatten(m, horizon)
+			if acc == nil || f == nil {
+				return nil
+			}
+			acc = minFlats(acc, f, horizon, d)
+		}
+		return acc
 	default:
 		return nil
 	}
@@ -516,6 +528,50 @@ func (b *flatBuilder) addCapped(t0, v0, s, t1, capBps float64) {
 			b.add(tc, capBps*tc, capBps)
 		}
 	}
+}
+
+// minFlats lowers min(a, b): a two-pointer walk over the union of the
+// operands' breakpoints. Between two union vertices both operands are lines,
+// so the minimum changes sides at most once there and the crossing is the one
+// new breakpoint — addCapped's rule with a second envelope in place of the
+// cap line. Every emitted segment lies on one operand's line, and either line
+// is at or above the minimum, so wherever a crossing rounds to, the result
+// does not dip below the true envelope.
+func minFlats(a, b *Flat, horizon float64, tail Descriptor) *Flat {
+	h := min(horizon, a.horizon, b.horizon)
+	bld := &flatBuilder{}
+	bld.reserve(len(a.ts) + len(b.ts) + 2)
+	i, j := 0, 0
+	for t0 := 0.0; t0 < h && !bld.full(); {
+		t1 := h
+		if i+1 < len(a.ts) {
+			t1 = min(t1, a.ts[i+1])
+		}
+		if j+1 < len(b.ts) {
+			t1 = min(t1, b.ts[j+1])
+		}
+		lo0, los := a.vs[i]+a.ss[i]*(t0-a.ts[i]), a.ss[i]
+		hi0, his := b.vs[j]+b.ss[j]*(t0-b.ts[j]), b.ss[j]
+		if hi0 < lo0 || (hi0 == lo0 && his < los) {
+			lo0, los, hi0, his = hi0, his, lo0, los
+		}
+		bld.add(t0, lo0, los)
+		// D = lo − hi is linear on (t0, t1] and starts at or below zero.
+		d0, d1 := lo0-hi0, lo0+los*(t1-t0)-(hi0+his*(t1-t0))
+		if d1 > 0 {
+			if tc := t0 + (t1-t0)*d0/(d0-d1); tc < t1 {
+				bld.add(tc, hi0+his*(tc-t0), his)
+			}
+		}
+		if i+1 < len(a.ts) && a.ts[i+1] == t1 {
+			i++
+		}
+		if j+1 < len(b.ts) && b.ts[j+1] == t1 {
+			j++
+		}
+		t0 = t1
+	}
+	return bld.finish(h, tail)
 }
 
 // quantized applies A'(I) = ⌈A(I)/q⌉·o in closed form: each linear segment

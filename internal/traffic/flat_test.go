@@ -66,7 +66,25 @@ func flatCases(t *testing.T) map[string]Descriptor {
 	if err != nil {
 		t.Fatal(err)
 	}
+	// The regulator's output: the bucket line against the delayed input, and
+	// the same one stage further on. minThree's members cross each other
+	// repeatedly (a staircase, a ramp and a burst-then-rate line).
+	shaped, err := NewMin(lbNoPeak, delayed)
+	if err != nil {
+		t.Fatal(err)
+	}
+	shapedStage, err := NewDelayed(shaped, 1.1e-3, 135e6)
+	if err != nil {
+		t.Fatal(err)
+	}
+	minThree, err := NewMin(quant, cbr, lb)
+	if err != nil {
+		t.Fatal(err)
+	}
 	return map[string]Descriptor{
+		"min":          shaped,
+		"delayedMin":   shapedStage,
+		"minThree":     minThree,
 		"cbr":          cbr,
 		"periodic":     per,
 		"dual":         dual,
@@ -251,27 +269,146 @@ func TestFlatBreakpointsDelegate(t *testing.T) {
 	}
 }
 
-// TestFlattenUnsupportedReturnsNil: chains with no exact closed-form lowering
-// must fall back to the closure tree, not approximate.
+// opaque is a descriptor type from outside the package's lowering rules.
+type opaque struct{ Descriptor }
+
+// TestFlattenUnsupportedReturnsNil: a chain holding a type Flatten has no rule
+// for is not lowered — at the root or under a transform — and neither is
+// anything over an empty window.
 func TestFlattenUnsupportedReturnsNil(t *testing.T) {
 	cases := flatCases(t)
-	m, err := NewMin(cases["periodic"], cases["cbr"])
-	if err != nil {
-		t.Fatal(err)
-	}
-	if Flatten(m, flatTestHorizon) != nil {
-		t.Fatal("Flatten(Min) must return nil (no exact lowering)")
+	u := opaque{cases["periodic"]}
+	if Flatten(u, flatTestHorizon) != nil {
+		t.Fatal("Flatten of a user-defined descriptor must return nil (no lowering rule)")
 	}
 	if Flatten(cases["periodic"], 0) != nil {
 		t.Fatal("Flatten with zero horizon must return nil")
 	}
-	d, err := NewDelayed(m, 1e-3, 0)
+	d, err := NewDelayed(u, 1e-3, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if Flatten(d, flatTestHorizon) != nil {
-		t.Fatal("Flatten(Delayed(Min)) must return nil")
+	m, err := NewMin(cases["cbr"], d)
+	if err != nil {
+		t.Fatal(err)
 	}
+	if Flatten(d, flatTestHorizon) != nil || Flatten(m, flatTestHorizon) != nil {
+		t.Fatal("Flatten must return nil for a chain over a user-defined descriptor")
+	}
+}
+
+// checkMinFlats holds Flatten(Min{a, b}) to the soundness property of the
+// rule: at no point below the smaller operand (every segment lies on one
+// operand's line; re-anchoring a line at a union vertex or a crossing moves it
+// by float re-association only, which minUlps bounds), nowhere above it by
+// more than units.RelTol relative plus units.Eps, and beyond the shared window
+// the Min chain itself.
+func checkMinFlats(t *testing.T, a, b *Flat, horizon float64, pts []float64) {
+	t.Helper()
+	const minUlps = 8 * 0x1p-52
+	m, err := NewMin(a, b)
+	if err != nil {
+		t.Fatal(err)
+	}
+	f := Flatten(m, horizon)
+	if f == nil {
+		t.Fatalf("Flatten(Min) of two flats over %v and %v s returned nil", a.horizon, b.horizon)
+	}
+	if want := min(horizon, a.horizon, b.horizon); f.horizon > want {
+		t.Fatalf("window %v reaches past the operands' shared %v", f.horizon, want)
+	}
+	if math.Float64bits(f.LongTermRate()) != math.Float64bits(m.LongTermRate()) {
+		t.Fatalf("LongTermRate %v, the chain's is %v", f.LongTermRate(), m.LongTermRate())
+	}
+	for i := 1; i < len(f.ts); i++ {
+		if !(f.ts[i] > f.ts[i-1]) {
+			t.Fatalf("vertex %d at %v does not follow %v", i, f.ts[i], f.ts[i-1])
+		}
+	}
+	for _, pt := range pts {
+		got, want := f.Bits(pt), min(a.Bits(pt), b.Bits(pt))
+		if pt > f.horizon {
+			if math.Float64bits(got) != math.Float64bits(want) {
+				t.Fatalf("Bits(%v) = %v beyond the window, the operands' minimum is %v", pt, got, want)
+			}
+			continue
+		}
+		if got < want*(1-minUlps) {
+			t.Fatalf("Bits(%v) = %v dips below the operands' minimum %v", pt, got, want)
+		}
+		if got > want+units.RelTol*want+units.Eps {
+			t.Fatalf("Bits(%v) = %v above the operands' minimum %v", pt, got, want)
+		}
+	}
+}
+
+// TestMinFlatsTable: the Min rule over every pair of lowered cases, unequal
+// windows included, at dense points and around every vertex of the result's
+// operands.
+func TestMinFlatsTable(t *testing.T) {
+	cases := flatCases(t)
+	names := make([]string, 0, len(cases))
+	for name := range cases {
+		names = append(names, name)
+	}
+	sort.Strings(names)
+	rng := rand.New(rand.NewSource(11))
+	for i, na := range names {
+		for j, nb := range names {
+			ha, hb := flatTestHorizon, flatTestHorizon
+			if (i+j)%3 == 1 {
+				hb /= 2
+			}
+			a, b := Flatten(cases[na], ha), Flatten(cases[nb], hb)
+			pts := []float64{hb, flatTestHorizon, 1.5 * flatTestHorizon}
+			for k := 0; k < 200; k++ {
+				pts = append(pts, rng.Float64()*1.25*flatTestHorizon)
+			}
+			for _, f := range []*Flat{a, b} {
+				for _, v := range f.ts {
+					pts = append(pts, v, math.Nextafter(v, 0), math.Nextafter(v, 1), v+1e-7)
+				}
+			}
+			checkMinFlats(t, a, b, flatTestHorizon, pts)
+		}
+	}
+}
+
+// FuzzMinFlats drives the Min rule with two fuzzed member chains (the decoder
+// of FuzzWorkspaceSum: every source kind, behind quantization and capped or
+// uncapped delays, windows truncated by the segment cap), lowered over the
+// analyzer's window, in both operand orders, at fuzzed points inside and
+// beyond the window and at the operands' own vertices.
+func FuzzMinFlats(f *testing.F) {
+	const horizon = 0.025
+	f.Fuzz(func(t *testing.T, data []byte) {
+		r := &sumFuzzInput{b: data}
+		var flats []*Flat
+		for len(flats) < 2 {
+			d := r.member()
+			if d == nil {
+				return
+			}
+			fl := Flatten(d, horizon)
+			if fl == nil {
+				// A delay past a truncated window leaves nothing to lower.
+				return
+			}
+			flats = append(flats, fl)
+		}
+		a, b := flats[0], flats[1]
+		pts := []float64{horizon / 2, horizon, 1.5 * horizon}
+		for i := 0; i < 24; i++ {
+			pts = append(pts, r.frac()*2*horizon)
+		}
+		for i := 0; i < 8; i++ {
+			v := a.ts[int(r.byte())%len(a.ts)]
+			w := b.ts[int(r.byte())%len(b.ts)]
+			pts = append(pts, v, math.Nextafter(v, 1), w, math.Nextafter(w, 1))
+		}
+		checkMinFlats(t, a, b, horizon, pts)
+		checkMinFlats(t, b, a, horizon, pts)
+	})
 }
 
 // TestSumFlatsMatchesAggregate: the O(n+m) merge equals member-wise summation.

@@ -298,7 +298,9 @@ func (r RateCapped) String() string {
 
 // Min is the pointwise minimum of several envelopes: if each member bounds
 // the same traffic (e.g. a source declaration and a regulator constraint),
-// their minimum is also a valid — and tighter — bound.
+// their minimum is also a valid — and tighter — bound. Flatten lowers it
+// exactly: piecewise-linear envelopes are closed under minimum, the only new
+// vertices being the points where two members cross.
 type Min struct {
 	members []Descriptor
 }
