@@ -2,23 +2,12 @@
 
 GO       ?= go
 FAFVET   := bin/fafvet
-FAFBENCH := bin/fafbench
-
-# bench knobs: subset selector, per-benchmark time budget, output file.
-#   make bench BENCH='CACAdmit|DelayAnalysis' BENCHTIME=3s BENCH_JSON=BENCH.json
-BENCH      ?= .
-BENCHTIME  ?= 1s
-BENCH_JSON ?= BENCH.json
-
-# bench-compare baseline: the JSON report committed with the most recent
-# performance PR.
-BENCH_BASELINE ?= BENCH_PR21.json
 
 # calibrate knobs: scenario count and base seed for the randomized sweep.
 CAL_SCENARIOS ?= 100
 CAL_SEED      ?= 1
 
-.PHONY: all build fmt vet sarif lockgraph lockgraph-check race test short fuzz-smoke bench bench-compare bench-e2e chaos load-smoke calibrate docs-check check clean
+.PHONY: all build fmt vet sarif lockgraph lockgraph-check race test short fuzz-smoke bench-e2e chaos load-smoke calibrate docs-check check clean
 
 all: build
 
@@ -117,28 +106,6 @@ load-smoke:
 #   make calibrate CAL_SCENARIOS=20 CAL_SEED=7
 calibrate:
 	$(GO) run ./cmd/fafsim -calibrate -scenarios $(CAL_SCENARIOS) -seed $(CAL_SEED)
-
-$(FAFBENCH): FORCE
-	$(GO) build -o $(FAFBENCH) ./cmd/fafbench
-
-# Run the root-package benchmark suite with allocation stats and record the
-# results as machine-readable JSON (name → ns/op, B/op, allocs/op, plus
-# custom metrics such as AP) for before/after tracking. The raw `go test`
-# output is kept in bench.out.
-bench: $(FAFBENCH)
-	$(GO) test -run '^$$' -bench '$(BENCH)' -benchtime $(BENCHTIME) -benchmem . | tee bench.out
-	./$(FAFBENCH) -o $(BENCH_JSON) bench.out
-	@echo "wrote $(BENCH_JSON)"
-
-# Diff a fresh bench run against the committed baseline report. Defaults
-# apply both gates (ns/op 1.25x, allocs/op 1.10x) — appropriate for
-# interleaved runs on one quiet machine. CI loosens both because its
-# runners are shared (the loose wall-clock gate still catches
-# order-of-magnitude cache breakage):
-#   make bench-compare FAFBENCH_COMPARE_FLAGS='-ns-ratio=4 -allocs-ratio=1.5'
-# Add -format=markdown for a summary table (PR descriptions, job summaries).
-bench-compare: $(FAFBENCH)
-	./$(FAFBENCH) -compare $(FAFBENCH_COMPARE_FLAGS) $(BENCH_BASELINE) $(BENCH_JSON)
 
 # End-to-end smoke of the one benchmark that measures this tree (bench/,
 # BENCHMARK.json): a short traced run of the worst honest regime — churn

@@ -55,7 +55,7 @@ type Options struct {
 	SearchIters int
 	// Rule selects the allocation segment (default RuleProportional).
 	Rule Rule
-	// Analysis tunes the underlying server analyses.
+	// Analysis is handed to the controller's analyzer (see AnalysisOptions).
 	Analysis AnalysisOptions
 }
 

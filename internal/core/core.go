@@ -88,12 +88,11 @@ func (c *Connection) clone() *Connection {
 	return &cp
 }
 
-// AnalysisOptions bundles the numeric options of the underlying server
-// analyses. The zero value selects all defaults.
+// AnalysisOptions carries the options of the underlying server analyses. None
+// tunes a search, and the analyzer replaces both Workspace fields with its own.
 type AnalysisOptions struct {
-	// MAC tunes the Theorem 1 searches.
+	// MAC selects the Theorem 1 output envelope (tests use fddi.OutputExact).
 	MAC fddi.Options
-	// Mux tunes the FIFO-multiplexer busy-period searches.
 	Mux atm.MuxOptions
 }
 

@@ -45,7 +45,7 @@ type Config struct {
 	// serves them only from token earliness, so the analytic bounds must
 	// hold regardless — this exercises exactly that.
 	AsyncBackground int
-	// Analysis tunes the bound computation.
+	// Analysis is handed to the analyzer that computes the bounds.
 	Analysis core.AnalysisOptions
 }
 

@@ -287,30 +287,34 @@ func TestSourceParams(t *testing.T) {
 // became a feed of the shared driver: one draw moved, dropped or added
 // anywhere in the loop changes every number below. Three (U, β, seed) points
 // and one with a destination bias; the second also drops arrivals that found
-// no idle host.
+// no idle host. The last two run E4's baselines to Section 5.3's proportional
+// rule, fixed-split and sender-biased, at U 0.8, β 0.5.
 func TestRunGolden(t *testing.T) {
 	for _, g := range []struct {
 		u, beta, bias                   float64
+		rule                            core.Rule
 		seed                            int64
 		admitted                        int
 		meanActive, duration, meanSlack uint64
 		skipped                         int
 	}{
-		{0.3, 0, 0, 1, 57, 0x400eeaac7b5b2eb5, 0x408b05fe0c730021, 0x3f82d37c3ac97b60, 0},
-		{0.6, 0.5, 0, 2, 52, 0x4020381e944706e7, 0x4077233fbce9cd8a, 0x3f94f2025ae25dac, 7},
-		{0.9, 1, 0, 3, 26, 0x401ee9b051048254, 0x407108c295fccdfb, 0x3f984ca9530733dc, 0},
-		{0.9, 0.5, 0.7, 4, 38, 0x401e8d9098f61f5b, 0x4071bcb390796820, 0x3f93a67c18704c6a, 0},
+		{0.3, 0, 0, core.RuleProportional, 1, 57, 0x400eeaac7b5b2eb5, 0x408b05fe0c730021, 0x3f82d37c3ac97b60, 0},
+		{0.6, 0.5, 0, core.RuleProportional, 2, 52, 0x4020381e944706e7, 0x4077233fbce9cd8a, 0x3f94f2025ae25dac, 7},
+		{0.9, 1, 0, core.RuleProportional, 3, 26, 0x401ee9b051048254, 0x407108c295fccdfb, 0x3f984ca9530733dc, 0},
+		{0.9, 0.5, 0.7, core.RuleProportional, 4, 38, 0x401e8d9098f61f5b, 0x4071bcb390796820, 0x3f93a67c18704c6a, 0},
+		{0.8, 0.5, 0, core.RuleFixedSplit, 6, 62, 0x402398718ac54446, 0x4078d4da3efb9fcf, 0x3f95977a99622ead, 29},
+		{0.8, 0.5, 0, core.RuleSenderBiased, 7, 12, 0x4000ea84cae933b0, 0x4073eb0ee639fc0c, 0x3f94b4f6ae893b41, 0},
 	} {
 		res, err := Run(Config{Utilization: g.u, Requests: 80, Warmup: 10, Seed: g.seed, DestBias: g.bias,
-			CAC: core.Options{Beta: g.beta, BetaSet: true}})
+			CAC: core.Options{Beta: g.beta, BetaSet: true, Rule: g.rule}})
 		if err != nil {
 			t.Fatal(err)
 		}
 		if res.AP.Successes() != g.admitted || res.AP.Trials() != 80 || res.SkippedNoIdleHost != g.skipped ||
 			math.Float64bits(res.MeanActive) != g.meanActive || math.Float64bits(res.Duration) != g.duration ||
 			math.Float64bits(res.SlackAtAdmission.Mean()) != g.meanSlack {
-			t.Errorf("U=%v β=%v bias=%v seed %d: %d/%d admitted, %d skipped, mean active %#x, duration %#x, mean slack %#x; want %d/80, %d, %#x, %#x, %#x",
-				g.u, g.beta, g.bias, g.seed, res.AP.Successes(), res.AP.Trials(), res.SkippedNoIdleHost,
+			t.Errorf("U=%v β=%v bias=%v %v seed %d: %d/%d admitted, %d skipped, mean active %#x, duration %#x, mean slack %#x; want %d/80, %d, %#x, %#x, %#x",
+				g.u, g.beta, g.bias, g.rule, g.seed, res.AP.Successes(), res.AP.Trials(), res.SkippedNoIdleHost,
 				math.Float64bits(res.MeanActive), math.Float64bits(res.Duration), math.Float64bits(res.SlackAtAdmission.Mean()),
 				g.admitted, g.skipped, g.meanActive, g.duration, g.meanSlack)
 		}
