@@ -1,10 +1,9 @@
 // Micro-benchmarks for the axes go run ./bench does not time: the admission
-// decision across standing-set sizes (E6), the flat AnalyzeAggregate path every
-// probe runs at a port, and the E8 and E5 extensions no analyzer path reaches.
-// They are plain go test -bench benches with no committed baseline and no
-// gate; bench/ and BENCHMARK.json measure this tree (bench/README.md), and CI
-// runs each of these once so they still compile and their preconditions still
-// hold.
+// decision across standing-set sizes (E6) and the flat AnalyzeAggregate path
+// every probe runs at a port. They are plain go test -bench benches with no
+// committed baseline and no gate; bench/ and BENCHMARK.json measure this tree
+// (bench/README.md), and CI runs each of these once so they still compile and
+// their preconditions still hold.
 package fafnet_test
 
 import (
@@ -14,8 +13,6 @@ import (
 	"fafnet"
 	"fafnet/internal/atm"
 	"fafnet/internal/core"
-	"fafnet/internal/fddi"
-	"fafnet/internal/tokenring"
 	"fafnet/internal/topo"
 	"fafnet/internal/traffic"
 )
@@ -172,45 +169,5 @@ func BenchmarkMuxAnalysis(b *testing.B) {
 				}
 			}
 		})
-	}
-}
-
-// BenchmarkPriorityMuxAnalysis measures the E8 static-priority port bound
-// with two classes of three paper-workload connections each.
-func BenchmarkPriorityMuxAnalysis(b *testing.B) {
-	mk := func() []traffic.Descriptor {
-		var out []traffic.Descriptor
-		for i := 0; i < 3; i++ {
-			d, err := traffic.NewDualPeriodic(50e3, 0.010, 10e3, 0.001, 100e6)
-			if err != nil {
-				b.Fatal(err)
-			}
-			out = append(out, d)
-		}
-		return out
-	}
-	classes := []atm.PriorityClass{{Inputs: mk()}, {Inputs: mk()}}
-	p := atm.MuxParams{CapacityBps: atm.PayloadCapacity(atm.DefaultLinkBps)}
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := atm.AnalyzePriorityMux(classes, p, atm.MuxOptions{}); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-// BenchmarkTokenRingCAC is experiment E5: the 802.5_MAC analysis of the
-// Section 7 extension.
-func BenchmarkTokenRingCAC(b *testing.B) {
-	src, err := traffic.NewPeriodic(10e3, 0.010, 16e6)
-	if err != nil {
-		b.Fatal(err)
-	}
-	params := tokenring.MACParams{Ring: tokenring.DefaultRingConfig(), THT: 2e-3}
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := tokenring.AnalyzeMAC(src, params, fddi.Options{}); err != nil {
-			b.Fatal(err)
-		}
 	}
 }

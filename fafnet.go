@@ -166,22 +166,12 @@ type (
 type (
 	// TokenRingConfig describes one 802.5 segment.
 	TokenRingConfig = tokenring.RingConfig
-	// TokenRing tracks THT allocations on one 802.5 segment.
-	TokenRing = tokenring.Ring
-	// TokenRingMACParams parameterizes the 802.5_MAC server.
-	TokenRingMACParams = tokenring.MACParams
 	// FDDIMACOptions tunes the Theorem 1 numeric searches.
 	FDDIMACOptions = fddi.Options
 )
 
-var (
-	// NewTokenRing builds an empty 802.5 segment.
-	NewTokenRing = tokenring.NewRing
-	// DefaultTokenRingConfig returns a 16 Mb/s ring with an 8 ms rotation.
-	DefaultTokenRingConfig = tokenring.DefaultRingConfig
-	// AnalyzeTokenRingMAC bounds the 802.5_MAC server (Theorem 1 analog).
-	AnalyzeTokenRingMAC = tokenring.AnalyzeMAC
-)
+// DefaultTokenRingConfig returns a 16 Mb/s ring with an 8 ms rotation.
+var DefaultTokenRingConfig = tokenring.DefaultRingConfig
 
 var (
 	// RunSim executes one admission-probability simulation.

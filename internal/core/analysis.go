@@ -54,44 +54,31 @@ type Analyzer struct {
 }
 
 // connCache is everything the analyzer remembers about one connection, valid
-// for exactly the spec it was filled under. Each map is keyed by the exact
-// inputs that determine its values, so an entry is a pure function of its
-// key: admission probes and releases revisit the same global states, the same
-// keys recur, and with them the same pointer-stable flats — which is what
-// lets stage, dst and portMux key whole analysis results by flat identity.
+// for exactly the spec it was filled under: one map of hop results, each a
+// pure function of its key. Probes and releases revisit the same global
+// states, so the same keys recur with the same pointer-stable flats — which
+// lets later hops and portMux key whole results by flat identity.
 type connCache struct {
 	spec ConnSpec
-	// src is keyed by the sender allocation H_S.
-	src map[float64]*srcEntry
-	// stage holds the flat envelopes entering the second and later ports of
-	// the route.
-	stage map[stageKey]*traffic.Flat
-	// dst holds the receiver-MAC analyses (Theorem 1 on the destination ring).
-	dst map[dstKey]macEntry
+	hops map[recKey]hopResult
 }
 
-// srcEntry is what one sender allocation determines: the sender-MAC analysis
-// and, once an evaluation has asked for it, the envelope entering the first
-// shared port (nil until then, and for good when the MAC has no finite bound).
-type srcEntry struct {
-	mac macEntry
-	env *traffic.Flat
+// recKey is what determines one hop result: the flat entering the hop and
+// the exact bits of the hop's free parameter, H_S or H_R at a MAC, the delay
+// at a port. The flat names the hop — nil at the sender, fed by the source,
+// and otherwise built for exactly one hop — and its identity stands for the
+// allocation and delays upstream.
+type recKey struct {
+	in *traffic.Flat
+	x  uint64
 }
 
-// stageKey identifies the envelope entering a later port: the flat that
-// entered the port upstream — itself cached under the sender allocation and
-// the delays further upstream, so its identity stands for all of them — and
-// that port's worst-case delay.
-type stageKey struct {
-	prev  *traffic.Flat
-	delay float64
-}
-
-// dstKey identifies a receiver-MAC analysis: the flat envelope entering the
-// destination interface device and the receiver allocation.
-type dstKey struct {
-	flat *traffic.Flat
-	hr   float64
+// hopResult is one cached hop: the Theorem 1 analysis and verdict at a MAC,
+// the envelope leaving a port or the sender side (there nil until asked for).
+type hopResult struct {
+	mac fddi.MACResult
+	err error
+	out *traffic.Flat
 }
 
 // portMuxEntry is one cached FIFO-port analysis: the member flats it was
@@ -103,18 +90,13 @@ type portMuxEntry struct {
 	err   error
 }
 
-type macEntry struct {
-	res fddi.MACResult
-	err error
-}
-
 // Cache caps. One CAC bisection at a busy port generates on the order of a
 // hundred distinct states (each probed allocation shifts every downstream
 // envelope), and the same states recur on the next admission of the same
 // spec, so the caps must hold a full bisection's working set or every
-// iteration recomputes it. A map of a connection record that an insert finds
-// full is cleared (see remember); a port's verdict list drops its older half,
-// the recurring member sets being the recently used ones.
+// iteration recomputes it. A connection record that an insert finds full is
+// cleared (see remember); a port's verdict list drops its older half, the
+// recurring member sets being the recently used ones.
 const (
 	maxConnEntries    = 512
 	maxPortMuxEntries = 256
@@ -131,23 +113,21 @@ const (
 // correctness.
 const flatHorizon = 0.025
 
-// remember stores v under k in one map of a connection record. An id that
-// keeps its spec keeps its record, and every decision probes allocations the
-// maps have not seen, so each is bounded: an insert that finds the map at
-// maxConnEntries clears it first. Flats rebuilt after a clear are new arrays
-// with the old values, so the caches keyed by flat identity miss once and no
-// result moves.
-func remember[K comparable, V any](m *map[K]V, k K, v V) {
+// remember stores v under k in the connection record. An id that keeps its
+// spec keeps its record, and every decision probes allocations the record has
+// not seen, so it is bounded: an insert that finds maxConnEntries entries
+// clears the map first. Flats rebuilt after a clear are new arrays with the
+// old values, so the caches keyed by flat identity miss once and no result
+// moves.
+func (rec *connCache) remember(k recKey, v hopResult) {
 	switch {
-	case *m == nil:
-		// A decision probes up to 2·SearchIters + 4 allocations (two
-		// bisections with their starting points, the segment maximum, the
-		// chosen point): 28 at the default 12 iterations.
-		*m = make(map[K]V, 32)
-	case len(*m) >= maxConnEntries:
-		clear(*m)
+	case rec.hops == nil:
+		// A decision probes up to 2·SearchIters + 4 = 28 allocations.
+		rec.hops = make(map[recKey]hopResult, 32)
+	case len(rec.hops) >= maxConnEntries:
+		clear(rec.hops)
 	}
-	(*m)[k] = v
+	rec.hops[k] = v
 }
 
 // NewAnalyzer builds an analyzer for the given network.
@@ -273,42 +253,48 @@ type evaluation struct {
 	// recs holds each connection's cache record, as revalidated when the
 	// evaluation was built: the evaluation keeps filling the records of its
 	// own specs even if the analyzer has since started others for the ids.
-	recs map[string]*connCache
+	recs map[*Connection]*connCache
 
 	portDelay map[topo.PortID]float64
 	portBusy  map[topo.PortID]bool
-	// envMemo is the one envelope per (connection, server boundary) of
-	// Eq. 7: the fused chain lowered over flatHorizon, which the flat carries
-	// on as its tail. Further transforms are composed on that tail — handing
-	// them the flat would hide the chain's Quantized and Delayed nodes from
-	// Fuse, whose Q∘Q and D∘D rules then stop firing.
-	envMemo    map[envKey]*traffic.Flat
-	macMemo    map[string]fddi.MACResult // sender MAC per connection this evaluation
-	shaperMemo map[string]shaper.Result  // ingress regulator per shaped connection
+	memo      map[hopKey]hopMemo
 
 	// prefilledDelay carries end-to-end results proven unaffected by the
 	// current probe (see ProbeSession); totalDelay returns them directly.
 	prefilledDelay map[string]float64
 }
 
-type envKey struct {
-	connID string
-	stage  int // index into Route.Ports: envelope entering that port
+// hopKey names one hop of one connection of an evaluation (its pointer is
+// the connection's identity for the evaluation's lifetime).
+type hopKey struct {
+	conn *Connection
+	hop  int
+}
+
+// hopMemo is what one evaluation has learned of one hop: the envelope leaving
+// it — the fused chain lowered over flatHorizon and carried on as the flat's
+// tail, on which later transforms compose so that Fuse's Q∘Q and D∘D rules
+// keep firing — and at the sender how many of its servers are known (1 the
+// MAC, 2 the regulator too), their delays, the MAC's backlog and pre, the
+// envelope leaving them. Only what succeeded is kept: a server without a
+// finite bound answers from the record.
+type hopMemo struct {
+	out           *traffic.Flat
+	pre           traffic.Descriptor
+	mac, buf, reg float64
+	known         uint8
 }
 
 func (a *Analyzer) newEvaluation(conns []*Connection) (*evaluation, error) {
-	// Size the memo maps for the common shape — every connection crossing the
-	// backbone contributes one envelope per route stage (plus stage 0) and
-	// one MAC/shaper entry; ports are shared, so a handful suffices.
+	// Size the maps for the common shape: up to four memoized hops per
+	// connection (sender, three ports); ports are shared, so a handful.
 	ev := &evaluation{
-		a:          a,
-		conns:      make(map[string]*Connection, len(conns)),
-		recs:       make(map[string]*connCache, len(conns)),
-		portDelay:  make(map[topo.PortID]float64, 8),
-		portBusy:   make(map[topo.PortID]bool, 8),
-		envMemo:    make(map[envKey]*traffic.Flat, 4*len(conns)),
-		macMemo:    make(map[string]fddi.MACResult, len(conns)),
-		shaperMemo: make(map[string]shaper.Result, len(conns)),
+		a:         a,
+		conns:     make(map[string]*Connection, len(conns)),
+		recs:      make(map[*Connection]*connCache, len(conns)),
+		portDelay: make(map[topo.PortID]float64, 8),
+		portBusy:  make(map[topo.PortID]bool, 8),
+		memo:      make(map[hopKey]hopMemo, 4*len(conns)),
 	}
 	for _, c := range conns {
 		if c == nil {
@@ -332,159 +318,279 @@ func (a *Analyzer) newEvaluation(conns []*Connection) (*evaluation, error) {
 	// Revalidate once the set is complete: an overflow eviction must know
 	// every connection of this evaluation, not only the ones seen so far.
 	for _, c := range ev.ordered {
-		ev.recs[c.ID] = a.revalidate(c, ev.conns)
+		ev.recs[c] = a.revalidate(c, ev.conns)
 	}
 	sort.Slice(ev.ordered, func(i, j int) bool { return ev.ordered[i].ID < ev.ordered[j].ID })
 	return ev, nil
 }
 
-// srcMAC analyzes the sender-host FDDI MAC (Theorem 1), with cross-
-// evaluation caching.
-func (ev *evaluation) srcMAC(c *Connection) (fddi.MACResult, error) {
-	if res, ok := ev.macMemo[c.ID]; ok {
-		return res, nil
+// cutoff names where an evaluation stopped short: the server at which a walk
+// along one connection's path ended without a total within its limit, or —
+// for a probe over many connections — that it was not the candidate's.
+type cutoff uint8
+
+const (
+	cutNone   cutoff = iota // every server analysed, total within the limit
+	cutSrcMAC               // at the sender MAC (and the regulator behind it)
+	cutPort                 // at a shared FIFO port
+	cutDstMAC               // at the receiver MAC, where the sum is complete
+	cutOther                // at a connection other than the candidate
+)
+
+// hops is the length of c's route in fold's numbering: the sender side alone
+// on a same-ring route, else sender, shared ports and receiver.
+func hops(c *Connection) int {
+	if !c.Route.CrossesBackbone {
+		return 1
 	}
-	rec := ev.recs[c.ID]
-	if e := rec.src[c.HS]; e != nil {
-		ev.a.stats.MACHits++
-		mCacheMACHits.Inc()
-		if e.mac.err == nil {
-			ev.macMemo[c.ID] = e.mac.res
-		}
-		return e.mac.res, e.mac.err
-	}
-	ev.a.stats.MACMisses++
-	mCacheMACMisses.Inc()
-	params := fddi.MACParams{
-		Ring:       ev.a.net.RingConfig(c.Src.Ring),
-		H:          c.HS,
-		BufferBits: c.HostBufferBits,
-	}
-	res, err := fddi.AnalyzeMAC(c.Source, params, ev.a.opts.MAC)
-	if err != nil {
-		err = fmt.Errorf("%w: sender MAC of %q: %v", errInfeasible, c.ID, err)
-	}
-	remember(&rec.src, c.HS, &srcEntry{mac: macEntry{res: res, err: err}})
-	if err == nil {
-		ev.macMemo[c.ID] = res
-	}
-	return res, err
+	return len(c.Route.Ports) + 2
 }
 
-// envelopeHit answers an envelopeEntering query from the per-evaluation
-// memo or (for stage 0) the connection's record. On a warm probe nearly
-// every envelope query lands here, so the helper is annotated: the
-// hotpath analyzer proves the dominant path of a probe allocation-free and
-// non-blocking, while the rebuild tail below stays unannotated — it is
-// entered once per (connection, allocation) and allocates by design.
+// fold is Eq. 7 along c's route, one hop at a time, in the one server order
+// of this package:
+//
+//   - hop 0, the sender side: the sender-host MAC (Theorem 1), the regulator
+//     of a shaped connection, the frame→cell conversion (Theorem 2) lowered
+//     to a flat;
+//   - hops 1…n, the shared FIFO ports in order: the port's worst-case delay
+//     (muxDelay), and the entering flat shifted by it, or lowered afresh once
+//     the delay has used up its window;
+//   - hop n+1, the receiver: reassembly, then Theorem 1 at the receiving
+//     interface device's MAC on the destination ring (theorem1).
+//
+// Each result is looked up in the memo, then in c's record, before it is
+// computed.
+//
+// With bd nil, fold returns the envelope entering hop to (1 ≤ to ≤ n+1). With
+// bd non-nil it walks hops 0…to−1 (to = hops(c)) and builds no envelope itself
+// — a port asks for its members' (muxDelay), the receiver for its own —
+// filling bd (whose Ports buffer it reuses) and stopping as soon as the delay
+// accumulated so far exceeds limit, or a server has no finite bound (the
+// error). It returns cutNone exactly when bd is complete and bd.Total <=
+// limit; reporting callers pass +Inf and only ever see an error.
+//
+// The accumulated delay tested after each hop is bd.sum() with the servers
+// not yet analysed still at zero — the very expression that yields Total, so
+// a partial sum can never exceed the total it stands in for (see sum), and
+// stopping on it loses no verdict. The receiver MAC, the deepest scan of a
+// low-allocation probe, is never run for a connection that has missed its
+// deadline before reaching it.
+func (ev *evaluation) fold(c *Connection, to int, bd *Breakdown, limit float64) (*traffic.Flat, cutoff, error) {
+	walk := bd != nil
+	var env *traffic.Flat // the envelope leaving the last hop folded, unless walking
+	from := 0
+	if !walk {
+		// The memo holds the envelopes of a prefix of c's hops: find its end.
+		for from = to; from > 0; from-- {
+			if f, ok := ev.enteringHit(c, from); ok {
+				env = f
+				break
+			}
+		}
+	}
+	for k := from; k < to; k++ {
+		key := hopKey{conn: c, hop: k}
+		var m hopMemo
+		var cut cutoff
+		switch {
+		case k == 0:
+			cut = cutSrcMAC
+			m = ev.memo[key]
+			if !walk {
+				ev.a.stats.Stage0Misses++
+				mCacheStage0Misses.Inc()
+			}
+			if m.known == 0 {
+				res, err := ev.theorem1(c, nil, c.Src.Ring, c.HS, c.HostBufferBits)
+				if err != nil {
+					return nil, cut, err
+				}
+				m.pre, m.mac, m.buf, m.known = res.Output, res.Delay, res.BufferBits, 1
+				ev.memo[key] = m
+			}
+			if walk {
+				*bd = Breakdown{SrcMAC: m.mac, Constant: c.Route.ConstantDelay, SrcBufferBits: m.buf, Ports: bd.Ports[:0]}
+			}
+			if c.Shape != nil && c.Route.CrossesBackbone {
+				// A frame that can never conform (σ below the frame size)
+				// makes the bound infinite.
+				if m.known == 1 {
+					if frameBits := ev.a.net.RingConfig(c.Src.Ring).FrameBits(c.HS); c.Shape.SigmaBits < frameBits {
+						return nil, cut, fmt.Errorf("%w: shaper of %q: bucket %v bits below frame size %v",
+							errInfeasible, c.ID, c.Shape.SigmaBits, frameBits)
+					}
+					res, err := shaper.Analyze(m.pre, *c.Shape)
+					if err != nil {
+						return nil, cut, fmt.Errorf("%w: shaper of %q: %v", errInfeasible, c.ID, err)
+					}
+					m.pre, m.reg, m.known = res.Output, res.Delay, 2
+					ev.memo[key] = m
+				}
+				if walk {
+					bd.Shaper = m.reg
+				}
+			}
+			if walk {
+				break
+			}
+			frameBits := ev.a.net.RingConfig(c.Src.Ring).FrameBits(c.HS)
+			conv, err := ifdev.SenderConversion(m.pre, frameBits, ev.a.net.Config().ID)
+			if err != nil {
+				return nil, cut, err
+			}
+			if env = traffic.Flatten(traffic.Fuse(conv), flatHorizon); env == nil {
+				if err := sourceLowers(c); err != nil {
+					return nil, cut, err
+				}
+				return nil, cut, fmt.Errorf("%w: envelope of %q: the segment cap ends its window before the sender-side delay", errInfeasible, c.ID)
+			}
+			mFlatLowerings.Inc()
+			// The stage-0 envelope depends only on the spec and H_S, so it is
+			// kept beside the sender-MAC result (unless a full record dropped
+			// that since): a bisection that revisits an h reuses the envelope,
+			// pointer identity included.
+			rec, rk := ev.recs[c], recKey{x: math.Float64bits(c.HS)}
+			if e, ok := rec.hops[rk]; ok {
+				e.out = env
+				rec.hops[rk] = e
+			}
+		case k <= len(c.Route.Ports):
+			cut = cutPort
+			p := c.Route.Ports[k-1]
+			d, err := ev.muxDelay(p)
+			if err != nil {
+				return nil, cut, err
+			}
+			if walk {
+				bd.Ports = append(bd.Ports, PortDelay{Port: p, Delay: d})
+				break
+			}
+			// A record hit returns before the chain is built.
+			rec, rk := ev.recs[c], recKey{in: env, x: math.Float64bits(d)}
+			if e, ok := rec.hops[rk]; ok {
+				env = e.out
+				break
+			}
+			capBps := ev.a.net.PortCapacity()
+			delayed, err := traffic.NewDelayed(env.Tail(), d, capBps)
+			if err != nil {
+				return nil, cut, fmt.Errorf("core: envelope after port %v: %w", p, err)
+			}
+			// Every port shares the one backbone capacity, so the Delayed stack
+			// over the stage-0 envelope fuses into one Delayed with the summed
+			// delay: later ports and the receiver MAC pay one transform per
+			// Bits call instead of one per traversed port.
+			tail := traffic.Fuse(delayed)
+			if env = env.ShiftCap(d, capBps, flatHorizon, tail); env == nil {
+				// The port delay used up the upstream window: lower the fused
+				// chain afresh, over a window that reaches past the delay.
+				if env = traffic.Flatten(tail, flatHorizon); env == nil {
+					return nil, cut, fmt.Errorf("%w: envelope of %q after port %v: the segment cap ends its window before the delay %v",
+						errInfeasible, c.ID, p, d)
+				}
+				mFlatLowerings.Inc()
+			}
+			rec.remember(rk, hopResult{out: env})
+		default:
+			cut = cutDstMAC
+			in, _, err := ev.fold(c, k, nil, 0)
+			if err != nil {
+				return nil, cut, err
+			}
+			res, err := ev.theorem1(c, in, c.Dst.Ring, c.HR, c.IDBufferBits)
+			if err != nil {
+				return nil, cut, err
+			}
+			bd.DstMAC, bd.DstBufferBits = res.Delay, res.BufferBits
+		}
+		if !walk {
+			m.out = env
+			ev.memo[key] = m
+			continue
+		}
+		t := bd.sum()
+		if k == to-1 {
+			bd.Total = t
+		}
+		if t > limit {
+			return nil, cut, nil
+		}
+	}
+	return env, cutNone, nil
+}
+
+// enteringHit answers an entering query from the memo or, for the first
+// port, from the record's sender-allocation entry. Nearly every envelope
+// query of a warm probe lands here, so the hotpath analyzer proves it
+// allocation-free and non-blocking; the fold behind it, entered once per
+// (connection, allocation), allocates by design.
 //
 //fafvet:hotpath
-func (ev *evaluation) envelopeHit(key envKey, c *Connection) (*traffic.Flat, bool) {
-	if env, ok := ev.envMemo[key]; ok {
-		return env, true
-	}
-	if key.stage != 0 {
-		return nil, false
+func (ev *evaluation) enteringHit(c *Connection, k int) (*traffic.Flat, bool) {
+	key := hopKey{conn: c, hop: k - 1}
+	if f := ev.memo[key].out; f != nil || k != 1 {
+		return f, f != nil
 	}
 	// Exact equality on the allocation: the cached envelope is valid only
 	// for precisely the h it was built with.
-	e := ev.recs[c.ID].src[c.HS]
-	if e == nil || e.env == nil {
+	e := ev.recs[c].hops[recKey{x: math.Float64bits(c.HS)}]
+	if e.out == nil {
 		return nil, false
 	}
 	ev.a.stats.Stage0Hits++
 	mCacheStage0Hits.Inc()
-	ev.envMemo[key] = e.env
-	return e.env, true
+	m := ev.memo[key]
+	m.out = e.out
+	ev.memo[key] = m
+	return e.out, true
 }
 
-// envelopeEntering returns connection c's traffic envelope at the entrance
-// of the stage-th shared port on its route (past the last port: at the
-// destination interface device). It is the one builder of envMemo. Every
-// envelope is composed on the fused chain and lowered beside it: stage 0 by
-// Flatten, a later stage by shifting the upstream flat, so nothing is lowered
-// twice and a stage-cache hit returns the very flat portMux and dst key by.
-func (ev *evaluation) envelopeEntering(c *Connection, stage int) (*traffic.Flat, error) {
-	key := envKey{connID: c.ID, stage: stage}
-	if env, ok := ev.envelopeHit(key, c); ok {
-		return env, nil
+// theorem1 is the one Theorem 1 path of both MACs, on ring under the
+// allocation h with the given buffer bound: at the sender (in nil) fed by the
+// source, at the receiver fed by in, the envelope entering it, reassembled
+// into frames. The result is a pure function of (in, h) and is kept in the
+// record under it; the sender's lookups are what CacheStats counts.
+func (ev *evaluation) theorem1(c *Connection, in *traffic.Flat, ring int, h, buffer float64) (fddi.MACResult, error) {
+	rec, key := ev.recs[c], recKey{in: in, x: math.Float64bits(h)}
+	e, hit := rec.hops[key]
+	switch {
+	case in != nil:
+	case hit:
+		ev.a.stats.MACHits++
+		mCacheMACHits.Inc()
+	default:
+		ev.a.stats.MACMisses++
+		mCacheMACMisses.Inc()
 	}
-	rec := ev.recs[c.ID]
-	var env *traffic.Flat
-	if stage == 0 {
-		ev.a.stats.Stage0Misses++
-		mCacheStage0Misses.Inc()
-		// Sender MAC output, optional ingress regulator, then frame→cell
-		// conversion (Theorem 2). The constant-delay stages in between are
-		// envelope-invariant.
-		mac, err := ev.srcMAC(c)
-		if err != nil {
-			return nil, err
-		}
-		pre := mac.Output
-		if c.Shape != nil {
-			sh, err := ev.shaperResult(c, pre)
-			if err != nil {
-				return nil, err
-			}
-			pre = sh.Output
-		}
-		frameBits := ev.a.net.RingConfig(c.Src.Ring).FrameBits(c.HS)
-		conv, err := ifdev.SenderConversion(pre, frameBits, ev.a.net.Config().ID)
-		if err != nil {
-			return nil, err
-		}
-		// The stage-0 envelope depends only on this connection's spec and
-		// sender allocation, so it is kept beside the sender-MAC result that
-		// srcMAC has just stored or found under this allocation: a bisection
-		// that revisits an h reuses the envelope, pointer identity included.
-		if env = traffic.Flatten(traffic.Fuse(conv), flatHorizon); env == nil {
-			if err := sourceLowers(c); err != nil {
-				return nil, err
-			}
-			return nil, fmt.Errorf("%w: envelope of %q: the segment cap ends its window before the sender-side delay", errInfeasible, c.ID)
-		}
-		mFlatLowerings.Inc()
-		rec.src[c.HS].env = env
-	} else {
-		prev, err := ev.envelopeEntering(c, stage-1)
-		if err != nil {
-			return nil, err
-		}
-		d, err := ev.muxDelay(c.Route.Ports[stage-1])
-		if err != nil {
-			return nil, err
-		}
-		// A stage hit returns before the chain is built.
-		sk := stageKey{prev: prev, delay: d}
-		if f := rec.stage[sk]; f != nil {
-			ev.envMemo[key] = f
-			return f, nil
-		}
-		capBps := ev.a.net.PortCapacity()
-		out, err := traffic.NewDelayed(prev.Tail(), d, capBps)
-		if err != nil {
-			return nil, fmt.Errorf("core: envelope after port %v: %w", c.Route.Ports[stage-1], err)
-		}
-		// Every per-port stage shares the one backbone port capacity, so the
-		// Delayed stack over the stage-0 envelope collapses to a single
-		// Delayed with the summed delay; downstream consumers (later ports'
-		// mux analyses, the receiver MAC) then pay one transform per Bits
-		// call instead of one per traversed port.
-		tail := traffic.Fuse(out)
-		if env = prev.ShiftCap(d, capBps, flatHorizon, tail); env == nil {
-			// The port delay used up the upstream window: lower the fused
-			// chain afresh, over a window that reaches past the delay.
-			if env = traffic.Flatten(tail, flatHorizon); env == nil {
-				return nil, fmt.Errorf("%w: envelope of %q after port %v: the segment cap ends its window before the delay %v",
-					errInfeasible, c.ID, c.Route.Ports[stage-1], d)
-			}
-			mFlatLowerings.Inc()
-		}
-		remember(&rec.stage, sk, env)
+	if hit {
+		return e.mac, e.err
 	}
-	ev.envMemo[key] = env
-	return env, nil
+	input, side, cfg := c.Source, "sender", ev.a.net.RingConfig(ring)
+	if in != nil {
+		side = "receiver"
+		reassembled, err := ifdev.ReceiverConversion(in.Tail(), cfg.FrameBits(h), ev.a.net.Config().ID)
+		if err != nil {
+			return fddi.MACResult{}, err
+		}
+		// The receiver MAC dominates probe cost. The reassembly quantization
+		// applied to the lowered flat in closed form makes every grid point
+		// inside the window a segment lookup; the fused chain stays on as the
+		// exact tail. The flat is scanned once, only the verdict is kept.
+		input = traffic.Fuse(reassembled)
+		if qn, ok := reassembled.(traffic.Quantized); ok {
+			if qf := in.Quantize(qn.QuantumBits, qn.OutBits, flatHorizon, input); qf != nil {
+				input = qf
+				mFlatLowerings.Inc()
+			}
+		}
+	}
+	res, err := fddi.AnalyzeMAC(input, fddi.MACParams{Ring: cfg, H: h, BufferBits: buffer}, ev.a.opts.MAC)
+	if err != nil {
+		err = fmt.Errorf("%w: %s MAC of %q: %v", errInfeasible, side, c.ID, err)
+		res = fddi.MACResult{}
+	}
+	rec.remember(key, hopResult{mac: res, err: err})
+	return res, err
 }
 
 // sourceLowers reports c's source as invalid when traffic.Flatten has no rule
@@ -499,28 +605,9 @@ func sourceLowers(c *Connection) error {
 	return nil
 }
 
-// shaperResult analyzes the ingress regulator for a shaped connection,
-// memoized per evaluation. A frame that can never conform (σ below the
-// connection's frame size) makes the bound infinite.
-func (ev *evaluation) shaperResult(c *Connection, pre traffic.Descriptor) (shaper.Result, error) {
-	if res, ok := ev.shaperMemo[c.ID]; ok {
-		return res, nil
-	}
-	frameBits := ev.a.net.RingConfig(c.Src.Ring).FrameBits(c.HS)
-	if c.Shape.SigmaBits < frameBits {
-		return shaper.Result{}, fmt.Errorf("%w: shaper of %q: bucket %v bits below frame size %v",
-			errInfeasible, c.ID, c.Shape.SigmaBits, frameBits)
-	}
-	res, err := shaper.Analyze(pre, *c.Shape)
-	if err != nil {
-		return shaper.Result{}, fmt.Errorf("%w: shaper of %q: %v", errInfeasible, c.ID, err)
-	}
-	ev.shaperMemo[c.ID] = res
-	return res, nil
-}
-
 // muxDelay returns the worst-case queueing delay of a shared FIFO port,
-// analyzed with the envelopes of every connection traversing it.
+// analyzed with the envelopes of every connection traversing it, each read
+// off the fold at the hop the port is on that member's route.
 func (ev *evaluation) muxDelay(p topo.PortID) (float64, error) {
 	if d, ok := ev.portDelay[p]; ok {
 		if math.IsInf(d, 1) {
@@ -543,7 +630,7 @@ func (ev *evaluation) muxDelay(p topo.PortID) (float64, error) {
 			if q != p {
 				continue
 			}
-			env, err := ev.envelopeEntering(m, stage)
+			env, _, err := ev.fold(m, stage+1, nil, 0)
 			if err != nil {
 				if errors.Is(err, errInfeasible) {
 					// A member with an unbounded envelope floods the port:
@@ -562,9 +649,9 @@ func (ev *evaluation) muxDelay(p topo.PortID) (float64, error) {
 		return 0, nil
 	}
 	// A port whose member flat set matches a previously analyzed state
-	// (pointer identity — flats are value-immutable, and the stage caches
-	// keep pointers stable across probes of the same global state) reuses
-	// the verdict without touching the aggregate.
+	// (pointer identity — flats are value-immutable, and the records keep
+	// pointers stable across probes of the same global state) reuses the
+	// verdict without touching the aggregate.
 	// Newest first: storePortMux appends, and the states that recur are
 	// the recent ones.
 	entries := ev.a.portMux[p]
@@ -615,57 +702,6 @@ func (a *Analyzer) storePortMux(p topo.PortID, flats []*traffic.Flat, delay floa
 	a.portMux[p] = append(entries, portMuxEntry{flats: slices.Clone(flats), delay: delay, err: err})
 }
 
-// dstMAC analyzes the receiving interface device's MAC on the destination
-// ring (the FDDI_R portion, mirroring the FDDI_S analysis).
-func (ev *evaluation) dstMAC(c *Connection) (fddi.MACResult, error) {
-	env, err := ev.envelopeEntering(c, len(c.Route.Ports))
-	if err != nil {
-		return fddi.MACResult{}, err
-	}
-	// The receiver-MAC analysis is a pure function of the envelope entering
-	// the destination and the receiver allocation. The cached flat's pointer
-	// identity pins the whole input, so a previous verdict for the same
-	// (flat, HR) pair — the common case across the probes and releases of a
-	// CAC — is reused verbatim.
-	rec := ev.recs[c.ID]
-	dk := dstKey{flat: env, hr: c.HR}
-	if e, ok := rec.dst[dk]; ok {
-		return e.res, e.err
-	}
-	frameBits := ev.a.net.RingConfig(c.Dst.Ring).FrameBits(c.HR)
-	reassembled, err := ifdev.ReceiverConversion(env.Tail(), frameBits, ev.a.net.Config().ID)
-	if err != nil {
-		return fddi.MACResult{}, err
-	}
-	// The receiver-MAC analysis dominates probe cost: Theorem 1 walks a grid
-	// proportional to the busy interval, paying the full transform chain at
-	// every point. Fusing flattens the reassembled chain first.
-	input := traffic.Fuse(reassembled)
-	// Apply the reassembly quantization to the already-lowered flat in closed
-	// form: every grid evaluation of the scans inside the window becomes a
-	// segment lookup instead of a chain walk. The fused chain stays on as the
-	// exact tail. The flat is scanned once and dropped; only the verdict is
-	// cached.
-	if qn, ok := reassembled.(traffic.Quantized); ok {
-		if qf := env.Quantize(qn.QuantumBits, qn.OutBits, flatHorizon, input); qf != nil {
-			input = qf
-			mFlatLowerings.Inc()
-		}
-	}
-	params := fddi.MACParams{
-		Ring:       ev.a.net.RingConfig(c.Dst.Ring),
-		H:          c.HR,
-		BufferBits: c.IDBufferBits,
-	}
-	res, err := fddi.AnalyzeMAC(input, params, ev.a.opts.MAC)
-	if err != nil {
-		err = fmt.Errorf("%w: receiver MAC of %q: %v", errInfeasible, c.ID, err)
-		res = fddi.MACResult{}
-	}
-	remember(&rec.dst, dk, macEntry{res: res, err: err})
-	return res, err
-}
-
 // delays is Eq. 7 for every connection of the evaluation. A connection
 // without a finite bound maps to +Inf; any other error is a structural
 // problem and ends the evaluation.
@@ -700,80 +736,10 @@ func (ev *evaluation) totalDelay(c *Connection) (float64, error) {
 // breakdown assembles the per-server decomposition.
 func (ev *evaluation) breakdown(c *Connection) (Breakdown, error) {
 	var bd Breakdown
-	if _, err := ev.walk(c, &bd, math.Inf(1)); err != nil {
+	if _, _, err := ev.fold(c, hops(c), &bd, math.Inf(1)); err != nil {
 		return Breakdown{}, err
 	}
 	return bd, nil
-}
-
-// cutoff names where an evaluation stopped short: the server at which a walk
-// along one connection's path ended without a total within its limit, or —
-// for a probe over many connections — that it was not the candidate's.
-type cutoff uint8
-
-const (
-	cutNone   cutoff = iota // every server analysed, total within the limit
-	cutSrcMAC               // at the sender MAC (and the regulator behind it)
-	cutPort                 // at a shared FIFO port
-	cutDstMAC               // at the receiver MAC, where the sum is complete
-	cutOther                // at a connection other than the candidate
-)
-
-// walk is Eq. 7 server by server: it analyses c's path in order — sender MAC,
-// optional regulator, each shared port, receiver MAC — filling bd (whose
-// Ports buffer it reuses) and stopping as soon as the delay accumulated so
-// far exceeds limit, or a server has no finite bound (the error). It returns
-// cutNone exactly when bd is complete and bd.Total <= limit; reporting
-// callers pass +Inf and only ever see an error.
-//
-// The accumulated delay tested after each server is bd.sum() with the servers
-// not yet analysed still at zero — the very expression that yields Total, so
-// a partial sum can never exceed the total it stands in for (see sum), and
-// stopping on it loses no verdict. The receiver MAC, the deepest scan of a
-// low-allocation probe, is never run for a connection that has missed its
-// deadline before reaching it.
-func (ev *evaluation) walk(c *Connection, bd *Breakdown, limit float64) (cutoff, error) {
-	mac, err := ev.srcMAC(c)
-	if err != nil {
-		return cutSrcMAC, err
-	}
-	*bd = Breakdown{SrcMAC: mac.Delay, Constant: c.Route.ConstantDelay, SrcBufferBits: mac.BufferBits, Ports: bd.Ports[:0]}
-	if !c.Route.CrossesBackbone {
-		if bd.Total = bd.sum(); bd.Total > limit {
-			return cutSrcMAC, nil
-		}
-		return cutNone, nil
-	}
-	if c.Shape != nil {
-		sh, err := ev.shaperResult(c, mac.Output)
-		if err != nil {
-			return cutSrcMAC, err
-		}
-		bd.Shaper = sh.Delay
-	}
-	if bd.sum() > limit {
-		return cutSrcMAC, nil
-	}
-	for _, p := range c.Route.Ports {
-		d, err := ev.muxDelay(p)
-		if err != nil {
-			return cutPort, err
-		}
-		bd.Ports = append(bd.Ports, PortDelay{Port: p, Delay: d})
-		if bd.sum() > limit {
-			return cutPort, nil
-		}
-	}
-	dst, err := ev.dstMAC(c)
-	if err != nil {
-		return cutDstMAC, err
-	}
-	bd.DstMAC = dst.Delay
-	bd.DstBufferBits = dst.BufferBits
-	if bd.Total = bd.sum(); bd.Total > limit {
-		return cutDstMAC, nil
-	}
-	return cutNone, nil
 }
 
 // sum is the Eq. 7 summation, in the one order every total and every partial

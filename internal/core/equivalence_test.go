@@ -207,30 +207,43 @@ func checkWarmAndFresh(t *testing.T, net *topo.Network, warm *Analyzer, sc int, 
 }
 
 // FuzzDelaysAgainstClosureOracle runs the harnesses' scenario generator under
-// a fuzzed seed. One warm analyzer serves every input of the process, and
-// every input reuses the same connection ids under new specs, so each one
-// exercises the fresh-record path on top of whatever the earlier inputs left
-// in the port caches and the workspace.
+// a fuzzed seed, on the default network or (hetero) on heteroTopology, whose
+// three rings differ: a receiver MAC analysed on the sender's ring would pass
+// on the first and fail here. One warm analyzer per network serves every
+// input of the process, and every input reuses the same connection ids under
+// new specs, so each one exercises the fresh-record path on top of whatever
+// the earlier inputs left in the port caches and the workspace.
 func FuzzDelaysAgainstClosureOracle(f *testing.F) {
-	net := defaultNet(f)
-	warm, err := NewAnalyzer(net, AnalysisOptions{})
-	if err != nil {
-		f.Fatal(err)
+	var nets [2]*topo.Network
+	var warm [2]*Analyzer
+	for i, cfg := range []topo.Config{topo.Default(), heteroTopology()} {
+		net, err := topo.NewNetwork(cfg)
+		if err != nil {
+			f.Fatal(err)
+		}
+		if warm[i], err = NewAnalyzer(net, AnalysisOptions{}); err != nil {
+			f.Fatal(err)
+		}
+		nets[i] = net
 	}
-	f.Fuzz(func(t *testing.T, seed int64, shaped bool) {
-		gen := newScenarioGen(t, net, seed)
+	f.Fuzz(func(t *testing.T, seed int64, shaped, hetero bool) {
+		i := 0
+		if hetero {
+			i = 1
+		}
+		gen := newScenarioGen(t, nets[i], seed)
 		gen.shaped = shaped
-		checkWarmAndFresh(t, net, warm, 0, gen.next("z", 0))
+		checkWarmAndFresh(t, nets[i], warm[i], 0, gen.next("z", 0))
 	})
 }
 
 // TestEnvelopeReloweredPastTheWindow is the one later-stage case a shift of
 // the upstream flat cannot serve: four bursty connections saturate a 68 Mb/s
 // backbone, the second port's worst-case delay exceeds flatHorizon, and
-// nothing of the upstream window is left to shift. envelopeEntering lowers
-// the fused chain afresh there — over the full window, equal to the raw
-// closure chain point for point, kept under the stage key like any other
-// flat — and Eq. 7 on those envelopes agrees with closureDelays.
+// nothing of the upstream window is left to shift. The fold lowers the fused
+// chain afresh there — over the full window, equal to the raw closure chain
+// point for point, kept in the record like any other flat — and Eq. 7 on
+// those envelopes agrees with closureDelays.
 func TestEnvelopeReloweredPastTheWindow(t *testing.T) {
 	cfg := topo.Default()
 	cfg.LinkBps = 68e6
@@ -265,14 +278,14 @@ func TestEnvelopeReloweredPastTheWindow(t *testing.T) {
 			if d <= flatHorizon {
 				t.Fatalf("port %v delays by %v, within the %v window: the scenario no longer reaches the branch", c.Route.Ports[1], d, flatHorizon)
 			}
-			up, err := ev.envelopeEntering(c, 1)
+			up, _, err := ev.fold(c, 2, nil, 0)
 			if err != nil {
 				t.Fatal(err)
 			}
 			if up.ShiftCap(d, net.PortCapacity(), flatHorizon, up.Tail()) != nil {
 				t.Fatalf("%s: the stage-1 window %v outlasts the port delay %v", c.ID, up.Horizon(), d)
 			}
-			env, err := ev.envelopeEntering(c, 2)
+			env, _, err := ev.fold(c, 3, nil, 0)
 			if err != nil {
 				t.Fatal(err)
 			}

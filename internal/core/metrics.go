@@ -7,8 +7,8 @@ import "fafnet/internal/obs"
 // holds the sender-MAC result and the stage-0 envelope. The Analyzer
 // accumulates totals over its lifetime; Decision carries the per-decision
 // difference so an audit record shows what each admission cost.
-// Per-evaluation memo hits (envMemo, macMemo) are not counted — they are
-// scratch state, not the caches whose effectiveness PR-3 rests on.
+// Per-evaluation memo hits are not counted — they are scratch state, not the
+// caches whose effectiveness PR-3 rests on.
 type CacheStats struct {
 	// Stage0Hits and Stage0Misses count lookups for the stage-0 envelope: a
 	// hit is an entry whose envelope has been built.

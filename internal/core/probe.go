@@ -155,7 +155,7 @@ func (s *ProbeSession) Delays(hs, hr float64) (map[string]float64, error) {
 // connections after it, and the probe ends at the first connection that
 // misses, since one failing conjunct decides the answer; inside a connection
 // the Eq. 7 walk ends at the first server past which the deadline is already
-// gone (see evaluation.walk). An allocation the sender MAC cannot sustain is
+// gone (see evaluation.fold). An allocation the sender MAC cannot sustain is
 // thus refused by a closed-form test, without an analysis of any port. Errors
 // the analysis would report count as a miss, as they do in Delays' callers.
 func (s *ProbeSession) Feasible(hs, hr float64) bool {
@@ -199,7 +199,7 @@ func (s *ProbeSession) holds(ev *evaluation, c *Connection, ref map[string]float
 	}
 	d, ok := ev.prefilledDelay[c.ID]
 	if !ok {
-		cut, err := ev.walk(c, &s.walked, limit)
+		_, cut, err := ev.fold(c, hops(c), &s.walked, limit)
 		if err != nil || cut != cutNone {
 			return cut
 		}
@@ -255,12 +255,10 @@ func (s *ProbeSession) reseed() {
 	ev := s.scratch
 	clear(ev.portDelay)
 	clear(ev.portBusy)
-	clear(ev.envMemo)
-	clear(ev.macMemo)
-	clear(ev.shaperMemo)
+	clear(ev.memo)
 	// Envelopes are re-resolved per probe: stage-0 envelopes come straight
 	// from the connections' records (pointer-stable across probes), later
-	// stages shift with the probe's port delays.
+	// hops shift with the probe's port delays.
 	ev.prefilledDelay = s.cleanDelay
 	for p, d := range s.cleanPortDelay {
 		ev.portDelay[p] = d

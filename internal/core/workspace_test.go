@@ -3,6 +3,7 @@ package core
 import (
 	"bytes"
 	"fmt"
+	"math"
 	"slices"
 	"strconv"
 	"strings"
@@ -57,8 +58,13 @@ func TestOverflowEvictionKeepsStandingSet(t *testing.T) {
 		}
 	}
 	for _, c := range standing {
-		if _, ok := a.conns[c.ID]; !ok {
+		rec, ok := a.conns[c.ID]
+		if !ok {
 			t.Errorf("standing connection %q lost its tracked state", c.ID)
+			continue
+		}
+		if e, ok := rec.hops[recKey{x: math.Float64bits(c.HS)}]; !ok || e.out == nil {
+			t.Errorf("standing connection %q lost its sender-MAC result or stage-0 envelope", c.ID)
 		}
 	}
 }
@@ -131,7 +137,7 @@ func TestWarmEvaluationRunsNoAnalysis(t *testing.T) {
 		var flats []*traffic.Flat
 		for _, c := range ev.ordered {
 			for stage := 0; stage <= len(c.Route.Ports); stage++ {
-				f, err := ev.envelopeEntering(c, stage)
+				f, _, err := ev.fold(c, stage+1, nil, 0)
 				if err != nil {
 					t.Fatal(err)
 				}

@@ -11,9 +11,9 @@
 //     chance to see a buffered write fail.
 //   - SetDeadline / SetReadDeadline / SetWriteDeadline — a deadline that
 //     silently failed to arm disables the I/O timeout hardening.
-//   - Release(connID) bool on module types (fddi.Ring, tokenring.Ring,
-//     core.Controller) — an unchecked false means synchronous bandwidth
-//     bookkeeping leaked or double-freed.
+//   - Release(connID) bool on module types (fddi.Ring, core.Controller) —
+//     an unchecked false means synchronous bandwidth bookkeeping leaked or
+//     double-freed.
 //
 // A call "drops" its result when it stands alone as a statement, is
 // assigned entirely to blanks (`_ = f.Close()`), or is deferred directly.

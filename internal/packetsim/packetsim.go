@@ -356,7 +356,7 @@ func (b *builder) dispatch(r int, f fddi.DeliveredFrame) {
 // cannot transmit a frame longer than its per-rotation holding HR, so a
 // reassembled payload larger than FrameBits(HR) — possible whenever the CAC
 // granted HR < HS — is split into HR-sized frames, exactly the re-framing
-// the analytic dstMAC model (ifdev.ReceiverConversion) assumes.
+// the analytic receiver-MAC model (ifdev.ReceiverConversion) assumes.
 func (b *builder) deliverToDestRing(ring int, f ifdev.ReassembledFrame) {
 	c := b.conns[f.ConnID]
 	if c == nil {

@@ -385,7 +385,7 @@ func TestRunValidation(t *testing.T) {
 // sender-biased rule does so by construction), a reassembled source-sized
 // frame no longer fits the destination station's per-rotation holding. The
 // interface device must re-frame it to FrameBits(HR) — exactly what the
-// analytic dstMAC model assumes — instead of panicking on enqueue.
+// analytic receiver-MAC model assumes — instead of panicking on enqueue.
 func TestRunReceiverSmallerThanSender(t *testing.T) {
 	cfg := topo.Default()
 	net, err := topo.NewNetwork(cfg)

@@ -23,7 +23,7 @@ func TestSimDelaysWithinBound(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := AnalyzeMAC(in, MACParams{Ring: cfg, THT: tht}, fddi.Options{})
+	res, err := macOn(cfg, in, tht)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -7,15 +7,12 @@
 // bound in place of the TTRT and the THT in place of the synchronous
 // allocation H. The paper notes exactly this: "one only needs to analyze an
 // 802.5_MAC server in addition to the servers that have been analyzed".
+//
+// SimConfig is that mapping: the fddi.RingConfig every analysis, ledger and
+// simulator of the module takes.
 package tokenring
 
-import (
-	"fmt"
-	"math"
-
-	"fafnet/internal/fddi"
-	"fafnet/internal/traffic"
-)
+import "fafnet/internal/fddi"
 
 // Standard 802.5 rates.
 const (
@@ -61,123 +58,16 @@ func DefaultRingConfig() RingConfig {
 	}
 }
 
-// Validate reports whether the configuration is physically meaningful.
-func (c RingConfig) Validate() error {
-	switch {
-	case c.BandwidthBps <= 0:
-		return fmt.Errorf("tokenring: bandwidth %v must be positive", c.BandwidthBps)
-	case c.TargetRotation <= 0:
-		return fmt.Errorf("tokenring: target rotation %v must be positive", c.TargetRotation)
-	case c.WalkTime < 0:
-		return fmt.Errorf("tokenring: walk time %v must be non-negative", c.WalkTime)
-	case c.WalkTime >= c.TargetRotation: //lint:allow floatcmp exact validation bound: any WalkTime strictly below TargetRotation is acceptable
-		return fmt.Errorf("tokenring: walk time %v leaves no usable rotation (%v)", c.WalkTime, c.TargetRotation)
-	case c.HopLatency < 0:
-		return fmt.Errorf("tokenring: hop latency %v must be non-negative", c.HopLatency)
-	}
-	return nil
-}
-
-// UsableRotation returns TargetRotation − WalkTime: the transmission time
-// divisible among stations per rotation.
-func (c RingConfig) UsableRotation() float64 { return c.TargetRotation - c.WalkTime }
-
-// SimConfig maps the 802.5 parameters onto the shared token-passing ring
-// simulator: per-visit budgets (THT here, H there) against a bounded
-// rotation. Use it with fddi.NewRingSim to validate 802.5 bounds at packet
-// level.
-func (c RingConfig) SimConfig() fddi.RingConfig { return c.asFDDI() }
-
-// asFDDI maps the 802.5 parameters onto the timed-token model so the shared
-// Theorem 1 machinery applies: the rotation target acts as the TTRT and the
-// walk time as the protocol overhead Δ.
-func (c RingConfig) asFDDI() fddi.RingConfig {
+// SimConfig maps the 802.5 parameters onto the timed-token model, so the
+// shared Theorem 1 machinery and the token-passing ring simulator apply: the
+// rotation target acts as the TTRT, the walk time as the protocol overhead Δ,
+// and a station's THT as its allocation H (per-visit budgets against a
+// bounded rotation).
+func (c RingConfig) SimConfig() fddi.RingConfig {
 	return fddi.RingConfig{
 		BandwidthBps: c.BandwidthBps,
 		TTRT:         c.TargetRotation,
 		Overhead:     c.WalkTime,
 		HopLatency:   c.HopLatency,
 	}
-}
-
-// Ring tracks THT allocations on one 802.5 segment. It is not safe for
-// concurrent use.
-type Ring struct {
-	cfg   RingConfig
-	inner *fddi.Ring
-}
-
-// NewRing validates cfg and returns an empty ring.
-func NewRing(cfg RingConfig) (*Ring, error) {
-	if err := cfg.Validate(); err != nil {
-		return nil, err
-	}
-	inner, err := fddi.NewRing(cfg.asFDDI())
-	if err != nil {
-		return nil, err
-	}
-	return &Ring{cfg: cfg, inner: inner}, nil
-}
-
-// Config returns the ring configuration.
-func (r *Ring) Config() RingConfig { return r.cfg }
-
-// Allocated returns the total THT currently granted.
-func (r *Ring) Allocated() float64 { return r.inner.Allocated() }
-
-// Available returns the THT still grantable under
-// ΣTHT + WalkTime <= TargetRotation.
-func (r *Ring) Available() float64 { return r.inner.Available() }
-
-// Allocate grants tht seconds of holding time per rotation to connID.
-func (r *Ring) Allocate(connID string, tht float64) error { return r.inner.Allocate(connID, tht) }
-
-// Release frees connID's holding time, reporting whether it existed.
-func (r *Ring) Release(connID string) bool { return r.inner.Release(connID) }
-
-// MACParams parameterizes the 802.5_MAC server for one connection.
-type MACParams struct {
-	// Ring is the segment configuration.
-	Ring RingConfig
-	// THT is the connection's token holding time per rotation.
-	THT float64
-	// BufferBits bounds the MAC transmit buffer (0 = unlimited).
-	BufferBits float64
-}
-
-// MACResult mirrors fddi.MACResult for the 802.5 server.
-type MACResult struct {
-	// BusyInterval, BufferBits and Delay are the Theorem 1 quantities.
-	BusyInterval, BufferBits, Delay float64
-	// Output is the connection's envelope leaving the MAC.
-	Output traffic.Descriptor
-}
-
-// AnalyzeMAC bounds the 802.5_MAC server: worst-case delay, backlog, busy
-// interval and output envelope for a connection granted THT per rotation.
-func AnalyzeMAC(in traffic.Descriptor, p MACParams, opts fddi.Options) (MACResult, error) {
-	res, err := fddi.AnalyzeMAC(in, fddi.MACParams{
-		Ring:       p.Ring.asFDDI(),
-		H:          p.THT,
-		BufferBits: p.BufferBits,
-	}, opts)
-	if err != nil {
-		return MACResult{}, err
-	}
-	return MACResult{
-		BusyInterval: res.BusyInterval,
-		BufferBits:   res.BufferBits,
-		Delay:        res.Delay,
-		Output:       res.Output,
-	}, nil
-}
-
-// MinTHT returns the smallest stable holding time for a source with
-// long-term rate rho: THT·BW must cover rho·TargetRotation, padded by the
-// given headroom factor (e.g. 1.1 for 10%).
-func (c RingConfig) MinTHT(rho, headroom float64) float64 {
-	if headroom < 1 {
-		headroom = 1
-	}
-	return math.Min(rho*c.TargetRotation*headroom/c.BandwidthBps, c.UsableRotation())
 }

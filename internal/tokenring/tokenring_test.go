@@ -9,6 +9,11 @@ import (
 	"fafnet/internal/units"
 )
 
+// macOn is Theorem 1 for a station granted tht per rotation on the segment.
+func macOn(cfg RingConfig, in traffic.Descriptor, tht float64) (fddi.MACResult, error) {
+	return fddi.AnalyzeMAC(in, fddi.MACParams{Ring: cfg.SimConfig(), H: tht}, fddi.Options{})
+}
+
 func TestRingConfigValidate(t *testing.T) {
 	tests := []struct {
 		name    string
@@ -26,15 +31,17 @@ func TestRingConfigValidate(t *testing.T) {
 		t.Run(tt.name, func(t *testing.T) {
 			cfg := DefaultRingConfig()
 			tt.mutate(&cfg)
-			if err := cfg.Validate(); (err != nil) != tt.wantErr {
-				t.Errorf("Validate() error = %v, wantErr %v", err, tt.wantErr)
+			if err := cfg.SimConfig().Validate(); (err != nil) != tt.wantErr {
+				t.Errorf("SimConfig().Validate() error = %v, wantErr %v", err, tt.wantErr)
 			}
 		})
 	}
 }
 
+// TestRingAllocation: the segment's THT ledger is the timed-token one on the
+// mapped config, ΣTHT + WalkTime <= TargetRotation.
 func TestRingAllocation(t *testing.T) {
-	r, err := NewRing(DefaultRingConfig())
+	r, err := fddi.NewRing(DefaultRingConfig().SimConfig())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -68,8 +75,7 @@ func TestAnalyzeMACMirrorsTheorem1(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	cfg := DefaultRingConfig()
-	res, err := AnalyzeMAC(in, MACParams{Ring: cfg, THT: 2e-3}, fddi.Options{})
+	res, err := macOn(DefaultRingConfig(), in, 2e-3)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -97,26 +103,9 @@ func TestAnalyzeMACOverload(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	cfg := DefaultRingConfig()
-	_, err = AnalyzeMAC(in, MACParams{Ring: cfg, THT: 1e-3}, fddi.Options{})
+	_, err = macOn(DefaultRingConfig(), in, 1e-3)
 	if !errors.Is(err, fddi.ErrOverload) {
 		t.Errorf("err = %v, want fddi.ErrOverload", err)
-	}
-}
-
-func TestMinTHT(t *testing.T) {
-	cfg := DefaultRingConfig()
-	// rho = 2 Mb/s: THT·16e6 >= 2e6·8e-3·1.25 → THT = 1.25 ms.
-	if got := cfg.MinTHT(2e6, 1.25); !units.AlmostEq(got, 1.25e-3) {
-		t.Errorf("MinTHT = %v, want 1.25e-3", got)
-	}
-	// Headroom below 1 is clamped to 1.
-	if got := cfg.MinTHT(2e6, 0.5); !units.AlmostEq(got, 1e-3) {
-		t.Errorf("MinTHT clamped = %v, want 1e-3", got)
-	}
-	// Enormous rho clamps at the usable rotation.
-	if got := cfg.MinTHT(1e9, 1); !units.AlmostEq(got, cfg.UsableRotation()) {
-		t.Errorf("MinTHT saturated = %v, want %v", got, cfg.UsableRotation())
 	}
 }
 
@@ -125,10 +114,9 @@ func TestTHTMonotoneDelay(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	cfg := DefaultRingConfig()
 	prev := 1e9
 	for _, tht := range []float64{1.5e-3, 2e-3, 3e-3, 5e-3} {
-		res, err := AnalyzeMAC(in, MACParams{Ring: cfg, THT: tht}, fddi.Options{})
+		res, err := macOn(DefaultRingConfig(), in, tht)
 		if err != nil {
 			t.Fatalf("THT=%v: %v", tht, err)
 		}
