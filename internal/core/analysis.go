@@ -27,17 +27,17 @@ var errInfeasible = errors.New("core: no finite delay bound")
 // FIFO port with the envelopes of all connections that traverse it. What it
 // learns about a connection — none of which depends on any other connection's
 // allocation except through the keys it is stored under — is kept across
-// evaluations in one record per connection id. Analyzer is not safe for
-// concurrent use.
+// evaluations in one record per record class (recClass): the connection's
+// traffic, regulator, rings and buffers, never its id. Analyzer is not safe
+// for concurrent use.
 type Analyzer struct {
 	net  *topo.Network
 	opts AnalysisOptions
-	// conns holds the one cache record per connection id. Every evaluation
-	// revalidates its connections against it and starts a fresh record for an
-	// id whose spec changed, so cached state survives a release (an
-	// admit/release/re-admit cycle — the steady state of a CAC — reuses
-	// everything) without a reused id ever seeing another spec's results.
-	conns map[string]*connCache
+	// conns holds the one cache record per record class, for at most
+	// maxClasses classes. Every connection of a class — a re-admission under
+	// a fresh id, two standing connections with equal traffic — reads and
+	// fills the same record.
+	conns map[recClass]*connCache
 	// portMux caches FIFO-port analysis results keyed by the exact member
 	// flat set (pointer identity, in evaluation order): a port whose members
 	// all match a previously analyzed state reuses the delay verbatim. Flats
@@ -53,14 +53,27 @@ type Analyzer struct {
 	ws traffic.Workspace
 }
 
-// connCache is everything the analyzer remembers about one connection, valid
-// for exactly the spec it was filled under: one map of hop results, each a
-// pure function of its key. Probes and releases revisit the same global
-// states, so the same keys recur with the same pointer-stable flats — which
-// lets later hops and portMux key whole results by flat identity.
+// connCache is everything the analyzer remembers about one record class: one
+// map of hop results, each a pure function of its key and the class. Probes
+// and releases revisit the same global states, so the same keys recur with
+// the same pointer-stable flats — which lets later hops and portMux key whole
+// results by flat identity.
 type connCache struct {
-	spec ConnSpec
 	hops map[recKey]hopResult
+}
+
+// recClass is what determines every entry of a connection's record: the
+// sender entry (nil, H_S) reads the source, the sender ring and the host
+// buffer, its stage-0 flat also the regulator and whether the route crosses
+// the backbone (Src.Ring ≠ Dst.Ring), and the receiver entry (in, H_R) the
+// destination ring and the interface-device buffer. Port entries (in, d) are
+// pure in their key. The id, deadline and host indexes determine none.
+type recClass struct {
+	source           traffic.Descriptor
+	shape            shaper.Spec
+	shaped           bool
+	srcRing, dstRing int
+	hostBuf, idBuf   float64
 }
 
 // recKey is what determines one hop result: the flat entering the hop and
@@ -93,13 +106,14 @@ type portMuxEntry struct {
 // Cache caps. One CAC bisection at a busy port generates on the order of a
 // hundred distinct states (each probed allocation shifts every downstream
 // envelope), and the same states recur on the next admission of the same
-// spec, so the caps must hold a full bisection's working set or every
-// iteration recomputes it. A connection record that an insert finds full is
-// cleared (see remember); a port's verdict list drops its older half, the
-// recurring member sets being the recently used ones.
+// class, so the caps must hold a full bisection's working set or every
+// iteration recomputes it. A record, or the class map, that an insert finds
+// full is cleared (see remember, record); a port's verdict list drops its
+// older half, the recurring member sets being the recently used ones.
 const (
 	maxConnEntries    = 512
 	maxPortMuxEntries = 256
+	maxClasses        = 256
 )
 
 // flatHorizon is the window (seconds) over which the analyzer materializes
@@ -113,12 +127,11 @@ const (
 // correctness.
 const flatHorizon = 0.025
 
-// remember stores v under k in the connection record. An id that keeps its
-// spec keeps its record, and every decision probes allocations the record has
-// not seen, so it is bounded: an insert that finds maxConnEntries entries
-// clears the map first. Flats rebuilt after a clear are new arrays with the
-// old values, so the caches keyed by flat identity miss once and no result
-// moves.
+// remember stores v under k in the record. A class keeps its record, and
+// every decision probes allocations the record has not seen, so it is
+// bounded: an insert that finds maxConnEntries entries clears the map first.
+// Flats rebuilt after a clear are new arrays with the old values, so the
+// caches keyed by flat identity miss once and no result moves.
 func (rec *connCache) remember(k recKey, v hopResult) {
 	switch {
 	case rec.hops == nil:
@@ -138,7 +151,7 @@ func NewAnalyzer(net *topo.Network, opts AnalysisOptions) (*Analyzer, error) {
 	a := &Analyzer{
 		net:     net,
 		opts:    opts,
-		conns:   make(map[string]*connCache),
+		conns:   make(map[recClass]*connCache),
 		portMux: make(map[topo.PortID][]portMuxEntry),
 	}
 	// The workspace is the analyzer's own even when the caller's options
@@ -149,67 +162,29 @@ func NewAnalyzer(net *topo.Network, opts AnalysisOptions) (*Analyzer, error) {
 	return a, nil
 }
 
-// maxTrackedConns bounds how many connection ids the analyzer retains cached
-// state for. Far above any single network's active set, it only guards
-// long-lived analyzers fed a stream of unique ids: past it, the ids that are
-// not part of the evaluation being built — released connections, rejected
-// candidates — are dropped, and the standing set keeps its sender-MAC and
-// stage-0 state.
-const maxTrackedConns = 256
-
-// revalidate returns connection c's cache record, starting a fresh one when
-// the id is new or its spec differs from the one the record was filled under.
-// It makes cache reuse safe across releases: stale state cannot leak into a
-// reused id because the first evaluation that sees the new spec drops it.
-// current is the connection set of the evaluation being built.
-func (a *Analyzer) revalidate(c *Connection, current map[string]*Connection) *connCache {
-	if rec, ok := a.conns[c.ID]; ok && sameSpec(rec.spec, c.ConnSpec) {
-		return rec
+// record returns the record of c's class, starting one when the class is
+// new; an insert that finds maxClasses classes clears the map first. A source
+// whose dynamic value is not comparable (traffic.Aggregate and traffic.Min
+// hold slices) cannot key the map: its connection gets a record private to
+// the evaluation.
+func (a *Analyzer) record(c *Connection) *connCache {
+	if !reflect.ValueOf(c.Source).Comparable() {
+		return new(connCache)
 	}
-	if len(a.conns) >= maxTrackedConns {
-		for id := range a.conns {
-			if _, standing := current[id]; !standing {
-				delete(a.conns, id)
-			}
+	k := recClass{source: c.Source, srcRing: c.Src.Ring, dstRing: c.Dst.Ring,
+		hostBuf: c.HostBufferBits, idBuf: c.IDBufferBits}
+	if c.Shape != nil {
+		k.shape, k.shaped = *c.Shape, true
+	}
+	rec := a.conns[k]
+	if rec == nil {
+		if len(a.conns) >= maxClasses {
+			clear(a.conns)
 		}
-		// Port verdicts are keyed by member flats; those of the evicted ids
-		// can never match again and age out of the per-port lists, those of
-		// the standing set stay valid.
+		rec = new(connCache)
+		a.conns[k] = rec
 	}
-	rec := &connCache{spec: c.ConnSpec}
-	a.conns[c.ID] = rec
 	return rec
-}
-
-// sameSpec reports whether two specifications are identical for caching
-// purposes. The source descriptor and shaper are compared by identity (or
-// shallow value for the shaper): callers that rebuild an equal descriptor
-// merely miss the cache, never corrupt it.
-func sameSpec(a, b ConnSpec) bool {
-	if a.ID != b.ID || a.Src != b.Src || a.Dst != b.Dst ||
-		a.HostBufferBits != b.HostBufferBits || a.IDBufferBits != b.IDBufferBits {
-		return false
-	}
-	if a.Shape != b.Shape &&
-		(a.Shape == nil || b.Shape == nil || *a.Shape != *b.Shape) {
-		return false
-	}
-	return sameDescriptor(a.Source, b.Source)
-}
-
-// sameDescriptor compares two descriptors: pointers by identity, comparable
-// value types (Periodic, DualPeriodic — plain parameter structs) by value.
-// Non-comparable dynamic types report false rather than risking the panic
-// interface equality would raise.
-func sameDescriptor(x, y traffic.Descriptor) bool {
-	if x == nil || y == nil {
-		return x == nil && y == nil
-	}
-	tx := reflect.TypeOf(x)
-	if tx != reflect.TypeOf(y) || !tx.Comparable() {
-		return false
-	}
-	return x == y
 }
 
 // CacheStats returns the cache hit/miss totals accumulated since the
@@ -250,9 +225,9 @@ type evaluation struct {
 	a       *Analyzer
 	conns   map[string]*Connection
 	ordered []*Connection // deterministic iteration order
-	// recs holds each connection's cache record, as revalidated when the
-	// evaluation was built: the evaluation keeps filling the records of its
-	// own specs even if the analyzer has since started others for the ids.
+	// recs holds each connection's record, as looked up when the evaluation
+	// was built: the evaluation keeps filling them even if the analyzer has
+	// since cleared its class map.
 	recs map[*Connection]*connCache
 
 	portDelay map[topo.PortID]float64
@@ -314,11 +289,7 @@ func (a *Analyzer) newEvaluation(conns []*Connection) (*evaluation, error) {
 		}
 		ev.conns[c.ID] = c
 		ev.ordered = append(ev.ordered, c)
-	}
-	// Revalidate once the set is complete: an overflow eviction must know
-	// every connection of this evaluation, not only the ones seen so far.
-	for _, c := range ev.ordered {
-		ev.recs[c] = a.revalidate(c, ev.conns)
+		ev.recs[c] = a.record(c)
 	}
 	sort.Slice(ev.ordered, func(i, j int) bool { return ev.ordered[i].ID < ev.ordered[j].ID })
 	return ev, nil
@@ -445,7 +416,7 @@ func (ev *evaluation) fold(c *Connection, to int, bd *Breakdown, limit float64) 
 				return nil, cut, fmt.Errorf("%w: envelope of %q: the segment cap ends its window before the sender-side delay", errInfeasible, c.ID)
 			}
 			mFlatLowerings.Inc()
-			// The stage-0 envelope depends only on the spec and H_S, so it is
+			// The stage-0 envelope depends only on the class and H_S, so it is
 			// kept beside the sender-MAC result (unless a full record dropped
 			// that since): a bisection that revisits an h reuses the envelope,
 			// pointer identity included.
@@ -548,8 +519,9 @@ func (ev *evaluation) enteringHit(c *Connection, k int) (*traffic.Flat, bool) {
 // theorem1 is the one Theorem 1 path of both MACs, on ring under the
 // allocation h with the given buffer bound: at the sender (in nil) fed by the
 // source, at the receiver fed by in, the envelope entering it, reassembled
-// into frames. The result is a pure function of (in, h) and is kept in the
-// record under it; the sender's lookups are what CacheStats counts.
+// into frames. The result is a pure function of (in, h) and the class, so it
+// is kept in the class's record under (in, h) and its error names no
+// connection; the sender's lookups are what CacheStats counts.
 func (ev *evaluation) theorem1(c *Connection, in *traffic.Flat, ring int, h, buffer float64) (fddi.MACResult, error) {
 	rec, key := ev.recs[c], recKey{in: in, x: math.Float64bits(h)}
 	e, hit := rec.hops[key]
@@ -586,7 +558,7 @@ func (ev *evaluation) theorem1(c *Connection, in *traffic.Flat, ring int, h, buf
 	}
 	res, err := fddi.AnalyzeMAC(input, fddi.MACParams{Ring: cfg, H: h, BufferBits: buffer}, ev.a.opts.MAC)
 	if err != nil {
-		err = fmt.Errorf("%w: %s MAC of %q: %v", errInfeasible, side, c.ID, err)
+		err = fmt.Errorf("%w: %s MAC: %v", errInfeasible, side, err)
 		res = fddi.MACResult{}
 	}
 	rec.remember(key, hopResult{mac: res, err: err})

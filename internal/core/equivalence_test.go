@@ -26,7 +26,17 @@ type scenarioGen struct {
 	// chains hold a Min, lowered by the two-envelope rule, and share ports
 	// with plain members.
 	shaped bool
+	// classes draws from fixed palettes — four sources, two shapes, buffers
+	// of 0 or classBufferBits, three allocations — so record classes and the
+	// keys inside their records recur, across the connections of a scenario
+	// and across the scenarios one warm analyzer serves.
+	classes bool
 }
+
+// classBufferBits is the finite buffer of classes mode: above the backlog of
+// some palette draws and below that of others, so a buffer left out of the
+// record class changes verdicts.
+const classBufferBits = 80e3
 
 func newScenarioGen(t *testing.T, net *topo.Network, seed int64) *scenarioGen {
 	return &scenarioGen{t: t, net: net, rng: rand.New(rand.NewSource(seed))}
@@ -35,6 +45,22 @@ func newScenarioGen(t *testing.T, net *topo.Network, seed int64) *scenarioGen {
 func (g *scenarioGen) source() traffic.Descriptor {
 	var d traffic.Descriptor
 	var err error
+	if g.classes {
+		switch g.rng.Intn(4) {
+		case 0:
+			d, err = traffic.NewDualPeriodic(150e3, 0.010, 30e3, 0.001, 100e6)
+		case 1:
+			d, err = traffic.NewPeriodic(60e3, 0.008, 100e6)
+		case 2:
+			d, err = traffic.NewPeriodic(40e3, 0.005, 100e6)
+		default:
+			d, err = traffic.NewCBR(6e6)
+		}
+		if err != nil {
+			g.t.Fatal(err)
+		}
+		return d
+	}
 	switch g.rng.Intn(3) {
 	case 0:
 		c1 := 50e3 + 150e3*g.rng.Float64()
@@ -78,7 +104,17 @@ func (g *scenarioGen) next(prefix string, sc int) []*Connection {
 			HS:    0.4e-3 + 2.1e-3*g.rng.Float64(),
 			HR:    0.4e-3 + 2.1e-3*g.rng.Float64(),
 		}
-		if g.shaped && g.rng.Intn(6) == 0 {
+		shape := g.shaped && g.rng.Intn(6) == 0
+		switch {
+		case g.classes:
+			hs := []float64{0.5e-3, 1.2e-3, 2.2e-3}
+			c.HS, c.HR = hs[g.rng.Intn(3)], hs[g.rng.Intn(3)]
+			buf := []float64{0, classBufferBits}
+			c.HostBufferBits, c.IDBufferBits = buf[g.rng.Intn(2)], buf[g.rng.Intn(2)]
+			if shape {
+				c.Shape = &[]shaper.Spec{{SigmaBits: 40e3, RhoBps: 18e6}, {SigmaBits: 60e3, RhoBps: 24e6}}[g.rng.Intn(2)]
+			}
+		case shape:
 			c.Shape = &shaper.Spec{
 				SigmaBits: 20e3 + 40e3*g.rng.Float64(),
 				RhoBps:    c.Source.LongTermRate() * (1.2 + 0.5*g.rng.Float64()),
@@ -115,7 +151,7 @@ func checkAgainstClosureOracle(t *testing.T, net *topo.Network, sc int, conns []
 // TestFusionEquivalenceRandomized is the soundness harness of the probe
 // accelerator: across randomized scenarios (connection counts, placements,
 // allocations, and source mixes), the analyzer — envelope fusion, flat
-// lowering, the per-connection records, MAC and mux fast paths — must agree
+// lowering, the class records, MAC and mux fast paths — must agree
 // with Eq. 7 on the raw closure tree (closureDelays) within units.RelTol on
 // every connection's end-to-end delay, and exactly on feasibility.
 func TestFusionEquivalenceRandomized(t *testing.T) {
@@ -210,9 +246,11 @@ func checkWarmAndFresh(t *testing.T, net *topo.Network, warm *Analyzer, sc int, 
 // a fuzzed seed, on the default network or (hetero) on heteroTopology, whose
 // three rings differ: a receiver MAC analysed on the sender's ring would pass
 // on the first and fail here. One warm analyzer per network serves every
-// input of the process, and every input reuses the same connection ids under
-// new specs, so each one exercises the fresh-record path on top of whatever
-// the earlier inputs left in the port caches and the workspace.
+// input of the process. Records are keyed by class, not by id, so each input
+// meets whatever records, port verdicts and workspace state the earlier ones
+// left; with classes set it draws from the generator's palettes, and the warm
+// analyzer serves records across inputs and across connections of one class
+// that differ in what the class leaves out.
 func FuzzDelaysAgainstClosureOracle(f *testing.F) {
 	var nets [2]*topo.Network
 	var warm [2]*Analyzer
@@ -226,15 +264,39 @@ func FuzzDelaysAgainstClosureOracle(f *testing.F) {
 		}
 		nets[i] = net
 	}
-	f.Fuzz(func(t *testing.T, seed int64, shaped, hetero bool) {
+	f.Fuzz(func(t *testing.T, seed int64, shaped, hetero, classes bool) {
 		i := 0
 		if hetero {
 			i = 1
 		}
 		gen := newScenarioGen(t, nets[i], seed)
-		gen.shaped = shaped
+		gen.shaped, gen.classes = shaped, classes
 		checkWarmAndFresh(t, nets[i], warm[i], 0, gen.next("z", 0))
 	})
+}
+
+// TestClassRecordsRandomized is the randomized harness of record classes:
+// scenarios drawn from the generator's palettes, on the default network and on
+// heteroTopology, through one warm analyzer per network. Connections of one
+// class recur with other ids, hosts, deadlines and allocations; connections
+// that differ only in a ring, a buffer or a shape recur too, and must not
+// share a record. Every delay must equal a fresh analyzer's bit for bit.
+func TestClassRecordsRandomized(t *testing.T) {
+	for i, cfg := range []topo.Config{topo.Default(), heteroTopology()} {
+		net, err := topo.NewNetwork(cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		warm, err := NewAnalyzer(net, AnalysisOptions{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		gen := newScenarioGen(t, net, 20261015+int64(i))
+		gen.shaped, gen.classes = true, true
+		for sc := 0; sc < 60; sc++ {
+			checkWarmAndFresh(t, net, warm, sc, gen.next("k", sc))
+		}
+	}
 }
 
 // TestEnvelopeReloweredPastTheWindow is the one later-stage case a shift of

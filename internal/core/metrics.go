@@ -3,7 +3,7 @@ package core
 import "fafnet/internal/obs"
 
 // CacheStats counts the analyzer's cross-evaluation cache traffic: lookups
-// of a connection record's entry for the probed sender allocation, which
+// of a class record's entry for the probed sender allocation, which
 // holds the sender-MAC result and the stage-0 envelope. The Analyzer
 // accumulates totals over its lifetime; Decision carries the per-decision
 // difference so an audit record shows what each admission cost.

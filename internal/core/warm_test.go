@@ -146,9 +146,11 @@ func TestWarmLaneEqualsFreshAnalyzer(t *testing.T) {
 }
 
 // TestPerConnectionCachesStayBounded: clients that reuse a handful of ids
-// with unchanged specs never trip the spec-change purge or the tracked-id
-// cap, and every decision probes allocations the candidate's maps have not
-// seen. Every record's one map must stay within maxConnEntries all the same.
+// with unchanged specs draw a handful of classes, and every decision probes
+// allocations the candidate's record has not seen. No map in the analyzer may
+// grow with the op count all the same: one record per class drawn, each
+// within maxConnEntries, and every port's verdict list within
+// maxPortMuxEntries.
 func TestPerConnectionCachesStayBounded(t *testing.T) {
 	if testing.Short() {
 		t.Skip("3,000 admit/release operations")
@@ -184,15 +186,26 @@ func TestPerConnectionCachesStayBounded(t *testing.T) {
 	}
 	an := d.ctl.acquireLane()
 	defer d.ctl.releaseLane(an)
+	// Every spec shares the source and has no buffer or shape: one class per
+	// ring pair.
+	classes := d.ctl.Network().Config().NumRings
+	if len(an.conns) > classes {
+		t.Errorf("%d records for %d classes", len(an.conns), classes)
+	}
 	total := 0
-	for id, rec := range an.conns {
+	for k, rec := range an.conns {
 		if n := len(rec.hops); n > maxConnEntries {
-			t.Errorf("conns[%s] holds %d hop results, cap %d", id, n, maxConnEntries)
+			t.Errorf("record of ring %d→%d holds %d hop results, cap %d", k.srcRing, k.dstRing, n, maxConnEntries)
 		}
 		total += len(rec.hops)
 	}
-	// With every record within its cap the total is within ids × cap; without
-	// one the sender-side entries alone read 38,100 here, linear in the op
-	// count.
-	t.Logf("%d hop results on %d ids", total, len(specs))
+	for p, entries := range an.portMux {
+		if len(entries) > maxPortMuxEntries {
+			t.Errorf("port %v holds %d verdicts, cap %d", p, len(entries), maxPortMuxEntries)
+		}
+	}
+	// With every record within its cap the total is within classes × cap;
+	// without one the sender-side entries alone read 38,100 here, linear in
+	// the op count.
+	t.Logf("%d hop results on %d classes", total, len(an.conns))
 }

@@ -3,7 +3,6 @@ package core
 import (
 	"bytes"
 	"fmt"
-	"math"
 	"slices"
 	"strconv"
 	"strings"
@@ -27,13 +26,13 @@ func standingSix(t *testing.T) []*Connection {
 	return conns
 }
 
-// TestOverflowEvictionKeepsStandingSet feeds one analyzer 300 unique
-// candidate ids against six standing connections — the churn regime — and
-// watches the sender-MAC cache: each evaluation may miss once, for the new
-// candidate. When the tracked-id bound overflows, the ids that left are
-// evicted and the standing six keep their state; a wholesale clear would show
-// as seven misses in one evaluation.
-func TestOverflowEvictionKeepsStandingSet(t *testing.T) {
+// TestUniqueIDsShareTheClassRecord feeds one analyzer 300 unique candidate
+// ids against six standing connections — the churn regime, where a client
+// names every request afresh. Each candidate is of standing-0's class (the
+// same source, rings and buffers from other hosts), so once the standing set
+// has been evaluated no sender MAC is analysed again, and the analyzer holds
+// one record per class drawn, never one per id.
+func TestUniqueIDsShareTheClassRecord(t *testing.T) {
 	standing := standingSix(t)
 	net := defaultNet(t)
 	a, err := NewAnalyzer(net, AnalysisOptions{})
@@ -43,28 +42,104 @@ func TestOverflowEvictionKeepsStandingSet(t *testing.T) {
 	if _, err := a.Delays(standing); err != nil {
 		t.Fatal(err)
 	}
+	if len(a.conns) != len(standing) {
+		t.Fatalf("%d records after the standing set, want one per ring pair, %d", len(a.conns), len(standing))
+	}
 	for i := 0; i < 300; i++ {
 		cand := testConnOn(t, net, fmt.Sprintf("unique-%d", i), 0, 2, 1, 3, 2e-3, 2e-3)
 		before := a.CacheStats()
 		if _, err := a.Delays(append(standing[:len(standing):len(standing)], cand)); err != nil {
 			t.Fatal(err)
 		}
-		if d := a.CacheStats().Sub(before); d.MACMisses > 1 {
-			t.Fatalf("evaluation %d (%d ids tracked): %d sender-MAC misses, want at most the candidate's one — the standing set was recomputed",
-				i, len(a.conns), d.MACMisses)
+		if d := a.CacheStats().Sub(before); d.MACMisses != 0 {
+			t.Fatalf("evaluation %d: %d sender-MAC misses, want 0: the candidate's class record was not served", i, d.MACMisses)
 		}
-		if len(a.conns) > maxTrackedConns {
-			t.Fatalf("evaluation %d: %d ids tracked, bound %d", i, len(a.conns), maxTrackedConns)
+		if len(a.conns) != len(standing) {
+			t.Fatalf("evaluation %d: %d records, want the %d classes drawn", i, len(a.conns), len(standing))
 		}
 	}
-	for _, c := range standing {
-		rec, ok := a.conns[c.ID]
-		if !ok {
-			t.Errorf("standing connection %q lost its tracked state", c.ID)
-			continue
+}
+
+// TestDistinctClassesStayBounded feeds one analyzer more classes than
+// maxClasses — a candidate per distinct Periodic budget against the standing
+// six — so the class map fills and is cleared. It never holds more than
+// maxClasses records, and every evaluation, before a clear and after, equals
+// a fresh analyzer's bit for bit (and the closure oracle).
+func TestDistinctClassesStayBounded(t *testing.T) {
+	standing := standingSix(t)
+	net := defaultNet(t)
+	a, err := NewAnalyzer(net, AnalysisOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	const drawn = 300
+	for i := 0; i < drawn; i++ {
+		src, err := traffic.NewPeriodic(20e3+100*float64(i), 0.008, 100e6)
+		if err != nil {
+			t.Fatal(err)
 		}
-		if e, ok := rec.hops[recKey{x: math.Float64bits(c.HS)}]; !ok || e.out == nil {
-			t.Errorf("standing connection %q lost its sender-MAC result or stage-0 envelope", c.ID)
+		cand := testConnOn(t, net, fmt.Sprintf("class-%d", i), 0, 2, 1, 3, 2e-3, 2e-3)
+		cand.Source = src
+		checkWarmAndFresh(t, net, a, i, append(standing[:len(standing):len(standing)], cand))
+		if len(a.conns) > maxClasses {
+			t.Fatalf("evaluation %d: %d records, bound %d", i, len(a.conns), maxClasses)
+		}
+	}
+	if len(a.conns) >= drawn {
+		t.Fatalf("%d records after %d classes: the bound never cleared the map", len(a.conns), drawn)
+	}
+}
+
+// TestOneIDThroughManyClasses is what a record keyed by id had to guard with
+// a spec comparison: one id through one warm analyzer under source A, then
+// B, then shaped, then with buffers and without, then twice each under a
+// traffic.Min and a traffic.Aggregate source whose members change under the
+// same id. Every evaluation equals a fresh analyzer's, and the Min and
+// Aggregate sources — they hold slices, so they cannot key a map — never
+// enter the class map.
+func TestOneIDThroughManyClasses(t *testing.T) {
+	standing := standingSix(t)
+	net := defaultNet(t)
+	a, err := NewAnalyzer(net, AnalysisOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	periodic := func(c, p float64) traffic.Descriptor {
+		d, err := traffic.NewPeriodic(c, p, 100e6)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return d
+	}
+	minOf := func(x, y traffic.Descriptor) traffic.Descriptor {
+		d, err := traffic.NewMin(x, y)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return d
+	}
+	srcA, srcB := periodic(60e3, 0.008), periodic(90e3, 0.010)
+	steps := []func(c *Connection){
+		func(c *Connection) { c.Source = srcA },
+		func(c *Connection) { c.Source = srcB },
+		func(c *Connection) { c.Shape = &shaper.Spec{SigmaBits: 40e3, RhoBps: 18e6} },
+		// Buffers that bind: the class with them has no finite bound.
+		func(c *Connection) { c.HostBufferBits, c.IDBufferBits = 80e3, 80e3 },
+		func(c *Connection) { c.HostBufferBits, c.IDBufferBits = 0, 0 },
+		func(c *Connection) { c.Source = minOf(srcA, periodic(30e3, 0.005)) },
+		func(c *Connection) { c.Source = minOf(srcB, periodic(50e3, 0.005)) },
+		func(c *Connection) { c.Source = traffic.NewAggregate(srcA, periodic(10e3, 0.010)) },
+		func(c *Connection) { c.Source = traffic.NewAggregate(srcB, periodic(20e3, 0.020)) },
+	}
+	cand := testConnOn(t, net, "same", 0, 2, 1, 3, 2e-3, 2e-3)
+	for i, step := range steps {
+		step(cand)
+		checkWarmAndFresh(t, net, a, i, append(standing[:len(standing):len(standing)], cand))
+		for k := range a.conns {
+			switch k.source.(type) {
+			case traffic.Min, traffic.Aggregate:
+				t.Fatalf("step %d: a %T source keys a record", i, k.source)
+			}
 		}
 	}
 }
@@ -91,7 +166,7 @@ func counterValue(t *testing.T, name string) uint64 {
 }
 
 // TestWarmEvaluationRunsNoAnalysis: everything an evaluation computes is a
-// function of keys the connection records and the port lists hold, so
+// function of keys the class records and the port lists hold, so
 // evaluating an unchanged set again runs no server analysis and lowers
 // nothing, is handed the very flats of the first evaluation at every server
 // boundary — a stage-cache hit is pointer identity, which is what portMux and

@@ -53,30 +53,24 @@ const (
 // that must survive any transport behavior: no double-admit, client and
 // server views consistent, the audit log replayable to the exact server
 // state, and no goroutine left behind after shutdown. The audit sink is the
-// async group-sync writer, the deployment shape of fafcacd. This matrix runs
-// on one analyzer lane, the controller core.NewController builds.
-func TestChaosSignalingInvariants(t *testing.T) { runChaosMatrix(t, 1) }
-
-// TestChaosShardedSignalingInvariants runs the same matrix on the daemon's
-// default lane count: concurrent analyses, optimistic retries, and
-// commit-ordered audit enqueues must uphold the same invariants under every
-// fault profile.
-func TestChaosShardedSignalingInvariants(t *testing.T) { runChaosMatrix(t, 0) }
-
-// runChaosMatrix is the one fault matrix: every profile × seed cell over an
-// admission pipeline with the given lane count.
-func runChaosMatrix(t *testing.T, lanes int) {
+// async group-sync writer, the deployment shape of fafcacd. Every profile ×
+// seed cell runs twice: on one analyzer lane (lanes=1, the controller
+// core.NewController builds) and on the daemon's default lane count (lanes=0),
+// where concurrent analyses, optimistic retries and commit-ordered audit
+// enqueues must uphold the same invariants.
+func TestChaosSignalingInvariants(t *testing.T) {
 	seeds := []int64{1, 7, 42}
 	if testing.Short() {
 		seeds = seeds[:1]
 	}
 	for _, profile := range chaosProfiles() {
 		for _, seed := range seeds {
-			profile, seed := profile, seed
+			opts := profile.opts
+			opts.Seed = seed
 			t.Run(fmt.Sprintf("%s/seed%d", profile.name, seed), func(t *testing.T) {
-				opts := profile.opts
-				opts.Seed = seed
-				runChaosCell(t, opts, lanes)
+				for _, lanes := range []int{1, 0} {
+					t.Run(fmt.Sprintf("lanes=%d", lanes), func(t *testing.T) { runChaosCell(t, opts, lanes) })
+				}
 			})
 		}
 	}
