@@ -71,6 +71,7 @@ FUZZ_TARGETS := \
 	./internal/traffic:FuzzGridAssembly \
 	./internal/traffic:FuzzWorkspaceSum \
 	./internal/traffic:FuzzMinFlats \
+	./internal/fddi:FuzzDelayBound \
 	./internal/core:FuzzDelaysAgainstClosureOracle \
 	./internal/scenario:FuzzParse \
 	./internal/workload:FuzzParse \

@@ -215,7 +215,7 @@ func (a *Analyzer) Breakdown(conns []*Connection, id string) (Breakdown, error) 
 	if c == nil {
 		return Breakdown{}, fmt.Errorf("core: unknown connection %q", id)
 	}
-	return ev.breakdown(c)
+	return ev.breakdown(c, needBacklogs)
 }
 
 // evaluation is one consistent snapshot: all envelopes and port delays are
@@ -250,9 +250,9 @@ type hopKey struct {
 // it — the fused chain lowered over flatHorizon and carried on as the flat's
 // tail, on which later transforms compose so that Fuse's Q∘Q and D∘D rules
 // keep firing — and at the sender how many of its servers are known (1 the
-// MAC, 2 the regulator too), their delays, the MAC's backlog and pre, the
-// envelope leaving them. Only what succeeded is kept: a server without a
-// finite bound answers from the record.
+// MAC, 2 the regulator too), their delays, the MAC's backlog (NaN until a
+// report asks for it) and pre, the envelope leaving them. Only what succeeded
+// is kept: a server without a finite bound answers from the record.
 type hopMemo struct {
 	out           *traffic.Flat
 	pre           traffic.Descriptor
@@ -308,6 +308,22 @@ const (
 	cutOther                // at a connection other than the candidate
 )
 
+// need says what a walk along a route reads of its servers, and so what
+// Theorem 1 must compute at its MACs.
+type need uint8
+
+const (
+	// needVerdict: only whether the total fits the limit (ProbeSession's
+	// Feasible). The last server may be answered by the closed-form bound
+	// (boundHolds) instead of a scan.
+	needVerdict need = iota
+	// needDelays: every delay exact (delays(), FeasibleWithin); no backlog.
+	needDelays
+	// needBacklogs: every delay exact and both MACs' backlogs F (the
+	// reports: Breakdown, BufferReport, Decision.Stages).
+	needBacklogs
+)
+
 // hops is the length of c's route in fold's numbering: the sender side alone
 // on a same-ring route, else sender, shared ports and receiver.
 func hops(c *Connection) int {
@@ -332,13 +348,18 @@ func hops(c *Connection) int {
 // Each result is looked up in the memo, then in c's record, before it is
 // computed.
 //
-// With bd nil, fold returns the envelope entering hop to (1 ≤ to ≤ n+1). With
-// bd non-nil it walks hops 0…to−1 (to = hops(c)) and builds no envelope itself
-// — a port asks for its members' (muxDelay), the receiver for its own —
-// filling bd (whose Ports buffer it reuses) and stopping as soon as the delay
-// accumulated so far exceeds limit, or a server has no finite bound (the
-// error). It returns cutNone exactly when bd is complete and bd.Total <=
-// limit; reporting callers pass +Inf and only ever see an error.
+// With bd nil, fold returns the envelope entering hop to (1 ≤ to ≤ n+1), and n
+// is not read. With bd non-nil it walks hops 0…to−1 (to = hops(c)) and builds
+// no envelope itself — a port asks for its members' (muxDelay), the receiver
+// for its own — filling bd (whose Ports buffer it reuses) and stopping as soon
+// as the delay accumulated so far exceeds limit, or a server has no finite
+// bound (the error). It returns cutNone exactly when bd is complete and
+// bd.Total <= limit; reporting callers pass +Inf and only ever see an error.
+// n says what the walk reads: the backlogs F are filled in only for
+// needBacklogs (otherwise they may be NaN), and under needVerdict the last
+// server may be answered by its closed-form bound (boundHolds), which then
+// stands in bd for the exact delay, so that Total bounds the exact total
+// from above.
 //
 // The accumulated delay tested after each hop is bd.sum() with the servers
 // not yet analysed still at zero — the very expression that yields Total, so
@@ -346,7 +367,7 @@ func hops(c *Connection) int {
 // stopping on it loses no verdict. The receiver MAC, the deepest scan of a
 // low-allocation probe, is never run for a connection that has missed its
 // deadline before reaching it.
-func (ev *evaluation) fold(c *Connection, to int, bd *Breakdown, limit float64) (*traffic.Flat, cutoff, error) {
+func (ev *evaluation) fold(c *Connection, to int, bd *Breakdown, limit float64, n need) (*traffic.Flat, cutoff, error) {
 	walk := bd != nil
 	var env *traffic.Flat // the envelope leaving the last hop folded, unless walking
 	from := 0
@@ -371,12 +392,21 @@ func (ev *evaluation) fold(c *Connection, to int, bd *Breakdown, limit float64) 
 				ev.a.stats.Stage0Misses++
 				mCacheStage0Misses.Inc()
 			}
-			if m.known == 0 {
-				res, err := ev.theorem1(c, nil, c.Src.Ring, c.HS, c.HostBufferBits)
+			if walk && m.known == 0 && n == needVerdict && !c.Route.CrossesBackbone {
+				*bd = Breakdown{Constant: c.Route.ConstantDelay, Ports: bd.Ports[:0]}
+				if ev.boundHolds(c, nil, bd, limit) {
+					return nil, cutNone, nil
+				}
+			}
+			if m.known == 0 || (n == needBacklogs && math.IsNaN(m.buf)) {
+				res, err := ev.theorem1(c, nil, c.Src.Ring, c.HS, c.HostBufferBits, n == needBacklogs)
 				if err != nil {
 					return nil, cut, err
 				}
-				m.pre, m.mac, m.buf, m.known = res.Output, res.Delay, res.BufferBits, 1
+				if m.known == 0 {
+					m.pre, m.mac, m.known = res.Output, res.Delay, 1
+				}
+				m.buf = res.BufferBits
 				ev.memo[key] = m
 			}
 			if walk {
@@ -464,11 +494,14 @@ func (ev *evaluation) fold(c *Connection, to int, bd *Breakdown, limit float64) 
 			rec.remember(rk, hopResult{out: env})
 		default:
 			cut = cutDstMAC
-			in, _, err := ev.fold(c, k, nil, 0)
+			in, _, err := ev.fold(c, k, nil, 0, needDelays)
 			if err != nil {
 				return nil, cut, err
 			}
-			res, err := ev.theorem1(c, in, c.Dst.Ring, c.HR, c.IDBufferBits)
+			if n == needVerdict && ev.boundHolds(c, in, bd, limit) {
+				return nil, cutNone, nil
+			}
+			res, err := ev.theorem1(c, in, c.Dst.Ring, c.HR, c.IDBufferBits, n == needBacklogs)
 			if err != nil {
 				return nil, cut, err
 			}
@@ -522,7 +555,12 @@ func (ev *evaluation) enteringHit(c *Connection, k int) (*traffic.Flat, bool) {
 // into frames. The result is a pure function of (in, h) and the class, so it
 // is kept in the class's record under (in, h) and its error names no
 // connection; the sender's lookups are what CacheStats counts.
-func (ev *evaluation) theorem1(c *Connection, in *traffic.Flat, ring int, h, buffer float64) (fddi.MACResult, error) {
+//
+// The backlog F is computed only when backlog is set or the buffer bound
+// needs it for its verdict; otherwise it is NaN. An entry cached without F
+// that a report then asks for is filled in place: the analysis runs again
+// for F alone, and the entry keeps the envelope it caches beside the result.
+func (ev *evaluation) theorem1(c *Connection, in *traffic.Flat, ring int, h, buffer float64, backlog bool) (fddi.MACResult, error) {
 	rec, key := ev.recs[c], recKey{in: in, x: math.Float64bits(h)}
 	e, hit := rec.hops[key]
 	switch {
@@ -534,7 +572,8 @@ func (ev *evaluation) theorem1(c *Connection, in *traffic.Flat, ring int, h, buf
 		ev.a.stats.MACMisses++
 		mCacheMACMisses.Inc()
 	}
-	if hit {
+	refill := hit && e.err == nil && backlog && math.IsNaN(e.mac.BufferBits)
+	if hit && !refill {
 		return e.mac, e.err
 	}
 	input, side, cfg := c.Source, "sender", ev.a.net.RingConfig(ring)
@@ -556,13 +595,71 @@ func (ev *evaluation) theorem1(c *Connection, in *traffic.Flat, ring int, h, buf
 			}
 		}
 	}
-	res, err := fddi.AnalyzeMAC(input, fddi.MACParams{Ring: cfg, H: h, BufferBits: buffer}, ev.a.opts.MAC)
+	p := fddi.MACParams{Ring: cfg, H: h, BufferBits: buffer}
+	analyze := fddi.AnalyzeMACDelay
+	if backlog {
+		analyze = fddi.AnalyzeMAC
+	}
+	res, err := analyze(input, p, ev.a.opts.MAC)
 	if err != nil {
 		err = fmt.Errorf("%w: %s MAC: %v", errInfeasible, side, err)
 		res = fddi.MACResult{}
 	}
+	if refill && err == nil {
+		// The same input and allocation: the verdict and χ are the entry's.
+		e.mac.BufferBits = res.BufferBits
+		rec.hops[key] = e
+		return e.mac, nil
+	}
 	rec.remember(key, hopResult{mac: res, err: err})
 	return res, err
+}
+
+// boundHolds answers the last server of c's route in a verdict walk without
+// a scan, when it can: the receiver MAC (in, the envelope entering it,
+// non-nil), or the sender MAC of a same-ring route. It tries
+// fddi.DelayBound, the closed-form Theorem 1 bound, in the server's place in
+// bd, and reports true when the sum with the bound is within limit — by the
+// argument of bd.sum, the exact sum is then within limit too, so the verdict
+// is the scan's. It is tried only when the record holds no exact result for
+// the server (a cached χ is exact and costs nothing) and the server has no
+// buffer bound (whose verdict needs F). The receiver's bound reads σ and ρ
+// off in: the reassembly's rule needs only its inner's burst bound, which
+// the flat caches, so no reassembled envelope is lowered. On false bd is as
+// it was.
+func (ev *evaluation) boundHolds(c *Connection, in *traffic.Flat, bd *Breakdown, limit float64) bool {
+	ring, h, buffer, term := c.Src.Ring, c.HS, c.HostBufferBits, &bd.SrcMAC
+	var input traffic.Descriptor = c.Source
+	if in != nil {
+		ring, h, buffer, term = c.Dst.Ring, c.HR, c.IDBufferBits, &bd.DstMAC
+	}
+	if buffer > 0 {
+		return false
+	}
+	if _, hit := ev.recs[c].hops[recKey{in: in, x: math.Float64bits(h)}]; hit {
+		return false
+	}
+	cfg := ev.a.net.RingConfig(ring)
+	if in != nil {
+		reassembled, err := ifdev.ReceiverConversion(in, cfg.FrameBits(h), ev.a.net.Config().ID)
+		if err != nil {
+			return false
+		}
+		input = reassembled
+	}
+	bound, ok := fddi.DelayBound(input, fddi.MACParams{Ring: cfg, H: h})
+	if !ok {
+		return false
+	}
+	*term = bound
+	t := bd.sum()
+	if t > limit {
+		*term = 0
+		return false
+	}
+	bd.Total = t
+	mProbeBoundHolds.Inc()
+	return true
 }
 
 // sourceLowers reports c's source as invalid when traffic.Flatten has no rule
@@ -602,7 +699,7 @@ func (ev *evaluation) muxDelay(p topo.PortID) (float64, error) {
 			if q != p {
 				continue
 			}
-			env, _, err := ev.fold(m, stage+1, nil, 0)
+			env, _, err := ev.fold(m, stage+1, nil, 0, needDelays)
 			if err != nil {
 				if errors.Is(err, errInfeasible) {
 					// A member with an unbounded envelope floods the port:
@@ -698,17 +795,18 @@ func (ev *evaluation) totalDelay(c *Connection) (float64, error) {
 	if d, ok := ev.prefilledDelay[c.ID]; ok {
 		return d, nil
 	}
-	b, err := ev.breakdown(c)
+	b, err := ev.breakdown(c, needDelays)
 	if err != nil {
 		return 0, err
 	}
 	return b.Total, nil
 }
 
-// breakdown assembles the per-server decomposition.
-func (ev *evaluation) breakdown(c *Connection) (Breakdown, error) {
+// breakdown assembles the per-server decomposition, with the backlogs when n
+// is needBacklogs.
+func (ev *evaluation) breakdown(c *Connection, n need) (Breakdown, error) {
 	var bd Breakdown
-	if _, _, err := ev.fold(c, hops(c), &bd, math.Inf(1)); err != nil {
+	if _, _, err := ev.fold(c, hops(c), &bd, math.Inf(1), n); err != nil {
 		return Breakdown{}, err
 	}
 	return bd, nil

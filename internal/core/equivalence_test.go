@@ -340,14 +340,14 @@ func TestEnvelopeReloweredPastTheWindow(t *testing.T) {
 			if d <= flatHorizon {
 				t.Fatalf("port %v delays by %v, within the %v window: the scenario no longer reaches the branch", c.Route.Ports[1], d, flatHorizon)
 			}
-			up, _, err := ev.fold(c, 2, nil, 0)
+			up, _, err := ev.fold(c, 2, nil, 0, needDelays)
 			if err != nil {
 				t.Fatal(err)
 			}
 			if up.ShiftCap(d, net.PortCapacity(), flatHorizon, up.Tail()) != nil {
 				t.Fatalf("%s: the stage-1 window %v outlasts the port delay %v", c.ID, up.Horizon(), d)
 			}
-			env, _, err := ev.fold(c, 3, nil, 0)
+			env, _, err := ev.fold(c, 3, nil, 0, needDelays)
 			if err != nil {
 				t.Fatal(err)
 			}

@@ -53,6 +53,8 @@ var (
 		cutDstMAC: probeCutoffs("dst_mac"),
 		cutOther:  probeCutoffs("other_connection"),
 	}
+	mProbeBoundHolds = obs.Default.Counter("fafnet_cac_probe_bound_holds_total",
+		"Last-server MAC analyses of bisection probes answered by the closed-form Theorem 1 bound (chi <= (sigma/svc + 2)·TTRT) instead of a grid scan: the bound, in the server's place, kept the connection's delay sum within its deadline.")
 	mReleases = obs.Default.Counter("fafnet_cac_releases_total",
 		"Connections released (admitted connections torn down).")
 	mBookkeepingErrors = obs.Default.Counter("fafnet_cac_bookkeeping_errors_total",

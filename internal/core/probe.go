@@ -130,7 +130,7 @@ func (s *ProbeSession) Breakdown(id string) (Breakdown, error) {
 	if c == nil {
 		return Breakdown{}, fmt.Errorf("core: unknown connection %q", id)
 	}
-	return s.scratch.breakdown(c)
+	return s.scratch.breakdown(c, needBacklogs)
 }
 
 // Delays evaluates the network with the candidate at allocation (hs, hr),
@@ -199,7 +199,11 @@ func (s *ProbeSession) holds(ev *evaluation, c *Connection, ref map[string]float
 	}
 	d, ok := ev.prefilledDelay[c.ID]
 	if !ok {
-		_, cut, err := ev.fold(c, hops(c), &s.walked, limit)
+		n := needVerdict
+		if ref != nil {
+			n = needDelays // Eq. 31–32 compare the exact delays
+		}
+		_, cut, err := ev.fold(c, hops(c), &s.walked, limit, n)
 		if err != nil || cut != cutNone {
 			return cut
 		}

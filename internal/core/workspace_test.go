@@ -212,7 +212,7 @@ func TestWarmEvaluationRunsNoAnalysis(t *testing.T) {
 		var flats []*traffic.Flat
 		for _, c := range ev.ordered {
 			for stage := 0; stage <= len(c.Route.Ports); stage++ {
-				f, _, err := ev.fold(c, stage+1, nil, 0)
+				f, _, err := ev.fold(c, stage+1, nil, 0, needDelays)
 				if err != nil {
 					t.Fatal(err)
 				}

@@ -127,6 +127,21 @@ func (p MACParams) validate() error {
 // envelope (Eq. 12). A non-nil error means no finite delay bound exists for
 // this allocation (ErrOverload, ErrBufferOverflow, or ErrNoConvergence).
 func AnalyzeMAC(in traffic.Descriptor, p MACParams, opts Options) (MACResult, error) {
+	return analyzeMAC(in, p, opts, true)
+}
+
+// AnalyzeMACDelay is AnalyzeMAC for a caller that reads no backlog: F is
+// computed only when p.BufferBits bounds it, since the overflow verdict reads
+// it, and is NaN in the result otherwise. B, χ, the output envelope and the
+// error are AnalyzeMAC's, bit for bit: the delay scan reads the same grid
+// whether or not the backlog scan ran before it.
+func AnalyzeMACDelay(in traffic.Descriptor, p MACParams, opts Options) (MACResult, error) {
+	return analyzeMAC(in, p, opts, p.BufferBits > 0)
+}
+
+// analyzeMAC is Theorem 1, with the backlog scan run only when backlog is
+// set.
+func analyzeMAC(in traffic.Descriptor, p MACParams, opts Options, backlog bool) (MACResult, error) {
 	if in == nil {
 		return MACResult{}, errors.New("fddi: AnalyzeMAC requires an input descriptor")
 	}
@@ -156,18 +171,80 @@ func AnalyzeMAC(in traffic.Descriptor, p MACParams, opts Options) (MACResult, er
 		return MACResult{}, fmt.Errorf("%w: no busy-interval end within %d rotations", ErrNoConvergence, maxBusyRotations)
 	}
 
-	backlog, delay, scanEvals := scanMAC(opts.Workspace, in, p, busy, tGridPoints)
+	backlogBits, delay, scanEvals := scanMAC(opts.Workspace, in, p, busy, tGridPoints, backlog)
 	envelopeEvals += scanEvals
-	if p.BufferBits > 0 && backlog > p.BufferBits*(1+units.RelTol) {
+	if p.BufferBits > 0 && backlogBits > p.BufferBits*(1+units.RelTol) {
 		mMACInfeasible.Inc()
-		return MACResult{}, fmt.Errorf("%w: F=%v bits, S=%v bits", ErrBufferOverflow, backlog, p.BufferBits)
+		return MACResult{}, fmt.Errorf("%w: F=%v bits, S=%v bits", ErrBufferOverflow, backlogBits, p.BufferBits)
 	}
 
 	out, err := outputEnvelope(in, p, opts.Output, busy, delay)
 	if err != nil {
 		return MACResult{}, err
 	}
-	return MACResult{BusyInterval: busy, BufferBits: backlog, Delay: delay, Output: out}, nil
+	return MACResult{BusyInterval: busy, BufferBits: backlogBits, Delay: delay, Output: out}, nil
+}
+
+// boundPad is the relative padding of the closed-form bound's premise
+// A(t) <= σ + ρ·t. A computed envelope value exceeds the exact one by float
+// rounding (relative, of the order of 1e-16 per operation) and by the
+// relative snapping of units.FloorDiv, which evaluates a source at a point
+// up to units.RelTol·t later: an excess of at most a few RelTol on σ and on
+// ρ·t. Padding both by 1e-6 covers it a hundredfold, and moves the bound by
+// a millionth.
+const boundPad = 1e-6
+
+// DelayBound answers Theorem 1 for in and p in closed form, when it can:
+//
+//	χ <= (σ/svc + 2)·TTRT   when A(t) <= σ + ρ·t and ρ·TTRT < svc = H·BW.
+//
+// Every delay candidate of Eq. 11 is m(t)·TTRT − t with
+// m(t) = ⌈A(t)/svc⌉ + 1 < A(t)/svc + 2, so it is below
+// (σ/svc + 2)·TTRT − t·(1 − ρ·TTRT/svc), which the stability margin keeps
+// at most (σ/svc + 2)·TTRT. σ is traffic.BurstBound(in) and ρ its long-term
+// rate, both padded by boundPad.
+//
+// ok reports that AnalyzeMAC(in, p, ·) returns no error and a χ of at most
+// bound: p is valid and sets no buffer bound (the overflow verdict needs F,
+// which only the scan computes), the padded rate passes the overload test
+// with room to spare, and the busy interval provably ends within
+// maxBusyRotations — the line σ + ρ·t meets the service (k−1)·svc by
+// rotation (σ + svc)/(svc − ρ·TTRT), and the busy-interval search stops at
+// the first rotation where the envelope does. Otherwise ok is false and
+// nothing is claimed: the bound never stands in for a result of the scan,
+// only for the verdict "χ fits".
+func DelayBound(in traffic.Descriptor, p MACParams) (bound float64, ok bool) {
+	if in == nil || p.BufferBits > 0 || p.validate() != nil {
+		return 0, false
+	}
+	sigma, rho := paddedLine(in)
+	return closedFormBound(sigma, rho, p.ServiceBitsPerRotation(), p.Ring.TTRT)
+}
+
+// paddedLine returns the line σ + ρ·t DelayBound stands on: in's burst bound
+// and long-term rate, each padded by boundPad, so that every computed
+// envelope value is under it.
+//
+//fafvet:hotpath
+func paddedLine(in traffic.Descriptor) (sigma, rho float64) {
+	return traffic.BurstBound(in) * (1 + boundPad), in.LongTermRate() * (1 + boundPad)
+}
+
+// closedFormBound is DelayBound's arithmetic on the padded line, svc and
+// TTRT.
+//
+//fafvet:hotpath
+func closedFormBound(sigma, rho, svc, ttrt float64) (float64, bool) {
+	margin := svc - rho*ttrt
+	if math.IsInf(sigma, 0) || math.IsNaN(sigma) || !(margin > 0) {
+		return 0, false
+	}
+	// The rotation by which the busy interval has ended, rounded up, plus one
+	// for the rounding of the quotient.
+	if k := math.Ceil((sigma+svc)/margin) + 1; k > maxBusyRotations {
+		return 0, false
+	}
+	return (sigma/svc + 2) * ttrt, true
 }
 
 // outputEnvelope builds Γ'(I) = min(BW, Υ(I)) per the selected bound.

@@ -73,6 +73,53 @@ func TestAnalyzeMACOverload(t *testing.T) {
 	}
 }
 
+// TestAnalyzeMACNoConvergence runs one source at two allocations on either
+// side of the busy-interval cut (maxBusyRotations): a busy interval past it
+// is ErrNoConvergence, one just inside is a finite result. The closed-form
+// bound reaches the same verdict on both sides: it declines past the cut,
+// and inside it answers with a bound the scan's χ does not exceed. For
+// A(t) = σ + ρ·t the busy interval ends at the first rotation k with
+// σ + ρ·k·TTRT <= (k−1)·H·BW, so the allocation for a busy interval of k
+// rotations is H·BW = ρ·TTRT + (σ + ρ·TTRT)/(k − 1).
+func TestAnalyzeMACNoConvergence(t *testing.T) {
+	ring := testRing()
+	in, err := traffic.NewLeakyBucket(1e6, 10e6, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	alloc := func(rotations float64) float64 {
+		rt := in.Rho * ring.TTRT
+		return (rt + (in.Sigma+rt)/(rotations-1)) / ring.BandwidthBps
+	}
+
+	past := MACParams{Ring: ring, H: alloc(maxBusyRotations + 100)}
+	if _, err := AnalyzeMAC(in, past, Options{}); !errors.Is(err, ErrNoConvergence) {
+		t.Errorf("busy interval past the cut: err = %v, want ErrNoConvergence", err)
+	}
+	if b, ok := DelayBound(in, past); ok {
+		t.Errorf("busy interval past the cut: the bound answered %v, want no answer", b)
+	}
+
+	inside := MACParams{Ring: ring, H: alloc(maxBusyRotations - 100)}
+	res, err := AnalyzeMAC(in, inside, Options{})
+	if err != nil {
+		t.Fatalf("busy interval just inside the cut: %v", err)
+	}
+	if rot := res.BusyInterval / ring.TTRT; rot < maxBusyRotations-200 || rot > maxBusyRotations {
+		t.Errorf("busy interval of %v rotations, want just inside %d", rot, maxBusyRotations)
+	}
+	if math.IsInf(res.Delay, 0) || res.Delay <= 0 {
+		t.Errorf("delay %v, want finite and positive", res.Delay)
+	}
+	b, ok := DelayBound(in, inside)
+	if !ok {
+		t.Fatal("busy interval just inside the cut: the bound gave no answer")
+	}
+	if res.Delay > b {
+		t.Errorf("chi = %v exceeds the closed-form bound %v", res.Delay, b)
+	}
+}
+
 func TestAnalyzeMACBufferOverflow(t *testing.T) {
 	in := mustPeriodic(t, 1e5, 0.010, 100e6)
 	// Worst-case backlog is 200 kbit (see closed-form test); a 100 kbit

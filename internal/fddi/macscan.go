@@ -46,14 +46,16 @@ func busyInterval(in traffic.Descriptor, svc, ttrt float64, maxRot int) (busy fl
 // assembles the candidate grid — the input envelope's own vertices plus the
 // avail steps at multiples of TTRT, each bracketed, plus the t→0⁺ point (a
 // burst at the very start of the busy interval waits the full worst-case
-// token latency) — and returns the worst-case backlog F (Eq. 10), the
-// worst-case delay χ (Eq. 11) and the number of envelope evaluations spent.
+// token latency) — and returns the worst-case backlog F (Eq. 10, NaN unless
+// backlog is set), the worst-case delay χ (Eq. 11) and the number of envelope
+// evaluations spent. χ does not depend on whether the backlog scan ran: the
+// two scans share only the memo of envelope values.
 // Grid, multiples and memo table live in workspace buffers for the duration
 // of the call, so on a warmed workspace the scans allocate nothing. Points
 // beyond the window of a lowered input evaluate through its exact tail chain:
 // the scans visit a few hundred of the grid's points, far too few to pay for
 // lowering the envelope out to the busy interval first.
-func scanMAC(ws *traffic.Workspace, in traffic.Descriptor, p MACParams, busy float64, gridPoints int) (backlog, delay float64, evals int) {
+func scanMAC(ws *traffic.Workspace, in traffic.Descriptor, p MACParams, busy float64, gridPoints int, backlog bool) (backlogBits, delay float64, evals int) {
 	ttrt := p.Ring.TTRT
 	mult := appendMultiples(ws.Get(multiplesLen(ttrt, busy)), ttrt, busy)
 	zeroPlus := [1]float64{traffic.GridNudge}
@@ -65,11 +67,14 @@ func scanMAC(ws *traffic.Workspace, in traffic.Descriptor, p MACParams, busy flo
 		vals[i] = unevaluated
 	}
 	scan := macScan{in: in, p: p, svc: p.ServiceBitsPerRotation(), ttrt: ttrt, grid: grid, vals: vals}
-	backlog = scan.maxBacklog()
+	backlogBits = math.NaN()
+	if backlog {
+		backlogBits = scan.maxBacklog()
+	}
 	delay = scan.maxDelay()
 	ws.Put(vals)
 	ws.Put(grid)
-	return backlog, delay, scan.evals
+	return backlogBits, delay, scan.evals
 }
 
 // macScan is the evaluation state of Theorem 1's extremum scans over one

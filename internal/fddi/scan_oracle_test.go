@@ -2,6 +2,7 @@ package fddi
 
 import (
 	"fmt"
+	"math"
 	"testing"
 
 	"fafnet/internal/traffic"
@@ -38,7 +39,8 @@ func exhaustiveScanMAC(in traffic.Descriptor, p MACParams, busy float64, gridPoi
 // busy interval to one of more than 500 rotations with the allocation within
 // 0.5 % of the stability limit. parentEvals pins the envelope evaluations the
 // unpruned splitting spent on the same case (measured at the parent commit):
-// the pruning may only lower them.
+// the pruning may only lower them. The scan without the backlog (what a
+// caller that reads no F runs) must give the same χ, bit for bit, and no F.
 func TestScanMACMatchesExhaustiveScan(t *testing.T) {
 	chain, flat, deep := deepInput(t)
 	ring := deep.Ring
@@ -66,13 +68,17 @@ func TestScanMACMatchesExhaustiveScan(t *testing.T) {
 					t.Fatalf("busy interval of %v rotations, want at least %v: the case exercises nothing", busy/ring.TTRT, c.minRot)
 				}
 				var ws traffic.Workspace
-				gotF, gotChi, evals := scanMAC(&ws, in, p, busy, tGridPoints)
+				gotF, gotChi, evals := scanMAC(&ws, in, p, busy, tGridPoints, true)
 				wantF, wantChi, all := exhaustiveScanMAC(in, p, busy, 160)
 				if gotF != wantF {
 					t.Errorf("F = %v, exhaustive scan %v", gotF, wantF)
 				}
 				if gotChi != wantChi {
 					t.Errorf("chi = %v, exhaustive scan %v", gotChi, wantChi)
+				}
+				noF, chi, _ := scanMAC(&ws, in, p, busy, tGridPoints, false)
+				if chi != gotChi || !math.IsNaN(noF) {
+					t.Errorf("without the backlog scan: chi = %v, F = %v; with it chi = %v", chi, noF, gotChi)
 				}
 				t.Logf("busy %.0f rotations, grid %d points, evals %d (parent %d)", busy/ring.TTRT, all, evals, c.parentEvals[k])
 				if evals > c.parentEvals[k] {

@@ -77,7 +77,7 @@ func TestScanMACAllocationFree(t *testing.T) {
 			if !ok {
 				t.Fatal("no busy interval")
 			}
-			run := func() { scanMAC(&ws, in, p, busy, tGridPoints) }
+			run := func() { scanMAC(&ws, in, p, busy, tGridPoints, true) }
 			run()
 			if avg := testing.AllocsPerRun(20, run); avg != 0 {
 				t.Errorf("scanMAC over %T at B=%v allocates %v times per run on a warmed workspace", in, busy, avg)

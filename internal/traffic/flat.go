@@ -54,6 +54,10 @@ type Flat struct {
 	// a binary-searched prefix.
 	bp  []float64
 	bpH float64
+
+	// burst caches BurstBound of the tail once burstOK is set.
+	burst   float64
+	burstOK bool
 }
 
 var _ Descriptor = (*Flat)(nil)
@@ -875,4 +879,5 @@ func mergeLinear(dst, a, b *Flat) {
 	dst.hint = 0
 	dst.bp = nil
 	dst.bpH = 0
+	dst.burstOK = false
 }
