@@ -7,21 +7,8 @@
 //	fafsim -experiment beta  [-requests 400] [-seed 1] [-plot]
 //	fafsim -experiment load  [-requests 400] [-seed 1] [-plot]
 //	fafsim -experiment ablation [-beta 0.5]
-//	fafsim -experiment daemon -daemon-addr 127.0.0.1:7447 [-requests 40] [-seed 1]
-//	fafsim -experiment daemon -daemon-mode closed -daemon-addr ... -workers 8 -requests 1000000
-//	fafsim -experiment daemon -daemon-mode open -daemon-addr ... -workers 8 -rate 50000 -duration 30s
-//
-// The daemon experiment drives a live fafcacd over the signaling protocol
-// (through the retrying client) instead of an in-process controller, and
-// releases everything it admitted before exiting. -daemon-mode selects the
-// driver: legacy (default) is the original single-worker smoke; closed runs
-// -workers workers flat out until -requests decisions or -duration elapses;
-// open paces arrivals at -rate decisions/sec split across workers and
-// charges latency from each request's scheduled start. Both load modes
-// exclude a -daemon-warmup window from statistics and, with -daemon-metrics
-// pointing at the daemon's /metrics endpoint, also report server-side admit
-// latency quantiles from histogram bucket deltas over the window (E7 in
-// EXPERIMENTS.md).
+//	fafsim -experiment reasons [-utils 0.9]
+//	fafsim -calibrate [-scenarios 100] [-seed 1]
 //
 // Output is a tab-separated table (one row per swept point, one column per
 // series), optionally followed by an ASCII chart.
@@ -36,7 +23,6 @@ import (
 	"runtime/pprof"
 	"strconv"
 	"strings"
-	"time"
 
 	"fafnet/internal/core"
 	"fafnet/internal/obs"
@@ -46,21 +32,11 @@ import (
 
 func main() {
 	var (
-		experiment = flag.String("experiment", "beta", "beta (Figure 7), load (Figure 8), ablation (E4), reasons, or daemon")
-		daemonAddr = flag.String("daemon-addr", "", "fafcacd address for the daemon experiment")
-		daemonMode = flag.String("daemon-mode", "legacy", "daemon driver: legacy, closed (closed-loop load), or open (paced arrivals)")
-		workers    = flag.Int("workers", 4, "concurrent load workers for -daemon-mode closed/open")
-		duration   = flag.Duration("duration", 0, "measurement window for -daemon-mode closed/open (0 = until -requests)")
-		loadWarmup = flag.Duration("daemon-warmup", time.Second, "warmup excluded from load statistics in -daemon-mode closed/open")
-		rate       = flag.Float64("rate", 0, "aggregate arrivals/sec for -daemon-mode open")
-		prevFrac   = flag.Float64("preview-frac", 0, "fraction of load decisions issued as cache-friendly previews (0 = pure admit/release churn)")
-		prefill    = flag.Int("prefill", 0, "standing connections each load worker admits and holds before measuring")
-		batchSize  = flag.Int("batch", 1, "previews per round trip (previewBatch op) in the load modes")
-		daemonMet  = flag.String("daemon-metrics", "", "fafcacd /metrics URL to scrape for server-side latency over the window")
+		experiment = flag.String("experiment", "beta", "beta (Figure 7), load (Figure 8), ablation (E4), or reasons")
 		calibrate  = flag.Bool("calibrate", false, "run the calibration sweep (E11) instead of an -experiment")
 		scenarios  = flag.Int("scenarios", 100, "randomized scenarios in the -calibrate sweep")
 		requests   = flag.Int("requests", 400, "admission requests counted per point")
-		warmup     = flag.Int("warmup", 50, "requests excluded from statistics")
+		warmup     = flag.Int("warmup", 50, "requests excluded from statistics (0 = none)")
 		seed       = flag.Int64("seed", 1, "base random seed")
 		beta       = flag.Float64("beta", 0.5, "beta for the ablation experiment")
 		destBias   = flag.Float64("dest-bias", 0, "probability a request targets the hot ring 0 (asymmetric load)")
@@ -82,13 +58,7 @@ func main() {
 		os.Exit(1)
 	}
 
-	base := sim.Config{
-		Requests: *requests,
-		Warmup:   *warmup,
-		Seed:     *seed,
-		DestBias: *destBias,
-		CAC:      core.Options{SearchIters: *searchIter},
-	}
+	base := baseConfig(*requests, *warmup, *seed, *destBias, *searchIter)
 
 	// -calibrate is a mode of its own, not an -experiment value, so the two
 	// flags cannot silently shadow each other.
@@ -107,37 +77,8 @@ func main() {
 		err = runAblation(base, *utilsFlag, *beta, *doPlot)
 	case "reasons":
 		err = runReasons(base, *utilsFlag, *betasFlag)
-	case "daemon":
-		switch *daemonMode {
-		case "", "legacy":
-			err = runDaemon(*daemonAddr, *requests, *seed)
-		case "closed", "open":
-			// -requests defaults to 400 for the sweep experiments; a
-			// duration-bounded load run should not inherit that as a
-			// decision target unless the flag was set explicitly.
-			reqTarget := *requests
-			if *duration > 0 && !flagWasSet("requests") {
-				reqTarget = 0
-			}
-			err = runDaemonLoad(loadConfig{
-				Addr:        *daemonAddr,
-				Mode:        *daemonMode,
-				Workers:     *workers,
-				Requests:    reqTarget,
-				Duration:    *duration,
-				Warmup:      *loadWarmup,
-				Rate:        *rate,
-				Seed:        *seed,
-				PreviewFrac: *prevFrac,
-				Prefill:     *prefill,
-				Batch:       *batchSize,
-				MetricsURL:  *daemonMet,
-			})
-		default:
-			err = fmt.Errorf("unknown -daemon-mode %q (want legacy, closed, or open)", *daemonMode)
-		}
 	default:
-		err = fmt.Errorf("unknown experiment %q (want beta, load, ablation, reasons, or daemon)", *experiment)
+		err = fmt.Errorf("unknown experiment %q (want beta, load, ablation, or reasons)", *experiment)
 	}
 	// Flush profiles explicitly: os.Exit skips deferred calls, and a run that
 	// fails half-way is exactly the one worth profiling.
@@ -155,16 +96,19 @@ func main() {
 	}
 }
 
-// flagWasSet reports whether the named flag appeared on the command line
-// (as opposed to holding its default value).
-func flagWasSet(name string) bool {
-	set := false
-	flag.Visit(func(f *flag.Flag) {
-		if f.Name == name {
-			set = true
-		}
-	})
-	return set
+// baseConfig is the simulation every experiment sweeps from. sim.Config
+// reads a zero Warmup as its default of 50; -warmup 0 asks for none.
+func baseConfig(requests, warmup int, seed int64, destBias float64, searchIters int) sim.Config {
+	if warmup <= 0 {
+		warmup = -1
+	}
+	return sim.Config{
+		Requests: requests,
+		Warmup:   warmup,
+		Seed:     seed,
+		DestBias: destBias,
+		CAC:      core.Options{SearchIters: searchIters},
+	}
 }
 
 // startProfiles begins CPU profiling and/or arranges a heap snapshot, as

@@ -4,9 +4,11 @@ import (
 	"encoding/csv"
 	"os"
 	"path/filepath"
+	"reflect"
 	"strings"
 	"testing"
 
+	"fafnet/internal/core"
 	"fafnet/internal/sim"
 )
 
@@ -96,7 +98,29 @@ func TestRunBetaSmall(t *testing.T) {
 	if err := runAblation(base, "0.4", 0.5, false); err != nil {
 		t.Fatal(err)
 	}
+	if err := runCalibrate(3, 1, 12); err != nil {
+		t.Fatal(err)
+	}
 	if err := runBeta(base, "bogus", "", false); err == nil {
 		t.Error("bad utils list should error")
+	}
+}
+
+// TestWarmupZeroMeansNone pins -warmup 0 to no warm-up requests: sim.Config
+// reads a zero Warmup as its default of 50, so the flag's 0 must not reach it
+// unchanged.
+func TestWarmupZeroMeansNone(t *testing.T) {
+	cfg := baseConfig(30, 0, 1, 0, 12)
+	cfg.Utilization = 0.6
+	got, err := sim.Run(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want, err := sim.Run(sim.Config{Requests: 30, Warmup: -1, Seed: 1, Utilization: 0.6, CAC: core.Options{SearchIters: 12}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !reflect.DeepEqual(got, want) {
+		t.Errorf("-warmup 0 ran\n%+v\nwant the no-warm-up run\n%+v", got, want)
 	}
 }

@@ -14,32 +14,19 @@ import (
 // immutable snapshot and commits by publishing its successor, and the
 // tests' serial oracle runs the same function against a plain map.
 
-// decideAgainst runs steps 1–5 of the admission algorithm — availability
-// floor (Eq. 26–27), feasibility at the segment maximum, the
-// (H^min_need, H^max_need) binary searches, and the β interpolation
-// (Eq. 35–36) — against a fixed view of the world: the standing connections
-// (sorted by id, candidate excluded) and the per-ring available synchronous
-// bandwidth. It commits nothing. On an admit verdict the returned Decision
-// has Admitted, Reason, HS, HR, Delays, and Stages populated and the
-// returned candidate carries the route; the caller is responsible for
-// charging the rings and recording the connection (or discarding both, for
-// previews). A non-nil error is an analysis failure, not a rejection.
-func decideAgainst(an *Analyzer, opts Options, standing []*Connection, avail func(ring int) float64, spec ConnSpec, route topo.Route) (Decision, *Connection, error) {
+// decideAgainst runs steps 2–5 of the admission algorithm — feasibility at
+// the segment maximum, the (H^min_need, H^max_need) binary searches, and the
+// β interpolation (Eq. 35–36) — against a fixed view of the world: the
+// standing connections (sorted by id, candidate excluded) and dec, which
+// carries the per-ring available synchronous bandwidth (Eq. 26–27) of a
+// candidate that has already passed the availability floor (steps 1–2). It
+// commits nothing. On an admit verdict the returned Decision has Admitted,
+// Reason, HS, HR, Delays, and Stages populated and the returned candidate
+// carries the route; the caller is responsible for charging the rings and
+// recording the connection (or discarding both, for previews). A non-nil
+// error is an analysis failure, not a rejection.
+func decideAgainst(an *Analyzer, opts Options, standing []*Connection, dec Decision, spec ConnSpec, route topo.Route) (Decision, *Connection, error) {
 	cand := &Connection{ConnSpec: spec, Route: route}
-	dec := Decision{
-		HSMaxAvail: avail(spec.Src.Ring),
-	}
-	if route.CrossesBackbone {
-		dec.HRMaxAvail = avail(spec.Dst.Ring)
-	}
-
-	// Step 1–2: availability floor.
-	if dec.HSMaxAvail < opts.HMinAbs ||
-		(route.CrossesBackbone && dec.HRMaxAvail < opts.HMinAbs) {
-		dec.Reason = ReasonNoBandwidth
-		return dec, cand, nil
-	}
-
 	seg := searchSegment(opts, route, dec.HSMaxAvail, dec.HRMaxAvail)
 
 	// The probe session reuses every analysis result the candidate's

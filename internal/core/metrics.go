@@ -85,9 +85,9 @@ var (
 	mShardPessimisticCommits = obs.Default.Counter("fafnet_shard_pessimistic_commits_total",
 		"Decisions that fell back to deciding under the commit lock after exhausting optimistic retries.")
 	gShardUtilMax = obs.Default.Gauge("fafnet_shard_allocated_fraction_max",
-		"Highest committed synchronous-bandwidth fraction across ring shards.")
+		"Highest committed synchronous-bandwidth fraction across the rings, read from the published snapshot.")
 	gShardImbalance = obs.Default.Gauge("fafnet_shard_imbalance",
-		"Spread between the most and least loaded ring shards (allocated-fraction max minus min).")
+		"Spread between the most and least loaded rings (allocated-fraction max minus min).")
 
 	mFlatLowerings = obs.Default.Counter("fafnet_cac_flat_lowerings_total",
 		"Descriptor chains lowered into flat breakpoint arrays: stage-0 envelopes, receiver-side conversions, and later stages lowered afresh because a port delay used up the upstream window.")

@@ -66,8 +66,16 @@ func (o *serialOracle) decide(spec ConnSpec, commit bool) (Decision, error) {
 	if err != nil {
 		return Decision{Reason: ReasonInvalidTarget}, nil
 	}
-	avail := func(ring int) float64 { return o.rings[ring].Available() }
-	dec, cand, err := decideAgainst(o.analyzer, o.opts, o.connections(), avail, spec, route)
+	dec := Decision{HSMaxAvail: o.rings[spec.Src.Ring].Available()}
+	if route.CrossesBackbone {
+		dec.HRMaxAvail = o.rings[spec.Dst.Ring].Available()
+	}
+	if dec.HSMaxAvail < o.opts.HMinAbs ||
+		(route.CrossesBackbone && dec.HRMaxAvail < o.opts.HMinAbs) {
+		dec.Reason = ReasonNoBandwidth
+		return dec, nil
+	}
+	dec, cand, err := decideAgainst(o.analyzer, o.opts, o.connections(), dec, spec, route)
 	if err != nil {
 		return Decision{}, err
 	}

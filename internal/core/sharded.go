@@ -270,7 +270,7 @@ func (p *Sharded) decide(spec ConnSpec, commit bool, record func(Decision, error
 		if err != nil || reject {
 			return dec, false, err
 		}
-		dec, cand, err := p.analyze(snap, spec, route)
+		dec, cand, err := p.analyze(snap, dec, spec, route)
 		if err != nil {
 			return Decision{}, false, err
 		}
@@ -289,7 +289,10 @@ func (p *Sharded) decide(spec ConnSpec, commit bool, record func(Decision, error
 
 // preflight runs the cheap rejection gates against a snapshot: duplicate
 // id, busy source host, availability floor. These are the fast paths a
-// high-churn workload mostly exercises; none of them needs an analyzer.
+// high-churn workload mostly exercises; none of them needs an analyzer. It is
+// the one place the H^min_abs floor (Eq. 26–27) is applied: a candidate that
+// passes gets back the Decision carrying its availabilities, which
+// decideAgainst starts from.
 func preflight(snap *snapState, opts Options, spec ConnSpec, route topo.Route) (Decision, bool, error) {
 	if _, dup := snap.byID[spec.ID]; dup {
 		return Decision{}, true, fmt.Errorf("core: connection %q already admitted", spec.ID)
@@ -312,11 +315,11 @@ func preflight(snap *snapState, opts Options, spec ConnSpec, route topo.Route) (
 // analyze resolves the expensive part of one decision: verdict cache
 // lookup, single-flight coordination, and on a miss the full probe-based
 // algorithm on a pooled analyzer.
-func (p *Sharded) analyze(snap *snapState, spec ConnSpec, route topo.Route) (Decision, *Connection, error) {
+func (p *Sharded) analyze(snap *snapState, dec Decision, spec ConnSpec, route topo.Route) (Decision, *Connection, error) {
 	key, usable := verdictKeyFor(snap, spec)
 	if !usable {
 		mVerdictSkips.Inc()
-		return p.analyzeMiss(snap, spec, route)
+		return p.analyzeMiss(snap, dec, spec, route)
 	}
 	p.cacheMu.Lock()
 	if e, ok := p.cache[key]; ok {
@@ -324,14 +327,14 @@ func (p *Sharded) analyze(snap *snapState, spec ConnSpec, route topo.Route) (Dec
 		<-e.done
 		if e.err == nil {
 			mVerdictHits.Inc()
-			dec := e.dec
+			dec = e.dec
 			if dec.Admitted {
 				dec.Delays = map[string]float64{spec.ID: e.candDelay}
 			}
 			return dec, &Connection{ConnSpec: spec, Route: route}, nil
 		}
 		// The leader's analysis failed; fall through and compute fresh.
-		return p.analyzeMiss(snap, spec, route)
+		return p.analyzeMiss(snap, dec, spec, route)
 	}
 	e := &verdictEntry{done: make(chan struct{})}
 	if len(p.cache) >= verdictCacheCap {
@@ -340,7 +343,7 @@ func (p *Sharded) analyze(snap *snapState, spec ConnSpec, route topo.Route) (Dec
 	p.cache[key] = e
 	p.cacheMu.Unlock()
 
-	dec, cand, err := p.analyzeMiss(snap, spec, route)
+	dec, cand, err := p.analyzeMiss(snap, dec, spec, route)
 	e.dec = dec
 	e.dec.Delays = nil
 	e.dec.Probes = 0
@@ -390,17 +393,16 @@ func (p *Sharded) evictLocked() {
 
 // analyzeMiss runs the full CAC algorithm on a pooled analyzer against the
 // snapshot's admitted set and committed availabilities.
-func (p *Sharded) analyzeMiss(snap *snapState, spec ConnSpec, route topo.Route) (Decision, *Connection, error) {
+func (p *Sharded) analyzeMiss(snap *snapState, dec Decision, spec ConnSpec, route topo.Route) (Decision, *Connection, error) {
 	an := p.acquireLane()
 	defer p.releaseLane(an)
-	return p.analyzeOn(an, snap, spec, route)
+	return p.analyzeOn(an, snap, dec, spec, route)
 }
 
 // analyzeOn is analyzeMiss on an already-held lane.
-func (p *Sharded) analyzeOn(an *Analyzer, snap *snapState, spec ConnSpec, route topo.Route) (Decision, *Connection, error) {
+func (p *Sharded) analyzeOn(an *Analyzer, snap *snapState, dec Decision, spec ConnSpec, route topo.Route) (Decision, *Connection, error) {
 	before := an.stats
-	avail := func(ring int) float64 { return snap.avail[ring] }
-	dec, cand, err := decideAgainst(an, p.opts, snap.conns, avail, spec, route)
+	dec, cand, err := decideAgainst(an, p.opts, snap.conns, dec, spec, route)
 	dec.Cache = an.stats.Sub(before)
 	return dec, cand, err
 }
@@ -455,7 +457,7 @@ func (p *Sharded) decidePessimistic(spec ConnSpec, route topo.Route, commit bool
 	if err != nil || reject {
 		return dec, false, err
 	}
-	dec, cand, err := p.analyzeOn(an, snap, spec, route)
+	dec, cand, err := p.analyzeOn(an, snap, dec, spec, route)
 	if err != nil {
 		return Decision{}, false, err
 	}

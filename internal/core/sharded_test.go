@@ -4,8 +4,12 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
+	"runtime"
+	"strings"
 	"sync"
+	"sync/atomic"
 	"testing"
+	"time"
 
 	"fafnet/internal/topo"
 	"fafnet/internal/traffic"
@@ -102,7 +106,8 @@ func runShardedEquivalence(t *testing.T, lanes int) {
 				if wantErr != nil {
 					continue
 				}
-				compareDecisions(t, sc, op, spec.ID, want, got)
+				compareDecisions(t, fmt.Sprintf("scenario %d op %d (%s)", sc, op, spec.ID),
+					want, got, want.Delays[spec.ID], got.Delays[spec.ID])
 				if want.Admitted {
 					admitted = append(admitted, spec.ID)
 				}
@@ -124,7 +129,8 @@ func runShardedEquivalence(t *testing.T, lanes int) {
 						sc, op, spec.ID, wantErr, gotErr)
 				}
 				if wantErr == nil {
-					compareDecisions(t, sc, op, spec.ID, want, got)
+					compareDecisions(t, fmt.Sprintf("scenario %d op %d (%s)", sc, op, spec.ID),
+						want, got, want.Delays[spec.ID], got.Delays[spec.ID])
 				}
 			default: // release (sometimes of an id that was never admitted)
 				id := fmt.Sprintf("e%dabsent%d", sc, op)
@@ -174,14 +180,14 @@ func runShardedEquivalence(t *testing.T, lanes int) {
 
 // compareDecisions checks the fields the oracle and the pipeline must agree
 // on: verdict, reason, the allocation with its need bounds and
-// availabilities, and the candidate's own delay. The standing connections'
-// delays and the probe/cache counts are excluded by design: a verdict-cache
+// availabilities, and the candidate's own delay (each side's entry for its
+// own candidate). The standing connections' delays and the probe/cache counts are excluded by design: a verdict-cache
 // hit returns only the candidate's delay and zero probes.
-func compareDecisions(t *testing.T, sc, op int, id string, want, got Decision) {
+func compareDecisions(t *testing.T, where string, want, got Decision, wantDelay, gotDelay float64) {
 	t.Helper()
 	if want.Admitted != got.Admitted || want.Reason != got.Reason {
-		t.Fatalf("scenario %d op %d (%s): verdict diverged: serialized %v/%q, sharded %v/%q",
-			sc, op, id, want.Admitted, want.Reason, got.Admitted, got.Reason)
+		t.Fatalf("%s: verdict diverged: want %v/%q, got %v/%q",
+			where, want.Admitted, want.Reason, got.Admitted, got.Reason)
 	}
 	for _, f := range []struct {
 		name      string
@@ -191,11 +197,70 @@ func compareDecisions(t *testing.T, sc, op int, id string, want, got Decision) {
 		{"HSMinNeed", want.HSMinNeed, got.HSMinNeed}, {"HRMinNeed", want.HRMinNeed, got.HRMinNeed},
 		{"HSMaxNeed", want.HSMaxNeed, got.HSMaxNeed}, {"HRMaxNeed", want.HRMaxNeed, got.HRMaxNeed},
 		{"HSMaxAvail", want.HSMaxAvail, got.HSMaxAvail}, {"HRMaxAvail", want.HRMaxAvail, got.HRMaxAvail},
-		{"delay", want.Delays[id], got.Delays[id]},
+		{"delay", wantDelay, gotDelay},
 	} {
 		if !sameFloatBits(f.want, f.got) {
-			t.Fatalf("scenario %d op %d (%s): %s diverged: serialized %v, sharded %v",
-				sc, op, id, f.name, f.want, f.got)
+			t.Fatalf("%s: %s diverged: want %v, got %v",
+				where, f.name, f.want, f.got)
+		}
+	}
+}
+
+// TestShardedAvailabilityFloor pins the H^min_abs floor (Eq. 26–27), which
+// preflight alone applies: a candidate whose sender ring, or for a route
+// across the backbone whose receiver ring, has less than H^min_abs available
+// is rejected with ReasonNoBandwidth before any probe, and the oracle, which
+// applies the floor inline, agrees bit for bit.
+func TestShardedAvailabilityFloor(t *testing.T) {
+	net := defaultNet(t)
+	probe, err := NewSharded(net, Options{}, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	_, full := probe.RingLedger(1)
+	// The first admit takes at least the floor from rings 1 and 2, leaving
+	// each below it.
+	opts := Options{HMinAbs: 0.55 * full}
+	pipe, err := NewSharded(net, opts, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ctl := newSerialOracle(t, net, opts)
+	mk := func(id string, src, dst topo.HostID) ConnSpec {
+		d, err := traffic.NewDualPeriodic(50e3, 0.010, 10e3, 0.001, 100e6)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return ConnSpec{ID: id, Src: src, Dst: dst, Source: d, Deadline: 0.060}
+	}
+	for _, step := range []struct {
+		spec   ConnSpec
+		commit bool
+		reason string
+	}{
+		{mk("occupant", topo.HostID{Ring: 1}, topo.HostID{Ring: 2}), true, ReasonAdmitted},
+		{mk("sender-floor", topo.HostID{Ring: 1, Index: 1}, topo.HostID{Ring: 0, Index: 1}), false, ReasonNoBandwidth},
+		{mk("receiver-floor", topo.HostID{Ring: 0, Index: 1}, topo.HostID{Ring: 1, Index: 1}), false, ReasonNoBandwidth},
+	} {
+		want, err := ctl.decide(step.spec, step.commit)
+		if err != nil {
+			t.Fatal(err)
+		}
+		decide := pipe.PreviewAdmission
+		if step.commit {
+			decide = pipe.RequestAdmission
+		}
+		got, err := decide(step.spec)
+		if err != nil {
+			t.Fatal(err)
+		}
+		id := step.spec.ID
+		compareDecisions(t, id, want, got, want.Delays[id], got.Delays[id])
+		if got.Reason != step.reason {
+			t.Fatalf("%s: reason %q, want %q", id, got.Reason, step.reason)
+		}
+		if step.reason == ReasonNoBandwidth && got.Probes != 0 {
+			t.Fatalf("%s: %d probes ran behind the floor", id, got.Probes)
 		}
 	}
 }
@@ -203,7 +268,9 @@ func compareDecisions(t *testing.T, sc, op int, id string, want, got Decision) {
 // TestShardedVerdictCacheRecurrence pins the cache's reason for existing:
 // repeating a decision problem — same admitted multiset, same candidate
 // class — must hit, and a release that returns the state hash to a previous
-// value must let earlier verdicts hit again.
+// value must let earlier verdicts hit again. Concurrent misses on one key
+// must share a single analysis: the followers wait for the leader's entry
+// and read its outcome.
 func TestShardedVerdictCacheRecurrence(t *testing.T) {
 	net := defaultNet(t)
 	pipe, err := NewSharded(net, Options{}, 1)
@@ -257,6 +324,99 @@ func TestShardedVerdictCacheRecurrence(t *testing.T) {
 	if got := mVerdictHits.Value(); got != hits+1 {
 		t.Fatalf("post-churn preview: hits %d, want %d (state hash did not recur)", got, hits+1)
 	}
+
+	// Single flight on a cold cache. With the only lane held here, the first
+	// preview to miss becomes the leader and blocks on the lane with its
+	// entry in flight; every other preview of the class, eight single ones
+	// and two batches, finds that entry and waits on it.
+	cold, err := NewSharded(net, Options{}, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	singles := make([]ConnSpec, 8)
+	for i := range singles {
+		singles[i] = spec(fmt.Sprintf("single%d", i))
+	}
+	batches := make([][]ConnSpec, 2)
+	for b := range batches {
+		for m := 0; m < 4; m++ {
+			batches[b] = append(batches[b], spec(fmt.Sprintf("batch%d-%d", b, m)))
+		}
+	}
+	lane := cold.acquireLane()
+	var (
+		wg       sync.WaitGroup
+		mu       sync.Mutex
+		finished atomic.Int32
+		decs     = make(map[string]Decision)
+	)
+	keep := func(id string, dec Decision, err error) {
+		if err != nil {
+			t.Errorf("%s: %v", id, err)
+		}
+		mu.Lock()
+		decs[id] = dec
+		mu.Unlock()
+	}
+	for _, s := range singles {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			defer finished.Add(1)
+			dec, err := cold.PreviewAdmission(s)
+			keep(s.ID, dec, err)
+		}()
+	}
+	for _, batch := range batches {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			defer finished.Add(1)
+			for _, r := range cold.PreviewAdmissionBatch(batch, nil) {
+				keep(r.ID, r.Decision, r.Err)
+			}
+		}()
+	}
+	// Return the lane once each of the ten goroutines is parked in analyze
+	// (the leader on the lane, the followers on its entry) or has returned.
+	const goroutines = 10
+	for deadline := time.Now().Add(10 * time.Second); time.Now().Before(deadline); time.Sleep(time.Millisecond) {
+		if inAnalyze()+int(finished.Load()) >= goroutines {
+			break
+		}
+	}
+	cold.releaseLane(lane)
+	wg.Wait()
+
+	var leader string
+	for id, dec := range decs {
+		if dec.Probes > 0 {
+			if leader != "" {
+				t.Fatalf("%s and %s both ran the analysis", leader, id)
+			}
+			leader = id
+		}
+	}
+	if leader == "" {
+		t.Fatal("no decision ran the analysis")
+	}
+	want := decs[leader]
+	if !want.Admitted {
+		t.Fatalf("leader %s: %+v, want an admit on the empty network", leader, want)
+	}
+	for id, dec := range decs {
+		compareDecisions(t, fmt.Sprintf("follower %s of leader %s", id, leader),
+			want, dec, want.Delays[leader], dec.Delays[id])
+	}
+	if len(decs) != len(singles)+len(batches)*len(batches[0]) {
+		t.Fatalf("%d decisions, want %d", len(decs), len(singles)+len(batches)*len(batches[0]))
+	}
+}
+
+// inAnalyze counts the goroutines with Sharded.analyze on their stack.
+func inAnalyze() int {
+	buf := make([]byte, 1<<20)
+	return strings.Count(string(buf[:runtime.Stack(buf, true)]), "core.(*Sharded).analyze(")
 }
 
 // TestShardedBatchOrdering checks the batch entry points return results in
