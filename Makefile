@@ -64,6 +64,7 @@ short:
 # their seed corpora. A crasher is written under the package's testdata/fuzz
 # and fails the target.
 FUZZ_TARGETS := \
+	./internal/des:FuzzCalendarOrder \
 	./internal/traffic:FuzzGridAssembly \
 	./internal/traffic:FuzzWorkspaceSum \
 	./internal/traffic:FuzzMinFlats \

@@ -27,13 +27,22 @@ type Cell struct {
 // PortSim is a FIFO cell transmitter: cells queue and are sent serially at
 // the configured wire rate; each transmitted cell is handed to the sink
 // after the link propagation delay.
+//
+// Both of its stages fire in the order they were scheduled: one cell is on
+// the wire at a time, and every transmitted cell propagates for the same
+// constant delay. So each stage is one handler bound at construction,
+// draining a FIFO, and an event allocates no closure.
 type PortSim struct {
 	sim     *des.Simulator
 	wireBps float64
 	prop    float64
 	sink    func(Cell)
-	queue   []Cell
+	queue   des.FIFO[Cell] // waiting for the wire
+	onWire  Cell
 	busy    bool
+	flight  des.FIFO[Cell] // transmitted, propagating to the sink
+	txDone  func()         // p.endTx
+	arrive  func()         // p.deliver
 	maxQLen int
 	sent    int64
 }
@@ -54,14 +63,17 @@ func NewPortSim(sim *des.Simulator, wireBps, propagation float64, sink func(Cell
 	if sink == nil {
 		return nil, errors.New("atm: PortSim requires a sink")
 	}
-	return &PortSim{sim: sim, wireBps: wireBps, prop: propagation, sink: sink}, nil
+	p := &PortSim{sim: sim, wireBps: wireBps, prop: propagation, sink: sink}
+	p.txDone = p.endTx
+	p.arrive = p.deliver
+	return p, nil
 }
 
 // Submit enqueues a cell for transmission.
 func (p *PortSim) Submit(c Cell) {
-	p.queue = append(p.queue, c)
-	if len(p.queue) > p.maxQLen {
-		p.maxQLen = len(p.queue)
+	p.queue.Push(c)
+	if p.queue.Len() > p.maxQLen {
+		p.maxQLen = p.queue.Len()
 	}
 	if !p.busy {
 		p.startNext()
@@ -70,7 +82,7 @@ func (p *PortSim) Submit(c Cell) {
 
 // QueueLen returns the number of cells waiting (excluding the one on the
 // wire).
-func (p *PortSim) QueueLen() int { return len(p.queue) }
+func (p *PortSim) QueueLen() int { return p.queue.Len() }
 
 // MaxQueueLen returns the high-water mark of the queue, in cells.
 func (p *PortSim) MaxQueueLen() int { return p.maxQLen }
@@ -79,35 +91,52 @@ func (p *PortSim) MaxQueueLen() int { return p.maxQLen }
 func (p *PortSim) Sent() int64 { return p.sent }
 
 func (p *PortSim) startNext() {
-	if len(p.queue) == 0 {
+	if p.queue.Len() == 0 {
 		p.busy = false
 		return
 	}
 	p.busy = true
-	c := p.queue[0]
-	p.queue = p.queue[1:]
-	txEnd := p.sim.Now() + CellTime(p.wireBps)
-	if _, err := p.sim.Schedule(txEnd, func() {
-		p.sent++
-		arrival := txEnd + p.prop
-		if p.prop == 0 {
-			p.sink(c)
-		} else if _, err := p.sim.Schedule(arrival, func() { p.sink(c) }); err != nil {
-			panic(fmt.Sprintf("atm: delivery scheduling failed: %v", err))
-		}
-		p.startNext()
-	}); err != nil {
+	p.onWire = p.queue.Pop()
+	if _, err := p.sim.Schedule(p.sim.Now()+CellTime(p.wireBps), p.txDone); err != nil {
 		panic(fmt.Sprintf("atm: transmission scheduling failed: %v", err))
 	}
 }
 
+// endTx fires when the cell on the wire has been sent: it starts the cell's
+// propagation and the next transmission.
+func (p *PortSim) endTx() {
+	p.sent++
+	c := p.onWire
+	if p.prop == 0 {
+		p.sink(c)
+	} else {
+		p.flight.Push(c)
+		if _, err := p.sim.Schedule(p.sim.Now()+p.prop, p.arrive); err != nil {
+			panic(fmt.Sprintf("atm: delivery scheduling failed: %v", err))
+		}
+	}
+	p.startNext()
+}
+
+// deliver fires when the oldest propagating cell reaches the far end.
+func (p *PortSim) deliver() { p.sink(p.flight.Pop()) }
+
 // SwitchSim models one ATM switch: cells arriving at any input incur the
 // constant input+fabric latency, then are routed by connection id to an
-// output port.
+// output port. The latency is the same for every cell, so cells leave the
+// fabric in the order they arrived: one bound handler drains a FIFO.
 type SwitchSim struct {
-	sim    *des.Simulator
-	params SwitchParams
-	routes map[string]*PortSim
+	sim     *des.Simulator
+	params  SwitchParams
+	routes  map[string]*PortSim
+	fabric  des.FIFO[switched]
+	forward func() // s.leaveFabric
+}
+
+// switched is a cell crossing the fabric toward its output port.
+type switched struct {
+	cell Cell
+	out  *PortSim
 }
 
 // NewSwitchSim creates a switch with the given constant-delay parameters.
@@ -118,7 +147,9 @@ func NewSwitchSim(sim *des.Simulator, params SwitchParams) (*SwitchSim, error) {
 	if err := params.Validate(); err != nil {
 		return nil, err
 	}
-	return &SwitchSim{sim: sim, params: params, routes: make(map[string]*PortSim)}, nil
+	s := &SwitchSim{sim: sim, params: params, routes: make(map[string]*PortSim)}
+	s.forward = s.leaveFabric
+	return s, nil
 }
 
 // Route directs all cells of the given connection to the given output port.
@@ -150,7 +181,14 @@ func (s *SwitchSim) Receive(c Cell) {
 	if !ok {
 		panic(fmt.Sprintf("atm: no route for connection %q", c.ConnID))
 	}
-	if _, err := s.sim.After(s.params.ConstantDelay(), func() { out.Submit(c) }); err != nil {
+	s.fabric.Push(switched{cell: c, out: out})
+	if _, err := s.sim.After(s.params.ConstantDelay(), s.forward); err != nil {
 		panic(fmt.Sprintf("atm: switch scheduling failed: %v", err))
 	}
+}
+
+// leaveFabric hands the oldest cell in the fabric to its output port.
+func (s *SwitchSim) leaveFabric() {
+	w := s.fabric.Pop()
+	w.out.Submit(w.cell)
 }

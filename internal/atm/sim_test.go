@@ -192,3 +192,40 @@ func TestPortSimDelayWithinMuxBound(t *testing.T) {
 		t.Errorf("measured worst cell delay %v exceeds bound %v", worst, bound)
 	}
 }
+
+// TestPortSwitchPathAllocs: each stage of the cell path is one handler
+// bound at construction draining a FIFO, so once the rings and the calendar
+// have grown, a cell crosses port → switch → port without allocating.
+func TestPortSwitchPathAllocs(t *testing.T) {
+	sim := des.NewSimulator()
+	delivered := 0
+	down, err := NewPortSim(sim, 155e6, 5e-6, func(Cell) { delivered++ })
+	if err != nil {
+		t.Fatal(err)
+	}
+	sw, err := NewSwitchSim(sim, SwitchParams{InputDelay: 2e-6, FabricDelay: 1e-6})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := sw.Route("c", down); err != nil {
+		t.Fatal(err)
+	}
+	up, err := NewPortSim(sim, 155e6, 5e-6, sw.Receive)
+	if err != nil {
+		t.Fatal(err)
+	}
+	const cells = 32
+	burst := func() {
+		for i := 0; i < cells; i++ {
+			up.Submit(Cell{ConnID: "c", CellSeq: i, LastOfFrame: i == cells-1, PayloadBits: CellPayloadBits})
+		}
+		sim.Run(sim.Now() + 1)
+	}
+	burst() // grow the FIFOs and the calendar
+	if avg := testing.AllocsPerRun(50, burst) / cells; avg != 0 {
+		t.Errorf("steady-state port → switch → port: %v allocs per cell, want 0", avg)
+	}
+	if want := cells * 52; delivered != want {
+		t.Errorf("delivered %d cells, want %d", delivered, want)
+	}
+}

@@ -5,57 +5,90 @@
 package des
 
 import (
-	"container/heap"
 	"errors"
 	"fmt"
 	"math"
 	"math/rand"
 )
 
-// Event is a scheduled callback. Fire runs when the simulation clock reaches
-// the event's time.
+// Event describes a scheduled event.
 type Event struct {
-	// Time is the absolute simulation time (seconds) at which Fire runs.
+	// Time is the absolute simulation time (seconds) at which the event fires.
 	Time float64
-	// Fire is the event action. It may schedule further events.
-	Fire func()
-
-	seq   uint64 // tie-breaker: FIFO order among equal-time events
-	index int    // heap bookkeeping; -1 once removed
 }
 
-// eventQueue implements heap.Interface ordered by (Time, seq).
-type eventQueue []*Event
+// entry is one pending event, held by value in the calendar.
+type entry struct {
+	time float64
+	seq  uint64 // tie-breaker: FIFO order among equal-time events
+	fire func()
+}
 
-func (q eventQueue) Len() int { return len(q) }
-
-func (q eventQueue) Less(i, j int) bool {
-	if q[i].Time != q[j].Time {
-		return q[i].Time < q[j].Time
+// earlier orders events by (time, seq).
+func earlier(t float64, seq uint64, u float64, useq uint64) bool {
+	if t != u {
+		return t < u
 	}
-	return q[i].seq < q[j].seq
+	return seq < useq
 }
 
-func (q eventQueue) Swap(i, j int) {
-	q[i], q[j] = q[j], q[i]
-	q[i].index = i
-	q[j].index = j
+// calendar is a 4-ary min-heap of entries ordered by (time, seq). Four
+// children per node halve the depth of a binary heap, and entries live in
+// the slice by value, so scheduling allocates only when the slice grows.
+type calendar []entry
+
+func (q *calendar) push(e entry) {
+	h := append(*q, e)
+	i := len(h) - 1
+	for i > 0 {
+		parent := (i - 1) / 4
+		if !earlier(e.time, e.seq, h[parent].time, h[parent].seq) {
+			break
+		}
+		h[i] = h[parent]
+		i = parent
+	}
+	h[i] = e
+	*q = h
 }
 
-func (q *eventQueue) Push(x any) {
-	ev := x.(*Event)
-	ev.index = len(*q)
-	*q = append(*q, ev)
-}
-
-func (q *eventQueue) Pop() any {
-	old := *q
-	n := len(old)
-	ev := old[n-1]
-	old[n-1] = nil
-	ev.index = -1
-	*q = old[:n-1]
-	return ev
+// pop removes and returns the earliest entry; the calendar must be non-empty.
+func (q *calendar) pop() entry {
+	h := *q
+	top := h[0]
+	n := len(h) - 1
+	last := h[n]
+	h[n] = entry{} // drop the handler reference
+	h = h[:n]
+	if n > 0 {
+		// Sift the hole left at the root down to where last belongs.
+		i := 0
+		for {
+			first := 4*i + 1
+			if first >= n {
+				break
+			}
+			end := first + 4
+			if end > n {
+				end = n
+			}
+			least := first
+			lt, ls := h[first].time, h[first].seq
+			for c := first + 1; c < end; c++ {
+				if earlier(h[c].time, h[c].seq, lt, ls) {
+					least, lt, ls = c, h[c].time, h[c].seq
+				}
+			}
+			if !earlier(lt, ls, last.time, last.seq) {
+				break
+			}
+			h[i] = h[least]
+			i = least
+		}
+		h[i] = last
+	}
+	*q = h
+	return top
 }
 
 // Simulator is a sequential discrete-event simulator. The zero value is not
@@ -63,7 +96,7 @@ func (q *eventQueue) Pop() any {
 // use: all scheduling must happen from event callbacks or between Run calls.
 type Simulator struct {
 	now    float64
-	queue  eventQueue
+	queue  calendar
 	seq    uint64
 	halted bool
 }
@@ -77,42 +110,30 @@ func NewSimulator() *Simulator {
 func (s *Simulator) Now() float64 { return s.now }
 
 // Pending returns the number of events waiting in the calendar.
-func (s *Simulator) Pending() int { return s.queue.Len() }
+func (s *Simulator) Pending() int { return len(s.queue) }
 
 // ErrPastEvent is returned when an event is scheduled before the current
 // simulation time.
 var ErrPastEvent = errors.New("des: event scheduled in the past")
 
-// Schedule registers fire to run at absolute time t and returns the event
-// handle (usable with Cancel). It returns ErrPastEvent if t precedes the
-// current clock.
-func (s *Simulator) Schedule(t float64, fire func()) (*Event, error) {
+// Schedule registers fire to run at absolute time t. Events at equal times
+// fire in the order they were scheduled. It returns ErrPastEvent if t
+// precedes the current clock.
+func (s *Simulator) Schedule(t float64, fire func()) (Event, error) {
 	if t < s.now {
-		return nil, fmt.Errorf("%w: t=%v before now=%v", ErrPastEvent, t, s.now)
+		return Event{}, fmt.Errorf("%w: t=%v before now=%v", ErrPastEvent, t, s.now)
 	}
 	if math.IsNaN(t) || math.IsInf(t, 0) {
-		return nil, fmt.Errorf("des: event time %v is not finite", t)
+		return Event{}, fmt.Errorf("des: event time %v is not finite", t)
 	}
-	ev := &Event{Time: t, Fire: fire, seq: s.seq}
+	s.queue.push(entry{time: t, seq: s.seq, fire: fire})
 	s.seq++
-	heap.Push(&s.queue, ev)
-	return ev, nil
+	return Event{Time: t}, nil
 }
 
 // After registers fire to run delay seconds from now.
-func (s *Simulator) After(delay float64, fire func()) (*Event, error) {
+func (s *Simulator) After(delay float64, fire func()) (Event, error) {
 	return s.Schedule(s.now+delay, fire)
-}
-
-// Cancel removes a scheduled event. Cancelling an already-fired or
-// already-cancelled event is a no-op and reports false.
-func (s *Simulator) Cancel(ev *Event) bool {
-	if ev == nil || ev.index < 0 || ev.index >= s.queue.Len() || s.queue[ev.index] != ev {
-		return false
-	}
-	heap.Remove(&s.queue, ev.index)
-	ev.index = -1
-	return true
 }
 
 // Halt stops the current Run after the event being processed returns.
@@ -124,20 +145,14 @@ func (s *Simulator) Halt() { s.halted = true }
 func (s *Simulator) Run(until float64) int {
 	s.halted = false
 	processed := 0
-	for s.queue.Len() > 0 && !s.halted {
-		next := s.queue[0]
-		if next.Time > until {
+	for len(s.queue) > 0 && !s.halted {
+		if s.queue[0].time > until {
 			break
 		}
-		heap.Pop(&s.queue)
-		next.index = -1
-		s.now = next.Time
-		if next.Fire != nil {
-			next.Fire()
-		}
+		s.fire(s.queue.pop())
 		processed++
 	}
-	if s.now < until && s.queue.Len() == 0 {
+	if s.now < until && len(s.queue) == 0 {
 		// Advance the clock so successive bounded runs compose naturally.
 		s.now = until
 	}
@@ -146,16 +161,18 @@ func (s *Simulator) Run(until float64) int {
 
 // Step processes exactly one event (if any) and reports whether one fired.
 func (s *Simulator) Step() bool {
-	if s.queue.Len() == 0 {
+	if len(s.queue) == 0 {
 		return false
 	}
-	next := heap.Pop(&s.queue).(*Event)
-	next.index = -1
-	s.now = next.Time
-	if next.Fire != nil {
-		next.Fire()
-	}
+	s.fire(s.queue.pop())
 	return true
+}
+
+func (s *Simulator) fire(e entry) {
+	s.now = e.time
+	if e.fire != nil {
+		e.fire()
+	}
 }
 
 // RNG wraps a seeded deterministic random source with the variate generators

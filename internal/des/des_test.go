@@ -115,53 +115,6 @@ func TestEventsMayScheduleEvents(t *testing.T) {
 	}
 }
 
-func TestCancel(t *testing.T) {
-	s := NewSimulator()
-	fired := false
-	ev, err := s.Schedule(1, func() { fired = true })
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !s.Cancel(ev) {
-		t.Error("first Cancel should succeed")
-	}
-	if s.Cancel(ev) {
-		t.Error("second Cancel should be a no-op")
-	}
-	if s.Cancel(nil) {
-		t.Error("Cancel(nil) should be a no-op")
-	}
-	s.Run(10)
-	if fired {
-		t.Error("cancelled event fired")
-	}
-}
-
-func TestCancelMiddleOfHeap(t *testing.T) {
-	s := NewSimulator()
-	var fired []int
-	evs := make([]*Event, 10)
-	for i := 0; i < 10; i++ {
-		i := i
-		ev, err := s.Schedule(float64(i), func() { fired = append(fired, i) })
-		if err != nil {
-			t.Fatal(err)
-		}
-		evs[i] = ev
-	}
-	s.Cancel(evs[4])
-	s.Cancel(evs[7])
-	s.Run(100)
-	if len(fired) != 8 {
-		t.Fatalf("fired %d events, want 8: %v", len(fired), fired)
-	}
-	for _, v := range fired {
-		if v == 4 || v == 7 {
-			t.Fatalf("cancelled event %d fired", v)
-		}
-	}
-}
-
 func TestHalt(t *testing.T) {
 	s := NewSimulator()
 	count := 0
@@ -279,4 +232,181 @@ func TestPoissonProcess(t *testing.T) {
 	if math.Abs(mean-0.25) > 0.01 {
 		t.Errorf("mean inter-arrival %v, want ≈0.25", mean)
 	}
+}
+
+// TestScheduleRunAllocs: the calendar holds events by value, so once its
+// slice has grown to the working set, scheduling and firing allocate
+// nothing.
+func TestScheduleRunAllocs(t *testing.T) {
+	s := NewSimulator()
+	fired := 0
+	fire := func() { fired++ }
+	round := func() {
+		for i := 0; i < 64; i++ {
+			if _, err := s.After(float64(i%8), fire); err != nil {
+				t.Fatal(err)
+			}
+		}
+		s.Run(s.Now() + 10)
+	}
+	round() // grow the calendar
+	if avg := testing.AllocsPerRun(100, round); avg != 0 {
+		t.Errorf("Schedule+Run on a warmed simulator: %v allocs per round, want 0", avg)
+	}
+	if fired != 64*102 {
+		t.Errorf("fired %d events, want %d", fired, 64*102)
+	}
+}
+
+// FuzzCalendarOrder drives the simulator with a byte-coded mix of Schedule,
+// After, Run(until), Step and Halt, with equal times and handlers that
+// schedule children. Every firing must be the earliest (time, seq) of a
+// naive reference list, and Run must stop exactly where the reference says.
+func FuzzCalendarOrder(f *testing.F) {
+	f.Add([]byte{0, 1, 0, 1, 1, 0, 2, 7})
+	f.Add([]byte{4, 2, 4, 2, 5, 0, 0, 0, 2, 3, 2, 8, 3, 3})
+	f.Add([]byte{1, 3, 1, 3, 1, 3, 5, 3, 4, 1, 2, 2, 2, 2, 3, 2, 9})
+	f.Fuzz(func(t *testing.T, ops []byte) {
+		type ref struct {
+			time float64
+			seq  int
+		}
+		s := NewSimulator()
+		var pending []ref // the reference calendar, unordered
+		seq := 0
+		halted := false
+		now := 0.0
+		arg := func(i *int) float64 {
+			*i++
+			if *i >= len(ops) {
+				return 0
+			}
+			return float64(ops[*i]%4) * 0.5 // few distinct times: many ties
+		}
+		var schedule func(at float64, kind byte, child float64)
+		handler := func(id int, kind byte, child float64) func() {
+			return func() {
+				best := 0
+				for j := range pending {
+					p, b := pending[j], pending[best]
+					if p.time < b.time || (p.time == b.time && p.seq < b.seq) {
+						best = j
+					}
+				}
+				if len(pending) == 0 || pending[best].seq != id {
+					t.Fatalf("event %d fired; reference says %v", id, pending)
+				}
+				if s.Now() != pending[best].time {
+					t.Fatalf("event %d fired at %v, scheduled for %v", id, s.Now(), pending[best].time)
+				}
+				now = s.Now()
+				pending = append(pending[:best], pending[best+1:]...)
+				switch kind {
+				case 4:
+					schedule(now+child, 0, 0)
+				case 5:
+					s.Halt()
+					halted = true
+				}
+			}
+		}
+		schedule = func(at float64, kind byte, child float64) {
+			id := seq
+			seq++
+			ev, err := s.Schedule(at, handler(id, kind, child))
+			if err != nil || ev.Time != at {
+				t.Fatalf("Schedule(%v) = %v, %v", at, ev, err)
+			}
+			pending = append(pending, ref{at, id})
+		}
+		for i := 0; i < len(ops); i++ {
+			switch op := ops[i] % 6; op {
+			case 0, 4, 5:
+				d := arg(&i)
+				schedule(s.Now()+d, op, arg(&i))
+			case 1:
+				id := seq
+				seq++
+				d := arg(&i)
+				at := s.Now() + d // what After computes
+				if _, err := s.After(d, handler(id, 0, 0)); err != nil {
+					t.Fatal(err)
+				}
+				pending = append(pending, ref{at, id})
+			case 2:
+				until := s.Now() + 2*arg(&i)
+				before := len(pending) - seq
+				halted = false
+				n := s.Run(until)
+				if fired := before - len(pending) + seq; n != fired {
+					t.Fatalf("Run reported %d events, %d fired", n, fired)
+				}
+				if !halted {
+					for _, p := range pending {
+						if p.time <= until {
+							t.Fatalf("Run(%v) returned with event %d at %v pending", until, p.seq, p.time)
+						}
+					}
+				}
+				if len(pending) == 0 && now < until {
+					now = until // an emptied calendar advances the clock, halted or not
+				}
+				if s.Now() != now {
+					t.Fatalf("clock %v after Run(%v), want %v", s.Now(), until, now)
+				}
+			case 3:
+				want := len(pending) > 0
+				if s.Step() != want {
+					t.Fatalf("Step reported %v with %d pending", !want, len(pending))
+				}
+			}
+			if s.Pending() != len(pending) {
+				t.Fatalf("Pending = %d, reference holds %d", s.Pending(), len(pending))
+			}
+		}
+	})
+}
+
+// TestFIFO checks order across growth and wrap-around, and that a warmed
+// ring pushes and pops without allocating.
+func TestFIFO(t *testing.T) {
+	var q FIFO[int]
+	next, want := 0, 0
+	for round := 0; round < 50; round++ {
+		for i := 0; i < round%13+1; i++ {
+			q.Push(next)
+			next++
+		}
+		for i := 0; i < round%7 && q.Len() > 0; i++ {
+			if got := q.Pop(); got != want {
+				t.Fatalf("Pop = %d, want %d", got, want)
+			}
+			want++
+		}
+	}
+	for q.Len() > 0 {
+		if got := q.Pop(); got != want {
+			t.Fatalf("Pop = %d, want %d", got, want)
+		}
+		want++
+	}
+	if want != next {
+		t.Fatalf("popped %d values, pushed %d", want, next)
+	}
+	if avg := testing.AllocsPerRun(100, func() {
+		for i := 0; i < 100; i++ {
+			q.Push(i)
+		}
+		for q.Len() > 0 {
+			q.Pop()
+		}
+	}); avg != 0 {
+		t.Errorf("warmed FIFO: %v allocs per round, want 0", avg)
+	}
+	defer func() {
+		if recover() == nil {
+			t.Error("Pop of an empty FIFO should panic")
+		}
+	}()
+	q.Pop()
 }

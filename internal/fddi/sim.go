@@ -44,6 +44,10 @@ type RingSim struct {
 	onDeliver  func(DeliveredFrame)
 	started    bool
 	tokenVisit int64 // statistics: number of token arrivals processed
+	// The ring has one token, so at most one token event is pending: the
+	// handler is bound once and reads the station it arrives at from next.
+	next  int
+	token func() // r.passToken
 }
 
 type simStation struct {
@@ -72,12 +76,14 @@ func NewRingSim(sim *des.Simulator, cfg RingConfig, numStations int, onDeliver f
 	if numStations < 2 {
 		return nil, fmt.Errorf("fddi: ring needs at least 2 stations, got %d", numStations)
 	}
-	return &RingSim{
+	r := &RingSim{
 		sim:       sim,
 		cfg:       cfg,
 		stations:  make([]simStation, numStations),
 		onDeliver: onDeliver,
-	}, nil
+	}
+	r.token = r.passToken
+	return r, nil
 }
 
 // NumStations returns the number of stations on the ring.
@@ -173,7 +179,8 @@ func (r *RingSim) Start() error {
 		return errors.New("fddi: ring already started")
 	}
 	r.started = true
-	if _, err := r.sim.After(0, func() { r.tokenArrive(0) }); err != nil {
+	r.next = 0
+	if _, err := r.sim.After(0, r.token); err != nil {
 		return fmt.Errorf("fddi: scheduling initial token: %w", err)
 	}
 	return nil
@@ -223,12 +230,15 @@ func (r *RingSim) tokenArrive(i int) {
 	st.lastArrival = now
 	st.hasArrival = true
 
-	next := (i + 1) % len(r.stations)
-	if _, err := r.sim.Schedule(cursor+r.cfg.HopLatency, func() { r.tokenArrive(next) }); err != nil {
+	r.next = (i + 1) % len(r.stations)
+	if _, err := r.sim.Schedule(cursor+r.cfg.HopLatency, r.token); err != nil {
 		// Unreachable: cursor >= now and the hop latency is non-negative.
 		panic(fmt.Sprintf("fddi: token scheduling failed: %v", err))
 	}
 }
+
+// passToken is the token event: the token reaches station r.next.
+func (r *RingSim) passToken() { r.tokenArrive(r.next) }
 
 // scheduleDelivery delivers f's last bit after it propagates from Src to Dst.
 func (r *RingSim) scheduleDelivery(f Frame, endTx float64) {

@@ -10,12 +10,25 @@ import (
 
 // SegmenterSim is the DES counterpart of the sender-side interface device:
 // a LAN frame entering the device is delayed by the constant stages and then
-// segmented into ATM cells submitted to an output port.
+// segmented into ATM cells submitted to an output port. The delay is the
+// same for every frame, so frames are segmented in the order they arrived:
+// one bound handler drains a FIFO.
 type SegmenterSim struct {
 	sim      *des.Simulator
 	params   Params
 	out      *atm.PortSim
 	frameSeq map[string]int
+	inDevice des.FIFO[lanFrame]
+	segment  func() // s.segmentNext
+}
+
+// lanFrame is a frame inside the sender-side device, waiting to be cut into
+// cells.
+type lanFrame struct {
+	connID  string
+	seq     int
+	bits    float64
+	created float64
 }
 
 // NewSegmenterSim builds a segmenter feeding cells into out.
@@ -29,7 +42,9 @@ func NewSegmenterSim(sim *des.Simulator, params Params, out *atm.PortSim) (*Segm
 	if out == nil {
 		return nil, errors.New("ifdev: SegmenterSim requires an output port")
 	}
-	return &SegmenterSim{sim: sim, params: params, out: out, frameSeq: make(map[string]int)}, nil
+	s := &SegmenterSim{sim: sim, params: params, out: out, frameSeq: make(map[string]int)}
+	s.segment = s.segmentNext
+	return s, nil
 }
 
 // ReceiveFrame accepts one LAN frame for the given connection; after the
@@ -47,29 +62,34 @@ func (s *SegmenterSim) ReceiveFrameAt(connID string, frameBits, created float64)
 	}
 	seq := s.frameSeq[connID]
 	s.frameSeq[connID] = seq + 1
-	cells := atm.CellsPerFrame(frameBits)
-	_, err := s.sim.After(s.params.SenderConstantDelay(), func() {
-		remaining := frameBits
-		for i := 0; i < cells; i++ {
-			payload := float64(atm.CellPayloadBits)
-			if remaining < payload {
-				payload = remaining
-			}
-			remaining -= payload
-			s.out.Submit(atm.Cell{
-				ConnID:      connID,
-				FrameSeq:    seq,
-				CellSeq:     i,
-				LastOfFrame: i == cells-1,
-				PayloadBits: payload,
-				Created:     created,
-			})
-		}
-	})
-	if err != nil {
+	if _, err := s.sim.After(s.params.SenderConstantDelay(), s.segment); err != nil {
 		return fmt.Errorf("ifdev: scheduling segmentation: %w", err)
 	}
+	s.inDevice.Push(lanFrame{connID: connID, seq: seq, bits: frameBits, created: created})
 	return nil
+}
+
+// segmentNext cuts the oldest frame in the device into cells and submits
+// them to the output port.
+func (s *SegmenterSim) segmentNext() {
+	f := s.inDevice.Pop()
+	cells := atm.CellsPerFrame(f.bits)
+	remaining := f.bits
+	for i := 0; i < cells; i++ {
+		payload := float64(atm.CellPayloadBits)
+		if remaining < payload {
+			payload = remaining
+		}
+		remaining -= payload
+		s.out.Submit(atm.Cell{
+			ConnID:      f.connID,
+			FrameSeq:    f.seq,
+			CellSeq:     i,
+			LastOfFrame: i == cells-1,
+			PayloadBits: payload,
+			Created:     f.created,
+		})
+	}
 }
 
 // ReassembledFrame reports a frame fully reassembled at the receiver-side
@@ -92,12 +112,21 @@ type ReassembledFrame struct {
 // ReassemblerSim is the DES counterpart of the receiver-side interface
 // device: it collects cells per (connection, frame) and, when the last cell
 // of a frame arrives, hands the frame onward after the constant receiver
-// delay.
+// delay. The delay is the same for every frame, so hand-offs fire in the
+// order frames completed: one bound handler drains a FIFO.
 type ReassemblerSim struct {
-	sim     *des.Simulator
-	params  Params
-	deliver func(ReassembledFrame)
-	partial map[string]*partialFrame
+	sim       *des.Simulator
+	params    Params
+	deliver   func(ReassembledFrame)
+	partial   map[frameKey]partialFrame
+	completed des.FIFO[ReassembledFrame]
+	handOff   func() // r.handOffNext
+}
+
+// frameKey identifies a frame under reassembly.
+type frameKey struct {
+	conn  string
+	frame int
 }
 
 type partialFrame struct {
@@ -118,35 +147,41 @@ func NewReassemblerSim(sim *des.Simulator, params Params, deliver func(Reassembl
 	if deliver == nil {
 		return nil, errors.New("ifdev: ReassemblerSim requires a delivery callback")
 	}
-	return &ReassemblerSim{sim: sim, params: params, deliver: deliver, partial: make(map[string]*partialFrame)}, nil
+	r := &ReassemblerSim{sim: sim, params: params, deliver: deliver, partial: make(map[frameKey]partialFrame)}
+	r.handOff = r.handOffNext
+	return r, nil
 }
 
 // ReceiveCell accepts one cell from the ATM side.
 func (r *ReassemblerSim) ReceiveCell(c atm.Cell) {
-	key := fmt.Sprintf("%s/%d", c.ConnID, c.FrameSeq)
-	pf := r.partial[key]
-	if pf == nil {
-		pf = &partialFrame{first: c.Created}
-		r.partial[key] = pf
+	key := frameKey{conn: c.ConnID, frame: c.FrameSeq}
+	pf, ok := r.partial[key]
+	if !ok {
+		pf.first = c.Created
 	}
 	pf.payload += c.PayloadBits
 	pf.cells++
 	if !c.LastOfFrame {
+		r.partial[key] = pf
 		return
 	}
 	delete(r.partial, key)
-	frame := ReassembledFrame{
+	r.completed.Push(ReassembledFrame{
 		ConnID:           c.ConnID,
 		FrameSeq:         c.FrameSeq,
 		PayloadBits:      pf.payload,
 		FirstCellCreated: pf.first,
-	}
-	if _, err := r.sim.After(r.params.ReceiverConstantDelay(), func() {
-		frame.Completed = r.sim.Now()
-		r.deliver(frame)
-	}); err != nil {
+	})
+	if _, err := r.sim.After(r.params.ReceiverConstantDelay(), r.handOff); err != nil {
 		panic(fmt.Sprintf("ifdev: scheduling reassembly handoff: %v", err))
 	}
+}
+
+// handOffNext passes the oldest completed frame onward.
+func (r *ReassemblerSim) handOffNext() {
+	frame := r.completed.Pop()
+	frame.Completed = r.sim.Now()
+	r.deliver(frame)
 }
 
 // PendingFrames returns the number of partially reassembled frames.

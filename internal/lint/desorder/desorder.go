@@ -23,13 +23,13 @@ var Analyzer = &lint.Analyzer{
 
 Inside every package that schedules events (internal/des, sim, packetsim,
 tokenring, atm, fddi, ifdev, shaper), any function scheduled as an event
-callback — passed to Schedule/After or
-stored in an Event's Fire field, directly or through a local closure
-variable — must mutate simulator state only through scheduler-owned
-structures. The analyzer reports go statements, channel sends/receives,
-select statements, ranges over channels, time.Sleep/After/Tick/Timer/Ticker
-calls, and assignments to package-level variables, anywhere inside a handler
-body (including nested literals).`,
+callback — passed to Schedule/After directly, through a local closure
+variable, or through a func-typed struct field bound at construction — must
+mutate simulator state only through scheduler-owned structures. The
+analyzer reports go statements, channel sends/receives, select statements,
+ranges over channels, time.Sleep/After/Tick/Timer/Ticker calls, and
+assignments to package-level variables, anywhere inside a handler body
+(including nested literals).`,
 	Run: run,
 }
 
@@ -84,9 +84,14 @@ type checker struct {
 
 	// funcDecls maps declared functions to their bodies; closureLits maps
 	// local function variables to every literal assigned to them — both are
-	// how a named handler (`tick`, `period`) resolves to code.
+	// how a named handler (`tick`, `period`) resolves to code. fieldValues
+	// maps a func-typed struct field to every expression stored in it (a
+	// method value, a literal, a function name), which is how a handler
+	// bound at construction (`p.sim.Schedule(t, p.txDone)`) resolves.
 	funcDecls   map[*types.Func]*ast.BlockStmt
 	closureLits map[types.Object][]*ast.FuncLit
+	fieldValues map[*types.Var][]ast.Expr
+	fieldsDone  map[*types.Var]bool
 
 	// handlers are the distinct event-handler bodies to inspect.
 	handlers []*ast.BlockStmt
@@ -96,6 +101,8 @@ type checker struct {
 func (c *checker) collectDefinitions() {
 	c.funcDecls = make(map[*types.Func]*ast.BlockStmt)
 	c.closureLits = make(map[types.Object][]*ast.FuncLit)
+	c.fieldValues = make(map[*types.Var][]ast.Expr)
+	c.fieldsDone = make(map[*types.Var]bool)
 	for _, f := range c.pass.Files {
 		ast.Inspect(f, func(n ast.Node) bool {
 			switch n := n.(type) {
@@ -103,11 +110,23 @@ func (c *checker) collectDefinitions() {
 				if fn, ok := c.pass.TypesInfo.Defs[n.Name].(*types.Func); ok && n.Body != nil {
 					c.funcDecls[fn] = n.Body
 				}
+			case *ast.CompositeLit:
+				for _, elt := range n.Elts {
+					if kv, ok := elt.(*ast.KeyValueExpr); ok {
+						if key, ok := kv.Key.(*ast.Ident); ok {
+							c.recordField(c.pass.TypesInfo.Uses[key], kv.Value)
+						}
+					}
+				}
 			case *ast.AssignStmt:
 				if len(n.Lhs) != len(n.Rhs) {
 					return true
 				}
 				for i, lhs := range n.Lhs {
+					if sel, ok := lhs.(*ast.SelectorExpr); ok {
+						c.recordField(c.pass.TypesInfo.Uses[sel.Sel], n.Rhs[i])
+						continue
+					}
 					lit, ok := n.Rhs[i].(*ast.FuncLit)
 					if !ok {
 						continue
@@ -127,6 +146,18 @@ func (c *checker) collectDefinitions() {
 			}
 			return true
 		})
+	}
+}
+
+// recordField remembers x as a value stored in obj when obj is a
+// func-typed struct field.
+func (c *checker) recordField(obj types.Object, x ast.Expr) {
+	v, ok := obj.(*types.Var)
+	if !ok || !v.IsField() {
+		return
+	}
+	if _, ok := v.Type().Underlying().(*types.Signature); ok {
+		c.fieldValues[v] = append(c.fieldValues[v], x)
 	}
 }
 
@@ -151,23 +182,6 @@ func (c *checker) collectHandlers() {
 						c.addHandler(arg)
 					}
 				}
-			case *ast.CompositeLit:
-				for _, elt := range n.Elts {
-					if kv, ok := elt.(*ast.KeyValueExpr); ok {
-						if key, ok := kv.Key.(*ast.Ident); ok && key.Name == "Fire" {
-							c.addHandler(kv.Value)
-						}
-					}
-				}
-			case *ast.AssignStmt:
-				for i, lhs := range n.Lhs {
-					if i >= len(n.Rhs) {
-						break
-					}
-					if sel, ok := lhs.(*ast.SelectorExpr); ok && sel.Sel.Name == "Fire" {
-						c.addHandler(n.Rhs[i])
-					}
-				}
 			}
 			return true
 		})
@@ -175,8 +189,9 @@ func (c *checker) collectHandlers() {
 }
 
 // addHandler resolves one handler expression to its bodies: a literal's own
-// body, every literal assigned to a local closure variable, or a declared
-// function's body. Unresolvable expressions (a func-typed parameter) are
+// body, every literal assigned to a local closure variable, a declared
+// function's or method's body, or whatever was stored in a func-typed
+// struct field. Unresolvable expressions (a func-typed parameter) are
 // skipped — the body is registered wherever it is visible.
 func (c *checker) addHandler(x ast.Expr) {
 	switch x := ast.Unparen(x).(type) {
@@ -194,8 +209,17 @@ func (c *checker) addHandler(x ast.Expr) {
 			c.addBody(c.funcDecls[fn])
 		}
 	case *ast.SelectorExpr:
-		if fn, ok := c.pass.TypesInfo.Uses[x.Sel].(*types.Func); ok {
-			c.addBody(c.funcDecls[fn])
+		switch obj := c.pass.TypesInfo.Uses[x.Sel].(type) {
+		case *types.Func:
+			c.addBody(c.funcDecls[obj])
+		case *types.Var:
+			if c.fieldsDone[obj] {
+				return // resolved already, or a field stored into itself
+			}
+			c.fieldsDone[obj] = true
+			for _, v := range c.fieldValues[obj] {
+				c.addHandler(v)
+			}
 		}
 	}
 }

@@ -10,12 +10,6 @@ type sched struct{ now float64 }
 func (s *sched) Schedule(t float64, fire func()) error { fire(); _ = t; return nil }
 func (s *sched) After(d float64, fire func()) error    { fire(); _ = d; return nil }
 
-// Event mimics des.Event.
-type Event struct {
-	Time float64
-	Fire func()
-}
-
 var totalFired int // package-level state a handler must not touch
 
 var results = make(chan int, 1)
@@ -48,16 +42,59 @@ func badClosureVar(s *sched) {
 	_ = s.Schedule(0, tick)
 }
 
-func badFireField() {
-	ev := Event{Time: 1, Fire: func() {
+// port mimics a simulator stage whose handlers are bound to func-typed
+// fields once, at construction, and scheduled by field.
+type port struct {
+	s      *sched
+	out    chan int
+	txDone func()
+	arrive func()
+}
+
+func newPort(s *sched) *port {
+	p := &port{s: s, out: make(chan int, 1)}
+	p.txDone = p.endTx
+	p.arrive = func() {
 		for range results { // want `range over a channel inside a DES event handler`
 		}
-	}}
-	ev.Fire = func() {
-		_ = time.After(time.Second) // want `time.After inside a DES event handler`
 	}
-	_ = ev
+	return p
 }
+
+func (p *port) endTx() {
+	p.out <- 1                  // want `channel send inside a DES event handler`
+	_ = time.After(time.Second) // want `time.After inside a DES event handler`
+}
+
+func (p *port) start() {
+	_ = p.s.Schedule(1, p.txDone)
+	_ = p.s.After(1, p.arrive)
+}
+
+// relay binds its handler in a composite literal.
+type relay struct {
+	s    *sched
+	fire func()
+}
+
+func startRelay(s *sched) {
+	r := &relay{s: s, fire: func() {
+		totalFired = 1 // want `write to package-level variable totalFired`
+	}}
+	_ = r.s.Schedule(0, r.fire)
+}
+
+// idle has a func-typed field that is never scheduled: its method is not a
+// handler.
+type idle struct{ hook func() }
+
+func newIdle() *idle {
+	i := &idle{}
+	i.hook = i.notify
+	return i
+}
+
+func (i *idle) notify() { results <- 2 }
 
 func drain() {}
 

@@ -49,6 +49,9 @@ type Config struct {
 	Analysis core.AnalysisOptions
 }
 
+// histBins is the number of buckets in each ConnResult.Hist.
+const histBins = 24
+
 func (c Config) withDefaults() Config {
 	if c.Duration <= 0 {
 		c.Duration = 2
@@ -125,7 +128,7 @@ func Run(cfg Config) (Result, error) {
 		return Result{}, err
 	}
 	for id, st := range b.results {
-		hist, herr := stats.NewHistogram(0, bounds[id], 24)
+		hist, herr := stats.NewHistogram(0, bounds[id], histBins)
 		if herr != nil {
 			return Result{}, herr
 		}

@@ -2,7 +2,6 @@ package sim
 
 import (
 	"reflect"
-	"runtime"
 	"testing"
 )
 
@@ -23,38 +22,5 @@ func TestRunSameSeedByteIdentical(t *testing.T) {
 	}
 	if !reflect.DeepEqual(a, b) {
 		t.Fatalf("same seed produced different results:\n%+v\nvs\n%+v", a, b)
-	}
-}
-
-// TestRunReplicatedWorkerInvariance: the parallel replication runner derives
-// seeds from the replication index and aggregates in seed order, so the
-// aggregate must be identical for any worker count.
-func TestRunReplicatedWorkerInvariance(t *testing.T) {
-	if testing.Short() {
-		t.Skip("replicated runs in -short mode")
-	}
-	cfg := fastCfg(0.6, 99)
-	cfg.Requests = 30
-	cfg.Warmup = 5
-
-	prev := runtime.GOMAXPROCS(0)
-	defer runtime.GOMAXPROCS(prev)
-
-	var results []Replicated
-	for _, workers := range []int{1, 2, 8} {
-		runtime.GOMAXPROCS(workers)
-		agg, err := RunReplicated(cfg, 4)
-		if err != nil {
-			t.Fatalf("workers=%d: %v", workers, err)
-		}
-		if len(agg.Runs) != 4 {
-			t.Fatalf("workers=%d: %d runs, want 4", workers, len(agg.Runs))
-		}
-		results = append(results, agg)
-	}
-	for i := 1; i < len(results); i++ {
-		if !reflect.DeepEqual(results[0], results[i]) {
-			t.Fatalf("replicated aggregate depends on worker count:\n%+v\nvs\n%+v", results[0], results[i])
-		}
 	}
 }

@@ -209,47 +209,6 @@ func TestRuleSweepShape(t *testing.T) {
 	}
 }
 
-func TestRunReplicated(t *testing.T) {
-	if testing.Short() {
-		t.Skip("replicated runs in -short mode")
-	}
-	cfg := fastCfg(0.5, 77)
-	cfg.Requests = 30
-	cfg.Warmup = 5
-	agg, err := RunReplicated(cfg, 3)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if agg.AP.N() != 3 || len(agg.Runs) != 3 {
-		t.Fatalf("replications = %d/%d, want 3", agg.AP.N(), len(agg.Runs))
-	}
-	if agg.AP.Mean() < 0 || agg.AP.Mean() > 1 {
-		t.Errorf("mean AP = %v", agg.AP.Mean())
-	}
-	// Replications differ (different seeds) but aggregate deterministically.
-	agg2, err := RunReplicated(cfg, 3)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if agg.AP.Mean() != agg2.AP.Mean() {
-		t.Error("replicated aggregate not deterministic")
-	}
-	if _, err := RunReplicated(cfg, 0); err == nil {
-		t.Error("zero replications should be rejected")
-	}
-	total := 0
-	for _, n := range agg.Rejections {
-		total += n
-	}
-	wantRejected := 0
-	for _, r := range agg.Runs {
-		wantRejected += r.AP.Trials() - r.AP.Successes()
-	}
-	if total != wantRejected {
-		t.Errorf("aggregated rejections %d != %d", total, wantRejected)
-	}
-}
-
 func TestDestBiasSkewsMatrix(t *testing.T) {
 	// With full bias, every remote request from rings 1..2 targets ring 0,
 	// so ring 0's allocations should dominate.
