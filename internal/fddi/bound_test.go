@@ -85,14 +85,19 @@ func fuzzChain(in traffic.Descriptor, chain uint8, e float64) traffic.Descriptor
 	return in
 }
 
-// FuzzDelayBound holds DelayBound to the scan it stands in for. Sources of
-// every model, through chains of the transforms the analysis builds, raw and
-// lowered to flats, are analysed at allocations from a hair above the
-// stability limit to six times it. Whenever the bound answers, AnalyzeMAC
-// converges — neither overload nor the busy-interval cut — and its χ is at
-// most the bound, so the bound holds within every limit it fits under. The
-// premise the bound stands on is checked too: at every point of the scan's
-// candidate grid the computed envelope is under the padded line σ + ρ·t.
+// FuzzDelayBound holds DelayBound, and the grid stop that stands on the same
+// line, to the scan over the full grid. Sources of every model, through chains
+// of the transforms the analysis builds, raw and lowered to flats, are
+// analysed at allocations from a hair above the stability limit to six times
+// it. Whenever the bound answers, AnalyzeMAC converges — neither overload nor
+// the busy-interval cut — and its χ is at most the bound, so the bound holds
+// within every limit it fits under. Whenever the line σ + ρ·t is finite and
+// the analysis converges, whether or not the bound answers, the premise the
+// bound and the stop stand on is checked — at every point of the full
+// candidate grid the computed envelope is under the padded line — and the
+// stopped scan's χ (delay-only) and its F and χ (with the backlog) are
+// bit-equal to the exhaustive scan over the full grid, spending no more
+// envelope evaluations than the full-grid scan.
 func FuzzDelayBound(f *testing.F) {
 	f.Add(uint8(1), uint8(0), false, 0.7, 0.6, 0.5, 0.4, 0.3, 0.2)
 	f.Add(uint8(0), uint8(0b100110), true, 0.1, 0.9, 0.1, 0.2, 0.45, 0.001)
@@ -121,17 +126,17 @@ func FuzzDelayBound(f *testing.F) {
 		}
 		p := MACParams{Ring: ring, H: hMin * (1 + logSpan(h, 1e-5, 5))}
 		bound, ok := DelayBound(in, p)
-		if !ok {
-			return
-		}
 		res, err := AnalyzeMAC(in, p, Options{})
-		if err != nil {
+		if ok && err != nil {
 			t.Fatalf("%v (lowered %v) at H=%v: the bound answered %v, the analysis failed: %v", chained, lowered, p.H, bound, err)
 		}
-		if res.Delay > bound {
+		if ok && res.Delay > bound {
 			t.Fatalf("%v (lowered %v) at H=%v: chi = %v exceeds the closed-form bound %v", chained, lowered, p.H, res.Delay, bound)
 		}
 		sigma, rho := paddedLine(in)
+		if err != nil || math.IsInf(sigma, 1) {
+			return
+		}
 		var ws traffic.Workspace
 		grid := ws.Grid(in, res.BusyInterval, tGridPoints, appendMultiples(nil, ring.TTRT, res.BusyInterval), []float64{traffic.GridNudge})
 		for _, pt := range grid {
@@ -139,6 +144,7 @@ func FuzzDelayBound(f *testing.F) {
 				t.Fatalf("%v (lowered %v): A(%v) = %v above the padded line %v + %v·t = %v", chained, lowered, pt, a, sigma, rho, sigma+rho*pt)
 			}
 		}
+		checkStoppedScan(t, &ws, in, p, res.BusyInterval)
 	})
 }
 

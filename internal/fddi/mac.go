@@ -105,8 +105,9 @@ func (p MACParams) Avail(t float64) float64 {
 	return max(0, (k-1)*p.H*p.Ring.BandwidthBps)
 }
 
-// ServiceBitsPerRotation returns H·BW.
-func (p MACParams) ServiceBitsPerRotation() float64 { return p.H * p.Ring.BandwidthBps }
+// RotationServiceBits returns H·BW, the bits of synchronous service one token
+// rotation guarantees the station.
+func (p MACParams) RotationServiceBits() float64 { return p.H * p.Ring.BandwidthBps }
 
 func (p MACParams) validate() error {
 	if err := p.Ring.Validate(); err != nil {
@@ -155,7 +156,7 @@ func analyzeMAC(in traffic.Descriptor, p MACParams, opts Options, backlog bool) 
 	envelopeEvals := 0
 	defer func() { mMACEnvelopeEvals.Add(uint64(envelopeEvals)) }()
 
-	svc := p.ServiceBitsPerRotation()
+	svc := p.RotationServiceBits()
 	ttrt := p.Ring.TTRT
 	// Stability: the allocation must serve the long-term rate with margin,
 	// or the busy interval (and hence the delay) is unbounded.
@@ -218,7 +219,7 @@ func DelayBound(in traffic.Descriptor, p MACParams) (bound float64, ok bool) {
 		return 0, false
 	}
 	sigma, rho := paddedLine(in)
-	return closedFormBound(sigma, rho, p.ServiceBitsPerRotation(), p.Ring.TTRT)
+	return closedFormBound(sigma, rho, p.RotationServiceBits(), p.Ring.TTRT)
 }
 
 // paddedLine returns the line σ + ρ·t DelayBound stands on: in's burst bound

@@ -13,4 +13,6 @@ var (
 		"MAC analyses that found no finite delay bound (overload, buffer overflow, or no convergence).")
 	mMACEnvelopeEvals = obs.Default.Counter("fafnet_fddi_mac_envelope_evals_total",
 		"Input-envelope evaluations by the Theorem 1 busy-interval and extremum searches (the dominant cost driver).")
+	mMACGridPoints = obs.Default.Counter("fafnet_fddi_mac_grid_points_total",
+		"Candidate grid points assembled by the Theorem 1 extremum scans, over both passes.")
 )

@@ -65,22 +65,31 @@ func TestAnalyzeMACBeyondFlatWindow(t *testing.T) {
 	}
 }
 
-// TestScanMACAllocationFree holds grid assembly plus both Theorem 1 scans at
-// zero allocations on a warmed workspace, shallow and deep.
+// TestScanMACAllocationFree holds grid assembly plus the Theorem 1 scans at
+// zero allocations on a warmed workspace: delay-only (what every probe runs)
+// and with the backlog, over a busy interval inside the first window, one
+// whose stop lies inside it, and deep ones that take the second pass. The
+// second pass holds the first pass's memo table while it takes the multiples,
+// the longer grid and the longer memo table; a free list that dropped a
+// buffer for want of a slot would allocate it again on the next run.
 func TestScanMACAllocationFree(t *testing.T) {
 	chain, flat, deep := deepInput(t)
+	hMin := chain.LongTermRate() * deep.Ring.TTRT / deep.Ring.BandwidthBps
 	shallow := MACParams{Ring: deep.Ring, H: 2e-3}
+	first := MACParams{Ring: deep.Ring, H: 1.2 * hMin}
 	var ws traffic.Workspace
 	for _, in := range []traffic.Descriptor{chain, flat} {
-		for _, p := range []MACParams{shallow, deep} {
-			busy, _, ok := busyInterval(in, p.ServiceBitsPerRotation(), p.Ring.TTRT, maxBusyRotations)
+		for _, p := range []MACParams{shallow, first, deep} {
+			busy, _, ok := busyInterval(in, p.RotationServiceBits(), p.Ring.TTRT, maxBusyRotations)
 			if !ok {
 				t.Fatal("no busy interval")
 			}
-			run := func() { scanMAC(&ws, in, p, busy, tGridPoints, true) }
-			run()
-			if avg := testing.AllocsPerRun(20, run); avg != 0 {
-				t.Errorf("scanMAC over %T at B=%v allocates %v times per run on a warmed workspace", in, busy, avg)
+			for _, backlog := range []bool{false, true} {
+				run := func() { scanMAC(&ws, in, p, busy, tGridPoints, backlog) }
+				run()
+				if avg := testing.AllocsPerRun(20, run); avg != 0 {
+					t.Errorf("scanMAC (backlog %v) over %T at B=%v allocates %v times per run on a warmed workspace", backlog, in, busy, avg)
+				}
 			}
 		}
 	}

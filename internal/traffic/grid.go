@@ -54,21 +54,24 @@ func (w *Workspace) Grid(d Descriptor, horizon float64, n int, extras ...[]float
 	return w.grid(d, horizon, horizon, n, extras)
 }
 
-// GridPrefix returns the points of Grid(d, horizon, n) up to limit (at most
-// horizon): the same points in the same order, assembled only that far. The
-// merge behind Grid is streaming — each point is emitted, or dropped against
-// the points already emitted, before any later one is looked at — so stopping
-// it at limit leaves exactly the prefix of its full output. A search that ends
-// early in its grid (the busy period of a FIFO port is a fraction of the
-// horizon it is looked for in) pays for the part it reads.
-func (w *Workspace) GridPrefix(d Descriptor, horizon float64, n int, limit float64) []float64 {
+// GridPrefix returns the points of Grid(d, horizon, n, extras...) up to limit
+// (at most horizon): the same points in the same order, assembled only that
+// far. The merge behind Grid is streaming — each point is emitted, or dropped
+// against the points already emitted, before any later one is looked at — so
+// stopping it at limit leaves exactly the prefix of its full output. The
+// extras need only list their points up to limit: the merge stops at the first
+// point beyond it, so a longer list changes nothing. A search that ends early
+// in its grid (the busy period of a FIFO port is a fraction of the horizon it
+// is looked for in; Theorem 1's maxima lie where the line σ + ρ·t still
+// reaches them) pays for the part it reads.
+func (w *Workspace) GridPrefix(d Descriptor, horizon float64, n int, limit float64, extras ...[]float64) []float64 {
 	if horizon <= 0 || limit <= 0 {
 		return nil
 	}
 	if n < 1 {
 		n = 1
 	}
-	return w.grid(d, horizon, min(limit, horizon), n, nil)
+	return w.grid(d, horizon, min(limit, horizon), n, extras)
 }
 
 // grid is Grid stopped at limit <= horizon, without the floor on n:

@@ -196,7 +196,8 @@ func TestGridMatchesOracle(t *testing.T) {
 // there each time: the shapes the server analyses assemble (the paper's
 // source behind a MAC, conversion and ports, as a chain, lowered, and summed
 // into a port aggregate) and random chains. The exported wrapper is held to
-// the same cut, with a limit beyond the horizon meaning the horizon.
+// the same cut, with a limit beyond the horizon meaning the horizon, and with
+// its extras listed only up to the limit.
 func TestGridPrefixAtEveryPoint(t *testing.T) {
 	src := DualPeriodic{C1: 50e3, P1: 10e-3, C2: 10e3, P2: 1e-3, PeakBps: 100e6}
 	chain := Delayed{
@@ -228,13 +229,15 @@ func TestGridPrefixAtEveryPoint(t *testing.T) {
 				c.checkPrefix(t, &ws, full, limit)
 			}
 		}
-		if len(c.extras) > 0 {
-			continue
-		}
 		for _, limit := range []float64{c.horizon / 8, c.horizon, 2 * c.horizon} {
 			want := full[:sort.Search(len(full), func(i int) bool { return full[i] > limit })]
-			if got := ws.GridPrefix(c.d, c.horizon, c.n, limit); !slices.Equal(got, want) {
-				t.Fatalf("GridPrefix of %v at horizon %v to %v: %d points, the full grid cut there %d", c.d, c.horizon, limit, len(got), len(want))
+			// The extras cut at the limit: points beyond it change nothing.
+			var cut [][]float64
+			for _, e := range c.extras {
+				cut = append(cut, e[:sort.SearchFloat64s(e, math.Nextafter(limit, math.Inf(1)))])
+			}
+			if got := ws.GridPrefix(c.d, c.horizon, c.n, limit, cut...); !slices.Equal(got, want) {
+				t.Fatalf("GridPrefix of %v at horizon %v to %v, %d extras: %d points, the full grid cut there %d", c.d, c.horizon, limit, len(c.extras), len(got), len(want))
 			}
 		}
 	}

@@ -43,7 +43,10 @@ const (
 	// by a plain allocation and dropped on Put.
 	wsClasses = 16
 	// wsSlots is the free-list depth per class. An analysis holds at most
-	// three buffers of one class at a time (multiples, grid, memo table).
+	// three buffers of one class at a time: multiples, grid and memo table,
+	// or, in the second pass of a MAC scan, the first pass's memo table (its
+	// grid is handed back first) beside the multiples and the longer grid,
+	// then beside the longer grid and memo table.
 	wsSlots = 4
 )
 
