@@ -111,12 +111,14 @@ bench-e2e:
 
 # Documentation gates: every exported identifier in internal/obs must carry
 # a doc comment, OPERATIONS.md's metric catalog must match the names the
-# packages actually register, and README's analyzer table must match the
-# fafvet registry (all both directions). All are ordinary Go tests, named
-# here so CI and reviewers can run just the docs gate.
+# packages actually register, README's analyzer table must match the
+# fafvet registry, and FUZZ_TARGETS above must name exactly the tree's fuzz
+# targets (all both directions). All are ordinary Go tests, named here so CI
+# and a developer can run just the docs gate.
 docs-check:
 	$(GO) test -run TestExportedIdentifiersDocumented ./internal/obs/
 	$(GO) test -run TestOperationsCatalogMatchesRegistry .
+	$(GO) test -run TestFuzzTargetsListed .
 	$(GO) test -run TestReadmeAnalyzerTableMatchesRegistry ./cmd/fafvet/
 
 check: build fmt vet race test docs-check

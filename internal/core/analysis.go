@@ -31,8 +31,7 @@ var errInfeasible = errors.New("core: no finite delay bound")
 // traffic, regulator, rings and buffers, never its id. Analyzer is not safe
 // for concurrent use.
 type Analyzer struct {
-	net  *topo.Network
-	opts AnalysisOptions
+	net *topo.Network
 	// conns holds the one cache record per record class, for at most
 	// maxClasses classes. Every connection of a class — a re-admission under
 	// a fresh id, two standing connections with equal traffic — reads and
@@ -46,8 +45,8 @@ type Analyzer struct {
 	// stats accumulates cache hit/miss counts over the analyzer's lifetime.
 	stats CacheStats
 	// ws is the scratch every MAC and mux analysis of this analyzer takes its
-	// candidate grids and scan tables from (handed down through opts.MAC and
-	// opts.Mux). One analyzer runs one analysis at a time, which is the
+	// candidate grids and scan tables from (handed down through fddi.Options
+	// and atm.MuxOptions). One analyzer runs one analysis at a time, which is the
 	// single-owner rule the workspace asks for; nothing cached above may
 	// point into it.
 	ws traffic.Workspace
@@ -144,22 +143,15 @@ func (rec *connCache) remember(k recKey, v hopResult) {
 }
 
 // NewAnalyzer builds an analyzer for the given network.
-func NewAnalyzer(net *topo.Network, opts AnalysisOptions) (*Analyzer, error) {
+func NewAnalyzer(net *topo.Network, _ AnalysisOptions) (*Analyzer, error) {
 	if net == nil {
 		return nil, errors.New("core: Analyzer requires a network")
 	}
-	a := &Analyzer{
+	return &Analyzer{
 		net:     net,
-		opts:    opts,
 		conns:   make(map[recClass]*connCache),
 		portMux: make(map[topo.PortID][]portMuxEntry),
-	}
-	// The workspace is the analyzer's own even when the caller's options
-	// carry one: options are copied between analyzers (one per lane), a
-	// workspace must not be.
-	a.opts.MAC.Workspace = &a.ws
-	a.opts.Mux.Workspace = &a.ws
-	return a, nil
+	}, nil
 }
 
 // record returns the record of c's class, starting one when the class is
@@ -600,7 +592,7 @@ func (ev *evaluation) theorem1(c *Connection, in *traffic.Flat, ring int, h, buf
 	if backlog {
 		analyze = fddi.AnalyzeMAC
 	}
-	res, err := analyze(input, p, ev.a.opts.MAC)
+	res, err := analyze(input, p, fddi.Options{Workspace: &ev.a.ws})
 	if err != nil {
 		err = fmt.Errorf("%w: %s MAC: %v", errInfeasible, side, err)
 		res = fddi.MACResult{}
@@ -742,7 +734,7 @@ func (ev *evaluation) muxDelay(p topo.PortID) (float64, error) {
 	// window.
 	mFlatAggRebuilds.Inc()
 	params := atm.MuxParams{CapacityBps: ev.a.net.PortCapacity()}
-	res, err := atm.AnalyzeAggregate(ev.a.ws.Sum(flats), params, ev.a.opts.Mux)
+	res, err := atm.AnalyzeAggregate(ev.a.ws.Sum(flats), params, atm.MuxOptions{Workspace: &ev.a.ws})
 	if err != nil {
 		switch {
 		case errors.Is(err, atm.ErrMuxOverload),

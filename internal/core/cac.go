@@ -55,8 +55,6 @@ type Options struct {
 	SearchIters int
 	// Rule selects the allocation segment (default RuleProportional).
 	Rule Rule
-	// Analysis is handed to the controller's analyzer (see AnalysisOptions).
-	Analysis AnalysisOptions
 }
 
 func (o Options) withDefaults() Options {

@@ -9,8 +9,6 @@ import (
 	"errors"
 	"fmt"
 
-	"fafnet/internal/atm"
-	"fafnet/internal/fddi"
 	"fafnet/internal/shaper"
 	"fafnet/internal/topo"
 	"fafnet/internal/traffic"
@@ -88,13 +86,9 @@ func (c *Connection) clone() *Connection {
 	return &cp
 }
 
-// AnalysisOptions carries the options of the underlying server analyses. None
-// tunes a search, and the analyzer replaces both Workspace fields with its own.
-type AnalysisOptions struct {
-	// MAC selects the Theorem 1 output envelope (tests use fddi.OutputExact).
-	MAC fddi.Options
-	Mux atm.MuxOptions
-}
+// AnalysisOptions is NewAnalyzer's options parameter. It has no field: the
+// server analyses take no option but the analyzer's own workspace.
+type AnalysisOptions struct{}
 
 // PortDelay reports the worst-case delay contributed by one shared FIFO
 // port.

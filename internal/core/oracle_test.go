@@ -24,7 +24,7 @@ type serialOracle struct {
 
 func newSerialOracle(t testing.TB, net *topo.Network, opts Options) *serialOracle {
 	t.Helper()
-	an, err := NewAnalyzer(net, opts.Analysis)
+	an, err := NewAnalyzer(net, AnalysisOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}

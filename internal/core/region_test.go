@@ -5,7 +5,6 @@ import (
 	"testing"
 
 	"fafnet/internal/des"
-	"fafnet/internal/fddi"
 	"fafnet/internal/units"
 )
 
@@ -158,39 +157,5 @@ func TestIDBufferConstrainedAdmission(t *testing.T) {
 	}
 	if dec.Admitted {
 		t.Fatal("admission with an overflowing reassembly buffer")
-	}
-}
-
-// TestExactOutputOption runs the whole analysis with the paper's exact Υ(I)
-// output envelopes (Theorem 1 Eq. 12) instead of the fast delay-based bound,
-// and checks the results stay finite, deadline-feasible and close.
-func TestExactOutputOption(t *testing.T) {
-	opts := Options{Analysis: AnalysisOptions{MAC: fddi.Options{Output: fddi.OutputExact}}}
-	ctl, err := NewController(defaultNet(t), opts)
-	if err != nil {
-		t.Fatal(err)
-	}
-	dec, err := ctl.RequestAdmission(testSpec(t, "c1", 0, 0, 1, 0))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !dec.Admitted {
-		t.Fatalf("exact-output admission rejected: %s", dec.Reason)
-	}
-	exact := dec.Delays["c1"]
-
-	ctlFast := newController(t, Options{})
-	decFast, err := ctlFast.RequestAdmission(testSpec(t, "c1", 0, 0, 1, 0))
-	if err != nil || !decFast.Admitted {
-		t.Fatalf("fast admission: %v %v", err, decFast.Reason)
-	}
-	fast := decFast.Delays["c1"]
-	if math.IsInf(exact, 0) || exact <= 0 {
-		t.Fatalf("exact delay = %v", exact)
-	}
-	// Both are valid bounds on the same system; they should agree within a
-	// modest factor.
-	if exact > fast*2 || fast > exact*2 {
-		t.Errorf("exact %v and fast %v bounds disagree wildly", exact, fast)
 	}
 }

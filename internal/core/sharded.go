@@ -142,7 +142,7 @@ func NewSharded(net *topo.Network, opts Options, lanes int) (*Sharded, error) {
 		cache: make(map[verdictKey]*verdictEntry),
 	}
 	for i := 0; i < lanes; i++ {
-		an, err := NewAnalyzer(net, opts.Analysis)
+		an, err := NewAnalyzer(net, AnalysisOptions{})
 		if err != nil {
 			return nil, err
 		}

@@ -105,7 +105,7 @@ func TestWarmLaneEqualsFreshAnalyzer(t *testing.T) {
 		if d.held[len(d.held)-1].Shape != nil {
 			shaped++
 		}
-		fresh, err := NewAnalyzer(d.ctl.Network(), d.ctl.Options().Analysis)
+		fresh, err := NewAnalyzer(d.ctl.Network(), AnalysisOptions{})
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -162,11 +162,7 @@ func TestDelayBoundDeclines(t *testing.T) {
 	if _, ok := DelayBound(in, MACParams{Ring: testRing(), H: 0.8e-3}); ok {
 		t.Error("answered at the stability limit")
 	}
-	sampled, err := traffic.NewSampled([]float64{0.01}, []float64{1e5}, 1e7)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, ok := DelayBound(sampled, MACParams{Ring: testRing(), H: 2e-3}); ok {
+	if _, ok := DelayBound(withoutBurstRule(t, in), MACParams{Ring: testRing(), H: 2e-3}); ok {
 		t.Error("answered for a source without a burst rule")
 	}
 	bad := testRing()

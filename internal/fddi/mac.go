@@ -37,37 +37,18 @@ type MACParams struct {
 	BufferBits float64
 }
 
-// OutputBound selects how the output envelope of an analyzed server is
-// represented.
-type OutputBound int
-
-const (
-	// OutputDelayBased uses the classical work-conserving bound
-	// A'(I) = min(BW·I, A(I + d^wc)): cheap, evaluation stays lazy.
-	OutputDelayBased OutputBound = iota
-	// OutputExact materializes the paper's Υ(I) (Theorem 1, Eq. 12) on a
-	// grid: tighter, but costs a two-dimensional extremum search.
-	OutputExact
-)
-
 // The numeric extremum searches of the analysis.
 const (
 	// tGridPoints is the uniform fallback resolution of the search grid over
 	// the busy interval.
 	tGridPoints = 160
-	// outGridPoints is the resolution of the materialized output envelope of
-	// OutputExact, over the horizon max(2·B, 8·TTRT).
-	outGridPoints = 160
 	// maxBusyRotations bounds the busy-interval search in units of TTRT.
 	maxBusyRotations = 4096
 )
 
-// Options selects the output-envelope representation and carries the
-// analysis's scratch. The zero value is the delay-based bound on a fresh
-// workspace.
+// Options carries the analysis's scratch; it holds no tuning value. The zero
+// value runs on a fresh workspace.
 type Options struct {
-	// Output selects the output-envelope representation.
-	Output OutputBound
 	// Workspace is the scratch the analysis takes its candidate grid and scan
 	// tables from: a resource handle, not a tuning knob. Its owner (one
 	// core.Analyzer) must not run two analyses on it at once. Nil runs the
@@ -84,7 +65,8 @@ type MACResult struct {
 	// Delay is χ, the worst-case queueing+transmission delay at the MAC.
 	Delay float64
 	// Output is the envelope of the connection's traffic as it leaves the
-	// MAC (Eq. 12).
+	// MAC: min(BW·I, A(I + χ)), the delay-based bound that stands in for
+	// Eq. 12's Υ(I).
 	Output traffic.Descriptor
 }
 
@@ -125,7 +107,7 @@ func (p MACParams) validate() error {
 // AnalyzeMAC applies Theorem 1 to a connection with input envelope in and
 // MAC parameters p: it returns the busy interval B (Eq. 9), the worst-case
 // backlog F (Eq. 10), the worst-case delay χ (Eq. 11), and the output
-// envelope (Eq. 12). A non-nil error means no finite delay bound exists for
+// envelope min(BW·I, A(I + χ)). A non-nil error means no finite delay bound exists for
 // this allocation (ErrOverload, ErrBufferOverflow, or ErrNoConvergence).
 func AnalyzeMAC(in traffic.Descriptor, p MACParams, opts Options) (MACResult, error) {
 	return analyzeMAC(in, p, opts, true)
@@ -179,9 +161,12 @@ func analyzeMAC(in traffic.Descriptor, p MACParams, opts Options, backlog bool) 
 		return MACResult{}, fmt.Errorf("%w: F=%v bits, S=%v bits", ErrBufferOverflow, backlogBits, p.BufferBits)
 	}
 
-	out, err := outputEnvelope(in, p, opts.Output, busy, delay)
+	// The one output rule: every bit that leaves in a window of length I
+	// arrived within I + χ. Sound on its own, and in general looser than
+	// Eq. 12's Υ(I), which would need a second extremum search (DESIGN.md §2).
+	out, err := traffic.NewDelayed(in, delay, p.Ring.BandwidthBps)
 	if err != nil {
-		return MACResult{}, err
+		return MACResult{}, fmt.Errorf("fddi: building output envelope: %w", err)
 	}
 	return MACResult{BusyInterval: busy, BufferBits: backlogBits, Delay: delay, Output: out}, nil
 }
@@ -246,53 +231,6 @@ func closedFormBound(sigma, rho, svc, ttrt float64) (float64, bool) {
 		return 0, false
 	}
 	return (sigma/svc + 2) * ttrt, true
-}
-
-// outputEnvelope builds Γ'(I) = min(BW, Υ(I)) per the selected bound.
-func outputEnvelope(in traffic.Descriptor, p MACParams, bound OutputBound, busy, delay float64) (traffic.Descriptor, error) {
-	bw := p.Ring.BandwidthBps
-	if bound == OutputDelayBased {
-		out, err := traffic.NewDelayed(in, delay, bw)
-		if err != nil {
-			return nil, fmt.Errorf("fddi: building output envelope: %w", err)
-		}
-		return out, nil
-	}
-
-	// Exact Υ(I) = max_{0<=t<=B} (A(t+I) − avail(t))/I, materialized.
-	horizon := math.Max(2*busy, 8*p.Ring.TTRT)
-	tGrid := traffic.MergeGrids(busy,
-		traffic.Grid(in, busy, tGridPoints),
-		appendMultiples(nil, p.Ring.TTRT, busy))
-	tGrid = append([]float64{0}, tGrid...)
-	iGrid := traffic.Grid(in, horizon, outGridPoints)
-	bits := make([]float64, len(iGrid))
-	for i, iv := range iGrid {
-		best := 0.0
-		for _, t := range tGrid {
-			if v := in.Bits(t+iv) - p.Avail(t); v > best {
-				best = v
-			}
-		}
-		bits[i] = math.Min(best, bw*iv)
-	}
-	// Enforce monotonicity (numeric jitter between adjacent I points).
-	for i := 1; i < len(bits); i++ {
-		if bits[i] < bits[i-1] {
-			bits[i] = bits[i-1]
-		}
-	}
-	sampled, err := traffic.NewSampled(iGrid, bits, math.Min(in.LongTermRate(), bw))
-	if err != nil {
-		return nil, fmt.Errorf("fddi: materializing exact output envelope: %w", err)
-	}
-	// Step interpolation between samples may exceed BW·I for I below a grid
-	// point; the cap restores Γ' = min(BW, Υ) everywhere.
-	out, err := traffic.NewRateCapped(sampled, bw)
-	if err != nil {
-		return nil, fmt.Errorf("fddi: capping exact output envelope: %w", err)
-	}
-	return out, nil
 }
 
 // multiplesLen bounds the number of points appendMultiples emits.

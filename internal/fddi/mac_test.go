@@ -175,55 +175,64 @@ func TestOutputEnvelopeDominatesDepartures(t *testing.T) {
 	// least the input's long-term volume must pass.
 	in := mustPeriodic(t, 1e5, 0.010, 100e6)
 	p := MACParams{Ring: testRing(), H: 2e-3}
-	for _, mode := range []OutputBound{OutputDelayBased, OutputExact} {
-		res, err := AnalyzeMAC(in, p, Options{Output: mode})
-		if err != nil {
-			t.Fatalf("mode %v: %v", mode, err)
+	res, err := AnalyzeMAC(in, p, Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	out := res.Output
+	// The output envelope preserves the long-term rate.
+	if got := out.LongTermRate(); !units.WithinRel(got, in.LongTermRate(), 1e-6) {
+		t.Errorf("output rho = %v, want %v", got, in.LongTermRate())
+	}
+	// The output can never exceed the medium rate.
+	for i := 1; i <= 200; i++ {
+		iv := float64(i) * 1e-4
+		if got := out.Bits(iv); got > 100e6*iv*(1+units.RelTol)+units.Eps {
+			t.Fatalf("output Bits(%v) = %v exceeds medium rate", iv, got)
 		}
-		out := res.Output
-		// The output envelope preserves the long-term rate.
-		if got := out.LongTermRate(); !units.WithinRel(got, in.LongTermRate(), 1e-6) {
-			t.Errorf("mode %v: output rho = %v, want %v", mode, got, in.LongTermRate())
-		}
-		// The output can never exceed the medium rate.
-		for i := 1; i <= 200; i++ {
-			iv := float64(i) * 1e-4
-			if got := out.Bits(iv); got > 100e6*iv*(1+units.RelTol)+units.Eps {
-				t.Fatalf("mode %v: output Bits(%v) = %v exceeds medium rate", mode, iv, got)
-			}
-		}
-		// The output envelope dominates the input envelope shifted by zero
-		// delay over long windows (all arrived traffic eventually leaves).
-		if got, want := out.Bits(1.0), in.Bits(1.0)*0.95; got < want {
-			t.Errorf("mode %v: output Bits(1s) = %v too small vs input %v", mode, got, in.Bits(1.0))
-		}
+	}
+	// The output envelope dominates the input envelope shifted by zero
+	// delay over long windows (all arrived traffic eventually leaves).
+	if got, want := out.Bits(1.0), in.Bits(1.0)*0.95; got < want {
+		t.Errorf("output Bits(1s) = %v too small vs input %v", got, in.Bits(1.0))
 	}
 }
 
-func TestExactOutputTighterAtVertices(t *testing.T) {
-	// At I equal to a full busy interval the exact bound should be no looser
-	// than the delay-based bound (both are valid upper bounds).
-	in := mustPeriodic(t, 1e5, 0.010, 100e6)
-	p := MACParams{Ring: testRing(), H: 2e-3}
-	exact, err := AnalyzeMAC(in, p, Options{Output: OutputExact})
+// TestOutputIsDelayBasedBound pins Theorem 1's one output rule: the output
+// envelope is min(BW·I, A(I + χ)) bit for bit, for a source, the paper's
+// dual-periodic source, and a chained input (a MAC output converted to cells,
+// as the next server sees it).
+func TestOutputIsDelayBasedBound(t *testing.T) {
+	ring := testRing()
+	p := MACParams{Ring: ring, H: 2e-3}
+	periodic := mustPeriodic(t, 1e5, 0.010, 100e6)
+	dual, err := traffic.NewDualPeriodic(150e3, 0.010, 30e3, 0.001, 100e6)
 	if err != nil {
 		t.Fatal(err)
 	}
-	loose, err := AnalyzeMAC(in, p, Options{Output: OutputDelayBased})
+	first, err := AnalyzeMAC(periodic, p, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	worse := 0
-	total := 0
-	for i := 1; i <= 100; i++ {
-		iv := float64(i) * 2e-4
-		total++
-		if exact.Output.Bits(iv) > loose.Output.Bits(iv)*(1+1e-9) {
-			worse++
+	chained, err := traffic.NewQuantized(first.Output, 384, 424)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, tc := range []struct {
+		name string
+		in   traffic.Descriptor
+	}{{"periodic", periodic}, {"dual-periodic", dual}, {"chained", chained}} {
+		res, err := AnalyzeMAC(tc.in, p, Options{})
+		if err != nil {
+			t.Fatalf("%s: %v", tc.name, err)
 		}
-	}
-	if worse > total/2 {
-		t.Errorf("exact output looser than delay-based at %d/%d points", worse, total)
+		for i := 1; i <= 200; i++ {
+			iv := float64(i) * 2.5e-4
+			want := min(ring.BandwidthBps*iv, tc.in.Bits(iv+res.Delay))
+			if got := res.Output.Bits(iv); math.Float64bits(got) != math.Float64bits(want) {
+				t.Fatalf("%s: Output.Bits(%v) = %v, want min(BW·I, A(I+chi)) = %v", tc.name, iv, got, want)
+			}
+		}
 	}
 }
 

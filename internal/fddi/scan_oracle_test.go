@@ -124,7 +124,7 @@ func TestScanMACMatchesExhaustiveScan(t *testing.T) {
 	ring := deep.Ring
 	hMin := chain.LongTermRate() * ring.TTRT / ring.BandwidthBps
 	lined := []traffic.Descriptor{chain, flat}
-	sampled := sampledInput(t, chain)
+	noline := withoutBurstRule(t, chain)
 	cases := []struct {
 		name        string
 		in          []traffic.Descriptor
@@ -139,7 +139,7 @@ func TestScanMACMatchesExhaustiveScan(t *testing.T) {
 		{"mid", lined, 1.1 * hMin, 0, 20, "second", [2]int{184, 184}},
 		{"deep", lined, 1.02 * hMin, 0, 100, "second", [2]int{898, 898}},
 		{"deepest", lined, 1.004 * hMin, 0, 500, "second", [2]int{2701, 2701}},
-		{"noline", []traffic.Descriptor{sampled}, 1.5 * hMin, 0, 5, "full", [2]int{27}},
+		{"noline", []traffic.Descriptor{noline}, 1.5 * hMin, 0, 5, "full", [2]int{18}},
 		{"buffered", lined, 1.02 * hMin, 1e9, 100, "second", [2]int{898, 898}},
 	}
 	for _, c := range cases {
@@ -195,21 +195,22 @@ func TestScanMACMatchesExhaustiveScan(t *testing.T) {
 	}
 }
 
-// sampledInput tabulates in over 100 ms, ten of its long periods, as a Sampled
-// envelope: a descriptor type without a burst rule, so no line stops its grid.
-func sampledInput(t *testing.T, in traffic.Descriptor) traffic.Descriptor {
+// noBurstRule is a descriptor type from outside package traffic, so
+// traffic.BurstBound has no rule for it and no line stops its grid. It
+// evaluates and enumerates its breakpoints as the descriptor it wraps.
+type noBurstRule struct{ traffic.Descriptor }
+
+func (n noBurstRule) AppendBreakpoints(dst []float64, horizon float64) []float64 {
+	return traffic.AppendBreakpoints(dst, n.Descriptor, horizon)
+}
+
+// withoutBurstRule wraps in as a noBurstRule and checks that its padded σ is
+// +Inf, which is what the no-line cases exercise.
+func withoutBurstRule(t *testing.T, in traffic.Descriptor) traffic.Descriptor {
 	t.Helper()
-	grid := traffic.Grid(in, 0.1, tGridPoints)
-	bits := make([]float64, len(grid))
-	for i, pt := range grid {
-		bits[i] = in.Bits(pt)
+	d := noBurstRule{in}
+	if sigma, _ := paddedLine(d); !math.IsInf(sigma, 1) {
+		t.Fatalf("a descriptor without a burst rule has the burst bound %v: the case exercises nothing", sigma)
 	}
-	s, err := traffic.NewSampled(grid, bits, in.LongTermRate())
-	if err != nil {
-		t.Fatal(err)
-	}
-	if sigma, _ := paddedLine(s); !math.IsInf(sigma, 1) {
-		t.Fatalf("a Sampled envelope has the burst bound %v: the case exercises nothing", sigma)
-	}
-	return s
+	return d
 }

@@ -45,8 +45,6 @@ type Config struct {
 	// serves them only from token earliness, so the analytic bounds must
 	// hold regardless — this exercises exactly that.
 	AsyncBackground int
-	// Analysis is handed to the analyzer that computes the bounds.
-	Analysis core.AnalysisOptions
 }
 
 // histBins is the number of buckets in each ConnResult.Hist.
@@ -109,7 +107,7 @@ func Run(cfg Config) (Result, error) {
 	if err != nil {
 		return Result{}, err
 	}
-	analyzer, err := core.NewAnalyzer(net, cfg.Analysis)
+	analyzer, err := core.NewAnalyzer(net, core.AnalysisOptions{})
 	if err != nil {
 		return Result{}, err
 	}

@@ -82,16 +82,18 @@ func Analyze(in traffic.Descriptor, spec Spec) (Result, error) {
 	// regulator busy period; scanning a doubling horizon and stopping once
 	// the maximum is stable AND the bucket has caught up at the end is a
 	// sound over-approximation of that search.
+	var ws traffic.Workspace
 	var delay float64
 	found := false
 	prev := -1.0
 	for horizon := initialHorizon; horizon <= maxHorizon*2; horizon *= 2 {
-		grid := traffic.MergeGrids(horizon, traffic.Grid(in, horizon, gridPoints), []float64{traffic.GridNudge})
+		grid := ws.Grid(in, horizon, gridPoints, []float64{traffic.GridNudge})
 		for _, t := range grid {
 			if lag := (in.Bits(t)-spec.SigmaBits)/spec.RhoBps - t; lag > delay {
 				delay = lag
 			}
 		}
+		ws.Put(grid)
 		caughtUp := in.Bits(horizon) <= spec.SigmaBits+spec.RhoBps*horizon+units.Eps
 		if caughtUp && units.AlmostEq(delay, prev) {
 			found = true

@@ -10,9 +10,9 @@ import "math"
 // may exceed it by float rounding and by the relative snapping of
 // units.FloorDiv — a relative error of the order of units.RelTol on σ and
 // on ρ·t — so a caller that needs the inequality on computed values pads
-// both. The result is +Inf when d holds a type without a rule (a type from
-// outside the package, or *Sampled, whose subadditive extension may outgrow
-// its declared rate). There is one rule per descriptor type:
+// both. The result is +Inf when d holds a type without a rule: a type from
+// outside the package, or the *Aggregate a summed flat holds as its tail.
+// There is one rule per descriptor type:
 //
 //   - CBR: 0; LeakyBucket: its σ;
 //   - Periodic: C·(1 − ρ/Peak), the excess at the end of a burst;

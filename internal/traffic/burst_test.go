@@ -60,14 +60,10 @@ func TestBurstBoundRules(t *testing.T) {
 			}
 		})
 	}
-	sampled, err := NewSampled([]float64{0.01}, []float64{1e5}, 1e7)
-	if err != nil {
-		t.Fatal(err)
+	if s := BurstBound(opaque{paper}); !math.IsInf(s, 1) {
+		t.Errorf("a type from outside the package: sigma = %v, want +Inf (no rule)", s)
 	}
-	if s := BurstBound(sampled); !math.IsInf(s, 1) {
-		t.Errorf("Sampled: sigma = %v, want +Inf (no rule)", s)
-	}
-	if s := BurstBound(NewAggregate(paper, sampled)); !math.IsInf(s, 1) {
+	if s := BurstBound(NewAggregate(paper, opaque{paper})); !math.IsInf(s, 1) {
 		t.Errorf("an aggregate with a member without a rule: sigma = %v, want +Inf", s)
 	}
 }

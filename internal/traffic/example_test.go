@@ -22,12 +22,14 @@ func ExampleDualPeriodic() {
 	// 1.5e+07
 }
 
-func ExampleRate() {
+// Γ(I) = Bits(I)/I, the maximum average rate over any window of length I:
+// for a constant-bit-rate source, its rate at every I.
+func ExampleCBR() {
 	d, err := traffic.NewCBR(8e6)
 	if err != nil {
 		panic(err)
 	}
-	fmt.Println(traffic.Rate(d, 0.5))
+	fmt.Println(d.Bits(0.5) / 0.5)
 	// Output:
 	// 8e+06
 }

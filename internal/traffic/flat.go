@@ -26,8 +26,8 @@ import (
 // A Flat covers [0, horizon] exactly; beyond the horizon Bits delegates to
 // tail, the untransformed descriptor chain the array was lowered from, so a
 // Flat is pointwise exact everywhere (fast inside the window the analyses
-// actually scan, correct outside it). Breakpoints likewise delegates to the
-// tail chain — grid assembly must see the same vertex set the chain would
+// actually scan, correct outside it). AppendBreakpoints likewise delegates to
+// the tail chain — grid assembly must see the same vertex set the chain would
 // advertise, because the extremum scans' candidate grids define the analysis
 // results; the Flat's own segment boundaries (quantization snap thresholds,
 // cap crossings) are evaluation structure, not advertised breakpoints, and
@@ -61,7 +61,6 @@ type Flat struct {
 }
 
 var _ Descriptor = (*Flat)(nil)
-var _ BreakpointProvider = (*Flat)(nil)
 var _ BreakpointAppender = (*Flat)(nil)
 
 // maxFlatSegments bounds the breakpoint array of any single Flat. Lowering
@@ -122,32 +121,25 @@ func (f *Flat) seg(t float64) int {
 // LongTermRate implements Descriptor.
 func (f *Flat) LongTermRate() float64 { return f.rho }
 
-// PeakRate reports the tail chain's peak, mirroring what Peak would compute
-// on the chain directly.
-func (f *Flat) PeakRate() float64 { return Peak(f.tail) }
-
-// Breakpoints implements BreakpointProvider by delegating to the tail chain,
-// cached at the largest horizon queried: the candidate grids of the extremum
-// scans must contain exactly the vertex set the un-lowered chain would
-// advertise, so the analysis results are value-preserved. Smaller horizons
-// answer with a binary-searched prefix of the cached list — points the chain
-// keeps a hair beyond a queried horizon are clipped by grid assembly either
-// way, so the prefix produces identical grids at a fraction of the cost (the
-// chain is walked once per Flat, not once per scan). The returned slice is
-// shared with the cache and must not be mutated.
+// breakpointsVia returns the tail chain's breakpoints up to horizon, sorted
+// with exact duplicates removed, from a cache kept at the largest horizon
+// queried: the candidate grids of the extremum scans must contain exactly the
+// vertex set the un-lowered chain would advertise, so the analysis results are
+// value-preserved. Smaller horizons answer with a binary-searched prefix of
+// the cached list — points the chain keeps a hair beyond a queried horizon are
+// clipped by grid assembly either way, so the prefix produces identical grids
+// at a fraction of the cost (the chain is walked once per Flat, not once per
+// scan). The returned slice is shared with the cache and must not be mutated.
 //
-// This is the form for flats a cache hands out again — the per-stage flats,
-// whose lists the members-union tail of a port aggregate re-reads on every
-// probe. A flat that is scanned once enumerates through AppendBreakpoints
-// and never fills the cache.
-func (f *Flat) Breakpoints(horizon float64) []float64 {
-	return f.breakpointsVia(nil, horizon)
-}
-
-// breakpointsVia is Breakpoints with enumeration space lent by the caller: a
-// cache fill walks the chain into the spare capacity behind scratch (whose
-// contents stay untouched) and keeps a copy of exactly the list's size, so a
-// fill costs one allocation instead of an append's growth series.
+// This is the read for flats a cache hands out again — the per-stage flats,
+// whose lists the members union of a port aggregate re-reads on every probe.
+// A flat that is scanned once enumerates through AppendBreakpoints and never
+// fills the cache.
+//
+// Enumeration space is lent by the caller: a cache fill walks the chain into
+// the spare capacity behind scratch (whose contents stay untouched) and keeps
+// a copy of exactly the list's size, so a fill costs one allocation instead of
+// an append's growth series.
 func (f *Flat) breakpointsVia(scratch []float64, horizon float64) []float64 {
 	if horizon <= 0 {
 		return nil
@@ -291,8 +283,6 @@ func Flatten(d Descriptor, horizon float64) *Flat {
 		return flattenPeriodic(v, horizon)
 	case DualPeriodic:
 		return flattenDualPeriodic(v, horizon)
-	case *Sampled:
-		return flattenSampled(v, horizon)
 	case Delayed:
 		inner := Flatten(v.Inner, horizon+v.Delay)
 		if inner == nil {
@@ -425,21 +415,6 @@ func flattenDualPeriodic(v DualPeriodic, horizon float64) *Flat {
 		}
 	}
 	return b.finish(horizon, v)
-}
-
-// flattenSampled lowers the tabulated staircase exactly up to its last
-// sample; the subadditive extension beyond it is served by the tail.
-func flattenSampled(v *Sampled, horizon float64) *Flat {
-	b := &flatBuilder{}
-	b.reserve(len(v.grid) + 1)
-	b.add(0, v.bits[0], 0)
-	for i := 0; i+1 < len(v.grid) && !b.full(); i++ {
-		if v.grid[i] > horizon {
-			break
-		}
-		b.add(v.grid[i], v.bits[i+1], 0)
-	}
-	return b.finish(math.Min(horizon, v.grid[len(v.grid)-1]), v)
 }
 
 // shiftCap applies the Delayed transform A'(I) = min(cap·I, A(I + d)) in
@@ -722,102 +697,16 @@ func SumInto(dst, a, b *Flat) {
 	mergeLinear(dst, a, b)
 }
 
-// flatTail aggregates member tails for a scratch sum without rebuilding a
-// descriptor per sum: the members slice is rewritten in place.
-type flatTail struct {
-	members []Descriptor
-}
-
-func (t *flatTail) Bits(interval float64) float64 {
-	var sum float64
-	for _, m := range t.members {
-		sum += m.Bits(interval)
-	}
-	return sum
-}
-
-func (t *flatTail) LongTermRate() float64 {
-	var sum float64
-	for _, m := range t.members {
-		sum += m.LongTermRate()
-	}
-	return sum
-}
-
-// Breakpoints implements BreakpointProvider as the members' union, matching
-// Aggregate's semantics for grid assembly.
-func (t *flatTail) Breakpoints(horizon float64) []float64 {
-	return t.AppendBreakpoints(nil, horizon)
-}
-
-// AppendBreakpoints implements BreakpointAppender. Member lists that are
-// already ascending (Flat members answer from their breakpoint caches — the
-// members of a port aggregate are the cached per-stage flats, so this is the
-// read that makes those caches pay) are combined by a linear k-way merge
-// straight into dst, so the union is ascending and grid assembly never pays a
-// comparison sort.
-func (t *flatTail) AppendBreakpoints(dst []float64, horizon float64) []float64 {
-	// Ports carry a handful of members; the fixed arrays keep the list
-	// headers on the stack up to sixteen.
-	var (
-		listsBuf [16][]float64
-		idxBuf   [16]int
-	)
-	lists := listsBuf[:0]
-	sorted := true
-	for _, m := range t.members {
-		var l []float64
-		switch v := m.(type) {
-		case *Flat:
-			l = v.breakpointsVia(dst, horizon)
-		case BreakpointProvider:
-			l = v.Breakpoints(horizon)
-		}
-		if len(l) == 0 {
-			continue
-		}
-		if !sort.Float64sAreSorted(l) {
-			sorted = false
-		}
-		lists = append(lists, l)
-	}
-	if !sorted {
-		for _, l := range lists {
-			dst = append(dst, l...)
-		}
-		return dst
-	}
-	idx := idxBuf[:0]
-	for range lists {
-		idx = append(idx, 0)
-	}
-	for len(lists) > 0 {
-		best := 0
-		for k := 1; k < len(lists); k++ {
-			if lists[k][idx[k]] < lists[best][idx[best]] {
-				best = k
-			}
-		}
-		dst = append(dst, lists[best][idx[best]])
-		idx[best]++
-		if idx[best] == len(lists[best]) {
-			lists = append(lists[:best], lists[best+1:]...)
-			idx = append(idx[:best], idx[best+1:]...)
-		}
-	}
-	return dst
-}
-
-// ensureTail points dst's tail at a flatTail over a's and b's tails, reusing
-// the existing flatTail (and its backing array, when large enough) so warm
-// sums stay allocation-free.
+// ensureTail points dst's tail at an Aggregate over a's and b's tails, reusing
+// the existing one (and its backing array, when large enough) so warm sums
+// stay allocation-free.
 func (dst *Flat) ensureTail(a, b *Flat) {
-	ft, ok := dst.tail.(*flatTail)
+	agg, ok := dst.tail.(*Aggregate)
 	if !ok {
-		ft = &flatTail{members: make([]Descriptor, 0, 8)}
-		dst.tail = ft
+		agg = &Aggregate{members: make([]Descriptor, 0, 8)}
+		dst.tail = agg
 	}
-	ft.members = append(ft.members[:0], a.tail, b.tail)
+	agg.members = append(agg.members[:0], a.tail, b.tail)
 }
 
 // mergeLinear writes a + b into dst over the union of breakpoints, clipped to

@@ -3,6 +3,7 @@ package traffic
 import (
 	"math"
 	"math/rand"
+	"slices"
 	"sort"
 	"testing"
 
@@ -42,10 +43,6 @@ func flatCases(t *testing.T) map[string]Descriptor {
 	// The constructor rejects peak < ρ; build the literal to cover the
 	// lowering's defensive branch anyway.
 	lbSlowPeak := LeakyBucket{Sigma: 30000, Rho: 2e6, PeakBps: 1e6}
-	samp, err := NewSampled([]float64{1e-3, 3e-3, 7e-3, 20e-3}, []float64{9000, 9000, 27000, 51000}, 2.55e6)
-	if err != nil {
-		t.Fatal(err)
-	}
 	quant, err := NewQuantized(dual, 36000, 94*384)
 	if err != nil {
 		t.Fatal(err)
@@ -92,7 +89,6 @@ func flatCases(t *testing.T) map[string]Descriptor {
 		"leakyNoPeak":  lbNoPeak,
 		"leakyNoSigma": lbNoSigma,
 		"leakySlow":    lbSlowPeak,
-		"sampled":      samp,
 		"quantized":    quant,
 		"delayed":      delayed,
 		"delayedCap":   delayedCap,
@@ -111,11 +107,9 @@ func probePoints(d Descriptor, horizon float64, rng *rand.Rand) []float64 {
 	for i := 0; i < 500; i++ {
 		pts = append(pts, rng.Float64()*1.5*horizon)
 	}
-	if bp, ok := d.(BreakpointProvider); ok {
-		for _, p := range bp.Breakpoints(horizon) {
-			eps := 1e-6 * math.Max(1e-3, p)
-			pts = append(pts, p-eps, p, p+eps)
-		}
+	for _, p := range AppendBreakpoints(nil, d, horizon) {
+		eps := 1e-6 * math.Max(1e-3, p)
+		pts = append(pts, p-eps, p, p+eps)
 	}
 	return pts
 }
@@ -225,47 +219,38 @@ func TestFlatHintMatchesBinarySearch(t *testing.T) {
 }
 
 // TestFlatBreakpointsDelegate pins the grid-preservation invariant: a Flat
-// advertises exactly the tail chain's breakpoints (sorted, deduplicated),
-// never its own segment boundaries, and smaller horizons answer with a
-// prefix of the cached list clipped to the queried horizon.
+// advertises exactly the tail chain's breakpoints, never its own segment
+// boundaries — the chain's own enumeration before its cache is filled, the
+// chain's list sorted and deduplicated once it is — and smaller horizons
+// answer with a prefix of the cached list clipped to the queried horizon.
 func TestFlatBreakpointsDelegate(t *testing.T) {
 	d := flatCases(t)["quantized"]
 	f := Flatten(d, flatTestHorizon)
-	want := append([]float64(nil), d.(BreakpointProvider).Breakpoints(flatTestHorizon)...)
-	sort.Float64s(want)
-	dedup := want[:0]
-	for i, p := range want {
-		if i > 0 && p == want[i-1] {
-			continue
-		}
-		dedup = append(dedup, p)
+	chain := AppendBreakpoints(nil, d, flatTestHorizon)
+	if got := f.AppendBreakpoints(nil, flatTestHorizon); !slices.Equal(got, chain) {
+		t.Fatalf("uncached flat enumerates %d points, the chain %d", len(got), len(chain))
 	}
-	got := f.Breakpoints(flatTestHorizon)
-	if len(got) != len(dedup) {
-		t.Fatalf("breakpoint count: flat=%d chain=%d", len(got), len(dedup))
+	dedup := slices.Clone(chain)
+	slices.Sort(dedup)
+	dedup = slices.Compact(dedup)
+	if got := f.breakpointsVia(nil, flatTestHorizon); !slices.Equal(got, dedup) {
+		t.Fatalf("cached list of %d points, the chain's sorted and deduplicated %d", len(got), len(dedup))
 	}
-	for i := range got {
-		if got[i] != dedup[i] {
-			t.Fatalf("breakpoint %d: flat=%v chain=%v", i, got[i], dedup[i])
-		}
+	if got := f.AppendBreakpoints(nil, flatTestHorizon); !slices.Equal(got, dedup) {
+		t.Fatalf("cached flat enumerates %d points, want the cached list of %d", len(got), len(dedup))
 	}
 	// A smaller horizon is the prefix of the cached list clipped to it: the
 	// same points grid assembly would keep (it clips beyond-horizon points
 	// itself), without a fresh chain walk.
-	half := f.Breakpoints(flatTestHorizon / 2)
+	half := f.AppendBreakpoints(nil, flatTestHorizon/2)
 	n := 0
 	for _, p := range dedup {
 		if p <= flatTestHorizon/2 {
 			n++
 		}
 	}
-	if len(half) != n {
-		t.Fatalf("half-horizon breakpoint count: flat=%d, want prefix of %d", len(half), n)
-	}
-	for i := range half {
-		if half[i] != dedup[i] {
-			t.Fatalf("half-horizon breakpoint %d: flat=%v chain=%v", i, half[i], dedup[i])
-		}
+	if !slices.Equal(half, dedup[:n]) {
+		t.Fatalf("half-horizon breakpoints: flat=%d points, want the prefix of %d", len(half), n)
 	}
 }
 

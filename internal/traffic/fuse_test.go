@@ -232,8 +232,8 @@ func TestFuseBreakpointsEquivalent(t *testing.T) {
 	}
 	fused := Fuse(chain)
 	for _, h := range []float64{5e-3, 20e-3, 50e-3} {
-		want := CleanGrid(chain.(BreakpointProvider).Breakpoints(h), h)
-		got := CleanGrid(append([]float64(nil), fused.(BreakpointProvider).Breakpoints(h)...), h)
+		want := CleanGrid(AppendBreakpoints(nil, chain, h), h)
+		got := CleanGrid(AppendBreakpoints(nil, fused, h), h)
 		if len(got) != len(want) {
 			t.Fatalf("horizon %v: %d fused breakpoints, want %d", h, len(got), len(want))
 		}

@@ -14,32 +14,32 @@ import (
 const GridNudge = 1e-10
 
 // maxGridExtras is the number of extra point lists the merge kernel takes
-// as streams of their own; Grid folds any surplus into the last one first.
+// as streams of their own.
 const maxGridExtras = 4
 
 // Grid assembles, in one pass and into a workspace buffer, the candidate
 // evaluation points in (0, horizon] of an extremum search over d: ascending,
 // deduplicated to units.Eps. The point set is
 //
-//   - the descriptor's intrinsic breakpoints in [0, horizon] (when it
-//     provides them), each bracketed by points GridNudge before and after, so
-//     that step discontinuities are observed from both sides — probing just
-//     after a vertex also covers a burst at 0, where the envelope jumps but 0
-//     itself is outside the grid;
+//   - the descriptor's intrinsic breakpoints in [0, horizon] (its
+//     AppendBreakpoints enumeration), each bracketed by points GridNudge
+//     before and after, so that step discontinuities are observed from both
+//     sides — probing just after a vertex also covers a burst at 0, where the
+//     envelope jumps but 0 itself is outside the grid;
 //   - a uniform fallback grid of n points (at least 1), which bounds the
 //     error for composite envelopes whose exact vertex set is impractical to
 //     enumerate;
 //   - the extras: further point lists the search wants visited (the avail
 //     steps at multiples of TTRT, the t→0⁺ point), merged in afterwards.
+//     There are at most maxGridExtras of them, each ascending: a
+//     precondition, which every analysis meets by construction.
 //
 // "Afterwards" is part of the contract: the first two families are clipped
 // and deduplicated among themselves before the extras are merged and the
-// whole is deduplicated again, so the result equals
-// MergeGrids(horizon, Grid(d, horizon, n), extras...) point for point — the
-// formulation the analyses were written against and the test oracle still
-// spells out. Both dedup stages ride along the single k-way merge of the
-// uniform run, the three bracket streams of the sorted breakpoint list and
-// the extras.
+// whole is deduplicated again — the formulation the analyses were written
+// against, which the test oracle spells out as two merges. Both dedup stages
+// ride along the single k-way merge of the uniform run, the three bracket
+// streams of the sorted breakpoint list and the extras.
 //
 // The returned slice belongs to the caller until handed back with Put; it
 // keeps one spare slot of capacity so InsertGridPoint never reallocates.
@@ -74,10 +74,9 @@ func (w *Workspace) GridPrefix(d Descriptor, horizon float64, n int, limit float
 	return w.grid(d, horizon, min(limit, horizon), n, extras)
 }
 
-// grid is Grid stopped at limit <= horizon, without the floor on n:
-// MergeGrids merges bare lists through it with no uniform run at all. The
-// uniform step stays horizon/n whatever the limit. Breakpoints are enumerated
-// to limit + 2·GridNudge: a vertex w just past the limit still puts its
+// grid is Grid stopped at limit <= horizon, with n >= 1. The uniform step
+// stays horizon/n whatever the limit. Breakpoints are enumerated to
+// limit + 2·GridNudge: a vertex w just past the limit still puts its
 // w − GridNudge bracket inside, and the second nudge absorbs the rounding of
 // the shifts inside the descriptors' own enumerations.
 func (w *Workspace) grid(d Descriptor, horizon, limit float64, n int, extras [][]float64) []float64 {
@@ -96,7 +95,6 @@ func (w *Workspace) grid(d Descriptor, horizon, limit float64, n int, extras [][
 	hi := lo + sort.Search(len(raw)-lo, func(i int) bool { return raw[lo+i] > reach })
 	window := raw[lo:hi]
 
-	extras = foldExtras(extras)
 	bound := n + 3*len(window) + 1
 	for _, e := range extras {
 		bound += len(e)
@@ -107,35 +105,8 @@ func (w *Workspace) grid(d Descriptor, horizon, limit float64, n int, extras [][
 	return out[:k]
 }
 
-// foldExtras returns the extras as at most maxGridExtras ascending lists.
-// The analyses pass one or two lists that are ascending by construction, so
-// this is a check; an unsorted list is sorted in a copy and a surplus is
-// concatenated into one list, as the merge only sees the multiset.
-func foldExtras(extras [][]float64) [][]float64 {
-	ok := len(extras) <= maxGridExtras
-	for _, e := range extras {
-		ok = ok && sort.Float64sAreSorted(e)
-	}
-	if ok {
-		return extras
-	}
-	folded := make([][]float64, 0, maxGridExtras)
-	for _, e := range extras {
-		if len(folded) < maxGridExtras {
-			own := append([]float64(nil), e...)
-			sort.Float64s(own)
-			folded = append(folded, own)
-			continue
-		}
-		last := append(folded[maxGridExtras-1], e...)
-		sort.Float64s(last)
-		folded[maxGridExtras-1] = last
-	}
-	return folded
-}
-
 // mergeGrid is the grid-assembly kernel: one k-way merge over the uniform run
-// step·i (i = 1…n, step = horizon/n), the three bracket streams
+// step·i (i = 1…n, n >= 1, step = horizon/n), the three bracket streams
 // window[i] − GridNudge, window[i] and window[i] + GridNudge, and the extras,
 // writing the Eps-deduplicated result clipped to (0, limit] into out (sized by
 // the caller to hold every input point) and returning its length. window must
@@ -167,13 +138,8 @@ func mergeGrid(out []float64, horizon, limit float64, n int, window []float64, e
 		idx  [1 + maxGridExtras]int
 		head [1 + maxGridExtras]float64
 	)
-	step := 0.0
-	head[0] = inf
-	if n > 0 {
-		step = horizon / float64(n)
-		idx[0] = 1
-		head[0] = step
-	}
+	step := horizon / float64(n)
+	idx[0], head[0] = 1, step
 	streams := 1
 	for _, e := range extras {
 		src[streams] = e
@@ -256,8 +222,8 @@ func minHead(head []float64) (int, float64) {
 
 // InsertGridPoint merges the single point p into grid — an ascending,
 // Eps-deduplicated run as Grid returns — under the same dedup rule, in
-// place, and returns the result: MergeGrids(grid's last point, grid, {p}).
-// The FIFO-port analysis uses it to add the t→0⁺ point to the prefix of the
+// place, and returns the result: the merge of grid and {p} clipped to grid's
+// last point. The FIFO-port analysis uses it to add the t→0⁺ point to the prefix of the
 // busy-period grid it goes on to scan.
 func InsertGridPoint(grid []float64, p float64) []float64 {
 	if p <= 0 || len(grid) == 0 || p > grid[len(grid)-1] {
@@ -279,42 +245,25 @@ func InsertGridPoint(grid []float64, p float64) []float64 {
 	return grid
 }
 
-// Grid returns the candidate grid of Workspace.Grid in memory of its own, for
-// callers that keep it or run once (output-envelope materialization, the
-// shaper, tabulation).
-func Grid(d Descriptor, horizon float64, n int) []float64 {
-	var w Workspace
-	return w.Grid(d, horizon, n)
-}
-
-// MergeGrids combines several candidate grids into one sorted, deduplicated
-// grid clipped to (0, horizon], in memory of its own. Input grids are not
-// mutated.
-func MergeGrids(horizon float64, grids ...[]float64) []float64 {
-	var w Workspace
-	return w.grid(nil, horizon, horizon, 0, grids)
-}
-
-// BreakpointAppender is the allocation-free form of BreakpointProvider: the
-// descriptor appends its breakpoints to a caller-owned buffer, so a
-// transform chain enumerates into one slice instead of allocating one per
-// link. Every provider on the analysis path implements it; AppendBreakpoints
-// falls back to Breakpoints for those that do not.
+// BreakpointAppender is implemented by descriptors that can enumerate the
+// interval lengths at which their envelope changes behaviour (burst arrivals,
+// slope changes). Extremum searches in the server analyses are exact when the
+// candidate grid contains these points. The descriptor appends them to a
+// caller-owned buffer, so a transform chain enumerates into one slice instead
+// of allocating one per link.
 type BreakpointAppender interface {
-	// AppendBreakpoints appends the points Breakpoints(horizon) would return
-	// to dst and returns the extended slice. Only the appended tail may be
-	// reordered or rewritten.
+	// AppendBreakpoints appends the interval lengths in (0, horizon] at which
+	// the envelope has a vertex to dst and returns the extended slice. The
+	// appended points need not be sorted or deduplicated, and only the
+	// appended tail may be reordered or rewritten.
 	AppendBreakpoints(dst []float64, horizon float64) []float64
 }
 
 // AppendBreakpoints appends d's breakpoints up to horizon to dst. Descriptors
 // that advertise none append nothing.
 func AppendBreakpoints(dst []float64, d Descriptor, horizon float64) []float64 {
-	switch v := d.(type) {
-	case BreakpointAppender:
+	if v, ok := d.(BreakpointAppender); ok {
 		return v.AppendBreakpoints(dst, horizon)
-	case BreakpointProvider:
-		return append(dst, v.Breakpoints(horizon)...)
 	}
 	return dst
 }

@@ -43,8 +43,7 @@ func oracleGrid(d Descriptor, horizon float64, n int) []float64 {
 		uniform = append(uniform, step*float64(i))
 	}
 	var brackets []float64
-	if bp, ok := d.(BreakpointProvider); ok {
-		raw := bp.Breakpoints(horizon)
+	if raw := AppendBreakpoints(nil, d, horizon); len(raw) > 0 {
 		if !sort.Float64sAreSorted(raw) {
 			// Sorting the raw points (n elements) keeps the bracket
 			// expansion below ascending, so the 3n-element slice rarely
@@ -80,8 +79,8 @@ func oracleGrid(d Descriptor, horizon float64, n int) []float64 {
 	return cleanSorted(merged, horizon)
 }
 
-// oracleMergeGrids is the seed formulation of MergeGrids, kept verbatim as
-// the reference. It combines several candidate grids into one sorted, deduplicated
+// oracleMergeGrids is the seed formulation of the bare-list merge behind
+// Workspace.Grid's extras, kept verbatim as the reference. It combines several candidate grids into one sorted, deduplicated
 // grid clipped to (0, horizon]. Input grids are not mutated; already-sorted
 // inputs (the common case: Grid outputs, multiples of a step) are combined
 // by a single-allocation k-way merge instead of re-sorted.

@@ -86,8 +86,9 @@ func randomChain(r *rand.Rand, depth int) Descriptor {
 
 // newGridCase derives a case from fuzzable scalars. horizon is folded into
 // [1 ms, 2 s]; step > 0 adds bracketed multiples of it the way the MAC scan
-// adds TTRT multiples, zeroPlus the t→0⁺ point, and loose an unsorted list
-// with points outside the horizon; limit is gridCase.limit.
+// adds TTRT multiples, zeroPlus the t→0⁺ point, and loose a list with points
+// outside the horizon, drawn unsorted and sorted (extras are ascending by
+// precondition); limit is gridCase.limit.
 func newGridCase(seed int64, horizon float64, n uint8, step float64, zeroPlus, loose bool, limit float64) gridCase {
 	r := rand.New(rand.NewSource(seed))
 	c := gridCase{d: randomChain(r, 2), n: int(n)}
@@ -113,15 +114,16 @@ func newGridCase(seed int64, horizon float64, n uint8, step float64, zeroPlus, l
 		for i := range pts {
 			pts[i] = (r.Float64()*1.2 - 0.1) * c.horizon
 		}
+		sort.Float64s(pts)
 		c.extras = append(c.extras, pts)
 	}
 	return c
 }
 
 // check compares the one-pass builder with the seed formulation for exact
-// slice equality. The builder runs first, so a *Flat input is enumerated
-// through its tail chain before the oracle's Breakpoints call fills its
-// cache; the second builder run then reads that cache.
+// slice equality. A *Flat input is enumerated through its tail chain each
+// time, unless it is the member of an Aggregate, whose union fills its
+// cache on the first run; later runs then read that cache.
 func (c gridCase) check(t *testing.T, ws *Workspace) {
 	t.Helper()
 	cold := slices.Clone(ws.Grid(c.d, c.horizon, c.n, c.extras...))
@@ -259,9 +261,11 @@ func bracketedMultiples(step, limit float64) []float64 {
 // pointSet is a descriptor that advertises exactly the given breakpoints.
 type pointSet []float64
 
-func (pointSet) Bits(float64) float64            { return 0 }
-func (pointSet) LongTermRate() float64           { return 0 }
-func (p pointSet) Breakpoints(float64) []float64 { return p }
+func (pointSet) Bits(float64) float64  { return 0 }
+func (pointSet) LongTermRate() float64 { return 0 }
+func (p pointSet) AppendBreakpoints(dst []float64, _ float64) []float64 {
+	return append(dst, p...)
+}
 
 // TestGridDedupStages pins the order of the two dedup passes, which random
 // inputs almost never separate: the descriptor's own points are deduplicated
@@ -285,9 +289,9 @@ func TestGridDedupStages(t *testing.T) {
 }
 
 // FuzzGridAssembly is the differential fuzz target of grid assembly: the
-// one-pass k-way builder against MergeGrids(h, Grid(d, h, n), extras…) as the
-// seed tree computed it, for exact equality — and, stopped at a fuzzed limit,
-// against that grid cut there.
+// one-pass k-way assembly against the seed tree's two merges,
+// oracleMergeGrids(h, oracleGrid(d, h, n), extras…), for exact equality —
+// and, stopped at a fuzzed limit, against that grid cut there.
 func FuzzGridAssembly(f *testing.F) {
 	f.Add(int64(1), 0.016, uint8(160), 8e-3, true, false, 0.125)
 	f.Add(int64(2), 0.76, uint8(160), 4e-3, true, false, -0.5)
@@ -298,32 +302,6 @@ func FuzzGridAssembly(f *testing.F) {
 	f.Fuzz(func(t *testing.T, seed int64, horizon float64, n uint8, step float64, zeroPlus, loose bool, limit float64) {
 		newGridCase(seed, horizon, n, step, zeroPlus, loose, limit).check(t, &ws)
 	})
-}
-
-// TestMergeGridsWrapper pins the cold-caller wrappers to the oracle too:
-// unsorted inputs, more lists than the kernel has streams, points outside
-// the horizon.
-func TestMergeGridsWrapper(t *testing.T) {
-	r := rand.New(rand.NewSource(7))
-	for trial := 0; trial < 200; trial++ {
-		grids := make([][]float64, r.Intn(8))
-		for i := range grids {
-			grids[i] = make([]float64, r.Intn(20))
-			for j := range grids[i] {
-				grids[i][j] = math.Round((r.Float64()*1.4-0.2)*1e4) / 1e4
-			}
-			if r.Intn(2) == 0 {
-				sort.Float64s(grids[i])
-			}
-		}
-		if got, want := MergeGrids(1, grids...), oracleMergeGrids(1, grids...); !slices.Equal(got, want) {
-			t.Fatalf("MergeGrids(%v) = %v, oracle %v", grids, got, want)
-		}
-	}
-	d := DualPeriodic{C1: 50e3, P1: 10e-3, C2: 10e3, P2: 1e-3, PeakBps: 100e6}
-	if got, want := Grid(d, 0.05, 160), oracleGrid(d, 0.05, 160); !slices.Equal(got, want) {
-		t.Fatalf("Grid wrapper differs from the oracle: %d against %d points", len(got), len(want))
-	}
 }
 
 func TestInsertGridPointMatchesOracle(t *testing.T) {
@@ -350,8 +328,8 @@ func TestInsertGridPointMatchesOracle(t *testing.T) {
 	}
 }
 
-// seedDualPeriodicBreakpoints is DualPeriodic.Breakpoints as the seed tree had
-// it: every k·P1 seam comes out twice, one ulp apart.
+// seedDualPeriodicBreakpoints is DualPeriodic's enumeration as the seed tree
+// had it: every k·P1 seam comes out twice, one ulp apart.
 func seedDualPeriodicBreakpoints(s DualPeriodic, horizon float64) []float64 {
 	var pts []float64
 	burst := s.C2 / s.PeakBps
@@ -374,8 +352,8 @@ func seedDualPeriodicBreakpoints(s DualPeriodic, horizon float64) []float64 {
 
 type seedDual struct{ DualPeriodic }
 
-func (s seedDual) Breakpoints(h float64) []float64 {
-	return seedDualPeriodicBreakpoints(s.DualPeriodic, h)
+func (s seedDual) AppendBreakpoints(dst []float64, h float64) []float64 {
+	return append(dst, seedDualPeriodicBreakpoints(s.DualPeriodic, h)...)
 }
 
 // TestDualPeriodicSeamsEmittedOnce is the regression test of the seam bug:
@@ -384,10 +362,11 @@ func (s seedDual) Breakpoints(h float64) []float64 {
 // doubled seams produced.
 func TestDualPeriodicSeamsEmittedOnce(t *testing.T) {
 	src := DualPeriodic{C1: 50e3, P1: 10e-3, C2: 10e3, P2: 1e-3, PeakBps: 100e6}
+	var ws Workspace
 	// 1.9 s and beyond are past the maxBreakpoints cut, which must fall on
 	// the same period as before for the grids to stay put.
 	for _, h := range []float64{16e-3, 50e-3, 0.2, 0.76, 1.9, 2.228, 5.7} {
-		raw := src.Breakpoints(h)
+		raw := src.AppendBreakpoints(nil, h)
 		var brackets []float64
 		for _, b := range raw {
 			brackets = append(brackets, b-GridNudge, b, b+GridNudge)
@@ -400,9 +379,11 @@ func TestDualPeriodicSeamsEmittedOnce(t *testing.T) {
 			t.Errorf("horizon %v: the seed enumeration has %d points, the fixed one %d: expected doubled seams to go", h, len(seed), len(raw))
 		}
 		for _, n := range []int{1, 128, 160} {
-			if got, want := Grid(src, h, n), oracleGrid(seedDual{src}, h, n); !slices.Equal(got, want) {
+			got, want := ws.Grid(src, h, n), oracleGrid(seedDual{src}, h, n)
+			if !slices.Equal(got, want) {
 				t.Errorf("horizon %v, n=%d: grid moved: %d points against %d", h, n, len(got), len(want))
 			}
+			ws.Put(got)
 		}
 	}
 }
@@ -415,7 +396,7 @@ func TestDualPeriodicSubPeriodsCapped(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	raw := src.Breakpoints(20e-3)
+	raw := src.AppendBreakpoints(nil, 20e-3)
 	if len(raw) > maxBreakpoints+2 {
 		t.Errorf("%d breakpoints over two long periods, want at most %d", len(raw), maxBreakpoints+2)
 	}

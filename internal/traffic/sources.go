@@ -40,10 +40,6 @@ func (c CBR) Bits(interval float64) float64 {
 // LongTermRate implements Descriptor.
 func (c CBR) LongTermRate() float64 { return c.RateBps }
 
-// PeakRate reports the instantaneous peak rate, which for CBR equals the
-// long-term rate.
-func (c CBR) PeakRate() float64 { return c.RateBps }
-
 // String implements fmt.Stringer.
 func (c CBR) String() string { return fmt.Sprintf("CBR(%.3g bps)", c.RateBps) }
 
@@ -60,7 +56,6 @@ type Periodic struct {
 }
 
 var _ Descriptor = Periodic{}
-var _ BreakpointProvider = Periodic{}
 var _ BreakpointAppender = Periodic{}
 
 // NewPeriodic validates and returns a periodic descriptor. The peak rate must
@@ -94,14 +89,6 @@ func (s Periodic) Bits(interval float64) float64 {
 
 // LongTermRate implements Descriptor.
 func (s Periodic) LongTermRate() float64 { return s.C / s.P }
-
-// PeakRate implements the optional peak-rate interface.
-func (s Periodic) PeakRate() float64 { return s.PeakBps }
-
-// Breakpoints implements BreakpointProvider.
-func (s Periodic) Breakpoints(horizon float64) []float64 {
-	return s.AppendBreakpoints(make([]float64, 0, min(2*(int(horizon/s.P)+2), maxBreakpoints+2)), horizon)
-}
 
 // AppendBreakpoints implements BreakpointAppender: every burst start k·P and
 // burst end k·P + C/Peak.
@@ -151,7 +138,6 @@ type DualPeriodic struct {
 }
 
 var _ Descriptor = DualPeriodic{}
-var _ BreakpointProvider = DualPeriodic{}
 var _ BreakpointAppender = DualPeriodic{}
 
 // NewDualPeriodic validates and returns a dual-periodic descriptor.
@@ -208,21 +194,14 @@ func (s DualPeriodic) Bits(interval float64) float64 {
 // LongTermRate implements Descriptor: ρ = C1/P1 (Eq. 38).
 func (s DualPeriodic) LongTermRate() float64 { return s.C1 / s.P1 }
 
-// PeakRate implements the optional peak-rate interface.
-func (s DualPeriodic) PeakRate() float64 { return s.PeakBps }
-
 // maxBreakpoints caps the number of intrinsic breakpoints any source emits so
 // that extremum searches stay bounded even for long horizons; the uniform
 // fallback grid covers the tail.
 const maxBreakpoints = 4096
 
-// Breakpoints implements BreakpointProvider: envelope vertices occur at the
-// start and end of every burst, i.e. at k·P1 + j·P2 and k·P1 + j·P2 + C2/Peak.
-func (s DualPeriodic) Breakpoints(horizon float64) []float64 {
-	return s.AppendBreakpoints(make([]float64, 0, min(2*(int(horizon/s.P2)+4), maxBreakpoints+2)), horizon)
-}
-
-// AppendBreakpoints implements BreakpointAppender.
+// AppendBreakpoints implements BreakpointAppender: envelope vertices occur at
+// the start and end of every burst, i.e. at k·P1 + j·P2 and
+// k·P1 + j·P2 + C2/Peak.
 //
 // When P1 is a whole multiple of P2 — the paper's source: 10 ms and 1 ms —
 // the last sub-period of a long period starts on the next period's base, and
@@ -288,7 +267,6 @@ type LeakyBucket struct {
 }
 
 var _ Descriptor = LeakyBucket{}
-var _ BreakpointProvider = LeakyBucket{}
 var _ BreakpointAppender = LeakyBucket{}
 
 // NewLeakyBucket validates and returns a leaky-bucket descriptor. peakBps of
@@ -322,21 +300,8 @@ func (b LeakyBucket) Bits(interval float64) float64 {
 // LongTermRate implements Descriptor.
 func (b LeakyBucket) LongTermRate() float64 { return b.Rho }
 
-// PeakRate implements the optional peak-rate interface.
-func (b LeakyBucket) PeakRate() float64 {
-	if b.PeakBps > 0 {
-		return b.PeakBps
-	}
-	return math.Inf(1)
-}
-
-// Breakpoints implements BreakpointProvider: the only vertex is where the
-// peak segment meets the sustained segment.
-func (b LeakyBucket) Breakpoints(horizon float64) []float64 {
-	return b.AppendBreakpoints(nil, horizon)
-}
-
-// AppendBreakpoints implements BreakpointAppender.
+// AppendBreakpoints implements BreakpointAppender: the only vertex is where
+// the peak segment meets the sustained segment.
 func (b LeakyBucket) AppendBreakpoints(dst []float64, _ float64) []float64 {
 	if b.PeakBps == 0 || units.AlmostLE(b.PeakBps, b.Rho) {
 		return dst

@@ -172,7 +172,7 @@ func TestLeakyBucket(t *testing.T) {
 	if got, want := b.Bits(1.0), 1e4+1e6; !units.AlmostEq(got, want) {
 		t.Errorf("Bits(1s) = %v, want %v", got, want)
 	}
-	kn := b.Breakpoints(10)
+	kn := b.AppendBreakpoints(nil, 10)
 	if len(kn) != 1 || !units.AlmostEq(kn[0], 1e4/9e6) {
 		t.Errorf("Breakpoints = %v, want single knee at %v", kn, 1e4/9e6)
 	}
@@ -181,8 +181,8 @@ func TestLeakyBucket(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !math.IsInf(u.PeakRate(), 1) {
-		t.Errorf("uncapped PeakRate = %v, want +Inf", u.PeakRate())
+	if got := u.Bits(1e-12); got < 1e4 {
+		t.Errorf("uncapped Bits(1ps) = %v, want at least the burst 1e4", got)
 	}
 }
 
@@ -235,27 +235,34 @@ func TestLongTermRateIsLimitProperty(t *testing.T) {
 		t.Run(name, func(t *testing.T) {
 			rho := d.LongTermRate()
 			for _, iv := range []float64{10, 100, 1000} {
-				r := Rate(d, iv)
-				if r < rho*(1-1e-6) {
-					t.Errorf("Rate(%v) = %v below long-term rate %v", iv, r, rho)
+				if a := d.Bits(iv); a < rho*iv*(1-1e-6) {
+					t.Errorf("Bits(%v) = %v below rho·I = %v", iv, a, rho*iv)
 				}
 			}
-			if r := Rate(d, 1e4); !units.WithinRel(r, rho, 0.01) {
-				t.Errorf("Rate(1e4) = %v does not approach rho = %v", Rate(d, 1e4), rho)
+			if r := d.Bits(1e4) / 1e4; !units.WithinRel(r, rho, 0.01) {
+				t.Errorf("Bits(1e4)/1e4 = %v does not approach rho = %v", r, rho)
 			}
 		})
 	}
 }
 
 func TestPeakRateBoundsShortWindows(t *testing.T) {
-	// For every source model, A(I) <= Peak·I when the peak is finite.
+	// For every source model, A(I) <= Peak·I with the model's declared peak.
 	for name, d := range descriptorsUnderTest(t) {
-		d := d
+		var peak float64
+		switch v := d.(type) {
+		case CBR:
+			peak = v.RateBps
+		case Periodic:
+			peak = v.PeakBps
+		case DualPeriodic:
+			peak = v.PeakBps
+		case LeakyBucket:
+			peak = v.PeakBps
+		default:
+			t.Fatalf("%s: no declared peak for %T", name, d)
+		}
 		t.Run(name, func(t *testing.T) {
-			peak := Peak(d)
-			if math.IsInf(peak, 1) {
-				t.Skip("unbounded peak")
-			}
 			for i := 1; i <= 1000; i++ {
 				iv := float64(i) * 1e-5
 				if got := d.Bits(iv); got > peak*iv*(1+units.RelTol)+units.Eps {
@@ -264,13 +271,4 @@ func TestPeakRateBoundsShortWindows(t *testing.T) {
 			}
 		})
 	}
-}
-
-func TestRatePanicsOnNonPositiveInterval(t *testing.T) {
-	defer func() {
-		if recover() == nil {
-			t.Error("Rate(d, 0) should panic")
-		}
-	}()
-	Rate(CBR{RateBps: 1}, 0)
 }

@@ -2,7 +2,7 @@ package traffic
 
 import (
 	"fmt"
-	"math"
+	"slices"
 	"strings"
 	"testing"
 )
@@ -35,10 +35,6 @@ func TestStringers(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	s, err := NewSampled([]float64{1}, []float64{10}, 1)
-	if err != nil {
-		t.Fatal(err)
-	}
 	tests := []struct {
 		d    fmt.Stringer
 		want string
@@ -52,7 +48,6 @@ func TestStringers(t *testing.T) {
 		{q, "Quantized"},
 		{rc, "RateCapped"},
 		{m, "Min"},
-		{s, "Sampled"},
 	}
 	for _, tt := range tests {
 		if got := tt.d.String(); !strings.Contains(got, tt.want) {
@@ -61,7 +56,7 @@ func TestStringers(t *testing.T) {
 	}
 }
 
-// TestBreakpointDelegation covers the BreakpointProvider plumbing through
+// TestBreakpointDelegation covers the BreakpointAppender plumbing through
 // every transform.
 func TestBreakpointDelegation(t *testing.T) {
 	dp := mustDual(t)
@@ -77,7 +72,7 @@ func TestBreakpointDelegation(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if bps := rc.Breakpoints(0.02); len(bps) == 0 {
+	if bps := rc.AppendBreakpoints(nil, 0.02); len(bps) == 0 {
 		t.Error("transform chain lost the source's breakpoints")
 	}
 	// Delegation over a provider-less inner yields nothing, not a panic.
@@ -85,59 +80,36 @@ func TestBreakpointDelegation(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if bps := qq.Breakpoints(1); bps != nil {
+	if bps := qq.AppendBreakpoints(nil, 1); bps != nil {
 		t.Errorf("CBR-backed Quantized breakpoints = %v, want nil", bps)
 	}
 	dd, err := NewDelayed(CBR{RateBps: 1e6}, 1e-3, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if bps := dd.Breakpoints(1); bps != nil {
+	if bps := dd.AppendBreakpoints(nil, 1); bps != nil {
 		t.Errorf("CBR-backed Delayed breakpoints = %v, want nil", bps)
 	}
 	rr, err := NewRateCapped(CBR{RateBps: 1e6}, 2e6)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if bps := rr.Breakpoints(1); bps != nil {
+	if bps := rr.AppendBreakpoints(nil, 1); bps != nil {
 		t.Errorf("CBR-backed RateCapped breakpoints = %v, want nil", bps)
 	}
 	mm, err := NewMin(CBR{RateBps: 1e6})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if bps := mm.Breakpoints(1); len(bps) != 0 {
+	if bps := mm.AppendBreakpoints(nil, 1); len(bps) != 0 {
 		t.Errorf("CBR-backed Min breakpoints = %v, want none", bps)
 	}
 }
 
-// TestPeakFallback exercises Peak() on descriptors without a PeakRate
-// method (probe near zero) and on bursty composites.
-func TestPeakFallback(t *testing.T) {
-	// Aggregate has no PeakRate: the probe near zero returns the summed
-	// member peaks for finite-peak members.
-	agg := NewAggregate(CBR{RateBps: 3e6}, CBR{RateBps: 7e6})
-	if got := Peak(agg); math.Abs(got-10e6) > 1e-3*10e6 {
-		t.Errorf("Peak(aggregate of CBRs) = %v, want ≈1e7", got)
-	}
-	// A silent aggregate has zero peak.
-	if got := Peak(NewAggregate()); got != 0 {
-		t.Errorf("Peak(empty) = %v", got)
-	}
-	// An instantaneous burst looks effectively unbounded (the probe window
-	// divides the burst by a nanosecond).
-	lb, err := NewLeakyBucket(1e4, 1e6, 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got := Peak(NewAggregate(lb)); got < 1e12 {
-		t.Errorf("Peak(bursty aggregate) = %v, want enormous", got)
-	}
-}
-
-// TestMinLongTermRatePicksTighter covers Min.LongTermRate and the Sampled
-// breakpoint trimming.
-func TestMinLongTermRateAndSampledBreakpoints(t *testing.T) {
+// TestMinLongTermRateAndBreakpoints covers Min.LongTermRate and Min's
+// enumeration: the members' own, member by member, behind the caller's
+// points.
+func TestMinLongTermRateAndBreakpoints(t *testing.T) {
 	m, err := NewMin(CBR{RateBps: 9e6}, CBR{RateBps: 2e6})
 	if err != nil {
 		t.Fatal(err)
@@ -145,14 +117,17 @@ func TestMinLongTermRateAndSampledBreakpoints(t *testing.T) {
 	if got := m.LongTermRate(); got != 2e6 {
 		t.Errorf("LongTermRate = %v", got)
 	}
-	s, err := NewSampled([]float64{0.001, 0.002, 0.003}, []float64{1, 2, 3}, 0)
+	dp := mustDual(t)
+	lb, err := NewLeakyBucket(1e4, 1e6, 1e7)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got := s.Breakpoints(0.002); len(got) != 2 {
-		t.Errorf("Breakpoints(0.002) = %v, want 2 points", got)
+	m, err = NewMin(dp, CBR{RateBps: 1e6}, lb)
+	if err != nil {
+		t.Fatal(err)
 	}
-	if got := s.Breakpoints(10); len(got) != 3 {
-		t.Errorf("Breakpoints(10) = %v, want all 3", got)
+	want := lb.AppendBreakpoints(dp.AppendBreakpoints([]float64{-1}, 0.02), 0.02)
+	if got := m.AppendBreakpoints([]float64{-1}, 0.02); !slices.Equal(got, want) {
+		t.Errorf("AppendBreakpoints = %v, want %v", got, want)
 	}
 }

@@ -117,14 +117,17 @@ func checkWorkspaceSum(t *testing.T, w *Workspace, chains []Descriptor, flats []
 // the arrays an earlier one was built in.
 func TestWorkspaceSumMatchesSumFlats(t *testing.T) {
 	cases := flatCases(t)
-	names := []string{"sampled", "periodic", "dual", "quantized", "cbr", "twoStage", "delayedCap", "leaky"}
+	names := []string{"delayed", "periodic", "dual", "quantized", "cbr", "twoStage", "delayedCap", "leaky"}
 	var chains []Descriptor
 	var flats []*Flat
 	for i, name := range names {
-		// Unequal windows: the sampled table ends at 20 ms, and every third
-		// member is lowered over half the horizon.
+		// Unequal windows: the first member is lowered over 20 ms, and every
+		// third over half the horizon.
 		h := flatTestHorizon
-		if i%3 == 2 {
+		switch {
+		case i == 0:
+			h = 20e-3
+		case i%3 == 2:
 			h /= 2
 		}
 		f := Flatten(cases[name], h)
@@ -152,6 +155,92 @@ func TestWorkspaceSumMatchesSumFlats(t *testing.T) {
 	}
 	if ws.Sum(nil) != nil || ws.Sum([]*Flat{flats[0], nil}) != nil {
 		t.Fatal("Sum of no members, or of a nil member, must be nil")
+	}
+}
+
+// TestMembersSum holds the one members-sum type, Aggregate, to its members
+// over lists that mix flats whose breakpoint cache is filled, flats whose cache
+// is not, raw chains and a Min: its enumeration is the members' own
+// enumerations, sorted with exact duplicates removed, appended behind the
+// caller's points, and its Bits and LongTermRate are the in-order member sums
+// bit for bit. A workspace sum of flat members carries the same type as its
+// tail, by pointer, and enumerates through it.
+func TestMembersSum(t *testing.T) {
+	pts := make([]float64, 0, 240)
+	for i := 1; i <= 240; i++ {
+		pts = append(pts, float64(i)*flatTestHorizon/160)
+	}
+	for _, h := range []float64{flatTestHorizon, flatTestHorizon / 2} {
+		cases := flatCases(t)
+		flat := func(name string, cached bool) *Flat {
+			f := Flatten(cases[name], flatTestHorizon)
+			if f == nil {
+				t.Fatalf("%s failed to flatten", name)
+			}
+			if cached {
+				f.breakpointsVia(nil, flatTestHorizon)
+			}
+			return f
+		}
+		var many []Descriptor
+		for i := 0; i < 9; i++ {
+			many = append(many, flat("periodic", i%2 == 0), cases["dual"])
+		}
+		table := []struct {
+			name    string
+			members []Descriptor
+		}{
+			{"empty", nil},
+			{"cached flats", []Descriptor{flat("periodic", true), flat("dual", true), flat("quantized", true)}},
+			{"uncached flats", []Descriptor{flat("periodic", false), flat("dual", false), flat("twoStage", false)}},
+			{"raw chains", []Descriptor{cases["periodic"], cases["leaky"], cases["delayedMin"], cases["cbr"]}},
+			{"mixed", []Descriptor{flat("dual", true), flat("twoStage", false), cases["quantized"], cases["min"], cases["cbr"]}},
+			{"exact duplicates", []Descriptor{flat("dual", true), flat("dual", false), cases["dual"], cases["dual"]}},
+			{"eighteen members", many},
+		}
+		for _, c := range table {
+			var want []float64
+			for _, m := range c.members {
+				want = AppendBreakpoints(want, m, h)
+			}
+			slices.Sort(want)
+			want = slices.Compact(want)
+			agg := NewAggregate(c.members...)
+			got := agg.AppendBreakpoints([]float64{-1}, h)
+			if got[0] != -1 || !slices.Equal(got[1:], want) {
+				t.Errorf("%s at %v: %d points behind the caller's, want the members' %d sorted and deduplicated", c.name, h, len(got)-1, len(want))
+			}
+			for _, pt := range pts {
+				if got, want := agg.Bits(pt), sumBitsAt(c.members, pt); math.Float64bits(got) != math.Float64bits(want) {
+					t.Fatalf("%s: Bits(%v) = %v, the in-order member sum %v", c.name, pt, got, want)
+				}
+			}
+			var rho float64
+			for _, m := range c.members {
+				rho += m.LongTermRate()
+			}
+			if got := agg.LongTermRate(); math.Float64bits(got) != math.Float64bits(rho) {
+				t.Errorf("%s: LongTermRate = %v, the in-order member sum %v", c.name, got, rho)
+			}
+
+			var flats []*Flat
+			for _, m := range c.members {
+				if f, ok := m.(*Flat); ok {
+					flats = append(flats, f)
+				}
+			}
+			if len(flats) == 0 || len(flats) < len(c.members) {
+				continue
+			}
+			var ws Workspace
+			sum := ws.Sum(flats)
+			if tail, ok := sum.Tail().(*Aggregate); !ok || tail != &ws.sumTail {
+				t.Fatalf("%s: the workspace sum's tail is %T, want the workspace's *Aggregate", c.name, sum.Tail())
+			}
+			if got := sum.AppendBreakpoints(nil, h); !slices.Equal(got, want) {
+				t.Errorf("%s at %v: the workspace sum enumerates %d points, the members %d", c.name, h, len(got), len(want))
+			}
+		}
 	}
 }
 

@@ -10,8 +10,6 @@
 // envelope of its output traffic, which feeds the next server downstream.
 package traffic
 
-import "math"
-
 // Descriptor is the maximum-rate-function traffic descriptor Γ(I).
 //
 // Implementations must guarantee that Bits is nondecreasing, that
@@ -33,41 +31,4 @@ type Descriptor interface {
 	//
 	//fafvet:hotpath
 	LongTermRate() float64
-}
-
-// BreakpointProvider is implemented by descriptors that can enumerate the
-// interval lengths at which their envelope changes behaviour (burst arrivals,
-// slope changes). Extremum searches in the server analyses are exact when the
-// candidate grid contains these points.
-type BreakpointProvider interface {
-	// Breakpoints returns interval lengths in (0, horizon] at which the
-	// envelope has a vertex. The result need not be sorted or deduplicated.
-	Breakpoints(horizon float64) []float64
-}
-
-// Rate returns Γ(I) = Bits(I)/I. interval must be positive.
-func Rate(d Descriptor, interval float64) float64 {
-	if interval <= 0 {
-		panic("traffic: Rate requires a positive interval")
-	}
-	return d.Bits(interval) / interval
-}
-
-// Peak returns an upper bound on the instantaneous arrival rate of d, i.e.
-// the limit of Γ(I) as I → 0. Descriptors whose envelope has an instantaneous
-// burst (Bits(0+) > 0) have an infinite peak.
-func Peak(d Descriptor) float64 {
-	if p, ok := d.(interface{ PeakRate() float64 }); ok {
-		return p.PeakRate()
-	}
-	const tiny = 1e-9
-	b := d.Bits(tiny)
-	if b <= 0 {
-		return 0
-	}
-	r := b / tiny
-	if r > 1e18 {
-		return math.Inf(1)
-	}
-	return r
 }

@@ -3,20 +3,21 @@ package traffic
 import (
 	"fmt"
 	"math"
-	"sort"
 
 	"fafnet/internal/units"
 )
 
 // Aggregate is the superposition of several connections' traffic:
 // A(I) = Σ_k A_k(I). Multiplexer analyses use it to bound the combined input
-// of every connection sharing an output port.
+// of every connection sharing an output port. It is also the tail of a summed
+// Flat (SumFlats, SumInto, Workspace.Sum), where it serves evaluations beyond
+// the sum's window and enumerates the sum's breakpoints.
 type Aggregate struct {
 	members []Descriptor
 }
 
 var _ Descriptor = Aggregate{}
-var _ BreakpointProvider = Aggregate{}
+var _ BreakpointAppender = Aggregate{}
 
 // NewAggregate returns the aggregate of the given descriptors. The slice is
 // copied, so later mutation by the caller does not affect the aggregate.
@@ -44,49 +45,50 @@ func (a Aggregate) LongTermRate() float64 {
 	return sum
 }
 
-// Breakpoints implements BreakpointProvider by taking the union of the
-// members' breakpoints. Members that emit ascending points (every generator
-// in this package) are combined by linear merges with exact duplicates
-// dropped, so downstream grid assembly never needs a comparison sort; an
-// unsorted member list is sorted defensively first.
-func (a Aggregate) Breakpoints(horizon float64) []float64 {
-	var pts []float64
+// AppendBreakpoints implements BreakpointAppender as the union of the
+// members' breakpoints, ascending with exact duplicates removed. A *Flat
+// member answers from its breakpoint cache, filled here on first use — the
+// members of a port aggregate are the cached per-stage flats, so this is the
+// read that makes those caches pay. Any other member's enumeration is sorted
+// in a list of its own. The lists are combined by a linear k-way merge
+// straight into dst, so grid assembly never pays a comparison sort.
+func (a Aggregate) AppendBreakpoints(dst []float64, horizon float64) []float64 {
+	// Ports carry a handful of members; the fixed arrays keep the list
+	// headers on the stack up to sixteen.
+	var (
+		listsBuf [16][]float64
+		idxBuf   [16]int
+	)
+	lists, idx := listsBuf[:0], idxBuf[:0]
 	for _, m := range a.members {
-		bp, ok := m.(BreakpointProvider)
-		if !ok {
-			continue
+		var l []float64
+		if f, ok := m.(*Flat); ok {
+			l = f.breakpointsVia(dst, horizon)
+		} else {
+			l = sortedChainBreakpoints(nil, m, horizon)
 		}
-		mp := bp.Breakpoints(horizon)
-		if len(mp) == 0 {
-			continue
+		if len(l) > 0 {
+			lists, idx = append(lists, l), append(idx, 0)
 		}
-		if !sort.Float64sAreSorted(mp) {
-			mp = append([]float64(nil), mp...)
-			sort.Float64s(mp)
-		}
-		if pts == nil {
-			pts = append(make([]float64, 0, 2*len(mp)), mp...)
-			continue
-		}
-		merged := make([]float64, 0, len(pts)+len(mp))
-		i, j := 0, 0
-		for i < len(pts) && j < len(mp) {
-			switch {
-			case pts[i] < mp[j]:
-				merged = append(merged, pts[i])
-				i++
-			case mp[j] < pts[i]:
-				merged = append(merged, mp[j])
-				j++
-			default: // exact duplicate: grids dedup anyway, drop it here
-				merged = append(merged, pts[i])
-				i, j = i+1, j+1
+	}
+	start := len(dst)
+	for len(lists) > 0 {
+		best := 0
+		for k := 1; k < len(lists); k++ {
+			if lists[k][idx[k]] < lists[best][idx[best]] {
+				best = k
 			}
 		}
-		merged = append(merged, pts[i:]...)
-		pts = append(merged, mp[j:]...)
+		if p := lists[best][idx[best]]; len(dst) == start || p != dst[len(dst)-1] {
+			dst = append(dst, p)
+		}
+		idx[best]++
+		if idx[best] == len(lists[best]) {
+			lists = append(lists[:best], lists[best+1:]...)
+			idx = append(idx[:best], idx[best+1:]...)
+		}
 	}
-	return pts
+	return dst
 }
 
 // Len returns the number of member descriptors.
@@ -110,7 +112,6 @@ type Delayed struct {
 }
 
 var _ Descriptor = Delayed{}
-var _ BreakpointProvider = Delayed{}
 var _ BreakpointAppender = Delayed{}
 
 // NewDelayed validates and returns the delayed-output transform of inner.
@@ -149,15 +150,10 @@ func (d Delayed) LongTermRate() float64 {
 	return r
 }
 
-// Breakpoints implements BreakpointProvider: vertices of A(I+d) occur at the
-// inner vertices shifted left by the delay; the cap introduces additional
-// crossings which the uniform fallback grid covers.
-func (d Delayed) Breakpoints(horizon float64) []float64 {
-	return d.AppendBreakpoints(nil, horizon)
-}
-
-// AppendBreakpoints implements BreakpointAppender: the inner chain appends
-// its points, which are then shifted and filtered where they lie.
+// AppendBreakpoints implements BreakpointAppender: vertices of A(I+d) occur
+// at the inner vertices shifted left by the delay, so the inner chain appends
+// its points, which are then shifted and filtered where they lie. The cap
+// introduces additional crossings, which the uniform fallback grid covers.
 func (d Delayed) AppendBreakpoints(dst []float64, horizon float64) []float64 {
 	start := len(dst)
 	dst = AppendBreakpoints(dst, d.Inner, horizon+d.Delay)
@@ -191,7 +187,6 @@ type Quantized struct {
 }
 
 var _ Descriptor = Quantized{}
-var _ BreakpointProvider = Quantized{}
 var _ BreakpointAppender = Quantized{}
 
 // NewQuantized validates and returns the quantizing transform of inner.
@@ -226,14 +221,9 @@ func (q Quantized) LongTermRate() float64 {
 	return q.Inner.LongTermRate() * (q.OutBits / q.QuantumBits)
 }
 
-// Breakpoints implements BreakpointProvider by delegation; the ceil steps at
-// quantum crossings are covered by the uniform fallback grid and the
+// AppendBreakpoints implements BreakpointAppender by delegation; the ceil
+// steps at quantum crossings are covered by the uniform fallback grid and the
 // jitter-bracketing applied to these points.
-func (q Quantized) Breakpoints(horizon float64) []float64 {
-	return q.AppendBreakpoints(nil, horizon)
-}
-
-// AppendBreakpoints implements BreakpointAppender by delegation.
 func (q Quantized) AppendBreakpoints(dst []float64, horizon float64) []float64 {
 	return AppendBreakpoints(dst, q.Inner, horizon)
 }
@@ -251,7 +241,6 @@ type RateCapped struct {
 }
 
 var _ Descriptor = RateCapped{}
-var _ BreakpointProvider = RateCapped{}
 var _ BreakpointAppender = RateCapped{}
 
 // NewRateCapped validates and returns the rate-capped view of inner.
@@ -278,14 +267,6 @@ func (r RateCapped) LongTermRate() float64 {
 	return math.Min(r.CapBps, r.Inner.LongTermRate())
 }
 
-// PeakRate implements the optional peak-rate interface.
-func (r RateCapped) PeakRate() float64 { return r.CapBps }
-
-// Breakpoints implements BreakpointProvider by delegation.
-func (r RateCapped) Breakpoints(horizon float64) []float64 {
-	return r.AppendBreakpoints(nil, horizon)
-}
-
 // AppendBreakpoints implements BreakpointAppender by delegation.
 func (r RateCapped) AppendBreakpoints(dst []float64, horizon float64) []float64 {
 	return AppendBreakpoints(dst, r.Inner, horizon)
@@ -306,7 +287,7 @@ type Min struct {
 }
 
 var _ Descriptor = Min{}
-var _ BreakpointProvider = Min{}
+var _ BreakpointAppender = Min{}
 
 // NewMin returns the pointwise-minimum envelope of the given descriptors,
 // which must be non-empty. The slice is copied.
@@ -346,107 +327,15 @@ func (m Min) LongTermRate() float64 {
 	return best
 }
 
-// Breakpoints implements BreakpointProvider: the minimum's vertices occur at
-// the members' vertices (plus crossings, covered by the fallback grid).
-func (m Min) Breakpoints(horizon float64) []float64 {
-	var pts []float64
+// AppendBreakpoints implements BreakpointAppender: the minimum's vertices
+// occur at the members' vertices (plus crossings, covered by the fallback
+// grid), appended member by member.
+func (m Min) AppendBreakpoints(dst []float64, horizon float64) []float64 {
 	for _, d := range m.members {
-		if bp, ok := d.(BreakpointProvider); ok {
-			pts = append(pts, bp.Breakpoints(horizon)...)
-		}
+		dst = AppendBreakpoints(dst, d, horizon)
 	}
-	return pts
+	return dst
 }
 
 // String implements fmt.Stringer.
 func (m Min) String() string { return fmt.Sprintf("Min(%d members)", len(m.members)) }
-
-// Sampled is a tabulated envelope: bits[i] bounds A over any window of length
-// grid[i]. Between samples it interpolates conservatively upward (A is
-// nondecreasing, so the next sample bounds every shorter window); beyond the
-// last sample T it extends subadditively, A(kT + r) <= k·A(T) + A(r), which
-// is a sound upper bound for every maximum-rate envelope (the bits in a long
-// window are at most the sum of the bits in its pieces). Server analyses use
-// it to materialize envelopes whose closed form would be unwieldy.
-type Sampled struct {
-	grid []float64 // strictly increasing, all positive
-	bits []float64 // nondecreasing, same length as grid
-	rho  float64   // long-term rate for extension beyond the last sample
-}
-
-var _ Descriptor = (*Sampled)(nil)
-var _ BreakpointProvider = (*Sampled)(nil)
-
-// NewSampled validates and returns a tabulated envelope. grid must be
-// strictly increasing and positive; bits must be nondecreasing, non-negative
-// and of equal length; rho is the long-term rate used beyond the last sample.
-// Both slices are copied.
-func NewSampled(grid, bits []float64, rho float64) (*Sampled, error) {
-	if len(grid) == 0 || len(grid) != len(bits) {
-		return nil, fmt.Errorf("traffic: Sampled needs equal-length non-empty grid and bits (got %d, %d)", len(grid), len(bits))
-	}
-	if rho < 0 {
-		return nil, fmt.Errorf("traffic: Sampled rho=%v: must be non-negative", rho)
-	}
-	g := make([]float64, len(grid))
-	b := make([]float64, len(bits))
-	copy(g, grid)
-	copy(b, bits)
-	prev := 0.0
-	prevBits := 0.0
-	for i := range g {
-		if g[i] <= prev {
-			return nil, fmt.Errorf("traffic: Sampled grid must be strictly increasing and positive at index %d (%v after %v)", i, g[i], prev)
-		}
-		if b[i] < prevBits-units.Eps {
-			return nil, fmt.Errorf("traffic: Sampled bits must be nondecreasing at index %d (%v after %v)", i, b[i], prevBits)
-		}
-		if b[i] < 0 {
-			return nil, fmt.Errorf("traffic: Sampled bits must be non-negative at index %d (%v)", i, b[i])
-		}
-		prev, prevBits = g[i], b[i]
-	}
-	return &Sampled{grid: g, bits: b, rho: rho}, nil
-}
-
-// Bits implements Descriptor.
-func (s *Sampled) Bits(interval float64) float64 {
-	if interval <= 0 {
-		return 0
-	}
-	n := len(s.grid)
-	last := s.grid[n-1]
-	if interval > last {
-		// Subadditive extension: split the window into whole multiples of the
-		// horizon plus a remainder.
-		k := math.Floor(interval / last)
-		rem := interval - k*last
-		return k*s.bits[n-1] + s.Bits(rem)
-	}
-	// First sample point >= interval bounds every window of length interval.
-	idx := sort.SearchFloat64s(s.grid, interval)
-	if idx == n {
-		idx = n - 1
-	}
-	return s.bits[idx]
-}
-
-// LongTermRate implements Descriptor.
-func (s *Sampled) LongTermRate() float64 { return s.rho }
-
-// Breakpoints implements BreakpointProvider: every sample point is a
-// potential vertex.
-func (s *Sampled) Breakpoints(horizon float64) []float64 {
-	idx := sort.SearchFloat64s(s.grid, horizon)
-	if idx < len(s.grid) && units.AlmostLE(s.grid[idx], horizon) {
-		idx++
-	}
-	out := make([]float64, idx)
-	copy(out, s.grid[:idx])
-	return out
-}
-
-// String implements fmt.Stringer.
-func (s *Sampled) String() string {
-	return fmt.Sprintf("Sampled(%d points, horizon=%.3g s, rho=%.3g bps)", len(s.grid), s.grid[len(s.grid)-1], s.rho)
-}

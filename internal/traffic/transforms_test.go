@@ -35,7 +35,7 @@ func TestAggregate(t *testing.T) {
 	if got, want := agg.LongTermRate(), 2*15e6+5e6; !units.AlmostEq(got, want) {
 		t.Errorf("LongTermRate = %v, want %v", got, want)
 	}
-	if bps := agg.Breakpoints(0.02); len(bps) == 0 {
+	if bps := agg.AppendBreakpoints(nil, 0.02); len(bps) == 0 {
 		t.Error("aggregate of periodic members should expose breakpoints")
 	}
 }
@@ -159,9 +159,6 @@ func TestRateCapped(t *testing.T) {
 	if got, want := rc.Bits(1.0), d.Bits(1.0); !units.AlmostEq(got, want) {
 		t.Errorf("Bits(1s) = %v, want %v", got, want)
 	}
-	if got := rc.PeakRate(); got != 50e6 {
-		t.Errorf("PeakRate = %v, want 50e6", got)
-	}
 }
 
 func TestMin(t *testing.T) {
@@ -189,7 +186,7 @@ func TestMin(t *testing.T) {
 	if got := m.LongTermRate(); !units.AlmostEq(got, 12e6) {
 		t.Errorf("LongTermRate = %v, want 12e6 (the tighter member)", got)
 	}
-	if len(m.Breakpoints(0.02)) == 0 {
+	if len(m.AppendBreakpoints(nil, 0.02)) == 0 {
 		t.Error("Min should expose member breakpoints")
 	}
 }
@@ -213,71 +210,10 @@ func TestMinTightensMACBound(t *testing.T) {
 	}
 }
 
-func TestSampledValidation(t *testing.T) {
-	tests := []struct {
-		name    string
-		grid    []float64
-		bits    []float64
-		rho     float64
-		wantErr bool
-	}{
-		{"valid", []float64{0.001, 0.002}, []float64{10, 20}, 1e4, false},
-		{"empty", nil, nil, 0, true},
-		{"length mismatch", []float64{1}, []float64{1, 2}, 0, true},
-		{"non-increasing grid", []float64{0.002, 0.001}, []float64{1, 2}, 0, true},
-		{"zero grid point", []float64{0, 1}, []float64{1, 2}, 0, true},
-		{"decreasing bits", []float64{1, 2}, []float64{5, 1}, 0, true},
-		{"negative bits", []float64{1}, []float64{-1}, 0, true},
-		{"negative rho", []float64{1}, []float64{1}, -1, true},
-	}
-	for _, tt := range tests {
-		t.Run(tt.name, func(t *testing.T) {
-			_, err := NewSampled(tt.grid, tt.bits, tt.rho)
-			if (err != nil) != tt.wantErr {
-				t.Errorf("error = %v, wantErr %v", err, tt.wantErr)
-			}
-		})
-	}
-}
-
-func TestSampledInterpolation(t *testing.T) {
-	s, err := NewSampled([]float64{0.001, 0.002, 0.004}, []float64{100, 150, 200}, 10e3)
-	if err != nil {
-		t.Fatal(err)
-	}
-	tests := []struct {
-		interval, want float64
-	}{
-		{0, 0},
-		{0.0005, 100},        // below first sample: bounded by first sample
-		{0.001, 100},         // exact sample
-		{0.0015, 150},        // between samples: next sample bounds
-		{0.004, 200},         // last sample
-		{0.009, 2*200 + 100}, // subadditive extension: 2 horizons + 1 ms remainder
-	}
-	for _, tt := range tests {
-		if got := s.Bits(tt.interval); !units.AlmostEq(got, tt.want) {
-			t.Errorf("Bits(%v) = %v, want %v", tt.interval, got, tt.want)
-		}
-	}
-}
-
-func TestSampledCopiesInput(t *testing.T) {
-	grid := []float64{0.001}
-	bits := []float64{5}
-	s, err := NewSampled(grid, bits, 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	bits[0] = 999
-	if got := s.Bits(0.001); got != 5 {
-		t.Errorf("Sampled observed caller mutation: Bits = %v, want 5", got)
-	}
-}
-
 func TestGridProperties(t *testing.T) {
 	d := mustDual(t)
-	g := Grid(d, 0.05, 100)
+	var ws Workspace
+	g := ws.Grid(d, 0.05, 100)
 	if len(g) == 0 {
 		t.Fatal("empty grid")
 	}
@@ -297,21 +233,25 @@ func TestGridProperties(t *testing.T) {
 	}
 }
 
+// TestMergeGrids: the extras merge into the grid deduplicated and clipped to
+// (0, horizon], points at or below 0 and beyond the horizon dropped.
 func TestMergeGrids(t *testing.T) {
-	got := MergeGrids(1.0, []float64{0.5, 0.1}, []float64{0.1, 2.0, 0.7})
-	want := []float64{0.1, 0.5, 0.7}
+	var ws Workspace
+	got := ws.Grid(nil, 1.0, 1, []float64{-0.1, 0.1, 0.5}, []float64{0.1, 0.7, 2.0})
+	want := []float64{0.1, 0.5, 0.7, 1.0}
 	if len(got) != len(want) {
-		t.Fatalf("MergeGrids = %v, want %v", got, want)
+		t.Fatalf("Grid = %v, want %v", got, want)
 	}
 	for i := range want {
 		if !units.AlmostEq(got[i], want[i]) {
-			t.Fatalf("MergeGrids[%d] = %v, want %v", i, got[i], want[i])
+			t.Fatalf("Grid[%d] = %v, want %v", i, got[i], want[i])
 		}
 	}
 }
 
 func TestGridHandlesNoHorizon(t *testing.T) {
-	if g := Grid(CBR{RateBps: 1}, 0, 10); g != nil {
+	var ws Workspace
+	if g := ws.Grid(CBR{RateBps: 1}, 0, 10); g != nil {
 		t.Errorf("Grid with zero horizon = %v, want nil", g)
 	}
 }

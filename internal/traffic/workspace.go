@@ -31,9 +31,9 @@ type Workspace struct {
 	bp []float64
 
 	// sum holds the two breakpoint arrays Sum folds between, and sumTail the
-	// members-union tail it installs on the result.
+	// members sum it installs, by pointer, as the result's tail.
 	sum     [2]Flat
-	sumTail flatTail
+	sumTail Aggregate
 }
 
 const (
@@ -99,9 +99,9 @@ func (w *Workspace) Put(b []float64) {
 // Sum returns the exact sum of the given flats: SumFlats' left fold through
 // the same merge kernel, so vertex for vertex and bit for bit the same array,
 // built in two arrays the workspace keeps and allocation-free once they have
-// grown. The tail is the members-union over the flats themselves (not their
-// chains), so evaluations beyond the shared window and breakpoint unions go
-// through the members' own fast paths and caches.
+// grown. The tail is an Aggregate over the flats themselves (not their
+// chains), held by the workspace, so evaluations beyond the shared window and
+// breakpoint unions go through the members' own fast paths and caches.
 //
 // The flats are only read, and the result is a copy even for one member —
 // members are arrays some cache hands out again, while the result is
