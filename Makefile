@@ -65,10 +65,10 @@ short:
 # and fails the target.
 FUZZ_TARGETS := \
 	./internal/des:FuzzCalendarOrder \
-	./internal/traffic:FuzzGridAssembly \
 	./internal/traffic:FuzzWorkspaceSum \
 	./internal/traffic:FuzzMinFlats \
 	./internal/fddi:FuzzDelayBound \
+	./internal/fddi:FuzzServerBounds \
 	./internal/core:FuzzDelaysAgainstClosureOracle \
 	./internal/scenario:FuzzParse \
 	./internal/workload:FuzzParse \

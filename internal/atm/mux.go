@@ -3,7 +3,6 @@ package atm
 import (
 	"errors"
 	"fmt"
-	"sort"
 
 	"fafnet/internal/traffic"
 	"fafnet/internal/units"
@@ -31,8 +30,6 @@ type MuxParams struct {
 
 // The busy-period search.
 const (
-	// gridPoints is the uniform fallback resolution per search window.
-	gridPoints = 128
 	// initialHorizon seeds the doubling busy-period search (seconds); 16 ms
 	// covers several TTRTs of the paper's scenarios on the first try.
 	initialHorizon = 16e-3
@@ -40,21 +37,9 @@ const (
 	maxHorizon = 4
 )
 
-// MuxOptions carries the resources of an analysis; it holds no tuning value.
-type MuxOptions struct {
-	// Workspace is the scratch the analysis takes its candidate grids from.
-	// Its owner (one core.Analyzer) must not run two analyses on it at once.
-	// Nil runs the same code on a fresh workspace.
-	Workspace *traffic.Workspace
-}
-
-// workspace returns the workspace to run on.
-func (o MuxOptions) workspace() *traffic.Workspace {
-	if o.Workspace == nil {
-		return new(traffic.Workspace)
-	}
-	return o.Workspace
-}
+// MuxOptions carries the resources of an analysis; the analysis needs none
+// beyond its input today, and the zero value is the one to pass.
+type MuxOptions struct{}
 
 // MuxResult is the outcome of the FIFO multiplexer analysis.
 type MuxResult struct {
@@ -112,7 +97,8 @@ func AnalyzeMux(inputs []traffic.Descriptor, p MuxParams, opts MuxOptions) (MuxR
 // hold lowered members skip both the per-call Aggregate construction and the
 // per-point member summation. The result carries no per-input Outputs (the
 // caller owns the member set); everything else is identical to AnalyzeMux
-// over the member envelopes.
+// over the member envelopes. The busy period and the backlog are read off
+// agg's segments in one walk (traffic.Backlog).
 func AnalyzeAggregate(agg traffic.Descriptor, p MuxParams, opts MuxOptions) (MuxResult, error) {
 	if agg == nil {
 		return MuxResult{}, errors.New("atm: AnalyzeAggregate requires an aggregate envelope")
@@ -130,10 +116,10 @@ func AnalyzeAggregate(agg traffic.Descriptor, p MuxParams, opts MuxOptions) (Mux
 		return MuxResult{}, fmt.Errorf("%w: Σρ=%v bps, C=%v bps", ErrMuxOverload, agg.LongTermRate(), p.CapacityBps)
 	}
 
-	busy, backlog, err := scanMux(agg, p.CapacityBps, opts.workspace())
-	if err != nil {
+	busy, backlog, ok := traffic.Backlog(agg, p.CapacityBps, initialHorizon, 2*maxHorizon)
+	if !ok {
 		mMuxInfeasible.Inc()
-		return MuxResult{}, err
+		return MuxResult{}, fmt.Errorf("%w: no idle point within %v s", ErrMuxNoConvergence, maxHorizon)
 	}
 	delay := backlog / p.CapacityBps
 	if p.BufferBits > 0 && backlog > p.BufferBits*(1+units.RelTol) {
@@ -141,95 +127,4 @@ func AnalyzeAggregate(agg traffic.Descriptor, p MuxParams, opts MuxOptions) (Mux
 		return MuxResult{}, fmt.Errorf("%w: backlog=%v bits, buffer=%v bits", ErrMuxBufferOverflow, backlog, p.BufferBits)
 	}
 	return MuxResult{BusyPeriod: busy, Delay: delay, BacklogBits: backlog}, nil
-}
-
-// muxPrefixDivisor sets how much of a horizon's candidate grid scanMux
-// assembles before it looks for the busy period's end: the points up to
-// horizon/muxPrefixDivisor first, the whole horizon only when no crossing
-// lies among them. Busy periods of admissible ports are a small fraction of
-// the 16 ms the search starts with, so most scans end in the first part. It
-// trades speed, never results: a prefix of the grid is scanned exactly as the
-// grid would have been.
-const muxPrefixDivisor = 8
-
-// scanMux finds the busy period and the worst-case queue content of a FIFO
-// port fed by agg. The busy period ends at the first candidate point where
-// the aggregate demand has been fully served (ΣA(t) <= C·t), searched over a
-// horizon that doubles as needed; taking the first *grid* point after the
-// true crossing only enlarges the extremum search range, which keeps the
-// delay bound conservative. Each horizon's grid is assembled only as far as
-// it is read: to horizon/muxPrefixDivisor, then — when the crossing is not
-// inside — to the horizon. The assembly is a streaming merge, so the shorter
-// grid is a prefix of the longer, the crossing scan reads the same points in
-// the same order on either, and a crossing found in the prefix is the one the
-// full grid gives. The backlog scan then reuses the grid up to the crossing,
-// with the t→0⁺ point merged in — the limit matters for envelopes with an
-// instantaneous burst. Each grid lives in a workspace buffer for the duration
-// of its scan, so on a warmed workspace the search allocates nothing.
-func scanMux(agg traffic.Descriptor, capacity float64, ws *traffic.Workspace) (busy, backlog float64, err error) {
-	for horizon := initialHorizon; horizon <= maxHorizon*2; horizon *= 2 {
-		for _, limit := range [...]float64{horizon / muxPrefixDivisor, horizon} {
-			grid := ws.GridPrefix(agg, horizon, gridPoints, limit)
-			if i, ok := busyCrossing(agg, grid, capacity); ok {
-				busy = grid[i]
-				grid = traffic.InsertGridPoint(grid[:i+1], traffic.GridNudge)
-				backlog = maxMuxBacklog(agg, grid, capacity)
-				ws.Put(grid)
-				return busy, backlog, nil
-			}
-			ws.Put(grid)
-		}
-	}
-	return 0, 0, fmt.Errorf("%w: no idle point within %v s", ErrMuxNoConvergence, maxHorizon)
-}
-
-// maxMuxBacklog returns the worst-case queue content: the maximum of
-// ΣA(t) − C·t over the grid, which scanMux has cut to the busy period. It is
-// the per-probe extremum pass of every FIFO port evaluation, so it is
-// annotated: the scan is pure arithmetic over the caller's grid.
-//
-//fafvet:hotpath
-func maxMuxBacklog(agg traffic.Descriptor, grid []float64, capacity float64) float64 {
-	var backlog float64
-	for _, t := range grid {
-		if b := agg.Bits(t) - capacity*t; b > backlog {
-			backlog = b
-		}
-	}
-	return backlog
-}
-
-// busyCrossing scans one candidate grid for the first point with
-// ΣA(t) <= C·t and returns its index. Grid assembly and the retries (a longer
-// prefix, a doubled horizon) live in scanMux; this inner scan runs once per
-// grid per probe and is annotated.
-//
-// The scan exploits monotonicity to skip ahead: after observing a = ΣA(t),
-// no earlier-unvisited point t' with C·t' + Eps < a can be the crossing (its
-// demand is at least a), so the scan resumes at the first grid point past
-// (a − Eps)/C. The crossing found is identical to the point-by-point scan's.
-//
-//fafvet:hotpath
-func busyCrossing(agg traffic.Descriptor, grid []float64, capacity float64) (int, bool) {
-	for i := 0; i < len(grid); {
-		t := grid[i]
-		a := agg.Bits(t)
-		if a <= capacity*t+units.Eps {
-			return i, true
-		}
-		catchup := (a - units.Eps) / capacity
-		i++
-		// Galloping + binary search keeps the skip cheap whether the
-		// crossing is one point or hundreds of points away.
-		if i < len(grid) && grid[i] < catchup {
-			lo, step := i, 1
-			for lo+step < len(grid) && grid[lo+step] < catchup {
-				lo += step
-				step *= 2
-			}
-			hi := min(lo+step, len(grid))
-			i = lo + sort.SearchFloat64s(grid[lo:hi], catchup)
-		}
-	}
-	return 0, false
 }

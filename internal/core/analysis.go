@@ -44,11 +44,9 @@ type Analyzer struct {
 	portMux map[topo.PortID][]portMuxEntry
 	// stats accumulates cache hit/miss counts over the analyzer's lifetime.
 	stats CacheStats
-	// ws is the scratch every MAC and mux analysis of this analyzer takes its
-	// candidate grids and scan tables from (handed down through fddi.Options
-	// and atm.MuxOptions). One analyzer runs one analysis at a time, which is the
-	// single-owner rule the workspace asks for; nothing cached above may
-	// point into it.
+	// ws holds the arrays every port aggregate of this analyzer is summed
+	// in. One analyzer runs one analysis at a time, which is the single-owner
+	// rule the workspace asks for; nothing cached above may point into it.
 	ws traffic.Workspace
 }
 
@@ -59,6 +57,9 @@ type Analyzer struct {
 // results by flat identity.
 type connCache struct {
 	hops map[recKey]hopResult
+	// src is the class's source lowered over flatHorizon, the sender MAC's
+	// input; nil until the first probe or analysis of the class asks.
+	src *traffic.Flat
 }
 
 // recClass is what determines every entry of a connection's record: the
@@ -432,7 +433,7 @@ func (ev *evaluation) fold(c *Connection, to int, bd *Breakdown, limit float64, 
 				return nil, cut, err
 			}
 			if env = traffic.Flatten(traffic.Fuse(conv), flatHorizon); env == nil {
-				if err := sourceLowers(c); err != nil {
+				if _, err := ev.recs[c].source(c); err != nil {
 					return nil, cut, err
 				}
 				return nil, cut, fmt.Errorf("%w: envelope of %q: the segment cap ends its window before the sender-side delay", errInfeasible, c.ID)
@@ -568,8 +569,15 @@ func (ev *evaluation) theorem1(c *Connection, in *traffic.Flat, ring int, h, buf
 	if hit && !refill {
 		return e.mac, e.err
 	}
-	input, side, cfg := c.Source, "sender", ev.a.net.RingConfig(ring)
-	if in != nil {
+	var input traffic.Descriptor
+	side, cfg := "sender", ev.a.net.RingConfig(ring)
+	if in == nil {
+		src, err := rec.source(c)
+		if err != nil {
+			return fddi.MACResult{}, err
+		}
+		input = src
+	} else {
 		side = "receiver"
 		reassembled, err := ifdev.ReceiverConversion(in.Tail(), cfg.FrameBits(h), ev.a.net.Config().ID)
 		if err != nil {
@@ -592,7 +600,7 @@ func (ev *evaluation) theorem1(c *Connection, in *traffic.Flat, ring int, h, buf
 	if backlog {
 		analyze = fddi.AnalyzeMAC
 	}
-	res, err := analyze(input, p, fddi.Options{Workspace: &ev.a.ws})
+	res, err := analyze(input, p, fddi.Options{})
 	if err != nil {
 		err = fmt.Errorf("%w: %s MAC: %v", errInfeasible, side, err)
 		res = fddi.MACResult{}
@@ -654,16 +662,19 @@ func (ev *evaluation) boundHolds(c *Connection, in *traffic.Flat, bd *Breakdown,
 	return true
 }
 
-// sourceLowers reports c's source as invalid when traffic.Flatten has no rule
-// for it (a descriptor type from outside package traffic, at the root or under
-// a transform). Every envelope of an evaluation is a flat, so such a
-// connection cannot be analysed at any allocation: that is an error of the
-// request, not a verdict on it.
-func sourceLowers(c *Connection) error {
-	if traffic.Flatten(c.Source, flatHorizon) == nil {
-		return fmt.Errorf("core: connection %q: source %T has no lowering to a flat envelope", c.ID, c.Source)
+// source returns the record's lowered source, lowering c's on first use. It
+// reports the source as invalid when traffic.Flatten has no rule for it (a
+// descriptor type from outside package traffic, at the root or under a
+// transform). Every envelope of an evaluation is a flat, so such a connection
+// cannot be analysed at any allocation: that is an error of the request, not
+// a verdict on it.
+func (rec *connCache) source(c *Connection) (*traffic.Flat, error) {
+	if rec.src == nil {
+		if rec.src = traffic.Flatten(c.Source, flatHorizon); rec.src == nil {
+			return nil, fmt.Errorf("core: connection %q: source %T has no lowering to a flat envelope", c.ID, c.Source)
+		}
 	}
-	return nil
+	return rec.src, nil
 }
 
 // muxDelay returns the worst-case queueing delay of a shared FIFO port,
@@ -734,7 +745,7 @@ func (ev *evaluation) muxDelay(p topo.PortID) (float64, error) {
 	// window.
 	mFlatAggRebuilds.Inc()
 	params := atm.MuxParams{CapacityBps: ev.a.net.PortCapacity()}
-	res, err := atm.AnalyzeAggregate(ev.a.ws.Sum(flats), params, atm.MuxOptions{Workspace: &ev.a.ws})
+	res, err := atm.AnalyzeAggregate(ev.a.ws.Sum(flats), params, atm.MuxOptions{})
 	if err != nil {
 		switch {
 		case errors.Is(err, atm.ErrMuxOverload),

@@ -4,7 +4,6 @@ import (
 	"math"
 
 	"fafnet/internal/topo"
-	"fafnet/internal/units"
 )
 
 // This file is the CAC decision algorithm of Section 5.3 as a pure function
@@ -127,14 +126,16 @@ func searchSegment(opts Options, route topo.Route, hsMax, hrMax float64) segment
 }
 
 // meetsDeadlines checks Eq. 24–25 against a computed delay map: every
-// standing connection and the candidate must meet its deadline.
+// standing connection and the candidate must meet its deadline. The
+// comparisons are exact, with no tolerance in the connection's favour: a
+// bound that reads above the deadline by any margin is a miss.
 func meetsDeadlines(standing []*Connection, cand *Connection, delays map[string]float64) bool {
 	for _, conn := range standing {
-		if delays[conn.ID] > conn.Deadline*(1+units.RelTol) {
+		if delays[conn.ID] > conn.Deadline {
 			return false
 		}
 	}
-	return delays[cand.ID] <= cand.Deadline*(1+units.RelTol)
+	return delays[cand.ID] <= cand.Deadline //lint:allow floatcmp deadlines err toward rejection: a delay even one rounding above the deadline misses it
 }
 
 // bisect locates the smallest α in [from, 1] whose allocation satisfies holds,

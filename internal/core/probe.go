@@ -51,8 +51,9 @@ func (a *Analyzer) NewProbeSession(existing []*Connection, cand *Connection) (*P
 		return nil, errors.New("core: probe session requires a candidate")
 	}
 	// The probes report every analysis error as a miss, so the one error a
-	// validated spec can still carry is caught here, once per session.
-	if err := sourceLowers(cand); err != nil {
+	// validated spec can still carry is caught here, once per session. The
+	// lowered source stays on the class's record for the sender MAC.
+	if _, err := a.record(cand).source(cand); err != nil {
 		return nil, err
 	}
 	s := &ProbeSession{
@@ -190,9 +191,10 @@ func (s *ProbeSession) verdict(hs, hr float64, ref map[string]float64, tol float
 }
 
 // holds tests one connection's conjuncts and returns cutNone when they hold,
-// or the server at which they were found not to.
+// or the server at which they were found not to. The limit is the deadline
+// itself, as in meetsDeadlines: no tolerance in the connection's favour.
 func (s *ProbeSession) holds(ev *evaluation, c *Connection, ref map[string]float64, tol float64) cutoff {
-	limit := c.Deadline * (1 + units.RelTol)
+	limit := c.Deadline
 	complete := cutDstMAC // the server that completes c's sum
 	if !c.Route.CrossesBackbone {
 		complete = cutSrcMAC

@@ -3,7 +3,83 @@ package core
 import (
 	"math"
 	"testing"
+
+	"fafnet/internal/traffic"
+	"fafnet/internal/units"
 )
+
+// TestDeadlineComparedExactly: a connection whose bound exceeds its deadline
+// by half the relative tolerance misses it, in meetsDeadlines and in a
+// probe's verdict alike, where both once admitted a delay up to
+// Deadline·(1 + RelTol); at its deadline exactly it meets it.
+func TestDeadlineComparedExactly(t *testing.T) {
+	net := defaultNet(t)
+	a, err := NewAnalyzer(net, AnalysisOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	cand := testConnOn(t, net, "c", 0, 0, 1, 0, 2e-3, 2e-3)
+	delays, err := a.Delays([]*Connection{cand})
+	if err != nil {
+		t.Fatal(err)
+	}
+	bound := delays["c"]
+	for _, c := range []struct {
+		deadline float64
+		meets    bool
+	}{{bound / (1 + units.RelTol/2), false}, {bound, true}} {
+		cand.Deadline = c.deadline
+		if got := meetsDeadlines(nil, cand, delays); got != c.meets {
+			t.Errorf("bound %v against deadline %v: meetsDeadlines = %v, want %v", bound, c.deadline, got, c.meets)
+		}
+		s, err := a.NewProbeSession(nil, cand)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got := s.Feasible(cand.HS, cand.HR); got != c.meets {
+			t.Errorf("bound %v against deadline %v: Feasible = %v, want %v", bound, c.deadline, got, c.meets)
+		}
+	}
+}
+
+// TestProbeSessionKeepsSourceFlat: the source a session lowers to check it
+// stays on the class's record and is the sender MAC's input, so a second
+// session of the same class lowers nothing — its allocations are a cold
+// session's less exactly one lowering.
+func TestProbeSessionKeepsSourceFlat(t *testing.T) {
+	net := defaultNet(t)
+	a, err := NewAnalyzer(net, AnalysisOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	cand := testConnOn(t, net, "c", 0, 0, 1, 0, 2e-3, 2e-3)
+	s, err := a.NewProbeSession(nil, cand)
+	if err != nil {
+		t.Fatal(err)
+	}
+	rec := a.record(cand)
+	src := rec.src
+	if src == nil {
+		t.Fatal("the session kept no lowered source on the class's record")
+	}
+	if !s.Feasible(cand.HS, cand.HR) {
+		t.Fatal("the probe's allocation is infeasible: the sender MAC went unchecked")
+	}
+	if out, ok := rec.hops[recKey{x: math.Float64bits(cand.HS)}].mac.Output.(traffic.Delayed); !ok || out.Inner != traffic.Descriptor(src) {
+		t.Errorf("the sender MAC's output is built on %v, want the record's source flat", rec.hops[recKey{x: math.Float64bits(cand.HS)}].mac.Output)
+	}
+	session := func() {
+		if _, err := a.NewProbeSession(nil, cand); err != nil {
+			t.Fatal(err)
+		}
+	}
+	warm := testing.AllocsPerRun(20, session)
+	cold := testing.AllocsPerRun(20, func() { rec.src = nil; session() })
+	lowering := testing.AllocsPerRun(20, func() { traffic.Flatten(cand.Source, flatHorizon) })
+	if cold-warm != lowering {
+		t.Errorf("a session allocates %v times warm, %v cold; one lowering is %v", warm, cold, lowering)
+	}
+}
 
 // TestProbeSessionMatchesFullEvaluation is the safety net of the probe
 // optimization: for a range of candidate allocations, the session's delays

@@ -93,11 +93,11 @@ func fuzzChain(in traffic.Descriptor, chain uint8, e float64) traffic.Descriptor
 // the busy-interval cut — and its χ is at most the bound, so the bound holds
 // within every limit it fits under. Whenever the line σ + ρ·t is finite and
 // the analysis converges, whether or not the bound answers, the premise the
-// bound and the stop stand on is checked — at every point of the full
-// candidate grid the computed envelope is under the padded line — and the
-// stopped scan's χ (delay-only) and its F and χ (with the backlog) are
-// bit-equal to the exhaustive scan over the full grid, spending no more
-// envelope evaluations than the full-grid scan.
+// bound and the stops stand on is checked — at the ulp-neighbours of every
+// level crossing and at 401 points over the busy interval the computed
+// envelope is under the padded line — and χ and F are held to the exhaustive
+// sample of their expressions (checkMACBounds), which asks nothing of the
+// envelope's monotonicity.
 func FuzzDelayBound(f *testing.F) {
 	f.Add(uint8(1), uint8(0), false, 0.7, 0.6, 0.5, 0.4, 0.3, 0.2)
 	f.Add(uint8(0), uint8(0b100110), true, 0.1, 0.9, 0.1, 0.2, 0.45, 0.001)
@@ -137,14 +137,19 @@ func FuzzDelayBound(f *testing.F) {
 		if err != nil || math.IsInf(sigma, 1) {
 			return
 		}
-		var ws traffic.Workspace
-		grid := ws.Grid(in, res.BusyInterval, tGridPoints, appendMultiples(nil, ring.TTRT, res.BusyInterval), []float64{traffic.GridNudge})
-		for _, pt := range grid {
-			if a := in.Bits(pt); a > sigma+rho*pt {
-				t.Fatalf("%v (lowered %v): A(%v) = %v above the padded line %v + %v·t = %v", chained, lowered, pt, a, sigma, rho, sigma+rho*pt)
+		_, crossings := referenceChi(in, p, res.BusyInterval)
+		for i := 0; i <= 400; i++ {
+			crossings = append(crossings, res.BusyInterval*float64(i)/400)
+		}
+		var pts []float64
+		for _, x := range crossings {
+			for _, pt := range ulpNeighbours(pts[:0], x) {
+				if a := in.Bits(pt); pt > 0 && a > sigma+rho*pt {
+					t.Fatalf("%v (lowered %v): A(%v) = %v above the padded line %v + %v·t = %v", chained, lowered, pt, a, sigma, rho, sigma+rho*pt)
+				}
 			}
 		}
-		checkStoppedScan(t, &ws, in, p, res.BusyInterval)
+		checkMACBounds(t, in, p)
 	})
 }
 

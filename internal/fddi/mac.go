@@ -37,24 +37,12 @@ type MACParams struct {
 	BufferBits float64
 }
 
-// The numeric extremum searches of the analysis.
-const (
-	// tGridPoints is the uniform fallback resolution of the search grid over
-	// the busy interval.
-	tGridPoints = 160
-	// maxBusyRotations bounds the busy-interval search in units of TTRT.
-	maxBusyRotations = 4096
-)
+// maxBusyRotations bounds the busy-interval search in units of TTRT.
+const maxBusyRotations = 4096
 
-// Options carries the analysis's scratch; it holds no tuning value. The zero
-// value runs on a fresh workspace.
-type Options struct {
-	// Workspace is the scratch the analysis takes its candidate grid and scan
-	// tables from: a resource handle, not a tuning knob. Its owner (one
-	// core.Analyzer) must not run two analyses on it at once. Nil runs the
-	// same code on a fresh workspace.
-	Workspace *traffic.Workspace
-}
+// Options carries the analysis's resources; the analysis needs none beyond
+// its input today, and the zero value is the one to pass.
+type Options struct{}
 
 // MACResult is the outcome of Theorem 1 for one connection at one FDDI MAC.
 type MACResult struct {
@@ -110,29 +98,26 @@ func (p MACParams) validate() error {
 // envelope min(BW·I, A(I + χ)). A non-nil error means no finite delay bound exists for
 // this allocation (ErrOverload, ErrBufferOverflow, or ErrNoConvergence).
 func AnalyzeMAC(in traffic.Descriptor, p MACParams, opts Options) (MACResult, error) {
-	return analyzeMAC(in, p, opts, true)
+	return analyzeMAC(in, p, true)
 }
 
 // AnalyzeMACDelay is AnalyzeMAC for a caller that reads no backlog: F is
 // computed only when p.BufferBits bounds it, since the overflow verdict reads
 // it, and is NaN in the result otherwise. B, χ, the output envelope and the
-// error are AnalyzeMAC's, bit for bit: the delay scan reads the same grid
-// whether or not the backlog scan ran before it.
+// error are AnalyzeMAC's, bit for bit: the delay search does not depend on
+// whether the backlog search ran.
 func AnalyzeMACDelay(in traffic.Descriptor, p MACParams, opts Options) (MACResult, error) {
-	return analyzeMAC(in, p, opts, p.BufferBits > 0)
+	return analyzeMAC(in, p, p.BufferBits > 0)
 }
 
 // analyzeMAC is Theorem 1, with the backlog scan run only when backlog is
 // set.
-func analyzeMAC(in traffic.Descriptor, p MACParams, opts Options, backlog bool) (MACResult, error) {
+func analyzeMAC(in traffic.Descriptor, p MACParams, backlog bool) (MACResult, error) {
 	if in == nil {
 		return MACResult{}, errors.New("fddi: AnalyzeMAC requires an input descriptor")
 	}
 	if err := p.validate(); err != nil {
 		return MACResult{}, err
-	}
-	if opts.Workspace == nil {
-		opts.Workspace = new(traffic.Workspace)
 	}
 	mMACAnalyses.Inc()
 	envelopeEvals := 0
@@ -154,7 +139,7 @@ func analyzeMAC(in traffic.Descriptor, p MACParams, opts Options, backlog bool) 
 		return MACResult{}, fmt.Errorf("%w: no busy-interval end within %d rotations", ErrNoConvergence, maxBusyRotations)
 	}
 
-	backlogBits, delay, scanEvals := scanMAC(opts.Workspace, in, p, busy, tGridPoints, backlog)
+	backlogBits, delay, scanEvals := scanMAC(in, p, busy, backlog)
 	envelopeEvals += scanEvals
 	if p.BufferBits > 0 && backlogBits > p.BufferBits*(1+units.RelTol) {
 		mMACInfeasible.Inc()
@@ -231,15 +216,4 @@ func closedFormBound(sigma, rho, svc, ttrt float64) (float64, bool) {
 		return 0, false
 	}
 	return (sigma/svc + 2) * ttrt, true
-}
-
-// multiplesLen bounds the number of points appendMultiples emits.
-func multiplesLen(step, limit float64) int { return 3 * (int(limit/step) + 2) }
-
-// appendMultiples appends k·step for k = 1.. while <= limit, each bracketed.
-func appendMultiples(dst []float64, step, limit float64) []float64 {
-	for t := step; t <= limit+units.Eps; t += step {
-		dst = append(dst, t-traffic.GridNudge, t, t+traffic.GridNudge)
-	}
-	return dst
 }

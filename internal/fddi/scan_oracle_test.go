@@ -9,116 +9,134 @@ import (
 	"fafnet/internal/units"
 )
 
-// exhaustiveScanMAC is Theorem 1's two extremum scans the slow way: A is
-// evaluated at every point of the full candidate grid and both maxima are
-// taken over all of them, with no appeal to monotonicity. It is the oracle
-// for the reduced scans of macScan, which stand on A being nondecreasing:
-// monotone reports whether the computed values are, point by point.
-func exhaustiveScanMAC(in traffic.Descriptor, p MACParams, busy float64, gridPoints int) (backlog, delay float64, monotone bool) {
-	var ws traffic.Workspace
-	ttrt := p.Ring.TTRT
-	grid := ws.Grid(in, busy, gridPoints, appendMultiples(nil, ttrt, busy), []float64{traffic.GridNudge})
-	svc := p.RotationServiceBits()
-	monotone = true
-	prev := math.Inf(-1)
-	for _, t := range grid {
-		a := in.Bits(t)
-		monotone = monotone && a >= prev
-		prev = a
-		if b := a - p.Avail(t); b > backlog {
-			backlog = b
+// firstAbove returns the first float t in (0, hi] with A(t) > y, for A(hi) > y,
+// by bisection on the floats' bit patterns — which order positive floats as
+// their values do — so it resolves to the float in 64 steps wherever it lies.
+// On an envelope that is not nondecreasing it returns some float at which A
+// steps above y from at most y.
+func firstAbove(in traffic.Descriptor, y, hi float64) float64 {
+	lo, up := uint64(0), math.Float64bits(hi) // A(lo) <= y < A(up), as floats
+	for up-lo > 1 {
+		mid := lo + (up-lo)/2
+		if in.Bits(math.Float64frombits(mid)) > y {
+			up = mid
+		} else {
+			lo = mid
 		}
-		if a > units.Eps {
-			if d := (units.CeilDiv(a, svc)+1)*ttrt - t; d > delay {
-				delay = d
+	}
+	return math.Float64frombits(up)
+}
+
+// referenceChi is Eq. 11 read at float resolution. The scan's expression
+// m(t)·TTRT − t, m(t) = CeilDiv(A(t), svc) + 1 where A(t) > Eps, steps to
+// m = k + 1 where A first exceeds the level (k−1)·svc, or just past it where
+// CeilDiv's snap holds the quotient on the lower step: for every level k with
+// A(busy) above it, the reference finds the first float past which A exceeds
+// the level, and the first past which it exceeds the snapped level
+// (k−1)·svc + RelTol·max(1, k−1)·svc, and reads the expression at both and at
+// their ulp-neighbours. On a nondecreasing envelope each value of m has its
+// largest candidate at its first float, so the maximum is the supremum over
+// the floats of (0, busy]. It returns the crossings too, for the samples to
+// probe around.
+func referenceChi(in traffic.Descriptor, p MACParams, busy float64) (chi float64, crossings []float64) {
+	svc := p.RotationServiceBits()
+	top := in.Bits(busy)
+	for k := 1.0; (k-1)*svc < top; k++ {
+		y := (k - 1) * svc
+		for _, level := range []float64{max(y, units.Eps), y + units.RelTol*max(1, k-1)*svc} {
+			if level < top {
+				crossings = append(crossings, firstAbove(in, level, busy))
 			}
 		}
 	}
-	return backlog, delay, monotone
+	_, chi = macSample(in, p, busy, 0, crossings)
+	return chi, crossings
 }
 
-// fullScanMAC is scanMAC over the full grid: one pass over the whole busy
-// interval, as without a line. The stopped scan must spend exactly its
-// evaluations.
-func fullScanMAC(in traffic.Descriptor, p MACParams, busy float64, gridPoints int, backlog bool) (backlogBits, delay float64, evals int) {
-	var ws traffic.Workspace
-	s := newMACScan(in, p)
-	s.assemble(&ws, busy, gridPoints, busy)
-	s.run(backlog)
-	backlogBits = math.NaN()
-	if backlog {
-		backlogBits = s.backlog
+// ulpNeighbours appends p and the floats up to two ulps to either side of it.
+func ulpNeighbours(dst []float64, p float64) []float64 {
+	lo, hi := p, p
+	dst = append(dst, p)
+	for i := 0; i < 2; i++ {
+		lo, hi = math.Nextafter(lo, math.Inf(-1)), math.Nextafter(hi, math.Inf(1))
+		dst = append(dst, lo, hi)
 	}
-	return backlogBits, s.delay, s.evals
+	return dst
 }
 
-// checkStoppedScan holds scanMAC, delay-only and with the backlog, to the same
-// scans over the full grid — χ and F bit for bit, and the same count of
-// envelope evaluations: the scans read points by index and stop, never by the
-// grid's length, so the stop saves assembly and costs no evaluation — and to
-// the exhaustive scan over the full grid, bit for bit, wherever the computed
-// envelope is nondecreasing there. (Where rounding makes it dip by an ulp, the
-// reduced scans, which skip points by monotonicity, can miss the dip's top;
-// they did so before the grid stopped too.) It returns the envelope
-// evaluations the scan with the backlog spent, and the grid points each scan
-// assembled, delay-only first.
-func checkStoppedScan(t *testing.T, ws *traffic.Workspace, in traffic.Descriptor, p MACParams, busy float64) (evals int, points [2]uint64) {
+// macSample is Theorem 1's two expressions sampled on (0, busy]: F's
+// A(t) − avail(t) and χ's m(t)·TTRT − t, m(t) = ⌈A(t)/svc⌉ + 1 where
+// A(t) > Eps, at n uniform points and at the ulp-neighbours of every point in
+// extra.
+func macSample(in traffic.Descriptor, p MACParams, busy float64, n int, extra []float64) (backlog, delay float64) {
+	svc, ttrt := p.RotationServiceBits(), p.Ring.TTRT
+	visit := func(t float64) {
+		if !(t > 0 && t <= busy) {
+			return
+		}
+		a := in.Bits(t)
+		backlog = max(backlog, a-p.Avail(t))
+		if a > units.Eps {
+			delay = max(delay, (units.CeilDiv(a, svc)+1)*ttrt-t)
+		}
+	}
+	for i := 1; i <= n; i++ {
+		visit(busy * float64(i) / float64(n))
+	}
+	var pts []float64
+	for _, x := range extra {
+		pts = ulpNeighbours(pts[:0], x)
+		for _, t := range pts {
+			visit(t)
+		}
+	}
+	return backlog, delay
+}
+
+// checkMACBounds runs AnalyzeMAC on in at p and holds χ and F to a dense
+// sample of their own expressions — 4,000 uniform points over the busy
+// interval and the ulp-neighbours of every level crossing, every multiple of
+// TTRT and, on a flat, every segment end — and χ to referenceChi: at or above
+// both. It returns the result and the reference, for callers that also want
+// the bound tight.
+func checkMACBounds(t *testing.T, in traffic.Descriptor, p MACParams) (MACResult, float64) {
 	t.Helper()
-	wantF, wantChi, monotone := exhaustiveScanMAC(in, p, busy, tGridPoints)
-	for _, backlog := range []bool{true, false} {
-		before := mMACGridPoints.Value()
-		gotF, gotChi, got := scanMAC(ws, in, p, busy, tGridPoints, backlog)
-		built := mMACGridPoints.Value() - before
-		fullF, fullChi, full := fullScanMAC(in, p, busy, tGridPoints, backlog)
-		if math.Float64bits(gotChi) != math.Float64bits(fullChi) || math.Float64bits(gotF) != math.Float64bits(fullF) {
-			t.Errorf("%v at H=%v, backlog %v: chi = %v, F = %v; over the full grid %v, %v", in, p.H, backlog, gotChi, gotF, fullChi, fullF)
-		}
-		if got != full {
-			t.Errorf("%v at H=%v, backlog %v: %d envelope evaluations, the full-grid scan spent %d", in, p.H, backlog, got, full)
-		}
-		if monotone && math.Float64bits(gotChi) != math.Float64bits(wantChi) {
-			t.Errorf("%v at H=%v, backlog %v: chi = %v, exhaustive scan over the full grid %v", in, p.H, backlog, gotChi, wantChi)
-		}
-		if monotone && backlog && math.Float64bits(gotF) != math.Float64bits(wantF) {
-			t.Errorf("%v at H=%v: F = %v, exhaustive scan over the full grid %v", in, p.H, gotF, wantF)
-		}
-		if !backlog && !math.IsNaN(gotF) {
-			t.Errorf("%v at H=%v: F = %v without the backlog scan, want NaN", in, p.H, gotF)
-		}
-		if backlog {
-			evals, points[1] = got, built
-		} else {
-			points[0] = built
-		}
+	res, err := AnalyzeMAC(in, p, Options{})
+	if err != nil {
+		t.Fatalf("%v at H=%v: %v", in, p.H, err)
 	}
-	return evals, points
+	busy := res.BusyInterval
+	ref, extra := referenceChi(in, p, busy)
+	for k := 1.0; k*p.Ring.TTRT <= busy; k++ {
+		extra = append(extra, k*p.Ring.TTRT)
+	}
+	if f, ok := in.(*traffic.Flat); ok {
+		for i := 1; i < f.Segments(); i++ {
+			if ti, _ := f.Vertex(i); ti <= busy {
+				extra = append(extra, ti)
+			}
+		}
+		extra = append(extra, f.Horizon())
+	}
+	wantF, wantChi := macSample(in, p, busy, 4000, extra)
+	if res.Delay < wantChi || res.Delay < ref {
+		t.Errorf("%v at H=%v: chi = %v below its sample %v or its reference %v", in, p.H, res.Delay, wantChi, ref)
+	}
+	if res.BufferBits < wantF {
+		t.Errorf("%v at H=%v: F = %v below its sample %v", in, p.H, res.BufferBits, wantF)
+	}
+	return res, ref
 }
 
-// gridPrefixLen returns the number of points of scanMAC's candidate grid up
-// to limit.
-func gridPrefixLen(in traffic.Descriptor, p MACParams, busy, limit float64) uint64 {
-	var ws traffic.Workspace
-	ttrt := p.Ring.TTRT
-	return uint64(len(ws.GridPrefix(in, busy, tGridPoints, limit, appendMultiples(nil, ttrt, busy), []float64{traffic.GridNudge})))
-}
-
-// TestScanMACMatchesExhaustiveScan holds the reduced scans — last point per
-// rotation for F, bound-pruned run splitting for χ, both over the grid the
-// line σ + ρ·t stops — bit-equal to the scan over every point of the full
-// grid, on the chain and on its lowered form, from a shallow busy interval to
-// one of more than 500 rotations with the allocation within 0.5 % of the
-// stability limit. parentEvals pins the envelope evaluations an earlier scan
-// spent on the same case, which the scan may only lower: the unpruned
-// splitting for shallow, mid, deep and deepest (buffered is deep with F, under
-// deep's ceiling), the pruned scan over the full grid, before the grid
-// stopped, for first and noline. The scan without the backlog (what a
-// caller that reads no F runs) must give the same χ, bit for bit, and no F.
-// grid names the assembly each case pins for the delay-only scan a probe runs:
-// the first pass alone (the stop lies inside 2·TTRT), a second pass stopped
-// short of the busy interval's end, or the full grid in one pass (no line: a
-// descriptor type without a burst rule). The buffer-bounded case pins the
-// scan with F, which AnalyzeMACDelay runs for the overflow verdict, and holds
-// AnalyzeMACDelay's F and χ to the exhaustive scan.
+// TestScanMACMatchesExhaustiveScan holds the level and rotation searches to
+// the exhaustive sample of their expressions (checkMACBounds), on the chain
+// and on its lowered form, from a shallow busy interval to one of more than
+// 500 rotations with the allocation within 0.5 % of the stability limit: χ at
+// or above its float-resolution reference and within 1e-9 s of it, F at or
+// above its sample and within RelTol of it. The search without the backlog
+// (what a caller that reads no F runs) gives the same χ, bit for bit, and no
+// F; the buffer-bounded case holds AnalyzeMACDelay to AnalyzeMAC. maxEvals
+// pins the envelope evaluations each case spends, chain and flat.
 func TestScanMACMatchesExhaustiveScan(t *testing.T) {
 	chain, flat, deep := deepInput(t)
 	ring := deep.Ring
@@ -126,83 +144,81 @@ func TestScanMACMatchesExhaustiveScan(t *testing.T) {
 	lined := []traffic.Descriptor{chain, flat}
 	noline := withoutBurstRule(t, chain)
 	cases := []struct {
-		name        string
-		in          []traffic.Descriptor
-		h           float64
-		buffer      float64
-		minRot      float64
-		grid        string // "first", "second" or "full"
-		parentEvals [2]int // chain, flat
+		name     string
+		in       []traffic.Descriptor
+		h        float64
+		buffer   float64
+		minRot   float64
+		maxEvals [2]int // chain, flat
 	}{
-		{"shallow", lined, 2e-3, 0, 0, "full", [2]int{11, 11}},
-		{"first", lined, 1.2 * hMin, 0, 10, "first", [2]int{40, 40}},
-		{"mid", lined, 1.1 * hMin, 0, 20, "second", [2]int{184, 184}},
-		{"deep", lined, 1.02 * hMin, 0, 100, "second", [2]int{898, 898}},
-		{"deepest", lined, 1.004 * hMin, 0, 500, "second", [2]int{2701, 2701}},
-		{"noline", []traffic.Descriptor{noline}, 1.5 * hMin, 0, 5, "full", [2]int{18}},
-		{"buffered", lined, 1.02 * hMin, 1e9, 100, "second", [2]int{898, 898}},
+		{"shallow", lined, 2e-3, 0, 0, [2]int{100, 100}},
+		{"first", lined, 1.2 * hMin, 0, 10, [2]int{200, 200}},
+		{"mid", lined, 1.1 * hMin, 0, 20, [2]int{400, 400}},
+		{"deep", lined, 1.02 * hMin, 0, 100, [2]int{900, 900}},
+		{"deepest", lined, 1.004 * hMin, 0, 500, [2]int{2700, 2700}},
+		{"noline", []traffic.Descriptor{noline}, 1.5 * hMin, 0, 5, [2]int{200}},
+		{"buffered", lined, 1.02 * hMin, 1e9, 100, [2]int{900, 900}},
 	}
 	for _, c := range cases {
 		for k, in := range c.in {
 			t.Run(fmt.Sprintf("%s/%T", c.name, in), func(t *testing.T) {
 				p := MACParams{Ring: ring, H: c.h, BufferBits: c.buffer}
-				busy, _, ok := busyInterval(in, p.RotationServiceBits(), ring.TTRT, maxBusyRotations)
-				if !ok {
-					t.Fatal("no busy interval")
+				res, ref := checkMACBounds(t, in, p)
+				if res.BusyInterval < c.minRot*ring.TTRT {
+					t.Fatalf("busy interval of %v rotations, want at least %v: the case exercises nothing", res.BusyInterval/ring.TTRT, c.minRot)
 				}
-				if busy < c.minRot*ring.TTRT {
-					t.Fatalf("busy interval of %v rotations, want at least %v: the case exercises nothing", busy/ring.TTRT, c.minRot)
+				if res.Delay-ref > 1e-9 {
+					t.Errorf("chi = %v, %v above its float-resolution reference %v", res.Delay, res.Delay-ref, ref)
 				}
-				var ws traffic.Workspace
-				evals, points := checkStoppedScan(t, &ws, in, p, busy)
-				built := points[0]
-				if c.buffer > 0 {
-					built = points[1]
+				wantF := macSampleAtRotations(in, p, res.BusyInterval)
+				if !units.WithinRel(res.BufferBits, wantF, units.RelTol) {
+					t.Errorf("F = %v, its supremum over the rotations' last points %v", res.BufferBits, wantF)
 				}
-				full := gridPrefixLen(in, p, busy, busy)
-				first := gridPrefixLen(in, p, busy, min(busy, firstWindow*ring.TTRT))
-				var pinned bool
-				switch c.grid {
-				case "first":
-					pinned = built == first && first < full
-				case "second":
-					pinned = built > first && built-first < full
-				default:
-					pinned = built == full
-				}
-				if !pinned {
-					t.Errorf("assembled %d grid points (first window %d, full grid %d), want the %s grid", built, first, full, c.grid)
+				noF, chi, evals := scanMAC(in, p, res.BusyInterval, false)
+				if math.Float64bits(chi) != math.Float64bits(res.Delay) || !math.IsNaN(noF) {
+					t.Errorf("delay-only search: chi = %v, F = %v; with the backlog chi = %v", chi, noF, res.Delay)
 				}
 				if c.buffer > 0 {
-					wantF, wantChi, monotone := exhaustiveScanMAC(in, p, busy, tGridPoints)
-					if !monotone {
-						t.Fatal("the computed envelope dips: the case exercises nothing")
-					}
-					res, err := AnalyzeMACDelay(in, p, Options{Workspace: &ws})
+					got, err := AnalyzeMACDelay(in, p, Options{})
 					if err != nil {
 						t.Fatal(err)
 					}
-					if res.BufferBits != wantF || res.Delay != wantChi {
-						t.Errorf("AnalyzeMACDelay with a buffer: F = %v, chi = %v; exhaustive scan %v, %v", res.BufferBits, res.Delay, wantF, wantChi)
+					if got.BufferBits != res.BufferBits || got.Delay != res.Delay {
+						t.Errorf("AnalyzeMACDelay with a buffer: F = %v, chi = %v; AnalyzeMAC %v, %v", got.BufferBits, got.Delay, res.BufferBits, res.Delay)
 					}
 				}
-				t.Logf("busy %.0f rotations, full grid %d points, assembled %d delay-only and %d with F, evals %d (earlier %d)", busy/ring.TTRT, full, points[0], points[1], evals, c.parentEvals[k])
-				if evals > c.parentEvals[k] {
-					t.Errorf("%d envelope evaluations, the earlier scan spent %d", evals, c.parentEvals[k])
+				t.Logf("busy %.0f rotations, chi %v (reference %v), F %v, %d evaluations delay-only", res.BusyInterval/ring.TTRT, res.Delay, ref, res.BufferBits, evals)
+				if evals > c.maxEvals[k] {
+					t.Errorf("%d envelope evaluations, want at most %d", evals, c.maxEvals[k])
 				}
 			})
 		}
 	}
 }
 
-// noBurstRule is a descriptor type from outside package traffic, so
-// traffic.BurstBound has no rule for it and no line stops its grid. It
-// evaluates and enumerates its breakpoints as the descriptor it wraps.
-type noBurstRule struct{ traffic.Descriptor }
-
-func (n noBurstRule) AppendBreakpoints(dst []float64, horizon float64) []float64 {
-	return traffic.AppendBreakpoints(dst, n.Descriptor, horizon)
+// macSampleAtRotations reads F's expression within two ulps of every multiple
+// of TTRT inside (0, busy] and at busy, which holds the last float of every
+// rotation: the supremum over all floats of the interval on a nondecreasing
+// envelope.
+func macSampleAtRotations(in traffic.Descriptor, p MACParams, busy float64) float64 {
+	var pts []float64
+	for k := 1.0; k*p.Ring.TTRT <= busy; k++ {
+		pts = ulpNeighbours(pts, k*p.Ring.TTRT)
+	}
+	pts = append(pts, busy)
+	var f float64
+	for _, t := range pts {
+		if t > 0 && t <= busy {
+			f = max(f, in.Bits(t)-p.Avail(t))
+		}
+	}
+	return f
 }
+
+// noBurstRule is a descriptor type from outside package traffic, so
+// traffic.BurstBound has no rule for it and no line stops its searches. It
+// evaluates as the descriptor it wraps.
+type noBurstRule struct{ traffic.Descriptor }
 
 // withoutBurstRule wraps in as a noBurstRule and checks that its padded σ is
 // +Inf, which is what the no-line cases exercise.

@@ -65,19 +65,15 @@ func TestAnalyzeMACBeyondFlatWindow(t *testing.T) {
 	}
 }
 
-// TestScanMACAllocationFree holds grid assembly plus the Theorem 1 scans at
-// zero allocations on a warmed workspace: delay-only (what every probe runs)
-// and with the backlog, over a busy interval inside the first window, one
-// whose stop lies inside it, and deep ones that take the second pass. The
-// second pass holds the first pass's memo table while it takes the multiples,
-// the longer grid and the longer memo table; a free list that dropped a
-// buffer for want of a slot would allocate it again on the next run.
+// TestScanMACAllocationFree holds the busy-interval search plus the Theorem 1
+// level and rotation searches at zero allocations, delay-only (what every
+// probe runs) and with the backlog, over a shallow busy interval, one of a
+// dozen rotations and a deep one that runs far past the flat's window.
 func TestScanMACAllocationFree(t *testing.T) {
 	chain, flat, deep := deepInput(t)
 	hMin := chain.LongTermRate() * deep.Ring.TTRT / deep.Ring.BandwidthBps
 	shallow := MACParams{Ring: deep.Ring, H: 2e-3}
 	first := MACParams{Ring: deep.Ring, H: 1.2 * hMin}
-	var ws traffic.Workspace
 	for _, in := range []traffic.Descriptor{chain, flat} {
 		for _, p := range []MACParams{shallow, first, deep} {
 			busy, _, ok := busyInterval(in, p.RotationServiceBits(), p.Ring.TTRT, maxBusyRotations)
@@ -85,10 +81,12 @@ func TestScanMACAllocationFree(t *testing.T) {
 				t.Fatal("no busy interval")
 			}
 			for _, backlog := range []bool{false, true} {
-				run := func() { scanMAC(&ws, in, p, busy, tGridPoints, backlog) }
-				run()
+				run := func() {
+					busyInterval(in, p.RotationServiceBits(), p.Ring.TTRT, maxBusyRotations)
+					scanMAC(in, p, busy, backlog)
+				}
 				if avg := testing.AllocsPerRun(20, run); avg != 0 {
-					t.Errorf("scanMAC (backlog %v) over %T at B=%v allocates %v times per run on a warmed workspace", backlog, in, busy, avg)
+					t.Errorf("scanMAC (backlog %v) over %T at B=%v allocates %v times per run", backlog, in, busy, avg)
 				}
 			}
 		}

@@ -100,7 +100,7 @@ func isFloat(t types.Type) bool {
 }
 
 // toleranceSuffixes mark identifiers that name a tolerance or deliberate
-// offset (units.Eps, units.RelTol, traffic.GridNudge, a local slack).
+// offset (units.Eps, units.RelTol, a local slack or nudge).
 var toleranceSuffixes = []string{"Eps", "Tol", "Slack", "Tiny", "Tolerance", "Nudge"}
 
 func isToleranceName(name string) bool {

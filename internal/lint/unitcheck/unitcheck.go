@@ -646,7 +646,7 @@ func (e *engine) checkCall(call *ast.CallExpr) {
 	}
 	sig, ok := fn.Type().(*types.Signature)
 	if !ok || sig.Variadic() || sig.Params().Len() != len(call.Args) {
-		return // variadic tails (Workspace.Grid's extras, Printf) carry no per-param names
+		return // variadic tails (Printf's) carry no per-param names
 	}
 	fact, _ := e.factFor(fn)
 	for i, arg := range call.Args {

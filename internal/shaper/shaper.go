@@ -51,8 +51,6 @@ var ErrUnstable = errors.New("shaper: token rate below the input's long-term rat
 
 // The busy-period search.
 const (
-	// gridPoints is the fallback search resolution.
-	gridPoints = 128
 	// initialHorizon seeds the doubling busy-period search (seconds), as at
 	// the ATM mux.
 	initialHorizon = 16e-3
@@ -67,6 +65,12 @@ const (
 //
 // and the output conforms to the bucket while never exceeding what the
 // delayed input supplies.
+//
+// The busy period is the bucket's: it starts full, and it is full again once
+// the tokens accrued since, ρ·t, cover every arrival, at the latest at the
+// first t > 0 with A(t) <= ρ·t. Every bit waits at most (A(t) − σ)/ρ − t for
+// its offset t into such a period, so d is the excess of A over the line ρ·t
+// on that period (traffic.Backlog), less σ, over ρ.
 func Analyze(in traffic.Descriptor, spec Spec) (Result, error) {
 	if in == nil {
 		return Result{}, errors.New("shaper: Analyze requires an input descriptor")
@@ -77,36 +81,11 @@ func Analyze(in traffic.Descriptor, spec Spec) (Result, error) {
 	if in.LongTermRate() >= spec.RhoBps*(1-units.RelTol) {
 		return Result{}, fmt.Errorf("%w: rho=%v bps, input=%v bps", ErrUnstable, spec.RhoBps, in.LongTermRate())
 	}
-
-	// Delay = sup_t (A(t) − σ)/ρ − t. The supremum sits inside the first
-	// regulator busy period; scanning a doubling horizon and stopping once
-	// the maximum is stable AND the bucket has caught up at the end is a
-	// sound over-approximation of that search.
-	var ws traffic.Workspace
-	var delay float64
-	found := false
-	prev := -1.0
-	for horizon := initialHorizon; horizon <= maxHorizon*2; horizon *= 2 {
-		grid := ws.Grid(in, horizon, gridPoints, []float64{traffic.GridNudge})
-		for _, t := range grid {
-			if lag := (in.Bits(t)-spec.SigmaBits)/spec.RhoBps - t; lag > delay {
-				delay = lag
-			}
-		}
-		ws.Put(grid)
-		caughtUp := in.Bits(horizon) <= spec.SigmaBits+spec.RhoBps*horizon+units.Eps
-		if caughtUp && units.AlmostEq(delay, prev) {
-			found = true
-			break
-		}
-		prev = delay
+	_, excess, ok := traffic.Backlog(in, spec.RhoBps, initialHorizon, 2*maxHorizon)
+	if !ok {
+		return Result{}, fmt.Errorf("%w: the bucket does not refill within %v s", ErrUnstable, maxHorizon)
 	}
-	if !found {
-		return Result{}, fmt.Errorf("%w: lag did not stabilize within %v s", ErrUnstable, maxHorizon)
-	}
-	if delay < 0 {
-		delay = 0
-	}
+	delay := max(0, (excess-spec.SigmaBits)/spec.RhoBps)
 
 	bucket, err := traffic.NewLeakyBucket(spec.SigmaBits, spec.RhoBps, 0)
 	if err != nil {

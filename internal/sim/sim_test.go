@@ -242,9 +242,10 @@ func TestSourceParams(t *testing.T) {
 }
 
 // TestRunGolden pins Run's draw order (gap, source, bias, destination,
-// deadline, and a lifetime after an admit only) to values captured before Run
-// became a feed of the shared driver: one draw moved, dropped or added
-// anywhere in the loop changes every number below. Three (U, β, seed) points
+// deadline, and a lifetime after an admit only) to values captured when the
+// analyses began reading their extrema off the envelope (levels and segments,
+// not a candidate grid), with deadlines compared exactly: one draw moved,
+// dropped or added anywhere in the loop changes every number below. Three (U, β, seed) points
 // and one with a destination bias; the second also drops arrivals that found
 // no idle host. The last two run E4's baselines to Section 5.3's proportional
 // rule, fixed-split and sender-biased, at U 0.8, β 0.5.
@@ -257,12 +258,12 @@ func TestRunGolden(t *testing.T) {
 		meanActive, duration, meanSlack uint64
 		skipped                         int
 	}{
-		{0.3, 0, 0, core.RuleProportional, 1, 57, 0x400eeaac7b5b2eb5, 0x408b05fe0c730021, 0x3f82d37c3ac97b60, 0},
-		{0.6, 0.5, 0, core.RuleProportional, 2, 52, 0x4020381e944706e7, 0x4077233fbce9cd8a, 0x3f94f2025ae25dac, 7},
-		{0.9, 1, 0, core.RuleProportional, 3, 26, 0x401ee9b051048254, 0x407108c295fccdfb, 0x3f984ca9530733dc, 0},
-		{0.9, 0.5, 0.7, core.RuleProportional, 4, 38, 0x401e8d9098f61f5b, 0x4071bcb390796820, 0x3f93a67c18704c6a, 0},
-		{0.8, 0.5, 0, core.RuleFixedSplit, 6, 62, 0x402398718ac54446, 0x4078d4da3efb9fcf, 0x3f95977a99622ead, 29},
-		{0.8, 0.5, 0, core.RuleSenderBiased, 7, 12, 0x4000ea84cae933b0, 0x4073eb0ee639fc0c, 0x3f94b4f6ae893b41, 0},
+		{0.3, 0, 0, core.RuleProportional, 1, 59, 0x401090c4393f405f, 0x408c18bed0583764, 0x3f85241329acce6e, 0},
+		{0.6, 0.5, 0, core.RuleProportional, 2, 52, 0x402029f1b576fec1, 0x4077515be0f96c2a, 0x3f9484fba2df4304, 1},
+		{0.9, 1, 0, core.RuleProportional, 3, 26, 0x401ee9b051048254, 0x407108c295fccdfb, 0x3f9823529c11425a, 0},
+		{0.9, 0.5, 0.7, core.RuleProportional, 4, 43, 0x402087f736c881c1, 0x40721cb1ac3ae045, 0x3f9226654d022b87, 2},
+		{0.8, 0.5, 0, core.RuleFixedSplit, 6, 65, 0x40235446d039b831, 0x40791058c2b752c1, 0x3f962a7cd674cc7a, 28},
+		{0.8, 0.5, 0, core.RuleSenderBiased, 7, 12, 0x4000ea84cae933b0, 0x4073eb0ee639fc0c, 0x3f949e23778a1c32, 0},
 	} {
 		res, err := Run(Config{Utilization: g.u, Requests: 80, Warmup: 10, Seed: g.seed, DestBias: g.bias,
 			CAC: core.Options{Beta: g.beta, BetaSet: true, Rule: g.rule}})

@@ -134,10 +134,9 @@ func TestSumIntoAllocationFree(t *testing.T) {
 }
 
 // TestWorkspaceSumAllocationFree pins the fold the analyzer runs per port
-// analysis — three members, and the one-member copy — and the enumeration
-// grid assembly runs on the sum through its members-sum tail at zero
-// allocations once the workspace's two arrays, the members' breakpoint caches
-// and the enumeration buffer have grown.
+// analysis — three members, and the one-member copy — and the backlog walk
+// over the sum at zero allocations once the workspace's two arrays have
+// grown.
 func TestWorkspaceSumAllocationFree(t *testing.T) {
 	a, b := flatPair(t)
 	cbr, err := traffic.NewCBR(4e6)
@@ -146,12 +145,12 @@ func TestWorkspaceSumAllocationFree(t *testing.T) {
 	}
 	three := []*traffic.Flat{a, b, traffic.Flatten(cbr, 64e-3)}
 	var ws traffic.Workspace
-	bp := ws.Sum(three).AppendBreakpoints(nil, 64e-3) // sizes the arrays, fills the caches
-	if len(bp) == 0 {
-		t.Fatal("the sum enumerates no breakpoints: the case exercises nothing")
+	rate := 1.5 * ws.Sum(three).LongTermRate() // sizes the arrays
+	if _, _, ok := traffic.Backlog(ws.Sum(three), rate, 16e-3, 8); !ok {
+		t.Fatal("no busy period ends inside the sum's window: the case exercises nothing")
 	}
 	if n := testing.AllocsPerRun(100, func() {
-		bp = ws.Sum(three).AppendBreakpoints(bp[:0], 64e-3)
+		traffic.Backlog(ws.Sum(three), rate, 16e-3, 8)
 		ws.Sum(three[:1])
 	}); n != 0 {
 		t.Errorf("warm Workspace.Sum: %v allocs per run, want 0", n)

@@ -26,20 +26,20 @@ import (
 // A Flat covers [0, horizon] exactly; beyond the horizon Bits delegates to
 // tail, the untransformed descriptor chain the array was lowered from, so a
 // Flat is pointwise exact everywhere (fast inside the window the analyses
-// actually scan, correct outside it). AppendBreakpoints likewise delegates to
-// the tail chain — grid assembly must see the same vertex set the chain would
-// advertise, because the extremum scans' candidate grids define the analysis
-// results; the Flat's own segment boundaries (quantization snap thresholds,
-// cap crossings) are evaluation structure, not advertised breakpoints, and
-// substituting them shifts which points the busy-period and backlog scans
-// visit (e.g. onto the left limit of a staircase step, where a left-continuous
-// envelope reads one level lower than the chain's bracketed crossings).
+// actually scan, correct outside it).
+//
+// Every producer keeps the array nondecreasing in its own arithmetic: each
+// right-limit vs[i] is at least the value the previous segment reaches at
+// ts[i], as Bits computes it, and no slope is negative (settle). The extremum walks
+// of the server analyses read the envelope off its segments — Crossing for
+// the level crossings of Theorem 1, Backlog for the excess over a service
+// line — and stand on that order.
 //
 // Flat is NOT safe for concurrent use: Bits maintains a segment-cursor hint
-// (ascending scans — busy-period searches, backlog scans, merges — then
-// locate their segment in O(1) amortized instead of O(log n)), and the
-// breakpoint cache is filled lazily. Every analyzer that holds one is itself
-// documented single-threaded.
+// (ascending scans — busy-period searches, merges — then locate their
+// segment in O(1) amortized instead of O(log n)), and the burst bound is
+// cached lazily. Every analyzer that holds one is itself documented
+// single-threaded.
 type Flat struct {
 	ts, vs, ss []float64
 	horizon    float64
@@ -49,19 +49,12 @@ type Flat struct {
 	// hint is the segment index of the most recent in-window evaluation.
 	hint int
 
-	// bp caches the tail chain's breakpoints (sorted, exact duplicates
-	// removed) at the largest horizon queried; smaller horizons answer with
-	// a binary-searched prefix.
-	bp  []float64
-	bpH float64
-
 	// burst caches BurstBound of the tail once burstOK is set.
 	burst   float64
 	burstOK bool
 }
 
 var _ Descriptor = (*Flat)(nil)
-var _ BreakpointAppender = (*Flat)(nil)
 
 // maxFlatSegments bounds the breakpoint array of any single Flat. Lowering
 // truncates the horizon rather than the values when a descriptor would
@@ -75,6 +68,10 @@ func (f *Flat) Horizon() float64 { return f.horizon }
 
 // Segments returns the number of breakpoints in the array.
 func (f *Flat) Segments() int { return len(f.ts) }
+
+// Vertex returns breakpoint i of the array and the envelope's right-limit
+// there.
+func (f *Flat) Vertex(i int) (t, v float64) { return f.ts[i], f.vs[i] }
 
 // Tail returns the exact descriptor chain the array was lowered from.
 func (f *Flat) Tail() Descriptor { return f.tail }
@@ -121,103 +118,186 @@ func (f *Flat) seg(t float64) int {
 // LongTermRate implements Descriptor.
 func (f *Flat) LongTermRate() float64 { return f.rho }
 
-// breakpointsVia returns the tail chain's breakpoints up to horizon, sorted
-// with exact duplicates removed, from a cache kept at the largest horizon
-// queried: the candidate grids of the extremum scans must contain exactly the
-// vertex set the un-lowered chain would advertise, so the analysis results are
-// value-preserved. Smaller horizons answer with a binary-searched prefix of
-// the cached list — points the chain keeps a hair beyond a queried horizon are
-// clipped by grid assembly either way, so the prefix produces identical grids
-// at a fraction of the cost (the chain is walked once per Flat, not once per
-// scan). The returned slice is shared with the cache and must not be mutated.
+// Crossing returns where the envelope first exceeds the level y >= 0 inside
+// the window: t is inf{t : A(t) > y}, rounded down where it falls inside a
+// segment until Bits(t) <= y, so that every point at which the computed
+// envelope exceeds y lies past it. above is the value A jumps to at t when
+// the crossing is a burst (the right-limit at a vertex), and y when A climbs
+// through the level continuously. ok is false when A(horizon) <= y: the
+// crossing, if any, lies beyond the window.
 //
-// This is the read for flats a cache hands out again — the per-stage flats,
-// whose lists the members union of a port aggregate re-reads on every probe.
-// A flat that is scanned once enumerates through AppendBreakpoints and never
-// fills the cache.
+// It is a binary search over the segments' end values, which the
+// nondecreasing array keeps sorted, and one division.
 //
-// Enumeration space is lent by the caller: a cache fill walks the chain into
-// the spare capacity behind scratch (whose contents stay untouched) and keeps
-// a copy of exactly the list's size, so a fill costs one allocation instead of
-// an append's growth series.
-func (f *Flat) breakpointsVia(scratch []float64, horizon float64) []float64 {
-	if horizon <= 0 {
-		return nil
+//fafvet:hotpath
+func (f *Flat) Crossing(y float64) (t, above float64, ok bool) {
+	n := len(f.ts)
+	if !(f.segEnd(n-1) > y) {
+		return 0, 0, false
 	}
-	if f.bpH == 0 || horizon > f.bpH {
-		f.bp = sortedChainBreakpoints(scratch, f.tail, horizon)
-		f.bpH = horizon
-	}
-	return f.cachedBreakpoints(horizon)
-}
-
-// cachedBreakpoints returns the prefix of the cached list within horizon,
-// which the cache must cover.
-func (f *Flat) cachedBreakpoints(horizon float64) []float64 {
-	if horizon < f.bpH {
-		return f.bp[:sort.Search(len(f.bp), func(i int) bool { return f.bp[i] > horizon })]
-	}
-	return f.bp
-}
-
-// AppendBreakpoints implements BreakpointAppender: the cached list when it
-// covers the horizon, the tail chain's own enumeration otherwise — without
-// filling the cache, so a single-use flat (the receiver-side reassembly of a
-// probe, a port aggregate) materializes nothing it will not be asked for
-// again.
-func (f *Flat) AppendBreakpoints(dst []float64, horizon float64) []float64 {
-	if horizon <= 0 {
-		return dst
-	}
-	if f.bpH == 0 || horizon > f.bpH {
-		return AppendBreakpoints(dst, f.tail, horizon)
-	}
-	return append(dst, f.cachedBreakpoints(horizon)...)
-}
-
-// sortedChainBreakpoints asks the chain for its breakpoints and returns them
-// sorted with exact duplicates removed — the normalization grid assembly
-// performs downstream anyway, so grids are unchanged. The list is built in
-// the spare capacity behind scratch and copied out at its final size; with
-// no scratch it is built where it stays.
-func sortedChainBreakpoints(scratch []float64, d Descriptor, horizon float64) []float64 {
-	sorted := AppendBreakpoints(scratch[len(scratch):], d, horizon)
-	if !sort.Float64sAreSorted(sorted) {
-		sort.Float64s(sorted)
-	}
-	out := sorted[:0]
-	for i, p := range sorted {
-		if i > 0 && p == sorted[i-1] {
-			continue
+	lo, hi := 0, n-1 // the first segment ending above y is in [lo, hi]
+	for lo < hi {
+		mid := int(uint(lo+hi) >> 1)
+		if f.segEnd(mid) > y {
+			hi = mid
+		} else {
+			lo = mid + 1
 		}
-		out = append(out, p)
 	}
-	if scratch == nil {
-		return out
+	t0, v0, s := f.ts[lo], f.vs[lo], f.ss[lo]
+	if v0 > y {
+		return t0, v0, true
 	}
-	return append(make([]float64, 0, len(out)), out...)
+	// v0 <= y < the segment's end value, so s > 0.
+	t = min(t0+(y-v0)/s, f.segT1(lo))
+	for t > t0 && v0+s*(t-t0) > y {
+		t = math.Nextafter(t, t0)
+	}
+	return t, y, true
+}
+
+// segT1 returns the right end of segment i: the next breakpoint, or the
+// horizon for the last segment.
+//
+//fafvet:hotpath
+func (f *Flat) segT1(i int) float64 {
+	if i+1 < len(f.ts) {
+		return f.ts[i+1]
+	}
+	return f.horizon
+}
+
+// segEnd returns A at the right end of segment i, as Bits computes it there.
+//
+//fafvet:hotpath
+func (f *Flat) segEnd(i int) float64 {
+	return endAt(f.ts, f.vs, f.ss, i, f.segT1(i))
+}
+
+// Backlog bounds the queue of a server that drains at rateBps and is fed by
+// d. busy is the end of the longest busy period: the first t > 0 at which
+// A(t) <= rateBps·t + units.Eps. Every window the server stays busy through
+// is shorter — its arrivals exceed what it served, and they are at most
+// A(window) — so backlog, the maximum of A(t) − rateBps·t over (0, busy] (0
+// when it is negative), bounds the queue content at any time.
+//
+// It is one forward walk over a flat's segments (see excess): d itself when
+// d is a Flat, and otherwise, or when the crossing lies past d's window, d
+// lowered by Flatten over horizons doubling from from until one holds the
+// crossing. ok is false when none up to to does, or d has no lowering.
+func Backlog(d Descriptor, rateBps, from, to float64) (busy, backlog float64, ok bool) {
+	f, _ := d.(*Flat)
+	if f != nil {
+		if busy, backlog, ok = f.excess(rateBps); ok {
+			return busy, backlog, true
+		}
+	}
+	for horizon := from; horizon <= to; horizon *= 2 {
+		if f != nil && horizon <= f.horizon { //lint:allow floatcmp exact window test: a window reaching the horizon has been walked already
+			continue // a window this short holds no crossing
+		}
+		if f = Flatten(d, horizon); f == nil {
+			return 0, 0, false
+		}
+		if busy, backlog, ok = f.excess(rateBps); ok {
+			return busy, backlog, true
+		}
+	}
+	return 0, 0, false
+}
+
+// excess is Backlog's walk over the window against the line rate·t. On each
+// segment the deviation A − rate·t is linear, so its maximum is at the
+// right-limit where the segment starts or at its end, and the first crossing
+// of the line is solved inside the segment it falls in. The line catches up
+// where the deviation is at most units.Eps and not rising: at the start of a
+// segment that does not outgrow the line, or inside one that falls to it. A
+// deviation rising from below Eps has not caught up — an envelope starting at
+// 0 with a slope above the rate exceeds the line at once. A right-limit never
+// lies below the previous segment's end, so no crossing hides at a vertex. ok
+// is false when no crossing lies inside the window.
+//
+//fafvet:hotpath
+func (f *Flat) excess(rate float64) (busy, peak float64, ok bool) {
+	for i, t0 := range f.ts {
+		s := f.ss[i]
+		d0 := f.vs[i] - rate*t0
+		peak = max(peak, d0)
+		if d0 <= units.Eps && s <= rate { //lint:allow floatcmp exact slope test: a slope at the rate keeps the deviation where it starts
+			return t0, peak, true
+		}
+		t1 := f.segT1(i)
+		d1 := f.segEnd(i) - rate*t1
+		if d1 <= units.Eps && s < rate {
+			// d0 > Eps >= d1: the deviation falls to the line inside.
+			return min(t0+(d0-units.Eps)/(rate-s), t1), peak, true
+		}
+		peak = max(peak, d1)
+	}
+	return 0, peak, false
 }
 
 // flatBuilder accumulates breakpoints during lowering. add keeps ts strictly
 // increasing: a vertex at the time of the previous one replaces it (the last
-// writer owns the right-limit), an earlier time is ignored.
+// writer owns the right-limit), an earlier time is ignored. It keeps the
+// array nondecreasing (settle).
 type flatBuilder struct {
 	ts, vs, ss []float64
 }
 
 func (b *flatBuilder) add(t, v, s float64) {
-	if n := len(b.ts); n > 0 {
-		if t < b.ts[n-1] {
-			return
+	n := len(b.ts)
+	if n > 0 && t < b.ts[n-1] {
+		return
+	}
+	if n > 0 && t == b.ts[n-1] {
+		if n > 1 {
+			v = settle(b.ts, b.vs, b.ss, n-2, t, v)
 		}
-		if t == b.ts[n-1] {
-			b.vs[n-1], b.ss[n-1] = v, s
-			return
-		}
+		b.vs[n-1], b.ss[n-1] = v, s
+		return
+	}
+	if n > 0 {
+		v = settle(b.ts, b.vs, b.ss, n-1, t, v)
 	}
 	b.ts = append(b.ts, t)
 	b.vs = append(b.vs, v)
 	b.ss = append(b.ss, s)
+}
+
+// endAt returns the value segment i of a breakpoint array reaches at t, in
+// Bits' own arithmetic.
+//
+//fafvet:hotpath
+func endAt(ts, vs, ss []float64, i int, t float64) float64 {
+	return vs[i] + ss[i]*(t-ts[i])
+}
+
+// settle returns the right-limit to store at the vertex t that ends segment
+// i, given the value v a closed-form rule computed there, so that the array
+// stays nondecreasing: the segment's end, as Bits computes it, is at most
+// the right-limit. Float rounding in a rule (a shifted vertex, a quantum
+// threshold, a merged sum, a burst too short for its time's ulp) can leave
+// the end a hair above v. Where v is still at or above the segment's start,
+// the segment's slope is lowered until it lands on v: the vertex keeps its
+// closed-form value, so no rounding carries into the next segment. Where v
+// lies below the start, the vertex is raised to the end.
+//
+//fafvet:hotpath
+func settle(ts, vs, ss []float64, i int, t, v float64) float64 {
+	end := endAt(ts, vs, ss, i, t)
+	if v >= end {
+		return v
+	}
+	if v < vs[i] {
+		return end
+	}
+	s := (v - vs[i]) / (t - ts[i])
+	for s > 0 && vs[i]+s*(t-ts[i]) > v {
+		s = math.Nextafter(s, 0)
+	}
+	ss[i] = s
+	return v
 }
 
 func (b *flatBuilder) full() bool { return len(b.ts) >= maxFlatSegments }
@@ -270,9 +350,12 @@ func Flatten(d Descriptor, horizon float64) *Flat {
 	}
 	switch v := d.(type) {
 	case *Flat:
-		// A flat embedded in a chain keeps its window; the enclosing
-		// lowering is clipped to it and the tail serves the rest.
-		return v
+		// A flat whose window covers the horizon is its own lowering; a
+		// longer horizon lowers its tail afresh.
+		if horizon <= v.horizon { //lint:allow floatcmp exact window test: a window covering the horizon is the lowering
+			return v
+		}
+		return Flatten(v.tail, horizon)
 	case CBR:
 		b := &flatBuilder{}
 		b.add(0, 0, v.RateBps)
@@ -301,6 +384,8 @@ func Flatten(d Descriptor, horizon float64) *Flat {
 			return nil
 		}
 		return inner.quantized(v.QuantumBits, v.OutBits, horizon, d)
+	case *Aggregate:
+		return Flatten(*v, horizon)
 	case Aggregate:
 		flats := make([]*Flat, len(v.members))
 		for i, m := range v.members {
@@ -423,7 +508,12 @@ func flattenDualPeriodic(v DualPeriodic, horizon float64) *Flat {
 // produced. tail is the chain equivalent retained for evaluations beyond the
 // new horizon.
 func (f *Flat) shiftCap(delay, capBps, horizon float64, tail Descriptor) *Flat {
-	h := math.Min(horizon, f.horizon-delay)
+	// A source lowered over horizon + delay covers the whole shifted window,
+	// though (horizon + delay) − delay may round an ulp below horizon.
+	h := horizon
+	if f.horizon < horizon+delay {
+		h = f.horizon - delay
+	}
 	if h <= 0 {
 		return nil
 	}
@@ -590,11 +680,10 @@ func (f *Flat) quantized(q, o, horizon float64, tail Descriptor) *Flat {
 		for m := l0 + 1; !(m > l1) && !b.full(); m++ {
 			// Level m begins where CeilDiv first rounds up — not at the exact
 			// crossing of (m−1)·q but once the quotient exceeds CeilDiv's
-			// relative snap radius. Using the same threshold keeps the step
-			// times aligned with the closure path, which matters exactly at
-			// advertised breakpoints (grid points) that land on crossings.
+			// relative snap radius, and at once for m = 1. Using the same
+			// threshold keeps the step times aligned with the closure path.
 			k := m - 1
-			thresh := k*q + units.RelTol*math.Max(1, k)*q
+			thresh := k * q * (1 + units.RelTol)
 			tc := t0 + (thresh-v0)/s
 			if tc < t0 {
 				tc = t0
@@ -710,10 +799,11 @@ func (dst *Flat) ensureTail(a, b *Flat) {
 }
 
 // mergeLinear writes a + b into dst over the union of breakpoints, clipped to
-// the smaller horizon. It is the one summation kernel — SumFlats, SumInto and
-// Workspace.Sum all fold through it, so "the sum" of a member list has one
-// association and one interpolation — and runs on preallocated scratch: the
-// caller has sized dst, so the kernel only writes by index.
+// the smaller horizon, keeping it nondecreasing as flatBuilder.add does. It
+// is the one summation kernel — SumFlats, SumInto and Workspace.Sum all fold
+// through it, so "the sum" of a member list has one association and one
+// interpolation — and runs on preallocated scratch: the caller has sized dst,
+// so the kernel only writes by index.
 //
 //fafvet:hotpath
 func mergeLinear(dst, a, b *Flat) {
@@ -755,8 +845,12 @@ func mergeLinear(dst, a, b *Flat) {
 			vb = b.vs[p] + b.ss[p]*(t-b.ts[p])
 			sb = b.ss[p]
 		}
+		v := va + vb
+		if k > 0 {
+			v = settle(ts, vs, ss, k-1, t, v)
+		}
 		ts[k] = t
-		vs[k] = va + vb
+		vs[k] = v
 		ss[k] = sa + sb
 		k++
 	}
@@ -766,7 +860,5 @@ func mergeLinear(dst, a, b *Flat) {
 	dst.horizon = h
 	dst.rho = a.rho + b.rho
 	dst.hint = 0
-	dst.bp = nil
-	dst.bpH = 0
 	dst.burstOK = false
 }

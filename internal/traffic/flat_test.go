@@ -3,7 +3,6 @@ package traffic
 import (
 	"math"
 	"math/rand"
-	"slices"
 	"sort"
 	"testing"
 
@@ -99,17 +98,19 @@ func flatCases(t *testing.T) map[string]Descriptor {
 }
 
 // probePoints assembles the evaluation points the equivalence check uses:
-// dense seeded-random coverage of (0, 1.5·horizon] plus every chain
-// breakpoint bracketed from both sides. Brackets sit well outside the
+// dense seeded-random coverage of (0, 1.5·horizon] plus every vertex of the
+// chain's lowering bracketed from both sides, not the vertex itself: a
+// staircase vertex sits where CeilDiv's snap first rounds up, and there the
+// left-continuous array reads the lower step. Brackets sit well outside the
 // CeilDiv/FloorDiv snap radius so both evaluation paths round identically.
 func probePoints(d Descriptor, horizon float64, rng *rand.Rand) []float64 {
 	pts := []float64{0, -1e-3, horizon, horizon * 1.5}
 	for i := 0; i < 500; i++ {
 		pts = append(pts, rng.Float64()*1.5*horizon)
 	}
-	for _, p := range AppendBreakpoints(nil, d, horizon) {
+	for _, p := range Flatten(d, horizon).ts {
 		eps := 1e-6 * math.Max(1e-3, p)
-		pts = append(pts, p-eps, p, p+eps)
+		pts = append(pts, p-eps, p+eps)
 	}
 	return pts
 }
@@ -218,42 +219,6 @@ func TestFlatHintMatchesBinarySearch(t *testing.T) {
 	}
 }
 
-// TestFlatBreakpointsDelegate pins the grid-preservation invariant: a Flat
-// advertises exactly the tail chain's breakpoints, never its own segment
-// boundaries — the chain's own enumeration before its cache is filled, the
-// chain's list sorted and deduplicated once it is — and smaller horizons
-// answer with a prefix of the cached list clipped to the queried horizon.
-func TestFlatBreakpointsDelegate(t *testing.T) {
-	d := flatCases(t)["quantized"]
-	f := Flatten(d, flatTestHorizon)
-	chain := AppendBreakpoints(nil, d, flatTestHorizon)
-	if got := f.AppendBreakpoints(nil, flatTestHorizon); !slices.Equal(got, chain) {
-		t.Fatalf("uncached flat enumerates %d points, the chain %d", len(got), len(chain))
-	}
-	dedup := slices.Clone(chain)
-	slices.Sort(dedup)
-	dedup = slices.Compact(dedup)
-	if got := f.breakpointsVia(nil, flatTestHorizon); !slices.Equal(got, dedup) {
-		t.Fatalf("cached list of %d points, the chain's sorted and deduplicated %d", len(got), len(dedup))
-	}
-	if got := f.AppendBreakpoints(nil, flatTestHorizon); !slices.Equal(got, dedup) {
-		t.Fatalf("cached flat enumerates %d points, want the cached list of %d", len(got), len(dedup))
-	}
-	// A smaller horizon is the prefix of the cached list clipped to it: the
-	// same points grid assembly would keep (it clips beyond-horizon points
-	// itself), without a fresh chain walk.
-	half := f.AppendBreakpoints(nil, flatTestHorizon/2)
-	n := 0
-	for _, p := range dedup {
-		if p <= flatTestHorizon/2 {
-			n++
-		}
-	}
-	if !slices.Equal(half, dedup[:n]) {
-		t.Fatalf("half-horizon breakpoints: flat=%d points, want the prefix of %d", len(half), n)
-	}
-}
-
 // opaque is a descriptor type from outside the package's lowering rules.
 type opaque struct{ Descriptor }
 
@@ -288,6 +253,24 @@ func TestFlattenUnsupportedReturnsNil(t *testing.T) {
 // by float re-association only, which minUlps bounds), nowhere above it by
 // more than units.RelTol relative plus units.Eps, and beyond the shared window
 // the Min chain itself.
+// checkNondecreasing holds f to the order every producer keeps: no slope is
+// negative, and every right-limit is at or above the value the previous
+// segment reaches at its vertex, as Bits computes it there.
+func checkNondecreasing(t *testing.T, name string, f *Flat) {
+	t.Helper()
+	for i := range f.ts {
+		if f.ss[i] < 0 {
+			t.Fatalf("%s: segment %d has slope %v", name, i, f.ss[i])
+		}
+		if i == 0 {
+			continue
+		}
+		if end := endAt(f.ts, f.vs, f.ss, i-1, f.ts[i]); f.vs[i] < end {
+			t.Fatalf("%s: right-limit %v at vertex %d (t = %v) below the previous segment's end %v", name, f.vs[i], i, f.ts[i], end)
+		}
+	}
+}
+
 func checkMinFlats(t *testing.T, a, b *Flat, horizon float64, pts []float64) {
 	t.Helper()
 	const minUlps = 8 * 0x1p-52
@@ -299,8 +282,8 @@ func checkMinFlats(t *testing.T, a, b *Flat, horizon float64, pts []float64) {
 	if f == nil {
 		t.Fatalf("Flatten(Min) of two flats over %v and %v s returned nil", a.horizon, b.horizon)
 	}
-	if want := min(horizon, a.horizon, b.horizon); f.horizon > want {
-		t.Fatalf("window %v reaches past the operands' shared %v", f.horizon, want)
+	if f.horizon > horizon {
+		t.Fatalf("window %v reaches past the horizon %v", f.horizon, horizon)
 	}
 	if math.Float64bits(f.LongTermRate()) != math.Float64bits(m.LongTermRate()) {
 		t.Fatalf("LongTermRate %v, the chain's is %v", f.LongTermRate(), m.LongTermRate())
@@ -310,15 +293,27 @@ func checkMinFlats(t *testing.T, a, b *Flat, horizon float64, pts []float64) {
 			t.Fatalf("vertex %d at %v does not follow %v", i, f.ts[i], f.ts[i-1])
 		}
 	}
+	checkNondecreasing(t, "Flatten(Min)", f)
+	minAt := func(pt float64) float64 { return min(a.Bits(pt), b.Bits(pt)) }
 	for _, pt := range pts {
-		got, want := f.Bits(pt), min(a.Bits(pt), b.Bits(pt))
-		if pt > f.horizon {
+		got, want := f.Bits(pt), minAt(pt)
+		switch {
+		case pt > f.horizon:
 			if math.Float64bits(got) != math.Float64bits(want) {
 				t.Fatalf("Bits(%v) = %v beyond the window, the operands' minimum is %v", pt, got, want)
 			}
 			continue
+		case pt > min(a.horizon, b.horizon):
+			// Past an operand's window Flatten lowers its tail afresh, a
+			// staircase whose edges may stand a rounding off the chain's.
+			if lo, hi := minAt(pt-sumEdgeSlack), minAt(pt+sumEdgeSlack); got < lo*(1-minUlps) || got > hi+units.RelTol*hi+units.Eps {
+				t.Fatalf("Bits(%v) = %v past an operand's window, the operands' minimum is between %v and %v around it", pt, got, lo, hi)
+			}
+			continue
 		}
-		if got < want*(1-minUlps) {
+		// Below the smallest normal float a value has fewer significant bits
+		// than minUlps resolves: there the floor is that float.
+		if want-got > want*minUlps+0x1p-1022 {
 			t.Fatalf("Bits(%v) = %v dips below the operands' minimum %v", pt, got, want)
 		}
 		if got > want+units.RelTol*want+units.Eps {
@@ -363,7 +358,8 @@ func TestMinFlatsTable(t *testing.T) {
 // of FuzzWorkspaceSum: every source kind, behind quantization and capped or
 // uncapped delays, windows truncated by the segment cap), lowered over the
 // analyzer's window, in both operand orders, at fuzzed points inside and
-// beyond the window and at the operands' own vertices.
+// beyond the window and at the operands' own vertices. The result's vertices
+// are nondecreasing (checkNondecreasing).
 func FuzzMinFlats(f *testing.F) {
 	const horizon = 0.025
 	f.Fuzz(func(t *testing.T, data []byte) {

@@ -222,29 +222,6 @@ func TestFuseRandomizedChains(t *testing.T) {
 	}
 }
 
-// TestFuseBreakpointsEquivalent asserts the fused chain exposes the same
-// candidate grid (the extremum searches' correctness depends on it).
-func TestFuseBreakpointsEquivalent(t *testing.T) {
-	src, _ := NewDualPeriodic(50e3, 0.010, 10e3, 0.001, 100e6)
-	var chain Descriptor = src
-	for i := 0; i < 4; i++ {
-		chain, _ = NewDelayed(chain, 0.3e-3, 140e6)
-	}
-	fused := Fuse(chain)
-	for _, h := range []float64{5e-3, 20e-3, 50e-3} {
-		want := CleanGrid(AppendBreakpoints(nil, chain, h), h)
-		got := CleanGrid(AppendBreakpoints(nil, fused, h), h)
-		if len(got) != len(want) {
-			t.Fatalf("horizon %v: %d fused breakpoints, want %d", h, len(got), len(want))
-		}
-		for i := range got {
-			if !units.WithinRel(got[i], want[i], 1e-6) {
-				t.Errorf("horizon %v: breakpoint %d = %v, want %v", h, i, got[i], want[i])
-			}
-		}
-	}
-}
-
 func ExampleFuse() {
 	src, _ := NewDualPeriodic(50e3, 0.010, 10e3, 0.001, 100e6)
 	var chain Descriptor = src

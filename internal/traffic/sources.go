@@ -56,7 +56,6 @@ type Periodic struct {
 }
 
 var _ Descriptor = Periodic{}
-var _ BreakpointAppender = Periodic{}
 
 // NewPeriodic validates and returns a periodic descriptor. The peak rate must
 // be high enough to deliver C bits within one period (Peak·P >= C).
@@ -90,35 +89,6 @@ func (s Periodic) Bits(interval float64) float64 {
 // LongTermRate implements Descriptor.
 func (s Periodic) LongTermRate() float64 { return s.C / s.P }
 
-// AppendBreakpoints implements BreakpointAppender: every burst start k·P and
-// burst end k·P + C/Peak.
-func (s Periodic) AppendBreakpoints(dst []float64, horizon float64) []float64 {
-	start := len(dst)
-	burst := s.C / s.PeakBps
-	for t := 0.0; t <= horizon; t += s.P {
-		dst = pushAscending(pushAscending(dst, start, t), start, t+burst)
-		if len(dst)-start > maxBreakpoints {
-			break
-		}
-	}
-	return dst
-}
-
-// pushAscending appends p while keeping pts[start:] ascending: emission loops
-// produce points that are ordered except for ulp-level rounding where
-// consecutive formulas meet (a burst length rounding past the period).
-// Restoring order here — same multiset, at most a couple of swaps — lets grid
-// assembly skip its comparison sort, which would otherwise run on every
-// envelope evaluation of every probe. Points below start belong to the caller
-// and are never moved.
-func pushAscending(pts []float64, start int, p float64) []float64 {
-	pts = append(pts, p)
-	for i := len(pts) - 1; i > start && pts[i] < pts[i-1]; i-- {
-		pts[i], pts[i-1] = pts[i-1], pts[i]
-	}
-	return pts
-}
-
 // String implements fmt.Stringer.
 func (s Periodic) String() string {
 	return fmt.Sprintf("Periodic(C=%.3g b, P=%.3g s, peak=%.3g bps)", s.C, s.P, s.PeakBps)
@@ -138,7 +108,6 @@ type DualPeriodic struct {
 }
 
 var _ Descriptor = DualPeriodic{}
-var _ BreakpointAppender = DualPeriodic{}
 
 // NewDualPeriodic validates and returns a dual-periodic descriptor.
 // Requirements: 0 < P2 <= P1, 0 < C2 <= C1, the short-term rate C2/P2 at
@@ -194,62 +163,6 @@ func (s DualPeriodic) Bits(interval float64) float64 {
 // LongTermRate implements Descriptor: ρ = C1/P1 (Eq. 38).
 func (s DualPeriodic) LongTermRate() float64 { return s.C1 / s.P1 }
 
-// maxBreakpoints caps the number of intrinsic breakpoints any source emits so
-// that extremum searches stay bounded even for long horizons; the uniform
-// fallback grid covers the tail.
-const maxBreakpoints = 4096
-
-// AppendBreakpoints implements BreakpointAppender: envelope vertices occur at
-// the start and end of every burst, i.e. at k·P1 + j·P2 and
-// k·P1 + j·P2 + C2/Peak.
-//
-// When P1 is a whole multiple of P2 — the paper's source: 10 ms and 1 ms —
-// the last sub-period of a long period starts on the next period's base, and
-// the two float paths to that instant, k·P1 + j·P2 and (k+1)·P1, agree only
-// to an ulp. Each such seam is emitted once, at the smaller of the two: that
-// is the one of the pair grid assembly's Eps-dedup used to keep, so grids are
-// unchanged, and the bracket expansion of the list (±GridNudge around every
-// point) is ascending as it stands.
-func (s DualPeriodic) AppendBreakpoints(dst []float64, horizon float64) []float64 {
-	start := len(dst)
-	burst := s.C2 / s.PeakBps
-	perP1 := int(units.FloorDiv(s.P1, s.P2)) + 1
-	// visited counts two points per burst instant, a seam's instant twice
-	// over (once for either float path), so maxBreakpoints ends the list at
-	// the period it always did and deep grids keep their reach. A single
-	// period with more than maxBreakpoints/2 sub-periods ends at the cap
-	// too, so P1/P2 does not bound the list where the horizon does not.
-	visited := 0
-	seam := false // the previous period has emitted this period's base
-	for k := 0; ; k++ {
-		base := float64(k) * s.P1
-		if base > horizon || visited > maxBreakpoints {
-			break
-		}
-		j := 0
-		if seam {
-			j, seam, visited = 1, false, visited+2
-		}
-		for ; j < perP1; j++ {
-			t := base + float64(j)*s.P2
-			if t > base+s.P1 || t > horizon || 2*j > maxBreakpoints {
-				break
-			}
-			visited += 2
-			if !(t < base+s.P1) {
-				seam = true
-				if visited <= maxBreakpoints {
-					// The next period runs; of the two forms of its base
-					// the smaller stands for both.
-					t = min(t, float64(k+1)*s.P1)
-				}
-			}
-			dst = pushAscending(pushAscending(dst, start, t), start, t+burst)
-		}
-	}
-	return dst
-}
-
 // String implements fmt.Stringer.
 func (s DualPeriodic) String() string {
 	return fmt.Sprintf("DualPeriodic(C1=%.3g b/P1=%.3g s, C2=%.3g b/P2=%.3g s, peak=%.3g bps)",
@@ -267,7 +180,6 @@ type LeakyBucket struct {
 }
 
 var _ Descriptor = LeakyBucket{}
-var _ BreakpointAppender = LeakyBucket{}
 
 // NewLeakyBucket validates and returns a leaky-bucket descriptor. peakBps of
 // zero means "no peak cap" (instantaneous bursts allowed).
@@ -299,15 +211,6 @@ func (b LeakyBucket) Bits(interval float64) float64 {
 
 // LongTermRate implements Descriptor.
 func (b LeakyBucket) LongTermRate() float64 { return b.Rho }
-
-// AppendBreakpoints implements BreakpointAppender: the only vertex is where
-// the peak segment meets the sustained segment.
-func (b LeakyBucket) AppendBreakpoints(dst []float64, _ float64) []float64 {
-	if b.PeakBps == 0 || units.AlmostLE(b.PeakBps, b.Rho) {
-		return dst
-	}
-	return append(dst, b.Sigma/(b.PeakBps-b.Rho))
-}
 
 // String implements fmt.Stringer.
 func (b LeakyBucket) String() string {

@@ -172,9 +172,9 @@ func TestLeakyBucket(t *testing.T) {
 	if got, want := b.Bits(1.0), 1e4+1e6; !units.AlmostEq(got, want) {
 		t.Errorf("Bits(1s) = %v, want %v", got, want)
 	}
-	kn := b.AppendBreakpoints(nil, 10)
-	if len(kn) != 1 || !units.AlmostEq(kn[0], 1e4/9e6) {
-		t.Errorf("Breakpoints = %v, want single knee at %v", kn, 1e4/9e6)
+	f := Flatten(b, 10)
+	if f == nil || f.Segments() != 2 || !units.AlmostEq(f.ts[1], 1e4/9e6) {
+		t.Errorf("lowered to %v, want a single knee at %v", f, 1e4/9e6)
 	}
 	// Uncapped bucket has an instantaneous burst.
 	u, err := NewLeakyBucket(1e4, 1e6, 0)

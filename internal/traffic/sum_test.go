@@ -64,7 +64,7 @@ const sumEdgeSlack = 1e-9
 // remaining sum, flats[i] being chains[i] lowered:
 //
 //   - it is SumFlats' array, vertex for vertex and bit for bit, in memory of
-//     the workspace's own;
+//     the workspace's own, and nondecreasing, as every member is;
 //   - its long-term rate is the members' sum;
 //   - at every point it agrees with the member-wise sum of the flats — to
 //     units.RelTol inside the shared window, exactly beyond it, where the
@@ -82,7 +82,9 @@ func checkWorkspaceSum(t *testing.T, w *Workspace, chains []Descriptor, flats []
 		t.Fatalf("Sum of %d members differs from SumFlats: %d vertices over %v s against %d over %v s",
 			len(flats), len(got.ts), got.horizon, len(want.ts), want.horizon)
 	}
+	checkNondecreasing(t, "Sum", got)
 	for i, f := range flats {
+		checkNondecreasing(t, "member", f)
 		if got == f || &got.ts[0] == &f.ts[0] || &got.vs[0] == &f.vs[0] || &got.ss[0] == &f.ss[0] {
 			t.Fatalf("Sum of %d members shares memory with member %d", len(flats), i)
 		}
@@ -159,87 +161,65 @@ func TestWorkspaceSumMatchesSumFlats(t *testing.T) {
 }
 
 // TestMembersSum holds the one members-sum type, Aggregate, to its members
-// over lists that mix flats whose breakpoint cache is filled, flats whose cache
-// is not, raw chains and a Min: its enumeration is the members' own
-// enumerations, sorted with exact duplicates removed, appended behind the
-// caller's points, and its Bits and LongTermRate are the in-order member sums
-// bit for bit. A workspace sum of flat members carries the same type as its
-// tail, by pointer, and enumerates through it.
+// over lists that mix flats, raw chains and a Min: its Bits and LongTermRate
+// are the in-order member sums bit for bit. A workspace sum of flat members
+// carries the same type as its tail, by pointer.
 func TestMembersSum(t *testing.T) {
 	pts := make([]float64, 0, 240)
 	for i := 1; i <= 240; i++ {
 		pts = append(pts, float64(i)*flatTestHorizon/160)
 	}
-	for _, h := range []float64{flatTestHorizon, flatTestHorizon / 2} {
-		cases := flatCases(t)
-		flat := func(name string, cached bool) *Flat {
-			f := Flatten(cases[name], flatTestHorizon)
-			if f == nil {
-				t.Fatalf("%s failed to flatten", name)
-			}
-			if cached {
-				f.breakpointsVia(nil, flatTestHorizon)
-			}
-			return f
+	cases := flatCases(t)
+	flat := func(name string) *Flat {
+		f := Flatten(cases[name], flatTestHorizon)
+		if f == nil {
+			t.Fatalf("%s failed to flatten", name)
 		}
-		var many []Descriptor
-		for i := 0; i < 9; i++ {
-			many = append(many, flat("periodic", i%2 == 0), cases["dual"])
+		return f
+	}
+	var many []Descriptor
+	for i := 0; i < 9; i++ {
+		many = append(many, flat("periodic"), cases["dual"])
+	}
+	table := []struct {
+		name    string
+		members []Descriptor
+	}{
+		{"empty", nil},
+		{"flats", []Descriptor{flat("periodic"), flat("dual"), flat("quantized"), flat("twoStage")}},
+		{"raw chains", []Descriptor{cases["periodic"], cases["leaky"], cases["delayedMin"], cases["cbr"]}},
+		{"mixed", []Descriptor{flat("dual"), flat("twoStage"), cases["quantized"], cases["min"], cases["cbr"]}},
+		{"exact duplicates", []Descriptor{flat("dual"), flat("dual"), cases["dual"], cases["dual"]}},
+		{"eighteen members", many},
+	}
+	for _, c := range table {
+		agg := NewAggregate(c.members...)
+		for _, pt := range pts {
+			if got, want := agg.Bits(pt), sumBitsAt(c.members, pt); math.Float64bits(got) != math.Float64bits(want) {
+				t.Fatalf("%s: Bits(%v) = %v, the in-order member sum %v", c.name, pt, got, want)
+			}
 		}
-		table := []struct {
-			name    string
-			members []Descriptor
-		}{
-			{"empty", nil},
-			{"cached flats", []Descriptor{flat("periodic", true), flat("dual", true), flat("quantized", true)}},
-			{"uncached flats", []Descriptor{flat("periodic", false), flat("dual", false), flat("twoStage", false)}},
-			{"raw chains", []Descriptor{cases["periodic"], cases["leaky"], cases["delayedMin"], cases["cbr"]}},
-			{"mixed", []Descriptor{flat("dual", true), flat("twoStage", false), cases["quantized"], cases["min"], cases["cbr"]}},
-			{"exact duplicates", []Descriptor{flat("dual", true), flat("dual", false), cases["dual"], cases["dual"]}},
-			{"eighteen members", many},
+		var rho float64
+		for _, m := range c.members {
+			rho += m.LongTermRate()
 		}
-		for _, c := range table {
-			var want []float64
-			for _, m := range c.members {
-				want = AppendBreakpoints(want, m, h)
-			}
-			slices.Sort(want)
-			want = slices.Compact(want)
-			agg := NewAggregate(c.members...)
-			got := agg.AppendBreakpoints([]float64{-1}, h)
-			if got[0] != -1 || !slices.Equal(got[1:], want) {
-				t.Errorf("%s at %v: %d points behind the caller's, want the members' %d sorted and deduplicated", c.name, h, len(got)-1, len(want))
-			}
-			for _, pt := range pts {
-				if got, want := agg.Bits(pt), sumBitsAt(c.members, pt); math.Float64bits(got) != math.Float64bits(want) {
-					t.Fatalf("%s: Bits(%v) = %v, the in-order member sum %v", c.name, pt, got, want)
-				}
-			}
-			var rho float64
-			for _, m := range c.members {
-				rho += m.LongTermRate()
-			}
-			if got := agg.LongTermRate(); math.Float64bits(got) != math.Float64bits(rho) {
-				t.Errorf("%s: LongTermRate = %v, the in-order member sum %v", c.name, got, rho)
-			}
+		if got := agg.LongTermRate(); math.Float64bits(got) != math.Float64bits(rho) {
+			t.Errorf("%s: LongTermRate = %v, the in-order member sum %v", c.name, got, rho)
+		}
 
-			var flats []*Flat
-			for _, m := range c.members {
-				if f, ok := m.(*Flat); ok {
-					flats = append(flats, f)
-				}
+		var flats []*Flat
+		for _, m := range c.members {
+			if f, ok := m.(*Flat); ok {
+				flats = append(flats, f)
 			}
-			if len(flats) == 0 || len(flats) < len(c.members) {
-				continue
-			}
-			var ws Workspace
-			sum := ws.Sum(flats)
-			if tail, ok := sum.Tail().(*Aggregate); !ok || tail != &ws.sumTail {
-				t.Fatalf("%s: the workspace sum's tail is %T, want the workspace's *Aggregate", c.name, sum.Tail())
-			}
-			if got := sum.AppendBreakpoints(nil, h); !slices.Equal(got, want) {
-				t.Errorf("%s at %v: the workspace sum enumerates %d points, the members %d", c.name, h, len(got), len(want))
-			}
+		}
+		if len(flats) == 0 || len(flats) < len(c.members) {
+			continue
+		}
+		var ws Workspace
+		sum := ws.Sum(flats)
+		if tail, ok := sum.Tail().(*Aggregate); !ok || tail != &ws.sumTail {
+			t.Fatalf("%s: the workspace sum's tail is %T, want the workspace's *Aggregate", c.name, sum.Tail())
 		}
 	}
 }

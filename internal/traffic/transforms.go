@@ -11,13 +11,12 @@ import (
 // A(I) = Σ_k A_k(I). Multiplexer analyses use it to bound the combined input
 // of every connection sharing an output port. It is also the tail of a summed
 // Flat (SumFlats, SumInto, Workspace.Sum), where it serves evaluations beyond
-// the sum's window and enumerates the sum's breakpoints.
+// the sum's window.
 type Aggregate struct {
 	members []Descriptor
 }
 
 var _ Descriptor = Aggregate{}
-var _ BreakpointAppender = Aggregate{}
 
 // NewAggregate returns the aggregate of the given descriptors. The slice is
 // copied, so later mutation by the caller does not affect the aggregate.
@@ -45,52 +44,6 @@ func (a Aggregate) LongTermRate() float64 {
 	return sum
 }
 
-// AppendBreakpoints implements BreakpointAppender as the union of the
-// members' breakpoints, ascending with exact duplicates removed. A *Flat
-// member answers from its breakpoint cache, filled here on first use — the
-// members of a port aggregate are the cached per-stage flats, so this is the
-// read that makes those caches pay. Any other member's enumeration is sorted
-// in a list of its own. The lists are combined by a linear k-way merge
-// straight into dst, so grid assembly never pays a comparison sort.
-func (a Aggregate) AppendBreakpoints(dst []float64, horizon float64) []float64 {
-	// Ports carry a handful of members; the fixed arrays keep the list
-	// headers on the stack up to sixteen.
-	var (
-		listsBuf [16][]float64
-		idxBuf   [16]int
-	)
-	lists, idx := listsBuf[:0], idxBuf[:0]
-	for _, m := range a.members {
-		var l []float64
-		if f, ok := m.(*Flat); ok {
-			l = f.breakpointsVia(dst, horizon)
-		} else {
-			l = sortedChainBreakpoints(nil, m, horizon)
-		}
-		if len(l) > 0 {
-			lists, idx = append(lists, l), append(idx, 0)
-		}
-	}
-	start := len(dst)
-	for len(lists) > 0 {
-		best := 0
-		for k := 1; k < len(lists); k++ {
-			if lists[k][idx[k]] < lists[best][idx[best]] {
-				best = k
-			}
-		}
-		if p := lists[best][idx[best]]; len(dst) == start || p != dst[len(dst)-1] {
-			dst = append(dst, p)
-		}
-		idx[best]++
-		if idx[best] == len(lists[best]) {
-			lists = append(lists[:best], lists[best+1:]...)
-			idx = append(idx[:best], idx[best+1:]...)
-		}
-	}
-	return dst
-}
-
 // Len returns the number of member descriptors.
 func (a Aggregate) Len() int { return len(a.members) }
 
@@ -112,7 +65,6 @@ type Delayed struct {
 }
 
 var _ Descriptor = Delayed{}
-var _ BreakpointAppender = Delayed{}
 
 // NewDelayed validates and returns the delayed-output transform of inner.
 func NewDelayed(inner Descriptor, delay, capBps float64) (Delayed, error) {
@@ -150,22 +102,6 @@ func (d Delayed) LongTermRate() float64 {
 	return r
 }
 
-// AppendBreakpoints implements BreakpointAppender: vertices of A(I+d) occur
-// at the inner vertices shifted left by the delay, so the inner chain appends
-// its points, which are then shifted and filtered where they lie. The cap
-// introduces additional crossings, which the uniform fallback grid covers.
-func (d Delayed) AppendBreakpoints(dst []float64, horizon float64) []float64 {
-	start := len(dst)
-	dst = AppendBreakpoints(dst, d.Inner, horizon+d.Delay)
-	kept := dst[:start]
-	for _, t := range dst[start:] {
-		if s := t - d.Delay; s > 0 && units.AlmostLE(s, horizon) {
-			kept = append(kept, s)
-		}
-	}
-	return kept
-}
-
 // String implements fmt.Stringer.
 func (d Delayed) String() string {
 	return fmt.Sprintf("Delayed(d=%.3g s, cap=%.3g bps, inner=%v)", d.Delay, d.CapBps, d.Inner)
@@ -187,7 +123,6 @@ type Quantized struct {
 }
 
 var _ Descriptor = Quantized{}
-var _ BreakpointAppender = Quantized{}
 
 // NewQuantized validates and returns the quantizing transform of inner.
 // outBits must be at least quantumBits: a conversion stage may pad but never
@@ -221,13 +156,6 @@ func (q Quantized) LongTermRate() float64 {
 	return q.Inner.LongTermRate() * (q.OutBits / q.QuantumBits)
 }
 
-// AppendBreakpoints implements BreakpointAppender by delegation; the ceil
-// steps at quantum crossings are covered by the uniform fallback grid and the
-// jitter-bracketing applied to these points.
-func (q Quantized) AppendBreakpoints(dst []float64, horizon float64) []float64 {
-	return AppendBreakpoints(dst, q.Inner, horizon)
-}
-
 // String implements fmt.Stringer.
 func (q Quantized) String() string {
 	return fmt.Sprintf("Quantized(quantum=%.3g b, out=%.3g b, inner=%v)", q.QuantumBits, q.OutBits, q.Inner)
@@ -241,7 +169,6 @@ type RateCapped struct {
 }
 
 var _ Descriptor = RateCapped{}
-var _ BreakpointAppender = RateCapped{}
 
 // NewRateCapped validates and returns the rate-capped view of inner.
 func NewRateCapped(inner Descriptor, capBps float64) (RateCapped, error) {
@@ -267,11 +194,6 @@ func (r RateCapped) LongTermRate() float64 {
 	return math.Min(r.CapBps, r.Inner.LongTermRate())
 }
 
-// AppendBreakpoints implements BreakpointAppender by delegation.
-func (r RateCapped) AppendBreakpoints(dst []float64, horizon float64) []float64 {
-	return AppendBreakpoints(dst, r.Inner, horizon)
-}
-
 // String implements fmt.Stringer.
 func (r RateCapped) String() string {
 	return fmt.Sprintf("RateCapped(%.3g bps, inner=%v)", r.CapBps, r.Inner)
@@ -287,7 +209,6 @@ type Min struct {
 }
 
 var _ Descriptor = Min{}
-var _ BreakpointAppender = Min{}
 
 // NewMin returns the pointwise-minimum envelope of the given descriptors,
 // which must be non-empty. The slice is copied.
@@ -325,16 +246,6 @@ func (m Min) LongTermRate() float64 {
 		}
 	}
 	return best
-}
-
-// AppendBreakpoints implements BreakpointAppender: the minimum's vertices
-// occur at the members' vertices (plus crossings, covered by the fallback
-// grid), appended member by member.
-func (m Min) AppendBreakpoints(dst []float64, horizon float64) []float64 {
-	for _, d := range m.members {
-		dst = AppendBreakpoints(dst, d, horizon)
-	}
-	return dst
 }
 
 // String implements fmt.Stringer.

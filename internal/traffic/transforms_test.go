@@ -35,9 +35,6 @@ func TestAggregate(t *testing.T) {
 	if got, want := agg.LongTermRate(), 2*15e6+5e6; !units.AlmostEq(got, want) {
 		t.Errorf("LongTermRate = %v, want %v", got, want)
 	}
-	if bps := agg.AppendBreakpoints(nil, 0.02); len(bps) == 0 {
-		t.Error("aggregate of periodic members should expose breakpoints")
-	}
 }
 
 func TestAggregateCopiesMembers(t *testing.T) {
@@ -186,9 +183,6 @@ func TestMin(t *testing.T) {
 	if got := m.LongTermRate(); !units.AlmostEq(got, 12e6) {
 		t.Errorf("LongTermRate = %v, want 12e6 (the tighter member)", got)
 	}
-	if len(m.AppendBreakpoints(nil, 0.02)) == 0 {
-		t.Error("Min should expose member breakpoints")
-	}
 }
 
 func TestMinTightensMACBound(t *testing.T) {
@@ -207,52 +201,6 @@ func TestMinTightensMACBound(t *testing.T) {
 		if m.Bits(iv) > d.Bits(iv)+units.Eps {
 			t.Fatalf("Min exceeded a member at I=%v", iv)
 		}
-	}
-}
-
-func TestGridProperties(t *testing.T) {
-	d := mustDual(t)
-	var ws Workspace
-	g := ws.Grid(d, 0.05, 100)
-	if len(g) == 0 {
-		t.Fatal("empty grid")
-	}
-	prev := 0.0
-	for _, p := range g {
-		if p <= prev {
-			t.Fatalf("grid not strictly increasing at %v (prev %v)", p, prev)
-		}
-		if p > 0.05 {
-			t.Fatalf("grid point %v beyond horizon", p)
-		}
-		prev = p
-	}
-	// Breakpoints of the source must be represented.
-	if g[len(g)-1] != 0.05 {
-		t.Errorf("grid should include the horizon, last = %v", g[len(g)-1])
-	}
-}
-
-// TestMergeGrids: the extras merge into the grid deduplicated and clipped to
-// (0, horizon], points at or below 0 and beyond the horizon dropped.
-func TestMergeGrids(t *testing.T) {
-	var ws Workspace
-	got := ws.Grid(nil, 1.0, 1, []float64{-0.1, 0.1, 0.5}, []float64{0.1, 0.7, 2.0})
-	want := []float64{0.1, 0.5, 0.7, 1.0}
-	if len(got) != len(want) {
-		t.Fatalf("Grid = %v, want %v", got, want)
-	}
-	for i := range want {
-		if !units.AlmostEq(got[i], want[i]) {
-			t.Fatalf("Grid[%d] = %v, want %v", i, got[i], want[i])
-		}
-	}
-}
-
-func TestGridHandlesNoHorizon(t *testing.T) {
-	var ws Workspace
-	if g := ws.Grid(CBR{RateBps: 1}, 0, 10); g != nil {
-		t.Errorf("Grid with zero horizon = %v, want nil", g)
 	}
 }
 

@@ -67,15 +67,16 @@ func WithinRel(a, b, tol float64) bool {
 }
 
 // CeilDiv returns ceil(a/b) for positive float quantities, robust to the
-// floating-point case where a is an exact multiple of b up to tolerance.
-// b must be positive.
+// floating-point case where a is an exact multiple of b up to tolerance. b
+// must be positive. The snap applies to the multiples from b on: a positive
+// a, however small, is not rounding noise around 0 and takes the first step.
 func CeilDiv(a, b float64) float64 {
 	if a <= 0 {
 		return 0
 	}
 	q := a / b
 	f := math.Floor(q)
-	if q-f <= RelTol*max(1, q) {
+	if f >= 1 && q-f <= RelTol*q {
 		return f
 	}
 	return f + 1

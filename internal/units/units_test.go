@@ -67,6 +67,8 @@ func TestCeilDiv(t *testing.T) {
 		{10, 5, 2},
 		{11, 5, 3},
 		{9.999999999999, 5, 2}, // near-exact multiple treated as exact
+		{10.000000000001, 5, 2},
+		{1e-12, 5, 1}, // a positive quotient below the snap radius is not noise around 0
 		{1, 3, 1},
 		{4500 * 8, 384, 94}, // FDDI max frame to ATM cells: 36000/384 = 93.75
 	}
