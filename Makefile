@@ -66,6 +66,7 @@ short:
 FUZZ_TARGETS := \
 	./internal/des:FuzzCalendarOrder \
 	./internal/traffic:FuzzWorkspaceSum \
+	./internal/traffic:FuzzPortWalk \
 	./internal/traffic:FuzzMinFlats \
 	./internal/fddi:FuzzDelayBound \
 	./internal/fddi:FuzzServerBounds \

@@ -3,6 +3,7 @@ package atm
 import (
 	"errors"
 	"fmt"
+	"slices"
 
 	"fafnet/internal/traffic"
 	"fafnet/internal/units"
@@ -92,31 +93,59 @@ func AnalyzeMux(inputs []traffic.Descriptor, p MuxParams, opts MuxOptions) (MuxR
 }
 
 // AnalyzeAggregate bounds the same FIFO multiplexer given the combined
-// envelope of all its inputs — already summed, e.g. the flat breakpoint
-// array traffic.Workspace.Sum folds from the member flats — so callers that
-// hold lowered members skip both the per-call Aggregate construction and the
-// per-point member summation. The result carries no per-input Outputs (the
-// caller owns the member set); everything else is identical to AnalyzeMux
-// over the member envelopes. The busy period and the backlog are read off
-// agg's segments in one walk (traffic.Backlog).
+// envelope of all its inputs — already summed — so callers that hold the
+// aggregate skip the per-call Aggregate construction. The result carries no
+// per-input Outputs (the caller owns the member set); everything else is
+// identical to AnalyzeMux over the member envelopes. The busy period and the
+// backlog are read off agg's segments in one walk (traffic.Backlog).
 func AnalyzeAggregate(agg traffic.Descriptor, p MuxParams, opts MuxOptions) (MuxResult, error) {
 	if agg == nil {
 		return MuxResult{}, errors.New("atm: AnalyzeAggregate requires an aggregate envelope")
 	}
+	if err := p.check(agg.LongTermRate()); err != nil {
+		return MuxResult{}, err
+	}
+	return p.result(traffic.Backlog(agg, p.CapacityBps, initialHorizon, 2*maxHorizon))
+}
+
+// AnalyzeMembers is AnalyzeAggregate over ws.Sum(flats), result and error
+// bit for bit, with the members summed in ws only as far as the port's busy
+// period can reach (traffic.Workspace.Backlog). The overload test reads the
+// members' long-term rates summed in the order the sum adds them.
+func AnalyzeMembers(ws *traffic.Workspace, flats []*traffic.Flat, p MuxParams) (MuxResult, error) {
+	if len(flats) == 0 || slices.Contains(flats, nil) {
+		return MuxResult{}, errors.New("atm: AnalyzeMembers requires member envelopes")
+	}
+	var rho float64
+	for _, f := range flats {
+		rho += f.LongTermRate()
+	}
+	if err := p.check(rho); err != nil {
+		return MuxResult{}, err
+	}
+	return p.result(ws.Backlog(flats, p.CapacityBps, initialHorizon, 2*maxHorizon))
+}
+
+// check validates p, counts the analysis and runs the overload test on the
+// aggregate long-term rate rho.
+func (p MuxParams) check(rho float64) error {
 	if p.CapacityBps <= 0 {
-		return MuxResult{}, fmt.Errorf("atm: capacity %v must be positive", p.CapacityBps)
+		return fmt.Errorf("atm: capacity %v must be positive", p.CapacityBps)
 	}
 	if p.BufferBits < 0 {
-		return MuxResult{}, fmt.Errorf("atm: buffer %v must be non-negative", p.BufferBits)
+		return fmt.Errorf("atm: buffer %v must be non-negative", p.BufferBits)
 	}
 	mMuxAnalyses.Inc()
-
-	if agg.LongTermRate() >= p.CapacityBps*(1-units.RelTol) {
+	if rho >= p.CapacityBps*(1-units.RelTol) {
 		mMuxInfeasible.Inc()
-		return MuxResult{}, fmt.Errorf("%w: Σρ=%v bps, C=%v bps", ErrMuxOverload, agg.LongTermRate(), p.CapacityBps)
+		return fmt.Errorf("%w: Σρ=%v bps, C=%v bps", ErrMuxOverload, rho, p.CapacityBps)
 	}
+	return nil
+}
 
-	busy, backlog, ok := traffic.Backlog(agg, p.CapacityBps, initialHorizon, 2*maxHorizon)
+// result turns the busy-period walk's answer into the analysis result: the
+// convergence and buffer verdicts, and the delay the backlog takes to drain.
+func (p MuxParams) result(busy, backlog float64, ok bool) (MuxResult, error) {
 	if !ok {
 		mMuxInfeasible.Inc()
 		return MuxResult{}, fmt.Errorf("%w: no idle point within %v s", ErrMuxNoConvergence, maxHorizon)

@@ -1,6 +1,11 @@
 package core
 
-import "testing"
+import (
+	"math"
+	"testing"
+
+	"fafnet/internal/topo"
+)
 
 // TestWarmProbeEvaluationAllocationFree pins the probe session's warm reset
 // path: after the first probe has built the scratch evaluation, preparing
@@ -33,5 +38,107 @@ func TestWarmProbeEvaluationAllocationFree(t *testing.T) {
 	}
 	if evalErr != nil {
 		t.Fatal(evalErr)
+	}
+}
+
+// twoPortConns returns, on a network of one backbone switch (every remote
+// route crosses two ports: its ring's uplink, then the switch's downlink to
+// the destination ring), three connections into ring 1 and one out of it,
+// at allocations scaled by x: the downlink to ring 1 carries members whose
+// envelopes come through three uplinks, so its analysis runs theirs first.
+func twoPortConns(t *testing.T, x float64) (*topo.Network, []*Connection) {
+	t.Helper()
+	cfg := topo.Default()
+	cfg.NumSwitches = 1
+	net, err := topo.NewNetwork(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var conns []*Connection
+	for i, r := range [][4]int{{0, 0, 1, 0}, {2, 0, 1, 1}, {0, 1, 1, 2}, {1, 3, 2, 3}} {
+		c := testConnOn(t, net, fmtID("p", i), r[0], r[1], r[2], r[3], x*(1.0+0.1*float64(i))*1e-3, x*1.4e-3)
+		if len(c.Route.Ports) != 2 {
+			t.Fatalf("route %v crosses %d ports, want 2", c.Route, len(c.Route.Ports))
+		}
+		conns = append(conns, c)
+	}
+	return net, conns
+}
+
+// TestNestedPortMembersStack: the port analyses gather their members on the
+// analyzer's one stack, and a member's fold analyses its uplink in the middle
+// of the downlink's gathering. At each allocation, a fresh analyzer and one
+// carried across allocations give, bit for bit, the delays of a fresh
+// evaluation that analyses every uplink before any downlink — where no
+// gathering nests in another; and a warm downlink analysis, every member
+// memoized, gathers them without allocating.
+func TestNestedPortMembersStack(t *testing.T) {
+	net, _ := twoPortConns(t, 1)
+	warm, err := NewAnalyzer(net, AnalysisOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, x := range []float64{1, 1.3, 0.9, 1.3, 2} {
+		_, conns := twoPortConns(t, x)
+		flat, err := NewAnalyzer(net, AnalysisOptions{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		ev, err := flat.newEvaluation(conns)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, c := range conns {
+			if _, err := ev.muxDelay(c.Route.Ports[0]); err != nil {
+				t.Fatal(err)
+			}
+		}
+		want, err := ev.delays()
+		if err != nil {
+			t.Fatal(err)
+		}
+		fresh, err := NewAnalyzer(net, AnalysisOptions{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, an := range []*Analyzer{fresh, warm} {
+			got, err := an.Delays(conns)
+			if err != nil {
+				t.Fatal(err)
+			}
+			for id, d := range want {
+				if math.Float64bits(got[id]) != math.Float64bits(d) {
+					t.Fatalf("x=%v, %s: the analyzer reads %v, the evaluation without nesting %v", x, id, got[id], d)
+				}
+				if math.IsInf(d, 1) {
+					t.Fatalf("x=%v, %s: no finite bound", x, id)
+				}
+			}
+			if len(an.members) != 0 {
+				t.Fatalf("x=%v: %d members left on the stack", x, len(an.members))
+			}
+		}
+	}
+
+	_, conns := twoPortConns(t, 1)
+	ev, err := warm.newEvaluation(conns)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := ev.delays(); err != nil {
+		t.Fatal(err)
+	}
+	down := conns[0].Route.Ports[1]
+	var muxErr error
+	if n := testing.AllocsPerRun(100, func() {
+		delete(ev.portDelay, down)
+		if _, err := ev.muxDelay(down); err != nil {
+			muxErr = err
+		}
+	}); n != 0 {
+		t.Errorf("warm downlink analysis: %v allocs per run, want 0", n)
+	}
+	if muxErr != nil {
+		t.Fatal(muxErr)
 	}
 }

@@ -48,6 +48,10 @@ type Analyzer struct {
 	// in. One analyzer runs one analysis at a time, which is the single-owner
 	// rule the workspace asks for; nothing cached above may point into it.
 	ws traffic.Workspace
+	// members is the stack the port analyses gather their member flats on:
+	// each muxDelay pushes its members above the ones of the ports it was
+	// called from, and pops them before it returns (see muxDelay).
+	members []*traffic.Flat
 }
 
 // connCache is everything the analyzer remembers about one record class: one
@@ -579,20 +583,9 @@ func (ev *evaluation) theorem1(c *Connection, in *traffic.Flat, ring int, h, buf
 		input = src
 	} else {
 		side = "receiver"
-		reassembled, err := ifdev.ReceiverConversion(in.Tail(), cfg.FrameBits(h), ev.a.net.Config().ID)
-		if err != nil {
+		var err error
+		if input, err = ev.a.receiverInput(in, cfg, h); err != nil {
 			return fddi.MACResult{}, err
-		}
-		// The receiver MAC dominates probe cost. The reassembly quantization
-		// applied to the lowered flat in closed form makes every grid point
-		// inside the window a segment lookup; the fused chain stays on as the
-		// exact tail. The flat is scanned once, only the verdict is kept.
-		input = traffic.Fuse(reassembled)
-		if qn, ok := reassembled.(traffic.Quantized); ok {
-			if qf := in.Quantize(qn.QuantumBits, qn.OutBits, flatHorizon, input); qf != nil {
-				input = qf
-				mFlatLowerings.Inc()
-			}
 		}
 	}
 	p := fddi.MACParams{Ring: cfg, H: h, BufferBits: buffer}
@@ -613,6 +606,28 @@ func (ev *evaluation) theorem1(c *Connection, in *traffic.Flat, ring int, h, buf
 	}
 	rec.remember(key, hopResult{mac: res, err: err})
 	return res, err
+}
+
+// receiverInput is the envelope theorem1 analyses at a receiver MAC on the
+// ring cfg under the allocation h, fed by in: the cells reassembled into
+// frames (Theorem 2 at ID_R) as the fused chain, and that chain lowered.
+// The receiver MAC dominates probe cost. The reassembly quantization applied
+// to the lowered flat in closed form makes every point inside the window a
+// segment lookup; the fused chain stays on as the exact tail. The flat is
+// scanned once, only the verdict is kept.
+func (a *Analyzer) receiverInput(in *traffic.Flat, cfg fddi.RingConfig, h float64) (traffic.Descriptor, error) {
+	reassembled, err := ifdev.ReceiverConversion(in.Tail(), cfg.FrameBits(h), a.net.Config().ID)
+	if err != nil {
+		return nil, err
+	}
+	input := traffic.Fuse(reassembled)
+	if qn, ok := reassembled.(traffic.Quantized); ok {
+		if qf := in.Quantize(qn.QuantumBits, qn.OutBits, flatHorizon, input); qf != nil {
+			input = qf
+			mFlatLowerings.Inc()
+		}
+	}
+	return input, nil
 }
 
 // boundHolds answers the last server of c's route in a verdict walk without
@@ -693,10 +708,18 @@ func (ev *evaluation) muxDelay(p topo.PortID) (float64, error) {
 	if ev.portBusy[p] {
 		return 0, fmt.Errorf("core: cyclic port dependency at %v", p)
 	}
+	// The members go on the analyzer's stack, above those of any port whose
+	// analysis is gathering members now. A member's fold may analyse an
+	// upstream port first, which pushes and pops its own above this one's, and
+	// may grow the stack: the slice is re-read after every fold.
+	base := len(ev.a.members)
 	ev.portBusy[p] = true
-	defer func() { ev.portBusy[p] = false }()
+	defer func() {
+		ev.portBusy[p] = false
+		clear(ev.a.members[base:])
+		ev.a.members = ev.a.members[:base]
+	}()
 
-	var flats []*traffic.Flat
 	for _, m := range ev.ordered {
 		for stage, q := range m.Route.Ports {
 			if q != p {
@@ -712,10 +735,11 @@ func (ev *evaluation) muxDelay(p topo.PortID) (float64, error) {
 				}
 				return 0, err
 			}
-			flats = append(flats, env)
+			ev.a.members = append(ev.a.members, env)
 			break
 		}
 	}
+	flats := ev.a.members[base:]
 	if len(flats) == 0 {
 		ev.portDelay[p] = 0
 		return 0, nil
@@ -741,11 +765,10 @@ func (ev *evaluation) muxDelay(p topo.PortID) (float64, error) {
 	// evaluation order, so the delay is a function of the member set alone.
 	// The workspace's sum arrays are free to take it: gathering the members
 	// above has finished every upstream port, and only the verdict outlives
-	// the analysis. The members-union tail covers evaluations beyond the flat
-	// window.
+	// the analysis. The sum is built only as far as the busy period reaches.
 	mFlatAggRebuilds.Inc()
 	params := atm.MuxParams{CapacityBps: ev.a.net.PortCapacity()}
-	res, err := atm.AnalyzeAggregate(ev.a.ws.Sum(flats), params, atm.MuxOptions{})
+	res, err := atm.AnalyzeMembers(&ev.a.ws, flats, params)
 	if err != nil {
 		switch {
 		case errors.Is(err, atm.ErrMuxOverload),

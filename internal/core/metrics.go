@@ -92,11 +92,11 @@ var (
 	mFlatLowerings = obs.Default.Counter("fafnet_cac_flat_lowerings_total",
 		"Descriptor chains lowered into flat breakpoint arrays: stage-0 envelopes, receiver-side conversions, and later stages lowered afresh because a port delay used up the upstream window.")
 	mFlatAggRebuilds = obs.Default.Counter("fafnet_cac_flat_agg_rebuilds_total",
-		"Per-port aggregate envelopes summed from their member flats: one per FIFO-port analysis, that is, per port-verdict cache miss.")
+		"Per-port aggregate envelopes summed from their member flats: one per FIFO-port analysis, that is, per port-verdict cache miss, whether the members were summed only as far as the busy period reaches or whole.")
 )
 
 func probeCutoffs(at string) *obs.Counter {
 	return obs.Default.Counter("fafnet_cac_probe_cutoffs_total",
-		"Bisection probes answered \"no\" before the whole network was evaluated, by where the probe stopped: the candidate's sender MAC, a shared port on its route, its receiver MAC (where its delay sum is complete), or a standing connection.",
+		"Bisection probes answered \"no\" before the whole network was evaluated, by where the probe stopped: the candidate's sender MAC, a shared port on its route, its receiver MAC (where its delay sum is complete, or, before any analysis, where the allocation cannot sustain the rate entering it), or a standing connection.",
 		"at", at)
 }

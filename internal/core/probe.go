@@ -4,7 +4,10 @@ import (
 	"errors"
 	"fmt"
 
+	"fafnet/internal/fddi"
+	"fafnet/internal/ifdev"
 	"fafnet/internal/topo"
+	"fafnet/internal/traffic"
 	"fafnet/internal/units"
 )
 
@@ -42,6 +45,62 @@ type ProbeSession struct {
 	// walked is the breakdown the verdict-only probes walk into: they read
 	// its total and keep nothing, so one serves them all.
 	walked Breakdown
+	// rx carries the long-term rate into the candidate's receiver MAC; nil
+	// on a same-ring route, which has none.
+	rx *rxChain
+}
+
+// rxChain is the descriptor chain theorem1 builds into the candidate's
+// receiver MAC — the lowered source, the sender MAC's output, the
+// regulator's, the frame→cell conversion, the ports' output and the
+// cell→frame reassembly — with every delay at zero. No delay enters a
+// long-term rate: Delayed takes a min with its cap, Quantized scales by
+// Out/Quantum, and traffic.Fuse, which turns a zero delay into a RateCapped
+// or drops it, takes the same mins and, where it merges two conversions,
+// scales by the same ratio, since the reassembly's Out/Quantum is 1. So the
+// chain's long-term rate is, bit for bit, the one Theorem 1's stability test
+// reads at the receiver at every allocation, whatever the upstream delays.
+// Only the two conversions' quanta depend on the allocation; rate sets them.
+// The chain is built once per session, by pointer, so a probe's rate
+// allocates nothing.
+type rxChain struct {
+	send, recv *traffic.Quantized
+}
+
+// newRxChain builds c's chain over src, its lowered source, or returns nil
+// when the regulator's envelope cannot be built (the sender side then fails
+// every probe before the receiver).
+func newRxChain(net *topo.Network, c *Connection, src *traffic.Flat) *rxChain {
+	var pre traffic.Descriptor = &traffic.Delayed{Inner: src, CapBps: net.RingConfig(c.Src.Ring).BandwidthBps}
+	if c.Shape != nil {
+		bucket, err := traffic.NewLeakyBucket(c.Shape.SigmaBits, c.Shape.RhoBps, 0)
+		if err != nil {
+			return nil
+		}
+		m, err := traffic.NewMin(bucket, &traffic.Delayed{Inner: pre})
+		if err != nil {
+			return nil
+		}
+		pre = m
+	}
+	rx := &rxChain{send: &traffic.Quantized{Inner: pre}}
+	var ports traffic.Descriptor = rx.send
+	if len(c.Route.Ports) > 0 {
+		ports = &traffic.Delayed{Inner: rx.send, CapBps: net.PortCapacity()}
+	}
+	rx.recv = &traffic.Quantized{Inner: ports}
+	return rx
+}
+
+// rate returns the long-term rate entering c's receiver MAC at c's
+// allocation (HS, HR): the quanta ifdev's conversions take at the two frame
+// sizes, then the chain's rate.
+func (rx *rxChain) rate(net *topo.Network, c *Connection) float64 {
+	fs := net.RingConfig(c.Src.Ring).FrameBits(c.HS)
+	rx.send.QuantumBits, rx.send.OutBits = fs, ifdev.FrameCellBits(fs)
+	q := ifdev.FrameCellBits(net.RingConfig(c.Dst.Ring).FrameBits(c.HR))
+	rx.recv.QuantumBits, rx.recv.OutBits = q, q
+	return rx.recv.LongTermRate()
 }
 
 // NewProbeSession prepares probe acceleration for admitting cand among the
@@ -53,7 +112,8 @@ func (a *Analyzer) NewProbeSession(existing []*Connection, cand *Connection) (*P
 	// The probes report every analysis error as a miss, so the one error a
 	// validated spec can still carry is caught here, once per session. The
 	// lowered source stays on the class's record for the sender MAC.
-	if _, err := a.record(cand).source(cand); err != nil {
+	src, err := a.record(cand).source(cand)
+	if err != nil {
 		return nil, err
 	}
 	s := &ProbeSession{
@@ -61,6 +121,9 @@ func (a *Analyzer) NewProbeSession(existing []*Connection, cand *Connection) (*P
 		existing:       existing,
 		cand:           cand,
 		cleanPortDelay: make(map[topo.PortID]float64),
+	}
+	if cand.Route.CrossesBackbone {
+		s.rx = newRxChain(a.net, cand, src)
 	}
 
 	tainted := make(map[topo.PortID]bool, len(cand.Route.Ports))
@@ -171,10 +234,17 @@ func (s *ProbeSession) FeasibleWithin(hs, hr float64, ref map[string]float64, to
 }
 
 // verdict is the conjunction behind Feasible (ref == nil) and FeasibleWithin,
-// counting where a "no" was decided.
+// counting where a "no" was decided. A candidate whose receiver MAC cannot
+// sustain the rate entering it is refused before any server is analysed
+// (rxOverloaded): every walk that reached that MAC would end in its
+// ErrOverload, and every walk that did not ended in a "no" earlier.
 func (s *ProbeSession) verdict(hs, hr float64, ref map[string]float64, tol float64) bool {
 	ev, err := s.evaluation(hs, hr)
 	if err != nil {
+		return false
+	}
+	if s.rxOverloaded() {
+		mProbeCutoffs[cutDstMAC].Inc()
 		return false
 	}
 	if cut := s.holds(ev, s.probe, ref, tol); cut != cutNone {
@@ -190,11 +260,29 @@ func (s *ProbeSession) verdict(hs, hr float64, ref map[string]float64, tol float
 	return true
 }
 
+// rxOverloaded reports whether Theorem 1's stability test fails at the
+// candidate's receiver MAC at the probe's allocation.
+func (s *ProbeSession) rxOverloaded() bool {
+	if s.rx == nil {
+		return false
+	}
+	c := s.probe
+	p := fddi.MACParams{Ring: s.a.net.RingConfig(c.Dst.Ring), H: c.HR}
+	return p.Overloaded(s.rx.rate(s.a.net, c))
+}
+
 // holds tests one connection's conjuncts and returns cutNone when they hold,
 // or the server at which they were found not to. The limit is the deadline
-// itself, as in meetsDeadlines: no tolerance in the connection's favour.
+// itself, as in meetsDeadlines: no tolerance in the connection's favour. With
+// ref it is also the equal-delay band, units.RelBand of the connection's
+// reference delay: a total above the band fails WithinRel, and a partial sum
+// above it is a total above it (Breakdown.sum), so the walk ends there with
+// the verdict it would have reached at the end of the path.
 func (s *ProbeSession) holds(ev *evaluation, c *Connection, ref map[string]float64, tol float64) cutoff {
 	limit := c.Deadline
+	if ref != nil {
+		limit = min(limit, units.RelBand(ref[c.ID], tol))
+	}
 	complete := cutDstMAC // the server that completes c's sum
 	if !c.Route.CrossesBackbone {
 		complete = cutSrcMAC

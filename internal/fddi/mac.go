@@ -75,6 +75,16 @@ func (p MACParams) Avail(t float64) float64 {
 	return max(0, (k-1)*p.H*p.Ring.BandwidthBps)
 }
 
+// Overloaded is Theorem 1's stability test, the one behind ErrOverload: the
+// allocation must serve the long-term rate rhoBps with margin,
+// ρ·TTRT < H·BW·(1 − units.RelTol), or the busy interval (and hence the
+// delay) is unbounded. It reads nothing of the envelope but its rate, so a
+// caller that knows the rate entering a MAC knows this verdict before any
+// analysis.
+func (p MACParams) Overloaded(rhoBps float64) bool {
+	return rhoBps*p.Ring.TTRT >= p.RotationServiceBits()*(1-units.RelTol)
+}
+
 // RotationServiceBits returns H·BW, the bits of synchronous service one token
 // rotation guarantees the station.
 func (p MACParams) RotationServiceBits() float64 { return p.H * p.Ring.BandwidthBps }
@@ -125,9 +135,7 @@ func analyzeMAC(in traffic.Descriptor, p MACParams, backlog bool) (MACResult, er
 
 	svc := p.RotationServiceBits()
 	ttrt := p.Ring.TTRT
-	// Stability: the allocation must serve the long-term rate with margin,
-	// or the busy interval (and hence the delay) is unbounded.
-	if in.LongTermRate()*ttrt >= svc*(1-units.RelTol) {
+	if p.Overloaded(in.LongTermRate()) {
 		mMACInfeasible.Inc()
 		return MACResult{}, fmt.Errorf("%w: rho=%v bps, H·BW/TTRT=%v bps", ErrOverload, in.LongTermRate(), svc/ttrt)
 	}

@@ -84,6 +84,13 @@ func (p Params) ReceiverConstantDelay() float64 {
 	return p.InputPortDelay + p.FrameSwitchDelay + p.CellFrameProcessing
 }
 
+// FrameCellBits returns F_C·C_S, the payload of the F_C = ⌈F_S/C_S⌉ cells
+// a frame of frameBits travels in: the quantum both conversions count
+// cells in.
+func FrameCellBits(frameBits float64) float64 {
+	return float64(atm.CellsPerFrame(frameBits) * atm.CellPayloadBits)
+}
+
 // SenderConversion applies Theorem 2: given the envelope of a connection at
 // the entrance of ID_S and the connection's frame payload size F_S on the
 // sender ring, it returns the envelope at the exit of the
@@ -103,8 +110,7 @@ func SenderConversion(in traffic.Descriptor, frameBits float64, p Params) (traff
 	if frameBits <= 0 {
 		return nil, fmt.Errorf("ifdev: frame size %v must be positive", frameBits)
 	}
-	fc := atm.CellsPerFrame(frameBits)
-	out, err := traffic.NewQuantized(in, frameBits, float64(fc*atm.CellPayloadBits))
+	out, err := traffic.NewQuantized(in, frameBits, FrameCellBits(frameBits))
 	if err != nil {
 		return nil, fmt.Errorf("ifdev: frame→cell envelope: %w", err)
 	}
@@ -127,8 +133,7 @@ func ReceiverConversion(in traffic.Descriptor, frameBits float64, p Params) (tra
 	if frameBits <= 0 {
 		return nil, fmt.Errorf("ifdev: frame size %v must be positive", frameBits)
 	}
-	fc := atm.CellsPerFrame(frameBits)
-	q := float64(fc * atm.CellPayloadBits)
+	q := FrameCellBits(frameBits)
 	out, err := traffic.NewQuantized(in, q, q)
 	if err != nil {
 		return nil, fmt.Errorf("ifdev: cell→frame envelope: %w", err)

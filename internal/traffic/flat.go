@@ -188,7 +188,7 @@ func (f *Flat) segEnd(i int) float64 {
 func Backlog(d Descriptor, rateBps, from, to float64) (busy, backlog float64, ok bool) {
 	f, _ := d.(*Flat)
 	if f != nil {
-		if busy, backlog, ok = f.excess(rateBps); ok {
+		if busy, backlog, ok = f.excess(rateBps, f.Segments()); ok {
 			return busy, backlog, true
 		}
 	}
@@ -199,7 +199,7 @@ func Backlog(d Descriptor, rateBps, from, to float64) (busy, backlog float64, ok
 		if f = Flatten(d, horizon); f == nil {
 			return 0, 0, false
 		}
-		if busy, backlog, ok = f.excess(rateBps); ok {
+		if busy, backlog, ok = f.excess(rateBps, f.Segments()); ok {
 			return busy, backlog, true
 		}
 	}
@@ -215,12 +215,15 @@ func Backlog(d Descriptor, rateBps, from, to float64) (busy, backlog float64, ok
 // deviation rising from below Eps has not caught up — an envelope starting at
 // 0 with a slope above the rate exceeds the line at once. A right-limit never
 // lies below the previous segment's end, so no crossing hides at a vertex. ok
-// is false when no crossing lies inside the window.
+// is false when no crossing lies inside the window. The walk reads the first
+// n segments only (n <= Segments()): a prefix of a sum that is the whole
+// sum's bit for bit there answers as the whole sum would, wherever the
+// crossing lies inside it (Workspace.Backlog).
 //
 //fafvet:hotpath
-func (f *Flat) excess(rate float64) (busy, peak float64, ok bool) {
-	for i, t0 := range f.ts {
-		s := f.ss[i]
+func (f *Flat) excess(rate float64, n int) (busy, peak float64, ok bool) {
+	for i := 0; i < n; i++ {
+		t0, s := f.ts[i], f.ss[i]
 		d0 := f.vs[i] - rate*t0
 		peak = max(peak, d0)
 		if d0 <= units.Eps && s <= rate { //lint:allow floatcmp exact slope test: a slope at the rate keeps the deviation where it starts

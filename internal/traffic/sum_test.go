@@ -292,6 +292,22 @@ func (r *sumFuzzInput) member() Descriptor {
 	return d
 }
 
+// members decodes 1–8 member chains and lowers them over horizon; chains
+// the constructors reject, and delays past a truncated window (which leave
+// nothing to lower), are left out.
+func (r *sumFuzzInput) members(horizon float64) (chains []Descriptor, flats []*Flat) {
+	for n := 1 + int(r.byte()%8); n > 0; n-- {
+		d := r.member()
+		if d == nil {
+			continue
+		}
+		if fl := Flatten(d, horizon); fl != nil {
+			chains, flats = append(chains, d), append(flats, fl)
+		}
+	}
+	return chains, flats
+}
+
 // FuzzWorkspaceSum drives the one remaining sum: 1–8 fuzzed member chains,
 // lowered over the analyzer's window, summed on one workspace twice — first
 // all of them, then a rotation of a subset — with both results held to
@@ -301,18 +317,7 @@ func FuzzWorkspaceSum(f *testing.F) {
 	const horizon = 0.025
 	f.Fuzz(func(t *testing.T, data []byte) {
 		r := &sumFuzzInput{b: data}
-		var chains []Descriptor
-		var flats []*Flat
-		for n := 1 + int(r.byte()%8); n > 0; n-- {
-			d := r.member()
-			if d == nil {
-				continue
-			}
-			// A delay past a truncated window leaves nothing to lower.
-			if fl := Flatten(d, horizon); fl != nil {
-				chains, flats = append(chains, d), append(flats, fl)
-			}
-		}
+		chains, flats := r.members(horizon)
 		if len(flats) == 0 {
 			return
 		}

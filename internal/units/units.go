@@ -66,6 +66,19 @@ func WithinRel(a, b, tol float64) bool {
 	return diff <= tol*scale
 }
 
+// RelBand returns a bound above which nothing agrees with b under WithinRel
+// at tolerance tol: for every a > RelBand(b, tol), WithinRel(a, b, tol) is
+// false. It is max(b + Eps, b/(1 − tol)), the two ways WithinRel can accept
+// an a above b, padded by RelTol, which covers the rounding of both its
+// tests and of the bound for tol up to 1/2. For a larger tol, or b negative
+// or not finite, it is +Inf.
+func RelBand(b, tol float64) float64 {
+	if !(b >= 0) || math.IsInf(b, 1) || !(tol >= 0 && tol <= 0.5) {
+		return math.Inf(1)
+	}
+	return max(b+Eps, b/(1-tol)) * (1 + RelTol)
+}
+
 // CeilDiv returns ceil(a/b) for positive float quantities, robust to the
 // floating-point case where a is an exact multiple of b up to tolerance. b
 // must be positive. The snap applies to the multiples from b on: a positive
