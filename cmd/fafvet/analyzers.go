@@ -7,9 +7,8 @@ import (
 	"fafnet/internal/lint/errdrop"
 	"fafnet/internal/lint/floatcmp"
 	"fafnet/internal/lint/golife"
-	"fafnet/internal/lint/guardedby"
 	"fafnet/internal/lint/hotpath"
-	"fafnet/internal/lint/lockorder"
+	"fafnet/internal/lint/locks"
 	"fafnet/internal/lint/randsrc"
 	"fafnet/internal/lint/unitcheck"
 )
@@ -25,8 +24,7 @@ func suite() []*lint.Analyzer {
 		epslit.Analyzer,
 		randsrc.Analyzer,
 		desorder.Analyzer,
-		lockorder.Analyzer,
-		guardedby.Analyzer,
+		locks.Analyzer,
 		golife.Analyzer,
 		errdrop.Analyzer,
 		hotpath.Analyzer,

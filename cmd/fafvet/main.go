@@ -5,13 +5,13 @@
 //	go vet -vettool=$(pwd)/bin/fafvet ./...
 //
 // And as a standalone driver over package patterns, which re-invokes go vet
-// against itself, aggregates diagnostics across packages, applies the
-// committed baseline, and emits text, JSON or SARIF 2.1.0:
+// against itself, aggregates diagnostics across packages, and emits text or
+// SARIF 2.1.0:
 //
-//	bin/fafvet -baseline=.fafvet-baseline.json ./...
+//	bin/fafvet ./...
 //	bin/fafvet -format=sarif -o fafvet.sarif ./...
 //
-// It bundles ten analyzers that enforce the correctness conventions the
+// It bundles nine analyzers that enforce the correctness conventions the
 // Go type system cannot see (README "Static analysis & unit conventions"):
 //
 //	unitcheck    dimensional consistency of float64 seconds/bits/bps, by name
@@ -21,17 +21,13 @@
 //	randsrc      no unseeded randomness or wall-clock reads in simulators, no
 //	             function-style sync/atomic anywhere (typed atomics only)
 //	desorder     no goroutines/channels/sleeps/global writes in DES handlers
-//	lockorder    repo-wide lock-order cycles, no blocking calls under a lock
-//	guardedby    "guarded by <mu>" field annotations hold at every access
+//	locks        locks are leaves (no mutex acquired while another is held),
+//	             no blocking calls under a lock, and "guarded by <mu>"
+//	             annotations hold at every access
 //	golife       every goroutine has a provable stop path
 //	errdrop      no dropped errors on audit, deadline, flush or release calls
 //	hotpath      //fafvet:hotpath functions are transitively allocation-,
 //	             blocking- and wall-clock-free
-//
-// The driver's -format=dot mode additionally dumps the whole-program lock
-// graph (lockorder's cross-package acquisition edges) as Graphviz:
-//
-//	bin/fafvet -format=dot -o LOCKGRAPH.dot ./...
 //
 // -analyzers prints the machine-readable inventory (name, doc line, exported
 // fact types) as JSON. Individual analyzers can be disabled with

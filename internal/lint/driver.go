@@ -22,41 +22,23 @@ import (
 //
 // — so the go command keeps doing what it is good at (loading packages,
 // export data, the facts cache), while this process aggregates the
-// machine-readable diagnostics across packages, applies the committed
-// baseline, and emits text, JSON or SARIF. Exit codes: 0 clean, 2 findings
-// (or stale baseline entries), 1 operational failure.
+// machine-readable diagnostics across packages and emits text or SARIF.
+// Exit codes: 0 clean, 2 findings, 1 operational failure (go vet could not
+// run, or failed without reporting a finding).
 
 // DriverOptions configure the standalone driver.
 type DriverOptions struct {
-	Format   string // "text", "json" or "sarif"
-	Output   string // output file; empty means stdout
-	Baseline string // baseline JSON path; empty disables baselining
-}
-
-// Baseline is the committed waiver file: findings listed here are known and
-// accepted. Entries match on (analyzer, file, message) — line numbers drift
-// with every edit, so they are deliberately not part of the key. An entry
-// that matches nothing is stale and becomes a finding itself, so the file
-// can only shrink ratchet-style.
-type Baseline struct {
-	Comment  string          `json:"comment,omitempty"`
-	Findings []BaselineEntry `json:"findings"`
-}
-
-// BaselineEntry identifies one accepted finding.
-type BaselineEntry struct {
-	Analyzer string `json:"analyzer"`
-	File     string `json:"file"`
-	Message  string `json:"message"`
+	Format string // "text" or "sarif"
+	Output string // output file; empty means stdout
 }
 
 // Driver runs the standalone aggregation mode and returns the process exit
 // code. disabled lists analyzers to pass through as -name=false.
 func Driver(analyzers []*Analyzer, disabled []string, opts DriverOptions, patterns []string) int {
 	switch opts.Format {
-	case "", "text", "json", "sarif", "dot":
+	case "", "text", "sarif":
 	default:
-		fmt.Fprintf(os.Stderr, "fafvet: unknown -format %q (want text, json, sarif or dot)\n", opts.Format)
+		fmt.Fprintf(os.Stderr, "fafvet: unknown -format %q (want text or sarif)\n", opts.Format)
 		return 1
 	}
 	if len(patterns) == 0 {
@@ -71,20 +53,17 @@ func Driver(analyzers []*Analyzer, disabled []string, opts DriverOptions, patter
 	for _, name := range disabled {
 		args = append(args, "-"+name+"=false")
 	}
-	if opts.Format == "dot" {
-		// A registered analyzer flag, not an environment variable, so the go
-		// command's action cache distinguishes edge-emitting runs.
-		args = append(args, "-lockgraph")
-	}
 	args = append(args, patterns...)
 	out, vetErr := exec.Command("go", args...).CombinedOutput()
 
 	diags, noise := parseMachineOutput(out)
-	if vetErr != nil && len(diags) == 0 && len(noise) > 0 {
+	if vetErr != nil && len(diags) == 0 {
 		// go vet failed without producing a single diagnostic: an operational
-		// error (bad pattern, compile failure), not findings.
-		fmt.Fprintf(os.Stderr, "fafvet: go vet failed:\n%s", strings.Join(noise, "\n"))
-		fmt.Fprintln(os.Stderr)
+		// error (no go command, bad pattern, compile failure), not findings.
+		fmt.Fprintf(os.Stderr, "fafvet: go vet failed: %v\n", vetErr)
+		for _, line := range noise {
+			fmt.Fprintln(os.Stderr, line)
+		}
 		return 1
 	}
 	for _, line := range noise {
@@ -95,46 +74,19 @@ func Driver(analyzers []*Analyzer, disabled []string, opts DriverOptions, patter
 	diags = dedupe(diags)
 	sortMachine(diags)
 
-	var edges [][2]string
-	if opts.Format == "dot" {
-		// Edge lines are data, not findings: pull them out before the
-		// baseline sees them.
-		diags, edges = splitEdges(diags)
-	}
-
-	if opts.Baseline != "" {
-		var err error
-		diags, err = applyBaseline(diags, opts.Baseline)
+	var rendered []byte
+	if opts.Format == "sarif" {
+		rendered, err = renderSARIF(analyzers, diags)
 		if err != nil {
 			fmt.Fprintf(os.Stderr, "fafvet: %v\n", err)
 			return 1
 		}
-	}
-
-	var rendered []byte
-	switch opts.Format {
-	case "json":
-		rendered, err = json.MarshalIndent(diags, "", "  ")
-		rendered = append(rendered, '\n')
-	case "sarif":
-		rendered, err = renderSARIF(analyzers, diags)
-	case "dot":
-		rendered = renderDot(edges)
-		// Findings still gate the exit code; in dot mode they go to stderr
-		// so the graph on stdout stays valid Graphviz.
-		for _, d := range diags {
-			fmt.Fprintf(os.Stderr, "%s:%d:%d: %s (%s)\n", d.File, d.Line, d.Column, d.Message, d.Analyzer)
-		}
-	default:
+	} else {
 		var b strings.Builder
 		for _, d := range diags {
 			fmt.Fprintf(&b, "%s:%d:%d: %s (%s)\n", d.File, d.Line, d.Column, d.Message, d.Analyzer)
 		}
 		rendered = []byte(b.String())
-	}
-	if err != nil {
-		fmt.Fprintf(os.Stderr, "fafvet: %v\n", err)
-		return 1
 	}
 	if opts.Output != "" {
 		if err := os.WriteFile(opts.Output, rendered, 0o644); err != nil {
@@ -148,80 +100,6 @@ func Driver(analyzers []*Analyzer, disabled []string, opts DriverOptions, patter
 		return 2
 	}
 	return 0
-}
-
-// splitEdges separates lockorder's -lockgraph edge diagnostics from real
-// findings, deduplicating edges by (from, to) — a package and its test
-// variant re-report the same edge at the same position.
-func splitEdges(diags []MachineDiag) ([]MachineDiag, [][2]string) {
-	var rest []MachineDiag
-	seen := make(map[[2]string]bool)
-	var edges [][2]string
-	for _, d := range diags {
-		msg, ok := strings.CutPrefix(d.Message, LockGraphEdgePrefix)
-		if !ok || d.Analyzer != "lockorder" {
-			rest = append(rest, d)
-			continue
-		}
-		from, to, ok := strings.Cut(msg, " -> ")
-		if !ok {
-			rest = append(rest, d)
-			continue
-		}
-		e := [2]string{from, to}
-		if !seen[e] {
-			seen[e] = true
-			edges = append(edges, e)
-		}
-	}
-	sort.Slice(edges, func(i, j int) bool {
-		if edges[i][0] != edges[j][0] {
-			return edges[i][0] < edges[j][0]
-		}
-		return edges[i][1] < edges[j][1]
-	})
-	return rest, edges
-}
-
-// renderDot renders the lock graph as a Graphviz digraph. Edges on a cycle
-// (the reverse direction is also reachable) are drawn red and bold, so the
-// deadlock candidates stand out in the figure.
-func renderDot(edges [][2]string) []byte {
-	succ := make(map[string][]string)
-	for _, e := range edges {
-		succ[e[0]] = append(succ[e[0]], e[1])
-	}
-	reaches := func(from, to string) bool {
-		seen := map[string]bool{from: true}
-		queue := []string{from}
-		for len(queue) > 0 {
-			n := queue[0]
-			queue = queue[1:]
-			if n == to {
-				return true
-			}
-			for _, next := range succ[n] {
-				if !seen[next] {
-					seen[next] = true
-					queue = append(queue, next)
-				}
-			}
-		}
-		return false
-	}
-	var b strings.Builder
-	b.WriteString("digraph lockgraph {\n")
-	b.WriteString("\trankdir=LR;\n")
-	b.WriteString("\tnode [shape=box, fontname=\"monospace\"];\n")
-	for _, e := range edges {
-		if reaches(e[1], e[0]) {
-			fmt.Fprintf(&b, "\t%q -> %q [color=red, penwidth=2.0];\n", e[0], e[1])
-		} else {
-			fmt.Fprintf(&b, "\t%q -> %q;\n", e[0], e[1])
-		}
-	}
-	b.WriteString("}\n")
-	return []byte(b.String())
 }
 
 // parseMachineOutput splits go vet output into machine diagnostics and the
@@ -251,8 +129,7 @@ func parseMachineOutput(out []byte) (diags []MachineDiag, noise []string) {
 }
 
 // relativizeFiles rewrites absolute file names relative to the working
-// directory, with forward slashes, so output and baselines are stable
-// across checkouts.
+// directory, with forward slashes, so output is stable across checkouts.
 func relativizeFiles(diags []MachineDiag) {
 	cwd, err := os.Getwd()
 	if err != nil {
@@ -300,56 +177,12 @@ func sortMachine(diags []MachineDiag) {
 	})
 }
 
-// applyBaseline drops diagnostics matching baseline entries and converts
-// stale entries (matching nothing) into findings anchored at the baseline
-// file, so a waiver outliving its finding fails the gate until deleted.
-func applyBaseline(diags []MachineDiag, path string) ([]MachineDiag, error) {
-	data, err := os.ReadFile(path)
-	if err != nil {
-		return nil, fmt.Errorf("reading baseline: %w", err)
-	}
-	var bl Baseline
-	if err := json.Unmarshal(data, &bl); err != nil {
-		return nil, fmt.Errorf("parsing baseline %s: %w", path, err)
-	}
-	used := make([]bool, len(bl.Findings))
-	var out []MachineDiag
-	for _, d := range diags {
-		matched := false
-		for i, e := range bl.Findings {
-			if e.Analyzer == d.Analyzer && e.File == d.File && e.Message == d.Message {
-				used[i] = true
-				matched = true
-			}
-		}
-		if !matched {
-			out = append(out, d)
-		}
-	}
-	base := filepath.ToSlash(path)
-	for i, e := range bl.Findings {
-		if !used[i] {
-			out = append(out, MachineDiag{
-				Analyzer: "baseline",
-				File:     base,
-				Line:     1,
-				Message: fmt.Sprintf("stale baseline entry: no %s finding %q in %s; delete the entry",
-					e.Analyzer, e.Message, e.File),
-			})
-		}
-	}
-	sortMachine(out)
-	return out, nil
-}
-
 // renderSARIF converts diagnostics to a SARIF 2.1.0 log. Every registered
-// analyzer appears as a rule (plus "lint" for suppression hygiene and
-// "baseline" for stale waivers) so a clean run still documents what was
-// checked.
+// analyzer appears as a rule (plus "lint" for suppression hygiene) so a
+// clean run still documents what was checked.
 func renderSARIF(analyzers []*Analyzer, diags []MachineDiag) ([]byte, error) {
 	ruleDocs := map[string]string{
-		"lint":     "unused //lint:allow suppressions",
-		"baseline": "stale baseline entries",
+		"lint": "unused //lint:allow suppressions",
 	}
 	for _, a := range analyzers {
 		ruleDocs[a.Name] = firstLine(a.Doc)

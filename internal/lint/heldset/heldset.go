@@ -1,5 +1,5 @@
-// Package heldset is the shared dataflow engine of the concurrency analyzers
-// (lockorder, guardedby). It provides two things:
+// Package heldset is the held-mutex dataflow engine of the locks analyzer,
+// plus the resolution helpers other analyzers share. It provides two things:
 //
 //   - resolution helpers that identify sync.Mutex/RWMutex operations and the
 //     variable or field object behind a lock expression, so every instance
@@ -8,12 +8,8 @@
 //     function body — branches merge conservatively (intersection), deferred
 //     unlocks keep the lock held for the rest of the body, goroutine bodies
 //     start with an empty held set — and reports each interesting event
-//     (acquire, re-entry, blocking operation, call, variable use) to analyzer
-//     hooks together with the held set at that point.
-//
-// The analyzers differ only in what they do at those events: lockorder
-// records acquisition edges and blocking-under-lock, guardedby checks
-// annotated field accesses against the held set.
+//     (acquire, blocking operation, call, variable use) to analyzer hooks
+//     together with the held set at that point.
 package heldset
 
 import (
@@ -53,12 +49,9 @@ func (h Held) Sorted() []string {
 type Config struct {
 	Info *types.Info
 
-	// OnAcquire fires for m.Lock/m.RLock of a mutex not currently held, with
-	// the held set before mv is added.
+	// OnAcquire fires for every m.Lock/m.RLock with the held set before mv
+	// is added; held already contains mv when the lock is re-entered.
 	OnAcquire func(call *ast.CallExpr, mv *types.Var, display string, held Held)
-	// OnReenter fires when an already-held mutex is locked again; the held set
-	// stays unchanged.
-	OnReenter func(call *ast.CallExpr, mv *types.Var, display, heldAs string)
 	// OnBlocking fires on a potentially-parking operation (channel send or
 	// receive, select without default, WaitGroup.Wait, net Accept, time.Sleep).
 	OnBlocking func(pos token.Pos, what string, held Held)
@@ -71,16 +64,6 @@ type Config struct {
 	// OnGo fires for each go statement; the spawned literal's body is then
 	// walked with a fresh empty held set.
 	OnGo func(g *ast.GoStmt)
-
-	// WalkDeferredClosures walks `defer func(){...}()` bodies with the held
-	// set at the defer statement (the common cleanup-under-lock shape).
-	// lockorder leaves this off: a deferred unlock-then-use sequence would
-	// otherwise read as lock-order evidence from a state that never executes.
-	WalkDeferredClosures bool
-	// WalkStoredClosures walks function literals that are stored rather than
-	// invoked (assigned, passed as arguments) with an empty held set, since
-	// nothing is known about the caller's locks when they eventually run.
-	WalkStoredClosures bool
 }
 
 // Walk runs the held-set dataflow over one function body starting from the
@@ -306,11 +289,13 @@ func (w *walker) stmt(s ast.Stmt) {
 	case *ast.IncDecStmt:
 		w.expr(s.X)
 	case *ast.DeferStmt:
-		// A deferred Unlock releases at return; for order tracking the lock
-		// stays held through the remainder of the body, which is exactly
-		// what leaving the held set untouched models. Other deferred calls
-		// do not run here.
-		if lit, ok := ast.Unparen(s.Call.Fun).(*ast.FuncLit); ok && w.cfg.WalkDeferredClosures {
+		// A deferred Unlock releases at return, so the lock stays held
+		// through the remainder of the body, which is exactly what leaving
+		// the held set untouched models. A deferred closure is walked with
+		// the held set at the defer statement: the cleanup-under-lock shape
+		// (lock, defer a closure that reads then unlocks). Other deferred
+		// calls do not run here.
+		if lit, ok := ast.Unparen(s.Call.Fun).(*ast.FuncLit); ok {
 			for _, arg := range s.Call.Args {
 				w.expr(arg)
 			}
@@ -483,13 +468,9 @@ func (w *walker) expr(x ast.Expr) {
 		w.call(x)
 	case *ast.FuncLit:
 		// A literal that is not (statically) invoked here: its body runs
-		// later, under unknown locks. Calls through stored closures are
-		// beyond the order/summary machinery; analyzers that check accesses
-		// can opt into a conservative empty-held walk.
-		if w.cfg.WalkStoredClosures {
-			g := &walker{cfg: w.cfg, held: Held{}}
-			g.block(x.Body)
-		}
+		// later, under unknown locks, so it is walked with nothing held.
+		g := &walker{cfg: w.cfg, held: Held{}}
+		g.block(x.Body)
 	}
 }
 
@@ -511,16 +492,12 @@ func (w *walker) call(call *ast.CallExpr) {
 		display := ExprDisplay(ast.Unparen(call.Fun).(*ast.SelectorExpr).X)
 		switch op {
 		case "Lock", "RLock":
-			if heldAs, ok := w.held[mv]; ok {
-				if w.cfg.OnReenter != nil {
-					w.cfg.OnReenter(call, mv, display, heldAs)
-				}
-				return
-			}
 			if w.cfg.OnAcquire != nil {
 				w.cfg.OnAcquire(call, mv, display, w.held)
 			}
-			w.held[mv] = display
+			if _, ok := w.held[mv]; !ok {
+				w.held[mv] = display
+			}
 		case "Unlock", "RUnlock":
 			delete(w.held, mv)
 		}

@@ -45,28 +45,7 @@ type Analyzer struct {
 	// names of its fact payloads), for the -analyzers machine-readable
 	// listing. Empty for analyzers that export no facts.
 	FactTypes []string
-	// Flags lists extra analyzer-specific boolean flags. Main registers them
-	// on the command line and advertises them to `go vet` via -flags — which
-	// also makes them part of the go command's action cache key, so toggling
-	// one (unlike an environment variable) correctly invalidates cached
-	// results.
-	Flags []BoolFlag
 }
-
-// BoolFlag is one analyzer-specific boolean command-line flag.
-type BoolFlag struct {
-	Name  string
-	Usage string
-	// Value receives the parsed flag; it doubles as the analyzer's switch.
-	Value *bool
-}
-
-// LockGraphEdgePrefix introduces the machine-parseable lock-graph edge
-// diagnostics lockorder emits under its -lockgraph flag. The standalone
-// driver's -format=dot mode filters these out of the finding stream and
-// renders them as a Graphviz digraph. Defined here (not in lockorder) so
-// the driver can match it without importing the analyzer.
-const LockGraphEdgePrefix = "lockgraph-edge: "
 
 // Pass carries one package's syntax and type information to an Analyzer.
 type Pass struct {

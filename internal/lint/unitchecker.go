@@ -61,8 +61,7 @@ func InModule(path string) bool {
 	return path == ModulePath || strings.HasPrefix(path, ModulePath+"/")
 }
 
-// ShortPkg abbreviates a module package path for lock names and
-// diagnostics: fafnet/internal/signaling → signaling, fafnet/cmd/fafcacd →
+// ShortPkg abbreviates a module package path for diagnostics: fafnet/internal/signaling → signaling, fafnet/cmd/fafcacd →
 // fafcacd, fafnet/internal/lint/dims → lint.dims.
 func ShortPkg(path string) string {
 	for _, prefix := range []string{ModulePath + "/internal/", ModulePath + "/cmd/", ModulePath + "/"} {
@@ -99,15 +98,11 @@ func Main(analyzers ...*Analyzer) {
 	printFlags := flag.Bool("flags", false, "print analyzer flags in JSON")
 	listAnalyzers := flag.Bool("analyzers", false, "print the analyzer inventory as JSON and exit")
 	emit := flag.String("emit", "text", `diagnostic format on stderr: "text" or "machine"`)
-	format := flag.String("format", "text", `driver-mode output format: "text", "json", "sarif" or "dot" (lock graph)`)
+	format := flag.String("format", "text", `driver-mode output format: "text" or "sarif"`)
 	output := flag.String("o", "", "driver-mode output file (default stdout)")
-	baseline := flag.String("baseline", "", "driver-mode baseline JSON of accepted findings")
 	enabled := make(map[string]*bool)
 	for _, a := range analyzers {
 		enabled[a.Name] = flag.Bool(a.Name, true, "enable the "+a.Name+" analyzer: "+firstLine(a.Doc))
-		for _, f := range a.Flags {
-			flag.BoolVar(f.Value, f.Name, false, f.Usage)
-		}
 	}
 	flag.Parse()
 
@@ -135,11 +130,7 @@ func Main(analyzers ...*Analyzer) {
 				disabled = append(disabled, a.Name)
 			}
 		}
-		os.Exit(Driver(analyzers, disabled, DriverOptions{
-			Format:   *format,
-			Output:   *output,
-			Baseline: *baseline,
-		}, args))
+		os.Exit(Driver(analyzers, disabled, DriverOptions{Format: *format, Output: *output}, args))
 	}
 	var active []*Analyzer
 	for _, a := range analyzers {
@@ -215,9 +206,6 @@ func flagsJSON(analyzers []*Analyzer) {
 	}
 	for _, a := range analyzers {
 		flags = append(flags, jsonFlag{Name: a.Name, Bool: true, Usage: firstLine(a.Doc)})
-		for _, f := range a.Flags {
-			flags = append(flags, jsonFlag{Name: f.Name, Bool: true, Usage: f.Usage})
-		}
 	}
 	data, err := json.MarshalIndent(flags, "", "\t")
 	if err != nil {

@@ -113,7 +113,6 @@ func TestServeTwiceRejected(t *testing.T) {
 	}
 }
 
-// The badCloser fixture that used to live here — holding mu across wg.Wait,
-// waived in .fafvet-baseline.json — is now a lockorder want-test
-// (internal/lint/lockorder/testdata/l), where the analyzer proves the
-// hazard statically without leaking two goroutines into every -race run.
+// The badCloser shape — holding mu across wg.Wait — is a want-test of the
+// locks analyzer (internal/lint/locks/testdata/l), which proves the hazard
+// statically without leaking two goroutines into every -race run.

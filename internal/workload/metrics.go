@@ -1,89 +1,31 @@
 package workload
 
-import (
-	"sync"
+import "fafnet/internal/obs"
 
-	"fafnet/internal/obs"
-)
-
-// Per-class metrics use one labeled child per class name. The obs registry
-// fixes label sets at registration, so children are registered lazily the
-// first time a class is seen; the reserved class "overall" is registered
-// eagerly so every family exists on /metrics (and in the OPERATIONS.md
-// catalog gate) before any workload has run. Class palettes are small and
-// recurring — specs name a handful of service classes, not unbounded ids —
-// so the child tables stay tiny.
+// Per-class metrics use one labeled child per class name, registered by the
+// obs vectors the first time a class is seen. The reserved class "overall"
+// is registered eagerly so every family exists on /metrics (and in the
+// OPERATIONS.md catalog gate) before any workload has run. Class palettes
+// are small and recurring — specs name a handful of service classes, not
+// unbounded ids — so the child tables stay tiny.
 
 // Overall is the reserved class label carrying the all-classes aggregate.
 const Overall = "overall"
 
-// classVec lazily registers one labeled child per class under a fixed
-// family.
-type classVec struct {
-	name, help string
-	kind       kind
-	mu         sync.Mutex
-	// counters and gauges hold the registered children. guarded by mu.
-	counters map[string]*obs.Counter
-	gauges   map[string]*obs.Gauge
-}
-
-type kind int
-
-const (
-	kindCounter kind = iota
-	kindGauge
-)
-
-func newClassVec(name, help string, k kind) *classVec {
-	v := &classVec{name: name, help: help, kind: k,
-		counters: make(map[string]*obs.Counter), gauges: make(map[string]*obs.Gauge)}
-	// Eager child: the family must exist before the first workload runs. No
-	// goroutine can hold v yet, but the maps are mu-guarded everywhere else,
-	// so take the lock here too rather than special-case construction.
-	v.mu.Lock()
-	defer v.mu.Unlock()
-	switch k {
-	case kindCounter:
-		v.counters[Overall] = obs.Default.Counter(name, help, "class", Overall)
-	case kindGauge:
-		v.gauges[Overall] = obs.Default.Gauge(name, help, "class", Overall)
-	}
-	return v
-}
-
-func (v *classVec) counter(class string) *obs.Counter {
-	v.mu.Lock()
-	defer v.mu.Unlock()
-	c := v.counters[class]
-	if c == nil {
-		c = obs.Default.Counter(v.name, v.help, "class", class)
-		v.counters[class] = c
-	}
-	return c
-}
-
-func (v *classVec) gauge(class string) *obs.Gauge {
-	v.mu.Lock()
-	defer v.mu.Unlock()
-	g := v.gauges[class]
-	if g == nil {
-		g = obs.Default.Gauge(v.name, v.help, "class", class)
-		v.gauges[class] = g
-	}
-	return g
-}
-
 var (
-	vRequests = newClassVec("fafnet_workload_class_requests_total",
-		"Admission requests issued, by workload class.", kindCounter)
-	vAdmitted = newClassVec("fafnet_workload_class_admitted_total",
-		"Admission requests admitted, by workload class.", kindCounter)
-	vAP = newClassVec("fafnet_workload_class_ap",
-		"Admission probability of the most recent run, by workload class.", kindGauge)
-	vTightness = newClassVec("fafnet_workload_class_tightness",
-		"Worst measured-delay/analytic-bound ratio of the most recent calibration, by workload class (must stay below 1).", kindGauge)
-	gJain = obs.Default.Gauge("fafnet_workload_jain_fairness",
+	vRequests = obs.Default.CounterVec("fafnet_workload_class_requests_total",
+		"Admission requests issued, by workload class.", "class")
+	vAdmitted = obs.Default.CounterVec("fafnet_workload_class_admitted_total",
+		"Admission requests admitted, by workload class.", "class")
+	vAP = obs.Default.GaugeVec("fafnet_workload_class_ap",
+		"Admission probability of the most recent run, by workload class.", "class")
+	vTightness = obs.Default.GaugeVec("fafnet_workload_class_tightness",
+		"Worst measured-delay/analytic-bound ratio of the most recent calibration, by workload class (must stay below 1).", "class")
+	overallRequests = vRequests.With(Overall)
+	overallAdmitted = vAdmitted.With(Overall)
+	_               = vAP.With(Overall)
+	_               = vTightness.With(Overall)
+	gJain           = obs.Default.Gauge("fafnet_workload_jain_fairness",
 		"Jain fairness index over per-class admission probabilities of the most recent run (1 = perfectly fair).")
 	mCalScenarios = obs.Default.Counter("fafnet_calibration_scenarios_total",
 		"Calibration scenarios executed (admission run plus packet-level cross-check).")
@@ -94,24 +36,24 @@ var (
 // RecordRequest counts one admission request for the class and the overall
 // aggregate.
 func RecordRequest(class string) {
-	vRequests.counter(class).Inc()
-	vRequests.counter(Overall).Inc()
+	vRequests.With(class).Inc()
+	overallRequests.Inc()
 }
 
 // RecordAdmission counts one admitted request for the class and the overall
 // aggregate.
 func RecordAdmission(class string) {
-	vAdmitted.counter(class).Inc()
-	vAdmitted.counter(Overall).Inc()
+	vAdmitted.With(class).Inc()
+	overallAdmitted.Inc()
 }
 
 // SetClassAP publishes a class's admission probability from the most recent
 // run.
-func SetClassAP(class string, ap float64) { vAP.gauge(class).Set(ap) }
+func SetClassAP(class string, ap float64) { vAP.With(class).Set(ap) }
 
 // SetClassTightness publishes a class's worst measured/bound delay ratio
 // from the most recent calibration.
-func SetClassTightness(class string, ratio float64) { vTightness.gauge(class).Set(ratio) }
+func SetClassTightness(class string, ratio float64) { vTightness.With(class).Set(ratio) }
 
 // SetJainFairness publishes the Jain index over per-class APs.
 func SetJainFairness(v float64) { gJain.Set(v) }
