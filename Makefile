@@ -21,8 +21,8 @@ $(FAFVET): FORCE
 	$(GO) build -o $(FAFVET) ./cmd/fafvet
 FORCE:
 
-# Standard vet plus this repository's analyzer suite (unitcheck, floatcmp,
-# epslit, randsrc, desorder, locks, golife, errdrop, hotpath — see README
+# Standard vet plus this repository's seven-analyzer suite (unitcheck,
+# floatcmp, epslit, randsrc, desorder, locks, errdrop — see README
 # "Static analysis & unit conventions"). fafvet's driver mode re-invokes go
 # vet against itself and aggregates diagnostics across packages; the tree
 # carries zero findings, and //lint:allow is the only waiver.

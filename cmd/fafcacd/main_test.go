@@ -10,6 +10,7 @@ import (
 	"os"
 	"os/exec"
 	"path/filepath"
+	"runtime"
 	"strings"
 	"syscall"
 	"testing"
@@ -233,6 +234,37 @@ func TestAuditLogFlagWritesRecords(t *testing.T) {
 	}
 	if n != 1 {
 		t.Errorf("got %d audit records, want 1", n)
+	}
+}
+
+// TestServeStopsEveryGoroutine runs the daemon with both surfaces that
+// start goroutines of their own, the metrics listener and the async audit
+// writer, drives one admit and one scrape, cancels, and requires the
+// goroutine count back at its starting value: serve joins all it starts.
+func TestServeStopsEveryGoroutine(t *testing.T) {
+	before := runtime.NumGoroutine()
+	d := startDaemon(t, serveConfig{MetricsAddr: "127.0.0.1:0", AuditLog: filepath.Join(t.TempDir(), "audit.jsonl")})
+	if dec := admitV1(t, d.addrs.Signaling); !dec.Admitted {
+		t.Fatalf("rejected: %s", dec.Reason)
+	}
+	client := &http.Client{Transport: &http.Transport{DisableKeepAlives: true}}
+	resp, err := client.Get("http://" + d.addrs.Metrics + "/metrics")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := io.Copy(io.Discard, resp.Body); err != nil {
+		t.Fatal(err)
+	}
+	if err := resp.Body.Close(); err != nil {
+		t.Fatal(err)
+	}
+	d.shutdown(t)
+	for deadline := time.Now().Add(5 * time.Second); runtime.NumGoroutine() > before; time.Sleep(time.Millisecond) {
+		if time.Now().After(deadline) {
+			buf := make([]byte, 1<<20)
+			t.Fatalf("goroutine leak: %d before serve, %d after it returned\n%s",
+				before, runtime.NumGoroutine(), buf[:runtime.Stack(buf, true)])
+		}
 	}
 }
 

@@ -6,8 +6,6 @@ import (
 	"fafnet/internal/lint/epslit"
 	"fafnet/internal/lint/errdrop"
 	"fafnet/internal/lint/floatcmp"
-	"fafnet/internal/lint/golife"
-	"fafnet/internal/lint/hotpath"
 	"fafnet/internal/lint/locks"
 	"fafnet/internal/lint/randsrc"
 	"fafnet/internal/lint/unitcheck"
@@ -25,8 +23,6 @@ func suite() []*lint.Analyzer {
 		randsrc.Analyzer,
 		desorder.Analyzer,
 		locks.Analyzer,
-		golife.Analyzer,
 		errdrop.Analyzer,
-		hotpath.Analyzer,
 	}
 }

@@ -11,23 +11,21 @@
 //	bin/fafvet ./...
 //	bin/fafvet -format=sarif -o fafvet.sarif ./...
 //
-// It bundles nine analyzers that enforce the correctness conventions the
+// It bundles seven analyzers that enforce the correctness conventions the
 // Go type system cannot see (README "Static analysis & unit conventions"):
 //
 //	unitcheck    dimensional consistency of float64 seconds/bits/bps, by name
 //	             and by dataflow through per-package facts
 //	floatcmp     no exact ==/<=/>= between computed physical quantities
 //	epslit       no raw tolerance/physical-constant literals
-//	randsrc      no unseeded randomness or wall-clock reads in simulators, no
-//	             function-style sync/atomic anywhere (typed atomics only)
+//	randsrc      no unseeded randomness or wall-clock reads in simulators and
+//	             the analysis, no function-style sync/atomic anywhere (typed
+//	             atomics only)
 //	desorder     no goroutines/channels/sleeps/global writes in DES handlers
 //	locks        locks are leaves (no mutex acquired while another is held),
 //	             no blocking calls under a lock, and "guarded by <mu>"
 //	             annotations hold at every access
-//	golife       every goroutine has a provable stop path
 //	errdrop      no dropped errors on audit, deadline, flush or release calls
-//	hotpath      //fafvet:hotpath functions are transitively allocation-,
-//	             blocking- and wall-clock-free
 //
 // -analyzers prints the machine-readable inventory (name, doc line, exported
 // fact types) as JSON. Individual analyzers can be disabled with

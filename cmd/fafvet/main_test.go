@@ -256,20 +256,6 @@ func Bad(t *state.Table) int { return t.Rows["x"] }
 		want: "accessed without holding",
 	},
 	{
-		name:     "golife unjoined goroutine",
-		analyzer: "golife",
-		files: map[string]string{"internal/daemon/bad.go": `package daemon
-
-func Watch() {
-	go func() {
-		for {
-		}
-	}()
-}
-`},
-		want: "no provable stop path",
-	},
-	{
 		// errdrop matches obs.AuditLog by its module path, so the scratch
 		// module (named fafnet) can pose its own.
 		name:     "errdrop dropped audit sync",
@@ -295,37 +281,17 @@ func Stop(l *obs.AuditLog) {
 		want: "the error from (obs.AuditLog).Sync is dropped",
 	},
 	{
-		name:     "hotpath allocation on an annotated path",
-		analyzer: "hotpath",
-		files: map[string]string{"internal/hot/bad.go": `package hot
+		// The analysis packages are in the determinism scope too: a bound
+		// that reads the wall clock is not reproducible.
+		name:     "randsrc wall clock in traffic",
+		analyzer: "randsrc",
+		files: map[string]string{"internal/traffic/bad.go": `package traffic
 
-//fafvet:hotpath
-func Eval(xs []float64) []float64 {
-	return append(xs, 1)
-}
+import "time"
+
+func stamp() float64 { return float64(time.Now().UnixNano()) }
 `},
-		want: "append may grow its backing array",
-	},
-	{
-		// hotpath needs two packages here: the callee is unproven because
-		// package k exports no clean fact for it.
-		name:     "hotpath cross-package unproven callee",
-		analyzer: "hotpath",
-		files: map[string]string{
-			"internal/k/k.go": `package k
-
-// Build allocates.
-func Build(n int) []float64 { return make([]float64, n) }
-`,
-			"internal/hot/bad.go": `package hot
-
-import "fafnet/internal/k"
-
-//fafvet:hotpath
-func Eval() float64 { return k.Build(1)[0] }
-`,
-		},
-		want: "is not proven hot-path-safe",
+		want: "time.Now reads the wall clock",
 	},
 	{
 		name:     "randsrc function-style atomic beside a plain read",

@@ -10,11 +10,8 @@ import (
 // TestWarmProbeEvaluationAllocationFree pins the probe session's warm reset
 // path: after the first probe has built the scratch evaluation, preparing
 // the next probe (revalidating the allocation, clearing the memo maps, and
-// re-seeding the probe-invariant results) must not allocate. The reseed
-// method carries a //fafvet:hotpath annotation, so the static analyzer
-// proves the same property at build time; this test catches dynamic
-// regressions the analyzer cannot see, such as map re-seeding outgrowing
-// the buckets retained by clear().
+// re-seeding the probe-invariant results) must not allocate — including
+// map re-seeding outgrowing the buckets retained by clear().
 func TestWarmProbeEvaluationAllocationFree(t *testing.T) {
 	ctl := loadedController(t)
 	existing := ctl.Connections()

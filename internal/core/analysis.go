@@ -522,11 +522,9 @@ func (ev *evaluation) fold(c *Connection, to int, bd *Breakdown, limit float64, 
 
 // enteringHit answers an entering query from the memo or, for the first
 // port, from the record's sender-allocation entry. Nearly every envelope
-// query of a warm probe lands here, so the hotpath analyzer proves it
-// allocation-free and non-blocking; the fold behind it, entered once per
+// query of a warm probe lands here, so it must not allocate
+// (TestWarmEvaluationRunsNoAnalysis); the fold behind it, entered once per
 // (connection, allocation), allocates by design.
-//
-//fafvet:hotpath
 func (ev *evaluation) enteringHit(c *Connection, k int) (*traffic.Flat, bool) {
 	key := hopKey{conn: c, hop: k - 1}
 	if f := ev.memo[key].out; f != nil || k != 1 {
@@ -845,8 +843,6 @@ func (ev *evaluation) breakdown(c *Connection, n need) (Breakdown, error) {
 // breakdown this is Total with the missing terms zeroed. Rounded addition is
 // monotone in each argument and no server delay is negative, so that value is
 // at most the eventual Total — exactly, not to a tolerance.
-//
-//fafvet:hotpath
 func (bd *Breakdown) sum() float64 {
 	t := bd.SrcMAC + bd.Shaper + bd.Constant + bd.DstMAC
 	for _, pd := range bd.Ports {

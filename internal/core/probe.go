@@ -339,12 +339,9 @@ func (s *ProbeSession) evaluation(hs, hr float64) (*evaluation, error) {
 // reseed clears the scratch evaluation's memo maps and re-seeds them with
 // the session's probe-invariant results: untainted port delays and unaffected
 // end-to-end delays. It runs once per probe — up to 2·SearchIters + 4 times
-// per admission request — and touches only preallocated state, so it is
-// annotated: the hotpath analyzer proves it allocation-free, non-blocking and
-// deterministic (the map re-seeding loop is a per-key transfer, which is
-// iteration-order-safe).
-//
-//fafvet:hotpath
+// per admission request — and touches only preallocated state, so it must
+// not allocate (TestWarmProbeEvaluationAllocationFree). The map re-seeding
+// loop is a per-key transfer, which is iteration-order-safe.
 func (s *ProbeSession) reseed() {
 	ev := s.scratch
 	clear(ev.portDelay)

@@ -2,6 +2,7 @@ package core
 
 import (
 	"math"
+	"strings"
 	"testing"
 
 	"fafnet/internal/des"
@@ -60,6 +61,35 @@ func TestFeasibleRegionConvexity(t *testing.T) {
 					feasible[i][0], feasible[i][1], feasible[j][0], feasible[j][1], midHS, midHR)
 			}
 		}
+	}
+}
+
+// TestFeasibleAllocationStructuralErrors: a request the analysis cannot
+// evaluate is an error, not "infeasible" — the same answer RequestAdmission
+// gives for it.
+func TestFeasibleAllocationStructuralErrors(t *testing.T) {
+	ctl := loadedController(t)
+	_, hsMax := ctl.RingLedger(0)
+	_, hrMax := ctl.RingLedger(1)
+	fresh := testSpec(t, "probe", 0, 0, 1, 0)
+	foreign := fresh
+	foreign.Source = unlowerable{fresh.Source}
+	for _, tc := range []struct {
+		name   string
+		spec   ConnSpec
+		hs, hr float64
+		want   string
+	}{
+		{"id already admitted", testSpec(t, "bg0", 0, 0, 1, 0), hsMax / 2, hrMax / 2, "duplicate connection id"},
+		{"no sender allocation", fresh, 0, hrMax / 2, "no sender allocation"},
+		{"source with no flat lowering", foreign, hsMax / 2, hrMax / 2, "no lowering"},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			ok, err := ctl.FeasibleAllocation(tc.spec, tc.hs, tc.hr)
+			if err == nil || !strings.Contains(err.Error(), tc.want) {
+				t.Fatalf("FeasibleAllocation = (%v, %v), want an error containing %q", ok, err, tc.want)
+			}
+		})
 	}
 }
 

@@ -621,7 +621,10 @@ func (p *Sharded) BreakdownFor(id string) (Breakdown, error) {
 
 // FeasibleAllocation reports whether granting (hs, hr) to the candidate
 // would satisfy every deadline (Eq. 24–25), without admitting anything.
-// It exists for feasible-region exploration (Theorems 3–4) and testing.
+// It exists for feasible-region exploration (Theorems 3–4) and testing. A
+// request the analysis cannot evaluate (an id already admitted, no sender
+// allocation, a source with no flat lowering) is an error, as it is for
+// RequestAdmission; an allocation with no finite bound is infeasible.
 func (p *Sharded) FeasibleAllocation(spec ConnSpec, hs, hr float64) (bool, error) {
 	if err := spec.Validate(); err != nil {
 		return false, err
@@ -638,9 +641,7 @@ func (p *Sharded) FeasibleAllocation(spec ConnSpec, hs, hr float64) (bool, error
 	defer p.releaseLane(an)
 	delays, err := an.Delays(conns)
 	if err != nil {
-		// Structural errors cannot occur for specs validated above; treat
-		// defensively as infeasible.
-		return false, nil
+		return false, err
 	}
 	return meetsDeadlines(snap.conns, cand, delays), nil
 }

@@ -379,11 +379,11 @@ func TestShardedVerdictCacheRecurrence(t *testing.T) {
 	}
 	// Return the lane once each of the ten goroutines is parked in analyze
 	// (the leader on the lane, the followers on its entry) or has returned.
+	// The wait is bounded by a count of 1 ms sleeps, about ten seconds: the
+	// analysis packages read no wall clock, their tests included.
 	const goroutines = 10
-	for deadline := time.Now().Add(10 * time.Second); time.Now().Before(deadline); time.Sleep(time.Millisecond) {
-		if inAnalyze()+int(finished.Load()) >= goroutines {
-			break
-		}
+	for wait := 0; wait < 10_000 && inAnalyze()+int(finished.Load()) < goroutines; wait++ {
+		time.Sleep(time.Millisecond)
 	}
 	cold.releaseLane(lane)
 	wg.Wait()

@@ -65,8 +65,6 @@ type MACResult struct {
 //	avail(t) = max(0, (⌊t/TTRT⌋ − 1)·H·BW)
 //
 // The "−1" accounts for the token being up to a full rotation away.
-//
-//fafvet:hotpath
 func (p MACParams) Avail(t float64) float64 {
 	if t <= 0 {
 		return 0
@@ -203,16 +201,12 @@ func DelayBound(in traffic.Descriptor, p MACParams) (bound float64, ok bool) {
 // paddedLine returns the line σ + ρ·t DelayBound stands on: in's burst bound
 // and long-term rate, each padded by boundPad, so that every computed
 // envelope value is under it.
-//
-//fafvet:hotpath
 func paddedLine(in traffic.Descriptor) (sigma, rho float64) {
 	return traffic.BurstBound(in) * (1 + boundPad), in.LongTermRate() * (1 + boundPad)
 }
 
 // closedFormBound is DelayBound's arithmetic on the padded line, svc and
 // TTRT.
-//
-//fafvet:hotpath
 func closedFormBound(sigma, rho, svc, ttrt float64) (float64, bool) {
 	margin := svc - rho*ttrt
 	if math.IsInf(sigma, 0) || math.IsNaN(sigma) || !(margin > 0) {

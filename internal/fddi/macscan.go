@@ -17,12 +17,10 @@ import (
 // most one rotation) rather than Ceil so float rounding can never overshoot
 // a true crossing; the result is identical to the rotation-by-rotation
 // scan. ok is false when no crossing exists within maxRot rotations; the
-// caller owns the error formatting, keeping this scan on the annotated
-// hot path. evals reports the number of envelope evaluations performed —
+// caller owns the error formatting, keeping this scan allocation-free
+// (TestScanMACAllocationFree). evals reports the number of envelope evaluations performed —
 // returned by value rather than accumulated through a pointer so the
 // caller's counter is not forced onto the heap.
-//
-//fafvet:hotpath
 func busyInterval(in traffic.Descriptor, svc, ttrt float64, maxRot int) (busy float64, evals int, ok bool) {
 	for k := 1; ; {
 		if k > maxRot {
@@ -54,8 +52,6 @@ func busyInterval(in traffic.Descriptor, svc, ttrt float64, maxRot int) (busy fl
 // falling in t, so neither search reads past the time where its line meets
 // the maximum found (DESIGN.md §7.2, rule 2; delayStop and backlogStop).
 // The scan holds no buffer: on a flat input it allocates nothing.
-//
-//fafvet:hotpath
 func scanMAC(in traffic.Descriptor, p MACParams, busy float64, backlog bool) (backlogBits, delay float64, evals int) {
 	s := newMACScan(in, p, busy)
 	backlogBits = math.NaN()

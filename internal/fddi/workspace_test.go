@@ -68,7 +68,8 @@ func TestAnalyzeMACBeyondFlatWindow(t *testing.T) {
 // TestScanMACAllocationFree holds the busy-interval search plus the Theorem 1
 // level and rotation searches at zero allocations, delay-only (what every
 // probe runs) and with the backlog, over a shallow busy interval, one of a
-// dozen rotations and a deep one that runs far past the flat's window.
+// dozen rotations and a deep one that runs far past the flat's window; and
+// the closed-form bound every bisection probe tries before it scans.
 func TestScanMACAllocationFree(t *testing.T) {
 	chain, flat, deep := deepInput(t)
 	hMin := chain.LongTermRate() * deep.Ring.TTRT / deep.Ring.BandwidthBps
@@ -76,6 +77,9 @@ func TestScanMACAllocationFree(t *testing.T) {
 	first := MACParams{Ring: deep.Ring, H: 1.2 * hMin}
 	for _, in := range []traffic.Descriptor{chain, flat} {
 		for _, p := range []MACParams{shallow, first, deep} {
+			if avg := testing.AllocsPerRun(20, func() { DelayBound(in, p) }); avg != 0 {
+				t.Errorf("DelayBound over %T at H=%v allocates %v times per run", in, p.H, avg)
+			}
 			busy, _, ok := busyInterval(in, p.RotationServiceBits(), p.Ring.TTRT, maxBusyRotations)
 			if !ok {
 				t.Fatal("no busy interval")

@@ -28,7 +28,6 @@ import (
 	"strings"
 
 	"fafnet/internal/lint"
-	"fafnet/internal/lint/heldset"
 )
 
 // Analyzer is the dropped-error check.
@@ -127,7 +126,7 @@ func checkDrop(pass *lint.Pass, call *ast.CallExpr, opened map[*types.Var]bool) 
 	case isModuleRelease(fn):
 		pass.Reportf(call.Pos(), "the bool from %s.Release is dropped; an unmatched release silently corrupts synchronous-bandwidth bookkeeping — check it, or waive with //lint:allow errdrop <reason>", receiverName(fn))
 	case isOSFileMethod(fn) && (name == "Close" || name == "Sync"):
-		if v := heldset.ResolveVar(pass.TypesInfo, sel.X); v != nil && opened[v] {
+		if v := lint.ResolveVar(pass.TypesInfo, sel.X); v != nil && opened[v] {
 			pass.Reportf(call.Pos(), "the error from (*os.File).%s on a file this function opened for writing is dropped; a failed flush loses buffered bytes — handle it, or waive with //lint:allow errdrop <reason>", name)
 		}
 	}
@@ -141,7 +140,7 @@ func lhsVar(info *types.Info, x ast.Expr) *types.Var {
 			return v
 		}
 	}
-	return heldset.ResolveVar(info, x)
+	return lint.ResolveVar(info, x)
 }
 
 // isOSOpen matches os.Create and os.OpenFile calls.

@@ -274,6 +274,25 @@ func CalleeFunc(info *types.Info, call *ast.CallExpr) *types.Func {
 	return fn
 }
 
+// ResolveVar identifies the variable or field object behind an expression
+// (mu, s.mu, a.b.mu), or nil.
+func ResolveVar(info *types.Info, x ast.Expr) *types.Var {
+	switch x := ast.Unparen(x).(type) {
+	case *ast.Ident:
+		v, _ := info.Uses[x].(*types.Var)
+		return v
+	case *ast.SelectorExpr:
+		if sel, ok := info.Selections[x]; ok {
+			v, _ := sel.Obj().(*types.Var)
+			return v
+		}
+		// Qualified package-level variable (pkg.Var).
+		v, _ := info.Uses[x.Sel].(*types.Var)
+		return v
+	}
+	return nil
+}
+
 // SortDiagnostics orders diagnostics by (file, line, column, analyzer,
 // message) — the canonical emission order for every fafvet output format.
 func SortDiagnostics(ds []Diagnostic) {

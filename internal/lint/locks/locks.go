@@ -9,10 +9,10 @@
 // core.Sharded calls its audit callback under commitMu — and the analyzer
 // does not follow function values (DESIGN.md §4).
 //
-// Each function is walked once in statement order by the shared heldset
-// engine. The walk starts from the function's inferred held set: a fixpoint
-// over same-package call sites finds, for each unexported function never
-// used as a value, the locks held at every call site, so a helper like
+// Each function is walked once in statement order by the held-set engine
+// (heldset.go). The walk starts from the function's inferred held set: a
+// fixpoint over same-package call sites finds, for each unexported function
+// never used as a value, the locks held at every call site, so a helper like
 // closeLocked is checked as the locked code it is. Same-package calls apply
 // the callee's transitive summary (which mutexes it may lock, whether it may
 // block); calls into other module packages apply the {Locks, Blocks} fact
@@ -30,7 +30,6 @@ import (
 	"strings"
 
 	"fafnet/internal/lint"
-	"fafnet/internal/lint/heldset"
 )
 
 // Analyzer reports nested acquisitions, blocking under a lock and unguarded
@@ -85,7 +84,7 @@ func run(pass *lint.Pass) error {
 		blocks:       make(map[*types.Func]bool),
 		annots:       make(map[*types.Var]*types.Var),
 		foreign:      make(map[*types.Var]*types.Var),
-		requiredHeld: make(map[*types.Func]heldset.Held),
+		requiredHeld: make(map[*types.Func]heldSet),
 	}
 	for _, f := range pass.Files {
 		for _, d := range f.Decls {
@@ -128,7 +127,7 @@ type checker struct {
 	valueRefs map[*types.Func]bool
 	// requiredHeld is the inferred initial held set per function: the locks
 	// held at every observed call site.
-	requiredHeld map[*types.Func]heldset.Held
+	requiredHeld map[*types.Func]heldSet
 }
 
 // isMutex reports whether t is (a pointer to) sync.Mutex or sync.RWMutex.
@@ -312,23 +311,23 @@ func (c *checker) summarize() {
 	for fn, fd := range c.decls {
 		acq := make(map[*types.Var]bool)
 		calls := make(map[*types.Func]bool)
-		heldset.InspectSkippingGo(fd.Body, func(n ast.Node) {
+		inspectSkippingGo(fd.Body, func(n ast.Node) {
 			switch n := n.(type) {
 			case *ast.CallExpr:
-				if mv, op := heldset.MutexOp(info, n); mv != nil && (op == "Lock" || op == "RLock") {
+				if mv, op := mutexOp(info, n); mv != nil && (op == "Lock" || op == "RLock") {
 					acq[mv] = true
 				} else if g := c.calleeIn(n); g != nil {
 					calls[g] = true
 				} else if ff, ok := c.importedFact(n); ok {
 					c.locksX[fn] = c.locksX[fn] || ff.Locks
 					c.blocks[fn] = c.blocks[fn] || ff.Blocks
-				} else if heldset.BlockingCall(info, n) != "" {
+				} else if blockingCall(info, n) != "" {
 					c.blocks[fn] = true
 				}
 			case *ast.SendStmt:
 				c.blocks[fn] = true
 			case *ast.SelectStmt:
-				if !heldset.HasDefaultClause(n.Body) {
+				if !hasDefaultClause(n.Body) {
 					c.blocks[fn] = true
 				}
 			case *ast.UnaryExpr:
@@ -366,7 +365,7 @@ func (c *checker) summarize() {
 // factKey names a function in its package's fact file: "Func" or
 // "Type.Method".
 func factKey(fn *types.Func) string {
-	if recv := heldset.ReceiverNamed(fn); recv != "" {
+	if recv := receiverNamed(fn); recv != "" {
 		return recv + "." + fn.Name()
 	}
 	return fn.Name()
@@ -381,7 +380,7 @@ func (c *checker) exportFacts() {
 		if !fn.Exported() {
 			continue
 		}
-		if recv := heldset.ReceiverNamed(fn); recv != "" && !token.IsExported(recv) {
+		if recv := receiverNamed(fn); recv != "" && !token.IsExported(recv) {
 			continue
 		}
 		ff := funcFact{Locks: len(c.acquires[fn]) > 0 || c.locksX[fn], Blocks: c.blocks[fn]}
@@ -484,12 +483,12 @@ func (c *checker) collectValueRefs() {
 // iteration terminates).
 func (c *checker) inferRequiredHeld() {
 	for {
-		calleeHeld := make(map[*types.Func]heldset.Held)
+		calleeHeld := make(map[*types.Func]heldSet)
 		sawCall := make(map[*types.Func]bool)
-		intersect := func(fn *types.Func, held heldset.Held) {
+		intersect := func(fn *types.Func, held heldSet) {
 			if !sawCall[fn] {
 				sawCall[fn] = true
-				calleeHeld[fn] = held.Clone()
+				calleeHeld[fn] = held.clone()
 				return
 			}
 			cur := calleeHeld[fn]
@@ -499,9 +498,9 @@ func (c *checker) inferRequiredHeld() {
 				}
 			}
 		}
-		c.walkAll(&heldset.Config{
+		c.walkAll(&walkConfig{
 			Info: c.pass.TypesInfo,
-			OnCall: func(call *ast.CallExpr, held heldset.Held) {
+			OnCall: func(call *ast.CallExpr, held heldSet) {
 				if g := c.calleeIn(call); g != nil {
 					intersect(g, held)
 				}
@@ -510,15 +509,15 @@ func (c *checker) inferRequiredHeld() {
 				// A spawned function starts on a fresh stack: its effective
 				// call-site held set is empty.
 				if fn := c.calleeIn(g.Call); fn != nil {
-					intersect(fn, heldset.Held{})
+					intersect(fn, heldSet{})
 				}
 			},
 		})
 		changed := false
 		for fn := range c.decls {
-			var next heldset.Held
+			var next heldSet
 			if fn.Exported() || c.valueRefs[fn] || !sawCall[fn] {
-				next = heldset.Held{}
+				next = heldSet{}
 			} else {
 				next = calleeHeld[fn]
 			}
@@ -535,14 +534,14 @@ func (c *checker) inferRequiredHeld() {
 
 // walkAll runs the held-set walker over every declared function in source
 // order, seeding each with its inferred initial held set.
-func (c *checker) walkAll(cfg *heldset.Config) {
+func (c *checker) walkAll(cfg *walkConfig) {
 	fns := make([]*types.Func, 0, len(c.decls))
 	for fn := range c.decls {
 		fns = append(fns, fn)
 	}
 	sort.Slice(fns, func(i, j int) bool { return c.decls[fns[i]].Pos() < c.decls[fns[j]].Pos() })
 	for _, fn := range fns {
-		heldset.Walk(cfg, c.decls[fn].Body, c.requiredHeld[fn])
+		walkHeld(cfg, c.decls[fn].Body, c.requiredHeld[fn])
 	}
 }
 
@@ -560,28 +559,28 @@ func (c *checker) calleeIn(call *ast.CallExpr) *types.Func {
 
 // report is the one checking walk per function.
 func (c *checker) report() {
-	c.walkAll(&heldset.Config{
+	c.walkAll(&walkConfig{
 		Info: c.pass.TypesInfo,
-		OnAcquire: func(call *ast.CallExpr, mv *types.Var, display string, held heldset.Held) {
+		OnAcquire: func(call *ast.CallExpr, mv *types.Var, display string, held heldSet) {
 			if heldAs, ok := held[mv]; ok {
 				c.pass.Reportf(call.Pos(), "%s acquired while %s is already held; sync mutexes are not reentrant — this deadlocks at runtime", display, heldAs)
 			} else if len(held) > 0 {
 				c.pass.Reportf(call.Pos(), "%s acquired while %s is held; locks are leaves: release it first", display, names(held))
 			}
 		},
-		OnBlocking: func(pos token.Pos, what string, held heldset.Held) {
+		OnBlocking: func(pos token.Pos, what string, held heldSet) {
 			if len(held) > 0 {
 				c.pass.Reportf(pos, "%s while %s is held; a blocked peer keeps the lock and stalls every contender", what, names(held))
 			}
 		},
 		OnCall: c.applyCallee,
-		OnUse: func(x ast.Expr, v *types.Var, held heldset.Held) {
+		OnUse: func(x ast.Expr, v *types.Var, held heldSet) {
 			gv := c.guardFor(v)
 			if gv == nil {
 				return
 			}
 			if _, ok := held[gv]; !ok {
-				c.pass.Reportf(x.Pos(), "%s accessed without holding %s (annotated: guarded by %s); acquire the lock, or reach this only from functions called with it held", heldset.ExprDisplay(x), gv.Name(), gv.Name())
+				c.pass.Reportf(x.Pos(), "%s accessed without holding %s (annotated: guarded by %s); acquire the lock, or reach this only from functions called with it held", exprDisplay(x), gv.Name(), gv.Name())
 			}
 		},
 	})
@@ -589,7 +588,7 @@ func (c *checker) report() {
 
 // applyCallee checks a call made with locks held against the callee's
 // summary: a same-package declaration's, or another module package's fact.
-func (c *checker) applyCallee(call *ast.CallExpr, held heldset.Held) {
+func (c *checker) applyCallee(call *ast.CallExpr, held heldSet) {
 	if len(held) == 0 {
 		return
 	}
@@ -611,7 +610,7 @@ func (c *checker) applyCallee(call *ast.CallExpr, held heldset.Held) {
 	} else {
 		return
 	}
-	display := heldset.ExprDisplay(call.Fun)
+	display := exprDisplay(call.Fun)
 	sort.Strings(reentered)
 	for _, heldAs := range reentered {
 		c.pass.Reportf(call.Pos(), "call to %s (re)acquires %s, which is already held here; sync mutexes are not reentrant — this deadlocks at runtime", display, heldAs)
@@ -630,6 +629,6 @@ func (c *checker) applyCallee(call *ast.CallExpr, held heldset.Held) {
 }
 
 // names lists the held locks by the names they were locked under.
-func names(held heldset.Held) string {
-	return strings.Join(held.Sorted(), ", ")
+func names(held heldSet) string {
+	return strings.Join(held.sorted(), ", ")
 }

@@ -23,8 +23,9 @@ var Analyzer = &lint.Analyzer{
 	Doc: `forbid global math/rand and time.Now in simulators, function-style sync/atomic everywhere
 
 Inside internal/des, internal/sim, internal/packetsim, internal/workload,
-internal/atm, internal/fddi, internal/tokenring, internal/ifdev and
-internal/shaper, every variate must be drawn from a seeded des.RNG and
+internal/atm, internal/fddi, internal/tokenring, internal/ifdev,
+internal/shaper, internal/traffic, internal/core and internal/units, every
+variate must be drawn from a seeded des.RNG and
 simulation time must come from the DES clock (Simulator.Now). The analyzer
 reports any use of math/rand package-level functions (except the New*
 constructors, which build seeded generators) and any use of time.Now.
@@ -36,7 +37,8 @@ atomic.Pointer[T]) has no plain access to mix in.`,
 }
 
 // scopes are the package-path prefixes the determinism rule covers: every
-// package that runs a simulator or feeds one its seeded streams.
+// package that runs a simulator or feeds one its seeded streams, and the
+// analysis packages whose bounds must not depend on when they are computed.
 var scopes = []string{
 	"fafnet/internal/des",
 	"fafnet/internal/sim",
@@ -47,6 +49,9 @@ var scopes = []string{
 	"fafnet/internal/tokenring",
 	"fafnet/internal/ifdev",
 	"fafnet/internal/shaper",
+	"fafnet/internal/traffic",
+	"fafnet/internal/core",
+	"fafnet/internal/units",
 }
 
 // allowedRand are math/rand package-level constructors that produce a

@@ -3,8 +3,10 @@ package obs
 import (
 	"bytes"
 	"fmt"
+	"runtime"
 	"sync"
 	"testing"
+	"time"
 )
 
 // gatedBuffer is an in-memory audit sink whose writes can be held at a
@@ -173,5 +175,33 @@ func TestAsyncAuditGroupSyncCounts(t *testing.T) {
 	}
 	if syncs >= written {
 		t.Fatalf("%d syncs for %d records — no grouping happened", syncs, written)
+	}
+}
+
+// TestAsyncAuditCloseStopsWriter requires the writer goroutine gone once
+// Close returns, after records, a flush and a full queue's backpressure.
+func TestAsyncAuditCloseStopsWriter(t *testing.T) {
+	before := runtime.NumGoroutine()
+	w := NewAsyncAuditWriter(NewAuditLog(&bytes.Buffer{}), 2, true)
+	for i := 0; i < 8; i++ {
+		w.Enqueue(sampleRecord())
+	}
+	w.Flush()
+	closed := make(chan error, 1)
+	go func() { closed <- w.Close() }()
+	select {
+	case err := <-closed:
+		if err != nil {
+			t.Fatal(err)
+		}
+	case <-time.After(5 * time.Second):
+		t.Fatal("Close did not return: the writer goroutine never stopped")
+	}
+	for deadline := time.Now().Add(5 * time.Second); runtime.NumGoroutine() > before; time.Sleep(time.Millisecond) {
+		if time.Now().After(deadline) {
+			buf := make([]byte, 1<<20)
+			t.Fatalf("goroutine leak: %d before the writer, %d after Close\n%s",
+				before, runtime.NumGoroutine(), buf[:runtime.Stack(buf, true)])
+		}
 	}
 }

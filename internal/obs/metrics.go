@@ -17,18 +17,12 @@ import (
 type Counter struct{ v atomic.Uint64 }
 
 // Inc adds one.
-//
-//fafvet:hotpath
 func (c *Counter) Inc() { c.v.Add(1) }
 
 // Add adds n.
-//
-//fafvet:hotpath
 func (c *Counter) Add(n uint64) { c.v.Add(n) }
 
 // Value returns the current count.
-//
-//fafvet:hotpath
 func (c *Counter) Value() uint64 { return c.v.Load() }
 
 // A Gauge is a float64 metric that can go up and down. All methods are safe
@@ -36,13 +30,9 @@ func (c *Counter) Value() uint64 { return c.v.Load() }
 type Gauge struct{ bits atomic.Uint64 }
 
 // Set stores v.
-//
-//fafvet:hotpath
 func (g *Gauge) Set(v float64) { g.bits.Store(math.Float64bits(v)) }
 
 // Add adds v (which may be negative) with a compare-and-swap loop.
-//
-//fafvet:hotpath
 func (g *Gauge) Add(v float64) {
 	for {
 		old := g.bits.Load()
@@ -53,8 +43,6 @@ func (g *Gauge) Add(v float64) {
 }
 
 // Value returns the current value.
-//
-//fafvet:hotpath
 func (g *Gauge) Value() float64 { return math.Float64frombits(g.bits.Load()) }
 
 // A Histogram counts observations into fixed buckets and tracks their sum.
@@ -68,8 +56,6 @@ type Histogram struct {
 }
 
 // Observe records one value.
-//
-//fafvet:hotpath
 func (h *Histogram) Observe(v float64) {
 	i := 0
 	for i < len(h.upper) && v > h.upper[i] {
@@ -86,13 +72,9 @@ func (h *Histogram) Observe(v float64) {
 }
 
 // Count returns the number of observations.
-//
-//fafvet:hotpath
 func (h *Histogram) Count() uint64 { return h.count.Load() }
 
 // Sum returns the sum of all observed values.
-//
-//fafvet:hotpath
 func (h *Histogram) Sum() float64 { return math.Float64frombits(h.sumBits.Load()) }
 
 // LatencyBuckets returns the registry's default 1–2.5–5 decade grid for

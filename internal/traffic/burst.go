@@ -29,8 +29,6 @@ import "math"
 //
 // BurstBound serves the closed-form Theorem 1 bound a bisection probe tries
 // before it builds a candidate grid, so it sits on the probe's hot path.
-//
-//fafvet:hotpath
 func BurstBound(d Descriptor) float64 {
 	switch v := d.(type) {
 	case *Flat:

@@ -79,8 +79,6 @@ func (f *Flat) Tail() Descriptor { return f.tail }
 // Bits implements Descriptor: locate the segment whose half-open interval
 // (ts[i], ts[i+1]] contains t, then one fused multiply-add. The cursor hint
 // makes ascending scans O(1) amortized; a miss falls back to binary search.
-//
-//fafvet:hotpath
 func (f *Flat) Bits(t float64) float64 {
 	if t <= 0 {
 		return 0
@@ -94,8 +92,6 @@ func (f *Flat) Bits(t float64) float64 {
 
 // seg returns the index of the segment containing t, for t in (0, horizon]:
 // the largest i with ts[i] < t.
-//
-//fafvet:hotpath
 func (f *Flat) seg(t float64) int {
 	n := len(f.ts)
 	if h := f.hint; h >= 0 && h < n && f.ts[h] < t {
@@ -128,8 +124,6 @@ func (f *Flat) LongTermRate() float64 { return f.rho }
 //
 // It is a binary search over the segments' end values, which the
 // nondecreasing array keeps sorted, and one division.
-//
-//fafvet:hotpath
 func (f *Flat) Crossing(y float64) (t, above float64, ok bool) {
 	n := len(f.ts)
 	if !(f.segEnd(n-1) > y) {
@@ -158,8 +152,6 @@ func (f *Flat) Crossing(y float64) (t, above float64, ok bool) {
 
 // segT1 returns the right end of segment i: the next breakpoint, or the
 // horizon for the last segment.
-//
-//fafvet:hotpath
 func (f *Flat) segT1(i int) float64 {
 	if i+1 < len(f.ts) {
 		return f.ts[i+1]
@@ -168,8 +160,6 @@ func (f *Flat) segT1(i int) float64 {
 }
 
 // segEnd returns A at the right end of segment i, as Bits computes it there.
-//
-//fafvet:hotpath
 func (f *Flat) segEnd(i int) float64 {
 	return endAt(f.ts, f.vs, f.ss, i, f.segT1(i))
 }
@@ -219,8 +209,6 @@ func Backlog(d Descriptor, rateBps, from, to float64) (busy, backlog float64, ok
 // n segments only (n <= Segments()): a prefix of a sum that is the whole
 // sum's bit for bit there answers as the whole sum would, wherever the
 // crossing lies inside it (Workspace.Backlog).
-//
-//fafvet:hotpath
 func (f *Flat) excess(rate float64, n int) (busy, peak float64, ok bool) {
 	for i := 0; i < n; i++ {
 		t0, s := f.ts[i], f.ss[i]
@@ -270,8 +258,6 @@ func (b *flatBuilder) add(t, v, s float64) {
 
 // endAt returns the value segment i of a breakpoint array reaches at t, in
 // Bits' own arithmetic.
-//
-//fafvet:hotpath
 func endAt(ts, vs, ss []float64, i int, t float64) float64 {
 	return vs[i] + ss[i]*(t-ts[i])
 }
@@ -285,8 +271,6 @@ func endAt(ts, vs, ss []float64, i int, t float64) float64 {
 // the segment's slope is lowered until it lands on v: the vertex keeps its
 // closed-form value, so no rounding carries into the next segment. Where v
 // lies below the start, the vertex is raised to the end.
-//
-//fafvet:hotpath
 func settle(ts, vs, ss []float64, i int, t, v float64) float64 {
 	end := endAt(ts, vs, ss, i, t)
 	if v >= end {
@@ -769,7 +753,7 @@ func (zeroDesc) LongTermRate() float64 { return 0 }
 
 // ensure grows the destination arrays to hold at least n breakpoints. It is
 // the cold half of the merge API: callers size the scratch here, then the
-// annotated kernels below run allocation-free.
+// kernels below run allocation-free.
 func (f *Flat) ensure(n int) {
 	if cap(f.ts) < n {
 		f.ts = make([]float64, 0, n)
@@ -807,8 +791,6 @@ func (dst *Flat) ensureTail(a, b *Flat) {
 // through it, so "the sum" of a member list has one association and one
 // interpolation — and runs on preallocated scratch: the caller has sized dst,
 // so the kernel only writes by index.
-//
-//fafvet:hotpath
 func mergeLinear(dst, a, b *Flat) {
 	h := math.Min(a.horizon, b.horizon)
 	na, nb := len(a.ts), len(b.ts)

@@ -21,14 +21,10 @@ type Descriptor interface {
 	//
 	// Bits is the inner loop of every server analysis and every admission
 	// probe; implementations must be allocation-free, non-blocking and
-	// deterministic (enforced transitively by the hotpath analyzer).
-	//
-	//fafvet:hotpath
+	// deterministic (TestSourceEvalAllocationFree runs every one).
 	Bits(interval float64) float64
 
 	// LongTermRate returns ρ = lim_{I→∞} Γ(I) in bits per second. It is the
 	// quantity every stability check compares against allocated capacity.
-	//
-	//fafvet:hotpath
 	LongTermRate() float64
 }

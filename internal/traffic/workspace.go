@@ -108,8 +108,6 @@ func (w *Workspace) reserve(flats []*Flat) bool {
 // prefixBacklog is Backlog's walk over the members cut past the line's end;
 // ok is false when the walk did not end inside the prefix the cut leaves
 // exact.
-//
-//fafvet:hotpath
 func (w *Workspace) prefixBacklog(flats []*Flat, rateBps float64) (busy, backlog float64, ok bool) {
 	var sigma, rho float64
 	for _, f := range flats {
@@ -130,8 +128,6 @@ func (w *Workspace) prefixBacklog(flats []*Flat, rateBps float64) (busy, backlog
 // first vertex past stop (whole when that is its last vertex, or there is
 // none), and returns the earliest vertex a member was cut at, +Inf when none
 // was. That vertex is also the sum's, when it lies inside the sum's window.
-//
-//fafvet:hotpath
 func (w *Workspace) cut(flats []*Flat, stop float64) (at float64) {
 	at = math.Inf(1)
 	for i, f := range flats {
@@ -148,8 +144,6 @@ func (w *Workspace) cut(flats []*Flat, stop float64) (at float64) {
 // fold merges the operands left to right into the sum arrays — the
 // association SumFlats takes, through the one merge kernel — and returns the
 // result. A single operand is copied by a merge with the zero flat.
-//
-//fafvet:hotpath
 func (w *Workspace) fold() *Flat {
 	acc := &w.views[0]
 	if len(w.views) == 1 {
