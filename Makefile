@@ -24,8 +24,9 @@ FORCE:
 # Standard vet plus this repository's seven-analyzer suite (unitcheck,
 # floatcmp, epslit, randsrc, desorder, locks, errdrop — see README
 # "Static analysis & unit conventions"). fafvet's driver mode re-invokes go
-# vet against itself and aggregates diagnostics across packages; the tree
-# carries zero findings, and //lint:allow is the only waiver.
+# vet against itself and aggregates diagnostics across packages; locks is
+# the one analyzer whose facts cross packages, and unitcheck reads names
+# only. The tree carries zero findings, and //lint:allow is the only waiver.
 vet: $(FAFVET)
 	$(GO) vet ./...
 	./$(FAFVET) ./...

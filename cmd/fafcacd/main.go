@@ -42,6 +42,7 @@ package main
 
 import (
 	"context"
+	"errors"
 	"expvar"
 	"flag"
 	"fmt"
@@ -168,19 +169,21 @@ func serve(ctx context.Context, cfg serveConfig, ready chan<- serveAddrs) error 
 		if err != nil {
 			return fmt.Errorf("metrics listener: %w", err)
 		}
+		metrics := &http.Server{Handler: metricsMux(ring)}
 		metricsDone := make(chan struct{})
 		defer func() {
-			// Closing the listener makes http.Serve return; waiting on the
-			// join channel means serve never leaves the metrics goroutine
-			// behind writing to a dead ring.
-			_ = ml.Close()
+			// Close shuts the listener and every open connection, a
+			// keep-alive scrape's included, so no connection goroutine
+			// outlives serve; waiting on the join channel means the accept
+			// loop is not left behind writing to a dead ring either.
+			_ = metrics.Close()
 			<-metricsDone
 		}()
 		addrs.Metrics = ml.Addr().String()
 		go func() {
 			defer close(metricsDone)
-			if err := http.Serve(ml, metricsMux(ring)); err != nil {
-				// The listener dying (e.g. at shutdown) must not kill the
+			if err := metrics.Serve(ml); !errors.Is(err, http.ErrServerClosed) {
+				// The listener dying before shutdown must not kill the
 				// daemon; admission service continues without metrics.
 				fmt.Fprintln(os.Stderr, "fafcacd: metrics server:", err)
 			}

@@ -247,8 +247,9 @@ func TestServeStopsEveryGoroutine(t *testing.T) {
 	if dec := admitV1(t, d.addrs.Signaling); !dec.Admitted {
 		t.Fatalf("rejected: %s", dec.Reason)
 	}
-	client := &http.Client{Transport: &http.Transport{DisableKeepAlives: true}}
-	resp, err := client.Get("http://" + d.addrs.Metrics + "/metrics")
+	// The default transport keeps the scrape's connection open: serve must
+	// close it, or its server-side goroutine outlives the daemon.
+	resp, err := http.Get("http://" + d.addrs.Metrics + "/metrics")
 	if err != nil {
 		t.Fatal(err)
 	}

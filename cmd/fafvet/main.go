@@ -14,8 +14,8 @@
 // It bundles seven analyzers that enforce the correctness conventions the
 // Go type system cannot see (README "Static analysis & unit conventions"):
 //
-//	unitcheck    dimensional consistency of float64 seconds/bits/bps, by name
-//	             and by dataflow through per-package facts
+//	unitcheck    dimensional consistency of float64 seconds/bits/bps, by the
+//	             names of variables, fields, parameters, results and callees
 //	floatcmp     no exact ==/<=/>= between computed physical quantities
 //	epslit       no raw tolerance/physical-constant literals
 //	randsrc      no unseeded randomness or wall-clock reads in simulators and

@@ -79,7 +79,7 @@ import "time"
 
 func Stamp() int64 { return time.Now().UnixNano() }
 `},
-		want: "time.Now reads the wall clock in a simulation package",
+		want: "time.Now reads the wall clock, which no seeded replay reproduces",
 	},
 	{
 		name:     "epslit raw tolerance literal",
@@ -109,28 +109,24 @@ func Sum(delay, rateBps float64) float64 { return delay + rateBps }
 		want: "cross-dimension addition",
 	},
 	{
-		// Two packages: the unit of Span's result is only known through the
-		// fact file exported when vetting package a.
-		name:     "flowdims cross-package unit flow",
+		// Two packages: the parameter's name travels in a's export data,
+		// so b's argument is checked with no fact file.
+		name:     "unitcheck cross-package argument against a parameter name",
 		analyzer: "unitcheck",
 		files: map[string]string{
 			"internal/core/a/a.go": `package a
 
-// Span returns the gap between two delays.
-func Span(startDelay, endDelay float64) float64 { return endDelay - startDelay }
+// Wait holds a frame for queueDelay seconds.
+func Wait(queueDelay float64) { _ = queueDelay }
 `,
 			"internal/core/b/b.go": `package b
 
 import "fafnet/internal/core/a"
 
-func Use(aDelay, bDelay float64) float64 {
-	var frameBits float64
-	frameBits = a.Span(aDelay, bDelay)
-	return frameBits
-}
+func Use(frameBits float64) { a.Wait(frameBits) }
 `,
 		},
-		want: `seconds value stored in "frameBits"`,
+		want: `argument is bits but parameter "queueDelay" of Wait wants seconds`,
 	},
 	{
 		name:     "desorder goroutine in event handler",
@@ -291,7 +287,7 @@ import "time"
 
 func stamp() float64 { return float64(time.Now().UnixNano()) }
 `},
-		want: "time.Now reads the wall clock",
+		want: "time.Now reads the wall clock, which no seeded replay reproduces; take time as a value (a parameter, or Simulator.Now in a simulator)",
 	},
 	{
 		name:     "randsrc function-style atomic beside a plain read",

@@ -127,8 +127,8 @@ func AnalyzeMembers(ws *traffic.Workspace, flats []*traffic.Flat, p MuxParams) (
 }
 
 // check validates p, counts the analysis and runs the overload test on the
-// aggregate long-term rate rho.
-func (p MuxParams) check(rho float64) error {
+// aggregate long-term rate rhoBps.
+func (p MuxParams) check(rhoBps float64) error {
 	if p.CapacityBps <= 0 {
 		return fmt.Errorf("atm: capacity %v must be positive", p.CapacityBps)
 	}
@@ -136,9 +136,9 @@ func (p MuxParams) check(rho float64) error {
 		return fmt.Errorf("atm: buffer %v must be non-negative", p.BufferBits)
 	}
 	mMuxAnalyses.Inc()
-	if rho >= p.CapacityBps*(1-units.RelTol) {
+	if rhoBps >= p.CapacityBps*(1-units.RelTol) {
 		mMuxInfeasible.Inc()
-		return fmt.Errorf("%w: Σρ=%v bps, C=%v bps", ErrMuxOverload, rho, p.CapacityBps)
+		return fmt.Errorf("%w: Σρ=%v bps, C=%v bps", ErrMuxOverload, rhoBps, p.CapacityBps)
 	}
 	return nil
 }

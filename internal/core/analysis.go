@@ -545,17 +545,17 @@ func (ev *evaluation) enteringHit(c *Connection, k int) (*traffic.Flat, bool) {
 }
 
 // theorem1 is the one Theorem 1 path of both MACs, on ring under the
-// allocation h with the given buffer bound: at the sender (in nil) fed by the
-// source, at the receiver fed by in, the envelope entering it, reassembled
-// into frames. The result is a pure function of (in, h) and the class, so it
-// is kept in the class's record under (in, h) and its error names no
-// connection; the sender's lookups are what CacheStats counts.
+// allocation h with the buffer bound bufferBits: at the sender (in nil) fed
+// by the source, at the receiver fed by in, the envelope entering it,
+// reassembled into frames. The result is a pure function of (in, h) and the
+// class, so it is kept in the class's record under (in, h) and its error
+// names no connection; the sender's lookups are what CacheStats counts.
 //
 // The backlog F is computed only when backlog is set or the buffer bound
 // needs it for its verdict; otherwise it is NaN. An entry cached without F
 // that a report then asks for is filled in place: the analysis runs again
 // for F alone, and the entry keeps the envelope it caches beside the result.
-func (ev *evaluation) theorem1(c *Connection, in *traffic.Flat, ring int, h, buffer float64, backlog bool) (fddi.MACResult, error) {
+func (ev *evaluation) theorem1(c *Connection, in *traffic.Flat, ring int, h, bufferBits float64, backlog bool) (fddi.MACResult, error) {
 	rec, key := ev.recs[c], recKey{in: in, x: math.Float64bits(h)}
 	e, hit := rec.hops[key]
 	switch {
@@ -586,7 +586,7 @@ func (ev *evaluation) theorem1(c *Connection, in *traffic.Flat, ring int, h, buf
 			return fddi.MACResult{}, err
 		}
 	}
-	p := fddi.MACParams{Ring: cfg, H: h, BufferBits: buffer}
+	p := fddi.MACParams{Ring: cfg, H: h, BufferBits: bufferBits}
 	analyze := fddi.AnalyzeMACDelay
 	if backlog {
 		analyze = fddi.AnalyzeMAC

@@ -91,6 +91,27 @@ func TestRunUntilBoundary(t *testing.T) {
 	}
 }
 
+// TestRunAdvancesClockToUntil: a bounded run that empties the calendar
+// leaves the clock at until, so the next run's After counts from there. The
+// times are below one second, where until and its square order differently.
+func TestRunAdvancesClockToUntil(t *testing.T) {
+	s := NewSimulator()
+	if _, err := s.Schedule(0.3, func() {}); err != nil {
+		t.Fatal(err)
+	}
+	s.Run(0.5)
+	if s.Now() != 0.5 {
+		t.Fatalf("clock after Run(0.5) with the calendar empty at 0.3 = %v, want 0.5", s.Now())
+	}
+	ev, err := s.After(0.1, func() {})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if ev.Time != 0.6 {
+		t.Errorf("After(0.1) from the advanced clock fires at %v, want 0.6", ev.Time)
+	}
+}
+
 func TestEventsMayScheduleEvents(t *testing.T) {
 	s := NewSimulator()
 	count := 0

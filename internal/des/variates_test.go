@@ -123,6 +123,9 @@ func TestRenewalProcessRates(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	if wp.Rate() != 20 {
+		t.Errorf("Rate = %v", wp.Rate())
+	}
 	mean = sampleMean(20000, wp.Next)
 	if want := 1.0 / 20; math.Abs(mean-want) > 0.05*want {
 		t.Errorf("Weibull process mean gap = %v, want ≈ %v", mean, want)

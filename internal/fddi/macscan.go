@@ -65,14 +65,14 @@ func scanMAC(in traffic.Descriptor, p MACParams, busy float64, backlog bool) (ba
 
 // macScan is the state of Theorem 1's two searches over one busy interval.
 type macScan struct {
-	in        traffic.Descriptor
-	flat      *traffic.Flat // in, when it is a flat: its levels are read off the segments
-	p         MACParams
-	svc, ttrt float64
-	busy      float64
-	evals     int
-	backlog   float64
-	delay     float64
+	in            traffic.Descriptor
+	flat          *traffic.Flat // in, when it is a flat: its levels are read off the segments
+	p             MACParams
+	svcBits, ttrt float64
+	busy          float64
+	evals         int
+	backlog       float64
+	delay         float64
 
 	// The padded line σ + ρ·t over the input, and the slopes at which the
 	// lines over the delay and backlog candidates fall. hasLine is false when
@@ -87,11 +87,11 @@ type macScan struct {
 // is finite and both candidate lines fall — the padded rate strictly below
 // what the allocation serves.
 func newMACScan(in traffic.Descriptor, p MACParams, busy float64) macScan {
-	s := macScan{in: in, p: p, svc: p.RotationServiceBits(), ttrt: p.Ring.TTRT, busy: busy}
+	s := macScan{in: in, p: p, svcBits: p.RotationServiceBits(), ttrt: p.Ring.TTRT, busy: busy}
 	s.flat, _ = in.(*traffic.Flat)
 	s.sigmaBits, s.rhoBps = paddedLine(in)
-	s.chiFall = 1 - s.rhoBps*s.ttrt/s.svc
-	s.fFallBps = s.svc/s.ttrt - s.rhoBps
+	s.chiFall = 1 - s.rhoBps*s.ttrt/s.svcBits
+	s.fFallBps = s.svcBits/s.ttrt - s.rhoBps
 	s.hasLine = !math.IsInf(s.sigmaBits, 0) && !math.IsNaN(s.sigmaBits) && s.chiFall > 0 && s.fFallBps > 0
 	return s
 }
@@ -105,7 +105,7 @@ func (s *macScan) delayStop() float64 {
 	if !s.hasLine {
 		return math.Inf(1)
 	}
-	return ((s.sigmaBits/s.svc+2)*s.ttrt*(1+boundPad) - s.delay) / s.chiFall
+	return ((s.sigmaBits/s.svcBits+2)*s.ttrt*(1+boundPad) - s.delay) / s.chiFall
 }
 
 // backlogStop is delayStop for the backlog: avail(t) >= (t/TTRT − 2)·svc, as
@@ -115,7 +115,7 @@ func (s *macScan) backlogStop() float64 {
 	if !s.hasLine {
 		return math.Inf(1)
 	}
-	return ((s.sigmaBits+2*s.svc)*(1+boundPad) - s.backlog) / s.fFallBps
+	return ((s.sigmaBits+2*s.svcBits)*(1+boundPad) - s.backlog) / s.fFallBps
 }
 
 // bits returns A(t), counted.
@@ -191,7 +191,7 @@ func (s *macScan) scanDelay() {
 		if !(lo < stop) {
 			return
 		}
-		y := (k - 1) * s.svc
+		y := (k - 1) * s.svcBits
 		var t, above float64
 		if s.flat != nil && lo < s.flat.Horizon() {
 			var ok bool
@@ -243,11 +243,11 @@ func (s *macScan) bisect(y, lo, hi, a float64) (t, above float64) {
 // levelsBelow returns the highest level k with (k−1)·svc < v, the levels a
 // value v lies above, in the arithmetic the levels are computed in.
 func (s *macScan) levelsBelow(v float64) float64 {
-	k := math.Ceil(v / s.svc)
-	for k*s.svc < v {
+	k := math.Ceil(v / s.svcBits)
+	for k*s.svcBits < v {
 		k++
 	}
-	for k > 1 && !((k-1)*s.svc < v) {
+	for k > 1 && !((k-1)*s.svcBits < v) {
 		k--
 	}
 	return k

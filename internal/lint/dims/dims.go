@@ -1,7 +1,7 @@
 // Package dims infers physical dimensions — seconds, bits, bits-per-second —
 // for float64 expressions from the naming conventions documented in
-// internal/units. It is the shared inference engine behind the unitcheck and
-// floatcmp analyzers.
+// internal/units. OfExpr is the one walker the unitcheck and floatcmp
+// analyzers share.
 //
 // Inference is deliberately conservative: an expression only gets a dimension
 // when its name (or the names it is built from) unambiguously declares one.
@@ -112,8 +112,10 @@ var rateSuffixes = map[string]bool{
 }
 
 // Words that pin an identifier to the rate dimension wherever they appear.
+// A capacity is a link's or port's payload rate (internal/units), never a
+// buffer size.
 var rateWords = map[string]bool{
-	"rate": true, "bandwidth": true,
+	"rate": true, "bandwidth": true, "capacity": true,
 }
 
 // FromName infers a dimension from one identifier following the repository's
@@ -201,30 +203,15 @@ func IsFloat(t types.Type) bool {
 	return b.Info()&types.IsFloat != 0 || b.Info()&types.IsUntyped != 0 && b.Info()&types.IsNumeric != 0
 }
 
-// Inferer evaluates expressions bottom-up. Flow, when set, is asked first
-// about every identifier, selector and call — the leaves the naming
-// conventions speak for — so an analyzer that has learned more than names
-// say (function summaries, imported facts, field dimensions established by
-// use) evaluates through this same walker; a true answer is Physical.
-type Inferer struct {
-	Info *types.Info
-	Flow func(ast.Expr) (Dim, bool)
-}
-
-// OfExpr infers the dimension of e from names alone.
+// OfExpr infers the dimension of e from names alone. The returned Kind is
+// Unknown whenever any contributing part resists inference.
 func OfExpr(info *types.Info, e ast.Expr) (Dim, Kind) {
-	return Inferer{Info: info}.OfExpr(e)
-}
-
-// OfExpr infers the dimension of e. The returned Kind is Unknown whenever
-// any contributing part resists inference.
-func (in Inferer) OfExpr(e ast.Expr) (Dim, Kind) {
 	switch e := e.(type) {
 	case *ast.ParenExpr:
-		return in.OfExpr(e.X)
+		return OfExpr(info, e.X)
 	case *ast.UnaryExpr:
 		if e.Op == token.SUB || e.Op == token.ADD {
-			return in.OfExpr(e.X)
+			return OfExpr(info, e.X)
 		}
 	case *ast.BasicLit:
 		if e.Kind == token.FLOAT || e.Kind == token.INT {
@@ -232,33 +219,17 @@ func (in Inferer) OfExpr(e ast.Expr) (Dim, Kind) {
 		}
 	case *ast.IndexExpr:
 		// delays[id]: the collection's name describes the elements.
-		return in.OfExpr(e.X)
+		return OfExpr(info, e.X)
 	case *ast.BinaryExpr:
-		return in.ofBinary(e)
+		return ofBinary(info, e)
 	case *ast.Ident:
-		if d, ok := in.flow(e); ok {
-			return d, Physical
-		}
-		return ofNamed(in.Info, e, e.Name)
+		return ofNamed(info, e, e.Name)
 	case *ast.SelectorExpr:
-		if d, ok := in.flow(e); ok {
-			return d, Physical
-		}
-		return ofNamed(in.Info, e, e.Sel.Name)
+		return ofNamed(info, e, e.Sel.Name)
 	case *ast.CallExpr:
-		if d, ok := in.flow(e); ok {
-			return d, Physical
-		}
-		return in.ofCall(e)
+		return ofCall(info, e)
 	}
 	return Dim{}, Unknown
-}
-
-func (in Inferer) flow(e ast.Expr) (Dim, bool) {
-	if in.Flow == nil {
-		return Dim{}, false
-	}
-	return in.Flow(e)
 }
 
 // ofNamed infers from a (possibly qualified) identifier. Name-based inference
@@ -284,8 +255,8 @@ func ofNamed(info *types.Info, e ast.Expr, name string) (Dim, Kind) {
 // in.Bits(t) yields bits, in.LongTermRate() yields bits/second. A handful of
 // dimension-preserving stdlib/units helpers pass their argument's dimension
 // through.
-func (in Inferer) ofCall(call *ast.CallExpr) (Dim, Kind) {
-	tv, ok := in.Info.Types[call]
+func ofCall(info *types.Info, call *ast.CallExpr) (Dim, Kind) {
+	tv, ok := info.Types[call]
 	if !ok || !IsFloat(tv.Type) {
 		return Dim{}, Unknown
 	}
@@ -304,7 +275,7 @@ func (in Inferer) ofCall(call *ast.CallExpr) (Dim, Kind) {
 		// dimension; conflicting known argument dimensions are the
 		// arguments' own problem (reported at the call site by unitcheck).
 		for _, arg := range call.Args {
-			if d, k := in.OfExpr(arg); k == Physical {
+			if d, k := OfExpr(info, arg); k == Physical {
 				return d, k
 			}
 		}
@@ -314,7 +285,7 @@ func (in Inferer) ofCall(call *ast.CallExpr) (Dim, Kind) {
 		return Dim{}, Scalar
 	case "float64", "float32":
 		if len(call.Args) == 1 {
-			if d, k := in.OfExpr(call.Args[0]); k == Physical {
+			if d, k := OfExpr(info, call.Args[0]); k == Physical {
 				return d, k
 			}
 		}
@@ -329,9 +300,9 @@ func (in Inferer) ofCall(call *ast.CallExpr) (Dim, Kind) {
 // ofBinary propagates dimensions through arithmetic. Mismatches are not
 // reported here — unitcheck walks the same nodes and reports; this function
 // only answers "what comes out".
-func (in Inferer) ofBinary(e *ast.BinaryExpr) (Dim, Kind) {
-	ld, lk := in.OfExpr(e.X)
-	rd, rk := in.OfExpr(e.Y)
+func ofBinary(info *types.Info, e *ast.BinaryExpr) (Dim, Kind) {
+	ld, lk := OfExpr(info, e.X)
+	rd, rk := OfExpr(info, e.Y)
 	switch e.Op {
 	case token.ADD, token.SUB:
 		// The sum of a physical quantity and anything known keeps the

@@ -3,9 +3,9 @@
 // unitchecker facts protocol: when the go command vets a package it hands the
 // tool one fact file per dependency (Config.PackageVetx) and a path to write
 // this package's own facts (Config.VetxOutput). Facts make interprocedural
-// analyses — unitcheck propagating unit dimensions through exported function
-// signatures — work under the ordinary `go vet -vettool` driver with no
-// whole-program loading.
+// analyses — locks carrying per-function {Locks, Blocks} summaries and
+// exported-field guards across packages — work under the ordinary
+// `go vet -vettool` driver with no whole-program loading.
 //
 // A fact file is a single JSON object: analyzer name → fact key → raw JSON
 // fact value. encoding/json marshals map keys in sorted order, so encoding is
@@ -19,7 +19,7 @@ import (
 )
 
 // File is the decoded content of one package's fact file: analyzer name →
-// fact key → raw encoded fact. Keys are analyzer-defined (unitcheck uses
+// fact key → raw encoded fact. Keys are analyzer-defined (locks uses
 // "Func", "Type.Method" and "Type.Field" object paths).
 type File map[string]map[string]json.RawMessage
 

@@ -26,7 +26,8 @@ Inside internal/des, internal/sim, internal/packetsim, internal/workload,
 internal/atm, internal/fddi, internal/tokenring, internal/ifdev,
 internal/shaper, internal/traffic, internal/core and internal/units, every
 variate must be drawn from a seeded des.RNG and
-simulation time must come from the DES clock (Simulator.Now). The analyzer
+time must arrive as a value: a parameter, or the DES clock (Simulator.Now)
+in a simulator. The analyzer
 reports any use of math/rand package-level functions (except the New*
 constructors, which build seeded generators) and any use of time.Now.
 In every non-test file of the module it reports any use of a sync/atomic
@@ -90,7 +91,7 @@ func run(pass *lint.Pass) error {
 		case sim && path == "time":
 			switch fn.Name() {
 			case "Now", "Since", "Until":
-				pass.Reportf(id.Pos(), "time.%s reads the wall clock in a simulation package; use the DES clock (Simulator.Now)", fn.Name())
+				pass.Reportf(id.Pos(), "time.%s reads the wall clock, which no seeded replay reproduces; take time as a value (a parameter, or Simulator.Now in a simulator)", fn.Name())
 			}
 		case module && path == "sync/atomic" && !pass.InTestFile(id.Pos()):
 			pass.Reportf(id.Pos(), "function-style atomic.%s leaves its operand a plain variable that a plain access elsewhere tears; declare it as a typed atomic (atomic.Uint64, atomic.Pointer[T], ...)", fn.Name())

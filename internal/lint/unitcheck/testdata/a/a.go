@@ -26,6 +26,19 @@ func positiveComposite(burstBits float64) config {
 	return config{HopLatency: burstBits} // want `bits value stored in "HopLatency"`
 }
 
+// hopDelay declares seconds by its name but returns a bit count.
+func hopDelay(frameBits float64) float64 {
+	return frameBits // want `hopDelay returns bits but its result is declared seconds`
+}
+
+// span declares seconds by its result's name.
+func span(frameBits, linkRate float64) (gapDelay float64) {
+	if linkRate > 0 {
+		return frameBits / linkRate // bits/bps is seconds: consistent
+	}
+	return frameBits // want `span returns bits but its result is declared seconds`
+}
+
 func negatives(txDelay, frameBits, linkRate float64, n int) {
 	_ = txDelay + frameBits/linkRate // bits/bps is seconds: consistent
 	_ = linkRate * txDelay           // bps*seconds is bits: sanctioned

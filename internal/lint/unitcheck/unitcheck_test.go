@@ -10,7 +10,3 @@ import (
 func TestUnitcheck(t *testing.T) {
 	linttest.Run(t, unitcheck.Analyzer, "testdata/a", "fafnet/internal/linttestdata/a")
 }
-
-func TestUnitcheckFlow(t *testing.T) {
-	linttest.Run(t, unitcheck.Analyzer, "testdata/flow", "fafnet/internal/linttestdata/flow")
-}

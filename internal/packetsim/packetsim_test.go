@@ -184,8 +184,8 @@ func TestRunRejectsUnstableAllocations(t *testing.T) {
 	}
 }
 
-// TestRunCBRAndPeriodicSources exercises the CBR and one-period traffic
-// generators through the full pipeline.
+// TestRunCBRAndPeriodicSources exercises the CBR, one-period and leaky-bucket
+// traffic generators through the full pipeline.
 func TestRunCBRAndPeriodicSources(t *testing.T) {
 	cfg := topo.Default()
 	net, err := topo.NewNetwork(cfg)
@@ -204,7 +204,13 @@ func TestRunCBRAndPeriodicSources(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	for i, src := range []traffic.Descriptor{cbr, per} {
+	// ρ is small enough that the bucket's generator rate matters: emitting
+	// at ρ² instead floods the MAC past the admitted bound.
+	lb, err := traffic.NewLeakyBucket(16e3, 20e3, 100e6)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i, src := range []traffic.Descriptor{cbr, per, lb} {
 		dec, err := ctl.RequestAdmission(core.ConnSpec{
 			ID:       "g" + string(rune('0'+i)),
 			Src:      topo.HostID{Ring: i, Index: 0},

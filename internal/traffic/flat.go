@@ -173,16 +173,17 @@ func (f *Flat) segEnd(i int) float64 {
 //
 // It is one forward walk over a flat's segments (see excess): d itself when
 // d is a Flat, and otherwise, or when the crossing lies past d's window, d
-// lowered by Flatten over horizons doubling from from until one holds the
-// crossing. ok is false when none up to to does, or d has no lowering.
-func Backlog(d Descriptor, rateBps, from, to float64) (busy, backlog float64, ok bool) {
+// lowered by Flatten over horizons doubling from fromHorizon until one holds
+// the crossing. ok is false when none up to toHorizon does, or d has no
+// lowering.
+func Backlog(d Descriptor, rateBps, fromHorizon, toHorizon float64) (busy, backlog float64, ok bool) {
 	f, _ := d.(*Flat)
 	if f != nil {
 		if busy, backlog, ok = f.excess(rateBps, f.Segments()); ok {
 			return busy, backlog, true
 		}
 	}
-	for horizon := from; horizon <= to; horizon *= 2 {
+	for horizon := fromHorizon; horizon <= toHorizon; horizon *= 2 {
 		if f != nil && horizon <= f.horizon { //lint:allow floatcmp exact window test: a window reaching the horizon has been walked already
 			continue // a window this short holds no crossing
 		}

@@ -58,8 +58,8 @@ func (w *Workspace) Sum(flats []*Flat) *Flat {
 	return acc
 }
 
-// Backlog is traffic.Backlog(w.Sum(flats), rateBps, from, to), bit for bit,
-// with the members summed only as far as the walk reads them.
+// Backlog is traffic.Backlog(w.Sum(flats), rateBps, fromHorizon, toHorizon),
+// bit for bit, with the members summed only as far as the walk reads them.
 //
 // The members' padded line σ + ρ·t (their burst bounds and long-term rates,
 // padded by linePad) ends the busy period by t* = σ/(rate − ρ): past it the
@@ -72,14 +72,14 @@ func (w *Workspace) Sum(flats []*Flat) *Flat {
 // does not (the crossing lies past it, a σ is +Inf, or the line does not
 // fall), Backlog sums every member and walks the whole sum, doubling the
 // window as traffic.Backlog does.
-func (w *Workspace) Backlog(flats []*Flat, rateBps, from, to float64) (busy, backlog float64, ok bool) {
+func (w *Workspace) Backlog(flats []*Flat, rateBps, fromHorizon, toHorizon float64) (busy, backlog float64, ok bool) {
 	if !w.reserve(flats) {
 		return 0, 0, false
 	}
 	if busy, backlog, ok = w.prefixBacklog(flats, rateBps); ok {
 		return busy, backlog, true
 	}
-	return Backlog(w.Sum(flats), rateBps, from, to)
+	return Backlog(w.Sum(flats), rateBps, fromHorizon, toHorizon)
 }
 
 // reserve sizes the fold's operands and both sum arrays for the whole sum
