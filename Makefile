@@ -100,15 +100,17 @@ bench-e2e:
 
 # Documentation gates: every exported identifier in internal/obs must carry
 # a doc comment, OPERATIONS.md's metric catalog must match the names the
-# packages actually register, README's analyzer table must match the
-# fafvet registry, and FUZZ_TARGETS above must name exactly the tree's fuzz
-# targets (all both directions). All are ordinary Go tests, named here so CI
+# packages actually register, its Flags table must match the flags fafcacd
+# registers, README's analyzer table must match the fafvet registry, and
+# FUZZ_TARGETS above must name exactly the tree's fuzz targets (all both
+# directions). All are ordinary Go tests, named here so CI
 # and a developer can run just the docs gate.
 docs-check:
 	$(GO) test -run TestExportedIdentifiersDocumented ./internal/obs/
 	$(GO) test -run TestOperationsCatalogMatchesRegistry .
 	$(GO) test -run TestFuzzTargetsListed .
 	$(GO) test -run TestReadmeAnalyzerTableMatchesRegistry ./cmd/fafvet/
+	$(GO) test -run TestOperationsFlagsMatchDaemon ./cmd/fafcacd/
 
 check: build fmt vet race test docs-check
 

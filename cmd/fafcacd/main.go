@@ -4,14 +4,15 @@
 //
 // Usage:
 //
-//	fafcacd -addr :7447 [-beta 0.5] [-rule proportional] [-lanes 0]
+//	fafcacd -addr :7447 [-beta 0.5] [-rule proportional]
 //	        [-metrics-addr :9447] [-audit-log cac-audit.jsonl]
 //	        [-audit-queue 1024] [-audit-group-sync]
 //	        [-recover cac-audit.jsonl] [-drain-grace 10s] [-idle-timeout 5m]
 //
-// The daemon runs the sharded admission pipeline: one published snapshot of
-// the admitted state, concurrent request handling, and an asynchronous audit
-// writer (see DESIGN.md §10).
+// The daemon runs one admission controller: decisions take its lock one at
+// a time, readers see one published snapshot of the admitted state, requests
+// are handled concurrently, and an asynchronous writer appends the audit log
+// (see DESIGN.md §10).
 //
 // Try it with netcat:
 //
@@ -63,17 +64,7 @@ import (
 
 func main() {
 	var cfg serveConfig
-	flag.StringVar(&cfg.Addr, "addr", "127.0.0.1:7447", "signaling listen address")
-	flag.Float64Var(&cfg.Beta, "beta", 0.5, "allocation knob of Eq. 35–36")
-	flag.StringVar(&cfg.Rule, "rule", "proportional", "allocation rule: proportional, fixed-split, or sender-biased")
-	flag.StringVar(&cfg.MetricsAddr, "metrics-addr", "", "HTTP listen address for /metrics, /debug/spans, /debug/vars and /debug/pprof (disabled when empty)")
-	flag.StringVar(&cfg.AuditLog, "audit-log", "", "path of the admission audit log, one JSON record per operation (disabled when empty)")
-	flag.StringVar(&cfg.Recover, "recover", "", "audit log to replay before serving, rebuilding admitted-connection state (see OPERATIONS.md)")
-	flag.DurationVar(&cfg.DrainGrace, "drain-grace", 10*time.Second, "how long a SIGINT/SIGTERM drain waits for in-flight requests before force-closing")
-	flag.DurationVar(&cfg.IdleTimeout, "idle-timeout", 0, "close client connections idle longer than this (0 disables)")
-	flag.IntVar(&cfg.Lanes, "lanes", 0, "analyzer lanes of the admission pipeline (0 selects a GOMAXPROCS-based default)")
-	flag.IntVar(&cfg.AuditQueue, "audit-queue", 1024, "async audit writer queue depth (full queue applies backpressure, never drops)")
-	flag.BoolVar(&cfg.AuditGroupSync, "audit-group-sync", true, "fsync the audit log once per drained batch instead of only at shutdown")
+	registerFlags(flag.CommandLine, &cfg)
 	flag.Parse()
 	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
 	defer stop()
@@ -81,6 +72,21 @@ func main() {
 		fmt.Fprintln(os.Stderr, "fafcacd:", err)
 		os.Exit(1)
 	}
+}
+
+// registerFlags binds every daemon flag on fs to its field of cfg. It is the
+// one list of flags: OPERATIONS.md's Flags table is checked against it.
+func registerFlags(fs *flag.FlagSet, cfg *serveConfig) {
+	fs.StringVar(&cfg.Addr, "addr", "127.0.0.1:7447", "signaling listen address")
+	fs.Float64Var(&cfg.Beta, "beta", 0.5, "allocation knob of Eq. 35–36")
+	fs.StringVar(&cfg.Rule, "rule", "proportional", "allocation rule: proportional, fixed-split, or sender-biased")
+	fs.StringVar(&cfg.MetricsAddr, "metrics-addr", "", "HTTP listen address for /metrics, /debug/spans, /debug/vars and /debug/pprof (disabled when empty)")
+	fs.StringVar(&cfg.AuditLog, "audit-log", "", "path of the admission audit log, one JSON record per operation (disabled when empty)")
+	fs.StringVar(&cfg.Recover, "recover", "", "audit log to replay before serving, rebuilding admitted-connection state (see OPERATIONS.md)")
+	fs.DurationVar(&cfg.DrainGrace, "drain-grace", 10*time.Second, "how long a SIGINT/SIGTERM drain waits for in-flight requests before force-closing")
+	fs.DurationVar(&cfg.IdleTimeout, "idle-timeout", 0, "close client connections idle longer than this (0 disables)")
+	fs.IntVar(&cfg.AuditQueue, "audit-queue", 1024, "async audit writer queue depth (full queue applies backpressure, never drops)")
+	fs.BoolVar(&cfg.AuditGroupSync, "audit-group-sync", true, "fsync the audit log once per drained batch instead of only at shutdown")
 }
 
 // serveConfig bundles the daemon's knobs.
@@ -93,7 +99,6 @@ type serveConfig struct {
 	Recover        string        // audit log to replay at startup; "" disables
 	DrainGrace     time.Duration // in-flight budget of a signal-triggered drain
 	IdleTimeout    time.Duration // per-connection idle deadline; 0 disables
-	Lanes          int           // analyzer lanes; 0 selects the default
 	AuditQueue     int           // async audit queue depth; ≤0 selects the default
 	AuditGroupSync bool          // group fsync per drained audit batch
 }
@@ -123,7 +128,7 @@ func serve(ctx context.Context, cfg serveConfig, ready chan<- serveAddrs) error 
 	if err != nil {
 		return err
 	}
-	pipe, err := core.NewSharded(net0, opts, cfg.Lanes)
+	pipe, err := core.NewController(net0, opts)
 	if err != nil {
 		return err
 	}

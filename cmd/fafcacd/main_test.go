@@ -5,12 +5,14 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
+	"flag"
 	"io"
 	"net/http"
 	"os"
 	"os/exec"
 	"path/filepath"
 	"runtime"
+	"sort"
 	"strings"
 	"syscall"
 	"testing"
@@ -511,5 +513,56 @@ func TestServeBadMetricsAddr(t *testing.T) {
 	err := serve(context.Background(), cfg, nil)
 	if err == nil || !strings.Contains(err.Error(), "metrics listener") {
 		t.Fatalf("unusable metrics address should fail fast, got %v", err)
+	}
+}
+
+// TestOperationsFlagsMatchDaemon fails when OPERATIONS.md's Flags table and
+// the daemon's registered flags drift apart, in either direction: every flag
+// registerFlags binds must have a row, and every row must name a flag the
+// daemon accepts.
+func TestOperationsFlagsMatchDaemon(t *testing.T) {
+	doc, err := os.ReadFile("../../OPERATIONS.md")
+	if err != nil {
+		t.Fatal(err)
+	}
+	section := string(doc)
+	start := strings.Index(section, "\n## Flags\n")
+	if start < 0 {
+		t.Fatal("OPERATIONS.md has no \"## Flags\" section")
+	}
+	section = section[start+len("\n## Flags\n"):]
+	if end := strings.Index(section, "\n## "); end >= 0 {
+		section = section[:end]
+	}
+	documented := make(map[string]bool)
+	for _, line := range strings.Split(section, "\n") {
+		if rest, ok := strings.CutPrefix(line, "| `-"); ok {
+			name, _, _ := strings.Cut(rest, "`")
+			documented[name] = true
+		}
+	}
+	fs := flag.NewFlagSet("fafcacd", flag.ContinueOnError)
+	registerFlags(fs, &serveConfig{})
+	registered := make(map[string]bool)
+	fs.VisitAll(func(f *flag.Flag) { registered[f.Name] = true })
+
+	var missing, stale []string
+	for name := range registered {
+		if !documented[name] {
+			missing = append(missing, name)
+		}
+	}
+	for name := range documented {
+		if !registered[name] {
+			stale = append(stale, name)
+		}
+	}
+	sort.Strings(missing)
+	sort.Strings(stale)
+	for _, name := range missing {
+		t.Errorf("flag -%s is registered but has no row in OPERATIONS.md's Flags table", name)
+	}
+	for _, name := range stale {
+		t.Errorf("OPERATIONS.md's Flags table documents -%s, which the daemon does not register", name)
 	}
 }

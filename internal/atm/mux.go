@@ -151,7 +151,7 @@ func (p MuxParams) result(busy, backlog float64, ok bool) (MuxResult, error) {
 		return MuxResult{}, fmt.Errorf("%w: no idle point within %v s", ErrMuxNoConvergence, maxHorizon)
 	}
 	delay := backlog / p.CapacityBps
-	if p.BufferBits > 0 && backlog > p.BufferBits*(1+units.RelTol) {
+	if p.BufferBits > 0 && backlog > p.BufferBits {
 		mMuxInfeasible.Inc()
 		return MuxResult{}, fmt.Errorf("%w: backlog=%v bits, buffer=%v bits", ErrMuxBufferOverflow, backlog, p.BufferBits)
 	}

@@ -97,6 +97,31 @@ func TestAnalyzeMuxBufferOverflow(t *testing.T) {
 	}
 }
 
+// TestAnalyzeMuxBufferVerdictHasNoTolerance puts the worst-case backlog
+// just above the buffer, inside the relative tolerance the float engine
+// uses elsewhere: the verdict must err toward rejection, so a backlog over
+// the buffer overflows however small the excess, and only a buffer at least
+// the backlog passes.
+func TestAnalyzeMuxBufferVerdictHasNoTolerance(t *testing.T) {
+	inputs := []traffic.Descriptor{mustLB(t, 5e4, 10e6, 0)}
+	p := MuxParams{CapacityBps: 100e6}
+	res, err := AnalyzeMux(inputs, p, MuxOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	p.BufferBits = res.BacklogBits / (1 + units.RelTol/2)
+	if !(res.BacklogBits > p.BufferBits && res.BacklogBits <= p.BufferBits*(1+units.RelTol)) {
+		t.Fatalf("backlog %v is not in (buffer, buffer·(1+RelTol)] for buffer %v", res.BacklogBits, p.BufferBits)
+	}
+	if _, err := AnalyzeMux(inputs, p, MuxOptions{}); !errors.Is(err, ErrMuxBufferOverflow) {
+		t.Errorf("backlog %v over buffer %v by %v: err = %v, want ErrMuxBufferOverflow", res.BacklogBits, p.BufferBits, res.BacklogBits-p.BufferBits, err)
+	}
+	p.BufferBits = res.BacklogBits
+	if _, err := AnalyzeMux(inputs, p, MuxOptions{}); err != nil {
+		t.Errorf("buffer = backlog = %v rejected: %v", p.BufferBits, err)
+	}
+}
+
 func TestAnalyzeMuxSmoothTrafficNoQueueing(t *testing.T) {
 	// CBR inputs below capacity never queue in the fluid bound.
 	a, err := traffic.NewCBR(30e6)

@@ -3,7 +3,6 @@ package core
 import (
 	"fmt"
 
-	"fafnet/internal/topo"
 	"fafnet/internal/units"
 )
 
@@ -118,18 +117,8 @@ type Decision struct {
 
 // Controller is the connection admission controller of Section 5: it owns the
 // admitted-connection set M and the per-ring synchronous-bandwidth ledgers.
-// There is one implementation, Sharded; Controller is its name for callers
-// that drive it from one goroutine.
+// There is one implementation, Sharded; Controller is its name.
 type Controller = Sharded
-
-// NewController builds a CAC over the given network: a one-lane Sharded. Lanes
-// are interchangeable in value — a delay is a function of the connection set,
-// not of what the lane analysed before — so one lane is chosen because a
-// sequential caller keeps one set of analysis caches warm that way, not for
-// determinism.
-func NewController(net *topo.Network, opts Options) (*Controller, error) {
-	return NewSharded(net, opts, 1)
-}
 
 // allocation is one point on the H_S–H_R plane.
 type allocation struct{ hs, hr float64 }

@@ -29,12 +29,12 @@ func newController(t testing.TB, opts Options) *Controller {
 	return ctl
 }
 
-// analyzerOf returns a one-lane controller's analyzer for white-box tests.
-// The lane goes straight back to the pool: these tests run on one goroutine.
+// analyzerOf returns the controller's analyzer for white-box tests. It is
+// read under mu and used after: these tests run on one goroutine.
 func analyzerOf(ctl *Controller) *Analyzer {
-	an := ctl.acquireLane()
-	ctl.releaseLane(an)
-	return an
+	ctl.mu.Lock()
+	defer ctl.mu.Unlock()
+	return ctl.an
 }
 
 func TestAdmitOnEmptyNetwork(t *testing.T) {

@@ -80,10 +80,6 @@ var (
 
 	mShardCommits = obs.Default.Counter("fafnet_shard_commits_total",
 		"Admissions committed: each published a new admitted-state snapshot.")
-	mShardCommitRetries = obs.Default.Counter("fafnet_shard_commit_retries_total",
-		"Admission commits abandoned because another commit published first; the decision re-ran against the fresh snapshot.")
-	mShardPessimisticCommits = obs.Default.Counter("fafnet_shard_pessimistic_commits_total",
-		"Decisions that fell back to deciding under the commit lock after exhausting optimistic retries.")
 	gShardUtilMax = obs.Default.Gauge("fafnet_shard_allocated_fraction_max",
 		"Highest committed synchronous-bandwidth fraction across the rings, read from the published snapshot.")
 	gShardImbalance = obs.Default.Gauge("fafnet_shard_imbalance",

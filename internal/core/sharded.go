@@ -5,7 +5,6 @@ import (
 	"errors"
 	"fmt"
 	"math"
-	"runtime"
 	"sort"
 	"sync"
 	"sync/atomic"
@@ -15,20 +14,19 @@ import (
 )
 
 // Sharded is the admission controller: the CAC algorithm of Section 5.3
-// (decideAgainst) behind a pipeline that lets decisions run concurrently. It
-// is safe for concurrent use, and rests on two mechanisms:
+// (decideAgainst), one request at a time, as the paper states it. It is safe
+// for concurrent use: one mutex serializes decisions, releases and the
+// reports that analyze, and two things make the serial path cheap and its
+// state easy to read:
 //
-//   - Immutable admitted-state snapshots. The admitted set, the ring ledgers
-//     derived from it (Eq. 26–27), and the state fingerprint are published
-//     as a copy-on-write snapshot behind an atomic pointer: the snapshot is
-//     the only copy of the admitted state. Analysis — the expensive part,
-//     milliseconds of probing — runs against a snapshot with no lock held,
-//     on an analyzer checked out from a fixed lane pool. Commits are
-//     optimistic: a decision computed against snapshot S commits only if S
-//     is still current; otherwise the world changed mid-analysis and the
-//     decision re-runs against the fresh snapshot (Eq. 24–25 demand every
-//     admitted connection's delay be re-verified, and a stale snapshot can
-//     no longer prove that).
+//   - An immutable admitted-state snapshot. The admitted set, the ring
+//     ledgers derived from it (Eq. 26–27), and the state fingerprint are
+//     published as a copy-on-write snapshot behind an atomic pointer: the
+//     snapshot is the only copy of the admitted state, and readers (Active,
+//     Connections, SourceBusy, RingLedger) load it without the lock. A
+//     decision analyzes the current snapshot and commits its successor in
+//     one critical section, so Eq. 24–25's re-verification of every standing
+//     deadline always runs against the set it commits onto.
 //
 //   - An exact verdict cache. The CAC verdict is a pure function of the
 //     admitted multiset of (endpoints, traffic, H_S, H_R) and the candidate
@@ -37,31 +35,23 @@ import (
 //     from fingerprint.go. Under admission churn the state hash cycles back
 //     to previously seen values every time a release undoes an admission,
 //     and a whole class of same-shape candidates then resolves with zero
-//     probes. Concurrent misses on one key single-flight: followers wait for
-//     the leader's analysis instead of duplicating it, which is what batches
-//     a burst of same-class candidates into one probe.
+//     probes. A burst of same-class candidates costs one analysis: the first
+//     miss seeds the entry before the next decision takes the lock.
 //
-// Lock ordering: commitMu → (audit record callback). cacheMu is a leaf.
-// Analyzer lanes are a channel, not a lock, and are never held across a
-// commit on the optimistic path.
+// Lock ordering: mu → (audit record callback).
 type Sharded struct {
 	net  *topo.Network
 	opts Options
 
-	// lanes is the analyzer pool. Each lane owns private analysis caches;
-	// checking one out grants exclusive use until it is returned.
-	lanes chan *Analyzer
-
-	// commitMu serializes state transitions: commits and releases.
-	// Analysis never runs under it on the optimistic path.
-	// snap is only Stored while commitMu is held (Loads are lock-free).
-	commitMu sync.Mutex
-	snap     atomic.Pointer[snapState]
-
-	cacheMu sync.Mutex
-	// cache is the verdict cache and its single-flight table: an entry with
-	// an open done channel is a computation in flight. guarded by cacheMu.
-	cache map[verdictKey]*verdictEntry
+	// mu serializes decisions, releases and analyzing reports.
+	// snap is only Stored while mu is held (Loads are lock-free).
+	mu   sync.Mutex
+	snap atomic.Pointer[snapState]
+	// an is the one analyzer; its private caches stay warm from one
+	// decision to the next. guarded by mu.
+	an *Analyzer
+	// cache is the verdict cache. guarded by mu.
+	cache map[verdictKey]verdictEntry
 }
 
 // snapState is one immutable published view of the admitted state. Every
@@ -93,35 +83,23 @@ type verdictKey struct {
 	spec  fingerprint
 }
 
-// verdictEntry is one cached (or in-flight) verdict. done is closed once
-// the leader fills the remaining fields; settled flips true just before,
-// giving evictLocked a lock-free doneness probe with no channel operation.
+// verdictEntry is one settled verdict.
 type verdictEntry struct {
-	done    chan struct{}
-	settled atomic.Bool
 	// dec is the decision template: Delays stripped (its keys are the
-	// leader's standing ids, meaningless to a later hit), Probes and Cache
-	// zeroed (a hit costs none).
+	// deciding request's standing ids, meaningless to a later hit), Probes
+	// and Cache zeroed (a hit costs none).
 	dec Decision
 	// candDelay is the candidate's own end-to-end delay (admit verdicts).
 	candDelay float64
-	err       error
 }
 
 // verdictCacheCap bounds the verdict cache; past it an arbitrary chunk of
 // entries is evicted (recurrence under churn re-seeds hot keys in one miss).
 const verdictCacheCap = 4096
 
-// maxOptimisticRetries bounds how many times one admission re-analyzes
-// after losing a commit race before falling back to deciding under the
-// commit lock.
-const maxOptimisticRetries = 16
-
-// NewSharded builds the admission controller over the given network
+// NewController builds the admission controller over the given network
 // topology. The network is used read-only (routing and ring configuration).
-// lanes is the number of pooled analyzers (≤ 0 selects a GOMAXPROCS-based
-// default).
-func NewSharded(net *topo.Network, opts Options, lanes int) (*Sharded, error) {
+func NewController(net *topo.Network, opts Options) (*Controller, error) {
 	if net == nil {
 		return nil, errors.New("core: controller requires a network")
 	}
@@ -129,32 +107,26 @@ func NewSharded(net *topo.Network, opts Options, lanes int) (*Sharded, error) {
 	if opts.Beta < 0 || opts.Beta > 1 {
 		return nil, fmt.Errorf("core: beta %v must be in [0,1]", opts.Beta)
 	}
-	if lanes <= 0 {
-		lanes = runtime.GOMAXPROCS(0)
-		if lanes > 8 {
-			lanes = 8
-		}
-	}
-	p := &Sharded{
-		net:   net,
-		opts:  opts,
-		lanes: make(chan *Analyzer, lanes),
-		cache: make(map[verdictKey]*verdictEntry),
-	}
-	for i := 0; i < lanes; i++ {
-		an, err := NewAnalyzer(net, AnalysisOptions{})
-		if err != nil {
-			return nil, err
-		}
-		p.lanes <- an
+	an, err := NewAnalyzer(net, AnalysisOptions{})
+	if err != nil {
+		return nil, err
 	}
 	for i := 0; i < net.NumRings(); i++ {
 		if err := net.RingConfig(i).Validate(); err != nil {
 			return nil, err
 		}
 	}
+	p := &Sharded{net: net, opts: opts, an: an, cache: make(map[verdictKey]verdictEntry)}
 	p.snap.Store(nextSnap(net, nil))
 	return p, nil
+}
+
+// NewSharded is NewController; its third argument is ignored.
+//
+// Deprecated: use NewController. There is one analyzer, so there are no
+// lanes to size.
+func NewSharded(net *topo.Network, opts Options, _ int) (*Sharded, error) {
+	return NewController(net, opts)
 }
 
 // Network returns the pipeline's network topology.
@@ -190,9 +162,6 @@ func (p *Sharded) RingLedger(i int) (allocated, available float64) {
 	snap := p.snap.Load()
 	return snap.allocated[i], snap.avail[i]
 }
-
-func (p *Sharded) acquireLane() *Analyzer   { return <-p.lanes }
-func (p *Sharded) releaseLane(an *Analyzer) { p.lanes <- an }
 
 // RequestAdmission runs the CAC algorithm of Section 5.3 for the given
 // specification: compute availability (Eq. 26–27), test feasibility at the
@@ -252,10 +221,9 @@ func (p *Sharded) decideObserved(spec ConnSpec, commit bool, record func(Decisio
 	return dec, err
 }
 
-// decide is the optimistic decision loop: analyze against the current
-// snapshot with no lock held, then commit if the snapshot is still current,
-// otherwise re-analyze. After maxOptimisticRetries lost races it pins the
-// world by deciding under commitMu.
+// decide runs one decision under mu: preflight against the current
+// snapshot, the verdict cache or the analysis, and for an admit the commit
+// and its audit record, so the record order is the commit order.
 func (p *Sharded) decide(spec ConnSpec, commit bool, record func(Decision, error)) (Decision, bool, error) {
 	if err := spec.Validate(); err != nil {
 		return Decision{}, false, err
@@ -264,27 +232,28 @@ func (p *Sharded) decide(spec ConnSpec, commit bool, record func(Decision, error
 	if err != nil {
 		return Decision{Reason: ReasonInvalidTarget}, false, nil
 	}
-	for attempt := 0; attempt < maxOptimisticRetries; attempt++ {
-		snap := p.snap.Load()
-		dec, reject, err := preflight(snap, p.opts, spec, route)
-		if err != nil || reject {
-			return dec, false, err
-		}
-		dec, cand, err := p.analyze(snap, dec, spec, route)
-		if err != nil {
-			return Decision{}, false, err
-		}
-		if !dec.Admitted || !commit {
-			// Rejections and previews change no state: the decision
-			// linearizes at the moment snap was read.
-			return dec, false, nil
-		}
-		if recorded, ok := p.commitAdmit(snap, cand, dec, record); ok {
-			return dec, recorded, nil
-		}
-		mShardCommitRetries.Inc()
+	p.mu.Lock()
+	defer p.mu.Unlock()
+	snap := p.snap.Load()
+	dec, reject, err := preflight(snap, p.opts, spec, route)
+	if err != nil || reject {
+		return dec, false, err
 	}
-	return p.decidePessimistic(spec, route, commit, record)
+	dec, cand, err := p.analyze(snap, dec, spec, route)
+	if err != nil {
+		return Decision{}, false, err
+	}
+	if !dec.Admitted || !commit {
+		return dec, false, nil
+	}
+	if !p.commitLocked(snap, cand, dec) {
+		return Decision{}, false, fmt.Errorf("core: commit of %q: allocation (%v, %v) exceeds the ring ledgers it was decided against", spec.ID, dec.HS, dec.HR)
+	}
+	if record == nil {
+		return dec, false, nil
+	}
+	record(dec, nil)
+	return dec, true, nil
 }
 
 // preflight runs the cheap rejection gates against a snapshot: duplicate
@@ -312,53 +281,37 @@ func preflight(snap *snapState, opts Options, spec ConnSpec, route topo.Route) (
 	return dec, false, nil
 }
 
-// analyze resolves the expensive part of one decision: verdict cache
-// lookup, single-flight coordination, and on a miss the full probe-based
-// algorithm on a pooled analyzer.
+// analyze resolves the expensive part of one decision: a verdict cache
+// lookup, and on a miss the full probe-based algorithm, whose verdict then
+// seeds the cache. Called with mu held.
 func (p *Sharded) analyze(snap *snapState, dec Decision, spec ConnSpec, route topo.Route) (Decision, *Connection, error) {
 	key, usable := verdictKeyFor(snap, spec)
 	if !usable {
 		mVerdictSkips.Inc()
 		return p.analyzeMiss(snap, dec, spec, route)
 	}
-	p.cacheMu.Lock()
 	if e, ok := p.cache[key]; ok {
-		p.cacheMu.Unlock()
-		<-e.done
-		if e.err == nil {
-			mVerdictHits.Inc()
-			dec = e.dec
-			if dec.Admitted {
-				dec.Delays = map[string]float64{spec.ID: e.candDelay}
-			}
-			return dec, &Connection{ConnSpec: spec, Route: route}, nil
+		mVerdictHits.Inc()
+		dec = e.dec
+		if dec.Admitted {
+			dec.Delays = map[string]float64{spec.ID: e.candDelay}
 		}
-		// The leader's analysis failed; fall through and compute fresh.
-		return p.analyzeMiss(snap, dec, spec, route)
+		return dec, &Connection{ConnSpec: spec, Route: route}, nil
 	}
-	e := &verdictEntry{done: make(chan struct{})}
+	dec, cand, err := p.analyzeMiss(snap, dec, spec, route)
+	mVerdictMisses.Inc()
+	if err != nil {
+		return dec, cand, err
+	}
 	if len(p.cache) >= verdictCacheCap {
 		p.evictLocked()
 	}
-	p.cache[key] = e
-	p.cacheMu.Unlock()
-
-	dec, cand, err := p.analyzeMiss(snap, dec, spec, route)
-	e.dec = dec
+	e := verdictEntry{dec: dec, candDelay: dec.Delays[spec.ID]}
 	e.dec.Delays = nil
 	e.dec.Probes = 0
 	e.dec.Cache = CacheStats{}
-	e.candDelay = dec.Delays[spec.ID]
-	e.err = err
-	e.settled.Store(true)
-	close(e.done)
-	if err != nil {
-		p.cacheMu.Lock()
-		delete(p.cache, key)
-		p.cacheMu.Unlock()
-	}
-	mVerdictMisses.Inc()
-	return dec, cand, err
+	p.cache[key] = e
+	return dec, cand, nil
 }
 
 // verdictKeyFor builds the cache key for a decision problem, reporting
@@ -375,14 +328,10 @@ func verdictKeyFor(snap *snapState, spec ConnSpec) (verdictKey, bool) {
 	return verdictKey{state: snap.hash, spec: fp}, true
 }
 
-// evictLocked drops an arbitrary eighth of the cache. Called with cacheMu
-// held.
+// evictLocked drops an arbitrary eighth of the cache. Called with mu held.
 func (p *Sharded) evictLocked() {
 	drop := verdictCacheCap / 8
-	for k, e := range p.cache {
-		if !e.settled.Load() {
-			continue // never evict an in-flight computation
-		}
+	for k := range p.cache {
 		delete(p.cache, k)
 		drop--
 		if drop == 0 {
@@ -391,40 +340,17 @@ func (p *Sharded) evictLocked() {
 	}
 }
 
-// analyzeMiss runs the full CAC algorithm on a pooled analyzer against the
-// snapshot's admitted set and committed availabilities.
+// analyzeMiss runs the full CAC algorithm on the analyzer against the
+// snapshot's admitted set and committed availabilities. Called with mu held.
 func (p *Sharded) analyzeMiss(snap *snapState, dec Decision, spec ConnSpec, route topo.Route) (Decision, *Connection, error) {
-	an := p.acquireLane()
-	defer p.releaseLane(an)
-	return p.analyzeOn(an, snap, dec, spec, route)
-}
-
-// analyzeOn is analyzeMiss on an already-held lane.
-func (p *Sharded) analyzeOn(an *Analyzer, snap *snapState, dec Decision, spec ConnSpec, route topo.Route) (Decision, *Connection, error) {
-	before := an.stats
-	dec, cand, err := decideAgainst(an, p.opts, snap.conns, dec, spec, route)
-	dec.Cache = an.stats.Sub(before)
+	before := p.an.stats
+	dec, cand, err := decideAgainst(p.an, p.opts, snap.conns, dec, spec, route)
+	dec.Cache = p.an.stats.Sub(before)
 	return dec, cand, err
 }
 
-// commitAdmit commits an optimistic decision: with the snapshot verified
-// still current, it publishes the successor. A stale snapshot reports false
-// so the caller re-decides.
-func (p *Sharded) commitAdmit(snap *snapState, cand *Connection, dec Decision, record func(Decision, error)) (recorded, ok bool) {
-	p.commitMu.Lock()
-	defer p.commitMu.Unlock()
-	if p.snap.Load() != snap || !p.commitLocked(snap, cand, dec) {
-		return false, false
-	}
-	if record != nil {
-		record(dec, nil)
-		recorded = true
-	}
-	return recorded, true
-}
-
 // commitLocked admits cand with dec's allocation on top of snap, the current
-// snapshot. Called with commitMu held. The decision capped its allocation at
+// snapshot. Called with mu held. The decision capped its allocation at
 // snap's own availability, so the protocol constraint ΣH <= TTRT − Δ holds
 // by construction; it is checked all the same, and a commit that would
 // break it publishes nothing and reports false.
@@ -442,39 +368,6 @@ func (p *Sharded) commitLocked(snap *snapState, cand *Connection, dec Decision) 
 	return true
 }
 
-// decidePessimistic decides while holding commitMu, pinning the snapshot:
-// no concurrent commit can invalidate the analysis, so one pass suffices.
-// The lane is acquired before commitMu (a lane holder on the optimistic
-// path never waits on commitMu, so the acquisition cannot deadlock).
-func (p *Sharded) decidePessimistic(spec ConnSpec, route topo.Route, commit bool, record func(Decision, error)) (Decision, bool, error) {
-	mShardPessimisticCommits.Inc()
-	an := p.acquireLane()
-	defer p.releaseLane(an)
-	p.commitMu.Lock()
-	defer p.commitMu.Unlock()
-	snap := p.snap.Load()
-	dec, reject, err := preflight(snap, p.opts, spec, route)
-	if err != nil || reject {
-		return dec, false, err
-	}
-	dec, cand, err := p.analyzeOn(an, snap, dec, spec, route)
-	if err != nil {
-		return Decision{}, false, err
-	}
-	if !dec.Admitted || !commit {
-		return dec, false, nil
-	}
-	if !p.commitLocked(snap, cand, dec) {
-		return Decision{}, false, fmt.Errorf("core: commit of %q: allocation (%v, %v) exceeds the ring ledgers it was decided against", spec.ID, dec.HS, dec.HR)
-	}
-	recorded := false
-	if record != nil {
-		record(dec, nil)
-		recorded = true
-	}
-	return dec, recorded, nil
-}
-
 // Release tears down an admitted connection, freeing its bandwidth on both
 // rings. It reports whether the connection existed.
 func (p *Sharded) Release(id string) bool {
@@ -489,8 +382,8 @@ func (p *Sharded) ReleaseAudited(id string, record func(found bool)) bool {
 }
 
 func (p *Sharded) release(id string, record func(bool)) bool {
-	p.commitMu.Lock()
-	defer p.commitMu.Unlock()
+	p.mu.Lock()
+	defer p.mu.Unlock()
 	snap := p.snap.Load()
 	if _, ok := snap.byID[id]; !ok {
 		if record != nil {
@@ -514,7 +407,7 @@ func (p *Sharded) release(id string, record func(bool)) bool {
 
 // publish stores the snapshot of the given admitted set (which it takes
 // ownership of) and sets the active-connection and ring balance gauges from
-// it. Called with commitMu held.
+// it. Called with mu held.
 func (p *Sharded) publish(conns []*Connection) {
 	snap := nextSnap(p.net, conns)
 	p.snap.Store(snap)
@@ -578,23 +471,22 @@ func nextSnap(net *topo.Network, conns []*Connection) *snapState {
 }
 
 // DelayReport returns the current worst-case delay of every admitted
-// connection, computed against the live snapshot on a pooled analyzer.
+// connection, computed against the live snapshot.
 func (p *Sharded) DelayReport() (map[string]float64, error) {
-	snap := p.snap.Load()
-	an := p.acquireLane()
-	defer p.releaseLane(an)
-	return an.Delays(snap.conns)
+	p.mu.Lock()
+	defer p.mu.Unlock()
+	return p.an.Delays(p.snap.Load().conns)
 }
 
 // BufferReport returns the buffer requirements of every admitted
 // connection, sorted by connection id.
 func (p *Sharded) BufferReport() ([]BufferRequirement, error) {
+	p.mu.Lock()
+	defer p.mu.Unlock()
 	snap := p.snap.Load()
-	an := p.acquireLane()
-	defer p.releaseLane(an)
 	out := make([]BufferRequirement, 0, len(snap.conns))
 	for _, conn := range snap.conns {
-		bd, err := an.Breakdown(snap.conns, conn.ID)
+		bd, err := p.an.Breakdown(snap.conns, conn.ID)
 		if err != nil {
 			return nil, err
 		}
@@ -610,13 +502,13 @@ func (p *Sharded) BufferReport() ([]BufferRequirement, error) {
 // BreakdownFor returns the per-server delay decomposition of an admitted
 // connection.
 func (p *Sharded) BreakdownFor(id string) (Breakdown, error) {
+	p.mu.Lock()
+	defer p.mu.Unlock()
 	snap := p.snap.Load()
 	if _, ok := snap.byID[id]; !ok {
 		return Breakdown{}, fmt.Errorf("core: unknown connection %q", id)
 	}
-	an := p.acquireLane()
-	defer p.releaseLane(an)
-	return an.Breakdown(snap.conns, id)
+	return p.an.Breakdown(snap.conns, id)
 }
 
 // FeasibleAllocation reports whether granting (hs, hr) to the candidate
@@ -634,12 +526,12 @@ func (p *Sharded) FeasibleAllocation(spec ConnSpec, hs, hr float64) (bool, error
 		return false, err
 	}
 	cand := &Connection{ConnSpec: spec, Route: route, HS: hs, HR: hr}
+	p.mu.Lock()
+	defer p.mu.Unlock()
 	snap := p.snap.Load()
 	conns := make([]*Connection, 0, len(snap.conns)+1)
 	conns = append(append(conns, snap.conns...), cand)
-	an := p.acquireLane()
-	defer p.releaseLane(an)
-	delays, err := an.Delays(conns)
+	delays, err := p.an.Delays(conns)
 	if err != nil {
 		return false, err
 	}

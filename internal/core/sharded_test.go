@@ -4,16 +4,11 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
-	"runtime"
-	"strings"
 	"sync"
-	"sync/atomic"
 	"testing"
-	"time"
 
 	"fafnet/internal/topo"
 	"fafnet/internal/traffic"
-	"fafnet/internal/units"
 )
 
 // shardedRandomSource draws from the same descriptor mix the analyzer
@@ -54,27 +49,25 @@ func shardedRandomSource(t *testing.T, rng *rand.Rand) traffic.Descriptor {
 // commits, so the snapshot/preflight paths are all compared, not just the
 // happy path.
 //
-// Every float must agree bit for bit, with one lane — what NewController
-// builds, and what sim.Run, sim.RunMulti and fafcac rest on — and with two:
-// lanes are handed out round-robin, and a delay does not depend on which lane
-// computed it or on what that lane analysed before.
+// Every float must agree bit for bit: the controller's analyzer carries its
+// caches from one decision to the next, and a delay does not depend on what
+// the analyzer analysed before. The subtest keeps the name it had when the
+// controller could also run several analyzer lanes; one analyzer is the case
+// it always covered.
 func TestShardedEquivalenceRandomized(t *testing.T) {
-	t.Run("two-lanes-bit-identical", func(t *testing.T) { runShardedEquivalence(t, 2) })
-	t.Run("one-lane-bit-identical", func(t *testing.T) { runShardedEquivalence(t, 1) })
+	t.Run("one-lane-bit-identical", runShardedEquivalence)
 }
 
-func sameFloatBits(a, b float64) bool { return math.Float64bits(a) == math.Float64bits(b) }
-
-// runShardedEquivalence drives the oracle and a Sharded with the given lane
-// count through the 110 randomized scenarios, comparing every float bitwise.
-func runShardedEquivalence(t *testing.T, lanes int) {
+// runShardedEquivalence drives the oracle and a Controller through the 110
+// randomized scenarios, comparing every float bitwise.
+func runShardedEquivalence(t *testing.T) {
 	rng := rand.New(rand.NewSource(20250808))
 
 	const scenarios = 110
 	for sc := 0; sc < scenarios; sc++ {
 		net := defaultNet(t)
 		ctl := newSerialOracle(t, net, Options{})
-		pipe, err := NewSharded(net, Options{}, lanes)
+		pipe, err := NewController(net, Options{})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -178,6 +171,8 @@ func runShardedEquivalence(t *testing.T, lanes int) {
 	}
 }
 
+func sameFloatBits(a, b float64) bool { return math.Float64bits(a) == math.Float64bits(b) }
+
 // compareDecisions checks the fields the oracle and the pipeline must agree
 // on: verdict, reason, the allocation with its need bounds and
 // availabilities, and the candidate's own delay (each side's entry for its
@@ -213,7 +208,7 @@ func compareDecisions(t *testing.T, where string, want, got Decision, wantDelay,
 // applies the floor inline, agrees bit for bit.
 func TestShardedAvailabilityFloor(t *testing.T) {
 	net := defaultNet(t)
-	probe, err := NewSharded(net, Options{}, 1)
+	probe, err := NewController(net, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -221,7 +216,7 @@ func TestShardedAvailabilityFloor(t *testing.T) {
 	// The first admit takes at least the floor from rings 1 and 2, leaving
 	// each below it.
 	opts := Options{HMinAbs: 0.55 * full}
-	pipe, err := NewSharded(net, opts, 1)
+	pipe, err := NewController(net, opts)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -269,11 +264,11 @@ func TestShardedAvailabilityFloor(t *testing.T) {
 // repeating a decision problem — same admitted multiset, same candidate
 // class — must hit, and a release that returns the state hash to a previous
 // value must let earlier verdicts hit again. Concurrent misses on one key
-// must share a single analysis: the followers wait for the leader's entry
-// and read its outcome.
+// must share a single analysis: decisions take the controller's lock one at
+// a time, so the first to miss seeds the entry and every later one hits it.
 func TestShardedVerdictCacheRecurrence(t *testing.T) {
 	net := defaultNet(t)
-	pipe, err := NewSharded(net, Options{}, 1)
+	pipe, err := NewController(net, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -307,7 +302,7 @@ func TestShardedVerdictCacheRecurrence(t *testing.T) {
 	if got := mVerdictHits.Value(); got != hits+1 {
 		t.Fatalf("repeat preview: hits %d, want %d", got, hits+1)
 	}
-	if first.Admitted != again.Admitted || !units.AlmostEq(first.HS, again.HS) {
+	if first.Admitted != again.Admitted || !sameFloatBits(first.HS, again.HS) {
 		t.Fatalf("cache hit changed the verdict: %+v vs %+v", first, again)
 	}
 
@@ -325,11 +320,9 @@ func TestShardedVerdictCacheRecurrence(t *testing.T) {
 		t.Fatalf("post-churn preview: hits %d, want %d (state hash did not recur)", got, hits+1)
 	}
 
-	// Single flight on a cold cache. With the only lane held here, the first
-	// preview to miss becomes the leader and blocks on the lane with its
-	// entry in flight; every other preview of the class, eight single ones
-	// and two batches, finds that entry and waits on it.
-	cold, err := NewSharded(net, Options{}, 1)
+	// Ten goroutines on a cold controller, eight single previews and two
+	// batches of four, all of one class: one decision runs the analysis.
+	cold, err := NewController(net, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -343,12 +336,10 @@ func TestShardedVerdictCacheRecurrence(t *testing.T) {
 			batches[b] = append(batches[b], spec(fmt.Sprintf("batch%d-%d", b, m)))
 		}
 	}
-	lane := cold.acquireLane()
 	var (
-		wg       sync.WaitGroup
-		mu       sync.Mutex
-		finished atomic.Int32
-		decs     = make(map[string]Decision)
+		wg   sync.WaitGroup
+		mu   sync.Mutex
+		decs = make(map[string]Decision)
 	)
 	keep := func(id string, dec Decision, err error) {
 		if err != nil {
@@ -362,7 +353,6 @@ func TestShardedVerdictCacheRecurrence(t *testing.T) {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			defer finished.Add(1)
 			dec, err := cold.PreviewAdmission(s)
 			keep(s.ID, dec, err)
 		}()
@@ -371,21 +361,11 @@ func TestShardedVerdictCacheRecurrence(t *testing.T) {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			defer finished.Add(1)
 			for _, r := range cold.PreviewAdmissionBatch(batch, nil) {
 				keep(r.ID, r.Decision, r.Err)
 			}
 		}()
 	}
-	// Return the lane once each of the ten goroutines is parked in analyze
-	// (the leader on the lane, the followers on its entry) or has returned.
-	// The wait is bounded by a count of 1 ms sleeps, about ten seconds: the
-	// analysis packages read no wall clock, their tests included.
-	const goroutines = 10
-	for wait := 0; wait < 10_000 && inAnalyze()+int(finished.Load()) < goroutines; wait++ {
-		time.Sleep(time.Millisecond)
-	}
-	cold.releaseLane(lane)
 	wg.Wait()
 
 	var leader string
@@ -405,7 +385,7 @@ func TestShardedVerdictCacheRecurrence(t *testing.T) {
 		t.Fatalf("leader %s: %+v, want an admit on the empty network", leader, want)
 	}
 	for id, dec := range decs {
-		compareDecisions(t, fmt.Sprintf("follower %s of leader %s", id, leader),
+		compareDecisions(t, fmt.Sprintf("%s against %s, which ran the analysis", id, leader),
 			want, dec, want.Delays[leader], dec.Delays[id])
 	}
 	if len(decs) != len(singles)+len(batches)*len(batches[0]) {
@@ -413,18 +393,12 @@ func TestShardedVerdictCacheRecurrence(t *testing.T) {
 	}
 }
 
-// inAnalyze counts the goroutines with Sharded.analyze on their stack.
-func inAnalyze() int {
-	buf := make([]byte, 1<<20)
-	return strings.Count(string(buf[:runtime.Stack(buf, true)]), "core.(*Sharded).analyze(")
-}
-
 // TestShardedBatchOrdering checks the batch entry points return results in
 // input order regardless of the class-grouped evaluation order, and that the
 // preview batch's record callback fires exactly once per member.
 func TestShardedBatchOrdering(t *testing.T) {
 	net := defaultNet(t)
-	pipe, err := NewSharded(net, Options{}, 1)
+	pipe, err := NewController(net, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -472,11 +446,13 @@ func TestShardedBatchOrdering(t *testing.T) {
 // many goroutines at once (the -race configuration this file exists for)
 // and then checks the global invariants: all bandwidth accounted, no
 // connection left after every worker released its admissions, and every ring
-// ledger back to its initial availability. A reader goroutine checks
-// meanwhile that every published ledger is a valid one.
+// ledger back to its initial availability bit for bit (an empty admitted set
+// is the initial ledger exactly, however the admissions interleaved). A
+// reader goroutine checks meanwhile that every published ledger is a valid
+// one.
 func TestShardedConcurrentHammer(t *testing.T) {
 	net := defaultNet(t)
-	pipe, err := NewSharded(net, Options{}, 0)
+	pipe, err := NewController(net, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -577,7 +553,7 @@ func TestShardedConcurrentHammer(t *testing.T) {
 	}
 	final := ringAvail()
 	for i := range final {
-		if !units.AlmostEq(final[i], initial[i]) {
+		if !sameFloatBits(final[i], initial[i]) {
 			t.Errorf("ring %d availability drifted: %v before, %v after", i, initial[i], final[i])
 		}
 	}

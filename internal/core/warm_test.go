@@ -30,7 +30,7 @@ type churnDriver struct {
 
 func newChurnDriver(t *testing.T, standing int) *churnDriver {
 	t.Helper()
-	ctl, err := NewSharded(defaultNet(t), Options{}, 1)
+	ctl, err := NewController(defaultNet(t), Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -184,8 +184,9 @@ func TestPerConnectionCachesStayBounded(t *testing.T) {
 		}
 		up[i] = dec.Admitted
 	}
-	an := d.ctl.acquireLane()
-	defer d.ctl.releaseLane(an)
+	d.ctl.mu.Lock()
+	defer d.ctl.mu.Unlock()
+	an := d.ctl.an
 	// Every spec shares the source and has no buffer or shape: one class per
 	// ring pair.
 	classes := d.ctl.Network().Config().NumRings

@@ -234,6 +234,3 @@ func NewPoissonProcess(rng *RNG, lambda float64) (*PoissonProcess, error) {
 
 // Next returns the time to the next arrival (an Exp(1/λ) variate).
 func (p *PoissonProcess) Next() float64 { return p.rng.Exp(1 / p.lambda) }
-
-// Rate returns the configured arrival intensity λ.
-func (p *PoissonProcess) Rate() float64 { return p.lambda }

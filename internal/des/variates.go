@@ -95,10 +95,9 @@ func (g *RNG) Lognormal(mu, sigma float64) float64 {
 // burstiness: shape = 1 degenerates to Poisson, shape > 1 is smoother than
 // Poisson (CV < 1), shape < 1 is burstier (CV > 1).
 type GammaProcess struct {
-	rng    *RNG
-	shape  float64
-	scale  float64
-	lambda float64
+	rng   *RNG
+	shape float64
+	scale float64
 }
 
 // positiveFinite reports whether a derived mean gap or scale is one a
@@ -120,24 +119,20 @@ func NewGammaProcess(rng *RNG, lambda, shape float64) (*GammaProcess, error) {
 	if !positiveFinite(scale) {
 		return nil, fmt.Errorf("des: Gamma process parameters (lambda=%v, shape=%v) leave no usable scale (%v)", lambda, shape, scale)
 	}
-	return &GammaProcess{rng: rng, shape: shape, scale: scale, lambda: lambda}, nil
+	return &GammaProcess{rng: rng, shape: shape, scale: scale}, nil
 }
 
 // Next returns the time to the next arrival.
 func (p *GammaProcess) Next() float64 { return p.rng.Gamma(p.shape, p.scale) }
-
-// Rate returns the configured mean arrival rate λ.
-func (p *GammaProcess) Rate() float64 { return p.lambda }
 
 // WeibullProcess generates interarrival times drawn i.i.d. from a
 // Weibull(shape, scale) renewal process of mean rate lambda. shape < 1
 // yields heavy-tailed gaps (bursts separated by long silences), shape > 1
 // near-periodic arrivals.
 type WeibullProcess struct {
-	rng    *RNG
-	shape  float64
-	scale  float64
-	lambda float64
+	rng   *RNG
+	shape float64
+	scale float64
 }
 
 // NewWeibullProcess returns a Weibull renewal process with mean rate lambda
@@ -155,11 +150,8 @@ func NewWeibullProcess(rng *RNG, lambda, shape float64) (*WeibullProcess, error)
 	if !positiveFinite(scale) {
 		return nil, fmt.Errorf("des: Weibull process parameters (lambda=%v, shape=%v) leave no usable scale (%v)", lambda, shape, scale)
 	}
-	return &WeibullProcess{rng: rng, shape: shape, scale: scale, lambda: lambda}, nil
+	return &WeibullProcess{rng: rng, shape: shape, scale: scale}, nil
 }
 
 // Next returns the time to the next arrival.
 func (p *WeibullProcess) Next() float64 { return p.rng.Weibull(p.shape, p.scale) }
-
-// Rate returns the configured mean arrival rate λ.
-func (p *WeibullProcess) Rate() float64 { return p.lambda }

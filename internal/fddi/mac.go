@@ -147,7 +147,7 @@ func analyzeMAC(in traffic.Descriptor, p MACParams, backlog bool) (MACResult, er
 
 	backlogBits, delay, scanEvals := scanMAC(in, p, busy, backlog)
 	envelopeEvals += scanEvals
-	if p.BufferBits > 0 && backlogBits > p.BufferBits*(1+units.RelTol) {
+	if p.BufferBits > 0 && backlogBits > p.BufferBits {
 		mMACInfeasible.Inc()
 		return MACResult{}, fmt.Errorf("%w: F=%v bits, S=%v bits", ErrBufferOverflow, backlogBits, p.BufferBits)
 	}

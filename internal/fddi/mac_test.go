@@ -134,6 +134,30 @@ func TestAnalyzeMACBufferOverflow(t *testing.T) {
 	}
 }
 
+// TestAnalyzeMACBufferVerdictHasNoTolerance puts the worst-case backlog F
+// just above the buffer, inside the relative tolerance the float engine
+// uses elsewhere: the verdict must err toward rejection, so F > S overflows
+// however small the excess, and only S ≥ F passes.
+func TestAnalyzeMACBufferVerdictHasNoTolerance(t *testing.T) {
+	in := mustPeriodic(t, 1e5, 0.010, 100e6)
+	p := MACParams{Ring: testRing(), H: 2e-3}
+	res, err := AnalyzeMAC(in, p, Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	p.BufferBits = res.BufferBits / (1 + units.RelTol/2)
+	if !(res.BufferBits > p.BufferBits && res.BufferBits <= p.BufferBits*(1+units.RelTol)) {
+		t.Fatalf("F = %v is not in (S, S·(1+RelTol)] for S = %v", res.BufferBits, p.BufferBits)
+	}
+	if _, err := AnalyzeMAC(in, p, Options{}); !errors.Is(err, ErrBufferOverflow) {
+		t.Errorf("F = %v over S = %v by %v: err = %v, want ErrBufferOverflow", res.BufferBits, p.BufferBits, res.BufferBits-p.BufferBits, err)
+	}
+	p.BufferBits = res.BufferBits
+	if _, err := AnalyzeMAC(in, p, Options{}); err != nil {
+		t.Errorf("S = F = %v rejected: %v", p.BufferBits, err)
+	}
+}
+
 func TestAnalyzeMACValidation(t *testing.T) {
 	in := mustPeriodic(t, 1e5, 0.010, 100e6)
 	if _, err := AnalyzeMAC(nil, MACParams{Ring: testRing(), H: 1e-3}, Options{}); err == nil {

@@ -6,7 +6,7 @@
 // Under the leaf rule lock order cannot be inconsistent, so there is no lock
 // graph: a nested acquisition is a finding where it happens, whichever order
 // the rest of the program uses. The one sanctioned nesting is dynamic —
-// core.Sharded calls its audit callback under commitMu — and the analyzer
+// core.Sharded calls its audit callback under mu — and the analyzer
 // does not follow function values (DESIGN.md §4).
 //
 // Each function is walked once in statement order by the held-set engine

@@ -53,11 +53,10 @@ const (
 // that must survive any transport behavior: no double-admit, client and
 // server views consistent, the audit log replayable to the exact server
 // state, and no goroutine left behind after shutdown. The audit sink is the
-// async group-sync writer, the deployment shape of fafcacd. Every profile ×
-// seed cell runs twice: on one analyzer lane (lanes=1, the controller
-// core.NewController builds) and on the daemon's default lane count (lanes=0),
-// where concurrent analyses, optimistic retries and commit-ordered audit
-// enqueues must uphold the same invariants.
+// async group-sync writer, the deployment shape of fafcacd. Each cell keeps
+// the lanes=1 leaf it had when the daemon could also run several analyzer
+// lanes; one analyzer, the controller core.NewController builds, is the case
+// it always covered.
 func TestChaosSignalingInvariants(t *testing.T) {
 	seeds := []int64{1, 7, 42}
 	if testing.Short() {
@@ -68,19 +67,17 @@ func TestChaosSignalingInvariants(t *testing.T) {
 			opts := profile.opts
 			opts.Seed = seed
 			t.Run(fmt.Sprintf("%s/seed%d", profile.name, seed), func(t *testing.T) {
-				for _, lanes := range []int{1, 0} {
-					t.Run(fmt.Sprintf("lanes=%d", lanes), func(t *testing.T) { runChaosCell(t, opts, lanes) })
-				}
+				t.Run("lanes=1", func(t *testing.T) { runChaosCell(t, opts) })
 			})
 		}
 	}
 }
 
 // runChaosCell runs one fault-matrix cell end to end.
-func runChaosCell(t *testing.T, fopts faultnet.Options, lanes int) {
+func runChaosCell(t *testing.T, fopts faultnet.Options) {
 	goroutinesBefore := runtime.NumGoroutine()
 
-	pipe, err := core.NewSharded(mustNetwork(t), core.Options{}, lanes)
+	pipe, err := core.NewController(mustNetwork(t), core.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}

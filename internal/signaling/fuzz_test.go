@@ -77,10 +77,10 @@ func FuzzReplay(f *testing.F) {
 
 // FuzzServerRequests feeds arbitrary bytes through the path a client socket
 // reaches: the decoder loop of handle (stop at the first error), then
-// Server.execute on a one-lane pipeline, at most 16 requests a stream and no
+// Server.execute on a fresh controller, at most 16 requests a stream and no
 // sockets. Whatever arrives, nothing may panic; a request that passes Validate
 // must survive its own wire encoding unchanged; no single request may hold
-// the lane for more than two seconds; and releasing what the stream left
+// the controller for more than two seconds; and releasing what the stream left
 // admitted must return every ring ledger to exactly its initial value.
 //
 // The committed corpus (testdata/fuzz/FuzzServerRequests) is an

@@ -27,8 +27,7 @@ type ReplayStats struct {
 // are written inside the controller's commit critical section, the file order
 // is the commit order, and re-running those records against a fresh
 // controller over the same topology and options must reproduce every decision
-// (verdict exactly, allocations to units.AlmostEq — the agreement any number
-// of analyzer lanes guarantees).
+// (verdict exactly, allocations to units.AlmostEq).
 //
 // Replay therefore verifies as it goes: a replayed admit must be admitted
 // again with the same HS/HR allocations (within the engine's float

@@ -23,8 +23,8 @@ const acceptRetryMax = time.Second
 
 // Server exposes the admission controller over newline-delimited JSON. Each
 // accepted TCP connection may issue any number of sequential requests;
-// handlers call straight into the controller, which admits, releases and
-// reports concurrently and provides its own synchronization.
+// handlers call straight into the controller, which is safe for concurrent
+// use and decides one request at a time.
 //
 // The server keeps a registry of open connections, which is what makes
 // shutdown sound: Close force-closes everything immediately, Shutdown

@@ -22,7 +22,7 @@ func startShardedSignalingServer(t *testing.T, buf *bytes.Buffer) (*Client, *cor
 	if err != nil {
 		t.Fatal(err)
 	}
-	pipe, err := core.NewSharded(net0, core.Options{}, 0)
+	pipe, err := core.NewController(net0, core.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
