@@ -94,11 +94,11 @@ func run(w io.Writer, path string, verbose bool) error {
 
 	fmt.Fprintln(w)
 	fmt.Fprintln(w, "final state:")
-	report, err := ctl.DelayReport()
+	conns, report, err := ctl.ConnectionsAndDelays()
 	if err != nil {
 		return err
 	}
-	for _, c := range ctl.Connections() {
+	for _, c := range conns {
 		fmt.Fprintf(w, "  %-10s %v→%v  worst-case %.2f ms  (deadline %.0f ms, slack %.2f ms)\n",
 			c.ID, c.Src, c.Dst, report[c.ID]*1e3, c.Deadline*1e3, (c.Deadline-report[c.ID])*1e3)
 	}

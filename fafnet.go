@@ -34,7 +34,10 @@
 //   - internal/fddi — Theorem 1 and a timed-token ring simulator.
 //   - internal/atm — FIFO output-port bounds and a cell-level simulator.
 //   - internal/ifdev — the interface device (Theorem 2 conversions).
-//   - internal/sim — the Section 6 admission-probability experiments.
+//   - internal/sim — the Section 6 admission-probability experiment. Its
+//     network, source model, lifetimes and deadlines are the paper's fixed
+//     setup (DESIGN.md §6); SimConfig sets only the offered load, the CAC
+//     options, the request counts, the seed and the destination bias.
 //   - internal/packetsim — packet-level validation of the analytic bounds.
 package fafnet
 
@@ -151,8 +154,6 @@ type (
 	SimConfig = sim.Config
 	// SimResult is one run's statistics.
 	SimResult = sim.Result
-	// Workload describes the stochastic request process.
-	Workload = sim.Workload
 	// Series is one labeled curve of a reproduced figure.
 	Series = sim.Series
 	// ValidationConfig parameterizes a packet-level validation run.
@@ -182,8 +183,6 @@ var (
 	LoadSweep = sim.LoadSweep
 	// RuleSweep runs the allocation-rule ablation (E4).
 	RuleSweep = sim.RuleSweep
-	// DefaultWorkload returns the evaluation workload constants.
-	DefaultWorkload = sim.DefaultWorkload
 	// Validate runs the packet-level simulator against the analytic bounds.
 	Validate = packetsim.Run
 )

@@ -93,8 +93,9 @@ type verdictEntry struct {
 	candDelay float64
 }
 
-// verdictCacheCap bounds the verdict cache; past it an arbitrary chunk of
-// entries is evicted (recurrence under churn re-seeds hot keys in one miss).
+// verdictCacheCap bounds the verdict cache; at it the cache is cleared, as
+// the analyzer's record and class maps are (recurrence under churn re-seeds
+// hot keys in one miss each).
 const verdictCacheCap = 4096
 
 // NewController builds the admission controller over the given network
@@ -304,7 +305,7 @@ func (p *Sharded) analyze(snap *snapState, dec Decision, spec ConnSpec, route to
 		return dec, cand, err
 	}
 	if len(p.cache) >= verdictCacheCap {
-		p.evictLocked()
+		clear(p.cache)
 	}
 	e := verdictEntry{dec: dec, candDelay: dec.Delays[spec.ID]}
 	e.dec.Delays = nil
@@ -326,18 +327,6 @@ func verdictKeyFor(snap *snapState, spec ConnSpec) (verdictKey, bool) {
 		return verdictKey{}, false
 	}
 	return verdictKey{state: snap.hash, spec: fp}, true
-}
-
-// evictLocked drops an arbitrary eighth of the cache. Called with mu held.
-func (p *Sharded) evictLocked() {
-	drop := verdictCacheCap / 8
-	for k := range p.cache {
-		delete(p.cache, k)
-		drop--
-		if drop == 0 {
-			return
-		}
-	}
 }
 
 // analyzeMiss runs the full CAC algorithm on the analyzer against the
@@ -473,9 +462,23 @@ func nextSnap(net *topo.Network, conns []*Connection) *snapState {
 // DelayReport returns the current worst-case delay of every admitted
 // connection, computed against the live snapshot.
 func (p *Sharded) DelayReport() (map[string]float64, error) {
+	_, delays, err := p.ConnectionsAndDelays()
+	return delays, err
+}
+
+// ConnectionsAndDelays returns the admitted connections sorted by id, as
+// Connections does, and the current worst-case delay of each, both read from
+// one snapshot under the lock: every connection listed has its delay, and no
+// admit or release lands between the two.
+func (p *Sharded) ConnectionsAndDelays() ([]*Connection, map[string]float64, error) {
 	p.mu.Lock()
 	defer p.mu.Unlock()
-	return p.an.Delays(p.snap.Load().conns)
+	conns := p.snap.Load().conns
+	delays, err := p.an.Delays(conns)
+	if err != nil {
+		return nil, nil, err
+	}
+	return append([]*Connection(nil), conns...), delays, nil
 }
 
 // BufferReport returns the buffer requirements of every admitted

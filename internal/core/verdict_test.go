@@ -1,10 +1,13 @@
 package core
 
 import (
+	"fmt"
 	"math"
 	"math/rand"
 	"testing"
 
+	"fafnet/internal/topo"
+	"fafnet/internal/traffic"
 	"fafnet/internal/units"
 )
 
@@ -162,5 +165,51 @@ func TestPartialSumNeverExceedsTotal(t *testing.T) {
 		if bd.DstMAC == 0 && rest != total {
 			t.Fatalf("%+v: two sums of the same breakdown differ: %v and %v", bd, rest, total)
 		}
+	}
+}
+
+// TestVerdictCacheCap fills the verdict cache past verdictCacheCap with
+// distinct previews (one deadline each, so one key each) and requires that
+// it never holds more than the cap, and that it was cleared on reaching it.
+func TestVerdictCacheCap(t *testing.T) {
+	net := defaultNet(t)
+	p, err := NewController(net, Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	cacheLen := func() int {
+		p.mu.Lock()
+		defer p.mu.Unlock()
+		return len(p.cache)
+	}
+	src, err := traffic.NewPeriodic(20e3, 0.010, 100e6)
+	if err != nil {
+		t.Fatal(err)
+	}
+	cleared := false
+	for i := 0; i < verdictCacheCap+10; i++ {
+		before := cacheLen()
+		spec := ConnSpec{
+			ID:       fmt.Sprintf("c%d", i),
+			Src:      topo.HostID{Ring: 0, Index: 0},
+			Dst:      topo.HostID{Ring: 1, Index: 0},
+			Source:   src,
+			Deadline: 0.05 + float64(i)*1e-6,
+		}
+		if _, err := p.PreviewAdmission(spec); err != nil {
+			t.Fatal(err)
+		}
+		switch n := cacheLen(); {
+		case n > verdictCacheCap:
+			t.Fatalf("preview %d: the cache holds %d entries, over the cap %d", i, n, verdictCacheCap)
+		case n < before:
+			if before != verdictCacheCap || n != 1 {
+				t.Fatalf("preview %d: the cache went from %d to %d entries; want a clear at the cap %d", i, before, n, verdictCacheCap)
+			}
+			cleared = true
+		}
+	}
+	if !cleared {
+		t.Fatal("the cache never reached its cap")
 	}
 }

@@ -129,30 +129,20 @@ type family struct {
 // A Registry holds metric families and renders them in the Prometheus text
 // exposition format. Registration normally happens once, from package-level
 // var initializers; rendering may run concurrently with metric updates and
-// with the first-use registrations of CounterVec and GaugeVec children.
+// with registrations.
 type Registry struct {
 	mu sync.Mutex
 	// fams is the family table, keyed by metric name. guarded by mu.
 	fams map[string]*family
-	// vecChildren indexes the children registered through CounterVec and
-	// GaugeVec by (family, label value). guarded by mu.
-	vecChildren map[vecKey]*child
-}
-
-// vecKey names one child of a one-label vector family.
-type vecKey struct {
-	f     *family
-	value string
 }
 
 // NewRegistry returns an empty registry.
 func NewRegistry() *Registry {
-	return &Registry{fams: make(map[string]*family), vecChildren: make(map[vecKey]*child)}
+	return &Registry{fams: make(map[string]*family)}
 }
 
 // Counter registers and returns a counter. labels are alternating key,
-// value pairs baked into the metric at registration time; a label whose
-// values are only known at run time takes a CounterVec instead.
+// value pairs baked into the metric at registration time.
 // Registering the same name with a different type or help, or the same
 // (name, labels) twice, panics: both are programmer errors caught at init.
 func (r *Registry) Counter(name, help string, labels ...string) *Counter {
@@ -184,81 +174,34 @@ func (r *Registry) Histogram(name, help string, buckets []float64, labels ...str
 	return h
 }
 
-// A CounterVec is a counter family with one label whose children are
-// registered on first use: for label values that are few and recurring but
-// not known at init, such as workload class names.
-type CounterVec struct{ vec }
-
-// A GaugeVec is the gauge counterpart of CounterVec.
-type GaugeVec struct{ vec }
-
-// vec is the shared half of CounterVec and GaugeVec.
-type vec struct {
-	r     *Registry
-	f     *family
-	label string
-}
-
-// CounterVec registers a counter family keyed by one label and returns the
-// handle that registers its children. The family exists, with no children,
-// from this call on; a child registered both through the vector and through
-// Counter with the same label value panics like any duplicate.
-func (r *Registry) CounterVec(name, help, label string) *CounterVec {
-	return &CounterVec{r.declareVec(name, help, label, kindCounter)}
-}
-
-// GaugeVec registers a gauge family keyed by one label. See CounterVec.
-func (r *Registry) GaugeVec(name, help, label string) *GaugeVec {
-	return &GaugeVec{r.declareVec(name, help, label, kindGauge)}
-}
-
-// With returns the counter for the label value, registering it on first
-// use. A lookup that finds the child allocates nothing.
-func (v *CounterVec) With(value string) *Counter { return v.child(value).c }
-
-// With returns the gauge for the label value, registering it on first use.
-// A lookup that finds the child allocates nothing.
-func (v *GaugeVec) With(value string) *Gauge { return v.child(value).g }
-
-func (r *Registry) declareVec(name, help, label string, k kind) vec {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	return vec{r: r, f: r.family(name, help, k), label: label}
-}
-
-// child returns the vector's child for value, registering it on first use,
-// all under the registry lock: it takes no other lock and calls out to
-// nothing that could.
-func (v *vec) child(value string) *child {
-	r := v.r
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	key := vecKey{v.f, value}
-	if ch := r.vecChildren[key]; ch != nil {
-		return ch
-	}
-	ch := &child{labels: renderLabels([]string{v.label, value})}
-	if v.f.kind == kindCounter {
-		ch.c = &Counter{}
-	} else {
-		ch.g = &Gauge{}
-	}
-	r.add(v.f, ch)
-	r.vecChildren[key] = ch
-	return ch
-}
-
 // register files one child under its family, creating the family on first
-// use and validating consistency.
+// use. A type or help that differs from the first registration, or a label
+// set already registered, panics.
 func (r *Registry) register(name, help string, k kind, labels []string, ch *child) {
 	if len(labels)%2 != 0 {
 		panic("obs: metric " + name + " labels must be key,value pairs")
+	}
+	if name == "" || help == "" {
+		panic("obs: metric needs a name and a help string")
 	}
 	ch.labels = renderLabels(labels)
 
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	r.add(r.family(name, help, k), ch)
+	f := r.fams[name]
+	if f == nil {
+		f = &family{name: name, help: help, kind: k}
+		r.fams[name] = f
+	}
+	if f.kind != k || f.help != help {
+		panic("obs: metric " + name + " re-registered with a different type or help")
+	}
+	for _, existing := range f.children {
+		if existing.labels == ch.labels {
+			panic("obs: metric " + name + "{" + ch.labels + "} registered twice")
+		}
+	}
+	f.children = append(f.children, ch)
 }
 
 // renderLabels renders alternating key, value pairs as `k1="v1",k2="v2"`.
@@ -271,34 +214,6 @@ func renderLabels(labels []string) string {
 		fmt.Fprintf(&b, "%s=%q", labels[i], labels[i+1])
 	}
 	return b.String()
-}
-
-// family returns the named family, creating it on first use; a type or
-// help that differs from the first registration panics. Called with mu held.
-func (r *Registry) family(name, help string, k kind) *family {
-	if name == "" || help == "" {
-		panic("obs: metric needs a name and a help string")
-	}
-	f := r.fams[name]
-	if f == nil {
-		f = &family{name: name, help: help, kind: k}
-		r.fams[name] = f
-	}
-	if f.kind != k || f.help != help {
-		panic("obs: metric " + name + " re-registered with a different type or help")
-	}
-	return f
-}
-
-// add files ch under f, panicking on a duplicate label set. Called with mu
-// held.
-func (r *Registry) add(f *family, ch *child) {
-	for _, existing := range f.children {
-		if existing.labels == ch.labels {
-			panic("obs: metric " + f.name + "{" + ch.labels + "} registered twice")
-		}
-	}
-	f.children = append(f.children, ch)
 }
 
 // Names returns the registered family names, sorted. The OPERATIONS.md
@@ -318,8 +233,8 @@ func (r *Registry) Names() []string {
 // format (version 0.0.4), sorted by family name and label string so output
 // is stable across runs.
 func (r *Registry) WritePrometheus(w io.Writer) error {
-	// Copy each family with its child list under the lock: a vector's first
-	// use of a label value appends to the list while a scrape runs.
+	// Copy each family with its child list under the lock: a registration
+	// appends to the list while a scrape runs.
 	r.mu.Lock()
 	fams := make([]family, 0, len(r.fams))
 	for _, f := range r.fams {

@@ -111,9 +111,6 @@ func TestRegistrationPanics(t *testing.T) {
 		{"empty help", func(r *Registry) { r.Counter("m", "") }},
 		{"no buckets", func(r *Registry) { r.Histogram("m", "h", nil) }},
 		{"descending buckets", func(r *Registry) { r.Histogram("m", "h", []float64{2, 1}) }},
-		{"vector child duplicates a counter", func(r *Registry) { r.Counter("m", "h", "class", "x"); r.CounterVec("m", "h", "class").With("x") }},
-		{"counter duplicates a vector child", func(r *Registry) { r.GaugeVec("m", "h", "class").With("x"); r.Gauge("m", "h", "class", "x") }},
-		{"vector type conflict", func(r *Registry) { r.Counter("m", "h"); r.GaugeVec("m", "h", "class") }},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
@@ -198,80 +195,4 @@ func TestMetricUpdatesAllocationFree(t *testing.T) {
 		t.Errorf("metric updates allocate %v times per run, want 0", n)
 	}
 	_ = sink
-}
-
-// TestVecWithConcurrent has eight goroutines look up the same few label
-// values while scrapes run: every caller gets the one child per value, and
-// the exposition lists each value once. Under -race it also checks that a
-// first-use registration and a scrape share nothing unguarded.
-func TestVecWithConcurrent(t *testing.T) {
-	r := NewRegistry()
-	v := r.CounterVec("class_total", "by class", "class")
-	values := []string{"a", "b", "c", "d"}
-	const workers, rounds = 8, 200
-	got := make([][]*Counter, workers)
-	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			got[w] = make([]*Counter, len(values))
-			for i := 0; i < rounds; i++ {
-				k := (w + i) % len(values)
-				c := v.With(values[k])
-				c.Inc()
-				if got[w][k] == nil {
-					got[w][k] = c
-				} else if got[w][k] != c {
-					t.Errorf("worker %d: With(%q) returned two children", w, values[k])
-					return
-				}
-			}
-		}()
-	}
-	for i := 0; i < 20; i++ {
-		var b strings.Builder
-		if err := r.WritePrometheus(&b); err != nil {
-			t.Fatal(err)
-		}
-	}
-	wg.Wait()
-	for w := 1; w < workers; w++ {
-		for k := range values {
-			if got[w][k] != got[0][k] {
-				t.Errorf("With(%q) gave workers 0 and %d different children", values[k], w)
-			}
-		}
-	}
-	var b strings.Builder
-	if err := r.WritePrometheus(&b); err != nil {
-		t.Fatal(err)
-	}
-	want := `# HELP class_total by class
-# TYPE class_total counter
-class_total{class="a"} 400
-class_total{class="b"} 400
-class_total{class="c"} 400
-class_total{class="d"} 400
-`
-	if b.String() != want {
-		t.Errorf("render:\n%s\nwant:\n%s", b.String(), want)
-	}
-}
-
-// TestVecWithHitAllocationFree pins the lookup of a registered child at
-// zero allocations: the workload metrics take it once per request.
-func TestVecWithHitAllocationFree(t *testing.T) {
-	r := NewRegistry()
-	c := r.CounterVec("c_total", "c", "class")
-	g := r.GaugeVec("g", "g", "class")
-	class := strings.Repeat("x", 3)
-	c.With(class)
-	g.With(class)
-	if n := testing.AllocsPerRun(100, func() {
-		c.With(class).Inc()
-		g.With(class).Set(1)
-	}); n != 0 {
-		t.Errorf("a hit allocates %v times per run, want 0", n)
-	}
 }

@@ -439,12 +439,12 @@ func (s *Server) executeOp(req Request) Response {
 		ok := s.pipe.ReleaseAudited(req.Release, record)
 		return Response{OK: true, Released: &ok}
 	case OpReport:
-		delays, err := s.pipe.DelayReport()
+		conns, delays, err := s.pipe.ConnectionsAndDelays()
 		if err != nil {
 			return Response{Error: err.Error()}
 		}
 		var report []ConnReport
-		for _, c := range s.pipe.Connections() {
+		for _, c := range conns {
 			report = append(report, ConnReport{
 				ID:             c.ID,
 				Src:            c.Src.String(),

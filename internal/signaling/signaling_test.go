@@ -1,6 +1,7 @@
 package signaling
 
 import (
+	"fmt"
 	"net"
 	"strings"
 	"testing"
@@ -223,5 +224,88 @@ func TestRequestValidation(t *testing.T) {
 func TestNewServerValidation(t *testing.T) {
 	if _, err := NewShardedServer(nil); err == nil {
 		t.Error("nil controller should be rejected")
+	}
+}
+
+// TestReportRowsCarryTheirOwnDelays runs report requests while admits and
+// releases churn the admitted set. A report that read the delays and the
+// admitted set from two snapshots would list a connection admitted between
+// the two with a delay of 0; every row must instead carry its own
+// connection's worst-case delay, positive and within its deadline, and once
+// the churn stops each row must equal DelayReport's value for its id.
+func TestReportRowsCarryTheirOwnDelays(t *testing.T) {
+	net0, err := topo.NewNetwork(topo.Default())
+	if err != nil {
+		t.Fatal(err)
+	}
+	ctl, err := core.NewController(net0, core.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	srv, err := NewShardedServer(ctl)
+	if err != nil {
+		t.Fatal(err)
+	}
+	hosts := net0.Hosts()
+	const standing = 6
+	churnErr := make(chan error, 1)
+	go func() {
+		for i := 0; i < 300; i++ {
+			src := hosts[i%len(hosts)]
+			dst := hosts[(i+len(hosts)/2)%len(hosts)]
+			if dst.Ring == src.Ring {
+				dst.Ring = (src.Ring + 1) % net0.NumRings()
+			}
+			spec, err := videoRequest(fmt.Sprintf("c%d", i), src.Ring, src.Index, dst.Ring, dst.Index).Spec()
+			if err == nil {
+				_, err = ctl.RequestAdmission(spec)
+			}
+			if err != nil {
+				churnErr <- err
+				return
+			}
+			if i >= standing {
+				ctl.Release(fmt.Sprintf("c%d", i-standing))
+			}
+		}
+		churnErr <- nil
+	}()
+	check := func(rows []ConnReport) {
+		t.Helper()
+		for _, r := range rows {
+			if r.DelayMillis <= 0 || r.DelayMillis > r.DeadlineMillis {
+				t.Errorf("row %s: delay %v ms against a %v ms deadline", r.ID, r.DelayMillis, r.DeadlineMillis)
+			}
+		}
+	}
+	for done := false; !done; {
+		select {
+		case err := <-churnErr:
+			if err != nil {
+				t.Fatal(err)
+			}
+			done = true
+		default:
+		}
+		resp := srv.execute(Request{Op: OpReport})
+		if !resp.OK {
+			t.Fatalf("report: %s", resp.Error)
+		}
+		check(resp.Report)
+	}
+
+	resp := srv.execute(Request{Op: OpReport})
+	want, err := ctl.DelayReport()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(resp.Report) != len(want) || len(want) == 0 {
+		t.Fatalf("report lists %d connections, DelayReport %d", len(resp.Report), len(want))
+	}
+	check(resp.Report)
+	for _, r := range resp.Report {
+		if r.DelayMillis != want[r.ID]*1e3 {
+			t.Errorf("row %s: delay %v ms, DelayReport %v ms", r.ID, r.DelayMillis, want[r.ID]*1e3)
+		}
 	}
 }

@@ -37,9 +37,6 @@ type CalibrateConfig struct {
 	// PacketDuration is the packet-level simulated span per scenario in
 	// seconds (default 0.25 — tens of token rotations and deadline windows).
 	PacketDuration float64
-	// SkipReplay disables the per-scenario record/replay bit-identity
-	// cross-check (it roughly doubles the admission-simulation cost).
-	SkipReplay bool
 	// Progress, when non-nil, is called after each scenario completes.
 	Progress func(ScenarioOutcome)
 }
@@ -84,8 +81,7 @@ type ScenarioOutcome struct {
 	// (0 when nothing was measured).
 	WorstTightness float64
 	// ReplayMatch reports whether replaying the recorded trace reproduced
-	// the recording's decision-stream fingerprint bit-for-bit (true when the
-	// replay check is skipped).
+	// the recording's decision-stream fingerprint bit-for-bit.
 	ReplayMatch bool
 }
 
@@ -115,7 +111,8 @@ type CalibrateResult struct {
 	Scenarios []ScenarioOutcome
 	// PerClass aggregates tightness per workload class, sorted by name.
 	PerClass []ClassCalibration
-	// Overall aggregates tightness over every measured connection.
+	// Overall aggregates tightness over every measured connection, under
+	// the class name "overall".
 	Overall ClassCalibration
 	// Violations totals measured-delay bound violations across the sweep.
 	// The calibration gate fails hard on any.
@@ -175,10 +172,9 @@ const scenarioSeedStride = 104729
 
 // Calibrate runs the calibration sweep: for each scenario it draws a
 // randomized multi-class workload spec, runs the admission simulation with
-// trace recording, optionally replays the trace and checks bit-identity,
-// then feeds the admitted snapshot through the packet-level simulator and
-// compares every measured delay against its analytic Eq. 7 bound. Results
-// also flow to the workload metric families on /metrics.
+// trace recording, replays the trace and checks bit-identity, then feeds
+// the admitted snapshot through the packet-level simulator and compares
+// every measured delay against its analytic Eq. 7 bound.
 func Calibrate(cfg CalibrateConfig) (CalibrateResult, error) {
 	cfg = cfg.withDefaults()
 
@@ -212,31 +208,28 @@ func Calibrate(cfg CalibrateConfig) (CalibrateResult, error) {
 		}
 
 		out := ScenarioOutcome{
-			Index:       i,
-			Seed:        seed,
-			Classes:     len(spec.Classes),
-			Admitted:    len(mres.Admitted),
-			ReplayMatch: true,
+			Index:    i,
+			Seed:     seed,
+			Classes:  len(spec.Classes),
+			Admitted: len(mres.Admitted),
 		}
 		for _, cr := range mres.PerClass {
 			cls(cr.Class).ap.Merge(cr.AP)
 		}
 		overall.ap.Merge(mres.Total)
 
-		if !cfg.SkipReplay {
-			rep, err := RunMulti(MultiConfig{
-				Topology: cfg.Topology,
-				CAC:      cfg.CAC,
-				Replay:   mres.Trace,
-				Warmup:   cfg.Warmup,
-			})
-			if err != nil {
-				return res, fmt.Errorf("sim: calibration scenario %d replay: %w", i, err)
-			}
-			out.ReplayMatch = rep.Fingerprint == mres.Fingerprint
-			if !out.ReplayMatch {
-				res.ReplayMismatches++
-			}
+		rep, err := RunMulti(MultiConfig{
+			Topology: cfg.Topology,
+			CAC:      cfg.CAC,
+			Replay:   mres.Trace,
+			Warmup:   cfg.Warmup,
+		})
+		if err != nil {
+			return res, fmt.Errorf("sim: calibration scenario %d replay: %w", i, err)
+		}
+		out.ReplayMatch = rep.Fingerprint == mres.Fingerprint
+		if !out.ReplayMatch {
+			res.ReplayMismatches++
 		}
 
 		// Class of each admitted connection, recovered from the trace.
@@ -279,10 +272,6 @@ func Calibrate(cfg CalibrateConfig) (CalibrateResult, error) {
 
 		res.Violations += out.Violations
 		res.Scenarios = append(res.Scenarios, out)
-		workload.AddCalibrationScenarios(1)
-		if out.Violations > 0 {
-			workload.AddCalibrationViolations(out.Violations)
-		}
 		if cfg.Progress != nil {
 			cfg.Progress(out)
 		}
@@ -303,14 +292,12 @@ func Calibrate(cfg CalibrateConfig) (CalibrateResult, error) {
 			return res, err
 		}
 		res.PerClass = append(res.PerClass, cal)
-		workload.SetClassTightness(name, cal.WorstTightness)
 	}
 	var err error
-	res.Overall, err = overall.result(workload.Overall)
+	res.Overall, err = overall.result("overall")
 	if err != nil {
 		return res, err
 	}
-	workload.SetClassTightness(workload.Overall, res.Overall.WorstTightness)
 
 	// Guard against NaN leaking into the report (all-idle classes divide by
 	// zero nowhere above, but MAPE over empty pairs is defined as 0; a NaN

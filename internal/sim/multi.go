@@ -202,10 +202,6 @@ func RunMulti(cfg MultiConfig) (MultiResult, error) {
 		}
 		t.record(a.spec, dec)
 		res.Total.Record(dec.Admitted)
-		workload.RecordRequest(a.class)
-		if dec.Admitted {
-			workload.RecordAdmission(a.class)
-		}
 	}
 	if res.Duration, res.MeanActive, err = d.run(f); err != nil {
 		return MultiResult{}, err
@@ -228,11 +224,8 @@ func RunMulti(cfg MultiConfig) (MultiResult, error) {
 			Slack:      t.slack,
 			Rejections: t.rejections,
 		})
-		workload.SetClassAP(name, t.ap.Value())
 		aps = append(aps, t.ap.Value())
 	}
 	res.Jain = stats.JainIndex(aps)
-	workload.SetClassAP(workload.Overall, res.Total.Value())
-	workload.SetJainFairness(res.Jain)
 	return res, nil
 }

@@ -5,6 +5,7 @@ import (
 	"reflect"
 	"testing"
 
+	"fafnet/internal/topo"
 	"fafnet/internal/workload"
 )
 
@@ -130,5 +131,11 @@ func TestRunMultiErrors(t *testing.T) {
 	bad.Spec.Classes[0].Arrival.RatePerSec = -1
 	if _, err := RunMulti(bad); err == nil {
 		t.Fatal("invalid spec must fail")
+	}
+	oneRing := multiConfig(1)
+	oneRing.Topology = topo.Default()
+	oneRing.Topology.NumRings = 1
+	if _, err := RunMulti(oneRing); err == nil {
+		t.Fatal("a one-ring topology has no remote destination and must fail")
 	}
 }

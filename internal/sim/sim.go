@@ -25,93 +25,39 @@ import (
 	"fafnet/internal/units"
 )
 
-// SourceParams is the dual-periodic source model of Eq. 37.
-type SourceParams struct {
-	C1, P1  float64 // long-period contract: C1 bits per P1 seconds
-	C2, P2  float64 // short-period contract: C2 bits per P2 seconds
-	PeakBps float64 // instantaneous rate while transmitting
-}
+// The Section 6 workload (DESIGN.md §6) on topo.Default(): every connection
+// is the dual-periodic source of Eq. 37, C1 = 50 kbit per P1 = 10 ms and
+// C2 = 10 kbit per P2 = 1 ms at a 100 Mb/s peak, with no buffer limits; it
+// holds for an exponential lifetime of mean 1/µ = 60 s, and its deadline is
+// uniform in [30 ms, 70 ms]. The long-term rate ρ = C1/P1 = 5 Mb/s (Eq. 38)
+// is sized so that a generous (β = 1) allocation for every active connection
+// exhausts the rings' synchronous capacity right around the top of the
+// offered-load sweep: at light loads every policy has room, at heavy loads
+// the allocation policy decides who fits — the regime Figures 7–8 explore.
+const (
+	sourceC1      = 50e3
+	sourceP1      = 10 * units.Millisecond
+	sourceC2      = 10e3
+	sourceP2      = units.Millisecond
+	sourcePeakBps = 100e6
+	sourceRho     = sourceC1 / sourceP1
+	meanLifetime  = 60
+	deadlineMin   = 30 * units.Millisecond
+	deadlineMax   = 70 * units.Millisecond
+)
 
-// Descriptor builds the traffic descriptor for these parameters.
-func (s SourceParams) Descriptor() (traffic.Descriptor, error) {
-	return traffic.NewDualPeriodic(s.C1, s.P1, s.C2, s.P2, s.PeakBps)
-}
-
-// Rho returns the long-term rate ρ = C1/P1 (Eq. 38).
-func (s SourceParams) Rho() float64 { return s.C1 / s.P1 }
-
-// Workload describes the stochastic request process.
-type Workload struct {
-	// Source parameterizes every connection's traffic.
-	Source SourceParams
-	// MeanLifetime is 1/µ: the mean holding time of an admitted connection.
-	MeanLifetime float64
-	// DeadlineMin and DeadlineMax bound the uniformly drawn deadlines.
-	DeadlineMin, DeadlineMax float64
-	// HostBufferBits and IDBufferBits are per-connection buffer limits
-	// (0 = unlimited).
-	HostBufferBits, IDBufferBits float64
-}
-
-// DefaultWorkload returns the constants recorded in DESIGN.md. The long-term
-// rate ρ = 5 Mb/s is sized so that a generous (β = 1) allocation for every
-// active connection exhausts the rings' synchronous capacity right around
-// the top of the offered-load sweep: at light loads every policy has room,
-// at heavy loads the allocation policy decides who fits — the regime
-// Figures 7–8 explore.
-func DefaultWorkload() Workload {
-	return Workload{
-		Source:       SourceParams{C1: 50e3, P1: 10 * units.Millisecond, C2: 10e3, P2: units.Millisecond, PeakBps: 100e6},
-		MeanLifetime: 60,
-		DeadlineMin:  30 * units.Millisecond,
-		DeadlineMax:  70 * units.Millisecond,
-	}
-}
-
-// Validate reports whether the workload is usable.
-func (w Workload) Validate() error {
-	if _, err := w.Source.Descriptor(); err != nil {
-		return err
-	}
-	if w.MeanLifetime <= 0 {
-		return fmt.Errorf("sim: mean lifetime %v must be positive", w.MeanLifetime)
-	}
-	if w.DeadlineMin <= 0 || w.DeadlineMax < w.DeadlineMin {
-		return fmt.Errorf("sim: deadline range [%v, %v] invalid", w.DeadlineMin, w.DeadlineMax)
-	}
-	return nil
-}
-
-// Config parameterizes one simulation run.
+// Config parameterizes one simulation run of the Section 6 experiment.
 type Config struct {
-	// Topology describes the network (default: the paper's 3×4 network).
-	Topology topo.Config
-	// Workload describes sources, lifetimes and deadlines.
-	Workload Workload
 	// CAC configures the admission controller (β, rule, search options).
 	CAC core.Options
 	// Utilization is U: the offered average load on one backbone link
-	// relative to link capacity. The arrival rate follows the paper's
-	// formula U = λ/(LinkShare·µ) · ρ / C_link.
+	// relative to its reference capacity (see arrivalRate).
 	Utilization float64
-	// LinkShare is the divisor in the λ formula (the paper uses 3, the
-	// number of backbone links the load spreads over). 0 selects the
-	// number of rings.
-	LinkShare float64
-	// CapacityBps is the reference capacity C in the offered-load formula
-	// U = λ/(LinkShare·µ) · ρ/C. The paper uses the raw 155 Mb/s link rate,
-	// but in an FDDI-edged network the carriable load saturates far below
-	// that: the bottleneck is the rings' synchronous capacity, which every
-	// connection consumes at both its source and its destination. 0 selects
-	// the ring-limited per-link share,
-	// NumRings · BW·(1 − Δ/TTRT) / 2 / LinkShare,
-	// so that U sweeps the range where admission decisions actually bind
-	// (recorded as a calibration substitution in DESIGN.md).
-	CapacityBps float64
 	// Requests is the number of admission requests counted toward the
 	// statistics (default 400).
 	Requests int
-	// Warmup is the number of initial requests excluded (default 50).
+	// Warmup is the number of initial requests excluded (default 50; a
+	// negative value excludes none).
 	Warmup int
 	// Seed drives all randomness; runs with equal seeds are identical.
 	Seed int64
@@ -124,23 +70,6 @@ type Config struct {
 }
 
 func (c Config) withDefaults() Config {
-	if c.Topology.NumRings == 0 {
-		c.Topology = topo.Default()
-	}
-	if c.Workload.MeanLifetime == 0 && c.Workload.Source == (SourceParams{}) {
-		c.Workload = DefaultWorkload()
-	}
-	if c.LinkShare <= 0 {
-		c.LinkShare = float64(c.Topology.NumRings)
-	}
-	if c.CapacityBps <= 0 {
-		// Ring-limited reference: each connection consumes synchronous
-		// bandwidth on two rings (factor 1/2), and allocations sit above
-		// the bare stability floor (headroom factor 0.8).
-		ring := c.Topology.Ring
-		ringEffective := ring.BandwidthBps * (1 - ring.Overhead/ring.TTRT)
-		c.CapacityBps = float64(c.Topology.NumRings) * ringEffective * 0.4 / c.LinkShare
-	}
 	if c.Requests <= 0 {
 		c.Requests = 400
 	}
@@ -152,11 +81,24 @@ func (c Config) withDefaults() Config {
 	return c
 }
 
-// ArrivalRate returns λ derived from the offered utilization:
-// λ = U · LinkShare · µ · C / ρ with C the reference capacity.
-func (c Config) ArrivalRate() float64 {
-	mu := 1 / c.Workload.MeanLifetime
-	return c.Utilization * c.LinkShare * mu * c.CapacityBps / c.Workload.Source.Rho()
+// arrivalRate returns the Poisson rate λ = U·L·µ·C/ρ of the paper's
+// offered-load formula U = λ/(L·µ)·ρ/C on the network t, with L the number
+// of backbone links the load spreads over (the number of rings). C is a
+// calibration substitution (DESIGN.md §6): the paper uses the raw 155 Mb/s
+// link rate, but in an FDDI-edged network the carriable load saturates far
+// below that, because the bottleneck is the rings' synchronous capacity,
+// which every connection consumes at both its source and its destination
+// (factor 1/2) with allocations above the bare stability floor (headroom
+// factor 0.8). So C is the ring-limited per-link share
+// NumRings·BW·(1 − Δ/TTRT)·0.4/L, and U sweeps the range where admission
+// decisions actually bind.
+func arrivalRate(u float64, t topo.Config) float64 {
+	links := float64(t.NumRings)
+	ring := t.Ring
+	ringEffective := ring.BandwidthBps * (1 - ring.Overhead/ring.TTRT)
+	capacity := float64(t.NumRings) * ringEffective * 0.4 / links
+	mu := 1.0 / meanLifetime
+	return u * links * mu * capacity / sourceRho
 }
 
 // Result summarizes one run.
@@ -193,22 +135,20 @@ type Result struct {
 // an admit only — lifetime.
 func Run(cfg Config) (Result, error) {
 	cfg = cfg.withDefaults()
-	if err := cfg.Workload.Validate(); err != nil {
-		return Result{}, err
-	}
 	if cfg.Utilization <= 0 {
 		return Result{}, fmt.Errorf("sim: utilization %v must be positive", cfg.Utilization)
 	}
+	t := topo.Default()
 	rng := des.NewRNG(cfg.Seed)
-	d, err := newDriver(cfg.Topology, cfg.CAC, rng)
+	d, err := newDriver(t, cfg.CAC, rng)
 	if err != nil {
 		return Result{}, err
 	}
-	source, err := cfg.Workload.Source.Descriptor()
+	source, err := traffic.NewDualPeriodic(sourceC1, sourceP1, sourceC2, sourceP2, sourcePeakBps)
 	if err != nil {
 		return Result{}, err
 	}
-	arrivals, err := des.NewPoissonProcess(rng, cfg.ArrivalRate())
+	arrivals, err := des.NewPoissonProcess(rng, arrivalRate(cfg.Utilization, t))
 	if err != nil {
 		return Result{}, err
 	}
@@ -233,23 +173,21 @@ func Run(cfg Config) (Result, error) {
 			}
 			seq++
 			return arrival{spec: core.ConnSpec{
-				ID:             fmt.Sprintf("m%d", seq),
-				Src:            src,
-				Dst:            dst,
-				Source:         source,
-				Deadline:       rng.Uniform(cfg.Workload.DeadlineMin, cfg.Workload.DeadlineMax),
-				HostBufferBits: cfg.Workload.HostBufferBits,
-				IDBufferBits:   cfg.Workload.IDBufferBits,
+				ID:       fmt.Sprintf("m%d", seq),
+				Src:      src,
+				Dst:      dst,
+				Source:   source,
+				Deadline: rng.Uniform(deadlineMin, deadlineMax),
 			}}, true, nil
 		},
-		lifetime: func() float64 { return rng.Exp(cfg.Workload.MeanLifetime) },
+		lifetime: func() float64 { return rng.Exp(meanLifetime) },
 	})
 	if err != nil {
 		return Result{}, err
 	}
 	res.AP, res.SlackAtAdmission, res.Rejections = all.ap, all.slack, all.rejections
 	res.SkippedNoIdleHost = d.skipped
-	res.AchievedUtilization = res.MeanActive * cfg.Workload.Source.Rho() /
-		(cfg.LinkShare * cfg.Topology.LinkBps)
+	res.AchievedUtilization = res.MeanActive * sourceRho /
+		(float64(t.NumRings) * t.LinkBps)
 	return res, nil
 }

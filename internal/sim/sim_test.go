@@ -6,6 +6,7 @@ import (
 
 	"fafnet/internal/core"
 	"fafnet/internal/topo"
+	"fafnet/internal/traffic"
 	"fafnet/internal/units"
 )
 
@@ -83,47 +84,38 @@ func TestRunDeterministic(t *testing.T) {
 }
 
 func TestRunValidation(t *testing.T) {
-	cfg := fastCfg(0, 1)
-	if _, err := Run(cfg); err == nil {
-		t.Error("zero utilization should be rejected")
-	}
-	bad := fastCfg(0.5, 1)
-	bad.Workload = DefaultWorkload()
-	bad.Workload.MeanLifetime = -1
-	if _, err := Run(bad); err == nil {
-		t.Error("negative lifetime should be rejected")
-	}
-	bad2 := fastCfg(0.5, 1)
-	bad2.Workload = DefaultWorkload()
-	bad2.Workload.DeadlineMax = bad2.Workload.DeadlineMin / 2
-	if _, err := Run(bad2); err == nil {
-		t.Error("inverted deadline range should be rejected")
-	}
-	oneRing := fastCfg(0.5, 1)
-	oneRing.Topology = topo.Default()
-	oneRing.Topology.NumRings = 1
-	if _, err := Run(oneRing); err == nil {
-		t.Error("a one-ring topology has no remote destination and should be rejected")
+	for _, u := range []float64{0, -0.5} {
+		if _, err := Run(fastCfg(u, 1)); err == nil {
+			t.Errorf("utilization %v should be rejected", u)
+		}
 	}
 }
 
 func TestArrivalRateFormula(t *testing.T) {
-	cfg := fastCfg(0.9, 1).withDefaults()
-	// Reference capacity defaults to the ring-limited per-link share with
+	topology := topo.Default()
+	got := arrivalRate(0.9, topology)
+	// The reference capacity is the ring-limited per-link share with
 	// allocation headroom: 3 · 100e6·(1 − 0.25/4) · 0.4 / 3 = 37.5 Mb/s.
 	wantCap := 100e6 * (1 - 0.25/4.0) * 0.4
-	if !units.WithinRel(cfg.CapacityBps, wantCap, 1e-9) {
-		t.Fatalf("CapacityBps = %v, want %v", cfg.CapacityBps, wantCap)
+	// λ = U·L·µ·C/ρ with L = 3 backbone links, 1/µ = 60 s, ρ = 5 Mb/s.
+	if want := 0.9 * 3 * (1.0 / 60) * wantCap / 5e6; !units.WithinRel(got, want, 1e-9) {
+		t.Errorf("arrivalRate = %v, want %v", got, want)
 	}
-	// λ = U·LinkShare·µ·C/ρ.
-	want := 0.9 * 3 * (1.0 / 60) * wantCap / 5e6
-	if got := cfg.ArrivalRate(); !units.WithinRel(got, want, 1e-9) {
-		t.Errorf("ArrivalRate = %v, want %v", got, want)
+	// The paper's literal formula references the raw 155 Mb/s link: its U
+	// is this U × 37.5/155 for the same λ.
+	literalU := 0.9 * wantCap / 155e6
+	if want := literalU * 3 * (1.0 / 60) * 155e6 / 5e6; !units.WithinRel(got, want, 1e-9) {
+		t.Errorf("arrivalRate = %v, want the literal formula's %v", got, want)
 	}
-	// An explicit capacity overrides the default (the paper's raw link rate).
-	cfg.CapacityBps = 155e6
-	if got := cfg.ArrivalRate(); !units.WithinRel(got, 0.9*3*(1.0/60)*155e6/5e6, 1e-9) {
-		t.Errorf("explicit capacity ArrivalRate = %v", got)
+	// Bit for bit the formula on run-time float64 operands: the constants
+	// folded in exact arithmetic (µ = 1/60, ρ = C1/P1) round to what float64
+	// division of the rounded operands gives, so no arrival time moves.
+	var u, c1, p1, life float64 = 0.9, sourceC1, sourceP1, meanLifetime
+	ring := topology.Ring
+	links := float64(topology.NumRings)
+	capacity := float64(topology.NumRings) * (ring.BandwidthBps * (1 - ring.Overhead/ring.TTRT)) * 0.4 / links
+	if want := u * links * (1 / life) * capacity / (c1 / p1); math.Float64bits(got) != math.Float64bits(want) {
+		t.Errorf("arrivalRate = %#x, want %#x", math.Float64bits(got), math.Float64bits(want))
 	}
 }
 
@@ -231,13 +223,20 @@ func TestDestBiasSkewsMatrix(t *testing.T) {
 	}
 }
 
+// TestSourceParams pins the Section 6 source of Eq. 37: it builds, and its
+// long-term rate is ρ = C1/P1 = 5 Mb/s (Eq. 38), the same float64 whether
+// folded as a constant or divided at run time.
 func TestSourceParams(t *testing.T) {
-	s := DefaultWorkload().Source
-	if got := s.Rho(); !units.AlmostEq(got, 5e6) {
-		t.Errorf("Rho = %v, want 5e6", got)
+	var c1, p1 float64 = sourceC1, sourceP1
+	if sourceRho != 5e6 || c1/p1 != sourceRho {
+		t.Errorf("rho = %v (run time %v), want 5e6", float64(sourceRho), c1/p1)
 	}
-	if _, err := s.Descriptor(); err != nil {
-		t.Errorf("Descriptor: %v", err)
+	d, err := traffic.NewDualPeriodic(sourceC1, sourceP1, sourceC2, sourceP2, sourcePeakBps)
+	if err != nil {
+		t.Fatalf("NewDualPeriodic: %v", err)
+	}
+	if got := d.LongTermRate(); !units.AlmostEq(got, sourceRho) {
+		t.Errorf("LongTermRate = %v, want %v", got, float64(sourceRho))
 	}
 }
 

@@ -1,6 +1,7 @@
 package sim
 
 import (
+	"reflect"
 	"runtime"
 	"strings"
 	"testing"
@@ -52,5 +53,35 @@ func TestSweepStopsWorkers(t *testing.T) {
 				time.Sleep(time.Millisecond)
 			}
 		})
+	}
+}
+
+// TestBetaSweepMatchesSerialRuns pins the worker pool to the points it is
+// handed: every point of a 2-load × 2-β sweep is, field for field, the
+// Result of a serial Run of the same configuration under its pointSeed.
+func TestBetaSweepMatchesSerialRuns(t *testing.T) {
+	base := fastCfg(0, 11)
+	base.Requests = 20
+	base.Warmup = 2
+	utils, betas := []float64{0.3, 0.9}, []float64{0, 1}
+	series, err := BetaSweep(base, utils, betas)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for si, u := range utils {
+		for pi, beta := range betas {
+			cfg := base
+			cfg.Utilization = u
+			cfg.CAC.Beta, cfg.CAC.BetaSet = beta, true
+			cfg.Seed = pointSeed(base.Seed, si, pi)
+			want, err := Run(cfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			got := series[si].Points[pi]
+			if got.X != beta || got.AP != want.AP.Value() || got.CI != want.AP.CI95() || !reflect.DeepEqual(got.Result, want) {
+				t.Errorf("U=%v β=%v: sweep point %+v differs from the serial run %+v", u, beta, got, want)
+			}
+		}
 	}
 }
