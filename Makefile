@@ -90,12 +90,18 @@ calibrate:
 # End-to-end smoke of the one benchmark that measures this tree (bench/,
 # BENCHMARK.json): a short traced run of the worst honest regime — churn
 # drives the real daemon over loopback, validates every response and ends
-# with the ledger, drain and audit checks. It must exit 0 and report
-# "correct":true on its result line. Numbers from a 4 s run are not for
-# comparison; bench/README.md gives the paired procedure for those.
+# with the ledger, drain and audit checks. It must exit 0, report
+# "correct":true on its result line and print the decision fingerprint
+# below: the first 500 churn seed-1 decisions, bit for bit. A change that
+# moves decisions on purpose updates BENCH_E2E_FINGERPRINT and says so in
+# CHANGES.md. Numbers from a 4 s run are not for comparison; bench/README.md
+# gives the paired procedure for those.
+BENCH_E2E_FINGERPRINT = 46bc22049b29810b
+
 bench-e2e:
 	@out=$$($(GO) run ./bench -workload churn -seed 1 -seconds 4 -trace 1) || { echo "$$out"; exit 1; }; \
 	echo "$$out" | grep -E '^(fingerprint|budget|probe budget)'; \
+	echo "$$out" | grep -q '^fingerprint churn $(BENCH_E2E_FINGERPRINT) ' || { echo "bench-e2e: the churn seed-1 fingerprint is not $(BENCH_E2E_FINGERPRINT)"; exit 1; }; \
 	echo "$$out" | tail -n 1 | grep -o '"correct":true'
 
 # Documentation gates: every exported identifier in internal/obs must carry

@@ -86,7 +86,7 @@ func TestNestedPortMembersStack(t *testing.T) {
 			t.Fatal(err)
 		}
 		for _, c := range conns {
-			if _, err := ev.muxDelay(c.Route.Ports[0]); err != nil {
+			if _, err := ev.muxDelay(c.Route.PortIndex[0]); err != nil {
 				t.Fatal(err)
 			}
 		}
@@ -125,10 +125,10 @@ func TestNestedPortMembersStack(t *testing.T) {
 	if _, err := ev.delays(); err != nil {
 		t.Fatal(err)
 	}
-	down := conns[0].Route.Ports[1]
+	down := conns[0].Route.PortIndex[1]
 	var muxErr error
 	if n := testing.AllocsPerRun(100, func() {
-		delete(ev.portDelay, down)
+		ev.portDelay[down] = math.NaN()
 		if _, err := ev.muxDelay(down); err != nil {
 			muxErr = err
 		}
@@ -137,5 +137,58 @@ func TestNestedPortMembersStack(t *testing.T) {
 	}
 	if muxErr != nil {
 		t.Fatal(muxErr)
+	}
+}
+
+// maxColdDecisionAllocs pins what one cold decision allocates
+// (TestColdDecisionAllocations): 806, the count measured when the probe's
+// bookkeeping became dense — one array per flat, the root-only fusion of an
+// already-fused tail, slices for the evaluation's state, the port verdicts'
+// member sets on one backing array — plus 10 %.
+const maxColdDecisionAllocs = 887
+
+// TestColdDecisionAllocations pins the allocations of one whole decision,
+// so that a regression in the probe path fails here rather than in the
+// benchmark: decideAgainst on a fresh analyzer, every analysis a first
+// contact, a full bisection over five standing connections of the default
+// network.
+func TestColdDecisionAllocations(t *testing.T) {
+	// The standing set takes its minimum allocations, leaving the candidate
+	// room for a whole segment.
+	ctl := newController(t, Options{Beta: 0, BetaSet: true})
+	for i, pair := range [][4]int{{0, 0, 1, 0}, {0, 1, 2, 1}, {1, 0, 2, 0}, {1, 1, 0, 2}, {2, 0, 0, 3}} {
+		spec := testSpec(t, fmtID("bg", i), pair[0], pair[1], pair[2], pair[3])
+		spec.Deadline = 0.100
+		if dec, err := ctl.RequestAdmission(spec); err != nil || !dec.Admitted {
+			t.Fatalf("background admission %d: %v %v", i, err, dec.Reason)
+		}
+	}
+	snap := ctl.snap.Load()
+	spec := testSpec(t, "cand", 2, 1, 1, 2)
+	spec.Deadline = 0.100
+	route, err := ctl.Network().Route(spec.Src, spec.Dst)
+	if err != nil {
+		t.Fatal(err)
+	}
+	dec, reject, err := preflight(snap, ctl.opts, spec, route)
+	if err != nil || reject {
+		t.Fatalf("preflight: %v, rejected %v", err, reject)
+	}
+	var got Decision
+	allocs := testing.AllocsPerRun(5, func() {
+		an, err := NewAnalyzer(ctl.Network(), AnalysisOptions{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got, _, err = decideAgainst(an, ctl.opts, snap.conns, dec, spec, route); err != nil {
+			t.Fatal(err)
+		}
+	})
+	if !got.Admitted || got.Probes < 2*ctl.opts.SearchIters {
+		t.Fatalf("the decision admits %v after %d probes: no full bisection is measured", got.Admitted, got.Probes)
+	}
+	t.Logf("%v allocations over %d probes", allocs, got.Probes)
+	if allocs > maxColdDecisionAllocs {
+		t.Errorf("a cold decision allocates %v times, want at most %d", allocs, maxColdDecisionAllocs)
 	}
 }

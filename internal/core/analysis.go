@@ -7,6 +7,8 @@ import (
 	"reflect"
 	"slices"
 	"sort"
+	"strings"
+	"unsafe"
 
 	"fafnet/internal/atm"
 	"fafnet/internal/fddi"
@@ -37,11 +39,15 @@ type Analyzer struct {
 	// a fresh id, two standing connections with equal traffic — reads and
 	// fills the same record.
 	conns map[recClass]*connCache
-	// portMux caches FIFO-port analysis results keyed by the exact member
-	// flat set (pointer identity, in evaluation order): a port whose members
-	// all match a previously analyzed state reuses the delay verbatim. Flats
-	// are value-immutable, so pointer equality implies envelope equality.
-	portMux map[topo.PortID][]portMuxEntry
+	// portMux caches FIFO-port analysis results keyed by the port and the
+	// exact member flat set (pointer identity, in evaluation order): a port
+	// whose members all match a previously analyzed state reuses the delay
+	// verbatim. Flats are value-immutable, so pointer equality implies
+	// envelope equality. An insert that finds maxPortMuxEntries entries
+	// clears the map first. The entries' member sets are cut from muxFlats,
+	// which is emptied with the map.
+	portMux  map[portMuxKey]portMuxEntry
+	muxFlats []*traffic.Flat
 	// stats accumulates cache hit/miss counts over the analyzer's lifetime.
 	stats CacheStats
 	// ws holds the arrays every port aggregate of this analyzer is summed
@@ -98,25 +104,44 @@ type hopResult struct {
 	out *traffic.Flat
 }
 
+// portMuxKey names one FIFO-port analysis: the port's dense index and
+// memberHash of its member flats.
+type portMuxKey struct {
+	port int
+	hash uint64
+}
+
 // portMuxEntry is one cached FIFO-port analysis: the member flats it was
-// computed against (evaluation order) and the outcome — either a finite
-// worst-case delay or the infeasibility verdict.
+// computed against (evaluation order), which confirm a key match, and the
+// outcome — either a finite worst-case delay or the infeasibility verdict.
 type portMuxEntry struct {
 	flats []*traffic.Flat
 	delay float64
 	err   error
 }
 
+// memberHash hashes a member flat set by the flats' addresses, in order. The
+// address is only a hash: a lookup confirms the entry's flats with
+// slices.Equal, so two sets that collide cost a miss, never a wrong verdict,
+// and an entry keeps its flats alive, so no address it hashed is reused while
+// it stands.
+func memberHash(flats []*traffic.Flat) uint64 {
+	h := uint64(hashSeedA)
+	for _, f := range flats {
+		h = mix64(h ^ uint64(uintptr(unsafe.Pointer(f))))
+	}
+	return h
+}
+
 // Cache caps. One CAC bisection at a busy port generates on the order of a
 // hundred distinct states (each probed allocation shifts every downstream
 // envelope), and the same states recur on the next admission of the same
 // class, so the caps must hold a full bisection's working set or every
-// iteration recomputes it. A record, or the class map, that an insert finds
-// full is cleared (see remember, record); a port's verdict list drops its
-// older half, the recurring member sets being the recently used ones.
+// iteration recomputes it. A record, the class map or the port-verdict map
+// that an insert finds full is cleared (see remember, record, storePortMux).
 const (
 	maxConnEntries    = 512
-	maxPortMuxEntries = 256
+	maxPortMuxEntries = 4096
 	maxClasses        = 256
 )
 
@@ -155,7 +180,7 @@ func NewAnalyzer(net *topo.Network, _ AnalysisOptions) (*Analyzer, error) {
 	return &Analyzer{
 		net:     net,
 		conns:   make(map[recClass]*connCache),
-		portMux: make(map[topo.PortID][]portMuxEntry),
+		portMux: make(map[portMuxKey]portMuxEntry),
 	}, nil
 }
 
@@ -208,39 +233,56 @@ func (a *Analyzer) Breakdown(conns []*Connection, id string) (Breakdown, error) 
 	if err != nil {
 		return Breakdown{}, err
 	}
-	c := ev.conns[id]
-	if c == nil {
-		return Breakdown{}, fmt.Errorf("core: unknown connection %q", id)
-	}
-	return ev.breakdown(c, needBacklogs)
+	return ev.breakdownOf(id)
 }
 
 // evaluation is one consistent snapshot: all envelopes and port delays are
 // computed against the same set of connections and allocations, memoized for
 // the duration of the evaluation.
+//
+// Its state is dense. A connection is numbered by its index in ordered, a
+// port by its index in the network (topo.Route.PortIndex), and everything the
+// evaluation learns sits in slices under those numbers, so no probe hashes a
+// string or a pointer to find its own bookkeeping. Resetting it for the next
+// probe is a copy and two clears (ProbeSession.reseed).
 type evaluation struct {
 	a       *Analyzer
-	conns   map[string]*Connection
-	ordered []*Connection // deterministic iteration order
+	ordered []*Connection // sorted by id: the deterministic iteration order
 	// recs holds each connection's record, as looked up when the evaluation
 	// was built: the evaluation keeps filling them even if the analyzer has
 	// since cleared its class map.
-	recs map[*Connection]*connCache
+	recs []*connCache
 
-	portDelay map[topo.PortID]float64
-	portBusy  map[topo.PortID]bool
-	memo      map[hopKey]hopMemo
+	// memo holds connection i's hops k at memo[hopBase[i]+k].
+	memo    []hopMemo
+	hopBase []int
+	// members lists the connections crossing port p, each with the stage
+	// the port is on its route, in evaluation order:
+	// members[memberBase[p]:memberBase[p+1]].
+	members    []portMember
+	memberBase []int
 
-	// prefilledDelay carries end-to-end results proven unaffected by the
-	// current probe (see ProbeSession); totalDelay returns them directly.
-	prefilledDelay map[string]float64
+	// portDelay holds each port's worst-case delay once analysed (+Inf: no
+	// finite bound), NaN before; portBusy marks the ports whose analysis is
+	// gathering members now.
+	portDelay []float64
+	portBusy  []bool
+
+	// prefilledDelay, when non-nil, carries by connection index end-to-end
+	// results proven unaffected by the current probe (see ProbeSession), NaN
+	// where there is none; totalDelay returns them directly.
+	prefilledDelay []float64
+
+	// walked is the breakdown the walks that keep only a total (totalDelay,
+	// ProbeSession's verdicts) fill: one serves them all, its Ports buffer
+	// reused. No walk runs inside another, only envelope folds.
+	walked Breakdown
 }
 
-// hopKey names one hop of one connection of an evaluation (its pointer is
-// the connection's identity for the evaluation's lifetime).
-type hopKey struct {
-	conn *Connection
-	hop  int
+// portMember is one connection crossing a port: its index in the evaluation
+// and the port's 0-based position on its route.
+type portMember struct {
+	conn, stage int
 }
 
 // hopMemo is what one evaluation has learned of one hop: the envelope leaving
@@ -258,16 +300,7 @@ type hopMemo struct {
 }
 
 func (a *Analyzer) newEvaluation(conns []*Connection) (*evaluation, error) {
-	// Size the maps for the common shape: up to four memoized hops per
-	// connection (sender, three ports); ports are shared, so a handful.
-	ev := &evaluation{
-		a:         a,
-		conns:     make(map[string]*Connection, len(conns)),
-		recs:      make(map[*Connection]*connCache, len(conns)),
-		portDelay: make(map[topo.PortID]float64, 8),
-		portBusy:  make(map[topo.PortID]bool, 8),
-		memo:      make(map[hopKey]hopMemo, 4*len(conns)),
-	}
+	ports := a.net.NumPorts()
 	for _, c := range conns {
 		if c == nil {
 			return nil, errors.New("core: nil connection in evaluation")
@@ -275,21 +308,89 @@ func (a *Analyzer) newEvaluation(conns []*Connection) (*evaluation, error) {
 		if err := c.Validate(); err != nil {
 			return nil, err
 		}
-		if _, dup := ev.conns[c.ID]; dup {
-			return nil, fmt.Errorf("core: duplicate connection id %q", c.ID)
-		}
 		if c.HS <= 0 {
 			return nil, fmt.Errorf("core: connection %q has no sender allocation", c.ID)
 		}
 		if c.Route.CrossesBackbone && c.HR <= 0 {
 			return nil, fmt.Errorf("core: connection %q crosses the backbone without a receiver allocation", c.ID)
 		}
-		ev.conns[c.ID] = c
-		ev.ordered = append(ev.ordered, c)
-		ev.recs[c] = a.record(c)
+		if err := a.checkRoute(c); err != nil {
+			return nil, err
+		}
 	}
-	sort.Slice(ev.ordered, func(i, j int) bool { return ev.ordered[i].ID < ev.ordered[j].ID })
+	// hopBase, memberBase and the counting sort's cursors share one array.
+	offsets := make([]int, len(conns)+1+2*ports+1)
+	ev := &evaluation{
+		a:          a,
+		ordered:    slices.Clone(conns),
+		recs:       make([]*connCache, len(conns)),
+		hopBase:    offsets[:len(conns)+1],
+		memberBase: offsets[len(conns)+1 : len(conns)+ports+2],
+		portDelay:  make([]float64, ports),
+		portBusy:   make([]bool, ports),
+	}
+	slices.SortFunc(ev.ordered, func(a, b *Connection) int { return strings.Compare(a.ID, b.ID) })
+	for i, c := range ev.ordered {
+		if i > 0 && ev.ordered[i-1].ID == c.ID {
+			return nil, fmt.Errorf("core: duplicate connection id %q", c.ID)
+		}
+		ev.recs[i] = a.record(c)
+		ev.hopBase[i+1] = ev.hopBase[i] + hops(c)
+		for _, p := range c.Route.PortIndex {
+			ev.memberBase[p+1]++
+		}
+	}
+	ev.memo = make([]hopMemo, ev.hopBase[len(conns)])
+	// Counting sort of the route ports by port, stable in evaluation order.
+	for p := 0; p < ports; p++ {
+		ev.memberBase[p+1] += ev.memberBase[p]
+	}
+	ev.members = make([]portMember, ev.memberBase[ports])
+	next := offsets[len(conns)+ports+2:]
+	copy(next, ev.memberBase[:ports])
+	for i, c := range ev.ordered {
+		for stage, p := range c.Route.PortIndex {
+			ev.members[next[p]] = portMember{conn: i, stage: stage}
+			next[p]++
+		}
+	}
+	for p := range ev.portDelay {
+		ev.portDelay[p] = math.NaN()
+	}
 	return ev, nil
+}
+
+// checkRoute reports a route of c whose dense port indexes do not fit the
+// analyzer's network: every evaluation keeps its per-port state under them.
+func (a *Analyzer) checkRoute(c *Connection) error {
+	if len(c.Route.PortIndex) != len(c.Route.Ports) {
+		return fmt.Errorf("core: connection %q has a route without port indexes", c.ID)
+	}
+	for _, p := range c.Route.PortIndex {
+		if p < 0 || p >= a.net.NumPorts() {
+			return fmt.Errorf("core: connection %q crosses port index %d of a network with %d ports", c.ID, p, a.net.NumPorts())
+		}
+	}
+	return nil
+}
+
+// lookup returns the index of connection id in the evaluation, or false.
+func (ev *evaluation) lookup(id string) (int, bool) {
+	return sort.Find(len(ev.ordered), func(i int) int { return strings.Compare(id, ev.ordered[i].ID) })
+}
+
+// breakdownOf assembles the per-server decomposition of connection id, with
+// the backlogs: the reports' breakdown, built afresh for the caller to keep.
+func (ev *evaluation) breakdownOf(id string) (Breakdown, error) {
+	i, ok := ev.lookup(id)
+	if !ok {
+		return Breakdown{}, fmt.Errorf("core: unknown connection %q", id)
+	}
+	var bd Breakdown
+	if _, _, err := ev.foldAt(i, hops(ev.ordered[i]), &bd, math.Inf(1), needBacklogs); err != nil {
+		return Breakdown{}, err
+	}
+	return bd, nil
 }
 
 // cutoff names where an evaluation stopped short: the server at which a walk
@@ -321,7 +422,7 @@ const (
 	needBacklogs
 )
 
-// hops is the length of c's route in fold's numbering: the sender side alone
+// hops is the length of c's route in foldAt's numbering: the sender side alone
 // on a same-ring route, else sender, shared ports and receiver.
 func hops(c *Connection) int {
 	if !c.Route.CrossesBackbone {
@@ -330,8 +431,8 @@ func hops(c *Connection) int {
 	return len(c.Route.Ports) + 2
 }
 
-// fold is Eq. 7 along c's route, one hop at a time, in the one server order
-// of this package:
+// foldAt is Eq. 7 along the route of c, the evaluation's connection i, one
+// hop at a time, in the one server order of this package:
 //
 //   - hop 0, the sender side: the sender-host MAC (Theorem 1), the regulator
 //     of a shaped connection, the frame→cell conversion (Theorem 2) lowered
@@ -345,8 +446,8 @@ func hops(c *Connection) int {
 // Each result is looked up in the memo, then in c's record, before it is
 // computed.
 //
-// With bd nil, fold returns the envelope entering hop to (1 ≤ to ≤ n+1), and n
-// is not read. With bd non-nil it walks hops 0…to−1 (to = hops(c)) and builds
+// With bd nil, foldAt returns the envelope entering hop to (1 ≤ to ≤ n+1),
+// and n is not read. With bd non-nil it walks hops 0…to−1 (to = hops(c)) and builds
 // no envelope itself — a port asks for its members' (muxDelay), the receiver
 // for its own — filling bd (whose Ports buffer it reuses) and stopping as soon
 // as the delay accumulated so far exceeds limit, or a server has no finite
@@ -364,39 +465,39 @@ func hops(c *Connection) int {
 // stopping on it loses no verdict. The receiver MAC, the deepest scan of a
 // low-allocation probe, is never run for a connection that has missed its
 // deadline before reaching it.
-func (ev *evaluation) fold(c *Connection, to int, bd *Breakdown, limit float64, n need) (*traffic.Flat, cutoff, error) {
+func (ev *evaluation) foldAt(i, to int, bd *Breakdown, limit float64, n need) (*traffic.Flat, cutoff, error) {
+	c, rec, memo := ev.ordered[i], ev.recs[i], ev.memo[ev.hopBase[i]:ev.hopBase[i+1]]
 	walk := bd != nil
 	var env *traffic.Flat // the envelope leaving the last hop folded, unless walking
 	from := 0
 	if !walk {
 		// The memo holds the envelopes of a prefix of c's hops: find its end.
 		for from = to; from > 0; from-- {
-			if f, ok := ev.enteringHit(c, from); ok {
+			if f, ok := ev.enteringHit(i, from); ok {
 				env = f
 				break
 			}
 		}
 	}
 	for k := from; k < to; k++ {
-		key := hopKey{conn: c, hop: k}
 		var m hopMemo
 		var cut cutoff
 		switch {
 		case k == 0:
 			cut = cutSrcMAC
-			m = ev.memo[key]
+			m = memo[0]
 			if !walk {
 				ev.a.stats.Stage0Misses++
 				mCacheStage0Misses.Inc()
 			}
 			if walk && m.known == 0 && n == needVerdict && !c.Route.CrossesBackbone {
 				*bd = Breakdown{Constant: c.Route.ConstantDelay, Ports: bd.Ports[:0]}
-				if ev.boundHolds(c, nil, bd, limit) {
+				if ev.boundHolds(i, nil, bd, limit) {
 					return nil, cutNone, nil
 				}
 			}
 			if m.known == 0 || (n == needBacklogs && math.IsNaN(m.buf)) {
-				res, err := ev.theorem1(c, nil, c.Src.Ring, c.HS, c.HostBufferBits, n == needBacklogs)
+				res, err := ev.theorem1(i, nil, c.Src.Ring, c.HS, c.HostBufferBits, n == needBacklogs)
 				if err != nil {
 					return nil, cut, err
 				}
@@ -404,7 +505,7 @@ func (ev *evaluation) fold(c *Connection, to int, bd *Breakdown, limit float64, 
 					m.pre, m.mac, m.known = res.Output, res.Delay, 1
 				}
 				m.buf = res.BufferBits
-				ev.memo[key] = m
+				memo[0] = m
 			}
 			if walk {
 				*bd = Breakdown{SrcMAC: m.mac, Constant: c.Route.ConstantDelay, SrcBufferBits: m.buf, Ports: bd.Ports[:0]}
@@ -422,7 +523,7 @@ func (ev *evaluation) fold(c *Connection, to int, bd *Breakdown, limit float64, 
 						return nil, cut, fmt.Errorf("%w: shaper of %q: %v", errInfeasible, c.ID, err)
 					}
 					m.pre, m.reg, m.known = res.Output, res.Delay, 2
-					ev.memo[key] = m
+					memo[0] = m
 				}
 				if walk {
 					bd.Shaper = m.reg
@@ -432,12 +533,15 @@ func (ev *evaluation) fold(c *Connection, to int, bd *Breakdown, limit float64, 
 				break
 			}
 			frameBits := ev.a.net.RingConfig(c.Src.Ring).FrameBits(c.HS)
-			conv, err := ifdev.SenderConversion(m.pre, frameBits, ev.a.net.Config().ID)
+			conv, err := ifdev.SenderConversion(traffic.FuseRoot(m.pre), frameBits, ev.a.net.Config().ID)
 			if err != nil {
 				return nil, cut, err
 			}
-			if env = traffic.Flatten(traffic.Fuse(conv), flatHorizon); env == nil {
-				if _, err := ev.recs[c].source(c); err != nil {
+			// m.pre is a transform over the lowered source, or the
+			// regulator's Min over such: its inner is fused, so the root
+			// rules fuse it, and the conversion over it, as Fuse would.
+			if env = traffic.Flatten(traffic.FuseRoot(conv), flatHorizon); env == nil {
+				if _, err := rec.source(c); err != nil {
 					return nil, cut, err
 				}
 				return nil, cut, fmt.Errorf("%w: envelope of %q: the segment cap ends its window before the sender-side delay", errInfeasible, c.ID)
@@ -447,7 +551,7 @@ func (ev *evaluation) fold(c *Connection, to int, bd *Breakdown, limit float64, 
 			// kept beside the sender-MAC result (unless a full record dropped
 			// that since): a bisection that revisits an h reuses the envelope,
 			// pointer identity included.
-			rec, rk := ev.recs[c], recKey{x: math.Float64bits(c.HS)}
+			rk := recKey{x: math.Float64bits(c.HS)}
 			if e, ok := rec.hops[rk]; ok {
 				e.out = env
 				rec.hops[rk] = e
@@ -455,7 +559,7 @@ func (ev *evaluation) fold(c *Connection, to int, bd *Breakdown, limit float64, 
 		case k <= len(c.Route.Ports):
 			cut = cutPort
 			p := c.Route.Ports[k-1]
-			d, err := ev.muxDelay(p)
+			d, err := ev.muxDelay(c.Route.PortIndex[k-1])
 			if err != nil {
 				return nil, cut, err
 			}
@@ -464,7 +568,7 @@ func (ev *evaluation) fold(c *Connection, to int, bd *Breakdown, limit float64, 
 				break
 			}
 			// A record hit returns before the chain is built.
-			rec, rk := ev.recs[c], recKey{in: env, x: math.Float64bits(d)}
+			rk := recKey{in: env, x: math.Float64bits(d)}
 			if e, ok := rec.hops[rk]; ok {
 				env = e.out
 				break
@@ -477,8 +581,9 @@ func (ev *evaluation) fold(c *Connection, to int, bd *Breakdown, limit float64, 
 			// Every port shares the one backbone capacity, so the Delayed stack
 			// over the stage-0 envelope fuses into one Delayed with the summed
 			// delay: later ports and the receiver MAC pay one transform per
-			// Bits call instead of one per traversed port.
-			tail := traffic.Fuse(delayed)
+			// Bits call instead of one per traversed port. The tail is fused
+			// already, so only the root rules are left to apply.
+			tail := traffic.FuseRoot(delayed)
 			if env = env.ShiftCap(d, capBps, flatHorizon, tail); env == nil {
 				// The port delay used up the upstream window: lower the fused
 				// chain afresh, over a window that reaches past the delay.
@@ -491,14 +596,14 @@ func (ev *evaluation) fold(c *Connection, to int, bd *Breakdown, limit float64, 
 			rec.remember(rk, hopResult{out: env})
 		default:
 			cut = cutDstMAC
-			in, _, err := ev.fold(c, k, nil, 0, needDelays)
+			in, _, err := ev.foldAt(i, k, nil, 0, needDelays)
 			if err != nil {
 				return nil, cut, err
 			}
-			if n == needVerdict && ev.boundHolds(c, in, bd, limit) {
+			if n == needVerdict && ev.boundHolds(i, in, bd, limit) {
 				return nil, cutNone, nil
 			}
-			res, err := ev.theorem1(c, in, c.Dst.Ring, c.HR, c.IDBufferBits, n == needBacklogs)
+			res, err := ev.theorem1(i, in, c.Dst.Ring, c.HR, c.IDBufferBits, n == needBacklogs)
 			if err != nil {
 				return nil, cut, err
 			}
@@ -506,7 +611,7 @@ func (ev *evaluation) fold(c *Connection, to int, bd *Breakdown, limit float64, 
 		}
 		if !walk {
 			m.out = env
-			ev.memo[key] = m
+			memo[k] = m
 			continue
 		}
 		t := bd.sum()
@@ -525,22 +630,20 @@ func (ev *evaluation) fold(c *Connection, to int, bd *Breakdown, limit float64, 
 // query of a warm probe lands here, so it must not allocate
 // (TestWarmEvaluationRunsNoAnalysis); the fold behind it, entered once per
 // (connection, allocation), allocates by design.
-func (ev *evaluation) enteringHit(c *Connection, k int) (*traffic.Flat, bool) {
-	key := hopKey{conn: c, hop: k - 1}
-	if f := ev.memo[key].out; f != nil || k != 1 {
+func (ev *evaluation) enteringHit(i, k int) (*traffic.Flat, bool) {
+	m := &ev.memo[ev.hopBase[i]+k-1]
+	if f := m.out; f != nil || k != 1 {
 		return f, f != nil
 	}
 	// Exact equality on the allocation: the cached envelope is valid only
 	// for precisely the h it was built with.
-	e := ev.recs[c].hops[recKey{x: math.Float64bits(c.HS)}]
+	e := ev.recs[i].hops[recKey{x: math.Float64bits(ev.ordered[i].HS)}]
 	if e.out == nil {
 		return nil, false
 	}
 	ev.a.stats.Stage0Hits++
 	mCacheStage0Hits.Inc()
-	m := ev.memo[key]
 	m.out = e.out
-	ev.memo[key] = m
 	return e.out, true
 }
 
@@ -555,8 +658,8 @@ func (ev *evaluation) enteringHit(c *Connection, k int) (*traffic.Flat, bool) {
 // needs it for its verdict; otherwise it is NaN. An entry cached without F
 // that a report then asks for is filled in place: the analysis runs again
 // for F alone, and the entry keeps the envelope it caches beside the result.
-func (ev *evaluation) theorem1(c *Connection, in *traffic.Flat, ring int, h, bufferBits float64, backlog bool) (fddi.MACResult, error) {
-	rec, key := ev.recs[c], recKey{in: in, x: math.Float64bits(h)}
+func (ev *evaluation) theorem1(i int, in *traffic.Flat, ring int, h, bufferBits float64, backlog bool) (fddi.MACResult, error) {
+	c, rec, key := ev.ordered[i], ev.recs[i], recKey{in: in, x: math.Float64bits(h)}
 	e, hit := rec.hops[key]
 	switch {
 	case in != nil:
@@ -618,7 +721,7 @@ func (a *Analyzer) receiverInput(in *traffic.Flat, cfg fddi.RingConfig, h float6
 	if err != nil {
 		return nil, err
 	}
-	input := traffic.Fuse(reassembled)
+	input := traffic.FuseRoot(reassembled) // over the fused tail
 	if qn, ok := reassembled.(traffic.Quantized); ok {
 		if qf := in.Quantize(qn.QuantumBits, qn.OutBits, flatHorizon, input); qf != nil {
 			input = qf
@@ -640,7 +743,8 @@ func (a *Analyzer) receiverInput(in *traffic.Flat, cfg fddi.RingConfig, h float6
 // off in: the reassembly's rule needs only its inner's burst bound, which
 // the flat caches, so no reassembled envelope is lowered. On false bd is as
 // it was.
-func (ev *evaluation) boundHolds(c *Connection, in *traffic.Flat, bd *Breakdown, limit float64) bool {
+func (ev *evaluation) boundHolds(i int, in *traffic.Flat, bd *Breakdown, limit float64) bool {
+	c := ev.ordered[i]
 	ring, h, buffer, term := c.Src.Ring, c.HS, c.HostBufferBits, &bd.SrcMAC
 	var input traffic.Descriptor = c.Source
 	if in != nil {
@@ -649,7 +753,7 @@ func (ev *evaluation) boundHolds(c *Connection, in *traffic.Flat, bd *Breakdown,
 	if buffer > 0 {
 		return false
 	}
-	if _, hit := ev.recs[c].hops[recKey{in: in, x: math.Float64bits(h)}]; hit {
+	if _, hit := ev.recs[i].hops[recKey{in: in, x: math.Float64bits(h)}]; hit {
 		return false
 	}
 	cfg := ev.a.net.RingConfig(ring)
@@ -690,21 +794,22 @@ func (rec *connCache) source(c *Connection) (*traffic.Flat, error) {
 	return rec.src, nil
 }
 
-// muxDelay returns the worst-case queueing delay of a shared FIFO port,
-// analyzed with the envelopes of every connection traversing it, each read
-// off the fold at the hop the port is on that member's route.
-func (ev *evaluation) muxDelay(p topo.PortID) (float64, error) {
-	if d, ok := ev.portDelay[p]; ok {
+// muxDelay returns the worst-case queueing delay of the shared FIFO port
+// with dense index p, analyzed with the envelopes of every connection
+// traversing it, each read off the fold at the hop the port is on that
+// member's route.
+func (ev *evaluation) muxDelay(p int) (float64, error) {
+	if d := ev.portDelay[p]; !math.IsNaN(d) {
 		if math.IsInf(d, 1) {
 			// The first analysis of this port found no finite bound; repeat
 			// the infeasibility verdict instead of handing +Inf to envelope
 			// constructors downstream.
-			return 0, fmt.Errorf("%w: port %v has no finite bound", errInfeasible, p)
+			return 0, fmt.Errorf("%w: port %v has no finite bound", errInfeasible, ev.portName(p))
 		}
 		return d, nil
 	}
 	if ev.portBusy[p] {
-		return 0, fmt.Errorf("core: cyclic port dependency at %v", p)
+		return 0, fmt.Errorf("core: cyclic port dependency at %v", ev.portName(p))
 	}
 	// The members go on the analyzer's stack, above those of any port whose
 	// analysis is gathering members now. A member's fold may analyse an
@@ -718,24 +823,18 @@ func (ev *evaluation) muxDelay(p topo.PortID) (float64, error) {
 		ev.a.members = ev.a.members[:base]
 	}()
 
-	for _, m := range ev.ordered {
-		for stage, q := range m.Route.Ports {
-			if q != p {
-				continue
+	for _, pm := range ev.members[ev.memberBase[p]:ev.memberBase[p+1]] {
+		env, _, err := ev.foldAt(pm.conn, pm.stage+1, nil, 0, needDelays)
+		if err != nil {
+			if errors.Is(err, errInfeasible) {
+				// A member with an unbounded envelope floods the port:
+				// no finite bound for anyone behind it.
+				ev.portDelay[p] = math.Inf(1)
+				return 0, fmt.Errorf("%w: port %v carries unbounded member %q", errInfeasible, ev.portName(p), ev.ordered[pm.conn].ID)
 			}
-			env, _, err := ev.fold(m, stage+1, nil, 0, needDelays)
-			if err != nil {
-				if errors.Is(err, errInfeasible) {
-					// A member with an unbounded envelope floods the port:
-					// no finite bound for anyone behind it.
-					ev.portDelay[p] = math.Inf(1)
-					return 0, fmt.Errorf("%w: port %v carries unbounded member %q", errInfeasible, p, m.ID)
-				}
-				return 0, err
-			}
-			ev.a.members = append(ev.a.members, env)
-			break
+			return 0, err
 		}
+		ev.a.members = append(ev.a.members, env)
 	}
 	flats := ev.a.members[base:]
 	if len(flats) == 0 {
@@ -746,18 +845,14 @@ func (ev *evaluation) muxDelay(p topo.PortID) (float64, error) {
 	// (pointer identity — flats are value-immutable, and the records keep
 	// pointers stable across probes of the same global state) reuses the
 	// verdict without touching the aggregate.
-	// Newest first: storePortMux appends, and the states that recur are
-	// the recent ones.
-	entries := ev.a.portMux[p]
-	for i := len(entries) - 1; i >= 0; i-- {
-		if e := &entries[i]; slices.Equal(e.flats, flats) {
-			if e.err != nil {
-				ev.portDelay[p] = math.Inf(1)
-				return 0, e.err
-			}
-			ev.portDelay[p] = e.delay
-			return e.delay, nil
+	key := portMuxKey{port: p, hash: memberHash(flats)}
+	if e, ok := ev.a.portMux[key]; ok && slices.Equal(e.flats, flats) {
+		if e.err != nil {
+			ev.portDelay[p] = math.Inf(1)
+			return 0, e.err
 		}
+		ev.portDelay[p] = e.delay
+		return e.delay, nil
 	}
 	// The aggregate is the sum of the member flats, folded afresh in
 	// evaluation order, so the delay is a function of the member set alone.
@@ -772,68 +867,92 @@ func (ev *evaluation) muxDelay(p topo.PortID) (float64, error) {
 		case errors.Is(err, atm.ErrMuxOverload),
 			errors.Is(err, atm.ErrMuxNoConvergence),
 			errors.Is(err, atm.ErrMuxBufferOverflow):
-			err = fmt.Errorf("%w: port %v: %v", errInfeasible, p, err)
-			ev.a.storePortMux(p, flats, 0, err)
+			err = fmt.Errorf("%w: port %v: %v", errInfeasible, ev.portName(p), err)
+			ev.a.storePortMux(key, flats, 0, err)
 			ev.portDelay[p] = math.Inf(1)
 			return 0, err
 		default:
 			return 0, err
 		}
 	}
-	ev.a.storePortMux(p, flats, res.Delay, nil)
+	ev.a.storePortMux(key, flats, res.Delay, nil)
 	ev.portDelay[p] = res.Delay
 	return res.Delay, nil
 }
 
-// storePortMux records one port analysis verdict under its member flat set,
-// resetting the per-port list when it outgrows the cap.
-func (a *Analyzer) storePortMux(p topo.PortID, flats []*traffic.Flat, delay float64, err error) {
-	entries := a.portMux[p]
-	if len(entries) >= maxPortMuxEntries {
-		entries = append(entries[:0], entries[len(entries)/2:]...)
+// portName names the port with dense index p for an error: the name the
+// route of one of its members gives it.
+func (ev *evaluation) portName(p int) topo.PortID {
+	pm := ev.members[ev.memberBase[p]]
+	return ev.ordered[pm.conn].Route.Ports[pm.stage]
+}
+
+// storePortMux records one port analysis verdict under its key, clearing the
+// map first when it is full. The member set is copied onto muxFlats, so a
+// verdict costs no allocation of its own.
+func (a *Analyzer) storePortMux(key portMuxKey, flats []*traffic.Flat, delay float64, err error) {
+	if len(a.portMux) >= maxPortMuxEntries {
+		clear(a.portMux)
+		clear(a.muxFlats)
+		a.muxFlats = a.muxFlats[:0]
 	}
-	a.portMux[p] = append(entries, portMuxEntry{flats: slices.Clone(flats), delay: delay, err: err})
+	start := len(a.muxFlats)
+	a.muxFlats = append(a.muxFlats, flats...)
+	end := len(a.muxFlats)
+	a.portMux[key] = portMuxEntry{flats: a.muxFlats[start:end:end], delay: delay, err: err}
 }
 
 // delays is Eq. 7 for every connection of the evaluation. A connection
 // without a finite bound maps to +Inf; any other error is a structural
 // problem and ends the evaluation.
 func (ev *evaluation) delays() (map[string]float64, error) {
+	ds, err := ev.totalDelays()
+	if err != nil {
+		return nil, err
+	}
 	out := make(map[string]float64, len(ev.ordered))
-	for _, c := range ev.ordered {
-		d, err := ev.totalDelay(c)
+	for i, c := range ev.ordered {
+		out[c.ID] = ds[i]
+	}
+	return out, nil
+}
+
+// totalDelays is delays by connection index.
+func (ev *evaluation) totalDelays() ([]float64, error) {
+	out := make([]float64, len(ev.ordered))
+	for i := range ev.ordered {
+		d, err := ev.totalDelay(i)
 		switch {
 		case errors.Is(err, errInfeasible):
 			d = math.Inf(1)
 		case err != nil:
 			return nil, err
 		}
-		out[c.ID] = d
+		out[i] = d
 	}
 	return out, nil
 }
 
 // totalDelay is Eq. 7: the sum of the worst-case delays of every server on
 // the connection's path.
-func (ev *evaluation) totalDelay(c *Connection) (float64, error) {
-	if d, ok := ev.prefilledDelay[c.ID]; ok {
+func (ev *evaluation) totalDelay(i int) (float64, error) {
+	if d, ok := ev.prefilled(i); ok {
 		return d, nil
 	}
-	b, err := ev.breakdown(c, needDelays)
-	if err != nil {
+	if _, _, err := ev.foldAt(i, hops(ev.ordered[i]), &ev.walked, math.Inf(1), needDelays); err != nil {
 		return 0, err
 	}
-	return b.Total, nil
+	return ev.walked.Total, nil
 }
 
-// breakdown assembles the per-server decomposition, with the backlogs when n
-// is needBacklogs.
-func (ev *evaluation) breakdown(c *Connection, n need) (Breakdown, error) {
-	var bd Breakdown
-	if _, _, err := ev.fold(c, hops(c), &bd, math.Inf(1), n); err != nil {
-		return Breakdown{}, err
+// prefilled returns connection i's end-to-end delay when the evaluation was
+// seeded with it.
+func (ev *evaluation) prefilled(i int) (float64, bool) {
+	if ev.prefilledDelay == nil {
+		return 0, false
 	}
-	return bd, nil
+	d := ev.prefilledDelay[i]
+	return d, !math.IsNaN(d)
 }
 
 // sum is the Eq. 7 summation, in the one order every total and every partial

@@ -333,7 +333,7 @@ func TestEnvelopeReloweredPastTheWindow(t *testing.T) {
 			t.Fatal(err)
 		}
 		for i, c := range ev.ordered {
-			d, err := ev.muxDelay(c.Route.Ports[1])
+			d, err := ev.muxDelay(c.Route.PortIndex[1])
 			if err != nil {
 				t.Fatal(err)
 			}

@@ -3,6 +3,8 @@ package core
 import (
 	"errors"
 	"fmt"
+	"math"
+	"slices"
 
 	"fafnet/internal/fddi"
 	"fafnet/internal/ifdev"
@@ -32,19 +34,23 @@ type ProbeSession struct {
 	existing []*Connection
 	cand     *Connection
 
-	cleanPortDelay map[topo.PortID]float64
-	cleanDelay     map[string]float64
+	// clean is the candidate-free evaluation's order (existing by id), and
+	// cleanDelay the end-to-end delays in it, NaN where a connection is
+	// affected; cleanPortDelay holds its port delays by dense index, NaN at
+	// tainted ports and at ports it did not analyse.
+	clean          []*Connection
+	cleanDelay     []float64
+	cleanPortDelay []float64
 	affected       int
 
 	// probe and scratch are reused across probes: the connection set is
-	// identical every time (existing ∪ candidate), so the evaluation's maps
-	// are cleared and re-seeded instead of reallocated for each of the up to
-	// 2·SearchIters + 4 probes of an admission request.
-	probe   *Connection
-	scratch *evaluation
-	// walked is the breakdown the verdict-only probes walk into: they read
-	// its total and keep nothing, so one serves them all.
-	walked Breakdown
+	// identical every time (existing ∪ candidate), so the evaluation's state
+	// is reset and re-seeded instead of reallocated for each of the up to
+	// 2·SearchIters + 4 probes of an admission request. probeIdx is the
+	// candidate's index in it.
+	probe    *Connection
+	probeIdx int
+	scratch  *evaluation
 	// rx carries the long-term rate into the candidate's receiver MAC; nil
 	// on a same-ring route, which has none.
 	rx *rxChain
@@ -116,25 +122,29 @@ func (a *Analyzer) NewProbeSession(existing []*Connection, cand *Connection) (*P
 	if err != nil {
 		return nil, err
 	}
-	s := &ProbeSession{
-		a:              a,
-		existing:       existing,
-		cand:           cand,
-		cleanPortDelay: make(map[topo.PortID]float64),
-	}
+	s := &ProbeSession{a: a, existing: existing, cand: cand}
 	if cand.Route.CrossesBackbone {
 		s.rx = newRxChain(a.net, cand, src)
 	}
 
-	tainted := make(map[topo.PortID]bool, len(cand.Route.Ports))
-	for _, p := range cand.Route.Ports {
+	// One candidate-free evaluation supplies every reusable result; building
+	// it checks the standing routes, as checkRoute checks the candidate's.
+	ev, err := a.newEvaluation(existing)
+	if err != nil {
+		return nil, err
+	}
+	if err := a.checkRoute(cand); err != nil {
+		return nil, err
+	}
+	tainted := make([]bool, a.net.NumPorts())
+	for _, p := range cand.Route.PortIndex {
 		tainted[p] = true
 	}
 	for changed := true; changed; {
 		changed = false
 		for _, m := range existing {
 			seen := false
-			for _, p := range m.Route.Ports {
+			for _, p := range m.Route.PortIndex {
 				switch {
 				case tainted[p]:
 					seen = true
@@ -146,7 +156,7 @@ func (a *Analyzer) NewProbeSession(existing []*Connection, cand *Connection) (*P
 		}
 	}
 	isAffected := func(m *Connection) bool {
-		for _, p := range m.Route.Ports {
+		for _, p := range m.Route.PortIndex {
 			if tainted[p] {
 				return true
 			}
@@ -154,23 +164,20 @@ func (a *Analyzer) NewProbeSession(existing []*Connection, cand *Connection) (*P
 		return false
 	}
 
-	// One candidate-free evaluation supplies every reusable result.
-	ev, err := a.newEvaluation(existing)
-	if err != nil {
+	if s.cleanDelay, err = ev.totalDelays(); err != nil {
 		return nil, err
 	}
-	if s.cleanDelay, err = ev.delays(); err != nil {
-		return nil, err
-	}
-	for _, m := range ev.ordered {
+	s.clean = ev.ordered
+	for i, m := range ev.ordered {
 		if isAffected(m) {
 			s.affected++
-			delete(s.cleanDelay, m.ID)
+			s.cleanDelay[i] = math.NaN()
 		}
 	}
-	for p, d := range ev.portDelay {
-		if !tainted[p] {
-			s.cleanPortDelay[p] = d
+	s.cleanPortDelay = ev.portDelay
+	for p, t := range tainted {
+		if t {
+			s.cleanPortDelay[p] = math.NaN()
 		}
 	}
 	return s, nil
@@ -190,11 +197,7 @@ func (s *ProbeSession) Breakdown(id string) (Breakdown, error) {
 	if s.scratch == nil {
 		return Breakdown{}, errors.New("core: Breakdown before any probe")
 	}
-	c := s.scratch.conns[id]
-	if c == nil {
-		return Breakdown{}, fmt.Errorf("core: unknown connection %q", id)
-	}
-	return s.scratch.breakdown(c, needBacklogs)
+	return s.scratch.breakdownOf(id)
 }
 
 // Delays evaluates the network with the candidate at allocation (hs, hr),
@@ -219,7 +222,7 @@ func (s *ProbeSession) Delays(hs, hr float64) (map[string]float64, error) {
 // connections after it, and the probe ends at the first connection that
 // misses, since one failing conjunct decides the answer; inside a connection
 // the Eq. 7 walk ends at the first server past which the deadline is already
-// gone (see evaluation.fold). An allocation the sender MAC cannot sustain is
+// gone (see evaluation.foldAt). An allocation the sender MAC cannot sustain is
 // thus refused by a closed-form test, without an analysis of any port. Errors
 // the analysis would report count as a miss, as they do in Delays' callers.
 func (s *ProbeSession) Feasible(hs, hr float64) bool {
@@ -247,12 +250,12 @@ func (s *ProbeSession) verdict(hs, hr float64, ref map[string]float64, tol float
 		mProbeCutoffs[cutDstMAC].Inc()
 		return false
 	}
-	if cut := s.holds(ev, s.probe, ref, tol); cut != cutNone {
+	if cut := s.holds(ev, s.probeIdx, ref, tol); cut != cutNone {
 		mProbeCutoffs[cut].Inc()
 		return false
 	}
-	for _, c := range ev.ordered {
-		if c != s.probe && s.holds(ev, c, ref, tol) != cutNone {
+	for i := range ev.ordered {
+		if i != s.probeIdx && s.holds(ev, i, ref, tol) != cutNone {
 			mProbeCutoffs[cutOther].Inc()
 			return false
 		}
@@ -278,7 +281,8 @@ func (s *ProbeSession) rxOverloaded() bool {
 // reference delay: a total above the band fails WithinRel, and a partial sum
 // above it is a total above it (Breakdown.sum), so the walk ends there with
 // the verdict it would have reached at the end of the path.
-func (s *ProbeSession) holds(ev *evaluation, c *Connection, ref map[string]float64, tol float64) cutoff {
+func (s *ProbeSession) holds(ev *evaluation, i int, ref map[string]float64, tol float64) cutoff {
+	c := ev.ordered[i]
 	limit := c.Deadline
 	if ref != nil {
 		limit = min(limit, units.RelBand(ref[c.ID], tol))
@@ -287,17 +291,17 @@ func (s *ProbeSession) holds(ev *evaluation, c *Connection, ref map[string]float
 	if !c.Route.CrossesBackbone {
 		complete = cutSrcMAC
 	}
-	d, ok := ev.prefilledDelay[c.ID]
+	d, ok := ev.prefilled(i)
 	if !ok {
 		n := needVerdict
 		if ref != nil {
 			n = needDelays // Eq. 31–32 compare the exact delays
 		}
-		_, cut, err := ev.fold(c, hops(c), &s.walked, limit, n)
+		_, cut, err := ev.foldAt(i, hops(c), &ev.walked, limit, n)
 		if err != nil || cut != cutNone {
 			return cut
 		}
-		d = s.walked.Total
+		d = ev.walked.Total
 	} else if d > limit {
 		return complete
 	}
@@ -322,7 +326,8 @@ func (s *ProbeSession) evaluation(hs, hr float64) (*evaluation, error) {
 		if err != nil {
 			return nil, err
 		}
-		s.scratch = ev
+		s.scratch, s.probeIdx = ev, slices.Index(ev.ordered, s.probe)
+		ev.prefilledDelay = s.scratchDelays()
 	} else {
 		s.probe.HS, s.probe.HR = hs, hr
 		if s.probe.HS <= 0 {
@@ -336,22 +341,35 @@ func (s *ProbeSession) evaluation(hs, hr float64) (*evaluation, error) {
 	return s.scratch, nil
 }
 
-// reseed clears the scratch evaluation's memo maps and re-seeds them with
-// the session's probe-invariant results: untainted port delays and unaffected
-// end-to-end delays. It runs once per probe — up to 2·SearchIters + 4 times
-// per admission request — and touches only preallocated state, so it must
-// not allocate (TestWarmProbeEvaluationAllocationFree). The map re-seeding
-// loop is a per-key transfer, which is iteration-order-safe.
+// scratchDelays re-indexes the clean end-to-end delays into the scratch
+// evaluation's order, which is the clean order with the probe inserted: the
+// probe, and any connection not where the clean order has it, is NaN there
+// and is evaluated.
+func (s *ProbeSession) scratchDelays() []float64 {
+	out := make([]float64, len(s.scratch.ordered))
+	j := 0
+	for i, c := range s.scratch.ordered {
+		out[i] = math.NaN()
+		if j < len(s.clean) && s.clean[j] == c {
+			out[i] = s.cleanDelay[j]
+			j++
+		}
+	}
+	return out
+}
+
+// reseed resets the scratch evaluation and re-seeds it with the session's
+// probe-invariant results: untainted port delays, and the unaffected
+// end-to-end delays, which stay in place from the first probe on. It runs
+// once per probe — up to 2·SearchIters + 4 times per admission request — and
+// touches only preallocated state, so it must not allocate
+// (TestWarmProbeEvaluationAllocationFree).
 func (s *ProbeSession) reseed() {
 	ev := s.scratch
-	clear(ev.portDelay)
+	copy(ev.portDelay, s.cleanPortDelay)
 	clear(ev.portBusy)
-	clear(ev.memo)
 	// Envelopes are re-resolved per probe: stage-0 envelopes come straight
 	// from the connections' records (pointer-stable across probes), later
 	// hops shift with the probe's port delays.
-	ev.prefilledDelay = s.cleanDelay
-	for p, d := range s.cleanPortDelay {
-		ev.portDelay[p] = d
-	}
+	clear(ev.memo)
 }

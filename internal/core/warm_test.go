@@ -149,8 +149,7 @@ func TestWarmLaneEqualsFreshAnalyzer(t *testing.T) {
 // with unchanged specs draw a handful of classes, and every decision probes
 // allocations the candidate's record has not seen. No map in the analyzer may
 // grow with the op count all the same: one record per class drawn, each
-// within maxConnEntries, and every port's verdict list within
-// maxPortMuxEntries.
+// within maxConnEntries, and the port verdicts within maxPortMuxEntries.
 func TestPerConnectionCachesStayBounded(t *testing.T) {
 	if testing.Short() {
 		t.Skip("3,000 admit/release operations")
@@ -200,10 +199,8 @@ func TestPerConnectionCachesStayBounded(t *testing.T) {
 		}
 		total += len(rec.hops)
 	}
-	for p, entries := range an.portMux {
-		if len(entries) > maxPortMuxEntries {
-			t.Errorf("port %v holds %d verdicts, cap %d", p, len(entries), maxPortMuxEntries)
-		}
+	if n := len(an.portMux); n > maxPortMuxEntries {
+		t.Errorf("the port verdicts number %d, cap %d", n, maxPortMuxEntries)
 	}
 	// With every record within its cap the total is within classes × cap;
 	// without one the sender-side entries alone read 38,100 here, linear in

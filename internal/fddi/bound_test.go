@@ -1,7 +1,9 @@
 package fddi
 
 import (
+	"errors"
 	"math"
+	"reflect"
 	"testing"
 
 	"fafnet/internal/traffic"
@@ -97,11 +99,17 @@ func fuzzChain(in traffic.Descriptor, chain uint8, e float64) traffic.Descriptor
 // level crossing and at 401 points over the busy interval the computed
 // envelope is under the padded line — and χ and F are held to the exhaustive
 // sample of their expressions (checkMACBounds), which asks nothing of the
-// envelope's monotonicity.
+// envelope's monotonicity. AnalyzeMACDelay, which scans the busy interval
+// only as far as the delay search reads it whenever the bound's convergence
+// proof holds, returns AnalyzeMAC's χ, error class and output envelope bit
+// for bit, with no more envelope evaluations than the eager delay-only scan
+// (checkDelayOnly). The last seed's busy interval is over 500 rotations
+// deep.
 func FuzzDelayBound(f *testing.F) {
 	f.Add(uint8(1), uint8(0), false, 0.7, 0.6, 0.5, 0.4, 0.3, 0.2)
 	f.Add(uint8(0), uint8(0b100110), true, 0.1, 0.9, 0.1, 0.2, 0.45, 0.001)
 	f.Add(uint8(2), uint8(0b01), false, 0.99, 0.5, 0.1, 0.9, 0.2, 0.0)
+	f.Add(deepSeed.kind, deepSeed.chain, deepSeed.lowered, deepSeed.a, deepSeed.b, deepSeed.c, deepSeed.d, deepSeed.e, deepSeed.h)
 	f.Fuzz(func(t *testing.T, kind, chain uint8, lowered bool, a, b, c, d, e, h float64) {
 		src := fuzzSource(kind, a, b, c, d)
 		if src == nil {
@@ -133,6 +141,7 @@ func FuzzDelayBound(f *testing.F) {
 		if ok && res.Delay > bound {
 			t.Fatalf("%v (lowered %v) at H=%v: chi = %v exceeds the closed-form bound %v", chained, lowered, p.H, res.Delay, bound)
 		}
+		checkDelayOnly(t, in, p, res, err)
 		sigma, rho := paddedLine(in)
 		if err != nil || math.IsInf(sigma, 1) {
 			return
@@ -175,4 +184,83 @@ func TestDelayBoundDeclines(t *testing.T) {
 	if _, ok := DelayBound(in, MACParams{Ring: bad, H: 2e-3}); ok {
 		t.Error("answered on an invalid ring")
 	}
+}
+
+// deepSeed is FuzzDelayBound's deep seed: the paper's dual-periodic source
+// behind a port delay and a line cap, lowered, at an allocation 0.5 % above
+// the stability limit (1 + logSpan(h, 1e-5, 5) = 1.005).
+var deepSeed = struct {
+	kind, chain   uint8
+	lowered       bool
+	a, b, c, d, e float64
+	h             float64
+}{1, 0b1001, true, 0.7, 0.6, 0.5, 0.4, 0.3, math.Log(5e-3/1e-5) / math.Log(5/1e-5)}
+
+// TestDelayOnlyDeepSeed: FuzzDelayBound's deep seed is what it is there for
+// — a busy interval over 500 rotations deep, whose end the closed-form
+// bound proves, and a delay search that stops short of it — so the lazy
+// scan runs there, and checkDelayOnly holds it to the eager one.
+func TestDelayOnlyDeepSeed(t *testing.T) {
+	s := deepSeed
+	in := traffic.Flatten(traffic.Fuse(fuzzChain(fuzzSource(s.kind, s.a, s.b, s.c, s.d), s.chain, s.e)), 0.025)
+	ring := testRing()
+	p := MACParams{Ring: ring, H: in.LongTermRate() * ring.TTRT / ring.BandwidthBps * (1 + logSpan(s.h, 1e-5, 5))}
+	if _, ok := DelayBound(in, p); !ok {
+		t.Fatal("the closed-form bound does not answer: AnalyzeMACDelay scans B ahead")
+	}
+	res, err := AnalyzeMAC(in, p, Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if rot := res.BusyInterval / ring.TTRT; rot < 500 {
+		t.Fatalf("busy interval of %v rotations, want at least 500", rot)
+	}
+	got, err := AnalyzeMACDelay(in, p, Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !math.IsNaN(got.BusyInterval) {
+		t.Errorf("the delay search read B = %v: it no longer stops short of the busy interval's end", got.BusyInterval)
+	}
+	checkDelayOnly(t, in, p, res, nil)
+}
+
+// checkDelayOnly holds AnalyzeMACDelay on in at p to AnalyzeMAC's result
+// res and error err: the same error class; on success χ and the output
+// envelope bit for bit, B either not scanned (NaN) or AnalyzeMAC's, and no
+// more envelope evaluations than the eager delay-only scan, busyInterval and
+// then scanMAC without the backlog, spends.
+func checkDelayOnly(t *testing.T, in traffic.Descriptor, p MACParams, res MACResult, err error) {
+	t.Helper()
+	before := mMACEnvelopeEvals.Value()
+	got, gotErr := AnalyzeMACDelay(in, p, Options{})
+	evals := mMACEnvelopeEvals.Value() - before
+	if class, want := errClass(gotErr), errClass(err); class != want {
+		t.Fatalf("%v at H=%v: AnalyzeMACDelay fails with %v, AnalyzeMAC with %v", in, p.H, gotErr, err)
+	}
+	if err != nil {
+		return
+	}
+	if math.Float64bits(got.Delay) != math.Float64bits(res.Delay) || !reflect.DeepEqual(got.Output, res.Output) {
+		t.Fatalf("%v at H=%v: AnalyzeMACDelay reads chi = %v, output %v; AnalyzeMAC %v, %v", in, p.H, got.Delay, got.Output, res.Delay, res.Output)
+	}
+	if !math.IsNaN(got.BusyInterval) && got.BusyInterval != res.BusyInterval {
+		t.Fatalf("%v at H=%v: AnalyzeMACDelay reads B = %v, AnalyzeMAC %v", in, p.H, got.BusyInterval, res.BusyInterval)
+	}
+	_, busyEvals, _ := busyInterval(in, p.RotationServiceBits(), p.Ring.TTRT, maxBusyRotations)
+	_, _, scanEvals := scanMAC(in, p, res.BusyInterval, false)
+	if eager := busyEvals + scanEvals; evals > uint64(eager) {
+		t.Fatalf("%v at H=%v: AnalyzeMACDelay spends %d envelope evaluations, the eager delay-only scan %d", in, p.H, evals, eager)
+	}
+}
+
+// errClass is the analysis failure an error reports: one of the package's
+// sentinel errors, nil for none, or the error itself for any other.
+func errClass(err error) error {
+	for _, class := range []error{ErrOverload, ErrBufferOverflow, ErrNoConvergence} {
+		if errors.Is(err, class) {
+			return class
+		}
+	}
+	return err
 }

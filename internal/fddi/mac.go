@@ -46,7 +46,8 @@ type Options struct{}
 
 // MACResult is the outcome of Theorem 1 for one connection at one FDDI MAC.
 type MACResult struct {
-	// BusyInterval is B, the maximum length of a busy interval (seconds).
+	// BusyInterval is B, the maximum length of a busy interval (seconds);
+	// NaN from AnalyzeMACDelay when its delay search never reached it.
 	BusyInterval float64
 	// BufferBits is F, the maximum backlog the connection accumulates.
 	BufferBits float64
@@ -109,11 +110,15 @@ func AnalyzeMAC(in traffic.Descriptor, p MACParams, opts Options) (MACResult, er
 	return analyzeMAC(in, p, true)
 }
 
-// AnalyzeMACDelay is AnalyzeMAC for a caller that reads no backlog: F is
-// computed only when p.BufferBits bounds it, since the overflow verdict reads
-// it, and is NaN in the result otherwise. B, χ, the output envelope and the
-// error are AnalyzeMAC's, bit for bit: the delay search does not depend on
-// whether the backlog search ran.
+// AnalyzeMACDelay is AnalyzeMAC for a caller that reads neither the backlog
+// nor the busy interval: F is computed only when p.BufferBits bounds it,
+// since the overflow verdict reads it, and is NaN in the result otherwise.
+// Without a buffer bound, when the closed-form bound proves that the busy
+// interval ends within maxBusyRotations, B is scanned only as far as the
+// delay search compares against it, and is NaN in the result unless the
+// search reached it. χ, the output envelope and the error are AnalyzeMAC's,
+// bit for bit: the delay search depends neither on whether the backlog
+// search ran nor on how far B was scanned ahead.
 func AnalyzeMACDelay(in traffic.Descriptor, p MACParams, opts Options) (MACResult, error) {
 	return analyzeMAC(in, p, p.BufferBits > 0)
 }
@@ -138,15 +143,21 @@ func analyzeMAC(in traffic.Descriptor, p MACParams, backlog bool) (MACResult, er
 		return MACResult{}, fmt.Errorf("%w: rho=%v bps, H·BW/TTRT=%v bps", ErrOverload, in.LongTermRate(), svc/ttrt)
 	}
 
-	busy, busyEvals, converged := busyInterval(in, svc, ttrt, maxBusyRotations)
-	envelopeEvals += busyEvals
-	if !converged {
-		mMACInfeasible.Inc()
-		return MACResult{}, fmt.Errorf("%w: no busy-interval end within %d rotations", ErrNoConvergence, maxBusyRotations)
+	s := newMACScan(in, p)
+	if !backlog && s.converges() {
+		s.nextRot = 1 // scanned on demand (AnalyzeMACDelay)
+	} else {
+		busy, busyEvals, converged := busyInterval(in, svc, ttrt, maxBusyRotations)
+		envelopeEvals += busyEvals
+		if !converged {
+			mMACInfeasible.Inc()
+			return MACResult{}, fmt.Errorf("%w: no busy-interval end within %d rotations", ErrNoConvergence, maxBusyRotations)
+		}
+		s.busy = busy
 	}
 
-	backlogBits, delay, scanEvals := scanMAC(in, p, busy, backlog)
-	envelopeEvals += scanEvals
+	backlogBits := s.scan(backlog)
+	envelopeEvals += s.evals
 	if p.BufferBits > 0 && backlogBits > p.BufferBits {
 		mMACInfeasible.Inc()
 		return MACResult{}, fmt.Errorf("%w: F=%v bits, S=%v bits", ErrBufferOverflow, backlogBits, p.BufferBits)
@@ -155,11 +166,11 @@ func analyzeMAC(in traffic.Descriptor, p MACParams, backlog bool) (MACResult, er
 	// The one output rule: every bit that leaves in a window of length I
 	// arrived within I + χ. Sound on its own, and in general looser than
 	// Eq. 12's Υ(I), which would need a second extremum search (DESIGN.md §2).
-	out, err := traffic.NewDelayed(in, delay, p.Ring.BandwidthBps)
+	out, err := traffic.NewDelayed(in, s.delay, p.Ring.BandwidthBps)
 	if err != nil {
 		return MACResult{}, fmt.Errorf("fddi: building output envelope: %w", err)
 	}
-	return MACResult{BusyInterval: busy, BufferBits: backlogBits, Delay: delay, Output: out}, nil
+	return MACResult{BusyInterval: s.busy, BufferBits: backlogBits, Delay: s.delay, Output: out}, nil
 }
 
 // boundPad is the relative padding of the closed-form bound's premise

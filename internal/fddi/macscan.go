@@ -7,20 +7,15 @@ import (
 	"fafnet/internal/units"
 )
 
-// busyInterval runs the Eq. 9 rotation scan: avail is constant between
-// multiples of TTRT and A is nondecreasing, so the condition
-// A(t) <= avail(t) first becomes true at a multiple of TTRT. Monotonicity
-// also licenses skipping ahead: after observing a = A(k·TTRT), no k' with
-// (k'−1)·svc + Eps < a can be the crossing (its demand is at least a), so
-// the next candidate is the first rotation whose service catches up with
-// the demand already seen. The jump target uses Floor (undershooting by at
-// most one rotation) rather than Ceil so float rounding can never overshoot
-// a true crossing; the result is identical to the rotation-by-rotation
-// scan. ok is false when no crossing exists within maxRot rotations; the
-// caller owns the error formatting, keeping this scan allocation-free
-// (TestScanMACAllocationFree). evals reports the number of envelope evaluations performed —
-// returned by value rather than accumulated through a pointer so the
-// caller's counter is not forced onto the heap.
+// busyInterval runs the Eq. 9 rotation scan to its end: avail is constant
+// between multiples of TTRT and A is nondecreasing, so the condition
+// A(t) <= avail(t) first becomes true at a multiple of TTRT, and the scan
+// visits rotations as nextRotation directs. ok is false when no crossing
+// exists within maxRot rotations; the caller owns the error formatting,
+// keeping this scan allocation-free (TestScanMACAllocationFree). evals
+// reports the number of envelope evaluations performed — returned by value
+// rather than accumulated through a pointer so the caller's counter is not
+// forced onto the heap.
 func busyInterval(in traffic.Descriptor, svc, ttrt float64, maxRot int) (busy float64, evals int, ok bool) {
 	for k := 1; ; {
 		if k > maxRot {
@@ -28,48 +23,68 @@ func busyInterval(in traffic.Descriptor, svc, ttrt float64, maxRot int) (busy fl
 		}
 		t := float64(k) * ttrt
 		evals++
-		a := in.Bits(t)
-		if a <= float64(k-1)*svc+units.Eps {
+		if k = nextRotation(k, in.Bits(t), svc); k == 0 {
 			return t, evals, true
-		}
-		if next := 1 + int(math.Floor((a-units.Eps)/svc)); next > k {
-			k = next
-		} else {
-			k++
 		}
 	}
 }
 
-// scanMAC reads Theorem 1's two suprema over the busy interval (0, busy] off
-// the input envelope and returns the worst-case backlog F (Eq. 10, NaN unless
-// backlog is set), the worst-case delay χ (Eq. 11) and the number of envelope
-// evaluations spent. Neither is a maximum over sampled points: χ is taken by
-// levels (scanDelay) and F by rotations (scanBacklog), each an upper bound
-// of its supremum in the envelope's own arithmetic. The two share nothing, so
-// χ does not depend on whether F was asked for.
+// nextRotation is one step of the Eq. 9 scan at rotation k, given
+// a = A(k·TTRT): 0 when the busy interval ends there, A(k·TTRT) <= (k−1)·svc
+// — bits against bits, with no tolerance to lengthen or shorten it — and
+// otherwise the next rotation that can end it. Monotonicity licenses
+// skipping ahead: no k' with (k'−1)·svc < a can be the crossing (its demand
+// is at least a), so the next candidate is the first rotation whose service
+// catches up with the demand already seen. The jump target uses Floor
+// (undershooting by at most one rotation) rather than Ceil so float rounding
+// can never overshoot a true crossing; the scan ends where the
+// rotation-by-rotation scan does.
+func nextRotation(k int, a, svc float64) int {
+	if a <= float64(k-1)*svc {
+		return 0
+	}
+	if next := 1 + int(math.Floor(a/svc)); next > k {
+		return next
+	}
+	return k + 1
+}
+
+// scan reads Theorem 1's two suprema over the busy interval (0, B] off the
+// input envelope: the worst-case delay χ (Eq. 11) into s.delay, and, when
+// backlog is set, the worst-case backlog F (Eq. 10), which it returns (NaN
+// otherwise). Neither is a maximum over sampled points: χ is taken by levels
+// (scanDelay) and F by rotations (scanBacklog), each an upper bound of its
+// supremum in the envelope's own arithmetic. The two share nothing, so χ
+// does not depend on whether F was asked for.
 //
 // A under the padded line σ + ρ·t bounds every candidate at t by a line
 // falling in t, so neither search reads past the time where its line meets
 // the maximum found (DESIGN.md §7.2, rule 2; delayStop and backlogStop).
 // The scan holds no buffer: on a flat input it allocates nothing.
-func scanMAC(in traffic.Descriptor, p MACParams, busy float64, backlog bool) (backlogBits, delay float64, evals int) {
-	s := newMACScan(in, p, busy)
+func (s *macScan) scan(backlog bool) (backlogBits float64) {
 	backlogBits = math.NaN()
 	if backlog {
 		s.scanBacklog()
 		backlogBits = s.backlog
 	}
 	s.scanDelay()
-	return backlogBits, s.delay, s.evals
+	return backlogBits
 }
 
 // macScan is the state of Theorem 1's two searches over one busy interval.
+//
+// The interval's end B is known from the start (the eager scan, busyInterval)
+// or found on demand: with nextRot > 0 the Eq. 9 scan stands at that
+// rotation, every rotation before it known not to end the interval, and
+// advances only as far as a comparison of the delay search needs (before,
+// clip). busy is B once known, NaN before.
 type macScan struct {
 	in            traffic.Descriptor
 	flat          *traffic.Flat // in, when it is a flat: its levels are read off the segments
 	p             MACParams
 	svcBits, ttrt float64
 	busy          float64
+	nextRot       int
 	evals         int
 	backlog       float64
 	delay         float64
@@ -82,12 +97,13 @@ type macScan struct {
 	chiFall, fFallBps float64
 }
 
-// newMACScan returns the search state for in at p over (0, busy]. It reads
-// the padded line σ + ρ·t off the input; the line stops the searches when σ
-// is finite and both candidate lines fall — the padded rate strictly below
-// what the allocation serves.
-func newMACScan(in traffic.Descriptor, p MACParams, busy float64) macScan {
-	s := macScan{in: in, p: p, svcBits: p.RotationServiceBits(), ttrt: p.Ring.TTRT, busy: busy}
+// newMACScan returns the search state for in at p, its busy interval not
+// yet known: the caller sets busy, or starts the lazy scan (nextRot = 1). It
+// reads the padded line σ + ρ·t off the input; the line stops the searches
+// when σ is finite and both candidate lines fall — the padded rate strictly
+// below what the allocation serves.
+func newMACScan(in traffic.Descriptor, p MACParams) macScan {
+	s := macScan{in: in, p: p, svcBits: p.RotationServiceBits(), ttrt: p.Ring.TTRT, busy: math.NaN()}
 	s.flat, _ = in.(*traffic.Flat)
 	s.sigmaBits, s.rhoBps = paddedLine(in)
 	s.chiFall = 1 - s.rhoBps*s.ttrt/s.svcBits
@@ -122,6 +138,45 @@ func (s *macScan) backlogStop() float64 {
 func (s *macScan) bits(t float64) float64 {
 	s.evals++
 	return s.in.Bits(t)
+}
+
+// converges reports that the closed-form bound proves the busy interval
+// ends within maxBusyRotations (closedFormBound): the eager scan would find
+// its end, so a scan that reads B only where the delay search compares
+// against it cannot miss an ErrNoConvergence the eager one reports.
+func (s *macScan) converges() bool {
+	_, ok := closedFormBound(s.sigmaBits, s.rhoBps, s.svcBits, s.ttrt)
+	return ok
+}
+
+// before reports x < B. The lazy scan advances until its next rotation lies
+// past x: B is at or past that rotation, or found on the way.
+func (s *macScan) before(x float64) bool {
+	for s.nextRot > 0 && float64(s.nextRot)*s.ttrt <= x {
+		s.advance()
+	}
+	return s.nextRot > 0 || x < s.busy
+}
+
+// clip returns min(v, B). The lazy scan advances until its next rotation
+// lies at or past v: then B, at or past it, does not lower v.
+func (s *macScan) clip(v float64) float64 {
+	for s.nextRot > 0 && float64(s.nextRot)*s.ttrt < v {
+		s.advance()
+	}
+	if s.nextRot > 0 {
+		return v
+	}
+	return min(v, s.busy)
+}
+
+// advance runs one step of the lazy Eq. 9 scan, the step busyInterval takes
+// at the same rotation.
+func (s *macScan) advance() {
+	t := float64(s.nextRot) * s.ttrt
+	if s.nextRot = nextRotation(s.nextRot, s.bits(t), s.svcBits); s.nextRot == 0 {
+		s.busy = t
+	}
 }
 
 // scanBacklog raises s.backlog to F = sup over (0, busy] of A(t) − avail(t)
@@ -184,11 +239,17 @@ func (s *macScan) rotationEnd(r float64) float64 {
 // delay stop. The exact ⌈·⌉ — not units.CeilDiv's, which snaps a quotient a
 // hair above a multiple down onto it — keeps every candidate at or above the
 // snapped expression's.
+//
+// B enters only through three comparisons, each with the delay stop first:
+// lo < min(B, stop), t < min(B, stop) and u = min(·, stop, B). With B not
+// yet known, before and clip answer them exactly as the known B would, from
+// the rotations scanned so far, so the search takes the same path to the
+// same χ whether B was scanned ahead or on demand.
 func (s *macScan) scanDelay() {
 	lo := 0.0
 	for k := 1.0; ; {
-		stop := min(s.busy, s.delayStop())
-		if !(lo < stop) {
+		stop := s.delayStop()
+		if !(lo < stop && s.before(lo)) {
 			return
 		}
 		y := (k - 1) * s.svcBits
@@ -199,11 +260,11 @@ func (s *macScan) scanDelay() {
 				lo = s.flat.Horizon() // A(horizon) <= y: the crossing lies beyond
 				continue
 			}
-			if !(t < stop) {
+			if !(t < stop && s.before(t)) {
 				return
 			}
 		} else {
-			u := min((k+1)*s.ttrt-s.delay, stop)
+			u := s.clip(min((k+1)*s.ttrt-s.delay, stop))
 			if !(u > lo) {
 				k++ // the level cannot raise χ; lo still bounds the next
 				continue

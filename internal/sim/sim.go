@@ -118,9 +118,6 @@ type Result struct {
 	SlackAtAdmission stats.Sample
 	// MeanActive is the time-averaged number of active connections.
 	MeanActive float64
-	// AchievedUtilization is the time-averaged per-link load actually
-	// carried, relative to link capacity.
-	AchievedUtilization float64
 	// SkippedNoIdleHost counts Poisson arrivals dropped because every host
 	// already originated a connection (they are not admission requests and
 	// do not enter AP, matching the paper's source-selection rule).
@@ -187,7 +184,5 @@ func Run(cfg Config) (Result, error) {
 	}
 	res.AP, res.SlackAtAdmission, res.Rejections = all.ap, all.slack, all.rejections
 	res.SkippedNoIdleHost = d.skipped
-	res.AchievedUtilization = res.MeanActive * sourceRho /
-		(float64(t.NumRings) * t.LinkBps)
 	return res, nil
 }

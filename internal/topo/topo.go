@@ -200,6 +200,11 @@ type Route struct {
 	// ID_S uplink, inter-switch port (when the rings sit on different
 	// switches), switch downlink toward ID_R.
 	Ports []PortID
+	// PortIndex holds, parallel to Ports, each port's dense index in the
+	// network: its position in AllPorts, below NumPorts. An analysis keeps
+	// its per-port state in arrays under these indexes instead of hashing
+	// the names.
+	PortIndex []int
 	// ConstantDelay sums every fixed-latency stage on the path.
 	ConstantDelay float64
 	// SwitchesCrossed counts backbone switches on the path.
@@ -230,16 +235,20 @@ func (n *Network) Route(src, dst HostID) (Route, error) {
 
 	r.CrossesBackbone = true
 	sa, sb := n.SwitchOf(src.Ring), n.SwitchOf(dst.Ring)
+	r.Ports, r.PortIndex = make([]PortID, 0, 3), make([]int, 0, 3)
 	r.Ports = append(r.Ports, idUplinkPort(src.Ring))
+	r.PortIndex = append(r.PortIndex, src.Ring)
 	links := 2 // ID→switch and switch→ID
 	if sa != sb {
 		r.Ports = append(r.Ports, interSwitchPort(sa, sb))
+		r.PortIndex = append(r.PortIndex, n.interSwitchIndex(sa, sb))
 		links++
 		r.SwitchesCrossed = 2
 	} else {
 		r.SwitchesCrossed = 1
 	}
 	r.Ports = append(r.Ports, switchDownlinkPort(sb, dst.Ring))
+	r.PortIndex = append(r.PortIndex, n.downlinkIndex(dst.Ring))
 
 	r.ConstantDelay = n.ringHops(src.Ring, hostStation(src), n.idStation()) + // Delay_Line on FDDI_S
 		n.cfg.ID.SenderConstantDelay() +
@@ -268,8 +277,30 @@ func (n *Network) ringHops(ring, a, b int) float64 {
 	return float64(hops) * n.RingConfig(ring).HopLatency
 }
 
+// NumPorts returns the number of FIFO ports in the network, the bound of
+// every Route.PortIndex.
+func (n *Network) NumPorts() int {
+	return 2*n.cfg.NumRings + n.cfg.NumSwitches*(n.cfg.NumSwitches-1)
+}
+
+// interSwitchIndex is the dense index of the port from switch a to switch
+// b ≠ a: after the uplinks, a's ports in order of b, skipping a itself.
+func (n *Network) interSwitchIndex(a, b int) int {
+	if b > a {
+		b--
+	}
+	return n.cfg.NumRings + a*(n.cfg.NumSwitches-1) + b
+}
+
+// downlinkIndex is the dense index of the downlink toward ring's interface
+// device: after the uplinks and the inter-switch ports.
+func (n *Network) downlinkIndex(ring int) int {
+	return n.NumPorts() - n.cfg.NumRings + ring
+}
+
 // AllPorts enumerates every FIFO port that can appear on a route, useful for
-// exhaustive audits and the packet-level simulator's wiring.
+// exhaustive audits and the packet-level simulator's wiring. A port's
+// position in it is its dense index (Route.PortIndex).
 func (n *Network) AllPorts() []PortID {
 	var ports []PortID
 	for r := 0; r < n.cfg.NumRings; r++ {

@@ -191,10 +191,28 @@ func TestAllPorts(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	ports := n.AllPorts()
 	// 3 uplinks + 6 directed inter-switch + 3 downlinks.
-	if len(ports) != 12 {
+	if ports := n.AllPorts(); len(ports) != 12 {
 		t.Fatalf("AllPorts = %d entries, want 12: %v", len(ports), ports)
+	}
+	for _, switches := range []int{3, 1, 2, 4} {
+		cfg := Default()
+		cfg.NumSwitches = switches
+		n, err := NewNetwork(cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		checkPortIndexes(t, n)
+	}
+}
+
+// checkPortIndexes holds n's port enumeration to its routes: no port twice,
+// every port of every route enumerated, at the route's dense index for it.
+func checkPortIndexes(t *testing.T, n *Network) {
+	t.Helper()
+	ports := n.AllPorts()
+	if n.NumPorts() != len(ports) {
+		t.Errorf("NumPorts = %d, AllPorts lists %d", n.NumPorts(), len(ports))
 	}
 	seen := map[PortID]bool{}
 	for _, p := range ports {
@@ -203,7 +221,7 @@ func TestAllPorts(t *testing.T) {
 		}
 		seen[p] = true
 	}
-	// Every port on every route must be enumerated.
+	// Every port on every route must be enumerated, at its dense index.
 	hosts := n.Hosts()
 	for _, s := range hosts {
 		for _, d := range hosts {
@@ -214,9 +232,15 @@ func TestAllPorts(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			for _, p := range r.Ports {
+			if len(r.PortIndex) != len(r.Ports) {
+				t.Fatalf("route %v→%v: %d port indexes for %d ports", s, d, len(r.PortIndex), len(r.Ports))
+			}
+			for i, p := range r.Ports {
 				if !seen[p] {
 					t.Errorf("route %v→%v uses unenumerated port %v", s, d, p)
+				}
+				if x := r.PortIndex[i]; x < 0 || x >= len(ports) || ports[x] != p {
+					t.Errorf("route %v→%v: port %v has dense index %d", s, d, p, x)
 				}
 			}
 		}

@@ -303,9 +303,15 @@ func (b *flatBuilder) reserve(n int) {
 	if cap(b.ts) >= n {
 		return
 	}
-	b.ts = make([]float64, 0, n)
-	b.vs = make([]float64, 0, n)
-	b.ss = make([]float64, 0, n)
+	b.ts, b.vs, b.ss = carve(n)
+}
+
+// carve returns three empty arrays of capacity n cut from one allocation:
+// a flat's breakpoints, values and slopes. Each is capped at n, so an append
+// past it moves that array alone and never writes into the next.
+func carve(n int) (ts, vs, ss []float64) {
+	buf := make([]float64, 3*n)
+	return buf[0:0:n], buf[n : n : 2*n], buf[2*n : 2*n : 3*n]
 }
 
 // finish assembles the built segments into a Flat. When the builder hit the
@@ -346,6 +352,7 @@ func Flatten(d Descriptor, horizon float64) *Flat {
 		return Flatten(v.tail, horizon)
 	case CBR:
 		b := &flatBuilder{}
+		b.reserve(1)
 		b.add(0, 0, v.RateBps)
 		return b.finish(horizon, d)
 	case LeakyBucket:
@@ -400,6 +407,7 @@ func Flatten(d Descriptor, horizon float64) *Flat {
 // flattenLeakyBucket lowers min(Peak·I, σ + ρ·I).
 func flattenLeakyBucket(v LeakyBucket, horizon float64) *Flat {
 	b := &flatBuilder{}
+	b.reserve(2)
 	switch {
 	case v.PeakBps == 0:
 		// Uncapped: an instantaneous burst of σ at 0, then the token rate.
@@ -756,10 +764,8 @@ func (zeroDesc) LongTermRate() float64 { return 0 }
 // the cold half of the merge API: callers size the scratch here, then the
 // kernels below run allocation-free.
 func (f *Flat) ensure(n int) {
-	if cap(f.ts) < n {
-		f.ts = make([]float64, 0, n)
-		f.vs = make([]float64, 0, n)
-		f.ss = make([]float64, 0, n)
+	if cap(f.ts) < n || cap(f.vs) < n || cap(f.ss) < n {
+		f.ts, f.vs, f.ss = carve(n)
 	}
 }
 

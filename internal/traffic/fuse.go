@@ -29,14 +29,52 @@ import "math"
 // differ in the last ulp where re-association changes rounding (d1+d2
 // summed once instead of applied in sequence); every consumer compares
 // delays with units tolerances, which absorb this.
-func Fuse(d Descriptor) Descriptor {
+func Fuse(d Descriptor) Descriptor { return fuse(d, Fuse) }
+
+// FuseRoot is Fuse for a descriptor whose operands are fused already — a
+// transform over the tail of a flat the analysis built, or over a lowered
+// source: it applies only the rules rooted at d, so its result equals
+// Fuse(d) without rebuilding the chain beneath. On a Delayed, RateCapped or
+// Quantized root it costs at most one transform value, and none when no rule
+// applies: a Delayed with a delay over anything but a Delayed or a
+// RateCapped, or a Quantized over anything but a Quantized, is d itself.
+func FuseRoot(d Descriptor) Descriptor {
 	switch v := d.(type) {
 	case Delayed:
-		return fuseDelayed(Delayed{Inner: Fuse(v.Inner), Delay: v.Delay, CapBps: v.CapBps})
-	case RateCapped:
-		return fuseRateCapped(RateCapped{Inner: Fuse(v.Inner), CapBps: v.CapBps})
+		if !isDelayedOrCapped(v.Inner) && v.Delay != 0 {
+			return d
+		}
 	case Quantized:
-		inner := Fuse(v.Inner)
+		if _, ok := v.Inner.(Quantized); !ok {
+			return d
+		}
+	}
+	return fuse(d, fused)
+}
+
+// isDelayedOrCapped reports whether d is a Delayed or a RateCapped, the two
+// inners a Delayed-rooted rule can merge.
+func isDelayedOrCapped(d Descriptor) bool {
+	switch d.(type) {
+	case Delayed, RateCapped:
+		return true
+	}
+	return false
+}
+
+// fused is the identity on a descriptor that is fused already.
+func fused(d Descriptor) Descriptor { return d }
+
+// fuse applies the rules rooted at d over its operands, each passed through
+// sub first: Fuse to fuse them, fused when they are.
+func fuse(d Descriptor, sub func(Descriptor) Descriptor) Descriptor {
+	switch v := d.(type) {
+	case Delayed:
+		return fuseDelayed(Delayed{Inner: sub(v.Inner), Delay: v.Delay, CapBps: v.CapBps})
+	case RateCapped:
+		return fuseRateCapped(RateCapped{Inner: sub(v.Inner), CapBps: v.CapBps})
+	case Quantized:
+		inner := sub(v.Inner)
 		if q, ok := inner.(Quantized); ok && q.OutBits == v.QuantumBits { //lint:allow floatcmp fusion is value-preserving only when the units match exactly; near-equal quanta must keep both stages
 			// ⌈⌈A/q1⌉·o1/q2⌉·o2 with o1 = q2 is ⌈A/q1⌉·o2: the inner output
 			// is already a whole multiple of the outer quantum.
@@ -46,18 +84,18 @@ func Fuse(d Descriptor) Descriptor {
 	case Aggregate:
 		members := make([]Descriptor, 0, len(v.members))
 		for _, m := range v.members {
-			fused := Fuse(m)
-			if nested, ok := fused.(Aggregate); ok {
+			f := sub(m)
+			if nested, ok := f.(Aggregate); ok {
 				members = append(members, nested.members...)
 				continue
 			}
-			members = append(members, fused)
+			members = append(members, f)
 		}
 		return Aggregate{members: members}
 	case Min:
 		members := make([]Descriptor, len(v.members))
 		for i, m := range v.members {
-			members[i] = Fuse(m)
+			members[i] = sub(m)
 		}
 		return Min{members: members}
 	default:

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
+	"reflect"
 	"testing"
 
 	"fafnet/internal/units"
@@ -231,4 +232,65 @@ func ExampleFuse() {
 	fmt.Println(Fuse(chain))
 	// Output:
 	// Delayed(d=0.0015 s, cap=1.4e+08 bps, inner=DualPeriodic(C1=5e+04 b/P1=0.01 s, C2=1e+04 b/P2=0.001 s, peak=1e+08 bps))
+}
+
+// TestFuseRootOverFusedOperands holds the root-only rule to Fuse over the
+// descriptors of every type (everyDescriptor) and along the analyzer's stage
+// chain. Fuse is idempotent — Fuse(Fuse(x)) deep-equals Fuse(x) — and every
+// root the analysis puts over a fused operand (a Delayed with no cap, a
+// dominated or an undominated one, a zero delay, a RateCapped, a Quantized
+// that merges with a conversion below it or does not, an Aggregate and a
+// Min) fused by FuseRoot deep-equals Fuse of the same root over the raw
+// operand. The stage chain is built as the analyzer builds it — the MAC
+// output over the lowered source, the frame→cell conversion, two ports on
+// one capacity, the reassembly — each stage by FuseRoot over the last, and
+// held at every stage to Fuse of the whole raw chain.
+func TestFuseRootOverFusedOperands(t *testing.T) {
+	roots := func(x Descriptor) []Descriptor {
+		return []Descriptor{
+			Delayed{Inner: x, Delay: 0.4e-3},
+			Delayed{Inner: x, Delay: 0.4e-3, CapBps: 140e6},
+			Delayed{Inner: x, Delay: 0.4e-3, CapBps: 20e6},
+			Delayed{Inner: x, CapBps: 140e6},
+			Delayed{Inner: x},
+			RateCapped{Inner: x, CapBps: 50e6},
+			Quantized{Inner: x, QuantumBits: 94 * 384, OutBits: 94 * 384},
+			Quantized{Inner: x, QuantumBits: 36000, OutBits: 94 * 384},
+			NewAggregate(x, x),
+			Min{members: []Descriptor{x, x}},
+		}
+	}
+	for _, d := range everyDescriptor(t) {
+		name := descriptorName(d)
+		f := Fuse(d)
+		if ff := Fuse(f); !reflect.DeepEqual(ff, f) {
+			t.Errorf("%s: Fuse(Fuse(x)) = %v, Fuse(x) = %v", name, ff, f)
+		}
+		raw, over := roots(d), roots(f)
+		for i := range raw {
+			if got, want := FuseRoot(over[i]), Fuse(raw[i]); !reflect.DeepEqual(got, want) {
+				t.Errorf("%s, root %d: FuseRoot over the fused operand = %v, Fuse over the raw one = %v", name, i, got, want)
+			}
+		}
+	}
+
+	src, err := NewDualPeriodic(50e3, 0.010, 10e3, 0.001, 100e6)
+	if err != nil {
+		t.Fatal(err)
+	}
+	flat := Flatten(src, 0.025)
+	stages := []func(Descriptor) Descriptor{
+		func(x Descriptor) Descriptor { return Delayed{Inner: x, Delay: 6.1e-3, CapBps: 100e6} }, // sender MAC
+		func(x Descriptor) Descriptor { return Quantized{Inner: x, QuantumBits: 36000, OutBits: 94 * 384} },
+		func(x Descriptor) Descriptor { return Delayed{Inner: x, Delay: 0.3e-3, CapBps: 140e6} }, // uplink
+		func(x Descriptor) Descriptor { return Delayed{Inner: x, Delay: 0.2e-3, CapBps: 140e6} }, // downlink
+		func(x Descriptor) Descriptor { return Quantized{Inner: x, QuantumBits: 94 * 384, OutBits: 94 * 384} },
+	}
+	var raw, rooted Descriptor = flat, flat
+	for i, stage := range stages {
+		raw, rooted = stage(raw), FuseRoot(stage(rooted))
+		if want := Fuse(raw); !reflect.DeepEqual(rooted, want) {
+			t.Fatalf("stage %d: FuseRoot along the chain = %v, Fuse of the chain = %v", i, rooted, want)
+		}
+	}
 }
