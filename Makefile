@@ -88,21 +88,25 @@ calibrate:
 	$(GO) run ./cmd/fafsim -calibrate -scenarios 100 -seed 1
 
 # End-to-end smoke of the one benchmark that measures this tree (bench/,
-# BENCHMARK.json): a short traced run of the worst honest regime — churn
+# BENCHMARK.json): short traced runs of the worst honest regime — churn
 # drives the real daemon over loopback, validates every response and ends
-# with the ledger, drain and audit checks. It must exit 0, report
-# "correct":true on its result line and print the decision fingerprint
-# below: the first 500 churn seed-1 decisions, bit for bit. A change that
-# moves decisions on purpose updates BENCH_E2E_FINGERPRINT and says so in
-# CHANGES.md. Numbers from a 4 s run are not for comparison; bench/README.md
-# gives the paired procedure for those.
-BENCH_E2E_FINGERPRINT = 46bc22049b29810b
+# with the ledger, drain and audit checks — and of figure7 (sim.Run) and
+# calibrate (sim.RunMulti), which run the probe path on standing sets churn
+# never builds. Each must exit 0, report "correct":true on its result line
+# and print its seed-1 decision fingerprint below, bit for bit. A change that
+# moves decisions on purpose updates BENCH_E2E_FINGERPRINTS and says so in
+# CHANGES.md. Numbers from these short runs are not for comparison;
+# bench/README.md gives the paired procedure for those.
+BENCH_E2E_FINGERPRINTS = churn=46bc22049b29810b figure7=85609bead474dac1 calibrate=c233bf6b3c45d7cc
 
 bench-e2e:
-	@out=$$($(GO) run ./bench -workload churn -seed 1 -seconds 4 -trace 1) || { echo "$$out"; exit 1; }; \
-	echo "$$out" | grep -E '^(fingerprint|budget|probe budget)'; \
-	echo "$$out" | grep -q '^fingerprint churn $(BENCH_E2E_FINGERPRINT) ' || { echo "bench-e2e: the churn seed-1 fingerprint is not $(BENCH_E2E_FINGERPRINT)"; exit 1; }; \
-	echo "$$out" | tail -n 1 | grep -o '"correct":true'
+	@for pin in $(BENCH_E2E_FINGERPRINTS); do \
+		w=$${pin%%=*}; fp=$${pin#*=}; \
+		out=$$($(GO) run ./bench -workload $$w -seed 1 -seconds 4 -trace 1) || { echo "$$out"; exit 1; }; \
+		echo "$$out" | grep -E '^(fingerprint|budget|probe budget)'; \
+		echo "$$out" | grep -q "^fingerprint $$w $$fp " || { echo "bench-e2e: the $$w seed-1 fingerprint is not $$fp"; exit 1; }; \
+		echo "$$out" | tail -n 1 | grep -q '"correct":true' || { echo "bench-e2e: the $$w run is not correct"; exit 1; }; \
+	done; echo '"correct":true'
 
 # Documentation gates: every exported identifier in internal/obs must carry
 # a doc comment, OPERATIONS.md's metric catalog must match the names the

@@ -488,6 +488,25 @@ func TestServeBadRule(t *testing.T) {
 	}
 }
 
+// TestServeBadBeta: a -beta outside [0, 1], NaN included (the flag parses
+// it), fails before anything listens. The context is canceled up front, so a
+// daemon that wrongly starts drains at once instead of serving on.
+func TestServeBadBeta(t *testing.T) {
+	ctx, cancel := context.WithCancel(context.Background())
+	cancel()
+	for _, beta := range []string{"NaN", "-0.1", "1.5", "+Inf"} {
+		var cfg serveConfig
+		fs := flag.NewFlagSet("fafcacd", flag.ContinueOnError)
+		registerFlags(fs, &cfg)
+		if err := fs.Parse([]string{"-addr", "127.0.0.1:0", "-beta", beta}); err != nil {
+			t.Fatal(err)
+		}
+		if err := serve(ctx, cfg, nil); err == nil || !strings.Contains(err.Error(), "beta") {
+			t.Errorf("-beta %s: serve returned %v, want the beta range error", beta, err)
+		}
+	}
+}
+
 func TestServeBadAddr(t *testing.T) {
 	if err := serve(context.Background(), serveConfig{Addr: "256.256.256.256:1", Beta: 0.5, Rule: "proportional"}, nil); err == nil {
 		t.Fatal("unusable address should fail")

@@ -9,7 +9,10 @@
 // the payload-effective capacity PayloadCapacity(link rate).
 package atm
 
-import "fmt"
+import (
+	"fmt"
+	"math"
+)
 
 // ATM constants.
 const (
@@ -69,11 +72,11 @@ type SwitchParams struct {
 
 // Validate reports whether the parameters are physically meaningful.
 func (p SwitchParams) Validate() error {
-	if p.InputDelay < 0 {
-		return fmt.Errorf("atm: input delay %v must be non-negative", p.InputDelay)
+	if !(p.InputDelay >= 0) || math.IsInf(p.InputDelay, 1) {
+		return fmt.Errorf("atm: input delay %v must be non-negative and finite", p.InputDelay)
 	}
-	if p.FabricDelay < 0 {
-		return fmt.Errorf("atm: fabric delay %v must be non-negative", p.FabricDelay)
+	if !(p.FabricDelay >= 0) || math.IsInf(p.FabricDelay, 1) {
+		return fmt.Errorf("atm: fabric delay %v must be non-negative and finite", p.FabricDelay)
 	}
 	return nil
 }

@@ -1,6 +1,7 @@
 package atm
 
 import (
+	"math"
 	"testing"
 
 	"fafnet/internal/units"
@@ -46,11 +47,13 @@ func TestSwitchParamsValidate(t *testing.T) {
 	if err := DefaultSwitchParams().Validate(); err != nil {
 		t.Errorf("defaults invalid: %v", err)
 	}
-	if err := (SwitchParams{InputDelay: -1}).Validate(); err == nil {
-		t.Error("negative input delay should be rejected")
-	}
-	if err := (SwitchParams{FabricDelay: -1}).Validate(); err == nil {
-		t.Error("negative fabric delay should be rejected")
+	for _, bad := range []float64{-1, math.NaN(), math.Inf(1), math.Inf(-1)} {
+		if err := (SwitchParams{InputDelay: bad}).Validate(); err == nil {
+			t.Errorf("input delay %v should be rejected", bad)
+		}
+		if err := (SwitchParams{FabricDelay: bad}).Validate(); err == nil {
+			t.Errorf("fabric delay %v should be rejected", bad)
+		}
 	}
 	p := SwitchParams{InputDelay: 1e-5, FabricDelay: 2e-5}
 	if got := p.ConstantDelay(); !units.AlmostEq(got, 3e-5) {

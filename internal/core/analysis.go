@@ -244,7 +244,7 @@ func (a *Analyzer) Breakdown(conns []*Connection, id string) (Breakdown, error) 
 // port by its index in the network (topo.Route.PortIndex), and everything the
 // evaluation learns sits in slices under those numbers, so no probe hashes a
 // string or a pointer to find its own bookkeeping. Resetting it for the next
-// probe is a copy and two clears (ProbeSession.reseed).
+// probe is a pass over the tainted ports and two clears (ProbeSession.reset).
 type evaluation struct {
 	a       *Analyzer
 	ordered []*Connection // sorted by id: the deterministic iteration order
@@ -268,9 +268,10 @@ type evaluation struct {
 	portDelay []float64
 	portBusy  []bool
 
-	// prefilledDelay, when non-nil, carries by connection index end-to-end
-	// results proven unaffected by the current probe (see ProbeSession), NaN
-	// where there is none; totalDelay returns them directly.
+	// keep, when non-nil, marks the connections whose totals no probe of a
+	// session can change (ProbeSession); totalDelays keeps the first it
+	// computes of each in prefilledDelay, NaN before, for totalDelay to return.
+	keep           []bool
 	prefilledDelay []float64
 
 	// walked is the breakdown the walks that keep only a total (totalDelay,
@@ -300,40 +301,23 @@ type hopMemo struct {
 }
 
 func (a *Analyzer) newEvaluation(conns []*Connection) (*evaluation, error) {
-	ports := a.net.NumPorts()
-	for _, c := range conns {
-		if c == nil {
-			return nil, errors.New("core: nil connection in evaluation")
-		}
-		if err := c.Validate(); err != nil {
-			return nil, err
-		}
-		if c.HS <= 0 {
-			return nil, fmt.Errorf("core: connection %q has no sender allocation", c.ID)
-		}
-		if c.Route.CrossesBackbone && c.HR <= 0 {
-			return nil, fmt.Errorf("core: connection %q crosses the backbone without a receiver allocation", c.ID)
-		}
-		if err := a.checkRoute(c); err != nil {
-			return nil, err
-		}
+	ordered, err := a.checkConns(conns)
+	if err != nil {
+		return nil, err
 	}
+	ports := a.net.NumPorts()
 	// hopBase, memberBase and the counting sort's cursors share one array.
 	offsets := make([]int, len(conns)+1+2*ports+1)
 	ev := &evaluation{
 		a:          a,
-		ordered:    slices.Clone(conns),
+		ordered:    ordered,
 		recs:       make([]*connCache, len(conns)),
 		hopBase:    offsets[:len(conns)+1],
 		memberBase: offsets[len(conns)+1 : len(conns)+ports+2],
 		portDelay:  make([]float64, ports),
 		portBusy:   make([]bool, ports),
 	}
-	slices.SortFunc(ev.ordered, func(a, b *Connection) int { return strings.Compare(a.ID, b.ID) })
 	for i, c := range ev.ordered {
-		if i > 0 && ev.ordered[i-1].ID == c.ID {
-			return nil, fmt.Errorf("core: duplicate connection id %q", c.ID)
-		}
 		ev.recs[i] = a.record(c)
 		ev.hopBase[i+1] = ev.hopBase[i] + hops(c)
 		for _, p := range c.Route.PortIndex {
@@ -360,6 +344,26 @@ func (a *Analyzer) newEvaluation(conns []*Connection) (*evaluation, error) {
 	return ev, nil
 }
 
+// checkConn reports why no evaluation can take c: a nil connection, an
+// invalid spec, a missing allocation, or a route whose dense port indexes do
+// not fit the analyzer's network. It allocates nothing on a connection it
+// accepts: every probe re-checks its candidate's allocation with it.
+func (a *Analyzer) checkConn(c *Connection) error {
+	if c == nil {
+		return errors.New("core: nil connection in evaluation")
+	}
+	if err := c.Validate(); err != nil {
+		return err
+	}
+	if c.HS <= 0 {
+		return fmt.Errorf("core: connection %q has no sender allocation", c.ID)
+	}
+	if c.Route.CrossesBackbone && c.HR <= 0 {
+		return fmt.Errorf("core: connection %q crosses the backbone without a receiver allocation", c.ID)
+	}
+	return a.checkRoute(c)
+}
+
 // checkRoute reports a route of c whose dense port indexes do not fit the
 // analyzer's network: every evaluation keeps its per-port state under them.
 func (a *Analyzer) checkRoute(c *Connection) error {
@@ -372,6 +376,24 @@ func (a *Analyzer) checkRoute(c *Connection) error {
 		}
 	}
 	return nil
+}
+
+// checkConns is checkConn over a connection set, which must also hold no id
+// twice. It returns a copy of conns sorted by id, the evaluation order.
+func (a *Analyzer) checkConns(conns []*Connection) ([]*Connection, error) {
+	for _, c := range conns {
+		if err := a.checkConn(c); err != nil {
+			return nil, err
+		}
+	}
+	ordered := slices.Clone(conns)
+	slices.SortFunc(ordered, func(a, b *Connection) int { return strings.Compare(a.ID, b.ID) })
+	for i := 1; i < len(ordered); i++ {
+		if ordered[i-1].ID == ordered[i].ID {
+			return nil, fmt.Errorf("core: duplicate connection id %q", ordered[i].ID)
+		}
+	}
+	return ordered, nil
 }
 
 // lookup returns the index of connection id in the evaluation, or false.
@@ -929,6 +951,9 @@ func (ev *evaluation) totalDelays() ([]float64, error) {
 			return nil, err
 		}
 		out[i] = d
+		if ev.keep != nil && ev.keep[i] {
+			ev.prefilledDelay[i] = d
+		}
 	}
 	return out, nil
 }

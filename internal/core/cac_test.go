@@ -344,8 +344,26 @@ func TestControllerValidation(t *testing.T) {
 	if _, err := NewController(nil, Options{}); err == nil {
 		t.Error("nil network should be rejected")
 	}
-	if _, err := NewController(defaultNet(t), Options{Beta: 2}); err == nil {
-		t.Error("beta > 1 should be rejected")
+	for _, tc := range []struct {
+		name string
+		opts Options
+	}{
+		{"beta > 1", Options{Beta: 2}},
+		{"negative beta", Options{Beta: -0.1, BetaSet: true}},
+		{"NaN beta", Options{Beta: math.NaN(), BetaSet: true}},
+		{"NaN beta, not marked set", Options{Beta: math.NaN()}},
+		{"infinite beta", Options{Beta: math.Inf(1), BetaSet: true}},
+		{"NaN minimum allocation", Options{HMinAbs: math.NaN()}},
+		{"infinite minimum allocation", Options{HMinAbs: math.Inf(1)}},
+	} {
+		if _, err := NewController(defaultNet(t), tc.opts); err == nil {
+			t.Errorf("%s should be rejected", tc.name)
+		}
+	}
+	for _, opts := range []Options{{}, {Beta: 0, BetaSet: true}, {Beta: 1, BetaSet: true}, {HMinAbs: -1}} {
+		if _, err := NewController(defaultNet(t), opts); err != nil {
+			t.Errorf("%+v: %v", opts, err)
+		}
 	}
 	ctl := newController(t, Options{})
 	if _, err := ctl.RequestAdmission(ConnSpec{}); err == nil {

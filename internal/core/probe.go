@@ -18,36 +18,27 @@ import (
 // allocation changes — so only the FIFO ports the candidate flows through
 // (and ports downstream of those, reached by connections that crossed a
 // changed port first) can see different traffic. The session computes that
-// tainted-port closure once, evaluates everything outside it once, and
-// reuses those results for every probe:
+// tainted-port closure once, from the routes alone, and keeps what its
+// probes learn outside it for every later probe:
 //
 //   - a port is tainted if the candidate traverses it, or if some connection
 //     traverses a tainted port before it (its envelope at the later port
 //     shifts with the earlier port's delay);
 //   - every member of a tainted port is, by construction, an affected
-//     connection, so untainted port delays depend only on unaffected state
-//     and can be carried over verbatim;
-//   - unaffected connections (no tainted port on their route) keep their
-//     end-to-end delays verbatim.
+//     connection, so an untainted port's delay depends only on unaffected
+//     state: once a probe has analysed it, it stays;
+//   - an unaffected connection (no tainted port on its route) keeps the
+//     end-to-end delay the first Delays computed for it.
 type ProbeSession struct {
 	a        *Analyzer
 	existing []*Connection
-	cand     *Connection
-
-	// clean is the candidate-free evaluation's order (existing by id), and
-	// cleanDelay the end-to-end delays in it, NaN where a connection is
-	// affected; cleanPortDelay holds its port delays by dense index, NaN at
-	// tainted ports and at ports it did not analyse.
-	clean          []*Connection
-	cleanDelay     []float64
-	cleanPortDelay []float64
-	affected       int
+	// tainted marks the tainted ports by dense index.
+	tainted []bool
 
 	// probe and scratch are reused across probes: the connection set is
 	// identical every time (existing ∪ candidate), so the evaluation's state
-	// is reset and re-seeded instead of reallocated for each of the up to
-	// 2·SearchIters + 4 probes of an admission request. probeIdx is the
-	// candidate's index in it.
+	// is reset instead of reallocated for each of the up to 2·SearchIters + 4
+	// probes of an admission request. probeIdx is the candidate's index in it.
 	probe    *Connection
 	probeIdx int
 	scratch  *evaluation
@@ -115,30 +106,30 @@ func (a *Analyzer) NewProbeSession(existing []*Connection, cand *Connection) (*P
 	if cand == nil {
 		return nil, errors.New("core: probe session requires a candidate")
 	}
-	// The probes report every analysis error as a miss, so the one error a
-	// validated spec can still carry is caught here, once per session. The
-	// lowered source stays on the class's record for the sender MAC.
+	// The probes report every analysis error as a miss, so what an evaluation
+	// refuses and a source with no flat lowering are caught here, once per
+	// session; the lowered sources stay on the classes' records.
 	src, err := a.record(cand).source(cand)
 	if err != nil {
 		return nil, err
 	}
-	s := &ProbeSession{a: a, existing: existing, cand: cand}
-	if cand.Route.CrossesBackbone {
-		s.rx = newRxChain(a.net, cand, src)
-	}
-
-	// One candidate-free evaluation supplies every reusable result; building
-	// it checks the standing routes, as checkRoute checks the candidate's.
-	ev, err := a.newEvaluation(existing)
-	if err != nil {
+	if _, err := a.checkConns(existing); err != nil {
 		return nil, err
+	}
+	for _, m := range existing {
+		if _, err := a.record(m).source(m); err != nil {
+			return nil, err
+		}
 	}
 	if err := a.checkRoute(cand); err != nil {
 		return nil, err
 	}
-	tainted := make([]bool, a.net.NumPorts())
+	s := &ProbeSession{a: a, existing: existing, probe: cand.clone(), tainted: make([]bool, a.net.NumPorts())}
+	if cand.Route.CrossesBackbone {
+		s.rx = newRxChain(a.net, cand, src)
+	}
 	for _, p := range cand.Route.PortIndex {
-		tainted[p] = true
+		s.tainted[p] = true
 	}
 	for changed := true; changed; {
 		changed = false
@@ -146,46 +137,38 @@ func (a *Analyzer) NewProbeSession(existing []*Connection, cand *Connection) (*P
 			seen := false
 			for _, p := range m.Route.PortIndex {
 				switch {
-				case tainted[p]:
+				case s.tainted[p]:
 					seen = true
 				case seen:
-					tainted[p] = true
+					s.tainted[p] = true
 					changed = true
 				}
 			}
 		}
 	}
-	isAffected := func(m *Connection) bool {
-		for _, p := range m.Route.PortIndex {
-			if tainted[p] {
-				return true
-			}
-		}
-		return false
-	}
-
-	if s.cleanDelay, err = ev.totalDelays(); err != nil {
-		return nil, err
-	}
-	s.clean = ev.ordered
-	for i, m := range ev.ordered {
-		if isAffected(m) {
-			s.affected++
-			s.cleanDelay[i] = math.NaN()
-		}
-	}
-	s.cleanPortDelay = ev.portDelay
-	for p, t := range tainted {
-		if t {
-			s.cleanPortDelay[p] = math.NaN()
-		}
-	}
 	return s, nil
+}
+
+// isAffected reports whether m crosses a tainted port.
+func (s *ProbeSession) isAffected(m *Connection) bool {
+	for _, p := range m.Route.PortIndex {
+		if s.tainted[p] {
+			return true
+		}
+	}
+	return false
 }
 
 // Affected returns the number of existing connections whose delays must be
 // recomputed per probe (exposed for tests and instrumentation).
-func (s *ProbeSession) Affected() int { return s.affected }
+func (s *ProbeSession) Affected() (n int) {
+	for _, m := range s.existing {
+		if s.isAffected(m) {
+			n++
+		}
+	}
+	return n
+}
 
 // Breakdown returns the Eq. 7 per-server decomposition of connection id at
 // the allocation of the most recent Delays call. The scratch evaluation is
@@ -311,62 +294,42 @@ func (s *ProbeSession) holds(ev *evaluation, i int, ref map[string]float64, tol 
 	return cutNone
 }
 
-// evaluation returns the session's scratch evaluation, reset and re-seeded
-// for a probe at (hs, hr). The first call validates the connection set and
-// allocates the maps; later calls clear and reuse them, re-checking only the
-// allocation-dependent invariants (the set itself cannot have changed).
+// evaluation returns the session's scratch evaluation, reset for a probe at
+// (hs, hr). The first call builds it, validating the connection set; later
+// calls reset it and re-check the probe alone.
 func (s *ProbeSession) evaluation(hs, hr float64) (*evaluation, error) {
+	s.probe.HS, s.probe.HR = hs, hr
 	if s.scratch == nil {
-		s.probe = s.cand.clone()
-		s.probe.HS, s.probe.HR = hs, hr
-		conns := make([]*Connection, 0, len(s.existing)+1)
-		conns = append(conns, s.existing...)
-		conns = append(conns, s.probe)
-		ev, err := s.a.newEvaluation(conns)
+		ev, err := s.a.newEvaluation(append(slices.Clip(s.existing), s.probe))
 		if err != nil {
 			return nil, err
 		}
 		s.scratch, s.probeIdx = ev, slices.Index(ev.ordered, s.probe)
-		ev.prefilledDelay = s.scratchDelays()
-	} else {
-		s.probe.HS, s.probe.HR = hs, hr
-		if s.probe.HS <= 0 {
-			return nil, fmt.Errorf("core: connection %q has no sender allocation", s.probe.ID)
+		ev.keep = make([]bool, len(ev.ordered))
+		ev.prefilledDelay = make([]float64, len(ev.ordered))
+		for i, c := range ev.ordered {
+			ev.keep[i] = c != s.probe && !s.isAffected(c)
+			ev.prefilledDelay[i] = math.NaN()
 		}
-		if s.probe.Route.CrossesBackbone && s.probe.HR <= 0 {
-			return nil, fmt.Errorf("core: connection %q crosses the backbone without a receiver allocation", s.probe.ID)
-		}
+	} else if err := s.a.checkConn(s.probe); err != nil {
+		return nil, err
 	}
-	s.reseed()
+	s.reset()
 	return s.scratch, nil
 }
 
-// scratchDelays re-indexes the clean end-to-end delays into the scratch
-// evaluation's order, which is the clean order with the probe inserted: the
-// probe, and any connection not where the clean order has it, is NaN there
-// and is evaluated.
-func (s *ProbeSession) scratchDelays() []float64 {
-	out := make([]float64, len(s.scratch.ordered))
-	j := 0
-	for i, c := range s.scratch.ordered {
-		out[i] = math.NaN()
-		if j < len(s.clean) && s.clean[j] == c {
-			out[i] = s.cleanDelay[j]
-			j++
+// reset prepares the scratch evaluation for the next probe: the tainted
+// ports' delays and every envelope go, what no probe can change stays. It
+// runs up to 2·SearchIters + 4 times per admission request and touches only
+// preallocated state, so it must not allocate
+// (TestWarmProbeEvaluationAllocationFree).
+func (s *ProbeSession) reset() {
+	ev := s.scratch
+	for p, t := range s.tainted {
+		if t {
+			ev.portDelay[p] = math.NaN()
 		}
 	}
-	return out
-}
-
-// reseed resets the scratch evaluation and re-seeds it with the session's
-// probe-invariant results: untainted port delays, and the unaffected
-// end-to-end delays, which stay in place from the first probe on. It runs
-// once per probe — up to 2·SearchIters + 4 times per admission request — and
-// touches only preallocated state, so it must not allocate
-// (TestWarmProbeEvaluationAllocationFree).
-func (s *ProbeSession) reseed() {
-	ev := s.scratch
-	copy(ev.portDelay, s.cleanPortDelay)
 	clear(ev.portBusy)
 	// Envelopes are re-resolved per probe: stage-0 envelopes come straight
 	// from the connections' records (pointer-stable across probes), later

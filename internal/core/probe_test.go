@@ -2,6 +2,8 @@ package core
 
 import (
 	"math"
+	"slices"
+	"strings"
 	"testing"
 
 	"fafnet/internal/traffic"
@@ -83,50 +85,152 @@ func TestProbeSessionKeepsSourceFlat(t *testing.T) {
 
 // TestProbeSessionMatchesFullEvaluation is the safety net of the probe
 // optimization: for a range of candidate allocations, the session's delays
-// must equal a from-scratch full-network evaluation exactly.
+// must equal a from-scratch full-network evaluation bit for bit, and its
+// verdicts the reference's conjunctions. What a session keeps from one probe
+// for the next must survive every order of probes: Delays forward and then
+// in reverse, and verdict probes (Feasible, FeasibleWithin) before any Delays,
+// whose walks stop short and so keep no total.
 func TestProbeSessionMatchesFullEvaluation(t *testing.T) {
 	ctl := loadedController(t)
 	net := ctl.Network()
 	existing := ctl.Connections()
-
 	cand := testConnOn(t, net, "probe", 0, 0, 1, 0, 0, 0)
-	session, err := analyzerOf(ctl).NewProbeSession(existing, cand)
-	if err != nil {
-		t.Fatal(err)
-	}
-
-	reference, err := NewAnalyzer(net, AnalysisOptions{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, alloc := range [][2]float64{
+	allocs := []allocation{
 		{0.3e-3, 0.3e-3}, // below stability: infinite
 		{0.6e-3, 0.6e-3},
 		{1e-3, 1.4e-3},
 		{2.5e-3, 2.5e-3},
-	} {
-		got, err := session.Delays(alloc[0], alloc[1])
+	}
+	reference := func(a allocation) map[string]float64 {
+		t.Helper()
+		an, err := NewAnalyzer(net, AnalysisOptions{})
 		if err != nil {
 			t.Fatal(err)
 		}
 		probe := cand.clone()
-		probe.HS, probe.HR = alloc[0], alloc[1]
-		want, err := reference.Delays(append(append([]*Connection{}, existing...), probe))
+		probe.HS, probe.HR = a.hs, a.hr
+		want, err := an.Delays(append(slices.Clone(existing), probe))
 		if err != nil {
 			t.Fatal(err)
 		}
-		if len(got) != len(want) {
-			t.Fatalf("alloc %v: %d delays, want %d", alloc, len(got), len(want))
-		}
-		for id, w := range want {
-			g := got[id]
-			if math.IsInf(w, 1) != math.IsInf(g, 1) {
-				t.Fatalf("alloc %v, conn %s: got %v, want %v", alloc, id, g, w)
-			}
-			if !math.IsInf(w, 1) && math.Abs(g-w) > 1e-12*math.Max(1, w) {
-				t.Fatalf("alloc %v, conn %s: got %v, want %v", alloc, id, g, w)
+		return want
+	}
+	refMax := reference(allocs[len(allocs)-1])
+	withinRef := func(delays map[string]float64) bool {
+		for id, dMax := range refMax {
+			if !units.WithinRel(delays[id], dMax, equalTolerance) {
+				return false
 			}
 		}
+		return true
+	}
+	newSession := func() *ProbeSession {
+		t.Helper()
+		s, err := analyzerOf(ctl).NewProbeSession(existing, cand)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return s
+	}
+	checkDelays := func(order string, s *ProbeSession, as []allocation) {
+		t.Helper()
+		for _, a := range as {
+			got, err := s.Delays(a.hs, a.hr)
+			if err != nil {
+				t.Fatal(err)
+			}
+			want := reference(a)
+			if len(got) != len(want) {
+				t.Fatalf("%s, alloc %v: %d delays, want %d", order, a, len(got), len(want))
+			}
+			for id, w := range want {
+				if g, ok := got[id]; !ok || math.Float64bits(g) != math.Float64bits(w) {
+					t.Fatalf("%s, alloc %v, conn %s: got %v, want %v", order, a, id, g, w)
+				}
+			}
+		}
+	}
+	reversed := slices.Clone(allocs)
+	slices.Reverse(reversed)
+
+	s := newSession()
+	checkDelays("forward", s, allocs)
+	checkDelays("reverse", s, reversed)
+
+	s = newSession()
+	for _, a := range allocs {
+		want := reference(a)
+		feasible := meetsDeadlines(existing, cand, want)
+		if got := s.Feasible(a.hs, a.hr); got != feasible {
+			t.Fatalf("alloc %v: Feasible = %v, the reference's deadlines %v", a, got, feasible)
+		}
+		if got := s.FeasibleWithin(a.hs, a.hr, refMax, equalTolerance); got != (feasible && withinRef(want)) {
+			t.Fatalf("alloc %v: FeasibleWithin = %v, the reference's conjunction %v", a, got, feasible && withinRef(want))
+		}
+	}
+	checkDelays("forward after verdicts", s, allocs)
+	checkDelays("reverse after verdicts", s, reversed)
+}
+
+// TestNewProbeSessionRejects: a session refuses, when it is built, every
+// connection set no evaluation can be built over — a nil or invalid standing
+// connection, two under one id, a standing allocation missing, a route
+// without port indexes — and a source, the candidate's or a standing one,
+// with no flat lowering.
+func TestNewProbeSessionRejects(t *testing.T) {
+	net := defaultNet(t)
+	a, err := NewAnalyzer(net, AnalysisOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	standing := func(id string) *Connection { return testConnOn(t, net, id, 1, 0, 2, 0, 2e-3, 2e-3) }
+	candidate := func() *Connection { return testConnOn(t, net, "c", 0, 0, 1, 0, 0, 0) }
+	for _, tc := range []struct {
+		name string
+		edit func(existing []*Connection, cand *Connection) ([]*Connection, *Connection)
+		want string
+	}{
+		{"no candidate", func(e []*Connection, _ *Connection) ([]*Connection, *Connection) { return e, nil }, "requires a candidate"},
+		{"nil standing connection", func(e []*Connection, c *Connection) ([]*Connection, *Connection) { return append(e, nil), c }, "nil connection"},
+		{"invalid standing spec", func(e []*Connection, c *Connection) ([]*Connection, *Connection) {
+			e[0].Deadline = 0
+			return e, c
+		}, "deadline"},
+		{"duplicate standing id", func(e []*Connection, c *Connection) ([]*Connection, *Connection) {
+			return append(e, standing("s0")), c
+		}, "duplicate connection id"},
+		{"standing sender allocation missing", func(e []*Connection, c *Connection) ([]*Connection, *Connection) {
+			e[1].HS = 0
+			return e, c
+		}, "no sender allocation"},
+		{"standing receiver allocation missing", func(e []*Connection, c *Connection) ([]*Connection, *Connection) {
+			e[1].HR = 0
+			return e, c
+		}, "without a receiver allocation"},
+		{"standing route without port indexes", func(e []*Connection, c *Connection) ([]*Connection, *Connection) {
+			e[0].Route.PortIndex = nil
+			return e, c
+		}, "without port indexes"},
+		{"candidate route without port indexes", func(e []*Connection, c *Connection) ([]*Connection, *Connection) {
+			c.Route.PortIndex = nil
+			return e, c
+		}, "without port indexes"},
+		{"standing source with no flat lowering", func(e []*Connection, c *Connection) ([]*Connection, *Connection) {
+			e[1].Source = unlowerable{e[1].Source}
+			return e, c
+		}, "no lowering"},
+		{"candidate source with no flat lowering", func(e []*Connection, c *Connection) ([]*Connection, *Connection) {
+			c.Source = unlowerable{c.Source}
+			return e, c
+		}, "no lowering"},
+	} {
+		existing, cand := tc.edit([]*Connection{standing("s0"), standing("s1")}, candidate())
+		if _, err := a.NewProbeSession(existing, cand); err == nil || !strings.Contains(err.Error(), tc.want) {
+			t.Errorf("%s: NewProbeSession error %v, want one naming %q", tc.name, err, tc.want)
+		}
+	}
+	if _, err := a.NewProbeSession([]*Connection{standing("s0"), standing("s1")}, candidate()); err != nil {
+		t.Errorf("the unedited set: %v", err)
 	}
 }
 

@@ -105,8 +105,11 @@ func NewController(net *topo.Network, opts Options) (*Controller, error) {
 		return nil, errors.New("core: controller requires a network")
 	}
 	opts = opts.withDefaults()
-	if opts.Beta < 0 || opts.Beta > 1 {
+	if !(opts.Beta >= 0 && opts.Beta <= 1) {
 		return nil, fmt.Errorf("core: beta %v must be in [0,1]", opts.Beta)
+	}
+	if math.IsNaN(opts.HMinAbs) || math.IsInf(opts.HMinAbs, 1) {
+		return nil, fmt.Errorf("core: minimum allocation %v must be finite", opts.HMinAbs)
 	}
 	an, err := NewAnalyzer(net, AnalysisOptions{})
 	if err != nil {
@@ -482,14 +485,19 @@ func (p *Sharded) ConnectionsAndDelays() ([]*Connection, map[string]float64, err
 }
 
 // BufferReport returns the buffer requirements of every admitted
-// connection, sorted by connection id.
+// connection, sorted by connection id. One evaluation of the admitted set
+// serves every connection's breakdown.
 func (p *Sharded) BufferReport() ([]BufferRequirement, error) {
 	p.mu.Lock()
 	defer p.mu.Unlock()
 	snap := p.snap.Load()
+	ev, err := p.an.newEvaluation(snap.conns)
+	if err != nil {
+		return nil, err
+	}
 	out := make([]BufferRequirement, 0, len(snap.conns))
 	for _, conn := range snap.conns {
-		bd, err := p.an.Breakdown(snap.conns, conn.ID)
+		bd, err := ev.breakdownOf(conn.ID)
 		if err != nil {
 			return nil, err
 		}

@@ -12,9 +12,6 @@ import (
 // PoissonProcess. All draws are deterministic functions of the seed and the
 // call sequence, which is what makes workload generation reproducible.
 
-// Normal returns a standard normal variate (mean 0, standard deviation 1).
-func (g *RNG) Normal() float64 { return g.r.NormFloat64() }
-
 // gammaSqueeze is the fast-acceptance coefficient of the Marsaglia–Tsang
 // squeeze step (their constant 0.0331).
 const gammaSqueeze = 0.0331

@@ -228,7 +228,7 @@ func TestDelayOnlyDeepSeed(t *testing.T) {
 // checkDelayOnly holds AnalyzeMACDelay on in at p to AnalyzeMAC's result
 // res and error err: the same error class; on success χ and the output
 // envelope bit for bit, B either not scanned (NaN) or AnalyzeMAC's, and no
-// more envelope evaluations than the eager delay-only scan, busyInterval and
+// more envelope evaluations than the eager delay-only scan, busyEnd and
 // then scanMAC without the backlog, spends.
 func checkDelayOnly(t *testing.T, in traffic.Descriptor, p MACParams, res MACResult, err error) {
 	t.Helper()
@@ -247,7 +247,7 @@ func checkDelayOnly(t *testing.T, in traffic.Descriptor, p MACParams, res MACRes
 	if !math.IsNaN(got.BusyInterval) && got.BusyInterval != res.BusyInterval {
 		t.Fatalf("%v at H=%v: AnalyzeMACDelay reads B = %v, AnalyzeMAC %v", in, p.H, got.BusyInterval, res.BusyInterval)
 	}
-	_, busyEvals, _ := busyInterval(in, p.RotationServiceBits(), p.Ring.TTRT, maxBusyRotations)
+	_, busyEvals, _ := busyEnd(in, p)
 	_, _, scanEvals := scanMAC(in, p, res.BusyInterval, false)
 	if eager := busyEvals + scanEvals; evals > uint64(eager) {
 		t.Fatalf("%v at H=%v: AnalyzeMACDelay spends %d envelope evaluations, the eager delay-only scan %d", in, p.H, evals, eager)

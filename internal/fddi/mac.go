@@ -133,31 +133,21 @@ func analyzeMAC(in traffic.Descriptor, p MACParams, backlog bool) (MACResult, er
 		return MACResult{}, err
 	}
 	mMACAnalyses.Inc()
-	envelopeEvals := 0
-	defer func() { mMACEnvelopeEvals.Add(uint64(envelopeEvals)) }()
-
-	svc := p.RotationServiceBits()
-	ttrt := p.Ring.TTRT
 	if p.Overloaded(in.LongTermRate()) {
 		mMACInfeasible.Inc()
-		return MACResult{}, fmt.Errorf("%w: rho=%v bps, H·BW/TTRT=%v bps", ErrOverload, in.LongTermRate(), svc/ttrt)
+		return MACResult{}, fmt.Errorf("%w: rho=%v bps, H·BW/TTRT=%v bps", ErrOverload, in.LongTermRate(), p.RotationServiceBits()/p.Ring.TTRT)
 	}
 
 	s := newMACScan(in, p)
-	if !backlog && s.converges() {
-		s.nextRot = 1 // scanned on demand (AnalyzeMACDelay)
-	} else {
-		busy, busyEvals, converged := busyInterval(in, svc, ttrt, maxBusyRotations)
-		envelopeEvals += busyEvals
-		if !converged {
-			mMACInfeasible.Inc()
-			return MACResult{}, fmt.Errorf("%w: no busy-interval end within %d rotations", ErrNoConvergence, maxBusyRotations)
-		}
-		s.busy = busy
+	defer func() { mMACEnvelopeEvals.Add(uint64(s.evals)) }()
+	// B is scanned on demand (AnalyzeMACDelay) where the closed-form bound
+	// proves it ends; otherwise to its end first.
+	if (backlog || !s.converges()) && !s.finish() {
+		mMACInfeasible.Inc()
+		return MACResult{}, fmt.Errorf("%w: no busy-interval end within %d rotations", ErrNoConvergence, maxBusyRotations)
 	}
 
 	backlogBits := s.scan(backlog)
-	envelopeEvals += s.evals
 	if p.BufferBits > 0 && backlogBits > p.BufferBits {
 		mMACInfeasible.Inc()
 		return MACResult{}, fmt.Errorf("%w: F=%v bits, S=%v bits", ErrBufferOverflow, backlogBits, p.BufferBits)

@@ -7,28 +7,6 @@ import (
 	"fafnet/internal/units"
 )
 
-// busyInterval runs the Eq. 9 rotation scan to its end: avail is constant
-// between multiples of TTRT and A is nondecreasing, so the condition
-// A(t) <= avail(t) first becomes true at a multiple of TTRT, and the scan
-// visits rotations as nextRotation directs. ok is false when no crossing
-// exists within maxRot rotations; the caller owns the error formatting,
-// keeping this scan allocation-free (TestScanMACAllocationFree). evals
-// reports the number of envelope evaluations performed — returned by value
-// rather than accumulated through a pointer so the caller's counter is not
-// forced onto the heap.
-func busyInterval(in traffic.Descriptor, svc, ttrt float64, maxRot int) (busy float64, evals int, ok bool) {
-	for k := 1; ; {
-		if k > maxRot {
-			return 0, evals, false
-		}
-		t := float64(k) * ttrt
-		evals++
-		if k = nextRotation(k, in.Bits(t), svc); k == 0 {
-			return t, evals, true
-		}
-	}
-}
-
 // nextRotation is one step of the Eq. 9 scan at rotation k, given
 // a = A(k·TTRT): 0 when the busy interval ends there, A(k·TTRT) <= (k−1)·svc
 // — bits against bits, with no tolerance to lengthen or shorten it — and
@@ -73,9 +51,9 @@ func (s *macScan) scan(backlog bool) (backlogBits float64) {
 
 // macScan is the state of Theorem 1's two searches over one busy interval.
 //
-// The interval's end B is known from the start (the eager scan, busyInterval)
-// or found on demand: with nextRot > 0 the Eq. 9 scan stands at that
-// rotation, every rotation before it known not to end the interval, and
+// The interval's end B is found by the one Eq. 9 scan: with nextRot > 0 it
+// stands at that rotation, every rotation before it known not to end the
+// interval. It runs to the end before the searches start (finish), or
 // advances only as far as a comparison of the delay search needs (before,
 // clip). busy is B once known, NaN before.
 type macScan struct {
@@ -97,13 +75,13 @@ type macScan struct {
 	chiFall, fFallBps float64
 }
 
-// newMACScan returns the search state for in at p, its busy interval not
-// yet known: the caller sets busy, or starts the lazy scan (nextRot = 1). It
-// reads the padded line σ + ρ·t off the input; the line stops the searches
-// when σ is finite and both candidate lines fall — the padded rate strictly
-// below what the allocation serves.
+// newMACScan returns the search state for in at p, its Eq. 9 scan at the
+// first rotation and its busy interval not yet known. It reads the padded
+// line σ + ρ·t off the input; the line stops the searches when σ is finite
+// and both candidate lines fall — the padded rate strictly below what the
+// allocation serves.
 func newMACScan(in traffic.Descriptor, p MACParams) macScan {
-	s := macScan{in: in, p: p, svcBits: p.RotationServiceBits(), ttrt: p.Ring.TTRT, busy: math.NaN()}
+	s := macScan{in: in, p: p, svcBits: p.RotationServiceBits(), ttrt: p.Ring.TTRT, busy: math.NaN(), nextRot: 1}
 	s.flat, _ = in.(*traffic.Flat)
 	s.sigmaBits, s.rhoBps = paddedLine(in)
 	s.chiFall = 1 - s.rhoBps*s.ttrt/s.svcBits
@@ -141,9 +119,9 @@ func (s *macScan) bits(t float64) float64 {
 }
 
 // converges reports that the closed-form bound proves the busy interval
-// ends within maxBusyRotations (closedFormBound): the eager scan would find
-// its end, so a scan that reads B only where the delay search compares
-// against it cannot miss an ErrNoConvergence the eager one reports.
+// ends within maxBusyRotations (closedFormBound): finish would find its end,
+// so a scan that reads B only where the delay search compares against it
+// cannot miss an ErrNoConvergence that finish reports.
 func (s *macScan) converges() bool {
 	_, ok := closedFormBound(s.sigmaBits, s.rhoBps, s.svcBits, s.ttrt)
 	return ok
@@ -170,8 +148,23 @@ func (s *macScan) clip(v float64) float64 {
 	return min(v, s.busy)
 }
 
-// advance runs one step of the lazy Eq. 9 scan, the step busyInterval takes
-// at the same rotation.
+// finish runs the Eq. 9 scan to its end B: avail is constant between
+// multiples of TTRT and A is nondecreasing, so the condition A(t) <= avail(t)
+// first becomes true at a multiple of TTRT, and the scan visits rotations as
+// nextRotation directs. It reports false when no rotation up to
+// maxBusyRotations ends the busy interval; the caller owns the error, keeping
+// the scan allocation-free (TestScanMACAllocationFree).
+func (s *macScan) finish() bool {
+	for s.nextRot > 0 {
+		if s.nextRot > maxBusyRotations {
+			return false
+		}
+		s.advance()
+	}
+	return true
+}
+
+// advance runs one step of the Eq. 9 scan, at rotation nextRot.
 func (s *macScan) advance() {
 	t := float64(s.nextRot) * s.ttrt
 	if s.nextRot = nextRotation(s.nextRot, s.bits(t), s.svcBits); s.nextRot == 0 {

@@ -58,16 +58,16 @@ func DefaultRingConfig() RingConfig {
 // Validate reports whether the configuration is physically meaningful.
 func (c RingConfig) Validate() error {
 	switch {
-	case c.BandwidthBps <= 0:
-		return fmt.Errorf("fddi: bandwidth %v must be positive", c.BandwidthBps)
-	case c.TTRT <= 0:
-		return fmt.Errorf("fddi: TTRT %v must be positive", c.TTRT)
-	case c.Overhead < 0:
+	case !(c.BandwidthBps > 0) || math.IsInf(c.BandwidthBps, 1):
+		return fmt.Errorf("fddi: bandwidth %v must be positive and finite", c.BandwidthBps)
+	case !(c.TTRT > 0) || math.IsInf(c.TTRT, 1):
+		return fmt.Errorf("fddi: TTRT %v must be positive and finite", c.TTRT)
+	case !(c.Overhead >= 0):
 		return fmt.Errorf("fddi: overhead %v must be non-negative", c.Overhead)
 	case c.Overhead >= c.TTRT: //lint:allow floatcmp exact validation bound: any Overhead strictly below TTRT is acceptable
 		return fmt.Errorf("fddi: overhead %v leaves no usable TTRT (%v)", c.Overhead, c.TTRT)
-	case c.HopLatency < 0:
-		return fmt.Errorf("fddi: hop latency %v must be non-negative", c.HopLatency)
+	case !(c.HopLatency >= 0) || math.IsInf(c.HopLatency, 1):
+		return fmt.Errorf("fddi: hop latency %v must be non-negative and finite", c.HopLatency)
 	}
 	return nil
 }

@@ -21,6 +21,15 @@ func TestRingConfigValidate(t *testing.T) {
 		{"negative overhead", func(c *RingConfig) { c.Overhead = -1 }, true},
 		{"overhead swallows TTRT", func(c *RingConfig) { c.Overhead = c.TTRT }, true},
 		{"negative hop latency", func(c *RingConfig) { c.HopLatency = -1e-6 }, true},
+		{"NaN bandwidth", func(c *RingConfig) { c.BandwidthBps = math.NaN() }, true},
+		{"infinite bandwidth", func(c *RingConfig) { c.BandwidthBps = math.Inf(1) }, true},
+		{"NaN TTRT", func(c *RingConfig) { c.TTRT = math.NaN() }, true},
+		{"infinite TTRT", func(c *RingConfig) { c.TTRT = math.Inf(1) }, true},
+		{"NaN overhead", func(c *RingConfig) { c.Overhead = math.NaN() }, true},
+		{"infinite overhead", func(c *RingConfig) { c.Overhead = math.Inf(1) }, true},
+		{"NaN hop latency", func(c *RingConfig) { c.HopLatency = math.NaN() }, true},
+		{"infinite hop latency", func(c *RingConfig) { c.HopLatency = math.Inf(1) }, true},
+		{"negative infinite hop latency", func(c *RingConfig) { c.HopLatency = math.Inf(-1) }, true},
 	}
 	for _, tt := range tests {
 		t.Run(tt.name, func(t *testing.T) {

@@ -86,9 +86,6 @@ func NewRingSim(sim *des.Simulator, cfg RingConfig, numStations int, onDeliver f
 	return r, nil
 }
 
-// NumStations returns the number of stations on the ring.
-func (r *RingSim) NumStations() int { return len(r.stations) }
-
 // SetAllocation assigns station its synchronous allocation h (seconds per
 // token visit). The protocol constraint ΣH <= TTRT − Δ is enforced.
 func (r *RingSim) SetAllocation(station int, h float64) error {

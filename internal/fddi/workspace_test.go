@@ -83,13 +83,13 @@ func TestScanMACAllocationFree(t *testing.T) {
 			if avg := testing.AllocsPerRun(20, func() { DelayBound(in, p) }); avg != 0 {
 				t.Errorf("DelayBound over %T at H=%v allocates %v times per run", in, p.H, avg)
 			}
-			busy, _, ok := busyInterval(in, p.RotationServiceBits(), p.Ring.TTRT, maxBusyRotations)
+			busy, _, ok := busyEnd(in, p)
 			if !ok {
 				t.Fatal("no busy interval")
 			}
 			for _, backlog := range []bool{false, true} {
 				run := func() {
-					busyInterval(in, p.RotationServiceBits(), p.Ring.TTRT, maxBusyRotations)
+					busyEnd(in, p)
 					scanMAC(in, p, busy, backlog)
 				}
 				if avg := testing.AllocsPerRun(20, run); avg != 0 {
@@ -125,7 +125,7 @@ func TestLazyBusyIntervalAnswers(t *testing.T) {
 	hMin := chain.LongTermRate() * deep.Ring.TTRT / deep.Ring.BandwidthBps
 	for _, in := range []traffic.Descriptor{chain, flat} {
 		for _, p := range []MACParams{{Ring: deep.Ring, H: 2e-3}, {Ring: deep.Ring, H: 1.2 * hMin}, deep} {
-			busy, evals, ok := busyInterval(in, p.RotationServiceBits(), p.Ring.TTRT, maxBusyRotations)
+			busy, evals, ok := busyEnd(in, p)
 			if !ok {
 				t.Fatal("no busy interval")
 			}

@@ -10,6 +10,7 @@ package ifdev
 import (
 	"errors"
 	"fmt"
+	"math"
 
 	"fafnet/internal/atm"
 	"fafnet/internal/traffic"
@@ -64,8 +65,8 @@ func (p Params) Validate() error {
 		{"frame-cell processing", p.FrameCellProcessing},
 		{"cell-frame processing", p.CellFrameProcessing},
 	} {
-		if v.val < 0 {
-			return fmt.Errorf("ifdev: %s %v must be non-negative", v.name, v.val)
+		if !(v.val >= 0) || math.IsInf(v.val, 1) {
+			return fmt.Errorf("ifdev: %s %v must be non-negative and finite", v.name, v.val)
 		}
 	}
 	return nil

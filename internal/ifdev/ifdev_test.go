@@ -1,6 +1,7 @@
 package ifdev
 
 import (
+	"math"
 	"testing"
 
 	"fafnet/internal/atm"
@@ -13,10 +14,19 @@ func TestParamsValidate(t *testing.T) {
 	if err := DefaultParams().Validate(); err != nil {
 		t.Errorf("defaults invalid: %v", err)
 	}
-	bad := DefaultParams()
-	bad.FrameCellProcessing = -1
-	if err := bad.Validate(); err == nil {
-		t.Error("negative processing should be rejected")
+	for _, field := range []func(*Params) *float64{
+		func(p *Params) *float64 { return &p.InputPortDelay },
+		func(p *Params) *float64 { return &p.FrameSwitchDelay },
+		func(p *Params) *float64 { return &p.FrameCellProcessing },
+		func(p *Params) *float64 { return &p.CellFrameProcessing },
+	} {
+		for _, v := range []float64{-1, math.NaN(), math.Inf(1), math.Inf(-1)} {
+			bad := DefaultParams()
+			*field(&bad) = v
+			if err := bad.Validate(); err == nil {
+				t.Errorf("%+v should be rejected", bad)
+			}
+		}
 	}
 }
 

@@ -56,11 +56,6 @@ func SetSpanSink(r *SpanRing) {
 	spanSink.Store(r)
 }
 
-// SpanSink returns the currently installed sink, or nil.
-func SpanSink() *SpanRing {
-	return spanSink.Load()
-}
-
 // A SpanRecord is one completed span as stored in a ring.
 type SpanRecord struct {
 	// Name identifies the stage, e.g. "core.decide" or "sim.replication".

@@ -83,6 +83,7 @@ func TestParseRejectsBadDocuments(t *testing.T) {
 		{"bad source type", `{"actions":[{"admit":{"id":"a","dstRing":1,"deadlineMillis":10,"source":{"type":"warp"}}}]}`},
 		{"bad rule", `{"cac":{"rule":"magic"},"actions":[{"admit":{"id":"a","dstRing":1,"deadlineMillis":10,"source":{"type":"cbr","rateMbps":1}}}]}`},
 		{"zero deadline", `{"actions":[{"admit":{"id":"a","dstRing":1,"source":{"type":"cbr","rateMbps":1}}}]}`},
+		{"link rate overflows to +Inf", `{"topology":{"linkMbps":1e308},"actions":[{"admit":{"id":"a","dstRing":1,"deadlineMillis":10,"source":{"type":"cbr","rateMbps":1}}}]}`},
 		{"not json", `nope`},
 	}
 	for _, tt := range tests {

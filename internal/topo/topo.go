@@ -8,6 +8,7 @@ package topo
 
 import (
 	"fmt"
+	"math"
 
 	"fafnet/internal/atm"
 	"fafnet/internal/fddi"
@@ -95,10 +96,10 @@ func (c Config) Validate() error {
 		return fmt.Errorf("topo: need at least 1 host per ring, got %d", c.HostsPerRing)
 	case c.NumSwitches < 1:
 		return fmt.Errorf("topo: need at least 1 switch, got %d", c.NumSwitches)
-	case c.LinkBps <= 0:
-		return fmt.Errorf("topo: link rate %v must be positive", c.LinkBps)
-	case c.LinkPropagation < 0:
-		return fmt.Errorf("topo: link propagation %v must be negative-free", c.LinkPropagation)
+	case !(c.LinkBps > 0) || math.IsInf(c.LinkBps, 1):
+		return fmt.Errorf("topo: link rate %v must be positive and finite", c.LinkBps)
+	case !(c.LinkPropagation >= 0) || math.IsInf(c.LinkPropagation, 1):
+		return fmt.Errorf("topo: link propagation %v must be non-negative and finite", c.LinkPropagation)
 	}
 	if err := c.Ring.Validate(); err != nil {
 		return fmt.Errorf("topo: ring config: %w", err)

@@ -1,9 +1,11 @@
 package topo
 
 import (
+	"math"
 	"testing"
 
 	"fafnet/internal/atm"
+	"fafnet/internal/fddi"
 	"fafnet/internal/units"
 )
 
@@ -19,6 +21,20 @@ func TestConfigValidate(t *testing.T) {
 		{"no switches", func(c *Config) { c.NumSwitches = 0 }, true},
 		{"zero link rate", func(c *Config) { c.LinkBps = 0 }, true},
 		{"negative propagation", func(c *Config) { c.LinkPropagation = -1 }, true},
+		{"NaN link rate", func(c *Config) { c.LinkBps = math.NaN() }, true},
+		{"infinite link rate", func(c *Config) { c.LinkBps = math.Inf(1) }, true},
+		{"NaN propagation", func(c *Config) { c.LinkPropagation = math.NaN() }, true},
+		{"infinite propagation", func(c *Config) { c.LinkPropagation = math.Inf(1) }, true},
+		{"NaN ring TTRT", func(c *Config) { c.Ring.TTRT = math.NaN() }, true},
+		{"NaN per-ring bandwidth", func(c *Config) {
+			c.Rings = make([]fddi.RingConfig, c.NumRings)
+			for i := range c.Rings {
+				c.Rings[i] = c.Ring
+			}
+			c.Rings[1].BandwidthBps = math.NaN()
+		}, true},
+		{"NaN id delay", func(c *Config) { c.ID.FrameSwitchDelay = math.NaN() }, true},
+		{"infinite switch delay", func(c *Config) { c.Switch.InputDelay = math.Inf(1) }, true},
 		{"bad ring", func(c *Config) { c.Ring.TTRT = 0 }, true},
 		{"bad id", func(c *Config) { c.ID.InputPortDelay = -1 }, true},
 		{"bad switch", func(c *Config) { c.Switch.FabricDelay = -1 }, true},
