@@ -113,7 +113,9 @@ bench-e2e:
 # packages actually register, its Flags table must match the flags fafcacd
 # registers, README's analyzer table must match the fafvet registry, and
 # FUZZ_TARGETS above must name exactly the tree's fuzz targets (all both
-# directions). All are ordinary Go tests, named here so CI
+# directions), and EXPERIMENTS.md's Figure 7 and 8 tables and charts must be
+# what fafsim prints at their documented seeds (≈ 10 s). All are ordinary Go
+# tests, named here so CI
 # and a developer can run just the docs gate.
 docs-check:
 	$(GO) test -run TestExportedIdentifiersDocumented ./internal/obs/
@@ -121,6 +123,7 @@ docs-check:
 	$(GO) test -run TestFuzzTargetsListed .
 	$(GO) test -run TestReadmeAnalyzerTableMatchesRegistry ./cmd/fafvet/
 	$(GO) test -run TestOperationsFlagsMatchDaemon ./cmd/fafcacd/
+	$(GO) test -run TestExperimentsFigureTables ./cmd/fafsim/
 
 check: build fmt vet race test docs-check
 

@@ -176,12 +176,20 @@ func parseList(s string, def []float64) ([]float64, error) {
 	return out, nil
 }
 
+// The swept points of Figures 7 and 8 when -utils and -betas are not given.
+var (
+	fig7Utils = []float64{0.3, 0.6, 0.9}
+	fig7Betas = []float64{0, 0.1, 0.2, 0.3, 0.4, 0.5, 0.6, 0.7, 0.8, 0.9, 1.0}
+	fig8Betas = []float64{0, 0.5, 1.0}
+	fig8Utils = []float64{0.1, 0.2, 0.3, 0.4, 0.5, 0.6, 0.7, 0.8, 0.9, 1.0}
+)
+
 func runBeta(base sim.Config, utilsFlag, betasFlag string, doPlot bool) error {
-	utils, err := parseList(utilsFlag, []float64{0.3, 0.6, 0.9})
+	utils, err := parseList(utilsFlag, fig7Utils)
 	if err != nil {
 		return err
 	}
-	betas, err := parseList(betasFlag, []float64{0, 0.1, 0.2, 0.3, 0.4, 0.5, 0.6, 0.7, 0.8, 0.9, 1.0})
+	betas, err := parseList(betasFlag, fig7Betas)
 	if err != nil {
 		return err
 	}
@@ -198,11 +206,11 @@ func runBeta(base sim.Config, utilsFlag, betasFlag string, doPlot bool) error {
 }
 
 func runLoad(base sim.Config, utilsFlag, betasFlag string, doPlot bool) error {
-	betas, err := parseList(betasFlag, []float64{0, 0.5, 1.0})
+	betas, err := parseList(betasFlag, fig8Betas)
 	if err != nil {
 		return err
 	}
-	utils, err := parseList(utilsFlag, []float64{0.1, 0.2, 0.3, 0.4, 0.5, 0.6, 0.7, 0.8, 0.9, 1.0})
+	utils, err := parseList(utilsFlag, fig8Utils)
 	if err != nil {
 		return err
 	}

@@ -2,6 +2,7 @@ package main
 
 import (
 	"encoding/csv"
+	"fmt"
 	"os"
 	"path/filepath"
 	"reflect"
@@ -123,4 +124,70 @@ func TestWarmupZeroMeansNone(t *testing.T) {
 	if !reflect.DeepEqual(got, want) {
 		t.Errorf("-warmup 0 ran\n%+v\nwant the no-warm-up run\n%+v", got, want)
 	}
+}
+
+// TestExperimentsFigureTables reruns Figures 7 and 8 at the commands and
+// seeds EXPERIMENTS.md documents and requires its two tables, and the charts
+// under them, to be what the code prints today: a change that moves an
+// admission probability must regenerate them. Each figure takes seconds.
+func TestExperimentsFigureTables(t *testing.T) {
+	if testing.Short() {
+		t.Skip("two full figure sweeps")
+	}
+	raw, err := os.ReadFile(filepath.Join("..", "..", "EXPERIMENTS.md"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	doc := string(raw)
+	for _, fig := range []struct {
+		section, next string
+		seed          int64
+		sweep         func(sim.Config) ([]sim.Series, error)
+		title, xName  string
+		xs            []float64
+	}{
+		{"## Figure 7", "## Figure 8", 1,
+			func(base sim.Config) ([]sim.Series, error) { return sim.BetaSweep(base, fig7Utils, fig7Betas) },
+			"Figure 7: AP vs beta", "beta", fig7Betas},
+		{"## Figure 8", "## E3", 2,
+			func(base sim.Config) ([]sim.Series, error) { return sim.LoadSweep(base, fig8Betas, fig8Utils) },
+			"Figure 8: AP vs offered utilization", "U", fig8Utils},
+	} {
+		start, end := strings.Index(doc, fig.section), strings.Index(doc, fig.next)
+		if start < 0 || end < start {
+			t.Fatalf("EXPERIMENTS.md has no section %q before %q", fig.section, fig.next)
+		}
+		section := doc[start:end]
+		// The defaults of `fafsim -requests 400 -seed N`.
+		series, err := fig.sweep(baseConfig(400, 50, fig.seed, 0, 12))
+		if err != nil {
+			t.Fatal(err)
+		}
+		var rows strings.Builder
+		for i, x := range fig.xs {
+			fmt.Fprintf(&rows, "| %.1f |", x)
+			for _, s := range series {
+				fmt.Fprintf(&rows, " %.4f |", s.Points[i].AP)
+			}
+			rows.WriteString("\n")
+		}
+		if !strings.Contains(section, rows.String()) {
+			t.Errorf("%s: the table in EXPERIMENTS.md is not what seed %d gives; the code prints\n%s", fig.section, fig.seed, rows.String())
+		}
+		// Markdown keeps no trailing blanks, so the chart's lines are
+		// compared without them.
+		chart := trimLineEnds(renderChart(fig.title, fig.xName, series))
+		if !strings.Contains(trimLineEnds(section), chart) {
+			t.Errorf("%s: the chart in EXPERIMENTS.md is not what seed %d gives; the code draws\n%s", fig.section, fig.seed, chart)
+		}
+	}
+}
+
+// trimLineEnds drops the blanks at the end of every line of s.
+func trimLineEnds(s string) string {
+	lines := strings.Split(s, "\n")
+	for i, l := range lines {
+		lines[i] = strings.TrimRight(l, " ")
+	}
+	return strings.Join(lines, "\n")
 }

@@ -8,7 +8,6 @@ import (
 	"slices"
 	"sort"
 	"strings"
-	"unsafe"
 
 	"fafnet/internal/atm"
 	"fafnet/internal/fddi"
@@ -39,15 +38,6 @@ type Analyzer struct {
 	// a fresh id, two standing connections with equal traffic — reads and
 	// fills the same record.
 	conns map[recClass]*connCache
-	// portMux caches FIFO-port analysis results keyed by the port and the
-	// exact member flat set (pointer identity, in evaluation order): a port
-	// whose members all match a previously analyzed state reuses the delay
-	// verbatim. Flats are value-immutable, so pointer equality implies
-	// envelope equality. An insert that finds maxPortMuxEntries entries
-	// clears the map first. The entries' member sets are cut from muxFlats,
-	// which is emptied with the map.
-	portMux  map[portMuxKey]portMuxEntry
-	muxFlats []*traffic.Flat
 	// stats accumulates cache hit/miss counts over the analyzer's lifetime.
 	stats CacheStats
 	// ws holds the arrays every port aggregate of this analyzer is summed
@@ -63,8 +53,8 @@ type Analyzer struct {
 // connCache is everything the analyzer remembers about one record class: one
 // map of hop results, each a pure function of its key and the class. Probes
 // and releases revisit the same global states, so the same keys recur with
-// the same pointer-stable flats — which lets later hops and portMux key whole
-// results by flat identity.
+// the same pointer-stable flats — which lets later hops key whole results by
+// flat identity.
 type connCache struct {
 	hops map[recKey]hopResult
 	// src is the class's source lowered over flatHorizon, the sender MAC's
@@ -104,45 +94,15 @@ type hopResult struct {
 	out *traffic.Flat
 }
 
-// portMuxKey names one FIFO-port analysis: the port's dense index and
-// memberHash of its member flats.
-type portMuxKey struct {
-	port int
-	hash uint64
-}
-
-// portMuxEntry is one cached FIFO-port analysis: the member flats it was
-// computed against (evaluation order), which confirm a key match, and the
-// outcome — either a finite worst-case delay or the infeasibility verdict.
-type portMuxEntry struct {
-	flats []*traffic.Flat
-	delay float64
-	err   error
-}
-
-// memberHash hashes a member flat set by the flats' addresses, in order. The
-// address is only a hash: a lookup confirms the entry's flats with
-// slices.Equal, so two sets that collide cost a miss, never a wrong verdict,
-// and an entry keeps its flats alive, so no address it hashed is reused while
-// it stands.
-func memberHash(flats []*traffic.Flat) uint64 {
-	h := uint64(hashSeedA)
-	for _, f := range flats {
-		h = mix64(h ^ uint64(uintptr(unsafe.Pointer(f))))
-	}
-	return h
-}
-
 // Cache caps. One CAC bisection at a busy port generates on the order of a
 // hundred distinct states (each probed allocation shifts every downstream
 // envelope), and the same states recur on the next admission of the same
 // class, so the caps must hold a full bisection's working set or every
-// iteration recomputes it. A record, the class map or the port-verdict map
-// that an insert finds full is cleared (see remember, record, storePortMux).
+// iteration recomputes it. A record or the class map that an insert finds
+// full is cleared (see remember, record).
 const (
-	maxConnEntries    = 512
-	maxPortMuxEntries = 4096
-	maxClasses        = 256
+	maxConnEntries = 512
+	maxClasses     = 256
 )
 
 // flatHorizon is the window (seconds) over which the analyzer materializes
@@ -178,9 +138,8 @@ func NewAnalyzer(net *topo.Network, _ AnalysisOptions) (*Analyzer, error) {
 		return nil, errors.New("core: Analyzer requires a network")
 	}
 	return &Analyzer{
-		net:     net,
-		conns:   make(map[recClass]*connCache),
-		portMux: make(map[portMuxKey]portMuxEntry),
+		net:   net,
+		conns: make(map[recClass]*connCache),
 	}, nil
 }
 
@@ -863,19 +822,6 @@ func (ev *evaluation) muxDelay(p int) (float64, error) {
 		ev.portDelay[p] = 0
 		return 0, nil
 	}
-	// A port whose member flat set matches a previously analyzed state
-	// (pointer identity — flats are value-immutable, and the records keep
-	// pointers stable across probes of the same global state) reuses the
-	// verdict without touching the aggregate.
-	key := portMuxKey{port: p, hash: memberHash(flats)}
-	if e, ok := ev.a.portMux[key]; ok && slices.Equal(e.flats, flats) {
-		if e.err != nil {
-			ev.portDelay[p] = math.Inf(1)
-			return 0, e.err
-		}
-		ev.portDelay[p] = e.delay
-		return e.delay, nil
-	}
 	// The aggregate is the sum of the member flats, folded afresh in
 	// evaluation order, so the delay is a function of the member set alone.
 	// The workspace's sum arrays are free to take it: gathering the members
@@ -889,15 +835,12 @@ func (ev *evaluation) muxDelay(p int) (float64, error) {
 		case errors.Is(err, atm.ErrMuxOverload),
 			errors.Is(err, atm.ErrMuxNoConvergence),
 			errors.Is(err, atm.ErrMuxBufferOverflow):
-			err = fmt.Errorf("%w: port %v: %v", errInfeasible, ev.portName(p), err)
-			ev.a.storePortMux(key, flats, 0, err)
 			ev.portDelay[p] = math.Inf(1)
-			return 0, err
+			return 0, fmt.Errorf("%w: port %v: %v", errInfeasible, ev.portName(p), err)
 		default:
 			return 0, err
 		}
 	}
-	ev.a.storePortMux(key, flats, res.Delay, nil)
 	ev.portDelay[p] = res.Delay
 	return res.Delay, nil
 }
@@ -907,21 +850,6 @@ func (ev *evaluation) muxDelay(p int) (float64, error) {
 func (ev *evaluation) portName(p int) topo.PortID {
 	pm := ev.members[ev.memberBase[p]]
 	return ev.ordered[pm.conn].Route.Ports[pm.stage]
-}
-
-// storePortMux records one port analysis verdict under its key, clearing the
-// map first when it is full. The member set is copied onto muxFlats, so a
-// verdict costs no allocation of its own.
-func (a *Analyzer) storePortMux(key portMuxKey, flats []*traffic.Flat, delay float64, err error) {
-	if len(a.portMux) >= maxPortMuxEntries {
-		clear(a.portMux)
-		clear(a.muxFlats)
-		a.muxFlats = a.muxFlats[:0]
-	}
-	start := len(a.muxFlats)
-	a.muxFlats = append(a.muxFlats, flats...)
-	end := len(a.muxFlats)
-	a.portMux[key] = portMuxEntry{flats: a.muxFlats[start:end:end], delay: delay, err: err}
 }
 
 // delays is Eq. 7 for every connection of the evaluation. A connection

@@ -369,10 +369,28 @@ func TestControllerValidation(t *testing.T) {
 	if _, err := ctl.RequestAdmission(ConnSpec{}); err == nil {
 		t.Error("empty spec should error")
 	}
-	bad := testSpec(t, "c1", 0, 0, 1, 0)
-	bad.Deadline = -1
-	if _, err := ctl.RequestAdmission(bad); err == nil {
-		t.Error("negative deadline should error")
+	for _, tc := range []struct {
+		name string
+		edit func(*ConnSpec)
+	}{
+		{"negative deadline", func(s *ConnSpec) { s.Deadline = -1 }},
+		{"NaN deadline", func(s *ConnSpec) { s.Deadline = math.NaN() }},
+		{"infinite deadline", func(s *ConnSpec) { s.Deadline = math.Inf(1) }},
+		{"negative host buffer", func(s *ConnSpec) { s.HostBufferBits = -1 }},
+		{"NaN host buffer", func(s *ConnSpec) { s.HostBufferBits = math.NaN() }},
+		{"infinite host buffer", func(s *ConnSpec) { s.HostBufferBits = math.Inf(1) }},
+		{"negative infinite interface-device buffer", func(s *ConnSpec) { s.IDBufferBits = math.Inf(-1) }},
+		{"NaN interface-device buffer", func(s *ConnSpec) { s.IDBufferBits = math.NaN() }},
+		{"infinite interface-device buffer", func(s *ConnSpec) { s.IDBufferBits = math.Inf(1) }},
+	} {
+		bad := testSpec(t, "c1", 0, 0, 1, 0)
+		tc.edit(&bad)
+		if err := bad.Validate(); err == nil {
+			t.Errorf("%s: Validate accepts it", tc.name)
+		}
+		if dec, err := ctl.RequestAdmission(bad); err == nil {
+			t.Errorf("%s should error, got Admitted=%v Reason=%q", tc.name, dec.Admitted, dec.Reason)
+		}
 	}
 	// Unroutable spec is a rejection, not an error.
 	weird := testSpec(t, "c2", 0, 0, 0, 0)

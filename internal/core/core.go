@@ -8,6 +8,7 @@ package core
 import (
 	"errors"
 	"fmt"
+	"math"
 
 	"fafnet/internal/shaper"
 	"fafnet/internal/topo"
@@ -50,12 +51,12 @@ func (s ConnSpec) Validate() error {
 		return errors.New("core: connection needs an id")
 	case s.Source == nil:
 		return fmt.Errorf("core: connection %q needs a traffic descriptor", s.ID)
-	case s.Deadline <= 0:
-		return fmt.Errorf("core: connection %q deadline %v must be positive", s.ID, s.Deadline)
-	case s.HostBufferBits < 0:
-		return fmt.Errorf("core: connection %q host buffer %v must be non-negative", s.ID, s.HostBufferBits)
-	case s.IDBufferBits < 0:
-		return fmt.Errorf("core: connection %q interface-device buffer %v must be non-negative", s.ID, s.IDBufferBits)
+	case !(s.Deadline > 0) || math.IsInf(s.Deadline, 1):
+		return fmt.Errorf("core: connection %q deadline %v must be positive and finite", s.ID, s.Deadline)
+	case !(s.HostBufferBits >= 0) || math.IsInf(s.HostBufferBits, 1):
+		return fmt.Errorf("core: connection %q host buffer %v must be non-negative and finite", s.ID, s.HostBufferBits)
+	case !(s.IDBufferBits >= 0) || math.IsInf(s.IDBufferBits, 1):
+		return fmt.Errorf("core: connection %q interface-device buffer %v must be non-negative and finite", s.ID, s.IDBufferBits)
 	}
 	if s.Shape != nil {
 		if err := s.Shape.Validate(); err != nil {

@@ -88,7 +88,7 @@ var (
 	mFlatLowerings = obs.Default.Counter("fafnet_cac_flat_lowerings_total",
 		"Descriptor chains lowered into flat breakpoint arrays: stage-0 envelopes, receiver-side conversions, and later stages lowered afresh because a port delay used up the upstream window.")
 	mFlatAggRebuilds = obs.Default.Counter("fafnet_cac_flat_agg_rebuilds_total",
-		"Per-port aggregate envelopes summed from their member flats: one per FIFO-port analysis, that is, per port-verdict cache miss, whether the members were summed only as far as the busy period reaches or whole.")
+		"Per-port aggregate envelopes summed from their member flats: one per FIFO-port analysis, whether the members were summed only as far as the busy period reaches or whole.")
 )
 
 func probeCutoffs(at string) *obs.Counter {

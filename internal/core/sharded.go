@@ -556,43 +556,20 @@ type BatchResult struct {
 	Err      error
 }
 
-// PreviewAdmissionBatch evaluates a batch of candidates without committing
-// anything. Members are processed grouped by specification class, and because
-// previews leave the admitted state untouched, every same-class member after
-// the first resolves from the verdict cache. The optional record callback
-// observes each member's outcome in evaluation order; results come back in
-// input order.
+// PreviewAdmissionBatch evaluates a batch of candidates in input order
+// without committing anything. Because previews leave the admitted state
+// untouched, every member after the first of its specification class
+// resolves from the verdict cache. The optional record callback observes each
+// member's outcome; results come back in input order.
 func (p *Sharded) PreviewAdmissionBatch(specs []ConnSpec, record func(i int, dec Decision, err error)) []BatchResult {
 	out := make([]BatchResult, len(specs))
-	for _, i := range classOrder(specs) {
+	for i := range specs {
 		var cb func(Decision, error)
 		if record != nil {
-			i := i
 			cb = func(dec Decision, err error) { record(i, dec, err) }
 		}
 		dec, err := p.PreviewAdmissionAudited(specs[i], cb)
 		out[i] = BatchResult{ID: specs[i].ID, Decision: dec, Err: err}
 	}
 	return out
-}
-
-// classOrder returns batch indices sorted stably by specification class so
-// same-class members run back to back (the order the verdict cache rewards).
-func classOrder(specs []ConnSpec) []int {
-	order := make([]int, len(specs))
-	for i := range order {
-		order[i] = i
-	}
-	class := make([]fingerprint, len(specs))
-	for i, s := range specs {
-		class[i], _ = specFingerprint(s)
-	}
-	sort.SliceStable(order, func(a, b int) bool {
-		ca, cb := class[order[a]], class[order[b]]
-		if ca.a != cb.a {
-			return ca.a < cb.a
-		}
-		return ca.b < cb.b
-	})
-	return order
 }

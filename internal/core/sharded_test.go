@@ -394,8 +394,9 @@ func TestShardedVerdictCacheRecurrence(t *testing.T) {
 }
 
 // TestShardedBatchOrdering checks the batch entry points return results in
-// input order regardless of the class-grouped evaluation order, and that the
-// preview batch's record callback fires exactly once per member.
+// input order, with two classes interleaved so that same-class members do not
+// run back to back, and that the preview batch's record callback fires exactly
+// once per member.
 func TestShardedBatchOrdering(t *testing.T) {
 	net := defaultNet(t)
 	pipe, err := NewController(net, Options{})
@@ -415,7 +416,7 @@ func TestShardedBatchOrdering(t *testing.T) {
 			Deadline: 0.060,
 		}
 	}
-	// Interleave two classes so class grouping must reorder evaluation.
+	// Two classes, interleaved.
 	specs := []ConnSpec{
 		mk("b0", 0, 50), mk("b1", 1, 120), mk("b2", 2, 50), mk("b3", 0, 120),
 	}

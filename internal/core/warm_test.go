@@ -92,7 +92,7 @@ func (d *churnDriver) admit(id string) Decision {
 // the delays the admitting decision carried — are, bit for bit, those of an
 // analyzer that has never seen another set. Every fourth request is shaped:
 // the regulator's Min envelope lowers like the others, so those members ride
-// the same port-verdict and receiver-MAC caches.
+// the same hop and receiver-MAC caches.
 func TestWarmLaneEqualsFreshAnalyzer(t *testing.T) {
 	d := newChurnDriver(t, 6)
 	d.shape = &shaper.Spec{SigmaBits: 40e3, RhoBps: 6e6}
@@ -149,7 +149,7 @@ func TestWarmLaneEqualsFreshAnalyzer(t *testing.T) {
 // with unchanged specs draw a handful of classes, and every decision probes
 // allocations the candidate's record has not seen. No map in the analyzer may
 // grow with the op count all the same: one record per class drawn, each
-// within maxConnEntries, and the port verdicts within maxPortMuxEntries.
+// within maxConnEntries.
 func TestPerConnectionCachesStayBounded(t *testing.T) {
 	if testing.Short() {
 		t.Skip("3,000 admit/release operations")
@@ -198,9 +198,6 @@ func TestPerConnectionCachesStayBounded(t *testing.T) {
 			t.Errorf("record of ring %d→%d holds %d hop results, cap %d", k.srcRing, k.dstRing, n, maxConnEntries)
 		}
 		total += len(rec.hops)
-	}
-	if n := len(an.portMux); n > maxPortMuxEntries {
-		t.Errorf("the port verdicts number %d, cap %d", n, maxPortMuxEntries)
 	}
 	// With every record within its cap the total is within classes × cap;
 	// without one the sender-side entries alone read 38,100 here, linear in

@@ -77,10 +77,11 @@ const (
 	// OpPreview runs the CAC without committing. Idempotent.
 	OpPreview Op = "preview"
 	// OpPreviewBatch runs the CAC over a whole batch of candidates in one
-	// round trip, committing nothing. The server evaluates members grouped
-	// by specification class so its verdict cache amortizes one analysis
-	// across same-class runs; responses stay in request order. Idempotent
-	// (pure read), like OpPreview.
+	// round trip, committing nothing. The server evaluates members in
+	// request order, and its verdict cache answers every member after the
+	// first of its specification class, so a class costs one analysis;
+	// responses stay in request order. Idempotent (pure read), like
+	// OpPreview.
 	OpPreviewBatch Op = "previewBatch"
 	// OpRelease tears a connection down. Idempotent: releasing an unknown
 	// id succeeds with released=false.
