@@ -90,14 +90,18 @@ calibrate:
 # End-to-end smoke of the one benchmark that measures this tree (bench/,
 # BENCHMARK.json): short traced runs of the worst honest regime — churn
 # drives the real daemon over loopback, validates every response and ends
-# with the ledger, drain and audit checks — and of figure7 (sim.Run) and
+# with the ledger, drain and audit checks — of arrivals_open (the same layers
+# on an arrival schedule, 200 decisions), and of figure7 (sim.Run) and
 # calibrate (sim.RunMulti), which run the probe path on standing sets churn
-# never builds. Each must exit 0, report "correct":true on its result line
-# and print its seed-1 decision fingerprint below, bit for bit. A change that
-# moves decisions on purpose updates BENCH_E2E_FINGERPRINTS and says so in
-# CHANGES.md. Numbers from these short runs are not for comparison;
-# bench/README.md gives the paired procedure for those.
-BENCH_E2E_FINGERPRINTS = churn=46bc22049b29810b figure7=85609bead474dac1 calibrate=c233bf6b3c45d7cc
+# never builds: every workload on the analysis path. Each must exit 0, report
+# "correct":true on its result line and print its seed-1 decision
+# fingerprint below, bit for bit. preview and preview_batch_audited bypass
+# the analysis and stay unpinned: their fingerprints cover 100,000 and
+# 153,600 decisions, which a slower host may not reach in these 4 s runs. A
+# change that moves decisions on purpose updates BENCH_E2E_FINGERPRINTS and
+# says so in CHANGES.md. Numbers from these short runs are not for
+# comparison; bench/README.md gives the paired procedure for those.
+BENCH_E2E_FINGERPRINTS = churn=46bc22049b29810b arrivals_open=f3108670e253eedc figure7=85609bead474dac1 calibrate=c233bf6b3c45d7cc
 
 bench-e2e:
 	@for pin in $(BENCH_E2E_FINGERPRINTS); do \

@@ -142,15 +142,17 @@ func BenchmarkMuxAnalysis(b *testing.B) {
 		{"longBusy", 6, false},
 	} {
 		b.Run(c.name, func(b *testing.B) {
-			flats := make([]*traffic.Flat, c.members)
+			flats := make([]traffic.Envelope, c.members)
 			for i := range flats {
 				chain, err := traffic.NewDelayed(newSource(), float64(8+i)*1e-3, 100e6)
 				if err != nil {
 					b.Fatal(err)
 				}
-				if flats[i] = traffic.Flatten(chain, 0.025); flats[i] == nil {
+				f := traffic.Flatten(chain, 0.025)
+				if f == nil {
 					b.Fatal("the chain has no lowering")
 				}
+				flats[i] = f
 			}
 			var ws traffic.Workspace
 			agg := ws.Sum(flats)

@@ -108,22 +108,22 @@ func AnalyzeAggregate(agg traffic.Descriptor, p MuxParams, opts MuxOptions) (Mux
 	return p.result(traffic.Backlog(agg, p.CapacityBps, initialHorizon, 2*maxHorizon))
 }
 
-// AnalyzeMembers is AnalyzeAggregate over ws.Sum(flats), result and error
+// AnalyzeMembers is AnalyzeAggregate over ws.Sum(members), result and error
 // bit for bit, with the members summed in ws only as far as the port's busy
 // period can reach (traffic.Workspace.Backlog). The overload test reads the
 // members' long-term rates summed in the order the sum adds them.
-func AnalyzeMembers(ws *traffic.Workspace, flats []*traffic.Flat, p MuxParams) (MuxResult, error) {
-	if len(flats) == 0 || slices.Contains(flats, nil) {
+func AnalyzeMembers(ws *traffic.Workspace, members []traffic.Envelope, p MuxParams) (MuxResult, error) {
+	if len(members) == 0 || slices.Contains(members, nil) {
 		return MuxResult{}, errors.New("atm: AnalyzeMembers requires member envelopes")
 	}
 	var rho float64
-	for _, f := range flats {
-		rho += f.LongTermRate()
+	for _, m := range members {
+		rho += m.LongTermRate()
 	}
 	if err := p.check(rho); err != nil {
 		return MuxResult{}, err
 	}
-	return p.result(ws.Backlog(flats, p.CapacityBps, initialHorizon, 2*maxHorizon))
+	return p.result(ws.Backlog(members, p.CapacityBps, initialHorizon, 2*maxHorizon))
 }
 
 // check validates p, counts the analysis and runs the overload test on the

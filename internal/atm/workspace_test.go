@@ -11,16 +11,18 @@ import (
 // workspace of the aggregate's own into a sum under a members-union tail.
 func portAggregate(t *testing.T, k int, c1 float64) *traffic.Flat {
 	t.Helper()
-	flats := make([]*traffic.Flat, k)
+	flats := make([]traffic.Envelope, k)
 	for i := range flats {
 		src, err := traffic.NewDualPeriodic(c1, 10e-3, c1/5, 1e-3, 100e6)
 		if err != nil {
 			t.Fatal(err)
 		}
 		chain := traffic.Delayed{Inner: src, Delay: float64(8+i) * 1e-3, CapBps: 100e6}
-		if flats[i] = traffic.Flatten(chain, 0.025); flats[i] == nil {
+		f := traffic.Flatten(chain, 0.025)
+		if f == nil {
 			t.Fatal("the chain has no lowering")
 		}
+		flats[i] = f
 	}
 	return new(traffic.Workspace).Sum(flats)
 }

@@ -44,22 +44,29 @@ type Analyzer struct {
 	// in. One analyzer runs one analysis at a time, which is the single-owner
 	// rule the workspace asks for; nothing cached above may point into it.
 	ws traffic.Workspace
-	// members is the stack the port analyses gather their member flats on:
-	// each muxDelay pushes its members above the ones of the ports it was
+	// members is the stack the port analyses gather their member envelopes
+	// on: each muxDelay pushes its members above the ones of the ports it was
 	// called from, and pops them before it returns (see muxDelay).
-	members []*traffic.Flat
+	members []traffic.Envelope
 }
 
 // connCache is everything the analyzer remembers about one record class: one
 // map of hop results, each a pure function of its key and the class. Probes
 // and releases revisit the same global states, so the same keys recur with
-// the same pointer-stable flats — which lets later hops key whole results by
-// flat identity.
+// the same pointer-stable envelopes — which lets later hops key whole results
+// by envelope identity.
 type connCache struct {
 	hops map[recKey]hopResult
 	// src is the class's source lowered over flatHorizon, the sender MAC's
-	// input; nil until the first probe or analysis of the class asks.
+	// input and so the leaf of every stage-0 chain, whose window the sender
+	// MAC's delay shifts past: long serves that; nil until the first probe or
+	// analysis of the class asks.
 	src *traffic.Flat
+	// long is the class's source lowered once more, over a window that grows
+	// to cover flatHorizon plus the longest sender-side delay a stage-0
+	// lowering has asked for: every stage-0 envelope reads the shifted source
+	// off it (traffic.Workspace.Lower) instead of lowering the source again.
+	long traffic.Lowering
 }
 
 // recClass is what determines every entry of a connection's record: the
@@ -76,22 +83,42 @@ type recClass struct {
 	hostBuf, idBuf   float64
 }
 
-// recKey is what determines one hop result: the flat entering the hop and
-// the exact bits of the hop's free parameter, H_S or H_R at a MAC, the delay
-// at a port. The flat names the hop — nil at the sender, fed by the source,
-// and otherwise built for exactly one hop — and its identity stands for the
-// allocation and delays upstream.
+// recKey is what determines one hop result: the envelope entering the hop
+// and the exact bits of the hop's free parameter, H_S or H_R at a MAC, the
+// delay at a port. The envelope names the hop — nil at the sender, fed by the
+// source, and otherwise built for exactly one hop: the stage-0 flat, or the
+// view leaving a port — and its identity stands for the allocation and
+// delays upstream.
+//
+// The envelope is kept as its concrete pointer, so that the key is plain
+// memory the map hashes as such.
 type recKey struct {
-	in *traffic.Flat
-	x  uint64
+	flat *traffic.Flat
+	view *traffic.View
+	x    uint64
+}
+
+// keyAt is the key of the hop that in enters (nil: the sender) under the
+// free parameter x.
+func keyAt(in traffic.Envelope, x float64) recKey {
+	k := recKey{x: math.Float64bits(x)}
+	switch e := in.(type) {
+	case *traffic.Flat:
+		k.flat = e
+	case *traffic.View:
+		k.view = e
+	}
+	return k
 }
 
 // hopResult is one cached hop: the Theorem 1 analysis and verdict at a MAC,
 // the envelope leaving a port or the sender side (there nil until asked for).
+// A receiver entry keeps no MAC output: nothing reads it, and it would hold
+// the scratch input it was analysed on.
 type hopResult struct {
 	mac fddi.MACResult
 	err error
-	out *traffic.Flat
+	out traffic.Envelope
 }
 
 // Cache caps. One CAC bisection at a busy port generates on the order of a
@@ -105,22 +132,24 @@ const (
 	maxClasses     = 256
 )
 
-// flatHorizon is the window (seconds) over which the analyzer materializes
-// flat breakpoint arrays: a few TTRTs, enough for the mux busy periods and the
-// busy intervals of lightly loaded rings, while keeping every cached array
-// small. A scan that walks deeper — a receiver MAC near its stability limit
-// has a busy interval of hundreds of rotations — evaluates the few hundred
-// points it visits beyond the window through the flat's exact tail chain;
-// lowering the envelope out to that depth first would cost ten thousand
-// vertices for an array nothing reads again. The constant trades speed, never
-// correctness.
+// flatHorizon is the window (seconds) every envelope of the analyzer covers
+// with vertices, less the port delays a view subtracts from it: a few TTRTs,
+// enough for the mux busy periods and the busy intervals of lightly loaded
+// rings, while keeping every cached array small. The class's long source
+// lowering alone covers more, flatHorizon plus the sender-side delay, and is
+// read only as the stage-0 shift's input. A scan that walks deeper — a
+// receiver MAC near its stability limit has a busy interval of hundreds of
+// rotations — evaluates the few hundred points it visits beyond the window
+// through the envelope's exact tail chain; lowering the envelope out to that
+// depth first would cost ten thousand vertices for an array nothing reads
+// again. The constant trades speed, never correctness.
 const flatHorizon = 0.025
 
 // remember stores v under k in the record. A class keeps its record, and
 // every decision probes allocations the record has not seen, so it is
 // bounded: an insert that finds maxConnEntries entries clears the map first.
-// Flats rebuilt after a clear are new arrays with the old values, so the
-// caches keyed by flat identity miss once and no result moves.
+// Envelopes rebuilt after a clear are new ones with the old values, so the
+// caches keyed by envelope identity miss once and no result moves.
 func (rec *connCache) remember(k recKey, v hopResult) {
 	switch {
 	case rec.hops == nil:
@@ -246,14 +275,15 @@ type portMember struct {
 }
 
 // hopMemo is what one evaluation has learned of one hop: the envelope leaving
-// it — the fused chain lowered over flatHorizon and carried on as the flat's
-// tail, on which later transforms compose so that Fuse's Q∘Q and D∘D rules
-// keep firing — and at the sender how many of its servers are known (1 the
-// MAC, 2 the regulator too), their delays, the MAC's backlog (NaN until a
-// report asks for it) and pre, the envelope leaving them. Only what succeeded
-// is kept: a server without a finite bound answers from the record.
+// it — the stage-0 flat, or a port's view, each standing for its fused chain
+// (the flat's tail, the view's built when asked), on which later transforms
+// compose so that Fuse's Q∘Q and D∘D rules keep firing — and at the sender
+// how many of its servers are known (1 the MAC, 2 the regulator too), their
+// delays, the MAC's backlog (NaN until a report asks for it) and pre, the
+// envelope leaving them. Only what succeeded is kept: a server without a
+// finite bound answers from the record.
 type hopMemo struct {
-	out           *traffic.Flat
+	out           traffic.Envelope
 	pre           traffic.Descriptor
 	mac, buf, reg float64
 	known         uint8
@@ -300,6 +330,7 @@ func (a *Analyzer) newEvaluation(conns []*Connection) (*evaluation, error) {
 	for p := range ev.portDelay {
 		ev.portDelay[p] = math.NaN()
 	}
+	a.ws.Forget()
 	return ev, nil
 }
 
@@ -417,10 +448,10 @@ func hops(c *Connection) int {
 //
 //   - hop 0, the sender side: the sender-host MAC (Theorem 1), the regulator
 //     of a shaped connection, the frame→cell conversion (Theorem 2) lowered
-//     to a flat;
+//     to a flat, reading the shifted source off the class's long lowering;
 //   - hops 1…n, the shared FIFO ports in order: the port's worst-case delay
-//     (muxDelay), and the entering flat shifted by it, or lowered afresh once
-//     the delay has used up its window;
+//     (muxDelay), and a view of the entering envelope shifted by it and
+//     capped by the port (traffic.NewView), which copies nothing;
 //   - hop n+1, the receiver: reassembly, then Theorem 1 at the receiving
 //     interface device's MAC on the destination ring (theorem1).
 //
@@ -446,10 +477,10 @@ func hops(c *Connection) int {
 // stopping on it loses no verdict. The receiver MAC, the deepest scan of a
 // low-allocation probe, is never run for a connection that has missed its
 // deadline before reaching it.
-func (ev *evaluation) foldAt(i, to int, bd *Breakdown, limit float64, n need) (*traffic.Flat, cutoff, error) {
+func (ev *evaluation) foldAt(i, to int, bd *Breakdown, limit float64, n need) (traffic.Envelope, cutoff, error) {
 	c, rec, memo := ev.ordered[i], ev.recs[i], ev.memo[ev.hopBase[i]:ev.hopBase[i+1]]
 	walk := bd != nil
-	var env *traffic.Flat // the envelope leaving the last hop folded, unless walking
+	var env traffic.Envelope // the envelope leaving the last hop folded, unless walking
 	from := 0
 	if !walk {
 		// The memo holds the envelopes of a prefix of c's hops: find its end.
@@ -520,13 +551,18 @@ func (ev *evaluation) foldAt(i, to int, bd *Breakdown, limit float64, n need) (*
 			}
 			// m.pre is a transform over the lowered source, or the
 			// regulator's Min over such: its inner is fused, so the root
-			// rules fuse it, and the conversion over it, as Fuse would.
-			if env = traffic.Flatten(traffic.FuseRoot(conv), flatHorizon); env == nil {
-				if _, err := rec.source(c); err != nil {
-					return nil, cut, err
-				}
+			// rules fuse it, and the conversion over it, as Fuse would. The
+			// source under the sender-side delay is read off the class's
+			// long lowering.
+			src, err := rec.source(c)
+			if err != nil {
+				return nil, cut, err
+			}
+			f := ev.a.ws.Lower(traffic.FuseRoot(conv), flatHorizon, src, &rec.long)
+			if f == nil {
 				return nil, cut, fmt.Errorf("%w: envelope of %q: the segment cap ends its window before the sender-side delay", errInfeasible, c.ID)
 			}
+			env = f
 			mFlatLowerings.Inc()
 			// The stage-0 envelope depends only on the class and H_S, so it is
 			// kept beside the sender-MAC result (unless a full record dropped
@@ -548,31 +584,18 @@ func (ev *evaluation) foldAt(i, to int, bd *Breakdown, limit float64, n need) (*
 				bd.Ports = append(bd.Ports, PortDelay{Port: p, Delay: d})
 				break
 			}
-			// A record hit returns before the chain is built.
-			rk := recKey{in: env, x: math.Float64bits(d)}
+			rk := keyAt(env, d)
 			if e, ok := rec.hops[rk]; ok {
 				env = e.out
 				break
 			}
-			capBps := ev.a.net.PortCapacity()
-			delayed, err := traffic.NewDelayed(env.Tail(), d, capBps)
-			if err != nil {
+			// The view copies nothing: its consumers read its vertices off
+			// the entering envelope's. Every port shares the one backbone
+			// capacity, so its tail, built only if something evaluates past
+			// its window, fuses the Delayed stack over the stage-0 envelope
+			// into one Delayed with the summed delay.
+			if env, err = traffic.NewView(env, d, ev.a.net.PortCapacity(), flatHorizon); err != nil {
 				return nil, cut, fmt.Errorf("core: envelope after port %v: %w", p, err)
-			}
-			// Every port shares the one backbone capacity, so the Delayed stack
-			// over the stage-0 envelope fuses into one Delayed with the summed
-			// delay: later ports and the receiver MAC pay one transform per
-			// Bits call instead of one per traversed port. The tail is fused
-			// already, so only the root rules are left to apply.
-			tail := traffic.FuseRoot(delayed)
-			if env = env.ShiftCap(d, capBps, flatHorizon, tail); env == nil {
-				// The port delay used up the upstream window: lower the fused
-				// chain afresh, over a window that reaches past the delay.
-				if env = traffic.Flatten(tail, flatHorizon); env == nil {
-					return nil, cut, fmt.Errorf("%w: envelope of %q after port %v: the segment cap ends its window before the delay %v",
-						errInfeasible, c.ID, p, d)
-				}
-				mFlatLowerings.Inc()
 			}
 			rec.remember(rk, hopResult{out: env})
 		default:
@@ -611,7 +634,7 @@ func (ev *evaluation) foldAt(i, to int, bd *Breakdown, limit float64, n need) (*
 // query of a warm probe lands here, so it must not allocate
 // (TestWarmEvaluationRunsNoAnalysis); the fold behind it, entered once per
 // (connection, allocation), allocates by design.
-func (ev *evaluation) enteringHit(i, k int) (*traffic.Flat, bool) {
+func (ev *evaluation) enteringHit(i, k int) (traffic.Envelope, bool) {
 	m := &ev.memo[ev.hopBase[i]+k-1]
 	if f := m.out; f != nil || k != 1 {
 		return f, f != nil
@@ -633,14 +656,16 @@ func (ev *evaluation) enteringHit(i, k int) (*traffic.Flat, bool) {
 // by the source, at the receiver fed by in, the envelope entering it,
 // reassembled into frames. The result is a pure function of (in, h) and the
 // class, so it is kept in the class's record under (in, h) and its error
-// names no connection; the sender's lookups are what CacheStats counts.
+// names no connection; the sender's lookups are what CacheStats counts. The
+// receiver's result is kept without its output envelope, which only the
+// sender's successors read and which is built over the workspace's scratch.
 //
 // The backlog F is computed only when backlog is set or the buffer bound
 // needs it for its verdict; otherwise it is NaN. An entry cached without F
 // that a report then asks for is filled in place: the analysis runs again
 // for F alone, and the entry keeps the envelope it caches beside the result.
-func (ev *evaluation) theorem1(i int, in *traffic.Flat, ring int, h, bufferBits float64, backlog bool) (fddi.MACResult, error) {
-	c, rec, key := ev.ordered[i], ev.recs[i], recKey{in: in, x: math.Float64bits(h)}
+func (ev *evaluation) theorem1(i int, in traffic.Envelope, ring int, h, bufferBits float64, backlog bool) (fddi.MACResult, error) {
+	c, rec, key := ev.ordered[i], ev.recs[i], keyAt(in, h)
 	e, hit := rec.hops[key]
 	switch {
 	case in != nil:
@@ -680,6 +705,9 @@ func (ev *evaluation) theorem1(i int, in *traffic.Flat, ring int, h, bufferBits 
 		err = fmt.Errorf("%w: %s MAC: %v", errInfeasible, side, err)
 		res = fddi.MACResult{}
 	}
+	if in != nil {
+		res.Output = nil
+	}
 	if refill && err == nil {
 		// The same input and allocation: the verdict and χ are the entry's.
 		e.mac.BufferBits = res.BufferBits
@@ -692,24 +720,24 @@ func (ev *evaluation) theorem1(i int, in *traffic.Flat, ring int, h, bufferBits 
 
 // receiverInput is the envelope theorem1 analyses at a receiver MAC on the
 // ring cfg under the allocation h, fed by in: the cells reassembled into
-// frames (Theorem 2 at ID_R) as the fused chain, and that chain lowered.
-// The receiver MAC dominates probe cost. The reassembly quantization applied
-// to the lowered flat in closed form makes every point inside the window a
-// segment lookup; the fused chain stays on as the exact tail. The flat is
-// scanned once, only the verdict is kept.
-func (a *Analyzer) receiverInput(in *traffic.Flat, cfg fddi.RingConfig, h float64) (traffic.Descriptor, error) {
-	reassembled, err := ifdev.ReceiverConversion(in.Tail(), cfg.FrameBits(h), a.net.Config().ID)
+// frames (Theorem 2 at ID_R), and that lowered. The receiver MAC dominates
+// probe cost. The reassembly quantization applied to in's vertices in closed
+// form makes every point inside the window a segment lookup; the
+// reassembly over in stays on as the exact tail, which past the window reads
+// in's fused chain. The flat is built in the workspace and scanned once: only
+// the verdict is kept.
+func (a *Analyzer) receiverInput(in traffic.Envelope, cfg fddi.RingConfig, h float64) (traffic.Descriptor, error) {
+	reassembled, err := ifdev.ReceiverConversion(in, cfg.FrameBits(h), a.net.Config().ID)
 	if err != nil {
 		return nil, err
 	}
-	input := traffic.FuseRoot(reassembled) // over the fused tail
 	if qn, ok := reassembled.(traffic.Quantized); ok {
-		if qf := in.Quantize(qn.QuantumBits, qn.OutBits, flatHorizon, input); qf != nil {
-			input = qf
+		if qf := a.ws.Quantize(in, qn.QuantumBits, qn.OutBits, flatHorizon, reassembled); qf != nil {
 			mFlatLowerings.Inc()
+			return qf, nil
 		}
 	}
-	return input, nil
+	return reassembled, nil
 }
 
 // boundHolds answers the last server of c's route in a verdict walk without
@@ -722,9 +750,9 @@ func (a *Analyzer) receiverInput(in *traffic.Flat, cfg fddi.RingConfig, h float6
 // the server (a cached χ is exact and costs nothing) and the server has no
 // buffer bound (whose verdict needs F). The receiver's bound reads σ and ρ
 // off in: the reassembly's rule needs only its inner's burst bound, which
-// the flat caches, so no reassembled envelope is lowered. On false bd is as
-// it was.
-func (ev *evaluation) boundHolds(i int, in *traffic.Flat, bd *Breakdown, limit float64) bool {
+// the envelope caches, so no reassembled envelope is lowered. On false bd is
+// as it was.
+func (ev *evaluation) boundHolds(i int, in traffic.Envelope, bd *Breakdown, limit float64) bool {
 	c := ev.ordered[i]
 	ring, h, buffer, term := c.Src.Ring, c.HS, c.HostBufferBits, &bd.SrcMAC
 	var input traffic.Descriptor = c.Source
@@ -734,7 +762,7 @@ func (ev *evaluation) boundHolds(i int, in *traffic.Flat, bd *Breakdown, limit f
 	if buffer > 0 {
 		return false
 	}
-	if _, hit := ev.recs[i].hops[recKey{in: in, x: math.Float64bits(h)}]; hit {
+	if _, hit := ev.recs[i].hops[keyAt(in, h)]; hit {
 		return false
 	}
 	cfg := ev.a.net.RingConfig(ring)
@@ -763,9 +791,9 @@ func (ev *evaluation) boundHolds(i int, in *traffic.Flat, bd *Breakdown, limit f
 // source returns the record's lowered source, lowering c's on first use. It
 // reports the source as invalid when traffic.Flatten has no rule for it (a
 // descriptor type from outside package traffic, at the root or under a
-// transform). Every envelope of an evaluation is a flat, so such a connection
-// cannot be analysed at any allocation: that is an error of the request, not
-// a verdict on it.
+// transform). Every envelope of an evaluation is a flat or a view of one, so
+// such a connection cannot be analysed at any allocation: that is an error
+// of the request, not a verdict on it.
 func (rec *connCache) source(c *Connection) (*traffic.Flat, error) {
 	if rec.src == nil {
 		if rec.src = traffic.Flatten(c.Source, flatHorizon); rec.src == nil {
@@ -817,19 +845,20 @@ func (ev *evaluation) muxDelay(p int) (float64, error) {
 		}
 		ev.a.members = append(ev.a.members, env)
 	}
-	flats := ev.a.members[base:]
-	if len(flats) == 0 {
+	members := ev.a.members[base:]
+	if len(members) == 0 {
 		ev.portDelay[p] = 0
 		return 0, nil
 	}
-	// The aggregate is the sum of the member flats, folded afresh in
+	// The aggregate is the sum of the member envelopes, folded afresh in
 	// evaluation order, so the delay is a function of the member set alone.
 	// The workspace's sum arrays are free to take it: gathering the members
 	// above has finished every upstream port, and only the verdict outlives
-	// the analysis. The sum is built only as far as the busy period reaches.
+	// the analysis. The sum is built, and a member view read, only as far as
+	// the busy period reaches.
 	mFlatAggRebuilds.Inc()
 	params := atm.MuxParams{CapacityBps: ev.a.net.PortCapacity()}
-	res, err := atm.AnalyzeMembers(&ev.a.ws, flats, params)
+	res, err := atm.AnalyzeMembers(&ev.a.ws, members, params)
 	if err != nil {
 		switch {
 		case errors.Is(err, atm.ErrMuxOverload),

@@ -141,7 +141,7 @@ func TestBacklogOnDemandMatchesFreshAnalyzer(t *testing.T) {
 	probed := cand.clone()
 	probed.HS, probed.HR = hs, hr
 	set := append(existing[:len(existing):len(existing)], probed)
-	stage0 := func() *traffic.Flat { return a.record(probed).hops[recKey{x: math.Float64bits(hs)}].out }
+	stage0 := func() traffic.Envelope { return a.record(probed).hops[recKey{x: math.Float64bits(hs)}].out }
 	kept := stage0()
 	if kept == nil {
 		t.Fatal("the reporting probe left no stage-0 envelope in the candidate's record")

@@ -86,7 +86,7 @@ var (
 		"Spread between the most and least loaded rings (allocated-fraction max minus min).")
 
 	mFlatLowerings = obs.Default.Counter("fafnet_cac_flat_lowerings_total",
-		"Descriptor chains lowered into flat breakpoint arrays: stage-0 envelopes, receiver-side conversions, and later stages lowered afresh because a port delay used up the upstream window.")
+		"Descriptor chains lowered into flat breakpoint arrays: stage-0 envelopes and receiver-side conversions. A port's output is a view of its input and lowers nothing.")
 	mFlatAggRebuilds = obs.Default.Counter("fafnet_cac_flat_agg_rebuilds_total",
 		"Per-port aggregate envelopes summed from their member flats: one per FIFO-port analysis, whether the members were summed only as far as the busy period reaches or whole.")
 )

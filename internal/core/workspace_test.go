@@ -222,13 +222,13 @@ func TestWarmEvaluationRunsNoAnalysis(t *testing.T) {
 		t.Errorf("a warm Delays over %d connections allocates %v times, want at most 100", len(standing), allocs)
 	}
 
-	var first []*traffic.Flat
+	var first []traffic.Envelope
 	for round := 0; round < 2; round++ {
 		ev, err := a.newEvaluation(standing)
 		if err != nil {
 			t.Fatal(err)
 		}
-		var flats []*traffic.Flat
+		var flats []traffic.Envelope
 		for _, c := range ev.ordered {
 			for stage := 0; stage <= len(c.Route.Ports); stage++ {
 				f, _, err := ev.fold(c, stage+1, nil, 0, needDelays)
@@ -295,4 +295,48 @@ func TestAnalyzersDoNotShareScratch(t *testing.T) {
 		}()
 	}
 	wg.Wait()
+}
+
+// TestReceiverEntriesKeepNoOutput: the receiver MAC's result is cached
+// without its output envelope. Only the sender's output is read (the
+// regulator and the stage-0 conversion stand on it); the receiver's would be
+// a Delayed over the reassembled input, which is built in the analyzer's
+// workspace and overwritten by the next receiver analysis, so keeping it
+// would hand a later reader another connection's envelope.
+func TestReceiverEntriesKeepNoOutput(t *testing.T) {
+	standing := standingSix(t)
+	standing[3].Shape = &shaper.Spec{SigmaBits: 40e3, RhoBps: 18e6}
+	a, err := NewAnalyzer(defaultNet(t), AnalysisOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := a.Delays(standing); err != nil {
+		t.Fatal(err)
+	}
+	// A report refills the entries with the backlogs.
+	for _, c := range standing {
+		if _, err := a.Breakdown(standing, c.ID); err != nil {
+			t.Fatal(err)
+		}
+	}
+	senders, receivers := 0, 0
+	for _, rec := range a.conns {
+		for k, e := range rec.hops {
+			switch {
+			case k.flat == nil && k.view == nil:
+				if e.err == nil && e.mac.Output == nil {
+					t.Errorf("a sender entry keeps no output")
+				}
+				senders++
+			case e.out == nil:
+				if e.mac.Output != nil {
+					t.Errorf("a receiver entry keeps the output %v", e.mac.Output)
+				}
+				receivers++
+			}
+		}
+	}
+	if senders == 0 || receivers == 0 {
+		t.Fatalf("%d sender and %d receiver entries: the case exercises nothing", senders, receivers)
+	}
 }

@@ -204,13 +204,16 @@ func FuzzServerBounds(f *testing.F) {
 			t.Fatal(err)
 		}
 		members := make([]traffic.Descriptor, 1+int(copies%8))
-		flats := make([]*traffic.Flat, len(members))
+		flats := make([]traffic.Envelope, len(members))
+		lowering := traffic.Flatten(cell, 0.025)
 		for i := range members {
 			members[i] = cell
-			flats[i] = traffic.Flatten(cell, 0.025)
+			if lowering != nil {
+				flats[i] = traffic.Flatten(cell, 0.025)
+			}
 		}
 		var agg traffic.Descriptor = traffic.NewAggregate(members...)
-		if lowered && flats[0] != nil {
+		if lowered && lowering != nil {
 			agg = new(traffic.Workspace).Sum(flats)
 		}
 		checkPortBound(t, agg, agg.LongTermRate()*logSpan(rate, 1.05, 8), 4000)

@@ -113,7 +113,17 @@ func everyDescriptor(t *testing.T) []Descriptor {
 	if f == nil {
 		t.Fatal("Flatten returned nil")
 	}
-	return []Descriptor{cbr, per, dp, lb, NewAggregate(dp, per), del, q, rc, m, f, zeroDesc{}}
+	// Two ports' views over it, as the analyzer chains them: the second
+	// reads the first, and both answer past their windows from the fused
+	// chain.
+	v, err := NewView(f, 0.4e-3, 140e6, 0.025)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if v, err = NewView(v, 0.2e-3, 140e6, 0.025); err != nil {
+		t.Fatal(err)
+	}
+	return []Descriptor{cbr, per, dp, lb, NewAggregate(dp, per), del, q, rc, m, f, v, zeroDesc{}}
 }
 
 // descriptorName is the declared name of d's type, pointer stripped.
@@ -265,7 +275,7 @@ func TestWorkspaceSumAllocationFree(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	three := []*Flat{a, b, Flatten(cbr, 64e-3)}
+	three := []Envelope{a, b, Flatten(cbr, 64e-3)}
 	var ws Workspace
 	rate := 1.5 * ws.Sum(three).LongTermRate() // sizes the arrays
 	if _, _, ok := Backlog(ws.Sum(three), rate, 16e-3, 8); !ok {

@@ -25,13 +25,17 @@ import "math"
 //   - Aggregate: the sum over the members, as the rates add;
 //   - Min: the σ of the member whose rate is the minimum's;
 //   - *Flat: its tail chain's, cached on the flat (a flat evaluates to its
-//     chain's values up to float re-association).
+//     chain's values up to float re-association);
+//   - *View: its tail chain's, read off the fused chain's parameters without
+//     building it, cached on the view.
 //
 // BurstBound serves the closed-form Theorem 1 bound a bisection probe tries
 // before it builds a candidate grid, so it sits on the probe's hot path.
 func BurstBound(d Descriptor) float64 {
 	switch v := d.(type) {
 	case *Flat:
+		return v.burstBound()
+	case *View:
 		return v.burstBound()
 	case CBR:
 		return 0
@@ -42,16 +46,9 @@ func BurstBound(d Descriptor) float64 {
 	case DualPeriodic:
 		return dualPeriodicBurst(v)
 	case Delayed:
-		rho := v.Inner.LongTermRate()
-		if v.CapBps > 0 && v.CapBps < rho {
-			return 0
-		}
-		return BurstBound(v.Inner) + rho*v.Delay
+		return v.burstBound()
 	case RateCapped:
-		if v.CapBps < v.Inner.LongTermRate() {
-			return 0
-		}
-		return BurstBound(v.Inner)
+		return v.burstBound()
 	case Quantized:
 		return BurstBound(v.Inner)*(v.OutBits/v.QuantumBits) + v.OutBits
 	case Aggregate:
@@ -72,6 +69,23 @@ func BurstBound(d Descriptor) float64 {
 	default:
 		return math.Inf(1)
 	}
+}
+
+// burstBound is BurstBound's Delayed rule.
+func (d Delayed) burstBound() float64 {
+	rho := d.Inner.LongTermRate()
+	if d.CapBps > 0 && d.CapBps < rho {
+		return 0
+	}
+	return BurstBound(d.Inner) + rho*d.Delay
+}
+
+// burstBound is BurstBound's RateCapped rule.
+func (r RateCapped) burstBound() float64 {
+	if r.CapBps < r.Inner.LongTermRate() {
+		return 0
+	}
+	return BurstBound(r.Inner)
 }
 
 // burstBound returns BurstBound of the flat's tail, computed on first use.

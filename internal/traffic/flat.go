@@ -232,13 +232,22 @@ func (f *Flat) excess(rate float64, n int) (busy, peak float64, ok bool) {
 // flatBuilder accumulates breakpoints during lowering. add keeps ts strictly
 // increasing: a vertex at the time of the previous one replaces it (the last
 // writer owns the right-limit), an earlier time is ignored. It keeps the
-// array nondecreasing (settle).
+// array nondecreasing (settle). A builder with dst set writes its arrays
+// back into that flat, whose arrays it started from (scratch), instead of
+// allocating one; with rec set it records, for a Lowering, what each step of
+// a source lowering wrote, under the step's gate.
 type flatBuilder struct {
 	ts, vs, ss []float64
+	dst        *Flat
+	rec        *Lowering
+	gate       float64
 }
 
 func (b *flatBuilder) add(t, v, s float64) {
 	n := len(b.ts)
+	if b.rec != nil {
+		b.rec.step(b.gate)
+	}
 	if n > 0 && t < b.ts[n-1] {
 		return
 	}
@@ -247,6 +256,9 @@ func (b *flatBuilder) add(t, v, s float64) {
 			v = settle(b.ts, b.vs, b.ss, n-2, t, v)
 		}
 		b.vs[n-1], b.ss[n-1] = v, s
+		if b.rec != nil {
+			b.rec.rewrite(b.gate, s)
+		}
 		return
 	}
 	if n > 0 {
@@ -255,6 +267,10 @@ func (b *flatBuilder) add(t, v, s float64) {
 	b.ts = append(b.ts, t)
 	b.vs = append(b.vs, v)
 	b.ss = append(b.ss, s)
+	if b.rec != nil {
+		b.rec.gates = append(b.rec.gates, b.gate)
+		b.rec.raw = append(b.rec.raw, s)
+	}
 }
 
 // endAt returns the value segment i of a breakpoint array reaches at t, in
@@ -314,9 +330,10 @@ func carve(n int) (ts, vs, ss []float64) {
 	return buf[0:0:n], buf[n : n : 2*n], buf[2*n : 2*n : 3*n]
 }
 
-// finish assembles the built segments into a Flat. When the builder hit the
-// segment cap, the horizon shrinks to the last breakpoint so every covered
-// point is exact; the tail serves the rest.
+// finish assembles the built segments into a Flat: the builder's dst, when
+// it has one, else a new one. When the builder hit the segment cap, the
+// horizon shrinks to the last breakpoint so every covered point is exact;
+// the tail serves the rest.
 func (b *flatBuilder) finish(horizon float64, tail Descriptor) *Flat {
 	if len(b.ts) == 0 || b.ts[0] != 0 || tail == nil {
 		return nil
@@ -327,7 +344,12 @@ func (b *flatBuilder) finish(horizon float64, tail Descriptor) *Flat {
 	if horizon <= 0 {
 		return nil
 	}
-	return &Flat{ts: b.ts, vs: b.vs, ss: b.ss, horizon: horizon, tail: tail, rho: tail.LongTermRate()}
+	f := b.dst
+	if f == nil {
+		f = new(Flat)
+	}
+	*f = Flat{ts: b.ts, vs: b.vs, ss: b.ss, horizon: horizon, tail: tail, rho: tail.LongTermRate()}
+	return f
 }
 
 // Flatten lowers a descriptor chain into one flat breakpoint array covering
@@ -339,64 +361,92 @@ func (b *flatBuilder) finish(horizon float64, tail Descriptor) *Flat {
 // the segment cap ended a window before a Delayed stage's delay, so nothing
 // of the shifted window is left to cover.
 func Flatten(d Descriptor, horizon float64) *Flat {
+	var lw lowerer
+	return lw.flatten(d, horizon, true)
+}
+
+// lowerer is Flatten's recursion, with what Workspace.Lower adds to it: the
+// source flat src whose long lowering serves the windows past src's own, and
+// the workspace whose scratch every flat but the result is built in. The zero
+// lowerer is Flatten itself: it lowers a flat's tail again past the flat's
+// window and allocates every flat it builds.
+type lowerer struct {
+	w    *Workspace
+	src  *Flat
+	long *Lowering
+}
+
+// builder returns the builder of one rule's flat: a new one for the result
+// (root) or without a workspace, else one over a scratch flat of w.
+func (lw *lowerer) builder(root bool) *flatBuilder {
+	if root || lw.w == nil {
+		return &flatBuilder{}
+	}
+	f := lw.w.scratchFlat()
+	return &flatBuilder{ts: f.ts[:0], vs: f.vs[:0], ss: f.ss[:0], dst: f}
+}
+
+func (lw *lowerer) flatten(d Descriptor, horizon float64, root bool) *Flat {
 	if horizon <= 0 {
 		return nil
 	}
 	switch v := d.(type) {
 	case *Flat:
 		// A flat whose window covers the horizon is its own lowering; a
-		// longer horizon lowers its tail afresh.
+		// longer horizon lowers its tail afresh, or reads it off the long
+		// lowering when the flat is the lowerer's source.
 		if horizon <= v.horizon { //lint:allow floatcmp exact window test: a window covering the horizon is the lowering
 			return v
 		}
-		return Flatten(v.tail, horizon)
-	case CBR:
-		b := &flatBuilder{}
-		b.reserve(1)
-		b.add(0, 0, v.RateBps)
+		if v == lw.src && lw.long.covers(v.tail, horizon) {
+			return lw.long.prefix(lw.builder(root), horizon)
+		}
+		return lw.flatten(v.tail, horizon, root)
+	case *View:
+		if horizon <= v.horizon { //lint:allow floatcmp exact window test: a window covering the horizon is the view's own
+			return v.lowered(v)
+		}
+		return lw.flatten(v.Tail(), horizon, root)
+	case CBR, LeakyBucket, Periodic, DualPeriodic:
+		b := lw.builder(root)
+		lowerSource(b, d, horizon)
 		return b.finish(horizon, d)
-	case LeakyBucket:
-		return flattenLeakyBucket(v, horizon)
-	case Periodic:
-		return flattenPeriodic(v, horizon)
-	case DualPeriodic:
-		return flattenDualPeriodic(v, horizon)
 	case Delayed:
-		inner := Flatten(v.Inner, horizon+v.Delay)
+		inner := lw.flatten(v.Inner, horizon+v.Delay, false)
 		if inner == nil {
 			return nil
 		}
-		return inner.shiftCap(v.Delay, v.CapBps, horizon, d)
+		return inner.shiftCap(lw.builder(root), v.Delay, v.CapBps, horizon, d)
 	case RateCapped:
-		inner := Flatten(v.Inner, horizon)
+		inner := lw.flatten(v.Inner, horizon, false)
 		if inner == nil {
 			return nil
 		}
-		return inner.capped(v.CapBps, horizon, d)
+		return inner.capped(lw.builder(root), v.CapBps, horizon, d)
 	case Quantized:
-		inner := Flatten(v.Inner, horizon)
+		inner := lw.flatten(v.Inner, horizon, false)
 		if inner == nil {
 			return nil
 		}
-		return inner.quantized(v.QuantumBits, v.OutBits, horizon, d)
+		return inner.quantized(lw.builder(root), v.QuantumBits, v.OutBits, horizon, d)
 	case *Aggregate:
-		return Flatten(*v, horizon)
+		return lw.flatten(*v, horizon, root)
 	case Aggregate:
 		flats := make([]*Flat, len(v.members))
 		for i, m := range v.members {
-			if flats[i] = Flatten(m, horizon); flats[i] == nil {
+			if flats[i] = lw.flatten(m, horizon, false); flats[i] == nil {
 				return nil
 			}
 		}
 		return SumFlats(d, flats...)
 	case Min:
-		acc := Flatten(v.members[0], horizon)
+		acc := lw.flatten(v.members[0], horizon, false)
 		for _, m := range v.members[1:] {
-			f := Flatten(m, horizon)
+			f := lw.flatten(m, horizon, false)
 			if acc == nil || f == nil {
 				return nil
 			}
-			acc = minFlats(acc, f, horizon, d)
+			acc = minFlats(lw.builder(root), acc, f, horizon, d)
 		}
 		return acc
 	default:
@@ -404,9 +454,29 @@ func Flatten(d Descriptor, horizon float64) *Flat {
 	}
 }
 
-// flattenLeakyBucket lowers min(Peak·I, σ + ρ·I).
-func flattenLeakyBucket(v LeakyBucket, horizon float64) *Flat {
-	b := &flatBuilder{}
+// lowerSource writes the lowering of the source model d over horizon into b,
+// setting b's gate before every step: the shortest horizon the step runs at
+// (Lowering). It reports false when d is not one of the four source models.
+func lowerSource(b *flatBuilder, d Descriptor, horizon float64) bool {
+	b.gate = 0
+	switch v := d.(type) {
+	case CBR:
+		b.reserve(1)
+		b.add(0, 0, v.RateBps)
+	case LeakyBucket:
+		lowerLeakyBucket(b, v, horizon)
+	case Periodic:
+		lowerPeriodic(b, v, horizon)
+	case DualPeriodic:
+		lowerDualPeriodic(b, v, horizon)
+	default:
+		return false
+	}
+	return true
+}
+
+// lowerLeakyBucket lowers min(Peak·I, σ + ρ·I).
+func lowerLeakyBucket(b *flatBuilder, v LeakyBucket, horizon float64) {
 	b.reserve(2)
 	switch {
 	case v.PeakBps == 0:
@@ -420,6 +490,7 @@ func flattenLeakyBucket(v LeakyBucket, horizon float64) *Flat {
 		} else {
 			b.add(0, 0, v.PeakBps)
 			if x < horizon {
+				b.gate = math.Nextafter(x, math.Inf(1))
 				b.add(x, v.Sigma+v.Rho*x, v.Rho)
 			}
 		}
@@ -427,13 +498,11 @@ func flattenLeakyBucket(v LeakyBucket, horizon float64) *Flat {
 		// peak <= ρ: the peak line never exceeds σ + ρI.
 		b.add(0, 0, v.PeakBps)
 	}
-	return b.finish(horizon, v)
 }
 
-// flattenPeriodic lowers ⌊I/P⌋·C + min(C, (I mod P)·Peak): a burst ramp of
+// lowerPeriodic lowers ⌊I/P⌋·C + min(C, (I mod P)·Peak): a burst ramp of
 // length C/Peak at every period start, then a plateau.
-func flattenPeriodic(v Periodic, horizon float64) *Flat {
-	b := &flatBuilder{}
+func lowerPeriodic(b *flatBuilder, v Periodic, horizon float64) {
 	b.reserve(2 * (int(horizon/v.P) + 2))
 	burst := v.C / v.PeakBps
 	for k := 0; !b.full(); k++ {
@@ -441,19 +510,19 @@ func flattenPeriodic(v Periodic, horizon float64) *Flat {
 		if base > horizon {
 			break
 		}
+		b.gate = base
 		b.add(base, float64(k)*v.C, v.PeakBps)
 		if end := base + burst; end < base+v.P && !(end > horizon) {
+			b.gate = end
 			b.add(end, float64(k)*v.C+v.C, 0)
 		}
 	}
-	return b.finish(horizon, v)
 }
 
-// flattenDualPeriodic lowers Eq. 37: within each long period, short-period
+// lowerDualPeriodic lowers Eq. 37: within each long period, short-period
 // bursts ramp at the peak rate until the long-period budget C1 binds — the
 // budget crossing is a true envelope vertex the closed form places exactly.
-func flattenDualPeriodic(v DualPeriodic, horizon float64) *Flat {
-	b := &flatBuilder{}
+func lowerDualPeriodic(b *flatBuilder, v DualPeriodic, horizon float64) {
 	// A whole long period holds a ramp and a plateau per short-period burst
 	// until the budget C1 binds, then one plateau; the last, partial period
 	// holds the bursts that start before the horizon.
@@ -474,6 +543,9 @@ func flattenDualPeriodic(v DualPeriodic, horizon float64) *Flat {
 				break
 			}
 			start := float64(j) * v.C2
+			// Every step of this burst runs once its start is inside the
+			// window.
+			b.gate = base + r0
 			switch {
 			case start >= v.C1:
 				// Budget exhausted before this burst: plateau at C1.
@@ -495,21 +567,16 @@ func flattenDualPeriodic(v DualPeriodic, horizon float64) *Flat {
 			}
 		}
 	}
-	return b.finish(horizon, v)
 }
 
 // shiftCap applies the Delayed transform A'(I) = min(cap·I, A(I + d)) in
-// closed form, in one walk over the source: the breakpoints shift left by the
-// delay and each shifted segment is intersected with the cap line as it is
-// produced. tail is the chain equivalent retained for evaluations beyond the
-// new horizon.
-func (f *Flat) shiftCap(delay, capBps, horizon float64, tail Descriptor) *Flat {
-	// A source lowered over horizon + delay covers the whole shifted window,
-	// though (horizon + delay) − delay may round an ulp below horizon.
-	h := horizon
-	if f.horizon < horizon+delay {
-		h = f.horizon - delay
-	}
+// closed form, in one walk over the source, into b: the breakpoints shift
+// left by the delay and each shifted segment is intersected with the cap line
+// as it is produced. tail is the chain equivalent retained for evaluations
+// beyond the new horizon. A View yields the same vertices step by step
+// (reader.step), without the array.
+func (f *Flat) shiftCap(b *flatBuilder, delay, capBps, horizon float64, tail Descriptor) *Flat {
+	h := shiftedHorizon(f.horizon, delay, horizon)
 	if h <= 0 {
 		return nil
 	}
@@ -529,7 +596,6 @@ func (f *Flat) shiftCap(delay, capBps, horizon float64, tail Descriptor) *Flat {
 		j = i + maxFlatSegments
 		h = math.Min(h, f.ts[j-1]-delay)
 	}
-	b := &flatBuilder{}
 	// The cap line usually crosses the envelope once or twice.
 	b.reserve(j - i + 2)
 	for k := i; k < j && !b.full(); k++ {
@@ -554,14 +620,24 @@ func (f *Flat) shiftCap(delay, capBps, horizon float64, tail Descriptor) *Flat {
 	return b.finish(h, tail)
 }
 
-// capped intersects the envelope with the line cap·I exactly.
-func (f *Flat) capped(capBps, horizon float64, tail Descriptor) *Flat {
+// shiftedHorizon is the window a shift by delay leaves of an envelope
+// covering [0, upHorizon], at most horizon: a source lowered over
+// horizon + delay covers the whole shifted window, though
+// (horizon + delay) − delay may round an ulp below horizon.
+func shiftedHorizon(upHorizon, delay, horizon float64) float64 {
+	if upHorizon < horizon+delay {
+		return upHorizon - delay
+	}
+	return horizon
+}
+
+// capped intersects the envelope with the line cap·I exactly, into b.
+func (f *Flat) capped(b *flatBuilder, capBps, horizon float64, tail Descriptor) *Flat {
 	h := math.Min(horizon, f.horizon)
 	if h <= 0 {
 		return nil
 	}
 	n := sort.Search(len(f.ts), func(k int) bool { return f.ts[k] > h })
-	b := &flatBuilder{}
 	b.reserve(n + 2)
 	for i := 0; i < n && !b.full(); i++ {
 		t1 := h
@@ -601,10 +677,9 @@ func (b *flatBuilder) addCapped(t0, v0, s, t1, capBps float64) {
 // new breakpoint — addCapped's rule with a second envelope in place of the
 // cap line. Every emitted segment lies on one operand's line, and either line
 // is at or above the minimum, so wherever a crossing rounds to, the result
-// does not dip below the true envelope.
-func minFlats(a, b *Flat, horizon float64, tail Descriptor) *Flat {
+// does not dip below the true envelope. It is built in bld.
+func minFlats(bld *flatBuilder, a, b *Flat, horizon float64, tail Descriptor) *Flat {
 	h := min(horizon, a.horizon, b.horizon)
-	bld := &flatBuilder{}
 	bld.reserve(len(a.ts) + len(b.ts) + 2)
 	i, j := 0, 0
 	for t0 := 0.0; t0 < h && !bld.full(); {
@@ -642,13 +717,12 @@ func minFlats(a, b *Flat, horizon float64, tail Descriptor) *Flat {
 // quantized applies A'(I) = ⌈A(I)/q⌉·o in closed form: each linear segment
 // contributes its staircase steps at the exact quantum crossings, with the
 // same units.CeilDiv snapping the closure path uses (a value within relative
-// tolerance of a multiple stays on the lower step).
-func (f *Flat) quantized(q, o, horizon float64, tail Descriptor) *Flat {
+// tolerance of a multiple stays on the lower step). It is built in b.
+func (f *Flat) quantized(b *flatBuilder, q, o, horizon float64, tail Descriptor) *Flat {
 	h := math.Min(horizon, f.horizon)
 	if h <= 0 {
 		return nil
 	}
-	b := &flatBuilder{}
 	n := len(f.ts)
 	// One step vertex per quantum level up to the value at the horizon, plus
 	// one plateau vertex per input segment.
@@ -695,24 +769,14 @@ func (f *Flat) quantized(q, o, horizon float64, tail Descriptor) *Flat {
 
 // ShiftCap applies the Delayed transform A'(I) = min(capBps·I, A(I + delay))
 // (capBps 0 = no cap) and returns the result as a new Flat with the given
-// tail chain. It is the per-stage lowering step of the analyzer: stage k's
-// flat is stage k−1's shifted by the port's worst-case delay and capped by
-// the port capacity, without lowering the source again.
+// tail chain, without lowering the source again. A View is the same envelope
+// of a port's output, capped, without the copy: its readers yield ShiftCap's
+// vertices bit for bit.
 func (f *Flat) ShiftCap(delay, capBps, horizon float64, tail Descriptor) *Flat {
 	if delay < 0 || tail == nil {
 		return nil
 	}
-	return f.shiftCap(delay, capBps, horizon, tail)
-}
-
-// Quantize applies A'(I) = ⌈A(I)/quantumBits⌉·outBits and returns the result
-// as a new Flat with the given tail chain — the frame/cell conversion of the
-// interface devices, applied in closed form to an already-lowered envelope.
-func (f *Flat) Quantize(quantumBits, outBits, horizon float64, tail Descriptor) *Flat {
-	if quantumBits <= 0 || outBits <= 0 || tail == nil {
-		return nil
-	}
-	return f.quantized(quantumBits, outBits, horizon, tail)
+	return f.shiftCap(&flatBuilder{}, delay, capBps, horizon, tail)
 }
 
 // SumFlats returns the exact sum of the given flats — the O(Σn) breakpoint

@@ -20,8 +20,8 @@ const (
 func checkPortWalk(t *testing.T, w *Workspace, flats []*Flat, rate float64) {
 	t.Helper()
 	var ref Workspace
-	wantBusy, wantBacklog, wantOK := Backlog(ref.Sum(flats), rate, walkFrom, walkTo)
-	busy, backlog, ok := w.Backlog(flats, rate, walkFrom, walkTo)
+	wantBusy, wantBacklog, wantOK := Backlog(ref.Sum(envelopes(flats)), rate, walkFrom, walkTo)
+	busy, backlog, ok := w.Backlog(envelopes(flats), rate, walkFrom, walkTo)
 	if ok != wantOK || math.Float64bits(busy) != math.Float64bits(wantBusy) || math.Float64bits(backlog) != math.Float64bits(wantBacklog) {
 		t.Fatalf("%d members at %v bps: the lazy walk reads (%v, %v, %v), the whole sum (%v, %v, %v)",
 			len(flats), rate, busy, backlog, ok, wantBusy, wantBacklog, wantOK)
@@ -90,14 +90,15 @@ func TestPortWalkStopsEarly(t *testing.T) {
 	rate := 2 * rho
 	var ws Workspace
 	checkPortWalk(t, &ws, flats, rate)
-	whole := ws.Sum(flats).Segments()
-	if _, _, ok := ws.prefixBacklog(flats, rate); !ok {
+	members := envelopes(flats)
+	whole := ws.Sum(members).Segments()
+	if _, _, ok := ws.prefixBacklog(members, rate); !ok {
 		t.Fatal("the walk did not end inside the cut sum")
 	}
 	if cut := ws.fold().Segments(); cut >= whole {
 		t.Errorf("the cut sum has %d vertices, the whole sum %d", cut, whole)
 	}
-	if allocs := testing.AllocsPerRun(100, func() { ws.Backlog(flats, rate, walkFrom, walkTo) }); allocs != 0 {
+	if allocs := testing.AllocsPerRun(100, func() { ws.Backlog(members, rate, walkFrom, walkTo) }); allocs != 0 {
 		t.Errorf("a warm walk allocates %v times", allocs)
 	}
 }

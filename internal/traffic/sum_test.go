@@ -60,6 +60,15 @@ func (s flatSnapshot) check(t *testing.T, name string, f *Flat, pts []float64) {
 // before and after bracket every reading that is not a defect.
 const sumEdgeSlack = 1e-9
 
+// envelopes returns flats as the member list a workspace takes.
+func envelopes(flats []*Flat) []Envelope {
+	members := make([]Envelope, len(flats))
+	for i, f := range flats {
+		members[i] = f
+	}
+	return members
+}
+
 // checkWorkspaceSum holds w.Sum(flats) to the four properties of the one
 // remaining sum, flats[i] being chains[i] lowered:
 //
@@ -72,7 +81,7 @@ const sumEdgeSlack = 1e-9
 //   - and with the member-wise sum of the chains, up to sumEdgeSlack in time.
 func checkWorkspaceSum(t *testing.T, w *Workspace, chains []Descriptor, flats []*Flat, pts []float64) {
 	t.Helper()
-	got := w.Sum(flats)
+	got := w.Sum(envelopes(flats))
 	want := SumFlats(zeroDesc{}, flats...)
 	if got == nil || want == nil {
 		t.Fatalf("Sum of %d members: %v, SumFlats %v", len(flats), got, want)
@@ -155,7 +164,7 @@ func TestWorkspaceSumMatchesSumFlats(t *testing.T) {
 	for i, f := range flats {
 		snaps[i].check(t, names[i], f, pts)
 	}
-	if ws.Sum(nil) != nil || ws.Sum([]*Flat{flats[0], nil}) != nil {
+	if ws.Sum(nil) != nil || ws.Sum([]Envelope{flats[0], nil}) != nil {
 		t.Fatal("Sum of no members, or of a nil member, must be nil")
 	}
 }
@@ -217,7 +226,7 @@ func TestMembersSum(t *testing.T) {
 			continue
 		}
 		var ws Workspace
-		sum := ws.Sum(flats)
+		sum := ws.Sum(envelopes(flats))
 		if tail, ok := sum.Tail().(*Aggregate); !ok || tail != &ws.sumTail {
 			t.Fatalf("%s: the workspace sum's tail is %T, want the workspace's *Aggregate", c.name, sum.Tail())
 		}
