@@ -139,10 +139,13 @@ const (
 // lowering alone covers more, flatHorizon plus the sender-side delay, and is
 // read only as the stage-0 shift's input. A scan that walks deeper — a
 // receiver MAC near its stability limit has a busy interval of hundreds of
-// rotations — evaluates the few hundred points it visits beyond the window
-// through the envelope's exact tail chain; lowering the envelope out to that
-// depth first would cost ten thousand vertices for an array nothing reads
-// again. The constant trades speed, never correctness.
+// rotations — evaluates the points it visits beyond the window through the
+// envelope's exact tail chain; lowering the envelope out to that depth first
+// would cost ten thousand vertices for an array nothing reads again. Most of
+// those rotations cannot end the busy interval, and the Eq. 9 scan starts
+// past them, at the first rotation the envelope's rate floor lets end it
+// (fddi.firstRotation), so what the tail chain serves is the rotations from
+// there to B. The constant trades speed, never correctness.
 const flatHorizon = 0.025
 
 // remember stores v under k in the record. A class keeps its record, and
@@ -656,9 +659,11 @@ func (ev *evaluation) enteringHit(i, k int) (traffic.Envelope, bool) {
 // by the source, at the receiver fed by in, the envelope entering it,
 // reassembled into frames. The result is a pure function of (in, h) and the
 // class, so it is kept in the class's record under (in, h) and its error
-// names no connection; the sender's lookups are what CacheStats counts. The
-// receiver's result is kept without its output envelope, which only the
-// sender's successors read and which is built over the workspace's scratch.
+// names no connection; the sender's lookups are what CacheStats counts. Only
+// the sender's result keeps an output envelope, built here over the
+// record's source: the sender's successors read it. The receiver's would be
+// built over the workspace's scratch and is read by nothing, so it is never
+// built.
 //
 // The backlog F is computed only when backlog is set or the buffer bound
 // needs it for its verdict; otherwise it is NaN. An entry cached without F
@@ -701,12 +706,16 @@ func (ev *evaluation) theorem1(i int, in traffic.Envelope, ring int, h, bufferBi
 		analyze = fddi.AnalyzeMAC
 	}
 	res, err := analyze(input, p, fddi.Options{})
-	if err != nil {
+	switch {
+	case err != nil:
 		err = fmt.Errorf("%w: %s MAC: %v", errInfeasible, side, err)
 		res = fddi.MACResult{}
-	}
-	if in != nil {
+	case in != nil:
 		res.Output = nil
+	case res.Output == nil:
+		// AnalyzeMACDelay builds none: AnalyzeMAC's output rule, over the
+		// same input and χ.
+		res.Output = traffic.Delayed{Inner: input, Delay: res.Delay, CapBps: cfg.BandwidthBps}
 	}
 	if refill && err == nil {
 		// The same input and allocation: the verdict and χ are the entry's.

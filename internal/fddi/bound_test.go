@@ -3,7 +3,6 @@ package fddi
 import (
 	"errors"
 	"math"
-	"reflect"
 	"testing"
 
 	"fafnet/internal/traffic"
@@ -101,10 +100,20 @@ func fuzzChain(in traffic.Descriptor, chain uint8, e float64) traffic.Descriptor
 // sample of their expressions (checkMACBounds), which asks nothing of the
 // envelope's monotonicity. AnalyzeMACDelay, which scans the busy interval
 // only as far as the delay search reads it whenever the bound's convergence
-// proof holds, returns AnalyzeMAC's χ, error class and output envelope bit
-// for bit, with no more envelope evaluations than the eager delay-only scan
-// (checkDelayOnly). The last seed's busy interval is over 500 rotations
-// deep.
+// proof holds, returns AnalyzeMAC's χ and error class bit for bit, builds
+// no output envelope, and spends no more envelope evaluations than the
+// eager delay-only scan (checkDelayOnly).
+//
+// The rate floor the Eq. 9 scan starts from (firstRotation) is held to its
+// premise and its effect: wherever RateFloor answers, the computed envelope
+// is at or above the floor ρ·(1 − boundPad)·t at the points the upper line
+// is checked at (or, without a busy interval, at 401 points up to the
+// 4,096-rotation cut); AnalyzeMAC's B, F, χ and convergence verdict are,
+// bit for bit, those of the same scan started at rotation 1
+// (scanFromRotationOne); and a start past the cut reports ErrNoConvergence
+// without one envelope evaluation. The last seed's busy interval is over
+// 500 rotations deep; at the corpus entry floor-no-convergence (floorSeed)
+// the floor alone certifies non-convergence.
 func FuzzDelayBound(f *testing.F) {
 	f.Add(uint8(1), uint8(0), false, 0.7, 0.6, 0.5, 0.4, 0.3, 0.2)
 	f.Add(uint8(0), uint8(0b100110), true, 0.1, 0.9, 0.1, 0.2, 0.45, 0.001)
@@ -134,7 +143,10 @@ func FuzzDelayBound(f *testing.F) {
 		}
 		p := MACParams{Ring: ring, H: hMin * (1 + logSpan(h, 1e-5, 5))}
 		bound, ok := DelayBound(in, p)
+		before := mMACEnvelopeEvals.Value()
 		res, err := AnalyzeMAC(in, p, Options{})
+		evals := mMACEnvelopeEvals.Value() - before
+		checkFromRotationOne(t, in, p, res, err, evals)
 		if ok && err != nil {
 			t.Fatalf("%v (lowered %v) at H=%v: the bound answered %v, the analysis failed: %v", chained, lowered, p.H, bound, err)
 		}
@@ -143,20 +155,38 @@ func FuzzDelayBound(f *testing.F) {
 		}
 		checkDelayOnly(t, in, p, res, err)
 		sigma, rho := paddedLine(in)
-		if err != nil || math.IsInf(sigma, 1) {
-			return
-		}
-		_, crossings := referenceChi(in, p, res.BusyInterval)
-		for i := 0; i <= 400; i++ {
-			crossings = append(crossings, res.BusyInterval*float64(i)/400)
+		floor, hasFloor := traffic.RateFloor(in)
+		floor *= 1 - boundPad
+		var crossings []float64
+		switch {
+		case err == nil:
+			_, crossings = referenceChi(in, p, res.BusyInterval)
+			for i := 0; i <= 400; i++ {
+				crossings = append(crossings, res.BusyInterval*float64(i)/400)
+			}
+		case errors.Is(err, ErrNoConvergence):
+			cut := maxBusyRotations * ring.TTRT //lint:allow unitcheck maxBusyRotations is a count of rotations, not a time
+			for i := 0; i <= 400; i++ {
+				crossings = append(crossings, cut*float64(i)/400)
+			}
 		}
 		var pts []float64
 		for _, x := range crossings {
 			for _, pt := range ulpNeighbours(pts[:0], x) {
-				if a := in.Bits(pt); pt > 0 && a > sigma+rho*pt {
+				if !(pt > 0) {
+					continue
+				}
+				a := in.Bits(pt)
+				if err == nil && !math.IsInf(sigma, 1) && a > sigma+rho*pt {
 					t.Fatalf("%v (lowered %v): A(%v) = %v above the padded line %v + %v·t = %v", chained, lowered, pt, a, sigma, rho, sigma+rho*pt)
 				}
+				if hasFloor && a < floor*pt {
+					t.Fatalf("%v (lowered %v): A(%v) = %v below the padded rate floor %v·t = %v", chained, lowered, pt, a, floor, floor*pt)
+				}
 			}
+		}
+		if err != nil || math.IsInf(sigma, 1) {
+			return
 		}
 		checkMACBounds(t, in, p)
 	})
@@ -225,9 +255,39 @@ func TestDelayOnlyDeepSeed(t *testing.T) {
 	checkDelayOnly(t, in, p, res, nil)
 }
 
+// checkFromRotationOne holds AnalyzeMAC's result res and error err on in at
+// p, for which it spent evals envelope evaluations, to the scan started at
+// rotation 1: on success B, F and χ bit for bit; ErrNoConvergence exactly
+// where that scan finds no end within maxBusyRotations; and, where the rate
+// floor starts the scan past the cut, ErrNoConvergence after no evaluation.
+func checkFromRotationOne(t *testing.T, in traffic.Descriptor, p MACParams, res MACResult, err error, evals uint64) {
+	t.Helper()
+	if errors.Is(err, ErrOverload) {
+		return
+	}
+	if start := scanStart(in, p); start > maxBusyRotations && (!errors.Is(err, ErrNoConvergence) || evals != 0) {
+		t.Fatalf("%v at H=%v: the scan starts at rotation %d, past the cut, and AnalyzeMAC fails with %v after %d evaluations", in, p.H, start, err, evals)
+	}
+	busy, backlog, delay, ok := scanFromRotationOne(in, p)
+	if ok == errors.Is(err, ErrNoConvergence) {
+		t.Fatalf("%v at H=%v: AnalyzeMAC fails with %v; the scan from rotation 1 ends within the cut: %v", in, p.H, err, ok)
+	}
+	if err != nil {
+		return
+	}
+	for _, c := range []struct {
+		name      string
+		got, want float64
+	}{{"B", res.BusyInterval, busy}, {"F", res.BufferBits, backlog}, {"chi", res.Delay, delay}} {
+		if math.Float64bits(c.got) != math.Float64bits(c.want) {
+			t.Fatalf("%v at H=%v: %s = %v, from rotation 1 %v", in, p.H, c.name, c.got, c.want)
+		}
+	}
+}
+
 // checkDelayOnly holds AnalyzeMACDelay on in at p to AnalyzeMAC's result
-// res and error err: the same error class; on success χ and the output
-// envelope bit for bit, B either not scanned (NaN) or AnalyzeMAC's, and no
+// res and error err: the same error class; on success χ bit for bit and no
+// output envelope built, B either not scanned (NaN) or AnalyzeMAC's, and no
 // more envelope evaluations than the eager delay-only scan, busyEnd and
 // then scanMAC without the backlog, spends.
 func checkDelayOnly(t *testing.T, in traffic.Descriptor, p MACParams, res MACResult, err error) {
@@ -241,8 +301,8 @@ func checkDelayOnly(t *testing.T, in traffic.Descriptor, p MACParams, res MACRes
 	if err != nil {
 		return
 	}
-	if math.Float64bits(got.Delay) != math.Float64bits(res.Delay) || !reflect.DeepEqual(got.Output, res.Output) {
-		t.Fatalf("%v at H=%v: AnalyzeMACDelay reads chi = %v, output %v; AnalyzeMAC %v, %v", in, p.H, got.Delay, got.Output, res.Delay, res.Output)
+	if math.Float64bits(got.Delay) != math.Float64bits(res.Delay) || got.Output != nil {
+		t.Fatalf("%v at H=%v: AnalyzeMACDelay reads chi = %v, output %v; AnalyzeMAC %v", in, p.H, got.Delay, got.Output, res.Delay)
 	}
 	if !math.IsNaN(got.BusyInterval) && got.BusyInterval != res.BusyInterval {
 		t.Fatalf("%v at H=%v: AnalyzeMACDelay reads B = %v, AnalyzeMAC %v", in, p.H, got.BusyInterval, res.BusyInterval)
@@ -263,4 +323,41 @@ func errClass(err error) error {
 		}
 	}
 	return err
+}
+
+// floorSeed is the FuzzDelayBound corpus entry floor-no-convergence: the
+// paper-shaped dual-periodic source behind a port delay and a line cap,
+// lowered, at an allocation 10⁻⁴ above the stability limit
+// (1 + logSpan(h, 1e-5, 5) = 1.0001). The busy interval outlasts the
+// 4,096-rotation cut, and the rate floor alone shows it: the Eq. 9 scan's
+// first rotation lies past the cut.
+var floorSeed = struct {
+	kind, chain   uint8
+	lowered       bool
+	a, b, c, d, e float64
+	h             float64
+}{1, 0b1001, true, 0.7, 0.6, 0.5, 0.4, 0.3, math.Log(1e-4/1e-5) / math.Log(5/1e-5)}
+
+// TestFloorProvesNoConvergence: at floorSeed, AnalyzeMAC and
+// AnalyzeMACDelay report ErrNoConvergence without one envelope evaluation,
+// and the scan from rotation 1, which reads every rotation it visits up to
+// the cut, finds no end either.
+func TestFloorProvesNoConvergence(t *testing.T) {
+	s := floorSeed
+	in := traffic.Flatten(traffic.Fuse(fuzzChain(fuzzSource(s.kind, s.a, s.b, s.c, s.d), s.chain, s.e)), 0.025)
+	ring := testRing()
+	p := MACParams{Ring: ring, H: in.LongTermRate() * ring.TTRT / ring.BandwidthBps * (1 + logSpan(s.h, 1e-5, 5))}
+	if start := scanStart(in, p); start <= maxBusyRotations {
+		t.Fatalf("the scan starts at rotation %d, inside the %d-rotation cut", start, maxBusyRotations)
+	}
+	for name, analyze := range map[string]func(traffic.Descriptor, MACParams, Options) (MACResult, error){"AnalyzeMAC": AnalyzeMAC, "AnalyzeMACDelay": AnalyzeMACDelay} {
+		before := mMACEnvelopeEvals.Value()
+		_, err := analyze(in, p, Options{})
+		if evals := mMACEnvelopeEvals.Value() - before; !errors.Is(err, ErrNoConvergence) || evals != 0 {
+			t.Errorf("%s fails with %v after %d envelope evaluations, want ErrNoConvergence after none", name, err, evals)
+		}
+	}
+	if _, _, _, ok := scanFromRotationOne(in, p); ok {
+		t.Error("the scan from rotation 1 finds the busy interval's end within the cut")
+	}
 }

@@ -1,6 +1,10 @@
 package fddi
 
-import "fafnet/internal/traffic"
+import (
+	"math"
+
+	"fafnet/internal/traffic"
+)
 
 // scanMAC runs Theorem 1's searches (macScan.scan) over a busy interval the
 // caller has found, and returns F (NaN unless backlog), χ and the envelope
@@ -20,3 +24,19 @@ func busyEnd(in traffic.Descriptor, p MACParams) (busy float64, evals int, ok bo
 	ok = s.finish()
 	return s.busy, s.evals, ok
 }
+
+// scanFromRotationOne is AnalyzeMAC's scan with the Eq. 9 scan started at
+// rotation 1 instead of the rate floor's first rotation: B, F and χ, and
+// whether the busy interval ends within maxBusyRotations.
+func scanFromRotationOne(in traffic.Descriptor, p MACParams) (busy, backlogBits, delay float64, ok bool) {
+	s := newMACScan(in, p)
+	s.nextRot = 1
+	if !s.finish() {
+		return s.busy, math.NaN(), s.delay, false
+	}
+	backlogBits = s.scan(true)
+	return s.busy, backlogBits, s.delay, true
+}
+
+// scanStart returns the rotation newMACScan starts the Eq. 9 scan at.
+func scanStart(in traffic.Descriptor, p MACParams) int { return newMACScan(in, p).nextRot }

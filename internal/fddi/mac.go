@@ -55,7 +55,7 @@ type MACResult struct {
 	Delay float64
 	// Output is the envelope of the connection's traffic as it leaves the
 	// MAC: min(BW·I, A(I + χ)), the delay-based bound that stands in for
-	// Eq. 12's Υ(I).
+	// Eq. 12's Υ(I). AnalyzeMAC builds it; AnalyzeMACDelay leaves it nil.
 	Output traffic.Descriptor
 }
 
@@ -107,24 +107,36 @@ func (p MACParams) validate() error {
 // envelope min(BW·I, A(I + χ)). A non-nil error means no finite delay bound exists for
 // this allocation (ErrOverload, ErrBufferOverflow, or ErrNoConvergence).
 func AnalyzeMAC(in traffic.Descriptor, p MACParams, opts Options) (MACResult, error) {
-	return analyzeMAC(in, p, true)
+	res, err := analyzeMAC(in, p, true)
+	if err != nil {
+		return MACResult{}, err
+	}
+	// The one output rule: every bit that leaves in a window of length I
+	// arrived within I + χ. Sound on its own, and in general looser than
+	// Eq. 12's Υ(I), which would need a second extremum search (DESIGN.md §2).
+	if res.Output, err = traffic.NewDelayed(in, res.Delay, p.Ring.BandwidthBps); err != nil {
+		return MACResult{}, fmt.Errorf("fddi: building output envelope: %w", err)
+	}
+	return res, nil
 }
 
-// AnalyzeMACDelay is AnalyzeMAC for a caller that reads neither the backlog
-// nor the busy interval: F is computed only when p.BufferBits bounds it,
-// since the overflow verdict reads it, and is NaN in the result otherwise.
-// Without a buffer bound, when the closed-form bound proves that the busy
-// interval ends within maxBusyRotations, B is scanned only as far as the
-// delay search compares against it, and is NaN in the result unless the
-// search reached it. χ, the output envelope and the error are AnalyzeMAC's,
-// bit for bit: the delay search depends neither on whether the backlog
-// search ran nor on how far B was scanned ahead.
+// AnalyzeMACDelay is AnalyzeMAC for a caller that reads neither the backlog,
+// the busy interval nor the output envelope: F is computed only when
+// p.BufferBits bounds it, since the overflow verdict reads it, and is NaN in
+// the result otherwise. Without a buffer bound, when the closed-form bound
+// proves that the busy interval ends within maxBusyRotations, B is scanned
+// only as far as the delay search compares against it, and is NaN in the
+// result unless the search reached it. No output envelope is built: Output
+// is nil, and a caller that needs it builds min(BW·I, A(I + χ)) from χ.
+// χ and the error are AnalyzeMAC's, bit for bit: the delay search depends
+// neither on whether the backlog search ran nor on how far B was scanned
+// ahead.
 func AnalyzeMACDelay(in traffic.Descriptor, p MACParams, opts Options) (MACResult, error) {
 	return analyzeMAC(in, p, p.BufferBits > 0)
 }
 
-// analyzeMAC is Theorem 1, with the backlog scan run only when backlog is
-// set.
+// analyzeMAC is Theorem 1 without the output envelope, with the backlog
+// scan run only when backlog is set.
 func analyzeMAC(in traffic.Descriptor, p MACParams, backlog bool) (MACResult, error) {
 	if in == nil {
 		return MACResult{}, errors.New("fddi: AnalyzeMAC requires an input descriptor")
@@ -152,15 +164,7 @@ func analyzeMAC(in traffic.Descriptor, p MACParams, backlog bool) (MACResult, er
 		mMACInfeasible.Inc()
 		return MACResult{}, fmt.Errorf("%w: F=%v bits, S=%v bits", ErrBufferOverflow, backlogBits, p.BufferBits)
 	}
-
-	// The one output rule: every bit that leaves in a window of length I
-	// arrived within I + χ. Sound on its own, and in general looser than
-	// Eq. 12's Υ(I), which would need a second extremum search (DESIGN.md §2).
-	out, err := traffic.NewDelayed(in, s.delay, p.Ring.BandwidthBps)
-	if err != nil {
-		return MACResult{}, fmt.Errorf("fddi: building output envelope: %w", err)
-	}
-	return MACResult{BusyInterval: s.busy, BufferBits: backlogBits, Delay: s.delay, Output: out}, nil
+	return MACResult{BusyInterval: s.busy, BufferBits: backlogBits, Delay: s.delay}, nil
 }
 
 // boundPad is the relative padding of the closed-form bound's premise

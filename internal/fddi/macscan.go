@@ -16,7 +16,9 @@ import (
 // catches up with the demand already seen. The jump target uses Floor
 // (undershooting by at most one rotation) rather than Ceil so float rounding
 // can never overshoot a true crossing; the scan ends where the
-// rotation-by-rotation scan does.
+// rotation-by-rotation scan does. The scan's first rotation (firstRotation)
+// is the same argument made once, from the rate floor instead of a
+// demand seen.
 func nextRotation(k int, a, svc float64) int {
 	if a <= float64(k-1)*svc {
 		return 0
@@ -53,7 +55,8 @@ func (s *macScan) scan(backlog bool) (backlogBits float64) {
 //
 // The interval's end B is found by the one Eq. 9 scan: with nextRot > 0 it
 // stands at that rotation, every rotation before it known not to end the
-// interval. It runs to the end before the searches start (finish), or
+// interval — from the start, every rotation below the rate floor's
+// (firstRotation). It runs to the end before the searches start (finish), or
 // advances only as far as a comparison of the delay search needs (before,
 // clip). busy is B once known, NaN before.
 type macScan struct {
@@ -76,18 +79,53 @@ type macScan struct {
 }
 
 // newMACScan returns the search state for in at p, its Eq. 9 scan at the
-// first rotation and its busy interval not yet known. It reads the padded
-// line σ + ρ·t off the input; the line stops the searches when σ is finite
-// and both candidate lines fall — the padded rate strictly below what the
-// allocation serves.
+// first rotation that can end the busy interval (firstRotation) and its
+// busy interval not yet known. It reads the padded line σ + ρ·t off the
+// input; the line stops the searches when σ is finite and both candidate
+// lines fall — the padded rate strictly below what the allocation serves.
 func newMACScan(in traffic.Descriptor, p MACParams) macScan {
-	s := macScan{in: in, p: p, svcBits: p.RotationServiceBits(), ttrt: p.Ring.TTRT, busy: math.NaN(), nextRot: 1}
+	s := macScan{in: in, p: p, svcBits: p.RotationServiceBits(), ttrt: p.Ring.TTRT, busy: math.NaN()}
+	s.nextRot = firstRotation(in, s.svcBits, s.ttrt)
 	s.flat, _ = in.(*traffic.Flat)
 	s.sigmaBits, s.rhoBps = paddedLine(in)
 	s.chiFall = 1 - s.rhoBps*s.ttrt/s.svcBits
 	s.fFallBps = s.svcBits/s.ttrt - s.rhoBps
 	s.hasLine = !math.IsInf(s.sigmaBits, 0) && !math.IsNaN(s.sigmaBits) && s.chiFall > 0 && s.fFallBps > 0
 	return s
+}
+
+// firstRotation returns the first rotation the Eq. 9 scan need visit, k₀,
+// or maxBusyRotations + 1 when none up to maxBusyRotations can end the busy
+// interval. Under the rate floor ρ (traffic.RateFloor), padded down by
+// boundPad, the end test A(k·TTRT) <= (k−1)·svc cannot hold while
+// ρ·k·TTRT > (k−1)·svc, that is below k = svc/(svc − ρ·TTRT):
+//
+//	k₀ = ⌈svc/(svc − ρ·TTRT)⌉ − 1,
+//
+// one rotation short of the quotient's ceiling, so that at every rotation
+// skipped the floor clears the service by at least the margin
+// svc − ρ·TTRT, far above the rounding of either side. At or above the
+// service rate the test never holds. Without a floor the scan starts at
+// rotation 1. A floor set too high could only start the scan past the true
+// end and lengthen B — a looser bound, never an unsound one (DESIGN.md
+// §7.2, rule 11).
+func firstRotation(in traffic.Descriptor, svc, ttrt float64) int {
+	rho, ok := traffic.RateFloor(in)
+	if !ok {
+		return 1
+	}
+	margin := svc - rho*(1-boundPad)*ttrt
+	if margin <= 0 {
+		return maxBusyRotations + 1
+	}
+	k := math.Ceil(svc/margin) - 1
+	switch {
+	case k > maxBusyRotations:
+		return maxBusyRotations + 1
+	case k > 1:
+		return int(k)
+	}
+	return 1
 }
 
 // delayStop returns the time at and past which no delay candidate exceeds the
@@ -151,9 +189,10 @@ func (s *macScan) clip(v float64) float64 {
 // finish runs the Eq. 9 scan to its end B: avail is constant between
 // multiples of TTRT and A is nondecreasing, so the condition A(t) <= avail(t)
 // first becomes true at a multiple of TTRT, and the scan visits rotations as
-// nextRotation directs. It reports false when no rotation up to
-// maxBusyRotations ends the busy interval; the caller owns the error, keeping
-// the scan allocation-free (TestScanMACAllocationFree).
+// nextRotation directs, from the rate floor's first rotation on. It reports
+// false when no rotation up to maxBusyRotations ends the busy interval —
+// without an evaluation when the floor alone proves it; the caller owns the
+// error, keeping the scan allocation-free (TestScanMACAllocationFree).
 func (s *macScan) finish() bool {
 	for s.nextRot > 0 {
 		if s.nextRot > maxBusyRotations {

@@ -98,7 +98,6 @@ func TestScanMACAllocationFree(t *testing.T) {
 			}
 			lazy := func() {
 				s := newMACScan(in, p)
-				s.nextRot = 1
 				s.scan(false)
 			}
 			if s := newMACScan(in, p); !s.converges() {
@@ -111,15 +110,16 @@ func TestScanMACAllocationFree(t *testing.T) {
 }
 
 // TestLazyBusyIntervalAnswers holds the eager scan's B to the
-// rotation-by-rotation scan that its skip-ahead stands for, and the
-// on-demand scan's two answers to that B, over a shallow busy interval, one
-// of a dozen rotations and a deep one, chain and flat: before(x) is x < B
-// and clip(v)
-// is min(v, B) at every point of a grid over (0, 1.5·B] and at the floats
-// around every rotation boundary up to it, asked of a fresh scan and of one
-// scan asked in increasing order, as the delay search asks; the scan never
-// spends more evaluations than the eager one, and none past the rotation a
-// question needs.
+// rotation-by-rotation scan from rotation 1 that its skip-ahead and its
+// rate-floor start stand for, and the on-demand scan's two answers to that
+// B, over a shallow busy interval, one of a dozen rotations and a deep one,
+// chain and flat: every rotation below the scan's first fails Eq. 9's end
+// test, the deep interval's scan starts past rotation 1, and before(x) is
+// x < B and clip(v) is min(v, B) at every point of a grid over (0, 1.5·B]
+// and at the floats around every rotation boundary up to it, asked of a
+// fresh scan and of one scan asked in increasing order, as the delay search
+// asks; the scan never spends more evaluations than the eager one, and none
+// past the rotation a question needs.
 func TestLazyBusyIntervalAnswers(t *testing.T) {
 	chain, flat, deep := deepInput(t)
 	hMin := chain.LongTermRate() * deep.Ring.TTRT / deep.Ring.BandwidthBps
@@ -136,6 +136,15 @@ func TestLazyBusyIntervalAnswers(t *testing.T) {
 			if ref := k * p.Ring.TTRT; busy != ref {
 				t.Fatalf("%T at H=%v: B = %v, the rotation-by-rotation scan %v", in, p.H, busy, ref)
 			}
+			start := scanStart(in, p)
+			for k := 1; k < start; k++ {
+				if in.Bits(float64(k)*p.Ring.TTRT) <= float64(k-1)*p.RotationServiceBits() {
+					t.Fatalf("%T at H=%v: the scan starts at rotation %d, and rotation %d ends the busy interval", in, p.H, start, k)
+				}
+			}
+			if p.H == deep.H && start <= 1 {
+				t.Errorf("%T at H=%v: the deep interval's scan starts at rotation %d: the rate floor skips nothing", in, p.H, start)
+			}
 			var xs []float64
 			for i := 1; i <= 300; i++ {
 				xs = append(xs, 1.5*busy*float64(i)/300)
@@ -147,7 +156,6 @@ func TestLazyBusyIntervalAnswers(t *testing.T) {
 			slices.Sort(xs)
 			lazy := func() *macScan {
 				s := newMACScan(in, p)
-				s.nextRot = 1
 				return &s
 			}
 			before, clip := lazy(), lazy()

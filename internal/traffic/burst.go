@@ -1,6 +1,10 @@
 package traffic
 
-import "math"
+import (
+	"math"
+
+	"fafnet/internal/units"
+)
 
 // BurstBound returns σ, a burst bound of d against its own long-term rate:
 //
@@ -128,4 +132,115 @@ func dualPeriodicBurst(v DualPeriodic) float64 {
 // burstExcess is g(j) of dualPeriodicBurst.
 func (v DualPeriodic) burstExcess(j, rho float64) float64 {
 	return min(v.C1, (j+1)*v.C2) - rho*(j*v.P2+max(0, min(v.C2, v.C1-j*v.C2))/v.PeakBps)
+}
+
+// RateFloor returns ρ, a rate line under d:
+//
+//	d.Bits(t) >= ρ·t   for every t > 0,
+//
+// in exact arithmetic on the formulas Bits evaluates. Computed Bits values
+// may fall below it by float rounding and by units.CeilDiv's snap — a
+// relative error of the order of units.RelTol on ρ·t — so a caller that
+// needs the inequality on computed values pads ρ down. ok is false when d
+// holds a type without a rule (a type from outside the package) or a source
+// whose parameters break its constructor's premise, the premise the rule
+// stands on. There is one rule per descriptor type:
+//
+//   - CBR, LeakyBucket, Periodic, DualPeriodic: the long-term rate, which
+//     the constructors' orderings keep under the envelope (Peak ≥ ρ for a
+//     bucket, Peak·P ≥ C for a periodic source, C2/P2 ≥ C1/P1 and
+//     Peak·P2 ≥ C2 for a dual-periodic one);
+//   - Delayed: min(ρ, Cap) for a cap, ρ without one, as A(I + d) ≥ A(I);
+//   - RateCapped: min(ρ, Cap);
+//   - Quantized: ρ·Out/Quantum, since ⌈x/q⌉ ≥ x/q;
+//   - Aggregate: the sum over the members; Min: the minimum over them;
+//   - *Flat: its tail chain's, cached on the flat (a flat evaluates to its
+//     chain's values up to float re-association);
+//   - *View: min(ρ, Cap) over its upstream's, cached on the view.
+//
+// No rule gives more than the long-term rate.
+func RateFloor(d Descriptor) (rho float64, ok bool) {
+	rho = rateFloor(d)
+	return rho, !math.IsNaN(rho)
+}
+
+// rateFloor is RateFloor with NaN for no floor: NaN passes through every
+// sum, product and min, so a chain with a member or an inner without a
+// floor has none.
+func rateFloor(d Descriptor) float64 {
+	switch v := d.(type) {
+	case *Flat:
+		return v.rateFloor()
+	case *View:
+		return v.rateFloor()
+	case CBR:
+		if !(v.RateBps >= 0) {
+			return math.NaN()
+		}
+		return v.RateBps
+	case LeakyBucket:
+		if !(v.Sigma >= 0 && v.Rho > 0 && (v.PeakBps == 0 || v.PeakBps >= v.Rho*(1-units.RelTol))) {
+			return math.NaN()
+		}
+		return v.Rho
+	case Periodic:
+		if !(v.C > 0 && v.P > 0 && v.PeakBps*v.P >= v.C*(1-units.RelTol)) {
+			return math.NaN()
+		}
+		return v.LongTermRate()
+	case DualPeriodic:
+		if !(v.C1 > 0 && v.P1 > 0 && v.C2 > 0 && v.P2 > 0 &&
+			v.C2/v.P2 >= v.LongTermRate()*(1-units.RelTol) && v.PeakBps*v.P2 >= v.C2*(1-units.RelTol)) {
+			return math.NaN()
+		}
+		return v.LongTermRate()
+	case Delayed:
+		if !(v.Delay >= 0) {
+			return math.NaN()
+		}
+		if v.CapBps > 0 {
+			return min(rateFloor(v.Inner), v.CapBps)
+		}
+		return rateFloor(v.Inner)
+	case RateCapped:
+		return min(rateFloor(v.Inner), v.CapBps)
+	case Quantized:
+		if !(v.QuantumBits > 0 && v.OutBits >= 0) {
+			return math.NaN()
+		}
+		return rateFloor(v.Inner) * (v.OutBits / v.QuantumBits)
+	case Aggregate:
+		var rho float64
+		for _, m := range v.members {
+			rho += rateFloor(m)
+		}
+		return rho
+	case Min:
+		rho := rateFloor(v.members[0])
+		for _, m := range v.members[1:] {
+			rho = min(rho, rateFloor(m))
+		}
+		return rho
+	default:
+		return math.NaN()
+	}
+}
+
+// rateFloor returns rateFloor of the flat's tail, computed on first use, as
+// burstBound is.
+func (f *Flat) rateFloor() float64 {
+	if !f.floorOK {
+		f.floor, f.floorOK = rateFloor(f.tail), true
+	}
+	return f.floor
+}
+
+// rateFloor returns the View rule of RateFloor, computed on first use: the
+// upstream's floor under the view's cap, which is its tail's, as the fused
+// chain keeps the smallest cap of the chain it fuses.
+func (v *View) rateFloor() float64 {
+	if !v.floorOK {
+		v.floor, v.floorOK = min(rateFloor(v.up), v.capBps), true
+	}
+	return v.floor
 }

@@ -37,9 +37,9 @@ import (
 //
 // Flat is NOT safe for concurrent use: Bits maintains a segment-cursor hint
 // (ascending scans — busy-period searches, merges — then locate their
-// segment in O(1) amortized instead of O(log n)), and the burst bound is
-// cached lazily. Every analyzer that holds one is itself documented
-// single-threaded.
+// segment in O(1) amortized instead of O(log n)), and the burst bound and
+// the rate floor are cached lazily. Every analyzer that holds one is itself
+// documented single-threaded.
 type Flat struct {
 	ts, vs, ss []float64
 	horizon    float64
@@ -49,9 +49,10 @@ type Flat struct {
 	// hint is the segment index of the most recent in-window evaluation.
 	hint int
 
-	// burst caches BurstBound of the tail once burstOK is set.
-	burst   float64
-	burstOK bool
+	// burst and floor cache BurstBound and RateFloor of the tail once
+	// burstOK and floorOK are set.
+	burst, floor     float64
+	burstOK, floorOK bool
 }
 
 var _ Descriptor = (*Flat)(nil)
@@ -501,7 +502,11 @@ func lowerLeakyBucket(b *flatBuilder, v LeakyBucket, horizon float64) {
 }
 
 // lowerPeriodic lowers ⌊I/P⌋·C + min(C, (I mod P)·Peak): a burst ramp of
-// length C/Peak at every period start, then a plateau.
+// length C/Peak at every period start, then a plateau. A plateau is placed
+// only before the next period's start as the next step computes it: the
+// builder ignores a vertex earlier than the last, so a plateau rounded onto
+// or past that start would drop the next ramp and leave the array below
+// the envelope.
 func lowerPeriodic(b *flatBuilder, v Periodic, horizon float64) {
 	b.reserve(2 * (int(horizon/v.P) + 2))
 	burst := v.C / v.PeakBps
@@ -512,7 +517,7 @@ func lowerPeriodic(b *flatBuilder, v Periodic, horizon float64) {
 		}
 		b.gate = base
 		b.add(base, float64(k)*v.C, v.PeakBps)
-		if end := base + burst; end < base+v.P && !(end > horizon) {
+		if end := base + burst; end < float64(k+1)*v.P && !(end > horizon) {
 			b.gate = end
 			b.add(end, float64(k)*v.C+v.C, 0)
 		}
@@ -522,6 +527,8 @@ func lowerPeriodic(b *flatBuilder, v Periodic, horizon float64) {
 // lowerDualPeriodic lowers Eq. 37: within each long period, short-period
 // bursts ramp at the peak rate until the long-period budget C1 binds — the
 // budget crossing is a true envelope vertex the closed form places exactly.
+// As in lowerPeriodic, a plateau is placed only before the next long
+// period's start as the next step computes it.
 func lowerDualPeriodic(b *flatBuilder, v DualPeriodic, horizon float64) {
 	// A whole long period holds a ramp and a plateau per short-period burst
 	// until the budget C1 binds, then one plateau; the last, partial period
@@ -535,7 +542,7 @@ func lowerDualPeriodic(b *flatBuilder, v DualPeriodic, horizon float64) {
 		if base > horizon {
 			break
 		}
-		baseV := float64(k1) * v.C1
+		baseV, next := float64(k1)*v.C1, float64(k1+1)*v.P1
 		capped := false
 		for j := 0; !capped && !b.full(); j++ {
 			r0 := float64(j) * v.P2
@@ -555,13 +562,13 @@ func lowerDualPeriodic(b *flatBuilder, v DualPeriodic, horizon float64) {
 				// Budget binds mid-burst.
 				b.add(base+r0, baseV+start, v.PeakBps)
 				rc := r0 + (v.C1-start)/v.PeakBps
-				if rc < v.P1 {
+				if rc < v.P1 && base+rc < next {
 					b.add(base+rc, baseV+v.C1, 0)
 				}
 				capped = true
 			default:
 				b.add(base+r0, baseV+start, v.PeakBps)
-				if end := r0 + burst; end < r0+v.P2 && end < v.P1 {
+				if end := r0 + burst; end < r0+v.P2 && end < v.P1 && base+end < next {
 					b.add(base+end, baseV+start+v.C2, 0)
 				}
 			}
@@ -916,5 +923,5 @@ func mergeLinear(dst, a, b *Flat) {
 	dst.horizon = h
 	dst.rho = a.rho + b.rho
 	dst.hint = 0
-	dst.burstOK = false
+	dst.burstOK, dst.floorOK = false, false
 }

@@ -37,10 +37,11 @@ var (
 //
 // Its tail is the fused chain FuseRoot(Delayed{up.Tail(), delay, capBps}),
 // built on the first call of Tail, which only an evaluation past the window
-// makes: the long-term rate and the burst bound the analyses read are
-// computed from the fused chain's parameters without building it. A point
-// read inside the window materializes the view's vertices once and keeps
-// them; no analysis reads a view's points.
+// makes: the long-term rate, the burst bound and the rate floor the
+// analyses read are computed from the fused chain's parameters, or the
+// upstream's, without building it. A point read inside the window
+// materializes the view's vertices once and keeps them; no analysis reads a
+// view's points.
 //
 // A View is NOT safe for concurrent use (its tail and vertices are filled on
 // demand); every analyzer that holds one is itself single-threaded.
@@ -57,10 +58,10 @@ type View struct {
 	fused Delayed
 	known bool
 
-	tail    Descriptor
-	burst   float64
-	burstOK bool
-	pts     *Flat
+	tail             Descriptor
+	burst, floor     float64
+	burstOK, floorOK bool
+	pts              *Flat
 	// rd is the reader of the workspace that read the view last; its
 	// vertices serve a later read of the same evaluation (Workspace.reader).
 	rd *reader

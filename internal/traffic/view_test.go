@@ -280,3 +280,69 @@ func TestViewReadsAllocationFree(t *testing.T) {
 		t.Errorf("warm view reads: %v allocs per run, want 0", n)
 	}
 }
+
+// TestReaderVertexFinality pins reader.vertex's finality rule: vertex k is
+// final once k+3 vertices exist, not k+2. The view starts on its cap line,
+// which meets the shifted upstream ramp a hair before the ramp's end, and
+// addCapped's crossing rounds exactly onto that end's time, so the next
+// step's first vertex lands on the same instant: the builder rewrites
+// vertex 1 there, and settle lowers vertex 0's slope once more, after two
+// vertices already exist. A fresh reader asked for each vertex in turn then hands out
+// exactly ShiftCap's vertices, slopes included.
+func TestReaderVertexFinality(t *testing.T) {
+	const (
+		peak  = 3.008599388325496e+06
+		end   = 0.0006690130342433619
+		delay = 0.0005974634693353542
+		capB  = 2.8131438789239865e+07
+	)
+	var b flatBuilder
+	b.add(0, 0, peak)
+	b.add(end, peak*end, 0)
+	up := b.finish(2*end, CBR{RateBps: peak})
+	env, err := NewView(up, delay, capB, 2*end)
+	if err != nil {
+		t.Fatal(err)
+	}
+	v, ok := env.(*View)
+	if !ok {
+		t.Fatalf("NewView returned a %T", env)
+	}
+	want := up.ShiftCap(delay, capB, 2*end, CBR{RateBps: peak})
+
+	// The case: some vertex k's slope moves after k+2 vertices exist.
+	var w Workspace
+	r := w.reader(v)
+	early := map[int]float64{}
+	for !r.end {
+		r.step()
+		if k := len(r.b.ts) - 2; k >= 0 {
+			if _, ok := early[k]; !ok {
+				early[k] = r.b.ss[k]
+			}
+		}
+	}
+	moved := false
+	for k, s := range early {
+		moved = moved || r.b.ss[k] != s
+	}
+	if !moved {
+		t.Fatal("no vertex's slope moves once the next two exist: the case exercises nothing")
+	}
+
+	var fresh Workspace
+	r = fresh.reader(v)
+	n := 0
+	for ; ; n++ {
+		tk, vk, sk, ok := r.vertex(n)
+		if !ok {
+			break
+		}
+		if n >= len(want.ts) || tk != want.ts[n] || vk != want.vs[n] || sk != want.ss[n] {
+			t.Fatalf("vertex %d = (%v, %v, %v), ShiftCap's %v", n, tk, vk, sk, want)
+		}
+	}
+	if n != len(want.ts) {
+		t.Errorf("the reader yields %d vertices, ShiftCap %d", n, len(want.ts))
+	}
+}
