@@ -63,7 +63,8 @@ FUZZ_TARGETS := \
 	./internal/workload:FuzzParse \
 	./internal/workload:FuzzReadTrace \
 	./internal/signaling:FuzzReplay \
-	./internal/signaling:FuzzServerRequests
+	./internal/signaling:FuzzServerRequests \
+	./internal/signaling:FuzzWireCodec
 
 fuzz-smoke:
 	@for t in $(FUZZ_TARGETS); do \

@@ -165,7 +165,7 @@ func FuzzDelayBound(f *testing.F) {
 				crossings = append(crossings, res.BusyInterval*float64(i)/400)
 			}
 		case errors.Is(err, ErrNoConvergence):
-			cut := maxBusyRotations * ring.TTRT //lint:allow unitcheck maxBusyRotations is a count of rotations, not a time
+			cut := maxBusyRotations * ring.TTRT
 			for i := 0; i <= 400; i++ {
 				crossings = append(crossings, cut*float64(i)/400)
 			}

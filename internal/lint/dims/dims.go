@@ -95,6 +95,14 @@ var timeWords = map[string]bool{
 	"interval": true,
 }
 
+// Plural words that count events rather than name a duration:
+// maxBusyRotations is a number of token rotations, while "rotation" alone
+// (rotationTime, rotationDelay) is a time. singular must not fold these
+// into the time word.
+var countWords = map[string]bool{
+	"rotations": true,
+}
+
 // Suffix words that declare a time scale (DelayMillis, HMinAbsMicros).
 var timeSuffixes = map[string]bool{
 	"seconds": true, "secs": true, "millis": true, "micros": true,
@@ -136,6 +144,9 @@ func FromName(name string) (Dim, bool) {
 		return Seconds, true
 	}
 	for _, w := range words {
+		if countWords[w] {
+			continue
+		}
 		w = singular(w)
 		switch {
 		case rateWords[w]:

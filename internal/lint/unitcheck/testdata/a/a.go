@@ -52,3 +52,13 @@ func negatives(txDelay, frameBits, linkRate float64, n int) {
 	_ = txDelay - 2e-3    // literal operands are scalars
 	_ = frameBits * 2 / 8 // scalar chain keeps bits
 }
+
+// A plural "rotations" counts rotations; the singular names a time.
+func rotations(ttrt, frameBits, rotationTime float64) {
+	const maxBusyRotations = 4096
+	_ = maxBusyRotations * ttrt // a count of rotations times a period: seconds
+	var busyRotations float64
+	_ = busyRotations * ttrt
+	_ = rotationTime + frameBits // want `cross-dimension addition: seconds \+ bits`
+	_ = rotationTime * ttrt      // want `suspicious product dimension`
+}

@@ -9,6 +9,8 @@ import (
 	"strings"
 	"sync"
 	"time"
+
+	"fafnet/internal/jsonwire"
 )
 
 // An AuditRecord is one line of the admission audit log: the full story of
@@ -91,7 +93,7 @@ type CacheCounts struct {
 	MACMisses uint64 `json:"macMisses"`
 }
 
-// An AuditLog appends JSON-line audit records to a writer. Append marshals
+// An AuditLog appends JSON-line audit records to a writer. Append encodes
 // under a mutex and issues one Write per record, so records never
 // interleave even when the writer is shared.
 type AuditLog struct {
@@ -100,6 +102,9 @@ type AuditLog struct {
 	w io.Writer
 	// c closes the file Append opened, nil otherwise. guarded by mu.
 	c io.Closer
+	// buf holds the record being encoded, reused across appends. guarded
+	// by mu.
+	buf jsonwire.Buffer
 }
 
 // NewAuditLog wraps an arbitrary writer (a test buffer, stderr).
@@ -120,23 +125,103 @@ func OpenAuditLog(path string) (*AuditLog, error) {
 	return &AuditLog{w: f, c: f}, nil
 }
 
-// Append writes one record as a single JSON line, stamping TimeUnixNanos
-// if the caller left it zero.
+// Append writes one record as a single JSON line, the bytes json.Marshal
+// writes for it, stamping TimeUnixNanos if the caller left it zero.
 func (l *AuditLog) Append(rec AuditRecord) error {
 	if rec.TimeUnixNanos == 0 {
 		rec.TimeUnixNanos = time.Now().UnixNano()
 	}
-	buf, err := json.Marshal(rec)
-	if err != nil {
-		return fmt.Errorf("obs: marshal audit record: %w", err)
-	}
-	buf = append(buf, '\n')
 	l.mu.Lock()
 	defer l.mu.Unlock()
-	if _, err := l.w.Write(buf); err != nil {
+	l.buf.Reset()
+	var line []byte
+	if appendAuditRecord(&l.buf, &rec) {
+		l.buf.Byte('\n')
+		line = l.buf.Bytes()
+	} else {
+		// A float json.Marshal refuses, or a request body it must
+		// compact, escape or refuse: its bytes, or its error.
+		var err error
+		if line, err = json.Marshal(rec); err != nil {
+			return fmt.Errorf("obs: marshal audit record: %w", err)
+		}
+		line = append(line, '\n')
+	}
+	if _, err := l.w.Write(line); err != nil {
 		return fmt.Errorf("obs: append audit record: %w", err)
 	}
 	return nil
+}
+
+// appendAuditRecord appends rec to w as json.Marshal encodes it, reporting
+// false where the text would differ from json.Marshal's.
+func appendAuditRecord(w *jsonwire.Buffer, rec *AuditRecord) bool {
+	if len(rec.Request) > 0 && !jsonwire.Verbatim(rec.Request) {
+		return false
+	}
+	w.Raw(`{"timeUnixNanos":`)
+	w.Int(rec.TimeUnixNanos)
+	w.Raw(`,"op":`)
+	w.String(rec.Op)
+	w.Raw(`,"connId":`)
+	w.String(rec.ConnID)
+	w.Raw(`,"admitted":`)
+	w.Bool(rec.Admitted)
+	w.OmitString(`,"reason":`, rec.Reason)
+	w.OmitString(`,"error":`, rec.Error)
+	w.Raw(`,"beta":`)
+	w.Float(rec.Beta)
+	w.OmitFloat(`,"hsSeconds":`, rec.HSSeconds)
+	w.OmitFloat(`,"hrSeconds":`, rec.HRSeconds)
+	w.OmitFloat(`,"deadlineSeconds":`, rec.DeadlineSeconds)
+	if rec.Probes != 0 {
+		w.Raw(`,"probes":`)
+		w.Int(int64(rec.Probes))
+	}
+	if st := rec.Stages; st != nil {
+		w.Raw(`,"stages":{"srcMacSeconds":`)
+		w.Float(st.SrcMACSeconds)
+		w.Raw(`,"shaperSeconds":`)
+		w.Float(st.ShaperSeconds)
+		if len(st.PortSeconds) > 0 {
+			w.Raw(`,"portSeconds":[`)
+			for i, d := range st.PortSeconds {
+				if i > 0 {
+					w.Byte(',')
+				}
+				w.Float(d)
+			}
+			w.Byte(']')
+		}
+		w.Raw(`,"dstMacSeconds":`)
+		w.Float(st.DstMACSeconds)
+		w.Raw(`,"constantSeconds":`)
+		w.Float(st.ConstantSeconds)
+		w.Raw(`,"totalSeconds":`)
+		w.Float(st.TotalSeconds)
+		w.Byte('}')
+	}
+	if c := rec.Cache; c != nil {
+		w.Raw(`,"cache":{"stage0Hits":`)
+		w.Uint(c.Stage0Hits)
+		w.Raw(`,"stage0Misses":`)
+		w.Uint(c.Stage0Misses)
+		w.Raw(`,"macHits":`)
+		w.Uint(c.MACHits)
+		w.Raw(`,"macMisses":`)
+		w.Uint(c.MACMisses)
+		w.Byte('}')
+	}
+	if rec.Released != nil {
+		w.Raw(`,"released":`)
+		w.Bool(*rec.Released)
+	}
+	if len(rec.Request) > 0 {
+		w.Raw(`,"request":`)
+		w.RawBytes(rec.Request)
+	}
+	w.Byte('}')
+	return w.OK()
 }
 
 // Sync flushes appended records to stable storage when the underlying

@@ -8,6 +8,8 @@ import (
 	"path/filepath"
 	"sync"
 	"testing"
+
+	"fafnet/internal/jsonwire"
 )
 
 func sampleRecord() AuditRecord {
@@ -59,6 +61,24 @@ func TestAuditAppendRoundTrips(t *testing.T) {
 	}
 	if got.Cache == nil || got.Cache.MACHits != 5 {
 		t.Errorf("round trip mangled the cache counts: %+v", got.Cache)
+	}
+}
+
+// TestAuditRecordEncoding pins Append's encoder to json.Marshal's bytes for
+// a full record, and to no allocation once its buffer has grown.
+func TestAuditRecordEncoding(t *testing.T) {
+	rec := sampleRecord()
+	rec.TimeUnixNanos = 1
+	want, err := json.Marshal(rec)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var w jsonwire.Buffer
+	if !appendAuditRecord(&w, &rec) || !bytes.Equal(w.Bytes(), want) {
+		t.Fatalf("encoded %s, json.Marshal %s", w.Bytes(), want)
+	}
+	if n := testing.AllocsPerRun(100, func() { w.Reset(); appendAuditRecord(&w, &rec) }); n != 0 {
+		t.Errorf("encoding an audit record allocates %v times, want 0", n)
 	}
 }
 

@@ -1,10 +1,13 @@
 package signaling
 
 import (
-	"encoding/json"
+	"bytes"
+	"sync"
 
 	"fafnet/internal/core"
+	"fafnet/internal/jsonwire"
 	"fafnet/internal/obs"
+	"fafnet/internal/scenario"
 )
 
 // SetAsyncAudit installs the admission audit sink: from now on every admit,
@@ -40,11 +43,27 @@ func (s *Server) decisionRecord(req Request, spec core.ConnSpec, dec core.Decisi
 		rec.HSSeconds, rec.HRSeconds = dec.HS, dec.HR
 		rec.Stages = auditStages(dec.Stages)
 	}
-	if body, err := json.Marshal(req.Admit); err == nil {
-		rec.Request = body
-	}
+	rec.Request = auditBody(req.Admit)
 	return rec
 }
+
+// auditBody encodes an admit body for the audit log, the bytes json.Marshal
+// writes for it, or nil where json.Marshal fails (a NaN or infinite field).
+// Like json.Marshal, it encodes into a recycled buffer and copies the body
+// out at its exact length.
+func auditBody(a *scenario.Request) []byte {
+	w := bodyBufs.Get().(*jsonwire.Buffer)
+	defer bodyBufs.Put(w)
+	w.Reset()
+	appendAdmit(w, a)
+	if !w.OK() {
+		return nil
+	}
+	return bytes.Clone(w.Bytes())
+}
+
+// bodyBufs recycles the buffers audit request bodies are encoded in.
+var bodyBufs = sync.Pool{New: func() any { return new(jsonwire.Buffer) }}
 
 // releaseRecord builds the audit record for one release outcome.
 func (s *Server) releaseRecord(id string, found bool) obs.AuditRecord {

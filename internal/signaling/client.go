@@ -1,8 +1,6 @@
 package signaling
 
 import (
-	"bufio"
-	"encoding/json"
 	"errors"
 	"fmt"
 	"net"
@@ -10,6 +8,7 @@ import (
 
 	"math/rand"
 
+	"fafnet/internal/jsonwire"
 	"fafnet/internal/scenario"
 )
 
@@ -151,8 +150,8 @@ type Client struct {
 
 	conn    net.Conn
 	written *meteredWriter
-	dec     *json.Decoder
-	enc     *json.Encoder
+	in      *wireReader
+	out     jsonwire.Buffer // the request being sent, reused
 }
 
 // Dial connects to a signaling server with the default retry policy. For
@@ -192,8 +191,7 @@ func NewClient(conn net.Conn) *Client {
 func (c *Client) install(conn net.Conn) {
 	c.conn = conn
 	c.written = &meteredWriter{w: conn}
-	c.dec = json.NewDecoder(bufio.NewReader(conn))
-	c.enc = json.NewEncoder(c.written)
+	c.in = newWireReader(conn)
 }
 
 // redial establishes a fresh connection per the config.
@@ -260,7 +258,7 @@ func (c *Client) roundTrip(req Request) (resp Response, sent bool, err error) {
 			return Response{}, false, fmt.Errorf("signaling: arming write deadline: %w", err)
 		}
 	}
-	if err := c.enc.Encode(req); err != nil {
+	if err := writeLine(c.written, &c.out, &req, appendRequest); err != nil {
 		return Response{}, c.written.n > before, fmt.Errorf("signaling: sending request: %w", err)
 	}
 	if c.cfg.ReadTimeout > 0 {
@@ -268,7 +266,7 @@ func (c *Client) roundTrip(req Request) (resp Response, sent bool, err error) {
 			return Response{}, true, fmt.Errorf("signaling: arming read deadline: %w", err)
 		}
 	}
-	if err := c.dec.Decode(&resp); err != nil {
+	if err := c.in.readResponse(&resp); err != nil {
 		return Response{}, true, fmt.Errorf("signaling: reading response: %w", err)
 	}
 	if !resp.OK {

@@ -25,6 +25,17 @@
 //     counting lines. Blank in exactly one case: a request whose JSON
 //     could not be parsed at all.
 //
+// Both sides write each message as json.Marshal would, byte for byte
+// (fields in declaration order, omitempty, HTML-escaped strings, ES6
+// floats), from hand-written encoders, and read the compact form those
+// encoders write without reflection. Any other valid JSON is still
+// accepted, with the values and errors encoding/json gives it: whitespace,
+// keys in another case, null, a repeated key. At the first byte
+// outside the compact form a connection's reader hands every byte it has
+// not decoded, and the rest of the stream, to a json.Decoder, which reads
+// that connection from then on. Either way a request is answered as soon
+// as its closing brace arrives, newline or not.
+//
 // A connection may issue any number of sequential request/response pairs.
 // After a malformed-JSON request the server still answers — with ok=false
 // and "error" describing the parse failure — but then closes the
@@ -115,36 +126,51 @@ const MaxBatch = 1024
 
 // Validate checks structural consistency before hitting the controller.
 func (r Request) Validate() error {
+	_, _, err := r.specs(false)
+	return err
+}
+
+// specs validates r, building the connection specification of each admit
+// body once: spec for OpAdmit and OpPreview, and for OpPreviewBatch, when
+// keep is set, batch in member order.
+func (r Request) specs(keep bool) (spec core.ConnSpec, batch []core.ConnSpec, err error) {
 	switch r.Op {
 	case OpAdmit, OpPreview:
 		if r.Admit == nil {
-			return fmt.Errorf("signaling: %s requires an admit body", r.Op)
+			return spec, nil, fmt.Errorf("signaling: %s requires an admit body", r.Op)
 		}
-		if _, err := r.Admit.Spec(); err != nil {
-			return err
-		}
+		spec, err = r.Admit.Spec()
+		return spec, nil, err
 	case OpPreviewBatch:
 		if len(r.AdmitBatch) == 0 {
-			return fmt.Errorf("signaling: previewBatch requires at least one admit body")
+			return spec, nil, fmt.Errorf("signaling: previewBatch requires at least one admit body")
 		}
 		if len(r.AdmitBatch) > MaxBatch {
-			return fmt.Errorf("signaling: previewBatch of %d exceeds the maximum of %d", len(r.AdmitBatch), MaxBatch)
+			return spec, nil, fmt.Errorf("signaling: previewBatch of %d exceeds the maximum of %d", len(r.AdmitBatch), MaxBatch)
+		}
+		if keep {
+			batch = make([]core.ConnSpec, len(r.AdmitBatch))
 		}
 		for i := range r.AdmitBatch {
-			if _, err := r.AdmitBatch[i].Spec(); err != nil {
-				return fmt.Errorf("signaling: previewBatch entry %d: %w", i, err)
+			member, err := r.AdmitBatch[i].Spec()
+			if err != nil {
+				return spec, nil, fmt.Errorf("signaling: previewBatch entry %d: %w", i, err)
+			}
+			if keep {
+				batch[i] = member
 			}
 		}
+		return spec, batch, nil
 	case OpRelease:
 		if r.Release == "" {
-			return fmt.Errorf("signaling: release requires a connection id")
+			return spec, nil, fmt.Errorf("signaling: release requires a connection id")
 		}
 	case OpReport, OpBuffers:
 		// No body.
 	default:
-		return fmt.Errorf("signaling: unknown op %q", r.Op)
+		return spec, nil, fmt.Errorf("signaling: unknown op %q", r.Op)
 	}
-	return nil
+	return spec, nil, nil
 }
 
 // Decision is the wire form of a CAC decision (times in milliseconds, the
@@ -205,16 +231,16 @@ type Response struct {
 
 // wireBatchDecision converts one batch member's outcome, folding a
 // per-member failure into the decision so the response stays positional.
-func wireBatchDecision(spec core.ConnSpec, dec core.Decision, err error) *Decision {
+func wireBatchDecision(spec core.ConnSpec, dec core.Decision, err error) Decision {
 	if err != nil {
-		return &Decision{Reason: dec.Reason, Error: err.Error()}
+		return Decision{Reason: dec.Reason, Error: err.Error()}
 	}
 	return wireDecision(spec, dec)
 }
 
 // wireDecision converts a core decision.
-func wireDecision(spec core.ConnSpec, dec core.Decision) *Decision {
-	out := &Decision{
+func wireDecision(spec core.ConnSpec, dec core.Decision) Decision {
+	out := Decision{
 		Admitted:       dec.Admitted,
 		Reason:         dec.Reason,
 		Probes:         dec.Probes,

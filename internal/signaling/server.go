@@ -1,9 +1,7 @@
 package signaling
 
 import (
-	"bufio"
 	"context"
-	"encoding/json"
 	"errors"
 	"fmt"
 	"io"
@@ -13,6 +11,7 @@ import (
 	"time"
 
 	"fafnet/internal/core"
+	"fafnet/internal/jsonwire"
 	"fafnet/internal/obs"
 )
 
@@ -298,8 +297,8 @@ func (s *Server) handle(conn net.Conn) {
 		return
 	}
 	defer s.forgetConn(conn)
-	dec := json.NewDecoder(bufio.NewReader(conn))
-	enc := json.NewEncoder(conn)
+	in := newWireReader(conn)
+	var out jsonwire.Buffer
 	for {
 		if s.IdleTimeout > 0 {
 			if err := conn.SetReadDeadline(time.Now().Add(s.IdleTimeout)); err != nil {
@@ -309,7 +308,7 @@ func (s *Server) handle(conn net.Conn) {
 			}
 		}
 		var req Request
-		if err := dec.Decode(&req); err != nil {
+		if err := in.readRequest(&req); err != nil {
 			if errors.Is(err, io.EOF) {
 				return // clean client close
 			}
@@ -326,7 +325,7 @@ func (s *Server) handle(conn net.Conn) {
 			// resynchronization is impossible.
 			mRequests[opInvalid].Inc()
 			mErrors[opInvalid].Inc()
-			_ = enc.Encode(Response{Error: fmt.Sprintf("signaling: malformed request: %v", err)})
+			_ = writeLine(conn, &out, &Response{Error: fmt.Sprintf("signaling: malformed request: %v", err)}, appendResponse)
 			return
 		}
 		st.active.Store(true)
@@ -343,7 +342,7 @@ func (s *Server) handle(conn net.Conn) {
 				return
 			}
 		}
-		err := enc.Encode(resp)
+		err := writeLine(conn, &out, &resp, appendResponse)
 		st.active.Store(false)
 		if err != nil {
 			return
@@ -382,15 +381,12 @@ func (s *Server) execute(req Request) Response {
 // the sink by callbacks the controller invokes inside its commit critical
 // section, which is what keeps audit order equal to commit order.
 func (s *Server) executeOp(req Request) Response {
-	if err := req.Validate(); err != nil {
+	spec, specs, err := req.specs(true)
+	if err != nil {
 		return Response{Error: err.Error()}
 	}
 	switch req.Op {
 	case OpAdmit, OpPreview:
-		spec, err := req.Admit.Spec()
-		if err != nil {
-			return Response{Error: err.Error()}
-		}
 		var record func(core.Decision, error)
 		if s.auditEnabled() {
 			record = func(dec core.Decision, opErr error) {
@@ -406,16 +402,9 @@ func (s *Server) executeOp(req Request) Response {
 		if err != nil {
 			return Response{Error: err.Error()}
 		}
-		return Response{OK: true, Decision: wireDecision(spec, dec)}
+		d := wireDecision(spec, dec)
+		return Response{OK: true, Decision: &d}
 	case OpPreviewBatch:
-		specs := make([]core.ConnSpec, len(req.AdmitBatch))
-		for i := range req.AdmitBatch {
-			spec, err := req.AdmitBatch[i].Spec()
-			if err != nil {
-				return Response{Error: err.Error()}
-			}
-			specs[i] = spec
-		}
 		var record func(int, core.Decision, error)
 		if s.auditEnabled() {
 			record = func(i int, dec core.Decision, opErr error) {
@@ -424,9 +413,11 @@ func (s *Server) executeOp(req Request) Response {
 			}
 		}
 		results := s.pipe.PreviewAdmissionBatch(specs, record)
+		vals := make([]Decision, len(results))
 		decs := make([]*Decision, len(results))
 		for i, r := range results {
-			decs[i] = wireBatchDecision(specs[i], r.Decision, r.Err)
+			vals[i] = wireBatchDecision(specs[i], r.Decision, r.Err)
+			decs[i] = &vals[i]
 		}
 		return Response{OK: true, Decisions: decs}
 	case OpRelease:
